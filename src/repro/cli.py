@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump the metrics registry as JSON here")
     fleet.add_argument("--prom", default=None, metavar="PATH",
                        help="also dump Prometheus text-format metrics here")
-    cli_util.add_workers_arg(fleet)
     cli_util.add_document_args(fleet, "FLEET", "FLEET", threshold=0.10)
     cli_util.add_ledger_args(fleet)
     slo = sub.add_parser(
@@ -634,9 +633,9 @@ def _run_fleet(args) -> int:
     if armed:
         obs = Instrumentation()
         with obs_hooks.use(obs):
-            report = run_fleet(config, slo=monitor, workers=args.workers)
+            report = run_fleet(config, slo=monitor)
     else:
-        report = run_fleet(config, slo=monitor, workers=args.workers)
+        report = run_fleet(config, slo=monitor)
     wall_s = time.perf_counter() - start
 
     print(report.text())

@@ -236,9 +236,9 @@ class FleetController:
     def _harvest_volumes(self) -> None:
         """Merge every volume's telemetry into the ambient plane.
 
-        Spec order, ``<volume>/`` track prefixes — exactly the merge the
-        sharded run performs on the parent, so armed serial and
-        ``--workers N`` fleets export identical planes.
+        Spec order, ``<volume>/`` track prefixes: every volume runs its
+        own virtual clock, so its spans get their own Chrome trace rows
+        instead of interleaving with the other volumes' on one row.
         """
         obs = obs_hooks.current()
         if not obs.enabled:
@@ -321,7 +321,6 @@ def run_fleet(
     config: FleetConfig,
     slo: Optional[FleetSlo] = None,
     on_tick=None,
-    workers: Optional[int] = None,
 ) -> FleetReport:
     """Build the fleet, run the scheduler, return the SLO report.
 
@@ -336,21 +335,10 @@ def run_fleet(
     called after every tick — the ``repro watch`` dashboard's frame
     hook.
 
-    ``workers`` shards the volumes across persistent worker processes
-    (:mod:`repro.fleet.par`); the report is byte-identical to the serial
-    run.  Incompatible with ``on_tick`` (there is no live controller to
-    hand to the hook) and with ``config.faults`` (one global storm).
+    With the ambient instrumentation armed, every volume records into
+    its own child plane (:func:`build_volumes`), merged back per volume
+    when the run finishes.
     """
-    if workers is not None:
-        from ..errors import InvalidArgument
-        from .par import run_fleet_parallel
-
-        if on_tick is not None:
-            raise InvalidArgument(
-                "--workers is incompatible with a live on_tick hook "
-                "(repro watch); run the dashboard serially"
-            )
-        return run_fleet_parallel(config, workers, slo=slo)
     if not config.faults:
         return _run(config, slo=slo, on_tick=on_tick)
     plane = FaultPlane(config.fault_plan())

@@ -89,8 +89,8 @@ class Volume:
 
         Live ``obs_hooks.current()`` readers — the concurrency engine's
         actor events, journal recovery, job construction — must run
-        inside this scope so armed serial and sharded runs record onto
-        the same per-volume plane.
+        inside this scope so they record onto this volume's plane, not
+        the ambient one.
         """
         from contextlib import nullcontext
 

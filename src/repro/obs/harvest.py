@@ -15,9 +15,9 @@ own armed instrumentation **strictly in shard order**:
 - counters sum; gauges keep the last shard's reading but remember the
   true peak across shards; histograms add bucket-wise (same bounds
   required) so quantiles come from the union of observations;
-- spans and ring events land on per-shard tracks (``shard0/main``,
-  ``vol03/fleet`` ...) so Chrome-trace rows stay separated per worker,
-  with an optional virtual-time base to reconcile shard-local clocks;
+- spans and ring events land on per-shard tracks (``shard0/main``
+  ...) so Chrome-trace rows stay separated per shard, with an optional
+  virtual-time base to reconcile shard-local clocks;
 - ring drops stay counted: the worker's ``obs.events_dropped`` counter
   merges like any counter, and the recorder-level ``dropped_spans`` /
   ``dropped_events`` tallies carry over into the parent's recorder (on
@@ -33,6 +33,12 @@ dance per shard, so an armed ``--workers N`` run renders byte-identical
 metrics tables, Prometheus text, and Chrome traces to the serial run —
 guarded by ``tests/test_obs_determinism.py`` and the ``obs-par-smoke``
 CI job.
+
+The fleet controller uses the same capture-merge in-process, without
+workers: each volume runs its own virtual clock under its own child
+(:func:`child_of`), and the volumes merge at the end of the run in spec
+order on ``vol<NNNN>/`` tracks, so 64 volumes' spans never share one
+Chrome row.
 """
 
 from __future__ import annotations

@@ -1,28 +1,22 @@
 """Deterministic fan-out across worker processes.
 
-Every heavy run in this repo — fault campaigns, crash-point sweeps, the
-bench/perf suites, fleet ticks, corpus generation — is seed-keyed and
-decomposes into independent shards.  This module executes those shards
+The stateless heavy runs in this repo — fault campaigns, crash-point
+sweeps, the bench/perf suites, corpus generation — are seed-keyed and
+decompose into independent shards.  This module executes those shards
 on N spawned interpreters while keeping every fingerprinted document
 **byte-identical to the serial run**: results are collected in shard
 order (never completion order), floats are merged in the same order the
 serial code would have produced them, and workers start from scrubbed
 process-global state.
 
-Two execution shapes:
-
-- :class:`ParallelPlan` — stateless shards through a spawn-context
-  ``ProcessPoolExecutor``.  One payload in, one result out; a shard that
-  raises surfaces as :class:`ShardError` carrying the shard index, and
-  every already-collected partial result is discarded.  A per-shard
-  wall-clock timeout degrades gracefully: the straggler is cancelled and
-  its payload re-executed serially in the parent, counted in the
-  ``par.shard_timeouts`` / ``par.serial_fallbacks`` metrics — work is
-  never silently dropped.
-- :class:`StickyPool` — N persistent spawned workers each hosting one
-  long-lived stateful shard (the fleet's volumes), driven over pipes
-  with a ``call``/``call_all``/``call_each`` protocol.  Used where
-  shards must retain state across rounds (fleet ticks).
+:class:`ParallelPlan` sends the shards through a spawn-context
+``ProcessPoolExecutor``: one payload in, one result out.  A shard that
+raises surfaces as :class:`ShardError` carrying the shard index, and
+every already-collected partial result is discarded.  A per-shard
+wall-clock timeout degrades gracefully: the straggler is cancelled and
+its payload re-executed serially in the parent, counted in the
+``par.shard_timeouts`` / ``par.serial_fallbacks`` metrics — work is
+never silently dropped.
 
 When the ambient :class:`~repro.obs.hooks.Instrumentation` is armed,
 plans **harvest** worker telemetry (:mod:`repro.obs.harvest`): each
@@ -48,7 +42,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .errors import InvalidArgument, ReproError
 
@@ -316,159 +310,3 @@ def run_sharded(
         fn, payloads, workers=workers, timeout_s=timeout_s, label=label,
         harvest=harvest,
     ).run()
-
-
-# ----------------------------------------------------------------------
-# persistent stateful workers
-# ----------------------------------------------------------------------
-
-
-def _sticky_worker_main(conn, factory, payload, index: int) -> None:
-    """Worker loop: build the shard state, then serve method calls."""
-    reset_worker_state()
-    try:
-        state = factory(payload)
-    except Exception as exc:
-        conn.send(("err", ShardError(
-            f"shard {index} failed to build: {type(exc).__name__}: {exc}",
-            shard=index,
-            cause_type=type(exc).__name__,
-            traceback_text=traceback.format_exc(),
-        )))
-        conn.close()
-        return
-    conn.send(("ok", None))  # ready handshake
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            if message[0] == "close":
-                break
-            _, method, args, kwargs = message
-            try:
-                result = getattr(state, method)(*args, **kwargs)
-                conn.send(("ok", result))
-            except Exception as exc:
-                conn.send(("err", ShardError(
-                    f"shard {index} {method}() failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    shard=index,
-                    cause_type=type(exc).__name__,
-                    traceback_text=traceback.format_exc(),
-                )))
-    finally:
-        close = getattr(state, "close", None)
-        if callable(close):
-            try:
-                close()
-            except Exception:
-                pass
-        conn.close()
-
-
-class StickyPool:
-    """N persistent spawned workers, each hosting one stateful shard.
-
-    ``factory`` (picklable, module-level) builds shard ``i``'s state from
-    ``payloads[i]`` inside worker ``i``; the state then serves method
-    calls until :meth:`close`, which also invokes its ``close()`` if it
-    has one.  ``timeout_s`` bounds every reply wait (build included) —
-    a silent shard raises :class:`ShardError` instead of hanging the run.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[object], object],
-        payloads: Sequence[object],
-        label: str = "shard",
-        timeout_s: Optional[float] = None,
-    ) -> None:
-        ctx = _spawn_context()
-        self.label = label
-        self.timeout_s = timeout_s
-        self._conns = []
-        self._procs = []
-        try:
-            for index, payload in enumerate(payloads):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_sticky_worker_main,
-                    args=(child_conn, factory, payload, index),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-            for index in range(len(self._procs)):
-                self._recv(index)  # ready handshake (or build failure)
-        except BaseException:
-            self.close()
-            raise
-
-    def __len__(self) -> int:
-        return len(self._procs)
-
-    def __enter__(self) -> "StickyPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _recv(self, shard: int) -> object:
-        conn = self._conns[shard]
-        if self.timeout_s is not None and not conn.poll(self.timeout_s):
-            raise ShardError(
-                f"{self.label} {shard} timed out after {self.timeout_s}s",
-                shard=shard,
-            )
-        try:
-            kind, value = conn.recv()
-        except EOFError:
-            raise ShardError(
-                f"{self.label} {shard} died without replying", shard=shard
-            ) from None
-        if kind == "err":
-            raise value
-        return value
-
-    def call(self, shard: int, method: str, *args, **kwargs) -> object:
-        """Synchronous method call on one shard's state."""
-        self._conns[shard].send(("call", method, args, kwargs))
-        return self._recv(shard)
-
-    def call_all(self, method: str, *args, **kwargs) -> List[object]:
-        """Issue to every shard, then collect in shard order (the sends
-        overlap, so the shards execute concurrently)."""
-        for conn in self._conns:
-            conn.send(("call", method, args, kwargs))
-        return [self._recv(shard) for shard in range(len(self._conns))]
-
-    def call_each(
-        self, calls: Sequence[Tuple[int, str, tuple]]
-    ) -> List[object]:
-        """Issue per-shard calls concurrently; results in ``calls`` order.
-
-        At most one outstanding call per shard — replies on one pipe are
-        FIFO, so interleaving two methods to the same shard in one batch
-        would still collect correctly, but callers here never need it.
-        """
-        for shard, method, args in calls:
-            self._conns[shard].send(("call", method, args, {}))
-        return [self._recv(shard) for shard, _, _ in calls]
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for conn in self._conns:
-            conn.close()

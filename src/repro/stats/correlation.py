@@ -37,7 +37,9 @@ def correlation_coefficient(xs: Sequence[float], ys: Sequence[float]) -> float:
     denom = float(np.sqrt((dx * dx).sum() * (dy * dy).sum()))
     if denom == 0.0:
         return 0.0
-    return float((dx * dy).sum() / denom)
+    # rounding in the sums can push |r| past 1 (far past it when the
+    # deviations are near-subnormal); the true coefficient never does
+    return min(1.0, max(-1.0, float((dx * dy).sum() / denom)))
 
 
 def nlrs(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -147,6 +147,14 @@ def test_fleet_exports_obs_artifacts(capsys, tmp_path):
     assert any(line.startswith("fleet_") for line in prom.read_text().splitlines())
 
 
+def test_fleet_rejects_workers_flag(capsys):
+    # the fleet has one tick loop, the serial controller
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fleet", "--smoke", "--volumes", "4", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_slo_smoke_writes_valid_document(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["slo", "--smoke", "--volumes", "8", "--seed", "0"]) == 0

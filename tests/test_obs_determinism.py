@@ -8,7 +8,9 @@ The second guard is the harvest parity property: with obs armed, a
 ``--workers N`` run must export **byte-identical** metrics JSON,
 Prometheus text, and Chrome traces to the serial run — worker-side
 telemetry is captured per shard and merged in shard order, and the
-serial path performs the same capture-merge dance.
+serial path performs the same capture-merge dance.  The armed fleet,
+whose volumes merge their per-volume planes the same way, must export
+the same bytes on every run.
 """
 
 import json
@@ -84,7 +86,7 @@ def test_arming_provenance_is_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# armed parity: serial vs --workers exports must match byte for byte
+# armed parity: exports must match byte for byte
 # ----------------------------------------------------------------------
 
 def _renderings(obs):
@@ -95,25 +97,25 @@ def _renderings(obs):
     )
 
 
-def test_armed_fleet_smoke_exports_byte_identical_serial_vs_workers():
+def test_armed_fleet_smoke_exports_byte_identical_run_twice():
     from repro.fleet.controller import run_fleet
     from repro.fleet.spec import FleetConfig
 
-    def run(workers):
+    def run():
         obs = Instrumentation()
         with hooks.use(obs):
-            report = run_fleet(FleetConfig.smoke(volumes=4), workers=workers)
+            report = run_fleet(FleetConfig.smoke(volumes=4))
         return report, obs
 
-    serial_report, serial_obs = run(None)
-    par_report, par_obs = run(2)
-    assert par_report.fingerprint == serial_report.fingerprint
-    assert _renderings(par_obs) == _renderings(serial_obs)
+    first_report, first_obs = run()
+    second_report, second_obs = run()
+    assert second_report.fingerprint == first_report.fingerprint
+    assert _renderings(second_obs) == _renderings(first_obs)
     # the merged plane is populated: per-volume tracks, fleet counters
-    metrics = serial_obs.registry.to_dict()
+    metrics = first_obs.registry.to_dict()
     assert metrics["fleet.jobs_completed"]["value"] >= 1
     assert metrics["obs.harvest.snapshots"]["value"] == 4  # one per volume
-    tracks = {s.track for s in serial_obs.spans.finished_spans()}
+    tracks = {s.track for s in first_obs.spans.finished_spans()}
     assert any(track.startswith("vol0000/") for track in tracks)
 
 

@@ -15,7 +15,6 @@ import pytest
 from repro.errors import InvalidArgument
 from repro.faults import hooks as fault_hooks
 from repro.faults.campaign import CampaignConfig, run_campaign_series
-from repro.fleet.controller import run_fleet
 from repro.fleet.spec import FleetConfig
 from repro.fs import extent_map
 from repro.obs import hooks as obs_hooks
@@ -23,7 +22,6 @@ from repro.obs.hooks import Instrumentation
 from repro.par import (
     ParallelPlan,
     ShardError,
-    StickyPool,
     resolve_workers,
     run_sharded,
 )
@@ -69,29 +67,6 @@ def _report_globals(_):
         obs_is_clean,
         fault_hooks.current() is fault_hooks.NULL,
     )
-
-
-class _Adder:
-    """Stateful StickyPool shard: remembers its base across calls."""
-
-    def __init__(self, base):
-        self.base = base
-        self.calls = 0
-
-    def add(self, x):
-        self.calls += 1
-        return self.base + x
-
-    def total_calls(self):
-        return self.calls
-
-
-def _make_adder(base):
-    return _Adder(base)
-
-
-def _broken_factory(_):
-    raise RuntimeError("no shard for you")
 
 
 # ----------------------------------------------------------------------
@@ -195,41 +170,8 @@ def test_campaign_series_identity_under_polluted_parent():
 
 
 # ----------------------------------------------------------------------
-# StickyPool
-# ----------------------------------------------------------------------
-
-def test_sticky_pool_call_shapes():
-    with StickyPool(_make_adder, [10, 20]) as pool:
-        assert len(pool) == 2
-        assert pool.call(0, "add", 5) == 15
-        assert pool.call_all("add", 1) == [11, 21]
-        assert pool.call_each([(1, "add", (2,)), (0, "add", (3,))]) == [22, 13]
-        # state persisted across calls within each worker
-        assert pool.call_all("total_calls") == [3, 2]
-
-
-def test_sticky_pool_build_failure_raises_shard_error():
-    with pytest.raises(ShardError) as excinfo:
-        StickyPool(_broken_factory, [0])
-    assert excinfo.value.shard == 0
-    assert "no shard for you" in str(excinfo.value)
-
-
-# ----------------------------------------------------------------------
 # serial-vs-parallel document identity
 # ----------------------------------------------------------------------
-
-def test_fleet_report_byte_identical_and_guards():
-    config = FleetConfig.smoke(volumes=4, seed=3)
-    serial = run_fleet(config)
-    parallel = run_fleet(config, workers=2)
-    assert parallel.to_json() == serial.to_json()
-    assert parallel.fingerprint == serial.fingerprint
-    with pytest.raises(InvalidArgument):
-        run_fleet(FleetConfig.smoke(volumes=2, faults=True), workers=2)
-    with pytest.raises(InvalidArgument):
-        run_fleet(config, workers=2, on_tick=lambda *a: None)
-
 
 def test_perf_fingerprint_identical(tmp_path):
     from repro.perf import suite

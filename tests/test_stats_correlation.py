@@ -1,7 +1,7 @@
 """Equations (1) and (2): CC and NLRS."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import InvalidArgument
 from repro.stats import correlation_coefficient, nlrs, normalize_to_min
@@ -55,10 +55,12 @@ grid = st.integers(-10**6, 10**6).map(float)
 
 
 @given(st.lists(st.tuples(finite, finite), min_size=2, max_size=50))
+# near-subnormal y deviations: rounding in the sums overshoots 1
+@example([(0.0, 0.0), (1.0, 5.36e-160)])
 def test_cc_bounded(pairs):
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
-    assert -1.0 - 1e-9 <= correlation_coefficient(xs, ys) <= 1.0 + 1e-9
+    assert -1.0 <= correlation_coefficient(xs, ys) <= 1.0
 
 
 @given(st.lists(grid, min_size=2, max_size=50, unique=True))
