@@ -23,7 +23,7 @@ from ...constants import MIB
 from ...core import FragPicker, FragPickerConfig
 from ...stats.tables import format_table
 from ...workloads.synthetic import make_paper_synthetic_file, stride_read, sequential_read
-from ..harness import fresh_fs
+from ..harness import FixtureCache, fresh_fs
 
 CONFIGS: Dict[str, FragPickerConfig] = {
     "full": FragPickerConfig(),
@@ -62,9 +62,15 @@ def run(
     pattern_fn = stride_read if pattern == "stride_read" else sequential_read
     original_mbps = 0.0
     cells: Dict[str, PhaseCell] = {}
-    for name, config in CONFIGS.items():
+    # every variant starts from its own copy of one built file
+    fixtures = FixtureCache()
+
+    def build():
         fs, _ = fresh_fs(fs_type, device_kind)
-        now = make_paper_synthetic_file(fs, "/t", file_size)
+        return fs, make_paper_synthetic_file(fs, "/t", file_size)
+
+    for name, config in CONFIGS.items():
+        fs, now = fixtures.get((fs_type, device_kind, file_size), build)
         now, base = pattern_fn(fs, "/t", now=now)
         original_mbps = original_mbps or base
         # buffered trace for the readahead-imitation knob to matter

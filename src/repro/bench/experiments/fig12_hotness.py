@@ -21,7 +21,7 @@ from ...constants import MIB, READAHEAD_SIZE
 from ...core import FragPicker, FragPickerConfig
 from ...workloads.distributions import ZipfianKeys
 from ...workloads.synthetic import make_paper_synthetic_file
-from ..harness import fresh_fs
+from ..harness import FixtureCache, fresh_fs
 
 CRITERIA = [0.1, 0.25, 0.5, 0.75, 1.0]
 
@@ -78,12 +78,18 @@ def run(
     criteria = criteria or CRITERIA
     sweeps: Dict[str, List[HotnessPoint]] = {}
     original: Dict[str, float] = {}
+    # every sweep point starts from its own copy of one built file
+    fixtures = FixtureCache()
+
+    def build():
+        fs, _ = fresh_fs("ext4", "optane")
+        return fs, make_paper_synthetic_file(fs, "/target", file_size)
+
     for distribution in ("uniform", "zipfian"):
         offsets = _offsets(distribution, file_size, ops, seed)
         points: List[HotnessPoint] = []
         for criterion in criteria:
-            fs, _ = fresh_fs("ext4", "optane")
-            now = make_paper_synthetic_file(fs, "/target", file_size)
+            fs, now = fixtures.get(("ext4", "optane", file_size), build)
             now, base_mbps = _read_stream(fs, "/target", offsets, now)
             original.setdefault(distribution, base_mbps)
             picker = FragPicker(fs, FragPickerConfig(hotness_criterion=criterion))

@@ -33,7 +33,7 @@ from ...workloads.synthetic import (
     stride_read,
     stride_update,
 )
-from ..harness import VariantResult, fresh_fs, measured_variant
+from ..harness import FixtureCache, VariantResult, fresh_fs, measured_variant
 
 PATTERNS: Dict[str, Callable] = {
     "seq_read": sequential_read,
@@ -116,14 +116,20 @@ def run(
     patterns: Tuple[str, ...] = tuple(PATTERNS),
     hotness: float = 1.0,
 ) -> SyntheticResult:
-    """Run the full grid; every (variant, pattern) gets a fresh filesystem."""
+    """Run the full grid; every (variant, pattern) cell starts from its own
+    copy of one freshly built file (see :class:`FixtureCache`)."""
     result = SyntheticResult(fs_type=fs_type, device=device_kind, file_size=file_size)
+    fixtures = FixtureCache()
+
+    def build():
+        fs, _ = fresh_fs(fs_type, device_kind)
+        return fs, make_paper_synthetic_file(fs, "/target", file_size)
+
     for variant in variants:
         result.cells[variant] = {}
         for pattern in patterns:
             with measured_variant(f"{variant}:{pattern}") as window:
-                fs, _ = fresh_fs(fs_type, device_kind)
-                now = make_paper_synthetic_file(fs, "/target", file_size)
+                fs, now = fixtures.get((fs_type, device_kind, file_size), build)
                 pattern_fn = PATTERNS[pattern]
                 now, report = _apply_variant(fs, variant, "/target", pattern_fn, now, hotness)
                 now, mbps = pattern_fn(fs, "/target", now=now)

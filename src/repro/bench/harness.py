@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..device import make_device
 from ..device.base import StorageDevice
+from ..errors import InvalidArgument
+from ..faults import hooks as fault_hooks
 from ..fs import make_filesystem
 from ..fs.base import Filesystem
 from ..obs import analysis as obs_analysis
@@ -15,10 +18,58 @@ from ..obs import hooks as obs_hooks
 
 
 def fresh_fs(fs_type: str, device_kind: str, **fs_kwargs) -> Tuple[Filesystem, StorageDevice]:
-    """A fresh filesystem on a fresh device (every variant starts equal)."""
+    """A fresh filesystem on a fresh device (every variant starts equal).
+
+    Experiments whose cells all start from the same built file take it
+    from a :class:`FixtureCache`, which builds it once per run and hands
+    every cell an exact copy.
+    """
     device = make_device(device_kind)
     fs = make_filesystem(fs_type, device, **fs_kwargs)
     return fs, device
+
+
+#: a built starting point: the filesystem and the virtual time its build
+#: finished at
+Fixture = Tuple[Filesystem, float]
+
+
+class FixtureCache:
+    """Per-run store of built fixtures: build once, deep-copy per cell.
+
+    An experiment's ``run()`` creates one and asks it for every cell's
+    starting filesystem.  The first request for a key builds the fixture
+    and stores it; every request returns a ``copy.deepcopy`` of the
+    stored one, so each cell starts byte-identical to a fresh build and
+    no cell sees another's writes.
+
+    While an obs or fault plane is armed every request builds afresh:
+    layers capture the planes at construction, and each cell's metrics
+    window (and each fault rule's op counts) must contain the build's
+    own syscalls, exactly as when every cell built its own file.
+    """
+
+    def __init__(self) -> None:
+        self._stored: Dict[Hashable, Fixture] = {}
+
+    def get(self, key: Hashable, build: Callable[[], Fixture]) -> Fixture:
+        """``(fs, now)`` for one cell: a copy of ``key``'s fixture, built
+        by ``build()`` on first use (and on every use while armed)."""
+        if obs_hooks.current().enabled or fault_hooks.current().enabled:
+            return build()
+        stored = self._stored.get(key)
+        if stored is None:
+            stored = build()
+            fs = stored[0]
+            # every copy would carry its own duplicate of each observer
+            if fs._monitors or fs.device._listeners:
+                raise InvalidArgument(
+                    f"fixture {key!r} has syscall monitors or device "
+                    "listeners attached; attach them per cell instead"
+                )
+            self._stored[key] = stored
+        fs, now = stored
+        return copy.deepcopy(fs), now
 
 
 @dataclass

@@ -182,6 +182,10 @@ class NullFaultPlane:
     enabled = False
     active = False
 
+    def __deepcopy__(self, memo) -> "NullFaultPlane":
+        # stateless singleton: a cloned filesystem keeps ``faults is NULL``
+        return self
+
     def check(
         self,
         site: str,

@@ -89,6 +89,17 @@ class ExtentMap:
         #: merge absorbs exactly the joint it consumed.
         self._joints = 0
 
+    def __deepcopy__(self, memo) -> "ExtentMap":
+        # Extent is an immutable NamedTuple: fresh lists sharing the
+        # tuples are an exact, independent copy (a generic deepcopy would
+        # rebuild every tuple, which dominates cloning a fragmented file)
+        clone = ExtentMap.__new__(ExtentMap)
+        clone._extents = list(self._extents)
+        clone._starts = list(self._starts)
+        clone._joints = self._joints
+        memo[id(self)] = clone
+        return clone
+
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:

@@ -289,6 +289,10 @@ class NullInstrumentation:
     provenance = None
     slo = None
 
+    def __deepcopy__(self, memo) -> "NullInstrumentation":
+        # stateless singleton: a cloned filesystem keeps ``obs is NULL``
+        return self
+
     def syscall(self, op: str, latency: float) -> None:
         pass
 

@@ -81,7 +81,7 @@ def _headline_bench(doc: Dict[str, object]) -> Dict[str, object]:
     return out
 
 
-def _headline_perf(doc: Dict[str, object]) -> Dict[str, object]:
+def _timings_perf(doc: Dict[str, object]) -> Dict[str, object]:
     out: Dict[str, object] = {"total_wall_s": doc.get("total_wall_s")}
     end_to_end = _dig(doc, "layers", "end_to_end", "wall_s")
     if end_to_end is not None:
@@ -132,20 +132,35 @@ def _headline_faults(doc: Dict[str, object]) -> Dict[str, object]:
 
 _HEADLINES = {
     "bench": _headline_bench,
-    "perf": _headline_perf,
     "fleet": _headline_fleet,
     "slo": _headline_slo,
     "replay": _headline_replay,
     "faults": _headline_faults,
 }
 
+#: wall-clock readings a verb's document carries: no re-run reproduces
+#: them, so they ride outside the fingerprinted headline
+_TIMINGS = {
+    "perf": _timings_perf,
+}
 
-def headline(verb: str, document: Dict[str, object]) -> Dict[str, object]:
-    """The small per-verb figure set a manifest carries."""
-    extractor = _HEADLINES.get(verb)
+
+def _extract(extractors, verb: str, document: Dict[str, object]) -> Dict[str, object]:
+    extractor = extractors.get(verb)
     if extractor is None:
         return {}
     return {k: v for k, v in extractor(document).items() if v is not None}
+
+
+def headline(verb: str, document: Dict[str, object]) -> Dict[str, object]:
+    """The small per-verb figure set a manifest carries (fingerprinted)."""
+    return _extract(_HEADLINES, verb, document)
+
+
+def timings(verb: str, document: Dict[str, object]) -> Dict[str, object]:
+    """The per-verb wall-clock readings a manifest carries (never
+    fingerprinted)."""
+    return _extract(_TIMINGS, verb, document)
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +190,7 @@ def build_manifest(
         "doc_fingerprint": document.get("fingerprint")
         or _dig(document, "campaign", "fingerprint"),
         "headline": headline(verb, document),
+        "timings": timings(verb, document),
         "wall_s": round(float(wall_s), 3),
         "host_cpus": os.cpu_count() or 1,
     }
@@ -259,11 +275,16 @@ def list_runs(
     return runs
 
 
+def _figures(run: Dict[str, object]) -> Dict[str, object]:
+    """A run's headline plus its timings: what the tables show."""
+    return {**run.get("headline", {}), **run.get("timings", {})}
+
+
 def runs_table(runs: List[Dict[str, object]]) -> str:
     """One-line-per-run summary table (``repro runs list``)."""
     rows = []
     for run in runs:
-        head = run.get("headline", {})
+        head = _figures(run)
         summary = " ".join(
             f"{key}={_fmt(value)}" for key, value in sorted(head.items())
         )
@@ -286,12 +307,12 @@ def trajectory_table(runs: List[Dict[str, object]]) -> str:
     headline key (``repro runs trajectory``)."""
     keys: List[str] = []
     for run in runs:
-        for key in sorted(run.get("headline", {})):
+        for key in sorted(_figures(run)):
             if key not in keys:
                 keys.append(key)
     rows = []
     for run in runs:
-        head = run.get("headline", {})
+        head = _figures(run)
         rows.append(
             [os.path.basename(str(run.get("path", ""))).split("_")[0],
              run["verb"], run["label"], run["wall_s"]]

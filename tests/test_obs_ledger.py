@@ -51,6 +51,19 @@ def test_manifest_fingerprint_excludes_wall_time_and_host_shape():
     assert other["fingerprint"] != fast["fingerprint"]
 
 
+def test_perf_smoke_manifests_share_one_fingerprint(tmp_path):
+    """Two real `perf --smoke` runs read different wall times, yet their
+    manifests reproduce one fingerprint: the readings are timings."""
+    directory = str(tmp_path / "ledger")
+    for name in ("a", "b"):
+        assert cli.main(["perf", "--smoke", "--no-profile",
+                         "--json", str(tmp_path / f"PERF_{name}.json"),
+                         "--ledger-dir", directory]) == 0
+    first, second = ledger.list_runs(directory)
+    assert first["fingerprint"] == second["fingerprint"]
+    assert "total_wall_s" in first["timings"]
+
+
 def test_manifest_headlines_per_verb():
     fleet = ledger.build_manifest("fleet", FLEET_DOC)
     assert fleet["headline"] == {
@@ -58,7 +71,9 @@ def test_manifest_headlines_per_verb():
         "fg_read_p99_s": 0.002, "budget_ok": True,
     }
     perf = ledger.build_manifest("perf", PERF_DOC)
-    assert perf["headline"] == {"total_wall_s": 1.5, "end_to_end_wall_s": 0.9}
+    # wall readings are timings, outside the fingerprinted headline
+    assert perf["headline"] == {}
+    assert perf["timings"] == {"total_wall_s": 1.5, "end_to_end_wall_s": 0.9}
     faults = ledger.build_manifest("faults", FAULTS_DOC)
     assert faults["headline"]["faults_injected"] == 6
     assert faults["headline"]["trials"] == 3
