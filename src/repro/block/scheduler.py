@@ -7,8 +7,7 @@ and that dominates on Optane) and dispatches the batch to the device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .request import IoCommand
 from .tracer import BlockTracer
@@ -20,8 +19,7 @@ if TYPE_CHECKING:  # avoid a block <-> device import cycle at runtime
     from ..device.base import StorageDevice
 
 
-@dataclass(frozen=True)
-class SubmitResult:
+class SubmitResult(NamedTuple):
     """What the caller (VFS) learns about one submitted batch."""
 
     finish_time: float
@@ -113,9 +111,6 @@ class BlockScheduler:
                 )
         latency = batch.finish_time - now
         return SubmitResult(
-            finish_time=batch.finish_time,
-            latency=latency,
-            commands=len(commands),
-            kernel_time=kernel_time,
-            device_time=batch.service_time,
+            batch.finish_time, latency, len(commands), kernel_time,
+            batch.service_time,
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..block.request import IoCommand, IoOp
 from ..errors import DeviceError, DeviceIOError, InjectedCrash, TornWriteError
@@ -84,8 +84,7 @@ class DeviceStats:
         )
 
 
-@dataclass(frozen=True)
-class CommandPlan:
+class CommandPlan(NamedTuple):
     """How one command uses the device's resources.
 
     Attributes:
@@ -116,8 +115,7 @@ def extend_sums(sums: list, n: int, step: float) -> None:
         sums.append(sums[-1] + step)
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     """Outcome of submitting one command batch."""
 
     start_time: float

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..constants import block_align_down
 from ..obs import hooks as obs_hooks
@@ -37,8 +37,7 @@ from .plan import FaultPlan, FaultRule
 DEFAULT_LATENCY_SPIKE = 0.001
 
 
-@dataclass(frozen=True)
-class FaultFire:
+class FaultFire(NamedTuple):
     """One injection decision: rule N fires at a site."""
 
     rule_index: int
@@ -104,6 +103,10 @@ class FaultPlane:
                 # rules, so plans compose without perturbing each other
                 rng = random.Random(self.plan.seed * 1_000_003 + index)
             self._rules.append(_RuleState(rule, rng))
+        #: the plan compiled per site: the ``(index, state)`` pairs whose
+        #: rule site prefix covers that site, in rule order, filled on a
+        #: site's first check
+        self._by_site: Dict[str, Tuple[Tuple[int, _RuleState], ...]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -127,11 +130,15 @@ class FaultPlane:
         if not self.active:
             return None
         self.counts[site] = self.counts.get(site, 0) + 1
-        for index, state in enumerate(self._rules):
+        candidates = self._by_site.get(site)
+        if candidates is None:
+            candidates = self._by_site[site] = tuple(
+                (index, state) for index, state in enumerate(self._rules)
+                if site.startswith(state.rule.site)
+            )
+        for index, state in candidates:
             rule = state.rule
             if rule.max_fires and state.fired >= rule.max_fires:
-                continue
-            if not site.startswith(rule.site):
                 continue
             if rule.op is not None and rule.op != op:
                 continue

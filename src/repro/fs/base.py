@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..block.request import IoCommand, IoOp
 from ..block.scheduler import BlockScheduler, SubmitResult
@@ -57,8 +57,7 @@ class FallocMode(enum.Enum):
     PUNCH_HOLE = "punch_hole"
 
 
-@dataclass(frozen=True)
-class SyscallEvent:
+class SyscallEvent(NamedTuple):
     """What the syscall-layer monitor (eBPF equivalent) observes."""
 
     op: str            # "read" | "write"
@@ -71,8 +70,7 @@ class SyscallEvent:
     time: float
 
 
-@dataclass(frozen=True)
-class SyscallResult:
+class SyscallResult(NamedTuple):
     """Outcome of one syscall."""
 
     finish_time: float
@@ -294,29 +292,25 @@ class Filesystem(abc.ABC):
         now += self._probe_cost
         pid = self.obs.provenance.mint() if self._tracing else 0
         if handle.o_direct:
-            result = self._read_direct(handle, inode, offset, length, now, pid)
+            finish, requests, moved = self._read_direct(handle, inode, offset, length, now, pid)
         else:
-            result = self._read_buffered(handle, inode, offset, length, now, pid)
+            finish, requests, moved = self._read_buffered(handle, inode, offset, length, now, pid)
         data = self.page_store.read(inode.ino, offset, length) if want_data else None
         if self._observing:
-            self.obs.syscall("read", result.finish_time - entry_time)
+            self.obs.syscall("read", finish - entry_time)
             self.obs.fs_cpu(self._probe_cost)
             if pid:
                 self.obs.provenance.syscall(
                     pid, "read", app=handle.app, path=inode.path,
                     ino=inode.ino, offset=offset, size=length,
-                    start=entry_time, end=result.finish_time,
-                    requests=result.requests,
+                    start=entry_time, end=finish, requests=requests,
                 )
-        return SyscallResult(
-            result.finish_time,
-            result.finish_time - entry_time,
-            result.requests,
-            result.bytes_transferred,
-            data,
-        )
+        return SyscallResult(finish, finish - entry_time, requests, moved, data)
 
-    def _read_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> SyscallResult:
+    # The _read_*/_write_* path helpers return a plain ``(finish,
+    # requests, bytes)`` tuple: read/write build the one SyscallResult.
+
+    def _read_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
             # Linux O_DIRECT requires logical-block alignment.
             raise InvalidArgument(f"O_DIRECT read misaligned: offset={offset} length={length}")
@@ -326,9 +320,9 @@ class Filesystem(abc.ABC):
         finish = max(submit.finish_time, now) + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(self.costs.syscall_overhead)
-        return SyscallResult(finish, finish - now, submit.commands, length)
+        return finish, submit.commands, length
 
-    def _read_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> SyscallResult:
+    def _read_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         plan = handle.readahead.plan(offset, length, inode.size)
         first_page = plan.fetch_start // BLOCK_SIZE
         last_page = max(first_page, (plan.fetch_end - 1) // BLOCK_SIZE)
@@ -357,7 +351,7 @@ class Filesystem(abc.ABC):
         finish += copy_time + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(copy_time + self.costs.syscall_overhead)
-        return SyscallResult(finish, finish - now, requests, length)
+        return finish, requests, length
 
     # ------------------------------------------------------------------
     # write path
@@ -403,27 +397,21 @@ class Filesystem(abc.ABC):
         now += self._probe_cost
         pid = self.obs.provenance.mint() if self._tracing else 0
         if handle.o_direct:
-            result = self._write_direct(handle, inode, offset, length, now, pid)
+            finish, requests, moved = self._write_direct(handle, inode, offset, length, now, pid)
         else:
-            result = self._write_buffered(handle, inode, offset, length, now, pid)
+            finish, requests, moved = self._write_buffered(handle, inode, offset, length, now, pid)
         if self._observing:
-            self.obs.syscall("write", result.finish_time - entry_time)
+            self.obs.syscall("write", finish - entry_time)
             self.obs.fs_cpu(self._probe_cost)
             if pid:
                 self.obs.provenance.syscall(
                     pid, "write", app=handle.app, path=inode.path,
                     ino=inode.ino, offset=offset, size=length,
-                    start=entry_time, end=result.finish_time,
-                    requests=result.requests,
+                    start=entry_time, end=finish, requests=requests,
                 )
-        return SyscallResult(
-            result.finish_time,
-            result.finish_time - entry_time,
-            result.requests,
-            result.bytes_transferred,
-        )
+        return SyscallResult(finish, finish - entry_time, requests, moved)
 
-    def _write_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> SyscallResult:
+    def _write_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
             raise InvalidArgument(f"O_DIRECT write misaligned: offset={offset} length={length}")
         ranges = self._allocate_write(inode, offset, length)
@@ -433,9 +421,9 @@ class Filesystem(abc.ABC):
         finish = max(submit.finish_time, now) + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(self.costs.syscall_overhead)
-        return SyscallResult(finish, finish - now, submit.commands, length)
+        return finish, submit.commands, length
 
-    def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> SyscallResult:
+    def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
         evicted = self.page_cache.mark_dirty((inode.ino, page) for page in range(first, last + 1))
@@ -444,7 +432,7 @@ class Filesystem(abc.ABC):
             self.obs.fs_cpu(finish - now)
         if evicted:
             finish = self._writeback_pages(evicted, finish, pid=pid).finish_time
-        return SyscallResult(finish, finish - now, 0, length)
+        return finish, 0, length
 
     def fsync(self, handle: FileHandle, now: float = 0.0) -> SyscallResult:
         """Flush this inode's dirty pages (delayed allocation happens

@@ -14,12 +14,12 @@ Mirrors the Linux on-demand readahead behaviour the paper depends on twice:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..constants import READAHEAD_SIZE, block_align_down, block_align_up
 
 
-@dataclass(frozen=True)
-class ReadPlan:
+class ReadPlan(NamedTuple):
     """Block-aligned fetch decision for one buffered read.
 
     The fetch range always covers the requested bytes; pages already

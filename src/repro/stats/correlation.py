@@ -15,9 +15,8 @@ difference").
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
-
-import numpy as np
 
 from ..errors import InvalidArgument
 
@@ -27,6 +26,10 @@ def _as_arrays(xs: Sequence[float], ys: Sequence[float]):
         raise InvalidArgument(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise InvalidArgument("need at least two samples")
+    # imported here, not at module level: every process loads this
+    # module (obs.provenance -> stats.tables), few ever correlate
+    import numpy as np
+
     return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
@@ -34,7 +37,7 @@ def correlation_coefficient(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation coefficient, Equation (1) of the paper."""
     x, y = _as_arrays(xs, ys)
     dx, dy = x - x.mean(), y - y.mean()
-    denom = float(np.sqrt((dx * dx).sum() * (dy * dy).sum()))
+    denom = math.sqrt((dx * dx).sum() * (dy * dy).sum())
     if denom == 0.0:
         return 0.0
     # rounding in the sums can push |r| past 1 (far past it when the

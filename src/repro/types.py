@@ -19,6 +19,7 @@ was told to do".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidArgument
 
@@ -26,11 +27,10 @@ from .errors import InvalidArgument
 IO_OP_KINDS = ("read", "write", "fsync")
 
 
-@dataclass(frozen=True)
-class IoOp:
+class IoOp(NamedTuple):
     """One workload-level I/O operation (the unified op record).
 
-    No ``__post_init__`` validation on purpose: op streams are built in
+    A NamedTuple with no validation on purpose: op streams are built in
     per-request loops (millions of records for a replayed trace), and the
     boundary that consumes them — the filesystem syscall layer or the
     replay reconstructor — validates once anyway.

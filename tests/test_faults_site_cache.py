@@ -1,0 +1,185 @@
+"""The per-site compiled fault plane answers exactly like a linear scan.
+
+``FaultPlane.check`` caches, per full site name, the rules whose site
+prefix covers it.  The reference below is the linear scan the cache
+replaced, kept as it was: it walks every rule on every check.  Both planes
+replay the same seeded stream of checks and must agree fire-for-fire,
+in per-site counts, in per-rule ``matched``/``fired`` and in every
+rule's RNG state.
+"""
+
+import random
+from typing import Optional
+
+import pytest
+
+from repro.constants import block_align_down
+from repro.faults import FaultPlan, FaultPlane
+from repro.faults.hooks import FaultFire
+from repro.obs import hooks as obs_hooks
+
+
+class LinearScanPlane(FaultPlane):
+    """The pre-cache ``check``: test every rule's site prefix each time."""
+
+    def check(
+        self,
+        site: str,
+        op: Optional[str] = None,
+        offset: Optional[int] = None,
+        length: Optional[int] = None,
+        now: float = 0.0,
+    ) -> Optional[FaultFire]:
+        if not self.active:
+            return None
+        self.counts[site] = self.counts.get(site, 0) + 1
+        for index, state in enumerate(self._rules):
+            rule = state.rule
+            if rule.max_fires and state.fired >= rule.max_fires:
+                continue
+            if not site.startswith(rule.site):
+                continue
+            if rule.op is not None and rule.op != op:
+                continue
+            if rule.lba is not None:
+                if offset is None:
+                    continue
+                lo, hi = rule.lba
+                end = offset + (length or 0)
+                if end <= lo or offset >= hi:
+                    continue
+            if rule.at_time is not None and now < rule.at_time:
+                continue
+            state.matched += 1
+            if rule.after_ops is not None and state.matched != rule.after_ops:
+                continue
+            if state.rng is not None and state.rng.random() >= rule.probability:
+                continue
+            state.fired += 1
+            torn = 0
+            if rule.kind == "torn" and length:
+                torn = block_align_down(int(length * rule.torn_fraction))
+                torn = max(0, min(torn, length))
+            fire = FaultFire(
+                rule_index=index,
+                kind=rule.kind,
+                site=site,
+                op=op,
+                now=now,
+                latency=rule.latency,
+                torn_length=torn,
+            )
+            self.stats.record(fire)
+            obs = obs_hooks.current()
+            if obs.enabled:
+                obs.fault_injected(site, rule.kind)
+                obs.event("fault.injected", now, site=site, kind=rule.kind, op=op)
+            return fire
+        return None
+
+
+#: full site names, including ones a shorter rule prefix covers by
+#: string prefix only ("fs.writeback" under "fs.write", "devices" under
+#: "device")
+SITES = (
+    "fs.read", "fs.write", "fs.writeback", "fs.fsync", "fs.fallocate",
+    "fs.truncate", "fs.fiemap", "block.submit", "device.submit", "devices",
+)
+OPS = ("read", "write", "fsync", "fallocate", None)
+
+
+def _overlapping_prefixes(seed):
+    return (
+        FaultPlan(seed=seed)
+        .io_error("fs", probability=0.05, max_fires=0)
+        .latency_spike("fs.write", latency=0.002, probability=0.3, max_fires=4)
+        .io_error("device", op="read", probability=0.1, max_fires=0)
+        .latency_spike("device.submit", probability=0.5, max_fires=0)
+        .torn_write("fs.write", torn_fraction=0.4, probability=0.2, max_fires=3)
+    )
+
+
+def _filters(seed):
+    return (
+        FaultPlan(seed=seed)
+        .io_error("fs.write", lba=(1 << 20, 3 << 20), max_fires=2)
+        .crash("fs", after_ops=37)
+        .latency_spike("block", at_time=0.5, probability=0.25, max_fires=5)
+        .io_error("device.submit", op="write", after_ops=11)
+        .torn_write("fs", lba=(0, 1 << 22), at_time=0.2, max_fires=0)
+        .io_error("", probability=0.01, max_fires=0)
+        .latency_spike("submit", max_fires=0)  # a substring, never a prefix
+    )
+
+
+def _everything_unlimited(seed):
+    return (
+        FaultPlan(seed=seed)
+        .latency_spike("", max_fires=0, probability=0.5)
+        .latency_spike("fs", max_fires=0, op="write")
+        .latency_spike("fs.fsync", max_fires=0)
+        .io_error("device.submit", max_fires=0, lba=(0, 1 << 21))
+    )
+
+
+def _stream(seed, n):
+    rng = random.Random(seed)
+    now = 0.0
+    for _ in range(n):
+        now += rng.random() * 0.002
+        offset = None if rng.random() < 0.1 else rng.randrange(0, 1 << 23, 4096)
+        length = rng.choice((None, 0, 4096, 16384, 131072, 1 << 20))
+        yield rng.choice(SITES), rng.choice(OPS), offset, length, now
+
+
+def _state(plane):
+    return [
+        (state.matched, state.fired,
+         state.rng.getstate() if state.rng is not None else None)
+        for state in plane._rules
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize(
+    "build", [_overlapping_prefixes, _filters, _everything_unlimited]
+)
+def test_site_cache_matches_linear_scan(build, seed):
+    cached = FaultPlane(build(seed), active=True)
+    linear = LinearScanPlane(build(seed), active=True)
+    for step, (site, op, offset, length, now) in enumerate(_stream(seed, 3000)):
+        if step == 1500:  # an inactive stretch: neither plane counts it
+            cached.deactivate()
+            linear.deactivate()
+        if step == 1700:
+            cached.activate()
+            linear.activate()
+        got = cached.check(site, op=op, offset=offset, length=length, now=now)
+        want = linear.check(site, op=op, offset=offset, length=length, now=now)
+        assert got == want, (step, site, op, offset, length, now)
+    assert cached.stats.fires == linear.stats.fires
+    assert cached.stats.by_site_kind == linear.stats.by_site_kind
+    assert cached.counts == linear.counts
+    assert _state(cached) == _state(linear)
+    assert cached.stats.total > 0  # the stream did exercise the rules
+
+
+def test_first_matching_rule_wins_across_prefixes():
+    plan = (
+        FaultPlan(seed=0)
+        .latency_spike("fs", max_fires=0)
+        .io_error("fs.write", max_fires=0)
+    )
+    plane = FaultPlane(plan, active=True)
+    fire = plane.check("fs.write", op="write", offset=0, length=4096)
+    assert fire.rule_index == 0 and fire.kind == "latency"
+    # the broader rule is listed second here, so the narrow one wins
+    plan = (
+        FaultPlan(seed=0)
+        .io_error("fs.write", max_fires=0)
+        .latency_spike("fs", max_fires=0)
+    )
+    plane = FaultPlane(plan, active=True)
+    assert plane.check("fs.write", op="write").rule_index == 0
+    assert plane.check("fs.read", op="read").rule_index == 1
+    assert plane.check("device.submit", op="read") is None
