@@ -91,10 +91,11 @@ class BlockTracer:
                 self.log.append(command)
             if emit:
                 # pid ties the raw command back to its syscall's
-                # provenance tree (0 = untracked)
+                # provenance tree (0 = untracked); ``_value_`` skips the
+                # enum descriptor
                 self.obs.event(
                     "block.cmd", now, track="block",
-                    op=command.op.value, offset=command.offset,
+                    op=command.op._value_, offset=command.offset,
                     length=command.length, tag=command.tag,
                     pid=command.pid,
                 )

@@ -166,15 +166,21 @@ class StorageDevice(abc.ABC):
         self._controller_free = 0.0
         self._link_free = 0.0
         self._unit_free: Dict[int, float] = {}
+        #: max of ``_unit_free``: unit timelines only grow, so a running
+        #: high-water mark replaces a scan in ``busy_until``
+        self._unit_high = 0.0
         self._listeners: List = []
 
     # -- timeline queries --------------------------------------------------
 
     @property
     def busy_until(self) -> float:
-        """Latest time any resource is committed (informational)."""
-        unit_max = max(self._unit_free.values(), default=0.0)
-        return max(self._controller_free, self._link_free, unit_max)
+        """Latest time any resource is committed.
+
+        Informational on queuing devices; on non-queuing ones the next
+        batch starts here.
+        """
+        return max(self._controller_free, self._link_free, self._unit_high)
 
     # -- submission ------------------------------------------------------
 
@@ -206,6 +212,7 @@ class StorageDevice(abc.ABC):
         plan_command = self._plan_command
         unit_free = self._unit_free
         unit_get = unit_free.get
+        unit_high = self._unit_high
         account = self.stats.account
         link_rate = self.link_rate
         torn_lost: Optional[int] = None  # bytes a torn write dropped
@@ -230,6 +237,11 @@ class StorageDevice(abc.ABC):
                 batch_work += media_time
                 if unit_end > command_finish:
                     command_finish = unit_end
+                if unit_end > unit_high:
+                    unit_high = unit_end
+            # stored per command: a later command's plan or fault check
+            # can raise with this one's unit time already committed
+            self._unit_high = unit_high
             if plan.link_bytes and link_rate:
                 link_time = plan.link_bytes / link_rate
                 link_start = max(dispatched, self._link_free)
@@ -245,8 +257,9 @@ class StorageDevice(abc.ABC):
             batch_penalty += plan.penalty_time
             if observing:
                 # service time: controller pickup to media/link completion
+                # ``_value_`` skips the enum descriptor on this per-command path
                 self.obs.device_command(
-                    self.name, command.op.value, command_finish - command_begin
+                    self.name, command.op._value_, command_finish - command_begin
                 )
                 if tracing and command.pid:
                     # causal edge: syscall -> this command's completion,
@@ -254,7 +267,7 @@ class StorageDevice(abc.ABC):
                     # parallelism + discontiguity penalty
                     self.obs.provenance.command(
                         command.pid, self.name, self.provenance_unit,
-                        command.op.value, command.offset, command.length,
+                        command.op._value_, command.offset, command.length,
                         start_time, command_begin, command_finish,
                         len(plan.unit_work), plan.penalty_time,
                     )

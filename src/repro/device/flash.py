@@ -83,7 +83,7 @@ class FlashSsd(StorageDevice):
 
     def _plan_command(self, command: IoCommand) -> CommandPlan:
         if command.op is IoOp.DISCARD:
-            self.ftl.invalidate(list(self._pages_of(command)))
+            self.ftl.invalidate(self._pages_of(command))
             return self._discard_overhead_plan
         per_channel: Dict[int, float] = {}
         if command.op is IoOp.READ:
@@ -116,7 +116,7 @@ class FlashSsd(StorageDevice):
             cache[key] = plan
             return plan
         else:
-            result = self.ftl.write(list(self._pages_of(command)))
+            result = self.ftl.write(self._pages_of(command))
             for channel, pages in result.pages_per_channel.items():
                 per_channel[channel] = per_channel.get(channel, 0.0) + pages * self.params.page_program
             if result.relocated_pages:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..errors import DeviceError
 
@@ -34,12 +34,8 @@ class EraseBlock:
     valid_count: int = 0
     erase_count: int = 0
 
-    def is_full(self, pages_per_block: int) -> bool:
-        return len(self.pages) >= pages_per_block
 
-
-@dataclass
-class FtlWriteResult:
+class FtlWriteResult(NamedTuple):
     """Channel load and GC work produced by one logical write."""
 
     pages_per_channel: Dict[int, int]
@@ -138,56 +134,103 @@ class PageMappingFtl:
             self.blocks_per_channel - self._created_blocks[channel]
         )
 
-    def _activate(self, channel: int) -> EraseBlock:
+    # -- program path ----------------------------------------------------
+
+    def _open_block(self, channel: int, failure: str = "out of space (GC failed)") -> EraseBlock:
+        """Seal ``channel``'s full active block and activate a fresh one.
+
+        The fresh block is taken *before* the old one is sealed, so a
+        channel out of space leaves the active block where it was.
+        """
         block = self._take_free_block(channel)
         if block is None:
-            raise DeviceError(f"flash channel {channel} out of space (GC failed)")
+            raise DeviceError(f"flash channel {channel} {failure}")
+        full = self._active[channel]
+        if full is not None:
+            self._sealed[channel].append(full)
         self._active[channel] = block
         return block
 
-    # -- program path ----------------------------------------------------
+    def write(self, lpns: Iterable[int]) -> FtlWriteResult:
+        """Host write of the given logical pages (out-of-place, striped).
 
-    def _program(self, channel: int, lpn: int) -> None:
-        """Append one page on ``channel`` and update the mapping."""
-        old = self.mapping.get(lpn)
-        if old is not None:
-            old_block, slot = old
-            old_block.pages[slot] = None
-            old_block.valid_count -= 1
-        block = self._active[channel]
-        if block is None or block.is_full(self.pages_per_block):
-            if block is not None:
-                self._sealed[channel].append(block)
-            block = self._activate(channel)
-        block.pages.append(lpn)
-        block.valid_count += 1
-        self.mapping[lpn] = (block, len(block.pages) - 1)
-
-    def write(self, lpns: List[int]) -> FtlWriteResult:
-        """Host write of the given logical pages (out-of-place, striped)."""
+        One loop over the pages with the per-page program, block-full
+        check and GC trigger inlined.  GC runs only when the channel's
+        free blocks (pooled + never created) drop below the threshold —
+        the condition ``_maybe_gc`` itself loops on.  The destination
+        slot is taken before the page's old slot is cleared, so a channel
+        out of space leaves the old mapping intact.  Before any call that
+        can raise, ``_next_channel`` and ``host_pages_written`` are
+        stored, so a failure mid-list leaves the pages already written
+        accounted for.
+        """
         self.generation += 1
-        per_channel: Dict[int, int] = {}
+        logical_pages = self.logical_pages
+        channels = self.channels
+        pages_per_block = self.pages_per_block
+        threshold = self.gc_free_block_threshold
+        blocks_per_channel = self.blocks_per_channel
+        mapping = self.mapping
+        mapping_get = mapping.get
+        active = self._active
+        free_pool = self._free_pool
+        created = self._created_blocks
+        host_base = self.host_pages_written
+        start = channel = self._next_channel
+        written = 0
         relocated = 0
         erased = 0
         for lpn in lpns:
-            if lpn >= self.logical_pages:
+            if lpn >= logical_pages:
+                self._next_channel = channel
+                self.host_pages_written = host_base + written
                 raise DeviceError(f"lpn {lpn} beyond logical capacity")
-            channel = self._next_channel
-            self._next_channel = (self._next_channel + 1) % self.channels
-            r, e = self._maybe_gc(channel)
-            relocated += r
-            erased += e
-            self._program(channel, lpn)
-            per_channel[channel] = per_channel.get(channel, 0) + 1
-            self.host_pages_written += 1
+            following = channel + 1
+            if following == channels:
+                following = 0
+            if len(free_pool[channel]) + blocks_per_channel - created[channel] < threshold:
+                self._next_channel = following
+                self.host_pages_written = host_base + written
+                r, e = self._maybe_gc(channel)
+                relocated += r
+                erased += e
+            block = active[channel]
+            if block is None or len(block.pages) >= pages_per_block:
+                self._next_channel = following
+                self.host_pages_written = host_base + written
+                block = self._open_block(channel)
+            old = mapping_get(lpn)
+            if old is not None:
+                old_block, slot = old
+                old_block.pages[slot] = None
+                old_block.valid_count -= 1
+            pages = block.pages
+            mapping[lpn] = (block, len(pages))
+            pages.append(lpn)
+            block.valid_count += 1
+            written += 1
+            channel = following
+        self._next_channel = channel
+        self.host_pages_written = host_base + written
+        # round-robin striping: the first ``written % channels`` channels
+        # from ``start`` get one page more, in first-occurrence order
+        per_channel: Dict[int, int] = {}
+        rounds, extra = divmod(written, channels)
+        channel = start
+        for i in range(min(written, channels)):
+            per_channel[channel] = rounds + 1 if i < extra else rounds
+            channel += 1
+            if channel == channels:
+                channel = 0
         return FtlWriteResult(per_channel, relocated, erased)
 
-    def invalidate(self, lpns: List[int]) -> int:
+    def invalidate(self, lpns: Iterable[int]) -> int:
         """Discard: drop mappings, freeing the pages for GC.  Returns count."""
         self.generation += 1
         dropped = 0
+        mapping_pop = self.mapping.pop
         for lpn in lpns:
-            entry = self.mapping.pop(lpn, None)
+            entry = mapping_pop(lpn, None)
             if entry is not None:
                 block, slot = entry
                 block.pages[slot] = None
@@ -218,32 +261,39 @@ class PageMappingFtl:
         return sealed.pop(best_idx)
 
     def _collect(self, victim: EraseBlock) -> int:
-        """Relocate valid pages out of ``victim`` and erase it."""
+        """Relocate valid pages out of ``victim`` and erase it.
+
+        Each page's destination is taken before its victim slot is
+        cleared.  If the channel wedges mid-relocation the victim, still
+        holding its unmoved pages, goes back to the sealed list.
+        """
         moved = 0
-        for slot, lpn in enumerate(victim.pages):
-            if lpn is None:
-                continue
-            victim.pages[slot] = None
-            victim.valid_count -= 1
-            # Relocations stay on the victim's channel (intra-channel copyback).
-            self._program_relocation(victim.channel, lpn)
-            moved += 1
+        channel = victim.channel
+        pages = victim.pages
+        try:
+            for slot, lpn in enumerate(pages):
+                if lpn is None:
+                    continue
+                # Relocations stay on the victim's channel (intra-channel copyback).
+                self._program_relocation(channel, lpn)
+                pages[slot] = None
+                victim.valid_count -= 1
+                moved += 1
+        except DeviceError:
+            self.relocated_pages_total += moved
+            self._sealed[channel].append(victim)
+            raise
         victim.pages = []
         victim.erase_count += 1
         self.total_erases += 1
         self.relocated_pages_total += moved
-        self._free_pool[victim.channel].append(victim)
+        self._free_pool[channel].append(victim)
         return moved
 
     def _program_relocation(self, channel: int, lpn: int) -> None:
         block = self._active[channel]
-        if block is None or block.is_full(self.pages_per_block):
-            if block is not None:
-                self._sealed[channel].append(block)
-            block = self._take_free_block(channel)
-            if block is None:
-                raise DeviceError(f"flash channel {channel} wedged during GC")
-            self._active[channel] = block
+        if block is None or len(block.pages) >= self.pages_per_block:
+            block = self._open_block(channel, "wedged during GC")
         block.pages.append(lpn)
         block.valid_count += 1
         self.mapping[lpn] = (block, len(block.pages) - 1)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..block.request import IoCommand, IoOp
@@ -326,10 +327,7 @@ class Filesystem(abc.ABC):
         plan = handle.readahead.plan(offset, length, inode.size)
         first_page = plan.fetch_start // BLOCK_SIZE
         last_page = max(first_page, (plan.fetch_end - 1) // BLOCK_SIZE)
-        missing: List[int] = []
-        for page in range(first_page, last_page + 1):
-            if not self.page_cache.probe((inode.ino, page)):
-                missing.append(page)
+        missing = self.page_cache.probe(inode.ino, first_page, last_page)
         requests = 0
         finish = now
         if missing:
@@ -342,11 +340,13 @@ class Filesystem(abc.ABC):
             submit = self.scheduler.submit(commands, now)
             requests = submit.commands
             finish = max(finish, submit.finish_time)
-            evicted = self.page_cache.fill((inode.ino, page) for page in missing)
+            evicted = self.page_cache.fill(inode.ino, missing)
             if evicted:
                 # eviction writeback is causally this read's fault: the
                 # flushed commands carry its pid
-                finish = self._writeback_pages(evicted, finish, pid=pid).finish_time
+                finish = self._writeback_pages(
+                    _group_pages(evicted), finish, pid=pid
+                ).finish_time
         copy_time = length / self.costs.memcpy_rate
         finish += copy_time + self.costs.syscall_overhead
         if self._observing:
@@ -426,12 +426,14 @@ class Filesystem(abc.ABC):
     def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
-        evicted = self.page_cache.mark_dirty((inode.ino, page) for page in range(first, last + 1))
+        # a list, not a range: the LRU keys and both per-inode sets then
+        # share one int object per page instead of making one each
+        evicted = self.page_cache.mark_dirty(inode.ino, list(range(first, last + 1)))
         finish = now + length / self.costs.memcpy_rate + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(finish - now)
         if evicted:
-            finish = self._writeback_pages(evicted, finish, pid=pid).finish_time
+            finish = self._writeback_pages(_group_pages(evicted), finish, pid=pid).finish_time
         return finish, 0, length
 
     def fsync(self, handle: FileHandle, now: float = 0.0) -> SyscallResult:
@@ -446,8 +448,7 @@ class Filesystem(abc.ABC):
         finish = now
         if dirty:
             submit = self._writeback_pages(
-                [(inode.ino, page) for page in dirty], now,
-                tag=handle.app, pid=pid,
+                {inode.ino: dirty}, now, tag=handle.app, pid=pid,
             )
             requests += submit.commands
             finish = submit.finish_time
@@ -474,7 +475,7 @@ class Filesystem(abc.ABC):
             dirty = self.page_cache.dirty_pages(ino)
             if not dirty:
                 continue
-            submit = self._writeback_pages([(ino, page) for page in dirty], finish, pid=pid)
+            submit = self._writeback_pages({ino: dirty}, finish, pid=pid)
             requests += submit.commands
             finish = submit.finish_time
         meta = self._commit_metadata(finish, tag="meta", pid=pid)
@@ -489,22 +490,20 @@ class Filesystem(abc.ABC):
                 )
         return SyscallResult(finish, finish - now, requests + meta.commands, 0)
 
-    def _writeback_pages(self, keys: Sequence[Tuple[int, int]], now: float, tag: str = "writeback", pid: int = 0) -> SubmitResult:
+    def _writeback_pages(self, by_ino: Dict[int, List[int]], now: float, tag: str = "writeback", pid: int = 0) -> SubmitResult:
         """Write dirty pages out, allocating blocks as needed.
 
-        ``pid`` attributes the flushed commands to the syscall that forced
-        the writeback (fsync/sync, or a read/write that evicted dirty
-        pages); 0 leaves them causally untracked.
+        ``by_ino`` maps each inode to its sorted dirty pages, in the
+        order the inodes are flushed.  ``pid`` attributes the flushed
+        commands to the syscall that forced the writeback (fsync/sync, or
+        a read/write that evicted dirty pages); 0 leaves them causally
+        untracked.
         """
-        by_ino: Dict[int, List[int]] = {}
-        for ino, page in keys:
-            by_ino.setdefault(ino, []).append(page)
         commands: List[IoCommand] = []
         for ino, pages in by_ino.items():
             inode = self.inodes.get(ino)
             if inode is None:
                 continue  # unlinked while dirty
-            pages.sort()
             for run_start, run_len in _page_runs(pages):
                 ranges = self._allocate_write(inode, run_start * BLOCK_SIZE, run_len * BLOCK_SIZE)
                 commands.extend(split_ranges(IoOp.WRITE, ranges, tag=tag, pid=pid))
@@ -719,10 +718,25 @@ class Filesystem(abc.ABC):
 
 def _page_runs(pages: Sequence[int]) -> List[Tuple[int, int]]:
     """Group sorted page indices into (start, run_length) runs."""
+    if not pages:
+        return []
     runs: List[Tuple[int, int]] = []
-    for page in pages:
-        if runs and runs[-1][0] + runs[-1][1] == page:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((page, 1))
+    start = prev = pages[0]
+    for page in islice(pages, 1, None):
+        if page != prev + 1:
+            runs.append((start, prev + 1 - start))
+            start = page
+        prev = page
+    runs.append((start, prev + 1 - start))
     return runs
+
+
+def _group_pages(keys: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
+    """Group evicted ``(ino, page)`` keys into ``{ino: sorted pages}``,
+    inodes in first-occurrence order (the writeback order)."""
+    by_ino: Dict[int, List[int]] = {}
+    for ino, page in keys:
+        by_ino.setdefault(ino, []).append(page)
+    for pages in by_ino.values():
+        pages.sort()
+    return by_ino

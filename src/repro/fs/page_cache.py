@@ -8,13 +8,18 @@ it to the caller for writeback.
 Residency and dirtiness are indexed per inode so ``dirty_pages`` and
 ``invalidate_inode`` touch only that inode's pages instead of scanning
 the whole cache; the LRU itself is an ``OrderedDict`` (O(1) hit/refresh).
+Every call that touches pages names one inode and a run or list of its
+page indices (``probe(ino, first, last)``, ``fill(ino, pages)``,
+``mark_dirty(ino, pages)``), so the per-inode sets update with one
+set-level operation; only evictions come back as ``(ino, page)`` keys,
+because one fill can evict pages of any inode.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 PageKey = Tuple[int, int]  # (ino, page index)
 
@@ -51,32 +56,52 @@ class PageCache:
 
     # -- lookup ----------------------------------------------------------
 
-    def probe(self, key: PageKey) -> bool:
-        """Check residency and update LRU + hit/miss stats."""
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
+    def probe(self, ino: int, first: int, last: int) -> List[int]:
+        """Probe pages ``first..last`` (inclusive) of one inode.
+
+        Hits move to the LRU tail in page order; returns the missing
+        pages in ascending order and updates the hit/miss stats.
+        """
+        pages = range(first, last + 1)
+        resident = self._by_ino.get(ino)
+        if resident is None:
+            missing = list(pages)
+        else:
+            move_to_end = self._lru.move_to_end
+            missing = []
+            for page in pages:
+                if page in resident:
+                    move_to_end((ino, page))
+                else:
+                    missing.append(page)
+        stats = self.stats
+        stats.hits += len(pages) - len(missing)
+        stats.misses += len(missing)
+        return missing
 
     # -- population ------------------------------------------------------
 
-    def fill(self, keys: Iterable[PageKey]) -> List[PageKey]:
-        """Insert clean pages; returns dirty pages evicted to make room."""
+    def fill(self, ino: int, pages: Sequence[int]) -> List[PageKey]:
+        """Insert clean pages of one inode; returns the dirty pages
+        evicted to make room, as ``(ino, page)`` keys in LRU order.
+
+        ``pages`` is iterated more than once, so pass a list or range.
+        """
         lru = self._lru
-        by_ino = self._by_ino
-        writeback: List[PageKey] = []
-        for key in keys:
+        move_to_end = lru.move_to_end
+        for page in pages:
+            key = (ino, page)
             if key in lru:
-                lru.move_to_end(key)
+                move_to_end(key)
             else:
                 lru[key] = None
-                ino, page = key
-                resident = by_ino.get(ino)
-                if resident is None:
-                    resident = by_ino[ino] = set()
-                resident.add(page)
+        resident = self._by_ino.get(ino)
+        if resident is None:
+            if pages:
+                self._by_ino[ino] = set(pages)
+        else:
+            resident.update(pages)
+        writeback: List[PageKey] = []
         capacity = self.capacity_pages
         while len(lru) > capacity:
             victim, _ = lru.popitem(last=False)
@@ -91,18 +116,19 @@ class PageCache:
                 writeback.append(victim)
         return writeback
 
-    def mark_dirty(self, keys: Iterable[PageKey]) -> List[PageKey]:
-        """Insert/refresh pages as dirty; returns evicted dirty pages."""
-        keys = list(keys)
-        dirty_by_ino = self._dirty_by_ino
-        for ino, page in keys:
-            dirty = dirty_by_ino.get(ino)
-            if dirty is None:
-                dirty = dirty_by_ino[ino] = set()
-            if page not in dirty:
-                dirty.add(page)
-                self._dirty_total += 1
-        return self.fill(keys)
+    def mark_dirty(self, ino: int, pages: Sequence[int]) -> List[PageKey]:
+        """Insert/refresh pages of one inode as dirty; returns evicted
+        dirty pages (see :meth:`fill`)."""
+        dirty = self._dirty_by_ino.get(ino)
+        if dirty is None:
+            if pages:
+                dirty = self._dirty_by_ino[ino] = set(pages)
+                self._dirty_total += len(dirty)
+        else:
+            before = len(dirty)
+            dirty.update(pages)
+            self._dirty_total += len(dirty) - before
+        return self.fill(ino, pages)
 
     # -- writeback -------------------------------------------------------
 
@@ -114,10 +140,9 @@ class PageCache:
         dirty = self._dirty_by_ino.get(ino)
         if dirty is None:
             return
-        for page in pages:
-            if page in dirty:
-                dirty.discard(page)
-                self._dirty_total -= 1
+        before = len(dirty)
+        dirty.difference_update(pages)
+        self._dirty_total -= before - len(dirty)
         if not dirty:
             del self._dirty_by_ino[ino]
 

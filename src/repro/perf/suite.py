@@ -204,11 +204,11 @@ def _bench_page_cache(cfg: Dict[str, int]) -> int:
         ino = rng.randrange(inodes)
         page = rng.randrange(pages_per_ino)
         if roll < 0.4:
-            cache.probe((ino, page))
+            cache.probe(ino, page, page)
         elif roll < 0.7:
-            cache.fill((ino, p) for p in range(page, page + 8))
+            cache.fill(ino, range(page, page + 8))
         elif roll < 0.9:
-            cache.mark_dirty((ino, p) for p in range(page, page + 4))
+            cache.mark_dirty(ino, range(page, page + 4))
         elif roll < 0.97:
             cache.clean(ino, cache.dirty_pages(ino))
         else:

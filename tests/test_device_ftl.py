@@ -1,5 +1,7 @@
 """Page-mapping FTL: mapping, striping, invalidation, GC, wear."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,3 +101,70 @@ def test_mapping_always_consistent(lpns):
         assert block.pages[slot] == lpn
     assert len(ftl.mapping) == len(set(lpns))
     assert ftl.host_pages_written == len(lpns)
+
+
+# -- failure paths ------------------------------------------------------
+
+
+def assert_ftl_consistent(ftl):
+    """Mapping, valid counts and block membership agree."""
+    for lpn, (block, slot) in ftl.mapping.items():
+        assert block.pages[slot] == lpn, lpn
+    for channel in range(ftl.channels):
+        active = ftl._active[channel]
+        homes = ([active] if active is not None else []) + \
+            ftl._sealed[channel] + ftl._free_pool[channel]
+        for block in homes:
+            assert block.valid_count == sum(p is not None for p in block.pages)
+        # every created block lives in exactly one of active/sealed/free
+        assert len({id(b) for b in homes}) == len(homes) == ftl._created_blocks[channel]
+
+
+def drive_to_failure(seed, **kwargs):
+    """Random write/invalidate stream until the FTL raises; returns the error."""
+    ftl = PageMappingFtl(**kwargs)
+    logical = ftl.logical_pages
+    rng = random.Random(seed)
+    for _ in range(5000):
+        start = rng.randrange(logical)
+        try:
+            if rng.random() < 0.85:
+                ftl.write([min(logical - 1, start + i) for i in range(rng.randint(1, 12))])
+            else:
+                ftl.invalidate(range(start, min(logical, start + rng.randint(1, 8))))
+        except DeviceError as exc:
+            return ftl, str(exc)
+    raise AssertionError("stream never failed")
+
+
+def assert_recovers(ftl):
+    """Discarding everything lets GC reclaim space: the FTL stays usable."""
+    assert ftl.invalidate(range(ftl.logical_pages)) > 0
+    assert ftl.mapping == {}
+    for _ in range(4):
+        ftl.write(range(ftl.logical_pages // 2))
+    assert_ftl_consistent(ftl)
+
+
+@pytest.mark.parametrize("seed,kwargs", [
+    (0, dict(logical_pages=512, channels=8, pages_per_block=16)),
+    (2, dict(logical_pages=256, channels=4, pages_per_block=8, overprovision=0.0)),
+])
+def test_gc_wedge_leaves_mapping_consistent(seed, kwargs):
+    ftl, error = drive_to_failure(seed, **kwargs)
+    assert "wedged during GC" in error
+    assert_ftl_consistent(ftl)
+    assert_recovers(ftl)
+
+
+def test_out_of_space_leaves_mapping_consistent():
+    # no overprovisioning: 64 pages fill all 8 blocks with valid data, so
+    # GC finds no victim and the rewrite has nowhere to go
+    ftl = PageMappingFtl(logical_pages=64, channels=1, pages_per_block=8, overprovision=0.0)
+    ftl.write(range(64))
+    with pytest.raises(DeviceError, match="out of space"):
+        ftl.write([0])
+    assert_ftl_consistent(ftl)
+    block, slot = ftl.mapping[0]
+    assert block.pages[slot] == 0  # the old copy is still the live one
+    assert_recovers(ftl)
