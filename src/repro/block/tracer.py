@@ -73,8 +73,9 @@ class BlockTracer:
         self.keep_log = keep_log
         self.log: List[IoCommand] = []
         self.obs = obs_hooks.current()
-        # pre-resolved sentinel: null-plane observe() never touches the facade
-        self._emitting = self.obs.enabled
+        # pre-resolved sentinel: null-plane observe() never touches the
+        # facade, and neither does one that records no per-command data
+        self._emitting = self.obs.enabled and self.obs.per_command
 
     def observe(self, commands: Iterable[IoCommand], now: float = 0.0) -> None:
         emit = self._emitting

@@ -355,7 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--smoke", action="store_true",
                         help="no trace needed: generate a small seeded "
                              "corpus in a temp dir and replay it (CI smoke)")
-    cli_util.add_workers_arg(replay)
+    cli_util.add_workers_arg(
+        replay,
+        help="with --generate: build the corpus in chunks across N worker "
+             "processes (default: serial).  The chunked corpus is the same "
+             "for every N but differs from the serial one for the same seed",
+    )
     cli_util.add_document_args(replay, "REPLAY", "REPLAY", threshold=0.10)
     cli_util.add_ledger_args(replay)
     faults = sub.add_parser(

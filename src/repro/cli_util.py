@@ -46,16 +46,22 @@ def add_document_args(
     )
 
 
-def add_workers_arg(parser: argparse.ArgumentParser) -> None:
+def add_workers_arg(
+    parser: argparse.ArgumentParser,
+    help: str = ("shard the run across N worker processes (default: serial; "
+                 "output is byte-identical either way)"),
+) -> None:
     """Attach the shared ``--workers N`` flag (default: serial path).
 
-    Every verb that accepts it routes through :mod:`repro.par`, whose
-    canonical merge makes the parallel output byte-identical to serial.
+    Every verb that accepts it routes through :mod:`repro.par`.  For
+    bench, perf and faults its canonical merge makes the parallel output
+    byte-identical to serial.  ``replay --generate`` is the exception:
+    any ``--workers`` selects the chunked corpus scheme, a different
+    corpus than the serial stream for the same seed (though the same for
+    every worker count), so that verb passes its own ``help``.
     """
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard the run across N worker processes (default: serial; "
-             "output is byte-identical either way)",
+        "--workers", type=int, default=None, metavar="N", help=help,
     )
 
 

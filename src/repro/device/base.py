@@ -161,6 +161,8 @@ class StorageDevice(abc.ABC):
         # touches the facades at all
         self._observing = self.obs.enabled
         self._faulting = self.faults.enabled
+        # per-command histograms; only consulted inside observing branches
+        self._per_command = self._observing and self.obs.per_command
         # causal tracing armed; only consulted inside observing branches
         self._tracing = self._observing and self.obs.provenance is not None
         self._controller_free = 0.0
@@ -205,6 +207,7 @@ class StorageDevice(abc.ABC):
         batch_work = 0.0
         batch_penalty = 0.0
         observing = self._observing
+        per_command = self._per_command
         faulting = self._faulting
         tracing = self._tracing
         # hot loop: every split request of every syscall lands here, so
@@ -256,11 +259,12 @@ class StorageDevice(abc.ABC):
             batch_work += plan.controller_time + stall
             batch_penalty += plan.penalty_time
             if observing:
-                # service time: controller pickup to media/link completion
-                # ``_value_`` skips the enum descriptor on this per-command path
-                self.obs.device_command(
-                    self.name, command.op._value_, command_finish - command_begin
-                )
+                if per_command:
+                    # service time: controller pickup to media/link completion
+                    # ``_value_`` skips the enum descriptor on this per-command path
+                    self.obs.device_command(
+                        self.name, command.op._value_, command_finish - command_begin
+                    )
                 if tracing and command.pid:
                     # causal edge: syscall -> this command's completion,
                     # with the queue-wait/service split and the model's

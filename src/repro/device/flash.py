@@ -15,7 +15,7 @@ reads on flash (Section 3.3).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -24,7 +24,8 @@ from ..constants import BLOCK_SIZE, GIB
 from .base import CommandPlan, StorageDevice, extend_sums as _extend_sums
 from .ftl import PageMappingFtl
 
-#: bound on the read-plan memo (cleared wholesale on FTL mutation)
+#: bound on the read-plan memo; its keys are page-channel contents, so
+#: entries never go stale and which one is evicted cannot change a plan
 READ_PLAN_CACHE_ENTRIES = 4096
 
 
@@ -63,11 +64,10 @@ class FlashSsd(StorageDevice):
             pages_per_block=params.pages_per_block,
             overprovision=params.overprovision,
         )
-        # Read plans are pure *given the current mapping*: cache them
-        # keyed by (offset, length) and drop everything when the FTL
-        # generation moves (any write/discard can re-home pages).
-        self._read_plan_cache: "OrderedDict[Tuple[int, int], CommandPlan]" = OrderedDict()
-        self._read_plan_gen = self.ftl.generation
+        # A read plan is a pure function of the pages' channel sequence
+        # and the byte length, so keyed on those it never needs dropping
+        # when the mapping moves.
+        self._read_plan_cache: Dict[Tuple[bytes, int], CommandPlan] = {}
         # repeated-addition prefix table (see base.extend_sums): keeps
         # batch-counted channel totals bit-identical to the old
         # accumulation loop
@@ -87,20 +87,17 @@ class FlashSsd(StorageDevice):
             return self._discard_overhead_plan
         per_channel: Dict[int, float] = {}
         if command.op is IoOp.READ:
+            lanes = self.ftl.lanes(
+                command.offset // BLOCK_SIZE, (command.end - 1) // BLOCK_SIZE
+            )
+            key = (lanes, command.length)
             cache = self._read_plan_cache
-            if self._read_plan_gen != self.ftl.generation:
-                cache.clear()
-                self._read_plan_gen = self.ftl.generation
-            key = (command.offset, command.length)
             plan = cache.get(key)
             if plan is not None:
-                cache.move_to_end(key)
                 return plan
-            # batch mapping lookup in the FTL, then one table lookup per
-            # occupied channel (first-occurrence order, like the old loop)
-            first = command.offset // BLOCK_SIZE
-            last = (command.end - 1) // BLOCK_SIZE
-            counts = self.ftl.channel_counts(first, last)
+            # one table lookup per occupied channel, in first-occurrence
+            # order (Counter keeps insertion order), like the old loop
+            counts = Counter(lanes)
             sums = self._read_sums
             if counts:
                 _extend_sums(sums, max(counts.values()), self.params.page_read)
@@ -112,7 +109,7 @@ class FlashSsd(StorageDevice):
                 link_bytes=command.length,
             )
             if len(cache) >= READ_PLAN_CACHE_ENTRIES:
-                cache.popitem(last=False)
+                del cache[next(iter(cache))]
             cache[key] = plan
             return plan
         else:

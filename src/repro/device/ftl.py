@@ -18,7 +18,6 @@ Implements the flash behaviour the paper leans on in Sections 2.2/3.3:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -56,6 +55,8 @@ class PageMappingFtl:
     ) -> None:
         if channels <= 0 or pages_per_block <= 0:
             raise DeviceError("channels and pages_per_block must be positive")
+        if channels > 256:
+            raise DeviceError("at most 256 channels (one byte per page in the channel array)")
         self.logical_pages = logical_pages
         self.channels = channels
         self.pages_per_block = pages_per_block
@@ -76,9 +77,12 @@ class PageMappingFtl:
         self.total_erases = 0
         self.host_pages_written = 0
         self.relocated_pages_total = 0
-        #: bumped on every mapping mutation (write/invalidate, including
-        #: GC relocations inside write); read-plan memoization keys on it
-        self.generation = 0
+        #: ``_chan[lpn]`` is the channel a read of ``lpn`` lands on: the
+        #: mapped block's channel, or ``lpn % channels`` while unmapped.
+        #: Grown lazily, in whole ``_stripe`` rounds, only as far as the
+        #: highest lpn written; lpns past its end are unmapped.
+        self._chan = bytearray()
+        self._stripe = bytes(range(channels))
 
     # -- mapping queries -------------------------------------------------
 
@@ -88,30 +92,27 @@ class PageMappingFtl:
         Unwritten logical pages behave as if the drive were pre-filled
         sequentially (address-striped).
         """
-        entry = self.mapping.get(lpn)
-        if entry is None:
-            return lpn % self.channels
-        return entry[0].channel
+        chan = self._chan
+        return chan[lpn] if lpn < len(chan) else lpn % self.channels
 
-    def channel_counts(self, first: int, last: int) -> "Counter":
-        """Pages-per-channel for a read of lpns ``first..last`` inclusive.
+    def lanes(self, first: int, last: int) -> bytes:
+        """Channels of lpns ``first..last`` inclusive, in lpn order.
 
-        Batch form of :meth:`channel_of`: one C-level ``Counter.update``
-        over a generator instead of a per-page dict-accumulation loop in
-        the device model.  Counter is a dict subclass, so iteration
-        order is first-occurrence order — the same order the old loop's
-        accumulator dict had, which the plan's ``unit_work`` tuple (and
-        every fingerprinted document hashing it) depends on.
+        A read's plan is a pure function of this sequence and its byte
+        length, so it can key a cache that no mapping change invalidates.
         """
-        mapping_get = self.mapping.get
+        chan = self._chan
+        if last < len(chan):
+            return bytes(chan[first:last + 1])
         channels = self.channels
-        counts: Counter = Counter()
-        counts.update(
-            entry[0].channel if (entry := mapping_get(lpn)) is not None
-            else lpn % channels
-            for lpn in range(first, last + 1)
-        )
-        return counts
+        tail = range(max(first, len(chan)), last + 1)
+        return bytes(chan[first:]) + bytes(lpn % channels for lpn in tail)
+
+    def _grow(self, lpn: int) -> int:
+        """Extend ``_chan`` over ``lpn`` with the striped pattern; new length."""
+        chan = self._chan
+        chan += self._stripe * -(-(lpn + 1 - len(chan)) // self.channels)
+        return len(chan)
 
     @property
     def write_amplification(self) -> float:
@@ -164,7 +165,6 @@ class PageMappingFtl:
         stored, so a failure mid-list leaves the pages already written
         accounted for.
         """
-        self.generation += 1
         logical_pages = self.logical_pages
         channels = self.channels
         pages_per_block = self.pages_per_block
@@ -172,6 +172,8 @@ class PageMappingFtl:
         blocks_per_channel = self.blocks_per_channel
         mapping = self.mapping
         mapping_get = mapping.get
+        chan = self._chan
+        chan_len = len(chan)
         active = self._active
         free_pool = self._free_pool
         created = self._created_blocks
@@ -206,6 +208,9 @@ class PageMappingFtl:
                 old_block.valid_count -= 1
             pages = block.pages
             mapping[lpn] = (block, len(pages))
+            if lpn >= chan_len:
+                chan_len = self._grow(lpn)
+            chan[lpn] = channel
             pages.append(lpn)
             block.valid_count += 1
             written += 1
@@ -226,12 +231,14 @@ class PageMappingFtl:
 
     def invalidate(self, lpns: Iterable[int]) -> int:
         """Discard: drop mappings, freeing the pages for GC.  Returns count."""
-        self.generation += 1
         dropped = 0
         mapping_pop = self.mapping.pop
+        chan = self._chan
+        channels = self.channels
         for lpn in lpns:
             entry = mapping_pop(lpn, None)
             if entry is not None:
+                chan[lpn] = lpn % channels
                 block, slot = entry
                 block.pages[slot] = None
                 block.valid_count -= 1
@@ -274,7 +281,8 @@ class PageMappingFtl:
             for slot, lpn in enumerate(pages):
                 if lpn is None:
                     continue
-                # Relocations stay on the victim's channel (intra-channel copyback).
+                # Relocations stay on the victim's channel (intra-channel
+                # copyback), so ``_chan`` needs no update.
                 self._program_relocation(channel, lpn)
                 pages[slot] = None
                 victim.valid_count -= 1

@@ -103,6 +103,11 @@ class Instrumentation:
 
     enabled = True
 
+    #: devices and block tracers built under this facade report every
+    #: command (``device_command``, ``block.cmd`` events); read once at
+    #: their construction, like ``enabled``
+    per_command = True
+
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
@@ -217,6 +222,11 @@ class Instrumentation:
             )
         pair[0].observe(commands)
         pair[1].set(busy_until)
+        self._attribute_device(queue_wait, service_time, penalty_time)
+
+    def _attribute_device(
+        self, queue_wait: float, service_time: float, penalty_time: float
+    ) -> None:
         self._attr_dev_queue.inc(queue_wait)
         penalty = min(penalty_time, service_time)
         self._attr_dev_service.inc(service_time - penalty)
@@ -274,6 +284,32 @@ class Instrumentation:
             )
         hist.observe(max(0.0, end - start))
         self.spans.event("actor.run", start, track=actor, until=end)
+
+
+class AttributionInstrumentation(Instrumentation):
+    """Live facade that records only what a latency attribution reads.
+
+    The syscall counters and latency histograms, ``fs_cpu`` and
+    ``block_submit`` (split fan-out, the kernel components) record as in
+    the full facade.  Devices and tracers built under it skip the
+    per-command ``device_command`` histograms and ``block.cmd`` events,
+    and ``device_batch`` feeds only the ``attrib.device_*`` counters, so
+    an attribution or fan-out summary read from it equals the full
+    facade's.
+    """
+
+    per_command = False
+
+    def device_batch(
+        self,
+        device: str,
+        commands: int,
+        busy_until: float,
+        queue_wait: float = 0.0,
+        service_time: float = 0.0,
+        penalty_time: float = 0.0,
+    ) -> None:
+        self._attribute_device(queue_wait, service_time, penalty_time)
 
 
 class NullInstrumentation:

@@ -31,7 +31,7 @@ from ..errors import InvalidArgument
 from ..fs import make_filesystem
 from ..obs import analysis as obs_analysis
 from ..obs import hooks as obs_hooks
-from ..obs.hooks import Instrumentation
+from ..obs.hooks import AttributionInstrumentation
 from .formats import ParseStats, TraceReader, open_trace
 from .reconstruct import (
     DEFAULT_FILE_CAP,
@@ -222,14 +222,15 @@ def run_replay(
 ) -> ReplayResult:
     """One streaming replay pass over ``trace_path``.
 
-    Builds a fresh filesystem, arms a private observability plane (for
-    the per-layer attribution), and pipes the reader straight into the
-    reconstructor — the trace is never materialized.  ``reader`` lets
+    Builds a fresh filesystem, arms a private attribution-only
+    observability plane (for the per-layer attribution and the split
+    fan-out; no per-command records), and pipes the reader straight
+    into the reconstructor — the trace is never materialized.  ``reader`` lets
     tests inject a pre-configured parser; ``mapping`` pins file ids to
     existing paths (the round-trip experiment's hook).
     """
     config = config if config is not None else ReplayConfig()
-    obs = Instrumentation()
+    obs = AttributionInstrumentation()
     with obs_hooks.use(obs):
         device = make_device(config.device)
         fs = make_filesystem(config.fs_type, device)

@@ -62,6 +62,12 @@ def test_write_beyond_capacity_rejected():
         ftl.write([10])
 
 
+def test_channel_array_holds_one_byte_per_page():
+    assert PageMappingFtl(logical_pages=1024, channels=256).channels == 256
+    with pytest.raises(DeviceError, match="at most 256 channels"):
+        PageMappingFtl(logical_pages=1024, channels=257)
+
+
 def test_gc_reclaims_invalid_pages():
     ftl = small_ftl(logical_pages=128, channels=1, pages_per_block=8)
     # overwrite a small working set far beyond physical capacity
@@ -110,6 +116,10 @@ def assert_ftl_consistent(ftl):
     """Mapping, valid counts and block membership agree."""
     for lpn, (block, slot) in ftl.mapping.items():
         assert block.pages[slot] == lpn, lpn
+    for lpn, channel in enumerate(ftl._chan):
+        entry = ftl.mapping.get(lpn)
+        assert channel == (entry[0].channel if entry else lpn % ftl.channels), lpn
+    assert all(lpn < len(ftl._chan) for lpn in ftl.mapping)
     for channel in range(ftl.channels):
         active = ftl._active[channel]
         homes = ([active] if active is not None else []) + \

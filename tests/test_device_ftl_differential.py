@@ -6,8 +6,9 @@ before every page, per-page ``pages_per_channel`` accumulation).  Seeded
 write/invalidate streams run through both on small FTLs that reach GC,
 and after every step the write results and the whole FTL state must be
 identical: mapping, block contents, valid and erase counts, sealed and
-free-pool order, created blocks, the striping cursor, the generation and
-the totals.
+free-pool order, created blocks, the striping cursor and the totals.
+The per-lpn channel array must agree with the reference's mapping at
+every lpn, and must never grow past the highest lpn written.
 
 A stream stops at its first GC or out-of-space ``DeviceError``: the
 failure paths were reordered on purpose (see the failure-path tests in
@@ -50,7 +51,6 @@ class ReferenceFtl(PageMappingFtl):
         self.mapping[lpn] = (block, len(block.pages) - 1)
 
     def write(self, lpns) -> FtlWriteResult:
-        self.generation += 1
         per_channel: Dict[int, int] = {}
         relocated = 0
         erased = 0
@@ -68,7 +68,6 @@ class ReferenceFtl(PageMappingFtl):
         return FtlWriteResult(per_channel, relocated, erased)
 
     def invalidate(self, lpns) -> int:
-        self.generation += 1
         dropped = 0
         for lpn in lpns:
             entry = self.mapping.pop(lpn, None)
@@ -141,9 +140,25 @@ def snapshot(ftl: PageMappingFtl):
     mapping = [(lpn, name_of(id(entry[0])), entry[1]) for lpn, entry in ftl.mapping.items()]
     return (
         blocks, mapping, list(ftl._created_blocks), ftl._next_channel,
-        ftl.generation, ftl.total_erases, ftl.host_pages_written,
+        ftl.total_erases, ftl.host_pages_written,
         ftl.relocated_pages_total,
     )
+
+
+def mapped_channels(ftl: PageMappingFtl, count: int) -> List[int]:
+    """Channel of lpns ``0..count-1`` derived from the mapping alone."""
+    get = ftl.mapping.get
+    channels = ftl.channels
+    return [entry[0].channel if (entry := get(lpn)) is not None else lpn % channels
+            for lpn in range(count)]
+
+
+def written_lpns(lpns, logical: int):
+    """The lpns a write stores: those before the first out-of-range one."""
+    for lpn in lpns:
+        if lpn >= logical:
+            return
+        yield lpn
 
 
 def stream(rng: random.Random, logical: int, channels: int):
@@ -181,8 +196,13 @@ def run_pair(seed: int, channels: int, pages_per_block: int, overprovision: floa
                   pages_per_block=pages_per_block, overprovision=overprovision)
     new, ref = PageMappingFtl(**kwargs), ReferenceFtl(**kwargs)
     rng = random.Random(seed)
+    windows = random.Random(~seed)
+    probe = logical + channels + 1  # past the end: the striped fallback
+    high = -1
     for step in range(STEPS):
         op, lpns = stream(rng, logical, channels)
+        if op == "write":
+            high = max(high, max(written_lpns(lpns, logical), default=-1))
         outcomes = []
         for ftl in (new, ref):
             try:
@@ -200,6 +220,13 @@ def run_pair(seed: int, channels: int, pages_per_block: int, overprovision: floa
         else:
             assert got == want, step
         assert snapshot(new) == snapshot(ref), (seed, step, op)
+        want_channels = mapped_channels(ref, probe)
+        assert [new.channel_of(lpn) for lpn in range(probe)] == want_channels, (seed, step)
+        first = windows.randrange(probe)
+        last = windows.randrange(first, probe)
+        assert list(new.lanes(first, last)) == want_channels[first:last + 1], (seed, step)
+        # memory guard: grown exact-fit, whole stripes, never densely
+        assert len(new._chan) <= -(-(high + 1) // channels) * channels, (seed, step)
     return STEPS, ref.total_erases
 
 

@@ -375,9 +375,11 @@ def _naive_optane_unit_work(first, last, banks, page_time):
 
 
 def _naive_flash_read_unit_work(ftl, first, last, page_read):
+    """Per-page loop over the L2P mapping itself (not the channel array)."""
     per_channel = {}
     for lpn in range(first, last + 1):
-        channel = ftl.channel_of(lpn)
+        entry = ftl.mapping.get(lpn)
+        channel = entry[0].channel if entry is not None else lpn % ftl.channels
         per_channel[channel] = per_channel.get(channel, 0.0) + page_read
     return tuple(per_channel.items())
 
@@ -443,21 +445,41 @@ def test_flash_batch_read_plan_matches_naive_loop(seed):
 
     rng = random.Random(seed)
     device = FlashSsd()
-    for _ in range(250):
-        offset = rng.randrange(0, 2048 * BLOCK)
-        length = rng.randrange(1, 48 * BLOCK)
-        if rng.random() < 0.4:
+    params = device.params
+    # one range read again and again while it is rewritten and discarded
+    # underneath: a cached plan must never outlive a remap
+    hot_offset, hot_length = 512 * BLOCK, 20 * BLOCK + 1
+    hot_plans = set()
+    for _ in range(400):
+        roll = rng.random()
+        if roll < 0.25:
             # mutate the mapping so reads exercise both mapped pages and
             # the unwritten address-striped fallback
-            device._plan_command(IoCommand(IoOp.WRITE, offset, length, "w", 0))
-            continue
-        command = IoCommand(IoOp.READ, offset, length, "r", 0)
+            op = IoOp.WRITE
+        elif roll < 0.35:
+            # discarded pages fall back to the address-striped channel
+            op = IoOp.DISCARD
+        else:
+            op = IoOp.READ
+        if rng.random() < 0.3:
+            offset, length = hot_offset + rng.choice([0, 4 * BLOCK]), hot_length
+        else:
+            offset = rng.randrange(0, 2048 * BLOCK)
+            length = rng.randrange(1, 48 * BLOCK)
+        command = IoCommand(op, offset, length, "t", 0)
         plan = device._plan_command(command)
+        if op is not IoOp.READ:
+            continue
         first = offset // BLOCK
         last = (command.end - 1) // BLOCK
         assert plan.unit_work == _naive_flash_read_unit_work(
-            device.ftl, first, last, device.params.page_read
+            device.ftl, first, last, params.page_read
         )
+        assert plan.link_bytes == length
+        if offset == hot_offset:
+            hot_plans.add(plan.unit_work)
+    # the hot range really was remapped between its reads
+    assert len(hot_plans) > 2
 
 
 @pytest.mark.parametrize("seed", [1337, 60221023])

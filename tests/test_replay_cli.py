@@ -28,6 +28,14 @@ def test_replay_generate(capsys, tmp_path):
                  "--json", str(tmp_path / "R.json")]) == 0
 
 
+def test_replay_help_says_workers_change_the_corpus(capsys):
+    with pytest.raises(SystemExit):
+        main(["replay", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "differs from the serial one for the same seed" in out
+    assert "byte-identical either way" not in out
+
+
 def test_replay_document_round_trip(capsys, trace_path, tmp_path):
     doc_path = tmp_path / "REPLAY_x.json"
     assert main(["replay", "--trace", trace_path, "--label", "x",

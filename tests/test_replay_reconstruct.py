@@ -208,6 +208,38 @@ def test_replay_attribution_sums(tmp_path):
     assert document["attribution"]["ok"] is True
 
 
+@pytest.mark.parametrize("profile", [
+    dict(read_fraction=0.9, direct_fraction=0.5, sequential_fraction=0.6),
+    dict(read_fraction=0.1, direct_fraction=0.0, sequential_fraction=0.3,
+         fsync_every=16),
+], ids=["read-heavy", "write-heavy"])
+def test_attribution_plane_document_matches_full_plane(tmp_path, monkeypatch, profile):
+    """The attribution-only plane skips per-command records; the REPLAY
+    document (attribution and split fan-out floats included) must equal
+    the one a full plane produces."""
+    from repro.obs import hooks
+    from repro.replay import report
+
+    trace = str(tmp_path / "t.bin")
+    generate_trace(trace, TraceProfile(ops=3000, seed=11, files=16, **profile))
+    config = ReplayConfig(seed=4)
+    runs = []
+    for plane in (hooks.AttributionInstrumentation, hooks.Instrumentation):
+        armed = []
+        monkeypatch.setattr(report, "AttributionInstrumentation",
+                            lambda plane=plane: armed.append(plane()) or armed[0])
+        document = run_replay(trace, config).to_dict()
+        runs.append((armed[0], document))
+    (lean_obs, lean_doc), (full_obs, full_doc) = runs
+    assert type(full_obs) is hooks.Instrumentation
+    # the full plane really recorded what the lean one skipped
+    assert any(name.startswith("device.") for name in full_obs.registry.to_dict())
+    assert not any(name.startswith("device.") for name in lean_obs.registry.to_dict())
+    assert full_obs.spans.events and not lean_obs.spans.events
+    assert lean_doc["split_fanout"]["count"] > 0
+    assert lean_doc == full_doc
+
+
 def test_replay_compare_flags_regression(tmp_path):
     trace = str(tmp_path / "t.bin")
     generate_trace(trace, TraceProfile(ops=1000, seed=2))
