@@ -16,8 +16,6 @@ Usage::
     python -m repro bench --compare BENCH_base.json BENCH_ci.json
     python -m repro faults --smoke           # crash sweep + fault campaign
     python -m repro faults --devices hdd microsd flash optane
-    python -m repro perf --smoke --json PERF_ci.json     # wall-clock suite
-    python -m repro perf --compare PERF_base.json PERF_ci.json
     python -m repro fleet --volumes 64 --seed 7 --json   # defrag-as-a-service
     python -m repro fleet --smoke --volumes 8            # CI smoke fleet
     python -m repro fleet --smoke --slo                  # + SLO admission gating
@@ -34,7 +32,7 @@ Usage::
     python -m repro replay --compare REPLAY_a.json REPLAY_b.json
     python -m repro fleet --smoke --workload trace:t.bin # trace-driven fleet
     python -m repro runs                                 # run-ledger history
-    python -m repro runs trajectory --verb perf          # figures across runs
+    python -m repro runs trajectory --verb fleet         # figures across runs
     python -m repro runs show 000003                     # one full manifest
 """
 
@@ -146,6 +144,8 @@ EXPERIMENTS: Dict[str, Dict] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .obs import ledger
+
     parser = argparse.ArgumentParser(
         prog="repro", description="FragPicker (SOSP 2021) reproduction experiments"
     )
@@ -206,27 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the ambient obs plane and dump Prometheus "
                             "text-format metrics here")
     cli_util.add_workers_arg(bench)
-    cli_util.add_document_args(bench, "BENCH", "BENCH", threshold=0.10)
+    cli_util.add_document_args(bench, "BENCH")
     cli_util.add_ledger_args(bench)
-    perf = sub.add_parser(
-        "perf",
-        help="wall-clock performance suite: persist PERF_*.json, compare runs",
-    )
-    perf.add_argument("--smoke", action="store_true",
-                      help="small/fast suite variant (CI smoke job)")
-    perf.add_argument("--no-profile", action="store_true",
-                      help="skip the bundled cProfile hot-function table")
-    perf.add_argument("--scaling", action="store_true",
-                      help="also measure the parallel engine's scaling "
-                           "curve (workers=1/2/4/8 over a fault-campaign "
-                           "series) and record it in the document")
-    cli_util.add_workers_arg(perf)
-    cli_util.add_document_args(
-        perf, "PERF", "PERF", threshold=0.20,
-        threshold_help="relative regression threshold (default 0.20; "
-                       "wall clock is noisier than virtual time)",
-    )
-    cli_util.add_ledger_args(perf)
     fleet = sub.add_parser(
         "fleet",
         help="defrag-as-a-service fleet simulator: persist FLEET_*.json, "
@@ -269,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump the metrics registry as JSON here")
     fleet.add_argument("--prom", default=None, metavar="PATH",
                        help="also dump Prometheus text-format metrics here")
-    cli_util.add_document_args(fleet, "FLEET", "FLEET", threshold=0.10)
+    cli_util.add_document_args(fleet, "FLEET")
     cli_util.add_ledger_args(fleet)
     slo = sub.add_parser(
         "slo",
@@ -295,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--prom", default=None, metavar="PATH",
                      help="also export budget-remaining/compliance gauges "
                           "as Prometheus text format here")
-    cli_util.add_document_args(slo, "SLO", "SLO", threshold=0.10)
+    cli_util.add_document_args(slo, "SLO")
     cli_util.add_ledger_args(slo)
     watch = sub.add_parser(
         "watch",
@@ -361,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
              "processes (default: serial).  The chunked corpus is the same "
              "for every N but differs from the serial one for the same seed",
     )
-    cli_util.add_document_args(replay, "REPLAY", "REPLAY", threshold=0.10)
+    cli_util.add_document_args(replay, "REPLAY")
     cli_util.add_ledger_args(replay)
     faults = sub.add_parser(
         "faults",
@@ -399,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="for show: a sequence number or manifest "
                            "fingerprint prefix")
     runs.add_argument("--verb", default=None,
-                      choices=["bench", "perf", "fleet", "slo", "replay",
-                               "faults"],
+                      choices=ledger.VERBS,
                       help="only runs recorded by this verb")
     runs.add_argument("--ledger-dir", default=None, metavar="DIR",
                       help="run-ledger directory (default: "
@@ -539,45 +519,6 @@ def _run_bench(args) -> int:
     )
     print()
     print(trace_result.attribution().table())
-    return 0
-
-
-def _run_perf(args) -> int:
-    import time
-
-    from . import perf
-
-    code = cli_util.run_compare(args, perf.load, perf.compare)
-    if code is not None:
-        return code
-
-    label, path = cli_util.document_path(args, "PERF")
-    scaling = None
-    if args.scaling:
-        scaling = perf.scaling_curve(smoke=args.smoke)
-    start = time.perf_counter()
-    document, results = perf.run_suite(
-        smoke=args.smoke, label=label, profile=not args.no_profile,
-        workers=args.workers, scaling=scaling,
-    )
-    wall_s = time.perf_counter() - start
-    perf.save(path, document)
-    cli_util.record_ledger(
-        args, "perf", document, label=label, wall_s=wall_s,
-        extra={"smoke": args.smoke, "scaling": bool(args.scaling)},
-    )
-    print(f"wrote perf document to {path} "
-          f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
-    width = max(len(result.name) for result in results)
-    for result in results:
-        print(f"  {result.name.ljust(width)}  {result.ops:>8} ops  "
-              f"{result.wall_s:>9.4f} s  {result.ops_per_sec:>12.0f} ops/s")
-    print(f"  {'total'.ljust(width)}  {'':>8}      "
-          f"{document['total_wall_s']:>9.4f} s")
-    if document["profile"]:
-        print("\nhot functions (end-to-end run, by self time):")
-        for row in document["profile"][:10]:
-            print(f"  {row['tottime_s']:>9.4f} s  {row['calls']:>8}  {row['func']}")
     return 0
 
 
@@ -874,8 +815,6 @@ def main(argv=None) -> int:
         return _run_trace(args)
     if args.command == "bench":
         return _run_bench(args)
-    if args.command == "perf":
-        return _run_perf(args)
     if args.command == "fleet":
         return _run_fleet(args)
     if args.command == "slo":

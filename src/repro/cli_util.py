@@ -1,10 +1,10 @@
 """Shared wiring for CLI verbs that persist comparable JSON documents.
 
-``bench``, ``perf``, and ``fleet`` all follow the same contract: run a
-suite, save a schema-tagged document whose fingerprint makes runs
-comparable, and (with ``--compare``) diff two such documents with a
-direction-aware threshold.  The argument set and the compare flow are
-identical across verbs — this module holds them once.
+``bench``, ``fleet``, ``slo`` and ``replay`` all follow the same
+contract: run a suite, save a schema-tagged document whose fingerprint
+makes runs comparable, and (with ``--compare``) diff two such documents
+with a direction-aware threshold.  The argument set and the compare flow
+are identical across verbs — this module holds them once.
 """
 
 from __future__ import annotations
@@ -13,32 +13,33 @@ import argparse
 from typing import Callable, Optional, Tuple
 
 
-def add_document_args(
-    parser: argparse.ArgumentParser,
-    kind: str,
-    prefix: str,
-    threshold: float = 0.10,
-    threshold_help: Optional[str] = None,
-) -> None:
-    """Attach the --label/--json/--compare/--threshold/--warn-only set."""
+#: default relative regression threshold for ``--compare``
+THRESHOLD = 0.10
+
+
+def add_document_args(parser: argparse.ArgumentParser, prefix: str) -> None:
+    """Attach the --label/--json/--compare/--threshold/--warn-only set.
+
+    ``prefix`` names the document (``BENCH``) and its default path
+    (``BENCH_<label>.json``).
+    """
     parser.add_argument(
         "--label", default=None,
         help="document label (default: 'smoke' or 'full')",
     )
     parser.add_argument(
         "--json", nargs="?", const=None, default=None, metavar="PATH",
-        help=f"write the {kind} document here "
+        help=f"write the {prefix} document here "
              f"(default: {prefix}_<label>.json)",
     )
     parser.add_argument(
         "--compare", nargs=2, metavar=("BASELINE", "CANDIDATE"),
-        help=f"compare two {kind} documents instead of running; "
+        help=f"compare two {prefix} documents instead of running; "
              "exits 1 when a regression exceeds the threshold",
     )
     parser.add_argument(
-        "--threshold", type=float, default=threshold,
-        help=threshold_help
-        or f"relative regression threshold (default {threshold:.2f})",
+        "--threshold", type=float, default=THRESHOLD,
+        help=f"relative regression threshold (default {THRESHOLD:.2f})",
     )
     parser.add_argument(
         "--warn-only", action="store_true",
@@ -54,7 +55,7 @@ def add_workers_arg(
     """Attach the shared ``--workers N`` flag (default: serial path).
 
     Every verb that accepts it routes through :mod:`repro.par`.  For
-    bench, perf and faults its canonical merge makes the parallel output
+    bench and faults its canonical merge makes the parallel output
     byte-identical to serial.  ``replay --generate`` is the exception:
     any ``--workers`` selects the chunked corpus scheme, a different
     corpus than the serial stream for the same seed (though the same for

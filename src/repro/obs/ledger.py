@@ -1,7 +1,7 @@
 """Persistent run ledger: a fingerprinted manifest per document run.
 
-Every document-producing verb (``repro bench/perf/fleet/slo/replay/
-faults``) appends one **run manifest** under ``benchmarks/ledger/`` —
+Every document-producing verb (``repro bench/fleet/slo/replay/faults``)
+appends one **run manifest** under ``benchmarks/ledger/`` —
 the run-over-run history a production telemetry pipeline keeps next to
 its live exports.  A manifest records what ran (verb, label, args, seed,
 workers), what it produced (the document's schema and fingerprint plus a
@@ -13,7 +13,7 @@ fields — verb, label, seed, workers, args, document schema/fingerprint,
 headline — never wall time or host shape, so re-running the same
 seed-keyed workload reproduces the manifest fingerprint byte-for-byte
 (the CI ``obs-par-smoke`` job asserts exactly that).  Filenames are
-sequence-numbered (``000007_perf_ab12cd34ef56.json``) so ``repro runs``
+sequence-numbered (``000007_fleet_ab12cd34ef56.json``) so ``repro runs``
 can render the trajectory of a metric across recorded runs in recording
 order.
 """
@@ -81,14 +81,6 @@ def _headline_bench(doc: Dict[str, object]) -> Dict[str, object]:
     return out
 
 
-def _timings_perf(doc: Dict[str, object]) -> Dict[str, object]:
-    out: Dict[str, object] = {"total_wall_s": doc.get("total_wall_s")}
-    end_to_end = _dig(doc, "layers", "end_to_end", "wall_s")
-    if end_to_end is not None:
-        out["end_to_end_wall_s"] = end_to_end
-    return out
-
-
 def _headline_fleet(doc: Dict[str, object]) -> Dict[str, object]:
     return {
         "jobs_completed": _dig(doc, "jobs", "completed"),
@@ -138,29 +130,16 @@ _HEADLINES = {
     "faults": _headline_faults,
 }
 
-#: wall-clock readings a verb's document carries: no re-run reproduces
-#: them, so they ride outside the fingerprinted headline
-_TIMINGS = {
-    "perf": _timings_perf,
-}
-
-
-def _extract(extractors, verb: str, document: Dict[str, object]) -> Dict[str, object]:
-    extractor = extractors.get(verb)
-    if extractor is None:
-        return {}
-    return {k: v for k, v in extractor(document).items() if v is not None}
+#: the verbs that record runs, in ``repro runs --verb`` order
+VERBS = tuple(_HEADLINES)
 
 
 def headline(verb: str, document: Dict[str, object]) -> Dict[str, object]:
     """The small per-verb figure set a manifest carries (fingerprinted)."""
-    return _extract(_HEADLINES, verb, document)
-
-
-def timings(verb: str, document: Dict[str, object]) -> Dict[str, object]:
-    """The per-verb wall-clock readings a manifest carries (never
-    fingerprinted)."""
-    return _extract(_TIMINGS, verb, document)
+    extractor = _HEADLINES.get(verb)
+    if extractor is None:
+        return {}
+    return {k: v for k, v in extractor(document).items() if v is not None}
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +169,6 @@ def build_manifest(
         "doc_fingerprint": document.get("fingerprint")
         or _dig(document, "campaign", "fingerprint"),
         "headline": headline(verb, document),
-        "timings": timings(verb, document),
         "wall_s": round(float(wall_s), 3),
         "host_cpus": os.cpu_count() or 1,
     }
@@ -276,7 +254,9 @@ def list_runs(
 
 
 def _figures(run: Dict[str, object]) -> Dict[str, object]:
-    """A run's headline plus its timings: what the tables show."""
+    """What the tables show: a run's headline, plus the unfingerprinted
+    ``timings`` that manifests recorded by the retired ``perf`` verb
+    still carry."""
     return {**run.get("headline", {}), **run.get("timings", {})}
 
 

@@ -1,7 +1,7 @@
 """Deterministic fan-out across worker processes.
 
 The stateless heavy runs in this repo — fault campaigns, crash-point
-sweeps, the bench/perf suites, corpus generation — are seed-keyed and
+sweeps, the bench suite, corpus generation — are seed-keyed and
 decompose into independent shards.  This module executes those shards
 on N spawned interpreters while keeping every fingerprinted document
 **byte-identical to the serial run**: results are collected in shard

@@ -1,4 +1,4 @@
-"""Shared document-verb wiring used by bench, perf, and fleet."""
+"""Shared document-verb wiring used by bench, fleet, slo and replay."""
 
 import argparse
 
@@ -9,7 +9,7 @@ from repro.bench.regression import Comparison
 def _parser():
     parser = argparse.ArgumentParser()
     parser.add_argument("--smoke", action="store_true")
-    cli_util.add_document_args(parser, "TEST", "TEST", threshold=0.15)
+    cli_util.add_document_args(parser, "TEST")
     return parser
 
 
@@ -27,9 +27,9 @@ def test_document_path_defaults():
     assert cli_util.document_path(args, "TEST") == ("full", "TEST_full.json")
 
 
-def test_threshold_default_is_per_verb():
+def test_threshold_default_is_shared():
     args = _parser().parse_args([])
-    assert args.threshold == 0.15
+    assert args.threshold == cli_util.THRESHOLD == 0.10
 
 
 def test_run_compare_not_requested():

@@ -8,6 +8,7 @@ over it.
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -21,13 +22,6 @@ FLEET_DOC = {
     "jobs": {"completed": 5},
     "migration": {"payload_bytes": 1024, "budget_ok": True},
     "foreground": {"read_p99_s": 0.002},
-}
-
-PERF_DOC = {
-    "schema": "repro.perf/v1",
-    "fingerprint": "ffff0000ffff0000",
-    "total_wall_s": 1.5,
-    "layers": {"end_to_end": {"wall_s": 0.9}},
 }
 
 FAULTS_DOC = {
@@ -51,29 +45,12 @@ def test_manifest_fingerprint_excludes_wall_time_and_host_shape():
     assert other["fingerprint"] != fast["fingerprint"]
 
 
-def test_perf_smoke_manifests_share_one_fingerprint(tmp_path):
-    """Two real `perf --smoke` runs read different wall times, yet their
-    manifests reproduce one fingerprint: the readings are timings."""
-    directory = str(tmp_path / "ledger")
-    for name in ("a", "b"):
-        assert cli.main(["perf", "--smoke", "--no-profile",
-                         "--json", str(tmp_path / f"PERF_{name}.json"),
-                         "--ledger-dir", directory]) == 0
-    first, second = ledger.list_runs(directory)
-    assert first["fingerprint"] == second["fingerprint"]
-    assert "total_wall_s" in first["timings"]
-
-
 def test_manifest_headlines_per_verb():
     fleet = ledger.build_manifest("fleet", FLEET_DOC)
     assert fleet["headline"] == {
         "jobs_completed": 5, "migrated_bytes": 1024,
         "fg_read_p99_s": 0.002, "budget_ok": True,
     }
-    perf = ledger.build_manifest("perf", PERF_DOC)
-    # wall readings are timings, outside the fingerprinted headline
-    assert perf["headline"] == {}
-    assert perf["timings"] == {"total_wall_s": 1.5, "end_to_end_wall_s": 0.9}
     faults = ledger.build_manifest("faults", FAULTS_DOC)
     assert faults["headline"]["faults_injected"] == 6
     assert faults["headline"]["trials"] == 3
@@ -85,14 +62,14 @@ def test_record_and_list_roundtrip_with_sequence_numbers(tmp_path):
     directory = str(tmp_path / "ledger")
     p0 = ledger.record_run("fleet", FLEET_DOC, label="ci", seed=1,
                            directory=directory)
-    p1 = ledger.record_run("perf", PERF_DOC, label="ci",
+    p1 = ledger.record_run("faults", FAULTS_DOC, label="ci",
                            directory=directory)
-    assert "000000_fleet_" in p0 and "000001_perf_" in p1
+    assert "000000_fleet_" in p0 and "000001_faults_" in p1
     runs = ledger.list_runs(directory)
-    assert [run["verb"] for run in runs] == ["fleet", "perf"]
+    assert [run["verb"] for run in runs] == ["fleet", "faults"]
     assert runs[0]["path"] == p0
-    only_perf = ledger.list_runs(directory, verb="perf")
-    assert [run["verb"] for run in only_perf] == ["perf"]
+    only_faults = ledger.list_runs(directory, verb="faults")
+    assert [run["verb"] for run in only_faults] == ["faults"]
 
 
 def test_recorded_manifests_are_byte_reproducible(tmp_path):
@@ -145,15 +122,15 @@ def test_tables_render_across_verbs(tmp_path):
     directory = str(tmp_path / "ledger")
     ledger.record_run("fleet", FLEET_DOC, label="ci", seed=1,
                       directory=directory)
-    ledger.record_run("perf", PERF_DOC, label="ci", directory=directory)
+    ledger.record_run("faults", FAULTS_DOC, label="ci", directory=directory)
     runs = ledger.list_runs(directory)
     listing = ledger.runs_table(runs)
-    assert "fleet" in listing and "perf" in listing
+    assert "fleet" in listing and "faults" in listing
     assert "abcd1234abcd" in listing  # doc fingerprint, truncated
     trajectory = ledger.trajectory_table(runs)
     # union of headline keys across both verbs becomes the column set
     assert "jobs_completed" in trajectory
-    assert "total_wall_s" in trajectory
+    assert "faults_injected" in trajectory
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +141,7 @@ def _seeded_ledger(tmp_path) -> str:
     directory = str(tmp_path / "ledger")
     ledger.record_run("fleet", FLEET_DOC, label="ci", seed=1,
                       directory=directory)
-    ledger.record_run("perf", PERF_DOC, label="ci", directory=directory)
+    ledger.record_run("faults", FAULTS_DOC, label="ci", directory=directory)
     return directory
 
 
@@ -172,23 +149,23 @@ def test_cli_runs_list_and_trajectory(tmp_path, capsys):
     directory = _seeded_ledger(tmp_path)
     assert cli.main(["runs", "--ledger-dir", directory]) == 0
     out = capsys.readouterr().out
-    assert "fleet" in out and "perf" in out and "headline" in out
+    assert "fleet" in out and "faults" in out and "headline" in out
 
     assert cli.main(["runs", "trajectory", "--ledger-dir", directory]) == 0
     out = capsys.readouterr().out
-    assert "jobs_completed" in out and "end_to_end_wall_s" in out
+    assert "jobs_completed" in out and "faults_injected" in out
 
-    assert cli.main(["runs", "list", "--verb", "perf",
+    assert cli.main(["runs", "list", "--verb", "faults",
                      "--ledger-dir", directory]) == 0
     out = capsys.readouterr().out
-    assert "perf" in out and "fleet" not in out
+    assert "faults" in out and "fleet" not in out
 
 
 def test_cli_runs_show_by_seq_and_fingerprint(tmp_path, capsys):
     directory = _seeded_ledger(tmp_path)
     assert cli.main(["runs", "show", "1", "--ledger-dir", directory]) == 0
     shown = capsys.readouterr().out
-    assert '"verb": "perf"' in shown
+    assert '"verb": "faults"' in shown
 
     fingerprint = ledger.list_runs(directory)[0]["fingerprint"][:10]
     assert cli.main(["runs", "show", fingerprint,
@@ -204,3 +181,67 @@ def test_cli_runs_empty_ledger_is_a_clean_exit(tmp_path, capsys):
     directory = str(tmp_path / "nothing")
     assert cli.main(["runs", "--ledger-dir", directory]) == 0
     assert "empty" in capsys.readouterr().out
+
+
+#: a manifest as the retired ``perf`` verb recorded it, byte for byte:
+#: wall readings in an unfingerprinted ``timings`` field
+OLD_MANIFEST = """{
+  "args": {
+    "scaling": false,
+    "smoke": true
+  },
+  "doc_fingerprint": "ffff0000ffff0000",
+  "doc_schema": null,
+  "fingerprint": "345e422507af89b4f7d5c84c758715c785155e8c430e78f20e5d7f5f5d8e7aee",
+  "headline": {},
+  "host_cpus": 2,
+  "label": "ci",
+  "schema": "repro.ledger/v1",
+  "seed": null,
+  "timings": {
+    "end_to_end_wall_s": 0.9,
+    "total_wall_s": 1.5
+  },
+  "verb": "perf",
+  "wall_s": 2.25,
+  "workers": null
+}
+"""
+
+
+def test_old_perf_manifests_still_load_and_render(tmp_path, capsys):
+    directory = tmp_path / "ledger"
+    directory.mkdir()
+    (directory / "000000_perf_345e422507af.json").write_text(OLD_MANIFEST)
+    ledger.record_run("fleet", FLEET_DOC, label="ci", seed=1,
+                      directory=str(directory))
+    ledger.validate_manifest(json.loads(OLD_MANIFEST))
+    ledger_dir = ["--ledger-dir", str(directory)]
+
+    assert cli.main(["runs", "list"] + ledger_dir) == 0
+    out = capsys.readouterr().out
+    assert "perf" in out and "total_wall_s=1.5" in out and "fleet" in out
+
+    assert cli.main(["runs", "show", "345e4225"] + ledger_dir) == 0
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1]) == (
+        json.loads(OLD_MANIFEST))
+
+    assert cli.main(["runs", "trajectory"] + ledger_dir) == 0
+    out = capsys.readouterr().out
+    assert "end_to_end_wall_s" in out and "jobs_completed" in out
+
+
+def test_runs_verb_choices_are_the_recording_verbs():
+    """``runs --verb`` offers exactly the live subcommands that record
+    runs: those that take ``--no-ledger``."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    verb = next(a for a in sub.choices["runs"]._actions
+                if a.dest == "verb")
+    recording = {
+        name for name, subparser in sub.choices.items()
+        if any(a.dest == "no_ledger" for a in subparser._actions)
+    }
+    assert set(verb.choices) <= set(sub.choices)
+    assert set(verb.choices) == recording

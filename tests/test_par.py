@@ -173,16 +173,6 @@ def test_campaign_series_identity_under_polluted_parent():
 # serial-vs-parallel document identity
 # ----------------------------------------------------------------------
 
-def test_perf_fingerprint_identical(tmp_path):
-    from repro.perf import suite
-
-    doc_serial, res_serial = suite.run_suite(smoke=True, profile=False)
-    doc_par, res_par = suite.run_suite(smoke=True, profile=False, workers=2)
-    assert doc_par["fingerprint"] == doc_serial["fingerprint"]
-    assert list(doc_par["layers"]) == list(doc_serial["layers"])
-    assert [r.ops for r in res_par] == [r.ops for r in res_serial]
-
-
 def test_replay_chunked_corpus_worker_count_invariant(tmp_path):
     profile = TraceProfile(ops=6_000, seed=9)
     one = tmp_path / "w1.bin"

@@ -160,7 +160,7 @@ def test_custom_latency_objective_changes_judgment():
     assert latency_bad(strict) > latency_bad(lax) == 0
 
 
-# -- bench / perf post-hoc evaluation -----------------------------------
+# -- bench post-hoc evaluation ------------------------------------------
 
 
 def test_bench_post_hoc_slos_are_deterministic():
@@ -176,18 +176,3 @@ def test_bench_post_hoc_slos_are_deterministic():
     parsed = json.loads(summaries[0])
     # the defrag phase must show as partial (not total) compliance
     assert 0.0 < parsed["frag_level"]["compliance"] < 1.0
-
-
-def test_perf_post_hoc_slos_judge_layer_walls():
-    from repro.perf.suite import evaluate_slos
-
-    document = {"layers": {
-        "fast_a": {"wall_s": 0.01}, "fast_b": {"wall_s": 0.02},
-        "slow": {"wall_s": 10.0},
-    }}
-    plane = evaluate_slos(document)
-    summary = plane.summaries()["layer_wall"]
-    assert summary["samples"] == 3
-    assert summary["bad_samples"] == 1  # only the outlier blows 2x mean
-    with pytest.raises(ValueError):
-        evaluate_slos({"layers": {}})
