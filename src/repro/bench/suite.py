@@ -182,12 +182,9 @@ def run_suite(
     payloads.append(("fileserver", config))
     # serial and parallel run the same shard function — per-figure
     # isolation either way, so the documents match by construction.
-    # harvest=False: the shard fn manages its own instrumentation and
-    # returns its own snapshots, merged below.
-    sharded = run_sharded(
-        _bench_shard, payloads, workers=workers, label="bench figure",
-        harvest=False,
-    )
+    # The shard fn manages its own instrumentation and returns its own
+    # snapshots, merged below.
+    sharded = run_sharded(_bench_shard, payloads, workers=workers)
     for (kind, _), (figure, _snapshot) in zip(payloads, sharded):
         key = (
             f"fileserver_{config['fileserver']['device']}"

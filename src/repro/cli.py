@@ -364,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--trials", type=int, default=None, metavar="N",
                         help="also run an N-trial seed-perturbed campaign "
                              "series (fingerprinted per trial)")
-    cli_util.add_workers_arg(faults)
     cli_util.add_ledger_args(faults)
     runs = sub.add_parser(
         "runs",
@@ -749,7 +748,6 @@ def _run_faults(args) -> int:
         fs_type=args.fs_type,
         devices=args.devices,
         smoke=args.smoke,
-        workers=args.workers,
         trials=args.trials,
     )
     wall_s = time.perf_counter() - start

@@ -54,12 +54,12 @@ def add_workers_arg(
 ) -> None:
     """Attach the shared ``--workers N`` flag (default: serial path).
 
-    Every verb that accepts it routes through :mod:`repro.par`.  For
-    bench and faults its canonical merge makes the parallel output
-    byte-identical to serial.  ``replay --generate`` is the exception:
-    any ``--workers`` selects the chunked corpus scheme, a different
-    corpus than the serial stream for the same seed (though the same for
-    every worker count), so that verb passes its own ``help``.
+    Two verbs take it, both routed through :mod:`repro.par`.  For bench
+    the shard-order merge makes the parallel output byte-identical to
+    serial.  For ``replay --generate`` any ``--workers`` selects the
+    chunked corpus scheme, a different corpus than the serial stream for
+    the same seed (though the same for every worker count), so that verb
+    passes its own ``help``.
     """
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N", help=help,

@@ -150,9 +150,8 @@ class CampaignSeries:
     """N independent storms: trial ``t`` replays the campaign at
     ``base.seed + t``.
 
-    Trials share no state, so they shard across workers
-    (:mod:`repro.par`); the series fingerprint hashes the per-trial
-    fingerprints in trial order and must match the serial run exactly.
+    Trials share no state and run in trial order; the series
+    fingerprint hashes the per-trial fingerprints in that order.
     """
 
     base: CampaignConfig
@@ -196,19 +195,16 @@ def series_fingerprint(results: List[CampaignResult]) -> str:
 def run_campaign_series(
     config: Optional[CampaignConfig] = None,
     trials: int = 8,
-    workers: Optional[int] = None,
 ) -> CampaignSeries:
     """Run ``trials`` independent storms (seed, seed+1, ...)."""
-    from ..par import run_sharded
-
     config = config if config is not None else CampaignConfig()
-    payloads = [replace(config, seed=config.seed + t) for t in range(trials)]
-    results = run_sharded(
-        run_campaign, payloads, workers=workers, label="campaign trial"
-    )
+    results = [
+        run_campaign(replace(config, seed=config.seed + t))
+        for t in range(trials)
+    ]
     return CampaignSeries(
         base=config,
-        trials=list(results),
+        trials=results,
         fingerprint=series_fingerprint(results),
     )
 
@@ -288,26 +284,21 @@ def survival_report(
     fs_type: str = "ext4",
     devices: Optional[List[str]] = None,
     smoke: bool = False,
-    workers: Optional[int] = None,
     trials: Optional[int] = None,
 ) -> SurvivalReport:
     """The full `repro faults` run.
 
     ``smoke`` keeps CI fast: one device, FragPicker only, a small storm.
     Otherwise both tools are swept on every requested device model.
-    ``workers`` shards the crash sweeps and (with ``trials``) the
-    campaign series across processes; the report is byte-identical to
-    the serial run either way.
     """
     out = SurvivalReport()
     sweep_devices = devices if devices is not None else [device]
     tools = ("fragpicker",) if smoke else TOOLS
     for dev in sweep_devices:
         for tool in tools:
-            out.sweeps.append(crash_sweep(
-                device=dev, fs_type=fs_type, tool=tool, seed=seed,
-                workers=workers,
-            ))
+            out.sweeps.append(
+                crash_sweep(device=dev, fs_type=fs_type, tool=tool, seed=seed)
+            )
     files = 2 if smoke else 4
     out.campaign = run_campaign(
         CampaignConfig(seed=seed, device=device, fs_type=fs_type, files=files)
@@ -315,6 +306,5 @@ def survival_report(
     if trials:
         out.series = run_campaign_series(
             CampaignConfig(seed=seed, device=device, fs_type=fs_type, files=files),
-            trials=trials, workers=workers,
-        )
+            trials=trials)
     return out

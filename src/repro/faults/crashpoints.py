@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..constants import GIB, KIB
 from ..core import FragPicker, MigrationJournal
@@ -177,9 +177,11 @@ class CrashSweepReport:
         }
 
 
-def _run_crash_point(payload: Tuple) -> CrashPointResult:
-    """One kill-and-recover cycle from a fresh scenario (shard unit)."""
-    device, fs_type, tool, files, pieces, piece_size, seed, point = payload
+def _run_crash_point(
+    device: str, fs_type: str, tool: str, files: int, pieces: int,
+    piece_size: int, seed: int, point: int,
+) -> CrashPointResult:
+    """One kill-and-recover cycle from a fresh scenario."""
     plan = FaultPlan(seed).crash("fs", after_ops=point)
     plane = fault_hooks.FaultPlane(plan)
     with fault_hooks.use(plane):
@@ -210,27 +212,21 @@ def crash_sweep(
     pieces: int = 8,
     piece_size: int = 4 * KIB,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> CrashSweepReport:
     """Kill the migration at every enumerated point and verify recovery.
 
-    Every crash point starts from an identical fresh scenario, so points
-    are independent: ``workers`` shards them across spawned processes
-    (:mod:`repro.par`) and the report is byte-identical to the serial
-    sweep — results are merged in point order regardless of completion.
+    Every crash point starts from an identical fresh scenario, so the
+    points are independent; they run in point order.
     """
-    from ..par import run_sharded
-
     def factory() -> Scenario:
         return build_scenario(device, fs_type, files=files, pieces=pieces,
                               piece_size=piece_size)
 
     total = count_migration_syscalls(factory, tool)
-    payloads = [
-        (device, fs_type, tool, files, pieces, piece_size, seed, point)
+    results = [
+        _run_crash_point(
+            device, fs_type, tool, files, pieces, piece_size, seed, point
+        )
         for point in range(1, total + 1)
     ]
-    results = run_sharded(
-        _run_crash_point, payloads, workers=workers, label="crash point"
-    )
-    return CrashSweepReport(device, fs_type, tool, list(results))
+    return CrashSweepReport(device, fs_type, tool, results)

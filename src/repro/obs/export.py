@@ -187,8 +187,6 @@ METRIC_HELP: Dict[str, str] = {
     "slo.alerts": "multi-window burn-rate alerts fired",
     "par.plans": "parallel plans executed (sharded fan-outs)",
     "par.shards": "work shards executed (serially or in worker processes)",
-    "par.shard_timeouts": "shards that exceeded their wall-clock timeout",
-    "par.serial_fallbacks": "plans re-executed serially after a timeout",
     "obs.events_dropped": "ring-buffer events dropped (oldest-first wrap)",
     "obs.harvest.snapshots": "worker telemetry snapshots merged into this plane",
     "faults.injected.total": "faults injected across all sites and kinds",

@@ -1,41 +1,38 @@
-"""Cross-process telemetry harvest: capture in workers, merge in parents.
+"""Telemetry harvest: capture a child plane, merge it into a parent.
 
-``repro.par`` workers start from :func:`repro.par.reset_worker_state`,
-which installs the null :class:`~repro.obs.hooks.Instrumentation` — so
-before this module existed, a ``--workers N`` run silently discarded
-every metric, span, ring event, and provenance edge its shards produced.
-The harvest plane closes that hole the way production telemetry
-pipelines do (Chrome ``trace_event`` aggregation, Prometheus
-federation): each shard runs under a **fresh child instrumentation**,
-its state is captured at shard end into a picklable
-:class:`TelemetrySnapshot`, the snapshot rides back to the parent
-alongside the shard's payload, and the parent merges snapshots into its
-own armed instrumentation **strictly in shard order**:
+Work that runs under its own :class:`~repro.obs.hooks.Instrumentation`
+— a bench figure in a ``repro.par`` worker, whose
+:func:`repro.par.reset_worker_state` installs the null facade, or one
+fleet volume on its own virtual clock — would otherwise lose every
+metric, span, ring event, and provenance edge it produced.  The harvest
+plane carries them home the way production telemetry pipelines do
+(Chrome ``trace_event`` aggregation, Prometheus federation): the child's
+state is captured into a picklable :class:`TelemetrySnapshot`, which a
+worker returns alongside its result, and the parent merges snapshots
+into its own armed instrumentation **strictly in a fixed order**:
 
-- counters sum; gauges keep the last shard's reading but remember the
-  true peak across shards; histograms add bucket-wise (same bounds
-  required) so quantiles come from the union of observations;
-- spans and ring events land on per-shard tracks (``shard0/main``
-  ...) so Chrome-trace rows stay separated per shard, with an optional
-  virtual-time base to reconcile shard-local clocks;
-- ring drops stay counted: the worker's ``obs.events_dropped`` counter
+- counters sum; gauges keep the last snapshot's reading but remember
+  the true peak across snapshots; histograms add bucket-wise (same
+  bounds required) so quantiles come from the union of observations;
+- spans and ring events land on per-child tracks (``shard0/main``,
+  ``vol0000/main`` ...) so Chrome-trace rows stay separated, with an
+  optional virtual-time base to reconcile child-local clocks;
+- ring drops stay counted: the child's ``obs.events_dropped`` counter
   merges like any counter, and the recorder-level ``dropped_spans`` /
   ``dropped_events`` tallies carry over into the parent's recorder (on
   top of any wraps the merge itself causes in the parent's ring);
-- provenance edges (the ``prov.*`` ring events) are re-based: worker
+- provenance edges (the ``prov.*`` ring events) are re-based: child
   pids are shifted past everything the parent has minted so far, so a
   merged ring still parses into one forest via
   :func:`repro.obs.provenance.build_forest`.
 
-The crucial determinism property: the **serial** path of
-:class:`repro.par.ParallelPlan` performs the *same* child-capture-merge
-dance per shard, so an armed ``--workers N`` run renders byte-identical
+The two callers keep the merge deterministic.  The bench suite
+(:mod:`repro.bench.suite`) runs every figure under a fresh child in
+**both** its serial and ``--workers N`` paths and merges the snapshots
+in shard order, so an armed ``--workers N`` bench renders byte-identical
 metrics tables, Prometheus text, and Chrome traces to the serial run —
 guarded by ``tests/test_obs_determinism.py`` and the ``obs-par-smoke``
-CI job.
-
-The fleet controller uses the same capture-merge in-process, without
-workers: each volume runs its own virtual clock under its own child
+CI job.  The fleet controller runs each volume under its own child
 (:func:`child_of`), and the volumes merge at the end of the run in spec
 order on ``vol<NNNN>/`` tracks, so 64 volumes' spans never share one
 Chrome row.
@@ -49,8 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from .hooks import Instrumentation
 from .metrics import Gauge, Histogram
 
-#: counter incremented on the parent each time a shard snapshot merges
-#: (same count serial vs parallel: the serial path harvests too)
+#: counter incremented on the parent each time a snapshot merges
 SNAPSHOTS_MERGED = "obs.harvest.snapshots"
 
 #: ring-event name prefix whose ``pid`` attrs are provenance ids and get
@@ -58,37 +54,14 @@ SNAPSHOTS_MERGED = "obs.harvest.snapshots"
 _PROV_PREFIX = "prov."
 
 
-@dataclass(frozen=True)
-class HarvestSpec:
-    """Picklable recipe for the child instrumentation a shard runs under.
-
-    Mirrors the parent's ring capacities and provenance arming so the
-    worker-side facade behaves exactly like the parent's would have.
-    """
-
-    max_spans: int
-    max_events: int
-    provenance: bool
-
-    @classmethod
-    def from_obs(cls, obs: Instrumentation) -> "HarvestSpec":
-        return cls(
-            max_spans=obs.spans.max_spans,
-            max_events=obs.spans.events.maxlen or 0,
-            provenance=obs.provenance is not None,
-        )
-
-    def child(self) -> Instrumentation:
-        return Instrumentation(
-            max_spans=self.max_spans,
-            max_events=self.max_events,
-            provenance=self.provenance,
-        )
-
-
 def child_of(obs: Instrumentation) -> Instrumentation:
-    """A fresh armed instrumentation mirroring ``obs``'s configuration."""
-    return HarvestSpec.from_obs(obs).child()
+    """A fresh armed instrumentation mirroring ``obs``'s configuration:
+    the same ring capacities and provenance arming."""
+    return Instrumentation(
+        max_spans=obs.spans.max_spans,
+        max_events=obs.spans.events.maxlen or 0,
+        provenance=obs.provenance is not None,
+    )
 
 
 @dataclass
@@ -241,5 +214,5 @@ def capture(
 
 
 def shard_track_prefix(index: int) -> str:
-    """The reserved track namespace for shard ``index`` of a plan."""
+    """The reserved track namespace for shard ``index`` of a sharded run."""
     return f"shard{index}/"

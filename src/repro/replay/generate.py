@@ -18,7 +18,6 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from ..constants import BLOCK_SIZE, KIB, MIB
 from ..errors import InvalidArgument
-from ..par import run_sharded
 from ..types import IoOp
 from .formats import BinaryTraceWriter, HEADER_SIZE
 
@@ -199,13 +198,13 @@ def generate_trace(
             return writer.written
     if chunk_ops < 1:
         raise InvalidArgument("chunk_ops must be >= 1")
+    from ..par import run_sharded
+
     payloads = [
         (profile, start, min(chunk_ops, profile.ops - start))
         for start in range(0, profile.ops, chunk_ops)
     ]
-    chunks = run_sharded(
-        _generate_chunk, payloads, workers=workers, label="replay generate"
-    )
+    chunks = run_sharded(_generate_chunk, payloads, workers=workers)
     header = io.BytesIO()
     BinaryTraceWriter(header).close()
     total = 0

@@ -147,10 +147,12 @@ def test_fleet_exports_obs_artifacts(capsys, tmp_path):
     assert any(line.startswith("fleet_") for line in prom.read_text().splitlines())
 
 
-def test_fleet_rejects_workers_flag(capsys):
-    # the fleet has one tick loop, the serial controller
+@pytest.mark.parametrize("verb", ["fleet", "faults"])
+def test_verb_rejects_workers_flag(verb, capsys):
+    # both verbs run serially: the fleet has one tick loop, and sharding
+    # the fault sweeps lost to spawn overhead
     with pytest.raises(SystemExit) as excinfo:
-        main(["fleet", "--smoke", "--volumes", "4", "--workers", "2"])
+        main([verb, "--smoke", "--workers", "2"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 

@@ -1,31 +1,27 @@
-"""The cross-process telemetry harvest: capture, merge, and parity.
+"""The telemetry harvest: capture and merge.
 
-Unit-level: TelemetrySnapshot must carry metrics in raw (mergeable)
-form, land worker spans/events on namespaced tracks, keep drop tallies,
-and re-base provenance pids.  Plan-level: an armed parent must export
-byte-identical telemetry whether a plan ran serially or across spawned
-workers — the property every armed ``--workers N`` verb rests on.
+TelemetrySnapshot must carry metrics in raw (mergeable) form, land
+child spans/events on namespaced tracks, keep drop tallies, and re-base
+provenance pids.  The callers' end-to-end parity (armed bench serial vs
+``--workers 2``, armed fleet run to run) is in test_obs_determinism.py.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.obs import export, harvest
+from repro.obs import harvest
 from repro.obs import hooks as obs_hooks
-from repro.obs.harvest import SNAPSHOTS_MERGED, HarvestSpec, TelemetrySnapshot
+from repro.obs.harvest import SNAPSHOTS_MERGED, TelemetrySnapshot
 from repro.obs.hooks import Instrumentation
-from repro.par import run_sharded
 
 
 # ----------------------------------------------------------------------
-# module-level shard functions (must pickle into spawn workers)
+# a child's worth of telemetry
 # ----------------------------------------------------------------------
 
 def _emit(x):
-    """One shard's worth of telemetry: metrics, a span, a ring event."""
+    """Metrics, a span, and a ring event."""
     obs = obs_hooks.current()
     obs.registry.counter("t.count").inc(x + 1)
     gauge = obs.registry.gauge("t.depth")
@@ -35,16 +31,6 @@ def _emit(x):
     obs.spans.adopt("t.work", 0.0, float(x + 1), attrs={"shard": x})
     obs.spans.event("t.tick", float(x), tag=x)
     return x * x
-
-
-def _square(x):
-    return x * x
-
-
-def _nested(x):
-    """A shard that itself fans out: its inner plan's par.* counters and
-    harvest merges happen worker-side and must surface in the parent."""
-    return sum(run_sharded(_square, [x, x + 1]))
 
 
 # ----------------------------------------------------------------------
@@ -77,9 +63,10 @@ def test_capture_delta_over_baseline():
     assert ("t.count", 4.0) in snapshot.counters
 
 
-def test_harvest_spec_mirrors_parent_configuration():
+def test_child_of_mirrors_parent_configuration():
     parent = Instrumentation(max_spans=7, max_events=16, provenance=True)
-    child = HarvestSpec.from_obs(parent).child()
+    child = harvest.child_of(parent)
+    assert child is not parent and child.enabled
     assert child.spans.max_spans == 7
     assert child.spans.events.maxlen == 16
     assert child.provenance is not None
@@ -169,57 +156,3 @@ def test_merge_into_disabled_obs_is_a_no_op():
     null = obs_hooks.NULL
     snapshot = TelemetrySnapshot(counters=[("t.count", 1.0)])
     snapshot.merge_into(null)  # must not raise, must not record
-
-
-# ----------------------------------------------------------------------
-# plan-level parity: armed serial == armed workers
-# ----------------------------------------------------------------------
-
-def _run_plan(workers):
-    obs = Instrumentation()
-    with obs_hooks.use(obs):
-        results = run_sharded(_emit, [0, 1, 2], workers=workers, label="t")
-    return results, obs
-
-
-def _renderings(obs):
-    return (
-        export.metrics_json(obs.registry),
-        export.prometheus_text(obs.registry),
-        json.dumps(export.chrome_trace(obs.spans, obs.registry)),
-    )
-
-
-def test_armed_plan_is_byte_identical_serial_vs_workers():
-    serial_results, serial_obs = _run_plan(None)
-    par_results, par_obs = _run_plan(2)
-    assert par_results == serial_results == [0, 1, 4]
-    assert _renderings(par_obs) == _renderings(serial_obs)
-    # the merged plane actually carries every shard's telemetry
-    metrics = serial_obs.registry.to_dict()
-    assert metrics["t.count"]["value"] == 6.0
-    assert metrics[SNAPSHOTS_MERGED]["value"] == 3
-    tracks = {s.track for s in serial_obs.spans.finished_spans()}
-    assert tracks == {"shard0/main", "shard1/main", "shard2/main"}
-
-
-def test_worker_side_par_counters_surface_in_parent_export():
-    obs = Instrumentation()
-    with obs_hooks.use(obs):
-        results = run_sharded(_nested, [1, 2], workers=2)
-    assert results == [1 + 4, 4 + 9]
-    metrics = obs.registry.to_dict()
-    # one outer plan mirrored by the parent + one inner (worker-side,
-    # serial) plan per shard, harvested back through the snapshot
-    assert metrics["par.plans"]["value"] == 3
-    assert metrics["par.shards"]["value"] == 2 + 4
-    # inner merges counted worker-side (2 per shard) ride back as
-    # counters, plus one increment per outer snapshot merge
-    assert metrics[SNAPSHOTS_MERGED]["value"] == 6
-    assert export.metric_help("par.shards") is not None
-
-
-def test_unarmed_parent_skips_harvest_entirely():
-    results = run_sharded(_square, [2, 3], workers=None)
-    assert results == [4, 9]
-    assert obs_hooks.current() is obs_hooks.NULL

@@ -8,23 +8,21 @@ suite in the repo stay serial.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.errors import InvalidArgument
 from repro.faults import hooks as fault_hooks
-from repro.faults.campaign import CampaignConfig, run_campaign_series
 from repro.fleet.spec import FleetConfig
 from repro.fs import extent_map
 from repro.obs import hooks as obs_hooks
 from repro.obs.hooks import Instrumentation
-from repro.par import (
-    ParallelPlan,
-    ShardError,
-    resolve_workers,
-    run_sharded,
-)
+from repro.par import ShardError, resolve_workers, run_sharded
 from repro.replay.formats import BinaryTraceReader
 from repro.replay.generate import TraceProfile, generate_trace
 
@@ -50,27 +48,16 @@ def _sleep_then_value(payload):
 
 
 def _report_globals(_):
-    obs = obs_hooks.current()
-    # with an armed parent, the shard runs under a *fresh* harvest child
-    # — never the parent's registry, never a polluted one: every metric
-    # zero, no spans, no events
-    obs_is_clean = obs is obs_hooks.NULL or (
-        not obs.spans.spans
-        and not obs.spans.events
-        and all(
-            not entry.get("value") and not entry.get("count")
-            for entry in obs.registry.to_dict().values()
-        )
-    )
+    # an armed parent's instrumentation never reaches the worker
     return (
         extent_map.DEBUG_CHECKS,
-        obs_is_clean,
+        obs_hooks.current() is obs_hooks.NULL,
         fault_hooks.current() is fault_hooks.NULL,
     )
 
 
 # ----------------------------------------------------------------------
-# ParallelPlan / run_sharded
+# run_sharded
 # ----------------------------------------------------------------------
 
 def test_resolve_workers_validation():
@@ -91,16 +78,24 @@ def test_serial_path_runs_in_process():
         seen.append(x)
         return x + 1
 
-    plan = ParallelPlan(record, [1, 2, 3])
-    assert plan.run() == [2, 3, 4]
+    assert run_sharded(record, [1, 2, 3]) == [2, 3, 4]
     assert seen == [1, 2, 3]
-    assert plan.stats.shards == 3 and not plan.stats.parallel
 
 
 def test_empty_payloads_short_circuit():
-    plan = ParallelPlan(_square, [], workers=4)
-    assert plan.run() == []
-    assert not plan.stats.parallel
+    # no pool is spawned for an empty work list, even with workers set
+    assert run_sharded(_square, [], workers=4) == []
+
+
+def test_armed_parent_counts_plans_and_shards_on_both_paths():
+    def counters(workers):
+        obs = Instrumentation()
+        with obs_hooks.use(obs):
+            assert run_sharded(_square, [2, 3], workers=workers) == [4, 9]
+        metrics = obs.registry.to_dict()
+        return metrics["par.plans"]["value"], metrics["par.shards"]["value"]
+
+    assert counters(None) == counters(2) == (1, 2)
 
 
 def test_merge_is_shard_order_not_completion_order():
@@ -122,22 +117,6 @@ def test_shard_error_carries_index_and_discards_partials():
     assert "ValueError" in error.traceback_text
 
 
-def test_timeout_falls_back_to_serial_and_counts():
-    obs = Instrumentation()
-    with obs_hooks.use(obs):
-        plan = ParallelPlan(
-            _sleep_then_value, [(0.75, "late")], workers=1, timeout_s=0.05
-        )
-        assert plan.run() == ["late"]
-    assert plan.stats.timeouts == 1
-    assert plan.stats.serial_fallbacks == 1
-    metrics = obs.registry.to_dict()
-    assert metrics["par.shard_timeouts"]["value"] == 1
-    assert metrics["par.serial_fallbacks"]["value"] == 1
-    assert metrics["par.plans"]["value"] == 1
-    assert metrics["par.shards"]["value"] == 1
-
-
 def test_worker_state_is_scrubbed_despite_polluted_parent():
     # arm every global the parent could leak; the worker must still see
     # a fresh process (satellite: worker-first-result == fresh-process)
@@ -151,22 +130,21 @@ def test_worker_state_is_scrubbed_despite_polluted_parent():
                 (state,) = run_sharded(_report_globals, [0], workers=1)
     finally:
         extent_map.DEBUG_CHECKS = False
-    debug_checks, obs_is_clean, faults_is_null = state
+    debug_checks, obs_is_null, faults_is_null = state
     assert debug_checks is False
-    assert obs_is_clean and faults_is_null
+    assert obs_is_null and faults_is_null
 
 
-def test_campaign_series_identity_under_polluted_parent():
-    config = CampaignConfig(seed=5, files=2)
-    clean = run_campaign_series(config, trials=2)
-    extent_map.DEBUG_CHECKS = True
-    try:
-        with obs_hooks.use(Instrumentation()):
-            polluted = run_campaign_series(config, trials=2, workers=2)
-    finally:
-        extent_map.DEBUG_CHECKS = False
-    assert polluted.to_dict() == clean.to_dict()
-    assert polluted.fingerprint == clean.fingerprint
+def test_importing_replay_does_not_load_the_engine():
+    # the chunked corpus branch imports repro.par on first use: the
+    # engine and multiprocessing cost every replay process ~13 ms
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro.replay; "
+        "assert 'repro.par' not in sys.modules, 'repro.par loaded at import'"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@ immutability and pickling.
 
 The records built once per syscall, command or trace op are
 NamedTuples.  Callers construct them positionally and by keyword, read
-them by attribute, and ``repro.par`` workers ship ``IoOp`` and
-``FaultFire`` across processes, so each of those must keep working.
+them by attribute, and ``IoOp`` and ``FaultFire`` must pickle, so each
+of those must keep working.
 """
 
 import pickle
