@@ -13,6 +13,7 @@ from .request import IoCommand
 from .tracer import BlockTracer
 from ..errors import DeviceIOError, InjectedCrash
 from ..faults import hooks as fault_hooks
+from ..faults.plan import BLOCK_SITE
 from ..obs import hooks as obs_hooks
 
 if TYPE_CHECKING:  # avoid a block <-> device import cycle at runtime
@@ -47,6 +48,9 @@ class BlockScheduler:
         # facade dispatch entirely
         self._observing = self.obs.enabled
         self._faulting = self.faults.enabled
+        # whether any rule covers the block site; when none does, a check
+        # there only counts the batch and needs no op or byte total
+        self._block_faults = self._faulting and self.faults.covers(BLOCK_SITE)
         # causal tracing armed (obs enabled AND a provenance recorder
         # installed); only ever consulted inside the _observing branch
         self._tracing = self._observing and self.obs.provenance is not None
@@ -69,10 +73,10 @@ class BlockScheduler:
         if not commands:
             return SubmitResult(now, 0.0, 0, 0.0, 0.0)
         kernel_time = self.kernel_overhead_per_request * len(commands)
-        if self._faulting:
+        if self._block_faults:
             first = commands[0]
             fire = self.faults.check(
-                "block.submit", op=first.op.value, offset=first.offset,
+                BLOCK_SITE, op=first.op._value_, offset=first.offset,
                 length=sum(c.length for c in commands), now=now,
             )
             if fire is not None:
@@ -87,6 +91,8 @@ class BlockScheduler:
                         fire.latency if fire.latency is not None
                         else fault_hooks.DEFAULT_LATENCY_SPIKE
                     )
+        elif self._faulting:
+            self.faults.check(BLOCK_SITE)  # counted; cannot fire
         cpu_start = max(now, self._cpu_free)
         cpu_done = cpu_start + kernel_time
         self._cpu_free = cpu_done

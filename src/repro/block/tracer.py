@@ -15,15 +15,20 @@ random access to the raw commands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, List, Sequence
 
 from ..obs import hooks as obs_hooks
 from .request import IoCommand, IoOp
 
 
+_READ = IoOp.READ
+_WRITE = IoOp.WRITE
+
+
 @dataclass
 class TrafficCounter:
-    """Bytes/commands for one tag."""
+    """Bytes and commands by op: one tag's traffic, or a whole device's
+    (:class:`~repro.device.base.DeviceStats` adds its busy time)."""
 
     read_bytes: int = 0
     write_bytes: int = 0
@@ -32,36 +37,36 @@ class TrafficCounter:
     write_commands: int = 0
     discard_commands: int = 0
 
-    def account(self, command: IoCommand) -> None:
-        if command.op is IoOp.READ:
-            self.read_bytes += command.length
-            self.read_commands += 1
-        elif command.op is IoOp.WRITE:
-            self.write_bytes += command.length
-            self.write_commands += 1
+    def add(self, op: IoOp, nbytes: int, n: int = 1) -> None:
+        """Count ``n`` commands of ``op`` moving ``nbytes`` between them."""
+        if op is _READ:
+            self.read_bytes += nbytes
+            self.read_commands += n
+        elif op is _WRITE:
+            self.write_bytes += nbytes
+            self.write_commands += n
         else:
-            self.discard_bytes += command.length
-            self.discard_commands += 1
+            self.discard_bytes += nbytes
+            self.discard_commands += n
+
+    def account(self, command: IoCommand) -> None:
+        self.add(command.op, command.length)
 
     @property
     def total_bytes(self) -> int:
         return self.read_bytes + self.write_bytes
 
+    @property
+    def total_commands(self) -> int:
+        return self.read_commands + self.write_commands + self.discard_commands
+
     def snapshot(self) -> "TrafficCounter":
-        return TrafficCounter(
-            self.read_bytes, self.write_bytes, self.discard_bytes,
-            self.read_commands, self.write_commands, self.discard_commands,
-        )
+        return type(self)(**vars(self))
 
     def delta(self, earlier: "TrafficCounter") -> "TrafficCounter":
-        return TrafficCounter(
-            self.read_bytes - earlier.read_bytes,
-            self.write_bytes - earlier.write_bytes,
-            self.discard_bytes - earlier.discard_bytes,
-            self.read_commands - earlier.read_commands,
-            self.write_commands - earlier.write_commands,
-            self.discard_commands - earlier.discard_commands,
-        )
+        return type(self)(**{
+            name: value - getattr(earlier, name) for name, value in vars(self).items()
+        })
 
 
 class BlockTracer:
@@ -77,20 +82,30 @@ class BlockTracer:
         # facade, and neither does one that records no per-command data
         self._emitting = self.obs.enabled and self.obs.per_command
 
-    def observe(self, commands: Iterable[IoCommand], now: float = 0.0) -> None:
-        emit = self._emitting
+    def observe(self, commands: Sequence[IoCommand], now: float = 0.0) -> None:
+        # count one run of same-op, same-tag commands at a time
         by_tag = self.by_tag
-        total_account = self.total.account
-        keep_log = self.keep_log
-        for command in commands:
-            total_account(command)
-            counter = by_tag.get(command.tag)
+        n = len(commands)
+        i = 0
+        while i < n:
+            first = commands[i]
+            op = first.op
+            tag = first.tag
+            nbytes = first.length
+            j = i + 1
+            while j < n and commands[j].op is op and commands[j].tag == tag:
+                nbytes += commands[j].length
+                j += 1
+            self.total.add(op, nbytes, j - i)
+            counter = by_tag.get(tag)
             if counter is None:
-                counter = by_tag[command.tag] = TrafficCounter()
-            counter.account(command)
-            if keep_log:
-                self.log.append(command)
-            if emit:
+                counter = by_tag[tag] = TrafficCounter()
+            counter.add(op, nbytes, j - i)
+            i = j
+        if self.keep_log:
+            self.log.extend(commands)
+        if self._emitting:
+            for command in commands:
                 # pid ties the raw command back to its syscall's
                 # provenance tree (0 = untracked); ``_value_`` skips the
                 # enum descriptor

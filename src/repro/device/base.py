@@ -29,59 +29,17 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..block.request import IoCommand, IoOp
+from ..block.tracer import TrafficCounter
 from ..errors import DeviceError, DeviceIOError, InjectedCrash, TornWriteError
 from ..faults import hooks as fault_hooks
 from ..obs import hooks as obs_hooks
 
 
 @dataclass
-class DeviceStats:
+class DeviceStats(TrafficCounter):
     """Cumulative device-side counters (the blktrace/iotop view)."""
 
-    read_bytes: int = 0
-    write_bytes: int = 0
-    discard_bytes: int = 0
-    read_commands: int = 0
-    write_commands: int = 0
-    discard_commands: int = 0
     busy_time: float = 0.0   # summed media work (can exceed wall time)
-
-    def account(self, command: IoCommand) -> None:
-        if command.op is IoOp.READ:
-            self.read_bytes += command.length
-            self.read_commands += 1
-        elif command.op is IoOp.WRITE:
-            self.write_bytes += command.length
-            self.write_commands += 1
-        else:
-            self.discard_bytes += command.length
-            self.discard_commands += 1
-
-    @property
-    def total_commands(self) -> int:
-        return self.read_commands + self.write_commands + self.discard_commands
-
-    def snapshot(self) -> "DeviceStats":
-        return DeviceStats(
-            self.read_bytes,
-            self.write_bytes,
-            self.discard_bytes,
-            self.read_commands,
-            self.write_commands,
-            self.discard_commands,
-            self.busy_time,
-        )
-
-    def delta(self, earlier: "DeviceStats") -> "DeviceStats":
-        return DeviceStats(
-            self.read_bytes - earlier.read_bytes,
-            self.write_bytes - earlier.write_bytes,
-            self.discard_bytes - earlier.discard_bytes,
-            self.read_commands - earlier.read_commands,
-            self.write_commands - earlier.write_commands,
-            self.discard_commands - earlier.discard_commands,
-            self.busy_time - earlier.busy_time,
-        )
 
 
 class CommandPlan(NamedTuple):
@@ -126,6 +84,11 @@ class BatchResult(NamedTuple):
     @property
     def latency(self) -> float:
         return self.finish_time - self.start_time
+
+
+#: builds a :class:`BatchResult` from a 4-tuple without the generated
+#: keyword-parsing ``__new__`` (one per batch on the hot path)
+_batch_result = tuple.__new__
 
 
 class StorageDevice(abc.ABC):
@@ -187,14 +150,21 @@ class StorageDevice(abc.ABC):
     # -- submission ------------------------------------------------------
 
     def submit(self, commands: Sequence[IoCommand], start_time: float = 0.0) -> BatchResult:
-        """Process a batch of commands issued together at ``start_time``."""
+        """Process a batch of commands issued together at ``start_time``.
+
+        The fault plane checks the batch with one scan; a fire is enacted
+        when the loop reaches its command, and the scan resumes after a
+        fire that does not end the batch.  The stats count the commands
+        that ran even when the batch raises part-way.
+        """
         if not commands:
-            return BatchResult(start_time, start_time, 0.0, 0)
+            return _batch_result(BatchResult, (start_time, start_time, 0.0, 0))
+        capacity = self.capacity
         for command in commands:
-            if command.end > self.capacity:
+            if command.offset + command.length > capacity:
                 raise DeviceError(
-                    f"{self.name}: command [{command.offset}, {command.end}) "
-                    f"beyond capacity {self.capacity}"
+                    f"{self.name}: command [{command.offset}, "
+                    f"{command.offset + command.length}) beyond capacity {capacity}"
                 )
         if not self.supports_queuing:
             # one command at a time: the whole batch serializes behind
@@ -208,7 +178,6 @@ class StorageDevice(abc.ABC):
         batch_penalty = 0.0
         observing = self._observing
         per_command = self._per_command
-        faulting = self._faulting
         tracing = self._tracing
         # hot loop: every split request of every syscall lands here, so
         # resolve attribute lookups once per batch
@@ -216,73 +185,110 @@ class StorageDevice(abc.ABC):
         unit_free = self._unit_free
         unit_get = unit_free.get
         unit_high = self._unit_high
-        account = self.stats.account
+        link_free = self._link_free
         link_rate = self.link_rate
+        # the next command a fault fires at (-1: none in this batch)
+        fire_at = -1
+        if self._faulting:
+            faults = self.faults
+            fire_at, fire = faults.scan("device.submit", commands, 0, start_time)
         torn_lost: Optional[int] = None  # bytes a torn write dropped
-        done_bytes = 0
-        for command in commands:
-            stall = 0.0
-            if faulting:
-                command, stall, torn_lost = self._apply_fault(command, start_time)
-                if command is None:  # torn down to nothing
-                    break
-            plan = plan_command(command)
-            command_begin = controller
-            dispatched = controller + plan.controller_time + stall
-            controller = dispatched
-            command_finish = dispatched
-            for unit, media_time in plan.unit_work:
-                unit_start = unit_get(unit, 0.0)
-                if unit_start < dispatched:
-                    unit_start = dispatched
-                unit_end = unit_start + media_time
-                unit_free[unit] = unit_end
-                batch_work += media_time
-                if unit_end > command_finish:
-                    command_finish = unit_end
-                if unit_end > unit_high:
-                    unit_high = unit_end
-            # stored per command: a later command's plan or fault check
-            # can raise with this one's unit time already committed
+        # batches are single-op in practice: count the first command's op
+        # in locals and add it to the stats once, in the finally below
+        lead = commands[0].op
+        lead_bytes = lead_n = other_bytes = 0
+        try:
+            for index, command in enumerate(commands):
+                stall = 0.0
+                if index == fire_at:
+                    faults.commit(fire)
+                    kind = fire.kind
+                    if kind == "io_error":
+                        raise DeviceIOError(
+                            f"{self.name}: injected I/O error on {command.op._value_} "
+                            f"at [{command.offset}, {command.offset + command.length})"
+                        )
+                    if kind == "crash":
+                        raise InjectedCrash(
+                            f"{self.name}: injected power-off during {command.op._value_}"
+                        )
+                    if kind == "latency":
+                        stall = (fire.latency if fire.latency is not None
+                                 else self.fault_latency_spike)
+                    elif command.op is IoOp.WRITE and fire.torn_length < command.length:
+                        # torn: only a block-aligned prefix of the write
+                        # completes, and the batch ends here
+                        torn_lost = command.length - fire.torn_length
+                        if fire.torn_length <= 0:
+                            break
+                        command = command._replace(length=fire.torn_length)
+                    if torn_lost is None:
+                        fire_at, fire = faults.scan(
+                            "device.submit", commands, index + 1, start_time
+                        )
+                plan = plan_command(command)
+                command_begin = controller
+                dispatched = controller + plan.controller_time + stall
+                controller = dispatched
+                command_finish = dispatched
+                for unit, media_time in plan.unit_work:
+                    unit_start = unit_get(unit, 0.0)
+                    if unit_start < dispatched:
+                        unit_start = dispatched
+                    unit_end = unit_start + media_time
+                    unit_free[unit] = unit_end
+                    batch_work += media_time
+                    if unit_end > command_finish:
+                        command_finish = unit_end
+                    if unit_end > unit_high:
+                        unit_high = unit_end
+                if plan.link_bytes and link_rate:
+                    link_start = link_free if link_free > dispatched else dispatched
+                    link_free = link_start + plan.link_bytes / link_rate
+                    if link_free > command_finish:
+                        command_finish = link_free
+                if command_finish > batch_finish:
+                    batch_finish = command_finish
+                if command.op is lead:
+                    lead_bytes += command.length
+                    lead_n += 1
+                else:
+                    other_bytes += command.length
+                    self.stats.add(command.op, command.length)
+                batch_work += plan.controller_time + stall
+                batch_penalty += plan.penalty_time
+                if observing:
+                    if per_command:
+                        # service time: controller pickup to media/link completion
+                        # ``_value_`` skips the enum descriptor on this per-command path
+                        self.obs.device_command(
+                            self.name, command.op._value_, command_finish - command_begin
+                        )
+                    if tracing and command.pid:
+                        # causal edge: syscall -> this command's completion,
+                        # with the queue-wait/service split and the model's
+                        # parallelism + discontiguity penalty
+                        self.obs.provenance.command(
+                            command.pid, self.name, self.provenance_unit,
+                            command.op._value_, command.offset, command.length,
+                            start_time, command_begin, command_finish,
+                            len(plan.unit_work), plan.penalty_time,
+                        )
+                if torn_lost is not None:
+                    break  # the batch tears here: later commands never ran
+        finally:
+            # what ran stays committed when a later command raises
             self._unit_high = unit_high
-            if plan.link_bytes and link_rate:
-                link_time = plan.link_bytes / link_rate
-                link_start = max(dispatched, self._link_free)
-                link_end = link_start + link_time
-                self._link_free = link_end
-                if link_end > command_finish:
-                    command_finish = link_end
-            if command_finish > batch_finish:
-                batch_finish = command_finish
-            account(command)
-            done_bytes += command.length
-            batch_work += plan.controller_time + stall
-            batch_penalty += plan.penalty_time
-            if observing:
-                if per_command:
-                    # service time: controller pickup to media/link completion
-                    # ``_value_`` skips the enum descriptor on this per-command path
-                    self.obs.device_command(
-                        self.name, command.op._value_, command_finish - command_begin
-                    )
-                if tracing and command.pid:
-                    # causal edge: syscall -> this command's completion,
-                    # with the queue-wait/service split and the model's
-                    # parallelism + discontiguity penalty
-                    self.obs.provenance.command(
-                        command.pid, self.name, self.provenance_unit,
-                        command.op._value_, command.offset, command.length,
-                        start_time, command_begin, command_finish,
-                        len(plan.unit_work), plan.penalty_time,
-                    )
-            if torn_lost is not None:
-                break  # the batch tears here: later commands never ran
+            self._link_free = link_free
+            if lead_n:
+                self.stats.add(lead, lead_bytes, lead_n)
         self._controller_free = controller
         if not self.supports_queuing:
             # hold every resource until the batch drains
             self._controller_free = batch_finish
         self.stats.busy_time += batch_work
         if torn_lost is not None:
+            done_bytes = lead_bytes + other_bytes
             raise TornWriteError(
                 f"{self.name}: torn write — only {done_bytes} bytes of the "
                 "batch reached the media",
@@ -300,46 +306,9 @@ class StorageDevice(abc.ABC):
         if self._listeners:
             for listener in self._listeners:
                 listener(commands, start_time, batch_finish)
-        return BatchResult(start_time, batch_finish, batch_work, len(commands))
-
-    def _apply_fault(
-        self, command: IoCommand, now: float
-    ) -> Tuple[Optional[IoCommand], float, Optional[int]]:
-        """Consult the fault plane for one command.
-
-        Returns ``(command, stall, torn_lost)``: the (possibly truncated)
-        command to execute, extra serial latency, and — for a torn write —
-        how many of its bytes will never reach the media (``command`` is
-        ``None`` when nothing at all survives).
-        """
-        fire = self.faults.check(
-            "device.submit",
-            op=command.op.value,
-            offset=command.offset,
-            length=command.length,
-            now=now,
+        return _batch_result(
+            BatchResult, (start_time, batch_finish, batch_work, len(commands))
         )
-        if fire is None:
-            return command, 0.0, None
-        if fire.kind == "io_error":
-            raise DeviceIOError(
-                f"{self.name}: injected I/O error on {command.op.value} "
-                f"at [{command.offset}, {command.end})"
-            )
-        if fire.kind == "crash":
-            raise InjectedCrash(
-                f"{self.name}: injected power-off during {command.op.value}"
-            )
-        if fire.kind == "latency":
-            stall = fire.latency if fire.latency is not None else self.fault_latency_spike
-            return command, stall, None
-        # torn: only a block-aligned prefix of a write completes
-        if command.op is not IoOp.WRITE or fire.torn_length >= command.length:
-            return command, 0.0, None
-        lost = command.length - fire.torn_length
-        if fire.torn_length <= 0:
-            return None, 0.0, command.length
-        return command._replace(length=fire.torn_length), 0.0, lost
 
     def add_listener(self, listener) -> None:
         """Register ``fn(commands, start, finish)`` (used by tracing)."""

@@ -78,7 +78,7 @@ class FlashSsd(StorageDevice):
 
     def _pages_of(self, command: IoCommand) -> range:
         first = command.offset // BLOCK_SIZE
-        last = (command.end - 1) // BLOCK_SIZE
+        last = (command.offset + command.length - 1) // BLOCK_SIZE
         return range(first, last + 1)
 
     def _plan_command(self, command: IoCommand) -> CommandPlan:
@@ -87,8 +87,9 @@ class FlashSsd(StorageDevice):
             return self._discard_overhead_plan
         per_channel: Dict[int, float] = {}
         if command.op is IoOp.READ:
+            offset = command.offset
             lanes = self.ftl.lanes(
-                command.offset // BLOCK_SIZE, (command.end - 1) // BLOCK_SIZE
+                offset // BLOCK_SIZE, (offset + command.length - 1) // BLOCK_SIZE
             )
             key = (lanes, command.length)
             cache = self._read_plan_cache

@@ -91,7 +91,7 @@ class HddDevice(StorageDevice):
         if distance > 0:
             penalty = self.seek_time(distance) + self.params.rotational_latency
         mechanical = penalty + command.length / self.params.transfer_rate
-        self.head_position = command.end
+        self.head_position = command.offset + command.length
         return CommandPlan(
             controller_time=self.params.command_overhead,
             unit_work=((0, mechanical),),

@@ -67,7 +67,7 @@ class MicroSdDevice(StorageDevice):
         params = self.params
         cache = self._mapping_cache
         first = command.offset // params.mapping_region
-        last = (command.end - 1) // params.mapping_region
+        last = (command.offset + command.length - 1) // params.mapping_region
         for region in range(first, last + 1):
             if region in cache:
                 cache.move_to_end(region)

@@ -60,7 +60,7 @@ class OptaneSsd(StorageDevice):
         # Plan memo: bank layout depends only on (op, first bank phase,
         # page count, length) and the model is stateless, so plans are
         # pure and cacheable without invalidation.  LRU-bounded.
-        self._plan_cache: "OrderedDict[Tuple[IoOp, int, int, int], CommandPlan]" = OrderedDict()
+        self._plan_cache: "OrderedDict[Tuple[str, int, int, int], CommandPlan]" = OrderedDict()
         self._discard_plan = CommandPlan(
             controller_time=params.command_overhead + params.discard_per_command
         )
@@ -81,9 +81,9 @@ class OptaneSsd(StorageDevice):
             return self._discard_plan
         params = self.params
         first = command.offset // BLOCK_SIZE
-        last = (command.end - 1) // BLOCK_SIZE
+        last = (command.offset + command.length - 1) // BLOCK_SIZE
         cache = self._plan_cache
-        key = (command.op, first % params.banks, last - first, command.length)
+        key = (command.op._value_, first % params.banks, last - first, command.length)
         plan = cache.get(key)
         if plan is not None:
             cache.move_to_end(key)

@@ -18,7 +18,9 @@ Install a plane around an experiment::
 
 The plane answers :meth:`FaultPlane.check` with a :class:`FaultFire` (or
 ``None``); *enacting* the fault — raising, stalling, tearing — is the
-calling layer's job, because only the layer knows its own semantics.
+calling layer's job, because only the layer knows its own semantics.  A
+device checks a whole command batch with one :meth:`FaultPlane.scan`,
+which makes the same per-command checks and stops at the first fire.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..constants import block_align_down
 from ..obs import hooks as obs_hooks
@@ -105,7 +107,7 @@ class FaultPlane:
             self._rules.append(_RuleState(rule, rng))
         #: the plan compiled per site: the ``(index, state)`` pairs whose
         #: rule site prefix covers that site, in rule order, filled on a
-        #: site's first check
+        #: site's first query
         self._by_site: Dict[str, Tuple[Tuple[int, _RuleState], ...]] = {}
 
     # -- lifecycle -----------------------------------------------------
@@ -116,26 +118,59 @@ class FaultPlane:
     def deactivate(self) -> None:
         self.active = False
 
-    # -- the one query every layer makes -------------------------------
+    # -- the queries the layers make -----------------------------------
 
-    def check(
-        self,
-        site: str,
-        op: Optional[str] = None,
-        offset: Optional[int] = None,
-        length: Optional[int] = None,
-        now: float = 0.0,
-    ) -> Optional[FaultFire]:
-        """Should a fault fire for this op?  First matching rule wins."""
-        if not self.active:
-            return None
-        self.counts[site] = self.counts.get(site, 0) + 1
+    def _candidates(self, site: str) -> Tuple[Tuple[int, _RuleState], ...]:
+        """The ``(index, state)`` pairs whose rule site prefix covers
+        ``site``, in rule order, compiled on the site's first query."""
         candidates = self._by_site.get(site)
         if candidates is None:
             candidates = self._by_site[site] = tuple(
                 (index, state) for index, state in enumerate(self._rules)
                 if site.startswith(state.rule.site)
             )
+        return candidates
+
+    def covers(self, site: str) -> bool:
+        """Whether any rule's site prefix covers ``site`` (a check there
+        can ever fire)."""
+        return bool(self._candidates(site))
+
+    def _fire(
+        self, index: int, state: _RuleState, site: str, op: Optional[str],
+        length: Optional[int], now: float,
+    ) -> FaultFire:
+        """Count rule ``index`` as fired and describe the fire."""
+        state.fired += 1
+        rule = state.rule
+        torn = 0
+        if rule.kind == "torn" and length:
+            torn = block_align_down(int(length * rule.torn_fraction))
+            torn = max(0, min(torn, length))
+        return FaultFire(
+            rule_index=index,
+            kind=rule.kind,
+            site=site,
+            op=op,
+            now=now,
+            latency=rule.latency,
+            torn_length=torn,
+        )
+
+    def _match(
+        self,
+        site: str,
+        candidates: Tuple[Tuple[int, _RuleState], ...],
+        op: Optional[str],
+        offset: Optional[int],
+        length: Optional[int],
+        now: float,
+    ) -> Optional[FaultFire]:
+        """Run one check's rule matching (first matching rule wins).
+
+        Updates the per-rule ``matched``/``fired`` counters and draws from
+        the rules' RNG streams; does not :meth:`commit` the fire.
+        """
         for index, state in candidates:
             rule = state.rule
             if rule.max_fires and state.fired >= rule.max_fires:
@@ -156,27 +191,76 @@ class FaultPlane:
                 continue
             if state.rng is not None and state.rng.random() >= rule.probability:
                 continue
-            state.fired += 1
-            torn = 0
-            if rule.kind == "torn" and length:
-                torn = block_align_down(int(length * rule.torn_fraction))
-                torn = max(0, min(torn, length))
-            fire = FaultFire(
-                rule_index=index,
-                kind=rule.kind,
-                site=site,
-                op=op,
-                now=now,
-                latency=rule.latency,
-                torn_length=torn,
-            )
-            self.stats.record(fire)
-            obs = obs_hooks.current()
-            if obs.enabled:
-                obs.fault_injected(site, rule.kind)
-                obs.event("fault.injected", now, site=site, kind=rule.kind, op=op)
-            return fire
+            return self._fire(index, state, site, op, length, now)
         return None
+
+    def commit(self, fire: FaultFire) -> None:
+        """Record a fire in :attr:`stats` and the armed obs plane."""
+        self.stats.record(fire)
+        obs = obs_hooks.current()
+        if obs.enabled:
+            obs.fault_injected(fire.site, fire.kind)
+            obs.event("fault.injected", fire.now, site=fire.site, kind=fire.kind, op=fire.op)
+
+    def check(
+        self,
+        site: str,
+        op: Optional[str] = None,
+        offset: Optional[int] = None,
+        length: Optional[int] = None,
+        now: float = 0.0,
+    ) -> Optional[FaultFire]:
+        """Should a fault fire for this op?  First matching rule wins."""
+        if not self.active:
+            return None
+        self.counts[site] = self.counts.get(site, 0) + 1
+        candidates = self._by_site.get(site)
+        if candidates is None:
+            candidates = self._candidates(site)
+        if not candidates:
+            return None
+        fire = self._match(site, candidates, op, offset, length, now)
+        if fire is not None:
+            self.commit(fire)
+        return fire
+
+    def scan(
+        self, site: str, commands: Sequence, start: int, now: float
+    ) -> Tuple[int, Optional[FaultFire]]:
+        """Check a command batch from ``commands[start]`` on, in order.
+
+        Makes exactly the checks one :meth:`check` per command would
+        make (``op``, ``offset`` and ``length`` from each command), so
+        fires, :attr:`counts`, per-rule ``matched``/``fired`` and every
+        RNG stream end up as they would, and stops at the first fire.
+        Returns ``(index, fire)`` for that command, or
+        ``(len(commands), None)`` when none fires.  The fire is *pending*:
+        the caller enacts it and calls :meth:`commit` when its own work
+        reaches ``commands[index]``, then scans on from ``index + 1``.
+
+        A caller that raises at an earlier command (an FTL ``DeviceError``)
+        leaves the commands after it checked anyway, up to ``index``:
+        their counts, draws and any pending fire's ``fired`` stay spent,
+        and the pending fire is never committed.
+        """
+        end = len(commands)
+        if not self.active or start >= end:
+            return end, None
+        counts = self.counts
+        candidates = self._by_site.get(site)
+        if candidates is None:
+            candidates = self._candidates(site)
+        if candidates:
+            match = self._match
+            for index in range(start, end):
+                command = commands[index]
+                fire = match(site, candidates, command.op._value_,
+                             command.offset, command.length, now)
+                if fire is not None:
+                    counts[site] = counts.get(site, 0) + index + 1 - start
+                    return index, fire
+        counts[site] = counts.get(site, 0) + end - start
+        return end, None
 
     def ops_seen(self, prefix: str) -> int:
         """Checks observed (while active) at sites under ``prefix``."""

@@ -33,6 +33,9 @@ from ..errors import InvalidArgument
 #: fault kinds a rule may inject
 KINDS = ("io_error", "latency", "torn", "crash")
 
+#: the block layer's one site (checked once per batch, before dispatch)
+BLOCK_SITE = "block.submit"
+
 
 @dataclass(frozen=True)
 class FaultRule:
@@ -64,6 +67,13 @@ class FaultRule:
             raise InvalidArgument("torn_fraction must be in [0, 1)")
         if self.max_fires < 0:
             raise InvalidArgument("max_fires must be >= 0 (0 = unlimited)")
+        if self.kind == "torn" and BLOCK_SITE.startswith(self.site):
+            # the block layer has no data to tear: such a rule would
+            # fire, be recorded, and change nothing
+            raise InvalidArgument(
+                f"torn rule site {self.site!r} covers {BLOCK_SITE!r}, which "
+                "cannot tear a write; aim it at fs.write or device.submit"
+            )
 
 
 @dataclass

@@ -89,3 +89,46 @@ class TestDeviceStats:
         assert delta.busy_time == 0.75
         assert delta.total_commands == 2
         assert snap.total_commands + delta.total_commands == stats.total_commands
+
+    def test_snapshot_and_delta_keep_the_type(self):
+        stats = DeviceStats(read_bytes=10, busy_time=0.5)
+        assert type(stats.snapshot()) is DeviceStats
+        assert type(stats.delta(DeviceStats())) is DeviceStats
+        assert isinstance(stats, TrafficCounter)
+
+
+def test_add_counts_a_whole_batch_like_per_command_account():
+    commands = [_cmd(IoOp.WRITE, 4096 * (i + 1)) for i in range(5)]
+    for cls in (TrafficCounter, DeviceStats):
+        each, batch = cls(), cls()
+        for command in commands:
+            each.account(command)
+        batch.add(IoOp.WRITE, sum(c.length for c in commands), len(commands))
+        batch.add(IoOp.DISCARD, 0, 0)
+        assert each == batch
+
+
+def test_tracer_runs_match_per_command_accounting():
+    """The tracer counts per (op, tag) run; the totals, the per-tag
+    counters and their order must match one ``account`` per command."""
+    import random
+
+    rng = random.Random(5)
+    plain, logging = BlockTracer(), BlockTracer(keep_log=True)
+    total, by_tag = TrafficCounter(), {}
+    for _ in range(300):
+        batch = [_cmd(rng.choice(list(IoOp)), rng.choice((512, 4096, 65536)),
+                      tag=rng.choice(("a", "b", "gc")))
+                 for _ in range(rng.choice((1, 2, 5, 12)))]
+        if rng.random() < 0.5:  # long same-op, same-tag runs too
+            batch = [batch[0]] * len(batch)
+        plain.observe(batch)
+        logging.observe(batch)
+        for command in batch:
+            total.account(command)
+            by_tag.setdefault(command.tag, TrafficCounter()).account(command)
+    plain.observe([])
+    for tracer in (plain, logging):
+        assert tracer.total == total
+        assert list(tracer.by_tag.items()) == list(by_tag.items())
+    assert plain.log == [] and len(logging.log) == total.total_commands

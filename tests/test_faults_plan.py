@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidArgument
-from repro.faults import FaultPlan, FaultRule
+from repro.faults import FaultPlan, FaultPlane, FaultRule
 
 
 def test_unknown_kind_rejected():
@@ -67,3 +67,20 @@ def test_scaled_multiplies_probabilities_and_caps():
     assert scaled.rules[2].probability is None  # deterministic rules untouched
     # original untouched
     assert plan.rules[0].probability == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("site", ["block", "block.submit", "", "bl"])
+def test_torn_rule_covering_the_block_layer_rejected(site):
+    # the block layer dispatches batches it cannot tear: such a rule
+    # would be recorded as fired without tearing anything
+    with pytest.raises(InvalidArgument, match=repr(site)):
+        FaultPlan().torn_write(site)
+    with pytest.raises(InvalidArgument, match=repr(site)):
+        FaultRule(site=site, kind="torn")
+
+
+def test_torn_rule_outside_the_block_layer_accepted():
+    for site in ("fs.write", "fs", "device.submit", "device", "blocks", "block.queue"):
+        FaultPlane(FaultPlan().torn_write(site))
+    # other kinds may still aim at the block layer
+    FaultPlane(FaultPlan().io_error("block.submit").latency_spike("block"))

@@ -5,7 +5,8 @@ prefix covers it.  The reference below is the linear scan the cache
 replaced, kept as it was: it walks every rule on every check.  Both planes
 replay the same seeded stream of checks and must agree fire-for-fire,
 in per-site counts, in per-rule ``matched``/``fired`` and in every
-rule's RNG state.
+rule's RNG state.  ``FaultPlane.scan`` is held to the same reference:
+one batch scan must make exactly the checks of one ``check`` per command.
 """
 
 import random
@@ -13,6 +14,7 @@ from typing import Optional
 
 import pytest
 
+from repro.block import IoCommand, IoOp
 from repro.constants import block_align_down
 from repro.faults import FaultPlan, FaultPlane
 from repro.faults.hooks import FaultFire
@@ -183,3 +185,119 @@ def test_first_matching_rule_wins_across_prefixes():
     assert plane.check("fs.write", op="write").rule_index == 0
     assert plane.check("fs.read", op="read").rule_index == 1
     assert plane.check("device.submit", op="read") is None
+
+
+# ----------------------------------------------------------------------
+# FaultPlane.scan: one query per command batch
+# ----------------------------------------------------------------------
+
+#: (ops the batches draw from, sites they are scanned at)
+BATCH_OPS = (IoOp.READ, IoOp.WRITE, IoOp.DISCARD)
+BATCH_SITES = ("device.submit", "devices")
+
+
+def _pure_probability(seed):
+    # one filterless probability rule per site
+    return (
+        FaultPlan(seed=seed)
+        .latency_spike("device.submit", probability=0.05, max_fires=0)
+        .io_error("devices", probability=0.2, max_fires=3)
+    )
+
+
+def _batch_filters(seed):
+    return (
+        FaultPlan(seed=seed)
+        .latency_spike("device.submit", latency=0.001, probability=0.02, max_fires=0)
+        .io_error("device", op="read", lba=(1 << 20, 3 << 20), max_fires=4)
+        .crash("device.submit", after_ops=211)
+        .torn_write("device", torn_fraction=0.3, probability=0.1, max_fires=5)
+        .latency_spike("devices", at_time=0.4, probability=0.3, max_fires=0)
+        .io_error("device.submit", op="discard", after_ops=17)
+    )
+
+
+def _batches(seed, n):
+    rng = random.Random(seed)
+    now = 0.0
+    for _ in range(n):
+        now += rng.random() * 0.002
+        size = rng.choice((1, 1, 1, 2, 3, 8, 24))
+        commands = [
+            IoCommand(rng.choice(BATCH_OPS), rng.randrange(0, 1 << 23, 4096),
+                      rng.choice((4096, 16384, 131072)))
+            for _ in range(size)
+        ]
+        yield rng.choice(BATCH_SITES), commands, now
+
+
+def _scan_all(plane, site, commands, now):
+    """Every fire a batch scan reports, committing each and scanning on."""
+    fires = []
+    index, fire = plane.scan(site, commands, 0, now)
+    while fire is not None:
+        plane.commit(fire)
+        fires.append((index, fire))
+        index, fire = plane.scan(site, commands, index + 1, now)
+    assert index == len(commands)
+    return fires
+
+
+def _check_all(plane, site, commands, now):
+    """The same batch checked one command at a time."""
+    fires = []
+    for index, command in enumerate(commands):
+        fire = plane.check(site, op=command.op.value, offset=command.offset,
+                           length=command.length, now=now)
+        if fire is not None:
+            fires.append((index, fire))
+    return fires
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+@pytest.mark.parametrize(
+    "build", [_pure_probability, _batch_filters, _overlapping_prefixes]
+)
+def test_scan_matches_per_command_checks(build, seed):
+    scanned = FaultPlane(build(seed), active=True)
+    checked = LinearScanPlane(build(seed), active=True)
+    for step, (site, commands, now) in enumerate(_batches(seed, 1500)):
+        if step == 700:  # an inactive stretch: neither plane counts it
+            scanned.deactivate()
+            checked.deactivate()
+        if step == 800:
+            scanned.activate()
+            checked.activate()
+        got = _scan_all(scanned, site, commands, now)
+        want = _check_all(checked, site, commands, now)
+        assert got == want, (step, site, now)
+    assert scanned.stats.fires == checked.stats.fires
+    assert scanned.stats.by_site_kind == checked.stats.by_site_kind
+    assert scanned.counts == checked.counts
+    assert _state(scanned) == _state(checked)
+    assert scanned.stats.total > 0
+    kinds = {fire.kind for fire in scanned.stats.fires}
+    if build is _batch_filters:
+        assert kinds == {"latency", "io_error", "crash", "torn"}
+
+
+def test_covers_names_the_sites_a_rule_reaches():
+    plane = FaultPlane(_pure_probability(0), active=True)
+    assert plane.covers("device.submit") and plane.covers("devices")
+    assert not plane.covers("block.submit") and not plane.covers("device")
+    assert plane.counts == {}  # asking is not a check
+
+
+def test_scan_defers_commit_to_the_caller():
+    plane = FaultPlane(FaultPlan(seed=1).latency_spike("device.submit", max_fires=0),
+                       active=True)
+    commands = [IoCommand(IoOp.WRITE, 0, 4096)] * 3
+    index, fire = plane.scan("device.submit", commands, 0, 0.5)
+    assert (index, fire.kind, fire.op, fire.now) == (0, "latency", "write", 0.5)
+    assert plane.stats.total == 0 and plane.counts == {"device.submit": 1}
+    plane.commit(fire)
+    assert plane.stats.fires == [fire]
+    assert plane.scan("device.submit", commands, 3, 0.5) == (3, None)
+    plane.deactivate()
+    assert plane.scan("device.submit", commands, 0, 0.5) == (3, None)
+    assert plane.counts == {"device.submit": 1}
