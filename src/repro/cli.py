@@ -44,6 +44,7 @@ from typing import Dict
 
 from . import cli_util
 from .constants import MIB
+from .doc import BENCH, FLEET, REPLAY, SLO
 
 
 def _fig4():
@@ -468,12 +469,12 @@ def _run_trace(args) -> int:
 def _run_bench(args) -> int:
     import time
 
-    from .bench import regression, suite
+    from .bench import suite
     from .obs import hooks as obs_hooks
     from .obs.export import metrics_json, prometheus_text, write_chrome_trace
     from .obs.hooks import Instrumentation
 
-    code = cli_util.run_compare(args, regression.load, regression.compare)
+    code = cli_util.run_compare(args, BENCH)
     if code is not None:
         return code
 
@@ -493,7 +494,7 @@ def _run_bench(args) -> int:
             smoke=args.smoke, label=label, workers=args.workers
         )
     wall_s = time.perf_counter() - start
-    regression.save(path, document)
+    BENCH.save(path, document)
     print(f"wrote bench document to {path} "
           f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
     for figure, variants in document["figures"].items():
@@ -558,12 +559,11 @@ def _run_fleet(args) -> int:
     import time
 
     from .fleet import FleetSlo, run_fleet
-    from .fleet import report as fleet_report
     from .obs import hooks as obs_hooks
     from .obs.export import metrics_json, prometheus_text, write_chrome_trace
     from .obs.hooks import Instrumentation
 
-    code = cli_util.run_compare(args, fleet_report.load, fleet_report.compare)
+    code = cli_util.run_compare(args, FLEET)
     if code is not None:
         return code
 
@@ -586,7 +586,7 @@ def _run_fleet(args) -> int:
     print(report.text())
     label, path = cli_util.document_path(args, "FLEET")
     document = report.to_dict()
-    fleet_report.save(path, document)
+    FLEET.save(path, document)
     print(f"\nwrote fleet document to {path} "
           f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
     if args.trace:
@@ -615,7 +615,7 @@ def _run_slo(args) -> int:
     from .obs import slo as obs_slo
     from .obs.export import prometheus_text
 
-    code = cli_util.run_compare(args, obs_slo.load, obs_slo.compare)
+    code = cli_util.run_compare(args, SLO)
     if code is not None:
         return code
 
@@ -632,7 +632,7 @@ def _run_slo(args) -> int:
     source = {"kind": "fleet", "config": config.to_dict()}
     document = monitor.document(label, source)
     obs_slo.validate(document)
-    obs_slo.save(path, document)
+    SLO.save(path, document)
     print(obs_slo.report_text(document))
     print(f"\nwrote SLO document to {path} "
           f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
@@ -686,10 +686,11 @@ def _run_replay(args) -> int:
     import tempfile
     import time
 
-    from . import replay as replay_mod
-    from .replay import ReplayConfig, TraceProfile, generate_trace, run_replay
+    from .replay import (
+        ReplayConfig, TraceProfile, generate_trace, run_replay, validate,
+    )
 
-    code = cli_util.run_compare(args, replay_mod.load, replay_mod.compare)
+    code = cli_util.run_compare(args, REPLAY)
     if code is not None:
         return code
 
@@ -723,8 +724,8 @@ def _run_replay(args) -> int:
     print(result.text())
     label, path = cli_util.document_path(args, "REPLAY")
     document = result.to_dict(label)
-    replay_mod.validate(document)
-    replay_mod.save(path, document)
+    validate(document)
+    REPLAY.save(path, document)
     print(f"\nwrote replay document to {path} "
           f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
     cli_util.record_ledger(

@@ -10,7 +10,9 @@ are identical across verbs — this module holds them once.
 from __future__ import annotations
 
 import argparse
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
+
+from .doc import DocType
 
 
 #: default relative regression threshold for ``--compare``
@@ -115,22 +117,13 @@ def document_path(args: argparse.Namespace, prefix: str) -> Tuple[str, str]:
     return label, path
 
 
-def run_compare(
-    args: argparse.Namespace,
-    load: Callable[[str], dict],
-    compare: Callable[..., object],
-) -> Optional[int]:
-    """Execute the --compare flow if requested; None means "not asked".
-
-    ``load``/``compare`` are the document module's pair (e.g.
-    ``bench.regression.load``/``compare``); every compare() in this repo
-    returns a Comparison with ``.report()`` and ``.ok``.
-    """
+def run_compare(args: argparse.Namespace, doc_type: DocType) -> Optional[int]:
+    """Execute the --compare flow if requested; None means "not asked"."""
     if not args.compare:
         return None
-    baseline = load(args.compare[0])
-    candidate = load(args.compare[1])
-    comparison = compare(baseline, candidate, threshold=args.threshold)
+    baseline = doc_type.load(args.compare[0])
+    candidate = doc_type.load(args.compare[1])
+    comparison = doc_type.compare(baseline, candidate, threshold=args.threshold)
     print(comparison.report())
     if comparison.ok or args.warn_only:
         return 0

@@ -12,7 +12,7 @@ byte-reproducible fingerprint.
 from .admission import AdmissionController, TickBudget
 from .controller import FleetController, build_volumes, run_fleet
 from .jobs import DefragJob
-from .report import FleetReport, TickRow, compare, fingerprint, load, percentile, save
+from .report import FleetReport, TickRow, compare, fingerprint, load, save
 from .slo import FleetSlo
 from .spec import FileSpec, FleetConfig, VolumeSpec, make_volume_specs
 from .volume import Volume
@@ -30,7 +30,6 @@ __all__ = [
     "compare",
     "fingerprint",
     "load",
-    "percentile",
     "save",
     "FileSpec",
     "FleetConfig",

@@ -27,10 +27,11 @@ from typing import Dict, List, Optional
 from ..obs import hooks as obs_hooks
 from ..faults import hooks as fault_hooks
 from ..faults.hooks import FaultPlane
+from ..obs.timeseries import nearest_rank
 from ..sim.engine import run_concurrently
 from .admission import AdmissionController, TickBudget
 from .jobs import DefragJob, FAILED, RUNNING
-from .report import FleetReport, TickRow, percentile
+from .report import FleetReport, TickRow
 from .slo import FleetSlo
 from .spec import FleetConfig, make_volume_specs
 from .volume import Volume
@@ -220,8 +221,9 @@ class FleetController:
             report.fg_ops += volume.fg_ops
             report.fg_errors += volume.fg_errors
         report.fg_read_count = len(latencies)
-        report.fg_read_p50_s = percentile(latencies, 0.50)
-        report.fg_read_p99_s = percentile(latencies, 0.99)
+        ordered = sorted(latencies)
+        report.fg_read_p50_s = nearest_rank(ordered, 0.50)
+        report.fg_read_p99_s = nearest_rank(ordered, 0.99)
         report.fg_read_mean_s = (
             sum(latencies) / len(latencies) if latencies else 0.0
         )

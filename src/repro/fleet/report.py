@@ -5,43 +5,26 @@ canonical JSON document — and therefore its sha256 fingerprint — is
 byte-identical run to run for the same :class:`FleetConfig`, with or
 without the observability plane armed (the fleet's determinism guard).
 
-``compare`` reuses the bench pipeline's direction-aware
-:class:`~repro.bench.regression.Comparison`/:class:`Finding` machinery:
-foreground latency going up is a regression, foreground ops going down is
-a regression, volumes left above the trigger going up is a regression.
+The document's fingerprint, persistence and direction-aware compare are
+the FLEET :class:`~repro.doc.DocType`: foreground latency going up is a
+regression, foreground ops going down is a regression, volumes left
+above the trigger going up is a regression.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..bench.regression import Comparison, Finding
 from ..constants import MIB
+from ..doc import FLEET, dumps
 
 #: document schema tag; bump on incompatible layout changes
-SCHEMA = "repro.fleet/v1"
+SCHEMA = FLEET.schema
 
-#: headline metrics compared by :func:`compare`: name -> higher_is_better
-_COMPARED = {
-    "fg_read_p50_s": False,
-    "fg_read_p99_s": False,
-    "fg_read_mean_s": False,
-    "fg_ops": True,
-    "volumes_above_end": False,
-}
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Deterministic nearest-rank percentile (q in [0, 1])."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+fingerprint, save, load, compare = (
+    FLEET.fingerprint, FLEET.save, FLEET.load, FLEET.compare
+)
 
 
 @dataclass(frozen=True)
@@ -164,15 +147,15 @@ class FleetReport:
         }
         if self.slo is not None:
             doc["slo"] = self.slo
-        doc["fingerprint"] = fingerprint(doc)
+        doc["fingerprint"] = FLEET.fingerprint(doc)
         return doc
 
     @property
     def fingerprint(self) -> str:
-        return fingerprint(self.to_dict())
+        return FLEET.fingerprint(self.to_dict())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_dict())
 
     # -- rendering -----------------------------------------------------
 
@@ -246,90 +229,3 @@ class FleetReport:
         lines.append("")
         lines.append(f"fingerprint: {self.fingerprint}")
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# canonical fingerprint + persistence
-# ----------------------------------------------------------------------
-
-def fingerprint(document: Dict[str, object]) -> str:
-    """sha256 over the canonical document (fingerprint field excluded)."""
-    body = {k: v for k, v in document.items() if k != "fingerprint"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def save(path: str, document: Dict[str, object]) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load(path: str) -> Dict[str, object]:
-    with open(path) as fh:
-        document = json.load(fh)
-    schema = document.get("schema")
-    if schema != SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported fleet schema {schema!r} (want {SCHEMA!r})"
-        )
-    return document
-
-
-# ----------------------------------------------------------------------
-# direction-aware comparison (reuses the bench pipeline's machinery)
-# ----------------------------------------------------------------------
-
-def _headline(document: Dict[str, object]) -> Dict[str, float]:
-    fg = document.get("foreground", {})
-    census = document.get("census", {})
-    return {
-        "fg_read_p50_s": float(fg.get("read_p50_s", 0.0)),
-        "fg_read_p99_s": float(fg.get("read_p99_s", 0.0)),
-        "fg_read_mean_s": float(fg.get("read_mean_s", 0.0)),
-        "fg_ops": float(fg.get("ops", 0)),
-        "volumes_above_end": float(census.get("volumes_above_end", 0)),
-    }
-
-
-def compare(
-    baseline: Dict[str, object],
-    candidate: Dict[str, object],
-    threshold: float = 0.10,
-) -> Comparison:
-    """Direction-aware comparison of two FLEET documents."""
-    comparison = Comparison(
-        baseline_label=str(baseline.get("config", {}).get("seed", "?")),
-        candidate_label=str(candidate.get("config", {}).get("seed", "?")),
-        threshold=threshold,
-        kind="fleet",
-    )
-    if baseline.get("fingerprint") != candidate.get("fingerprint"):
-        base_cfg = baseline.get("config", {})
-        cand_cfg = candidate.get("config", {})
-        if base_cfg != cand_cfg:
-            comparison.warnings.append(
-                "fleet configurations differ: the documents describe "
-                "different fleets"
-            )
-    base_values = _headline(baseline)
-    cand_values = _headline(candidate)
-    for metric, higher_is_better in _COMPARED.items():
-        base = base_values[metric]
-        cand = cand_values[metric]
-        if max(abs(base), abs(cand)) < 1e-12:
-            continue
-        if abs(base) < 1e-12:
-            change = 1.0
-        else:
-            change = (cand - base) / abs(base)
-        if higher_is_better:
-            regression = change <= -threshold
-        else:
-            regression = change >= threshold
-        comparison.findings.append(Finding(
-            figure="fleet", variant="slo", metric=metric,
-            baseline=base, candidate=cand, change=change,
-            regression=regression,
-        ))
-    return comparison

@@ -25,6 +25,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
+from ..doc import BENCH, canonical, lookup
 from ..stats.tables import format_table
 
 SCHEMA = "repro.ledger/v1"
@@ -51,8 +52,7 @@ REQUIRED_FIELDS = FINGERPRINT_FIELDS + ("wall_s", "host_cpus", "fingerprint")
 def manifest_fingerprint(manifest: Dict[str, object]) -> str:
     """sha256 over the canonical deterministic subset of a manifest."""
     body = {field: manifest.get(field) for field in FINGERPRINT_FIELDS}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(canonical(body).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -60,20 +60,11 @@ def manifest_fingerprint(manifest: Dict[str, object]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _dig(document: Dict[str, object], *path: str, default=None):
-    node: object = document
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
-
-
 def _headline_bench(doc: Dict[str, object]) -> Dict[str, object]:
     figures = doc.get("figures", {})
     out: Dict[str, object] = {"figures": len(figures)}
-    before = _dig(figures, "obs_trace", "before", "ops_per_sec")
-    after = _dig(figures, "obs_trace", "after", "ops_per_sec")
+    before = lookup(figures, "obs_trace", "before", "ops_per_sec")
+    after = lookup(figures, "obs_trace", "after", "ops_per_sec")
     if before is not None:
         out["obs_trace_ops_before"] = before
     if after is not None:
@@ -83,10 +74,10 @@ def _headline_bench(doc: Dict[str, object]) -> Dict[str, object]:
 
 def _headline_fleet(doc: Dict[str, object]) -> Dict[str, object]:
     return {
-        "jobs_completed": _dig(doc, "jobs", "completed"),
-        "migrated_bytes": _dig(doc, "migration", "payload_bytes"),
-        "fg_read_p99_s": _dig(doc, "foreground", "read_p99_s"),
-        "budget_ok": _dig(doc, "migration", "budget_ok"),
+        "jobs_completed": lookup(doc, "jobs", "completed"),
+        "migrated_bytes": lookup(doc, "migration", "payload_bytes"),
+        "fg_read_p99_s": lookup(doc, "foreground", "read_p99_s"),
+        "budget_ok": lookup(doc, "migration", "budget_ok"),
     }
 
 
@@ -95,7 +86,7 @@ def _headline_slo(doc: Dict[str, object]) -> Dict[str, object]:
     out: Dict[str, object] = {"slos": len(slos), "alerts": len(doc.get("alerts", []))}
     if isinstance(slos, dict):
         for name in sorted(slos):
-            compliance = _dig(slos, name, "compliance")
+            compliance = lookup(slos, name, "compliance")
             if compliance is not None:
                 out[f"{name}_compliance"] = compliance
     return out
@@ -103,9 +94,9 @@ def _headline_slo(doc: Dict[str, object]) -> Dict[str, object]:
 
 def _headline_replay(doc: Dict[str, object]) -> Dict[str, object]:
     return {
-        "ops_per_vsec": _dig(doc, "figures", "ops_per_vsec"),
-        "read_mbps": _dig(doc, "figures", "read_mbps"),
-        "cache_hit_ratio": _dig(doc, "figures", "cache_hit_ratio"),
+        "ops_per_vsec": lookup(doc, "figures", "ops_per_vsec"),
+        "read_mbps": lookup(doc, "figures", "read_mbps"),
+        "cache_hit_ratio": lookup(doc, "figures", "cache_hit_ratio"),
     }
 
 
@@ -113,10 +104,10 @@ def _headline_faults(doc: Dict[str, object]) -> Dict[str, object]:
     out: Dict[str, object] = {
         "ok": doc.get("ok"),
         "sweeps": len(doc.get("sweeps") or []),
-        "faults_injected": _dig(doc, "campaign", "faults_injected"),
-        "data_intact": _dig(doc, "campaign", "data_intact"),
+        "faults_injected": lookup(doc, "campaign", "faults_injected"),
+        "data_intact": lookup(doc, "campaign", "data_intact"),
     }
-    trials = _dig(doc, "series", "trials")
+    trials = lookup(doc, "series", "trials")
     if trials is not None:
         out["trials"] = trials
     return out
@@ -147,6 +138,18 @@ def headline(verb: str, document: Dict[str, object]) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 
+def doc_fingerprint(document: Dict[str, object]) -> Optional[str]:
+    """The identity of a document's results.
+
+    BENCH stores its config hash as ``fingerprint``, so two runs whose
+    figures differ would share it; the BENCH result hash is recorded
+    instead.  The faults document carries its fingerprint on the campaign.
+    """
+    if document.get("schema") == BENCH.schema:
+        return BENCH.fingerprint(document)
+    return document.get("fingerprint") or lookup(document, "campaign", "fingerprint")
+
+
 def build_manifest(
     verb: str,
     document: Dict[str, object],
@@ -165,9 +168,7 @@ def build_manifest(
         "workers": workers,
         "args": dict(args or {}),
         "doc_schema": document.get("schema"),
-        # the faults document carries its fingerprint on the campaign
-        "doc_fingerprint": document.get("fingerprint")
-        or _dig(document, "campaign", "fingerprint"),
+        "doc_fingerprint": doc_fingerprint(document),
         "headline": headline(verb, document),
         "wall_s": round(float(wall_s), 3),
         "host_cpus": os.cpu_count() or 1,

@@ -12,10 +12,9 @@ harness, and the ``repro slo`` CLI all share.
 Everything is virtual-time-deterministic: the same telemetry points
 produce the same windows, the same burn rates, the same alerts — so the
 ``repro.slo/v1`` document this module builds is byte-reproducible per
-seed, fingerprinted, and comparable with the bench pipeline's
-direction-aware :class:`~repro.bench.regression.Comparison` machinery
-(compliance or budget going *down* is a regression, breaches or burn
-going *up* is a regression).
+seed, fingerprinted, and comparable through the SLO
+:class:`~repro.doc.DocType` (compliance or budget going *down* is a
+regression, breaches or burn going *up* is a regression).
 
 Definitions (per spec):
 
@@ -34,15 +33,17 @@ Definitions (per spec):
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
+from ..doc import SLO
 from .timeseries import MAX_VALUES, MAX_WINDOWS, TimeSeriesStore
 
 #: document schema tag; bump on incompatible layout changes
-SCHEMA = "repro.slo/v1"
+SCHEMA = SLO.schema
+
+fingerprint, save, load, compare = SLO.fingerprint, SLO.save, SLO.load, SLO.compare
 
 #: objective directions: good when value <= / >= threshold
 OBJECTIVES = ("le", "ge")
@@ -384,13 +385,6 @@ class SloPlane:
 # the repro.slo/v1 document
 # ----------------------------------------------------------------------
 
-def fingerprint(document: Dict[str, object]) -> str:
-    """sha256 over the canonical document (fingerprint field excluded)."""
-    body = {k: v for k, v in document.items() if k != "fingerprint"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
 def build_document(
     label: str,
     source: Dict[str, object],
@@ -411,32 +405,15 @@ def build_document(
         "slos": plane.summaries(),
         "alerts": list(plane.alerts),
     }
-    doc["fingerprint"] = fingerprint(doc)
+    doc["fingerprint"] = SLO.fingerprint(doc)
     return doc
-
-
-def save(path: str, document: Dict[str, object]) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load(path: str) -> Dict[str, object]:
-    with open(path) as fh:
-        document = json.load(fh)
-    schema = document.get("schema")
-    if schema != SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported slo schema {schema!r} (want {SCHEMA!r})"
-        )
-    return document
 
 
 def validate(document: Dict[str, object]) -> None:
     """Structural sanity of a loaded document (raises on violations)."""
     if document.get("schema") != SCHEMA:
         raise ValueError(f"bad schema: {document.get('schema')!r}")
-    if document.get("fingerprint") != fingerprint(document):
+    if document.get("fingerprint") != SLO.fingerprint(document):
         raise ValueError("fingerprint does not match document body")
     slos = document.get("slos", {})
     if not isinstance(slos, dict) or not slos:
@@ -515,62 +492,3 @@ def prometheus_registry(document: Dict[str, object]):
         registry.counter(f"slo.{name}.alerts").inc(summary["alerts"])
     return registry
 
-
-# ----------------------------------------------------------------------
-# direction-aware comparison (reuses the bench pipeline's machinery)
-# ----------------------------------------------------------------------
-
-#: compared per-SLO metrics: name -> higher_is_better
-_COMPARED = {
-    "compliance": True,
-    "budget_remaining": True,
-    "breaches": False,
-    "alerts": False,
-    "max_fast_burn": False,
-    "max_slow_burn": False,
-}
-
-
-def compare(
-    baseline: Dict[str, object],
-    candidate: Dict[str, object],
-    threshold: float = 0.10,
-):
-    """Direction-aware comparison of two SLO documents."""
-    from ..bench.regression import Comparison, Finding
-
-    comparison = Comparison(
-        baseline_label=str(baseline.get("label", "?")),
-        candidate_label=str(candidate.get("label", "?")),
-        threshold=threshold,
-        kind="slo",
-    )
-    if baseline.get("source") != candidate.get("source"):
-        comparison.warnings.append(
-            "sources differ: the documents describe different runs"
-        )
-    base_slos = baseline.get("slos", {})
-    cand_slos = candidate.get("slos", {})
-    for name in sorted(base_slos):
-        if name not in cand_slos:
-            comparison.warnings.append(f"slo {name!r} missing from candidate")
-            continue
-        for metric, higher_is_better in _COMPARED.items():
-            base = float(base_slos[name][metric])
-            cand = float(cand_slos[name][metric])
-            if max(abs(base), abs(cand)) < 1e-12:
-                continue
-            if abs(base) < 1e-12:
-                change = 1.0
-            else:
-                change = (cand - base) / abs(base)
-            if higher_is_better:
-                regression = change <= -threshold
-            else:
-                regression = change >= threshold
-            comparison.findings.append(Finding(
-                figure="slo", variant=name, metric=metric,
-                baseline=base, candidate=cand, change=change,
-                regression=regression,
-            ))
-    return comparison

@@ -44,9 +44,7 @@ from .report import (
     ReplayResult,
     compare,
     fingerprint,
-    load,
     run_replay,
-    save,
     validate,
 )
 from .workload import ReplayWorkload, cycling_ops, parse_trace_workload
@@ -76,9 +74,7 @@ __all__ = [
     "ReplayResult",
     "compare",
     "fingerprint",
-    "load",
     "run_replay",
-    "save",
     "validate",
     "ReplayWorkload",
     "cycling_ops",

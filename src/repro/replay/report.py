@@ -12,21 +12,19 @@ cache/readahead treated the replayed traffic (hit ratio, device traffic
 vs payload) versus what the raw trace would have forced verbatim, plus
 the per-layer latency attribution the obs plane measures at source.
 
-``compare`` reuses the bench pipeline's direction-aware machinery:
-throughput down = regression, cache hit ratio down = regression,
-attribution component seconds up = regression.
+The fingerprint, persistence and direction-aware compare are the REPLAY
+:class:`~repro.doc.DocType`: throughput down = regression, cache hit
+ratio down = regression, attribution component seconds up = regression.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..bench.regression import Comparison, Finding
 from ..constants import MIB
 from ..device import make_device
+from ..doc import REPLAY
 from ..errors import InvalidArgument
 from ..fs import make_filesystem
 from ..obs import analysis as obs_analysis
@@ -41,16 +39,9 @@ from .reconstruct import (
 )
 
 #: document schema tag; bump on incompatible layout changes
-SCHEMA = "repro.replay/v1"
+SCHEMA = REPLAY.schema
 
-#: headline metrics compared by :func:`compare`: name -> higher_is_better
-_COMPARED = {
-    "ops_per_vsec": True,
-    "read_mbps": True,
-    "cache_hit_ratio": True,
-    "elapsed_s": False,
-    "split_fanout_mean": False,
-}
+fingerprint, compare = REPLAY.fingerprint, REPLAY.compare
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,7 @@ class ReplayResult:
         }
         if self.attribution is not None:
             doc["attribution"] = self.attribution
-        doc["fingerprint"] = fingerprint(doc)
+        doc["fingerprint"] = REPLAY.fingerprint(doc)
         return doc
 
     @property
@@ -272,33 +263,8 @@ def run_replay(
 
 
 # ----------------------------------------------------------------------
-# canonical fingerprint + persistence + validation
+# validation
 # ----------------------------------------------------------------------
-
-def fingerprint(document: Dict[str, object]) -> str:
-    """sha256 over the canonical document (fingerprint + label excluded,
-    so relabeling a run does not change its identity)."""
-    body = {k: v for k, v in document.items() if k not in ("fingerprint", "label")}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def save(path: str, document: Dict[str, object]) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load(path: str) -> Dict[str, object]:
-    with open(path) as fh:
-        document = json.load(fh)
-    schema = document.get("schema")
-    if schema != SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported replay schema {schema!r} (want {SCHEMA!r})"
-        )
-    return document
-
 
 #: required top-level sections and the counters inside them
 _REQUIRED = {
@@ -322,77 +288,9 @@ def validate(document: Dict[str, object]) -> None:
         for key in keys:
             if key not in body:
                 raise ValueError(f"missing {section}.{key}")
-    expected = fingerprint(document)
+    expected = REPLAY.fingerprint(document)
     if document.get("fingerprint") != expected:
         raise ValueError(
             f"fingerprint mismatch: {document.get('fingerprint')} != {expected}"
         )
 
-
-# ----------------------------------------------------------------------
-# direction-aware comparison (reuses the bench machinery)
-# ----------------------------------------------------------------------
-
-def _headline(document: Dict[str, object]) -> Dict[str, float]:
-    figures = document.get("figures", {})
-    fanout = document.get("split_fanout", {}) or {}
-    return {
-        "ops_per_vsec": float(figures.get("ops_per_vsec", 0.0)),
-        "read_mbps": float(figures.get("read_mbps", 0.0)),
-        "cache_hit_ratio": float(figures.get("cache_hit_ratio", 0.0)),
-        "elapsed_s": float(figures.get("elapsed_s", 0.0)),
-        "split_fanout_mean": float(fanout.get("mean", 0.0) or 0.0),
-    }
-
-
-def compare(
-    baseline: Dict[str, object],
-    candidate: Dict[str, object],
-    threshold: float = 0.10,
-) -> Comparison:
-    """Direction-aware comparison of two REPLAY documents."""
-    comparison = Comparison(
-        baseline_label=str(baseline.get("label", "?")),
-        candidate_label=str(candidate.get("label", "?")),
-        threshold=threshold,
-        kind="replay",
-    )
-    if baseline.get("config") != candidate.get("config") or (
-        baseline.get("trace") != candidate.get("trace")
-    ):
-        comparison.warnings.append(
-            "replay configurations differ: the documents describe "
-            "different traces or targets"
-        )
-    base_values = _headline(baseline)
-    cand_values = _headline(candidate)
-    for metric, higher_is_better in _COMPARED.items():
-        base, cand = base_values[metric], cand_values[metric]
-        if max(abs(base), abs(cand)) < 1e-12:
-            continue
-        change = (cand - base) / abs(base) if abs(base) >= 1e-12 else 1.0
-        if higher_is_better:
-            regression = change <= -threshold
-        else:
-            regression = change >= threshold
-        comparison.findings.append(Finding(
-            figure="replay", variant="stream", metric=metric,
-            baseline=base, candidate=cand, change=change,
-            regression=regression,
-        ))
-    base_attr = (baseline.get("attribution") or {}).get("components_s", {})
-    cand_attr = (candidate.get("attribution") or {}).get("components_s", {})
-    for component in sorted(base_attr):
-        if component not in cand_attr:
-            continue
-        base, cand = float(base_attr[component]), float(cand_attr[component])
-        if max(abs(base), abs(cand)) < 1e-6:
-            continue
-        change = (cand - base) / abs(base) if abs(base) >= 1e-12 else 1.0
-        comparison.findings.append(Finding(
-            figure="replay", variant="stream",
-            metric=f"attribution.{component}",
-            baseline=base, candidate=cand, change=change,
-            regression=change >= threshold,
-        ))
-    return comparison

@@ -50,3 +50,26 @@ def fs(optane):
 def any_fs(request):
     """One of each filesystem personality, on a fresh Optane."""
     return make_filesystem(request.param, make_device("optane", capacity=1 * GIB))
+
+
+@pytest.fixture(scope="session")
+def sample_documents():
+    """One real document per type, keyed by kind: the committed BENCH
+    baseline, seed-fixed smoke FLEET/SLO runs and a REPLAY of the golden
+    binary trace."""
+    import json
+    import os
+
+    from repro.fleet import FleetConfig, FleetSlo, run_fleet
+    from repro.replay import run_replay
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "benchmarks/baselines/BENCH_ci_baseline.json")) as fh:
+        bench = json.load(fh)
+    config = FleetConfig.smoke(volumes=4, seed=0)
+    monitor = FleetSlo.for_config(config)
+    fleet = run_fleet(config, slo=monitor).to_dict()
+    slo = monitor.document("smoke", {"kind": "fleet", "config": config.to_dict()})
+    replay = run_replay(os.path.join(root, "tests/golden/trace_small.bin"))
+    return {"bench": bench, "fleet": fleet, "replay": replay.to_dict("golden"),
+            "slo": slo}

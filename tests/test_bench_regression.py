@@ -35,21 +35,6 @@ def _document(label="base", throughput=100.0, device_service=0.2, fanout_mean=4.
     return regression.build_document(label, CONFIG, figures)
 
 
-def test_roundtrip_and_schema_gate(tmp_path):
-    path = tmp_path / "BENCH_base.json"
-    document = _document()
-    regression.save(str(path), document)
-    loaded = regression.load(str(path))
-    assert loaded == document
-    assert loaded["schema"] == regression.SCHEMA
-
-    bad = dict(document, schema="repro.bench/v999")
-    bad_path = tmp_path / "BENCH_bad_schema.json"
-    bad_path.write_text(json.dumps(bad))
-    with pytest.raises(ValueError, match="unsupported bench schema"):
-        regression.load(str(bad_path))
-
-
 def test_fingerprint_is_stable_and_config_sensitive():
     a = regression.config_fingerprint({"seed": 42, "devices": ["optane", "hdd"]})
     b = regression.config_fingerprint({"devices": ["optane", "hdd"], "seed": 42})

@@ -1,9 +1,10 @@
 """Shared document-verb wiring used by bench, fleet, slo and replay."""
 
 import argparse
+from types import SimpleNamespace
 
 from repro import cli_util
-from repro.bench.regression import Comparison
+from repro.doc import Comparison, Finding
 
 
 def _parser():
@@ -34,25 +35,26 @@ def test_threshold_default_is_shared():
 
 def test_run_compare_not_requested():
     args = _parser().parse_args([])
-    assert cli_util.run_compare(args, load=None, compare=None) is None
+    assert cli_util.run_compare(args, None) is None
 
 
-def _fake_compare(ok):
+def _fake_doc_type(ok):
     comparison = Comparison("a", "b", threshold=0.1, kind="test")
     if not ok:
-        from repro.bench.regression import Finding
         comparison.findings.append(Finding(
             figure="f", variant="v", metric="m",
             baseline=1.0, candidate=2.0, change=1.0, regression=True,
         ))
-    return lambda base, cand, threshold: comparison
+    return SimpleNamespace(
+        load=lambda path: {"path": path},
+        compare=lambda base, cand, threshold: comparison,
+    )
 
 
 def test_run_compare_exit_codes(capsys):
-    loader = lambda path: {"path": path}
     args = _parser().parse_args(["--compare", "a.json", "b.json"])
-    assert cli_util.run_compare(args, loader, _fake_compare(ok=True)) == 0
+    assert cli_util.run_compare(args, _fake_doc_type(ok=True)) == 0
     assert "test compare" in capsys.readouterr().out
-    assert cli_util.run_compare(args, loader, _fake_compare(ok=False)) == 1
+    assert cli_util.run_compare(args, _fake_doc_type(ok=False)) == 1
     args = _parser().parse_args(["--compare", "a.json", "b.json", "--warn-only"])
-    assert cli_util.run_compare(args, loader, _fake_compare(ok=False)) == 0
+    assert cli_util.run_compare(args, _fake_doc_type(ok=False)) == 0

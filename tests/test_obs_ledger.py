@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro import cli
+from repro import cli, doc
+from repro.bench import regression
 from repro.obs import ledger
 
 FLEET_DOC = {
@@ -56,6 +57,25 @@ def test_manifest_headlines_per_verb():
     assert faults["headline"]["trials"] == 3
     # the faults document carries its fingerprint on the campaign
     assert faults["doc_fingerprint"] == "beadfeedbeadfeed"
+
+
+def test_bench_doc_fingerprint_sees_figure_drift():
+    # BENCH's stored fingerprint hashes only the config, so the manifest
+    # records the document's result hash instead
+    config = {"seed": 42, "smoke": True}
+    figures = {"fig": {"v": {"throughput_mbps": 100.0}}}
+    document = regression.build_document("ci", config, figures)
+    drifted = regression.build_document(
+        "ci", config, {"fig": {"v": {"throughput_mbps": 101.0}}}
+    )
+    relabelled = regression.build_document("other", config, figures)
+    assert drifted["fingerprint"] == document["fingerprint"]
+    recorded = ledger.build_manifest("bench", document)["doc_fingerprint"]
+    assert recorded == doc.BENCH.fingerprint(document)
+    assert ledger.build_manifest("bench", drifted)["doc_fingerprint"] != recorded
+    # the label is not part of the result: serial and --workers runs of
+    # the same suite under different labels still agree
+    assert ledger.build_manifest("bench", relabelled)["doc_fingerprint"] == recorded
 
 
 def test_record_and_list_roundtrip_with_sequence_numbers(tmp_path):
