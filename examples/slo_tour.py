@@ -8,7 +8,7 @@ Walks the judgment layer end to end:
    slow burns agree (one noisy window pages nobody).
 2. The same engine judging a whole fleet: clean run vs seeded fault
    storm, same seed, compared direction-aware.
-3. One frame of the plain-text dashboard `repro watch` renders live.
+3. One frame of the plain-text dashboard `repro fleet --watch` renders.
 
 Everything runs in virtual time; both fleet documents are
 byte-reproducible (note the fingerprints).
@@ -89,8 +89,8 @@ def main() -> None:
         budget_per_tick=config.budget_per_tick,
     )
     print(render(frame))
-    print("\n(live view: PYTHONPATH=src python -m repro watch "
-          "--volumes 8 --seed 3)")
+    print("\n(live view: PYTHONPATH=src python -m repro fleet --slo "
+          "--watch 2)")
 
 
 if __name__ == "__main__":

@@ -103,7 +103,9 @@ class ObsTraceResult:
         latency.sort(key=lambda h: h.count, reverse=True)
         return latency[:count]
 
-    def report(self) -> str:
+    def report(self, top: int = 10) -> str:
+        """Every table of the run; armed runs add the provenance summary,
+        the ``top`` slowest syscalls and the critical path."""
         phase_rows = [[name, ops] for name, ops in self.phase_ops.items()]
         parts = [format_table(["phase", "ops/s"], phase_rows)]
         if self.fanout_before is not None and self.fanout_after is not None:
@@ -136,7 +138,7 @@ class ObsTraceResult:
                 f"({summary['orphan_edges']} orphan edges, "
                 f"{summary['events_dropped']} ring drops)"
             )
-            parts.append(forest.table())
+            parts.append(f"top {top} slowest syscalls:\n{forest.table(top)}")
             parts.append(self.critical_path().table())
         parts.append(metrics_table(self.obs.registry))
         return "\n\n".join(parts)

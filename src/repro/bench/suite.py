@@ -221,39 +221,3 @@ def run_suite(
     document = regression.build_document(label, config, figures)
     return document, trace_result
 
-
-def evaluate_slos(trace_result, specs=None, window: float = 0.02):
-    """Post-hoc SLO evaluation over the traced run's fragmentation
-    timeline.
-
-    Replays the sampler's recorded ``(time, value)`` curves into an
-    :class:`~repro.obs.slo.SloPlane` and evaluates every window — the
-    same engine the fleet controller drives live, applied after the
-    fact to a bench run.  Input is virtual time, so the resulting plane
-    (and any document built from it) is deterministic per seed.
-    """
-    from ..obs.slo import SloPlane, SloSpec
-
-    if trace_result.sampler is None:
-        raise ValueError("trace result has no fragmentation sampler")
-    if specs is None:
-        specs = [
-            SloSpec(
-                name="frag_level", metric="frag.extents_per_file",
-                threshold=40.0, objective="le", target=0.50,
-                fast_windows=2, slow_windows=6,
-                fast_burn=1.5, slow_burn=1.2,
-            ),
-            SloSpec(
-                name="contiguity", metric="frag.contiguity",
-                threshold=0.03, objective="ge", target=0.50,
-                fast_windows=2, slow_windows=6,
-                fast_burn=1.5, slow_burn=1.2,
-            ),
-        ]
-    plane = SloPlane(specs, window=window)
-    for name, series in trace_result.sampler.series.items():
-        for time, value in series.samples():
-            plane.observe(name, time, value)
-    plane.evaluate_all()
-    return plane

@@ -6,12 +6,11 @@ Usage::
     python -m repro run fig4
     python -m repro run fig8 --fs-type f2fs --device optane
     python -m repro run all
-    python -m repro obs --out trace.json     # instrumented Fig. 10 run
-    python -m repro obs --smoke              # fast CI smoke variant
-    python -m repro obs --smoke --critical-path   # + wall-clock decomposition
-    python -m repro trace --smoke            # causal provenance run:
-                                             # syscall->cmd trees, critical
-                                             # path, flamegraph, flow trace
+    python -m repro trace --smoke            # instrumented Fig. 10 run:
+                                             # metrics, syscall->cmd trees,
+                                             # critical path, flamegraph,
+                                             # flow trace
+    python -m repro trace --metrics-json m.json   # + metrics registry JSON
     python -m repro bench --smoke --json BENCH_ci.json   # persist a suite run
     python -m repro bench --compare BENCH_base.json BENCH_ci.json
     python -m repro faults --smoke           # crash sweep + fault campaign
@@ -20,11 +19,11 @@ Usage::
     python -m repro fleet --smoke --volumes 8            # CI smoke fleet
     python -m repro fleet --smoke --slo                  # + SLO admission gating
     python -m repro fleet --compare FLEET_a.json FLEET_b.json
-    python -m repro slo --smoke --json SLO_ci.json       # SLO engine over a fleet
-    python -m repro slo --compare SLO_clean.json SLO_storm.json
-    python -m repro slo --smoke --prom slo.prom          # budget gauges, Prom text
-    python -m repro watch --smoke --once                 # final dashboard frame
-    python -m repro watch --volumes 16 --every 2         # frame every 2nd tick
+    python -m repro fleet --smoke --slo-json SLO_ci.json # + the SLO document
+    python -m repro fleet --compare SLO_clean.json SLO_storm.json
+    python -m repro fleet --smoke --slo-prom slo.prom    # budget gauges, Prom text
+    python -m repro fleet --smoke --watch 6              # final dashboard frame
+    python -m repro fleet --volumes 16 --watch 2         # frame every 2nd tick
     python -m repro replay --generate 1000000 --out t.bin --seed 7
     python -m repro replay --trace t.bin --json R.json   # reconstruct + replay
     python -m repro replay --trace blk.txt --format blktrace --pacing trace
@@ -157,23 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument("--fs-type", default=None, choices=["ext4", "f2fs", "btrfs"])
     runner.add_argument("--device", default=None,
                         choices=["hdd", "microsd", "flash", "optane"])
-    observer = sub.add_parser(
-        "obs",
-        help="instrumented Fig. 10 run: Chrome trace + metrics tables",
-    )
-    observer.add_argument("--smoke", action="store_true",
-                          help="small/fast variant (CI smoke test)")
-    observer.add_argument("--out", default="trace.json",
-                          help="Chrome trace_event output path ('' to skip)")
-    observer.add_argument("--metrics-json", default=None,
-                          help="also dump the metrics registry as JSON here")
-    observer.add_argument("--critical-path", action="store_true",
-                          help="arm causal tracing and print the run's "
-                               "critical-path decomposition")
     trace = sub.add_parser(
         "trace",
-        help="causal provenance run: per-syscall command trees, critical "
-             "path, flamegraph, and a Chrome trace with flow arrows",
+        help="instrumented Fig. 10 run: metrics tables, per-syscall command "
+             "trees, critical path, flamegraph, and a Chrome trace with "
+             "flow arrows",
     )
     trace.add_argument("--smoke", action="store_true",
                        help="small/fast variant (CI smoke test)")
@@ -188,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="collapsed-stack flamegraph output ('' to skip)")
     trace.add_argument("--json", default=None, metavar="PATH",
                        help="also dump forest summary + critical path as JSON")
+    trace.add_argument("--metrics-json", default=None, metavar="PATH",
+                       help="also dump the metrics registry as JSON here")
     trace.add_argument("--max-events", type=int, default=262144,
                        help="event-ring capacity for the armed run "
                             "(default 262144; wraps drop oldest edges)")
@@ -240,6 +229,20 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="foreground read-latency objective for --slo "
                             "(default 2.0 ms)")
+    fleet.add_argument("--slo-spec", default=None, metavar="PATH",
+                       help="JSON file of SLO specs replacing the fleet "
+                            "defaults ({\"slos\": [...]} or a bare list); "
+                            "implies --slo")
+    fleet.add_argument("--slo-json", default=None, metavar="PATH",
+                       help="also write the run's repro.slo/v1 document "
+                            "here; implies --slo")
+    fleet.add_argument("--slo-prom", default=None, metavar="PATH",
+                       help="also export budget-remaining/compliance gauges "
+                            "as Prometheus text format here; implies --slo")
+    fleet.add_argument("--watch", type=int, default=None, metavar="N",
+                       help="print a dashboard frame every Nth tick and on "
+                            "the final tick (N >= ticks: final frame only); "
+                            "implies --slo")
     fleet.add_argument("--workload", default=None, metavar="KIND",
                        help="override every volume's foreground workload: "
                             "one of read_seq/read_stride/rw_mix, or "
@@ -253,56 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump Prometheus text-format metrics here")
     cli_util.add_document_args(fleet, "FLEET")
     cli_util.add_ledger_args(fleet)
-    slo = sub.add_parser(
-        "slo",
-        help="SLO engine over a fleet run: persist SLO_*.json, compare "
-             "runs, export budget gauges as Prometheus text",
-    )
-    slo.add_argument("--volumes", type=int, default=64,
-                     help="fleet size (default 64)")
-    slo.add_argument("--seed", type=int, default=0,
-                     help="fleet seed (same seed => byte-identical document)")
-    slo.add_argument("--smoke", action="store_true",
-                     help="small/fast fleet variant (CI smoke job)")
-    slo.add_argument("--ticks", type=int, default=None,
-                     help="scheduler ticks to run (default: config)")
-    slo.add_argument("--faults", action="store_true",
-                     help="arm the seeded fleet fault storm")
-    slo.add_argument("--latency-slo-ms", type=float, default=None,
-                     metavar="MS",
-                     help="foreground read-latency objective (default 2.0 ms)")
-    slo.add_argument("--spec", default=None, metavar="PATH",
-                     help="JSON file of SLO specs replacing the fleet "
-                          "defaults ({\"slos\": [...]} or a bare list)")
-    slo.add_argument("--prom", default=None, metavar="PATH",
-                     help="also export budget-remaining/compliance gauges "
-                          "as Prometheus text format here")
-    cli_util.add_document_args(slo, "SLO")
-    cli_util.add_ledger_args(slo)
-    watch = sub.add_parser(
-        "watch",
-        help="fleet health dashboard: per-tick frames with SLO burn "
-             "sparklines and firing alerts (plain text, deterministic)",
-    )
-    watch.add_argument("--volumes", type=int, default=16,
-                       help="fleet size (default 16)")
-    watch.add_argument("--seed", type=int, default=0,
-                       help="fleet seed (same seed => byte-identical frames)")
-    watch.add_argument("--smoke", action="store_true",
-                       help="small/fast fleet variant")
-    watch.add_argument("--ticks", type=int, default=None,
-                       help="scheduler ticks to run (default: config)")
-    watch.add_argument("--faults", action="store_true",
-                       help="arm the seeded fleet fault storm")
-    watch.add_argument("--latency-slo-ms", type=float, default=None,
-                       metavar="MS",
-                       help="foreground read-latency objective (default 2.0 ms)")
-    watch.add_argument("--every", type=int, default=1, metavar="N",
-                       help="render every Nth tick (default 1; the final "
-                            "tick always renders)")
-    watch.add_argument("--once", action="store_true",
-                       help="render only the final frame (the CI golden "
-                            "output mode)")
     replay = sub.add_parser(
         "replay",
         help="trace replay: parse a block/syscall trace, reconstruct it on "
@@ -398,68 +351,36 @@ def _invoke(name: str, args) -> str:
     return spec["fn"](**kwargs)
 
 
-def _run_obs(args) -> int:
-    import json
-
-    from .bench.experiments import obs_trace
-    from .obs.export import metrics_json
-    from .obs.hooks import Instrumentation
-
-    obs = Instrumentation(provenance=True) if args.critical_path else None
-    result = obs_trace.run(smoke=args.smoke, obs=obs)
-    print(result.report())
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result.trace(), fh)
-        print(f"\nwrote Chrome trace to {args.out} "
-              "(load it at chrome://tracing or ui.perfetto.dev)")
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as fh:
-            fh.write(metrics_json(result.obs.registry))
-        print(f"wrote metrics JSON to {args.metrics_json}")
-    if args.critical_path and not result.critical_path().check():
-        print("critical-path check FAILED (segments do not sum to wall-clock)")
-        return 1
-    return 0
-
-
 def _run_trace(args) -> int:
     import json
 
     from .bench.experiments import obs_trace
     from .obs.critical_path import write_flamegraph
+    from .obs.export import metrics_json
     from .obs.hooks import Instrumentation
 
     obs = Instrumentation(provenance=True, max_events=args.max_events)
     result = obs_trace.run(smoke=args.smoke, obs=obs, device=args.device)
-    forest = result.forest()
-    summary = forest.summary()
+    print(result.report(top=args.top))
     path = result.critical_path()
-    print(f"provenance: {summary['syscalls']} syscalls traced, "
-          f"{summary['layer_crossing']} crossed fs -> block -> device, "
-          f"{summary['commands']} device commands, "
-          f"max fan-out {summary['max_fanout']} "
-          f"({summary['orphan_edges']} orphan edges, "
-          f"{summary['events_dropped']} ring drops)")
-    print()
-    print(f"top {args.top} slowest syscalls:")
-    print(forest.table(args.top))
-    print()
-    print(path.table())
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(result.trace(), fh)
         print(f"\nwrote Chrome trace (with causal flow arrows) to {args.out}")
     if args.flame:
-        write_flamegraph(args.flame, forest, result.obs.spans)
+        write_flamegraph(args.flame, result.forest(), obs.spans)
         print(f"wrote collapsed-stack flamegraph to {args.flame} "
               "(feed to flamegraph.pl or speedscope)")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"schema": "repro.obs.trace/v1",
-                       "provenance": summary,
+                       "provenance": result.forest().summary(),
                        "critical_path": path.to_dict()}, fh, indent=2)
         print(f"wrote trace summary JSON to {args.json}")
+    if args.metrics_json:
+        with open(args.metrics_json, "w") as fh:
+            fh.write(metrics_json(obs.registry))
+        print(f"wrote metrics JSON to {args.metrics_json}")
     if not path.check():
         print("critical-path check FAILED (segments do not sum to wall-clock)")
         return 1
@@ -523,22 +444,22 @@ def _run_bench(args) -> int:
 
 
 def _fleet_config(args):
-    """Build the FleetConfig a fleet-sourced verb (fleet/slo/watch) asked
-    for; knobs a verb does not expose just fall through to the config."""
+    """Build the FleetConfig ``repro fleet`` asked for; knobs left unset
+    fall through to the config defaults."""
     from .fleet import FleetConfig
 
     overrides = {"faults": args.faults}
-    if getattr(args, "workload", None) is not None:
+    if args.workload is not None:
         overrides["workload"] = args.workload
-    if getattr(args, "ticks", None) is not None:
+    if args.ticks is not None:
         overrides["ticks"] = args.ticks
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         overrides["budget_per_tick"] = (
             None if args.budget <= 0 else int(args.budget * MIB)
         )
-    if getattr(args, "trigger", None) is not None:
+    if args.trigger is not None:
         overrides["trigger"] = args.trigger
-    if getattr(args, "max_jobs", None) is not None:
+    if args.max_jobs is not None:
         overrides["max_jobs"] = args.max_jobs
     if args.smoke:
         return FleetConfig.smoke(
@@ -547,30 +468,60 @@ def _fleet_config(args):
     return FleetConfig(volumes=args.volumes, seed=args.seed, **overrides)
 
 
-def _latency_slo_s(args) -> float:
-    from .fleet.slo import DEFAULT_LATENCY_SLO_S
+def _dashboard(config, monitor, every: int):
+    """The ``--watch`` tick hook: print a frame every ``every``-th tick
+    and on the final tick."""
+    from .obs.dashboard import Frame, render
 
-    if getattr(args, "latency_slo_ms", None) is not None:
-        return args.latency_slo_ms / 1e3
-    return DEFAULT_LATENCY_SLO_S
+    def on_tick(controller, tick: int, row) -> None:
+        last = tick == config.ticks - 1
+        if not last and tick % every != every - 1:
+            return
+        frame = Frame(
+            tick=tick,
+            ticks_total=config.ticks,
+            now=max((v.now for v in controller.volumes), default=0.0),
+            volumes=len(controller.volumes),
+            rows=controller.report.ticks,
+            slo_summaries=monitor.fleet_summaries(),
+            alerts=monitor.plane.alerts,
+            firing=monitor.firing(),
+            budget_per_tick=config.budget_per_tick,
+        )
+        print(render(frame))
+        print()
+
+    return on_tick
 
 
 def _run_fleet(args) -> int:
     import time
 
     from .fleet import FleetSlo, run_fleet
+    from .fleet.slo import DEFAULT_LATENCY_SLO_S
     from .obs import hooks as obs_hooks
+    from .obs import slo as obs_slo
     from .obs.export import metrics_json, prometheus_text, write_chrome_trace
     from .obs.hooks import Instrumentation
 
-    code = cli_util.run_compare(args, FLEET)
+    code = cli_util.run_compare(args, FLEET, SLO)
     if code is not None:
         return code
 
     config = _fleet_config(args)
-    monitor = (
-        FleetSlo.for_config(config, latency_slo_s=_latency_slo_s(args))
-        if args.slo else None
+    gated = bool(args.slo or args.slo_spec or args.slo_json or args.slo_prom
+                 or args.watch is not None)
+    monitor = None
+    if gated:
+        monitor = FleetSlo.for_config(
+            config,
+            latency_slo_s=(DEFAULT_LATENCY_SLO_S if args.latency_slo_ms is None
+                           else args.latency_slo_ms / 1e3),
+            specs=obs_slo.load_specs(args.slo_spec) if args.slo_spec else None,
+        )
+    on_tick = (
+        _dashboard(config, monitor, max(1, args.watch))
+        if args.watch is not None else None
     )
 
     armed = bool(args.trace or args.metrics_json or args.prom)
@@ -578,9 +529,9 @@ def _run_fleet(args) -> int:
     if armed:
         obs = Instrumentation()
         with obs_hooks.use(obs):
-            report = run_fleet(config, slo=monitor)
+            report = run_fleet(config, slo=monitor, on_tick=on_tick)
     else:
-        report = run_fleet(config, slo=monitor)
+        report = run_fleet(config, slo=monitor, on_tick=on_tick)
     wall_s = time.perf_counter() - start
 
     print(report.text())
@@ -603,82 +554,33 @@ def _run_fleet(args) -> int:
     cli_util.record_ledger(
         args, "fleet", document, label=label, seed=args.seed, wall_s=wall_s,
         extra={"smoke": args.smoke, "volumes": args.volumes,
-               "slo": args.slo, "faults": args.faults},
+               "slo": gated, "faults": args.faults},
     )
-    return 0 if report.budget_ok else 1
-
-
-def _run_slo(args) -> int:
-    import time
-
-    from .fleet import FleetSlo, run_fleet
-    from .obs import slo as obs_slo
-    from .obs.export import prometheus_text
-
-    code = cli_util.run_compare(args, SLO)
-    if code is not None:
-        return code
-
-    config = _fleet_config(args)
-    specs = obs_slo.load_specs(args.spec) if args.spec else None
-    monitor = FleetSlo.for_config(
-        config, latency_slo_s=_latency_slo_s(args), specs=specs
-    )
-    start = time.perf_counter()
-    run_fleet(config, slo=monitor)
-    wall_s = time.perf_counter() - start
-
-    label, path = cli_util.document_path(args, "SLO")
-    source = {"kind": "fleet", "config": config.to_dict()}
-    document = monitor.document(label, source)
-    obs_slo.validate(document)
-    SLO.save(path, document)
-    print(obs_slo.report_text(document))
-    print(f"\nwrote SLO document to {path} "
-          f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
-    if args.prom:
-        with open(args.prom, "w") as fh:
-            fh.write(prometheus_text(obs_slo.prometheus_registry(document)))
-        print(f"wrote Prometheus budget gauges to {args.prom}")
-    cli_util.record_ledger(
-        args, "slo", document, label=label, seed=args.seed, wall_s=wall_s,
-        extra={"smoke": args.smoke, "volumes": args.volumes,
-               "faults": args.faults},
-    )
-    return 0
-
-
-def _run_watch(args) -> int:
-    from .fleet import FleetSlo, run_fleet
-    from .obs.dashboard import Frame, render
-
-    config = _fleet_config(args)
-    monitor = FleetSlo.for_config(config, latency_slo_s=_latency_slo_s(args))
-    every = max(1, args.every)
-
-    def on_tick(controller, tick: int, row) -> None:
-        last = tick == config.ticks - 1
-        if args.once and not last:
-            return
-        if not last and tick % every != every - 1:
-            return
-        frame = Frame(
-            tick=tick,
-            ticks_total=config.ticks,
-            now=max((v.now for v in controller.volumes), default=0.0),
-            volumes=len(controller.volumes),
-            rows=controller.report.ticks,
-            slo_summaries=monitor.fleet_summaries(),
-            alerts=monitor.plane.alerts,
-            firing=monitor.firing(),
-            budget_per_tick=config.budget_per_tick,
+    if args.slo_json or args.slo_prom:
+        slo_document = monitor.document(
+            label, {"kind": "fleet", "config": config.to_dict()}
         )
-        print(render(frame))
-        if not last:
-            print()
-
-    run_fleet(config, slo=monitor, on_tick=on_tick)
-    return 0
+        obs_slo.validate(slo_document)
+        print()
+        print(obs_slo.report_text(slo_document))
+        if args.slo_json:
+            SLO.save(args.slo_json, slo_document)
+            print(f"\nwrote SLO document to {args.slo_json} "
+                  f"(schema {slo_document['schema']}, "
+                  f"fingerprint {slo_document['fingerprint']})")
+        if args.slo_prom:
+            with open(args.slo_prom, "w") as fh:
+                fh.write(prometheus_text(
+                    obs_slo.prometheus_registry(slo_document)
+                ))
+            print(f"wrote Prometheus budget gauges to {args.slo_prom}")
+        cli_util.record_ledger(
+            args, "slo", slo_document, label=label, seed=args.seed,
+            wall_s=wall_s,
+            extra={"smoke": args.smoke, "volumes": args.volumes,
+                   "faults": args.faults},
+        )
+    return 0 if report.budget_ok else 1
 
 
 def _run_replay(args) -> int:
@@ -808,18 +710,12 @@ def _run_runs(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "obs":
-        return _run_obs(args)
     if args.command == "trace":
         return _run_trace(args)
     if args.command == "bench":
         return _run_bench(args)
     if args.command == "fleet":
         return _run_fleet(args)
-    if args.command == "slo":
-        return _run_slo(args)
-    if args.command == "watch":
-        return _run_watch(args)
     if args.command == "replay":
         return _run_replay(args)
     if args.command == "faults":

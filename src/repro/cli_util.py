@@ -1,15 +1,18 @@
 """Shared wiring for CLI verbs that persist comparable JSON documents.
 
-``bench``, ``fleet``, ``slo`` and ``replay`` all follow the same
-contract: run a suite, save a schema-tagged document whose fingerprint
-makes runs comparable, and (with ``--compare``) diff two such documents
-with a direction-aware threshold.  The argument set and the compare flow
-are identical across verbs — this module holds them once.
+``bench``, ``fleet`` and ``replay`` all follow the same contract: run a
+suite, save a schema-tagged document whose fingerprint makes runs
+comparable, and (with ``--compare``) diff two such documents with a
+direction-aware threshold.  ``fleet`` saves two document types, FLEET
+and (with ``--slo-json``) SLO, and compares either.  The argument set
+and the compare flow are identical across verbs — this module holds
+them once.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 from typing import Optional, Tuple
 
 from .doc import DocType
@@ -117,10 +120,20 @@ def document_path(args: argparse.Namespace, prefix: str) -> Tuple[str, str]:
     return label, path
 
 
-def run_compare(args: argparse.Namespace, doc_type: DocType) -> Optional[int]:
-    """Execute the --compare flow if requested; None means "not asked"."""
+def run_compare(args: argparse.Namespace, *doc_types: DocType) -> Optional[int]:
+    """Execute the --compare flow if requested; None means "not asked".
+
+    With several document types the baseline's ``schema`` picks one (the
+    first when none matches), and ``load`` rejects a candidate of another
+    schema.
+    """
     if not args.compare:
         return None
+    doc_type = doc_types[0]
+    if len(doc_types) > 1:
+        with open(args.compare[0]) as fh:
+            schema = json.load(fh).get("schema")
+        doc_type = next((t for t in doc_types if t.schema == schema), doc_type)
     baseline = doc_type.load(args.compare[0])
     candidate = doc_type.load(args.compare[1])
     comparison = doc_type.compare(baseline, candidate, threshold=args.threshold)

@@ -277,7 +277,7 @@ REPLAY = DocType(
     where=("replay", "stream"),
 )
 
-#: ``repro slo``: per-objective compliance, budget and burn
+#: ``repro fleet --slo-json``: per-objective compliance, budget and burn
 SLO = DocType(
     schema="repro.slo/v1",
     kind="slo",

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional
 from ..obs import hooks as obs_hooks
 from ..faults import hooks as fault_hooks
 from ..faults.hooks import FaultPlane
-from ..obs.timeseries import nearest_rank
 from ..sim.engine import run_concurrently
+from ..stats import nearest_rank
 from .admission import AdmissionController, TickBudget
 from .jobs import DefragJob, FAILED, RUNNING
 from .report import FleetReport, TickRow
@@ -334,8 +334,8 @@ def run_fleet(
 
     ``slo`` attaches a :class:`~repro.fleet.slo.FleetSlo` monitor (burn
     alerts + admission gating); ``on_tick(controller, tick, row)`` is
-    called after every tick — the ``repro watch`` dashboard's frame
-    hook.
+    called after every tick — the ``repro fleet --watch`` dashboard's
+    frame hook.
 
     With the ambient instrumentation armed, every volume records into
     its own child plane (:func:`build_volumes`), merged back per volume

@@ -26,15 +26,13 @@ measurement substrate:
   (sum-to-total checked against wall-clock), collapsed-stack flamegraph
   export, and Chrome flow events linking syscalls to their tail
   commands;
-- :mod:`repro.obs.timeseries` — windowed rollups of telemetry streams
-  keyed to the virtual clock (rate/delta/percentile per window, bounded
-  retention with counted drops);
-- :mod:`repro.obs.slo` — the judgment layer: declarative SLOs evaluated
-  per window into error-budget consumption and fast/slow burn rates,
-  with deterministic ``slo.breach``/``slo.burn`` events and a
-  fingerprinted ``repro.slo/v1`` document;
+- :mod:`repro.obs.slo` — the judgment layer: declarative SLOs over
+  fixed-width virtual-time windows, evaluated into error-budget
+  consumption and fast/slow burn rates, with deterministic
+  ``slo.breach``/``slo.burn`` events and a fingerprinted
+  ``repro.slo/v1`` document;
 - :mod:`repro.obs.dashboard` — the byte-deterministic plain-text fleet
-  health dashboard ``repro watch`` renders.
+  health dashboard ``repro fleet --watch`` renders.
 """
 
 from .hooks import (  # noqa: F401
@@ -64,7 +62,6 @@ from .analysis import (  # noqa: F401
     span_table,
 )
 from .sampler import FragmentationSampler  # noqa: F401
-from .timeseries import TimeSeriesStore, WindowedSeries  # noqa: F401
 from .slo import SloPlane, SloSpec  # noqa: F401
 from .provenance import (  # noqa: F401
     ProvenanceForest,

@@ -1,8 +1,8 @@
 """The live fleet health dashboard: plain text, byte-deterministic.
 
-``repro watch`` renders one frame per scheduler tick (or a single final
-frame with ``--once``): fleet tick rows, burn-rate sparklines per SLO,
-and the firing-alert table.  Everything derives from virtual time, so a
+``repro fleet --watch N`` renders a frame every Nth scheduler tick and
+on the final tick (N >= ticks: the final frame only): fleet tick rows,
+burn-rate sparklines per SLO, and the firing-alert table.  Everything derives from virtual time, so a
 frame for a given (config, tick) is byte-identical run to run — which is
 what lets CI golden-test the dashboard like any other document.
 

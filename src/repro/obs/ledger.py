@@ -1,9 +1,10 @@
 """Persistent run ledger: a fingerprinted manifest per document run.
 
-Every document-producing verb (``repro bench/fleet/slo/replay/faults``)
-appends one **run manifest** under ``benchmarks/ledger/`` —
-the run-over-run history a production telemetry pipeline keeps next to
-its live exports.  A manifest records what ran (verb, label, args, seed,
+Every document-producing verb (``repro bench/fleet/replay/faults``)
+appends one **run manifest** under ``benchmarks/ledger/`` — the
+run-over-run history a production telemetry pipeline keeps next to its
+live exports; ``repro fleet --slo-json`` appends a second one, under the
+verb ``slo``, for its SLO document.  A manifest records what ran (verb, label, args, seed,
 workers), what it produced (the document's schema and fingerprint plus a
 small per-verb *headline* — the figures you would put on a dashboard),
 and what it cost (wall seconds, host CPU count).

@@ -2,12 +2,12 @@
 
 The judgment layer on top of the telemetry plane: a :class:`SloSpec`
 names an objective ("95% of foreground reads finish within 2 ms"), an
-evaluator rolls a :class:`~repro.obs.timeseries.WindowedSeries` into
-per-window compliance, error-budget consumption, and fast/slow burn
-rates (the SRE multi-window alerting shape), and a :class:`SloPlane`
-bundles the store plus one evaluator per spec behind a single
-``observe``/``evaluate_through`` surface the fleet controller, the bench
-harness, and the ``repro slo`` CLI all share.
+evaluator rolls one window's values into per-window compliance,
+error-budget consumption, and fast/slow burn rates (the SRE
+multi-window alerting shape), and a :class:`SloPlane` windows the
+watched metrics on the virtual clock and runs one evaluator per spec
+behind a single ``observe``/``evaluate_through`` surface, which the
+fleet monitor behind ``repro fleet --slo`` drives once per tick.
 
 Everything is virtual-time-deterministic: the same telemetry points
 produce the same windows, the same burn rates, the same alerts — so the
@@ -34,11 +34,11 @@ Definitions (per spec):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..doc import SLO
-from .timeseries import MAX_VALUES, MAX_WINDOWS, TimeSeriesStore
 
 #: document schema tag; bump on incompatible layout changes
 SCHEMA = SLO.schema
@@ -54,7 +54,7 @@ class SloSpec:
     """One declarative objective over one telemetry series."""
 
     name: str
-    #: series name in the telemetry store this objective watches
+    #: name of the metric stream this objective watches
     metric: str
     #: objective boundary a sample is judged against
     threshold: float
@@ -230,7 +230,15 @@ class SloEvaluator:
 
 
 class SloPlane:
-    """Telemetry store + one evaluator per spec, behind a single surface.
+    """Windowed values + one evaluator per spec, behind a single surface.
+
+    Windows are fixed-width and keyed to the virtual clock: window ``i``
+    covers ``[origin + i * window, origin + (i + 1) * window)``.  The
+    plane keeps every value of every watched metric for each window not
+    yet evaluated, so a window's verdict judges all of its samples, and
+    releases a window's values once every spec has evaluated it.
+    Values for metrics no spec watches, or for windows already
+    evaluated, can never be judged and are not kept.
 
     Null-by-default at the :class:`~repro.obs.hooks.Instrumentation`
     level: an instrumentation built without ``slo=`` keeps ``slo=None``
@@ -251,22 +259,26 @@ class SloPlane:
         specs: Sequence[SloSpec],
         window: float,
         origin: float = 0.0,
-        max_windows: int = MAX_WINDOWS,
-        max_values: int = MAX_VALUES,
     ) -> None:
+        if window <= 0:
+            raise ValueError("window width must be positive")
         self.specs = list(specs)
         names = [spec.name for spec in self.specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate SLO spec names")
-        self.store = TimeSeriesStore(
-            window, origin, max_windows=max_windows, max_values=max_values,
-        )
+        self.window = window
+        self.origin = origin
+        #: metric -> window index -> values, for windows not yet evaluated
+        self._values: Dict[str, Dict[int, List[float]]] = {
+            spec.metric: {} for spec in self.specs
+        }
         self.evaluators: Dict[str, SloEvaluator] = {
             spec.name: SloEvaluator(spec) for spec in self.specs
         }
         #: alert rows, evaluation order: the document's ``alerts`` table
         self.alerts: List[Dict[str, object]] = []
-        self._evaluated_through: Dict[str, int] = {}
+        #: the last window index every spec has evaluated
+        self._evaluated = -1
         self._obs = None
 
     # -- instrumentation binding ---------------------------------------
@@ -275,17 +287,25 @@ class SloPlane:
         """Attach the carrying instrumentation (event/gauge mirroring)."""
         self._obs = obs
 
+    # -- window geometry -----------------------------------------------
+
+    def index_of(self, now: float) -> int:
+        """The window index holding virtual time ``now`` (clamped >= 0)."""
+        return max(0, int(math.floor((now - self.origin) / self.window)))
+
+    def window_end(self, index: int) -> float:
+        """Virtual time at which window ``index`` closes."""
+        return self.origin + (index + 1) * self.window
+
     # -- ingest --------------------------------------------------------
 
-    @property
-    def window(self) -> float:
-        return self.store.width
-
     def observe(self, metric: str, now: float, value: float) -> None:
-        self.store.observe(metric, now, value)
+        self.observe_at(metric, self.index_of(now), value)
 
     def observe_at(self, metric: str, index: int, value: float) -> None:
-        self.store.observe_at(metric, index, value)
+        windows = self._values.get(metric)
+        if windows is not None and index > self._evaluated:
+            windows.setdefault(index, []).append(value)
 
     # -- evaluation ----------------------------------------------------
 
@@ -297,20 +317,18 @@ class SloPlane:
         idle window burns no budget but advances the slow-burn tail.
         """
         fired: List[Dict[str, object]] = []
+        evaluated = range(self._evaluated + 1, index + 1)
         for spec in self.specs:
             evaluator = self.evaluators[spec.name]
-            series = self.store.series(spec.metric)
-            start = self._evaluated_through.get(spec.name, -1) + 1
-            for idx in range(start, index + 1):
-                agg = series.window(idx)
-                values = agg.values if agg is not None else ()
-                verdict = evaluator.evaluate_window(idx, values)
-                self._mirror(spec, evaluator, series, verdict)
+            windows = self._values[spec.metric]
+            for idx in evaluated:
+                verdict = evaluator.evaluate_window(idx, windows.get(idx, ()))
+                self._mirror(spec, evaluator, verdict)
                 if verdict.alert:
                     row = {
                         "slo": spec.name,
                         "window": idx,
-                        "time_s": series.window_end(idx),
+                        "time_s": self.window_end(idx),
                         "fast_burn": verdict.fast,
                         "slow_burn": verdict.slow,
                         "bad": verdict.bad,
@@ -318,28 +336,27 @@ class SloPlane:
                     }
                     self.alerts.append(row)
                     fired.append(row)
-            self._evaluated_through[spec.name] = max(
-                index, self._evaluated_through.get(spec.name, -1)
-            )
+        for windows in self._values.values():
+            for idx in evaluated:
+                windows.pop(idx, None)
+        self._evaluated = max(self._evaluated, index)
         return fired
 
     def evaluate_all(self) -> List[Dict[str, object]]:
-        """Evaluate every window any watched series has data for."""
-        last = -1
-        for spec in self.specs:
-            if spec.metric in self.store:
-                indexes = self.store.series(spec.metric).indexes()
-                if indexes:
-                    last = max(last, indexes[-1])
+        """Evaluate every window any watched metric has data for."""
+        last = max(
+            (max(windows) for windows in self._values.values() if windows),
+            default=-1,
+        )
         if last < 0:
             return []
         return self.evaluate_through(last)
 
-    def _mirror(self, spec, evaluator, series, verdict) -> None:
+    def _mirror(self, spec, evaluator, verdict) -> None:
         obs = self._obs
         if obs is None or not obs.enabled:
             return
-        now = series.window_end(verdict.index)
+        now = self.window_end(verdict.index)
         registry = obs.registry
         registry.gauge(f"slo.{spec.name}.burn_fast").set(verdict.fast)
         registry.gauge(f"slo.{spec.name}.burn_slow").set(verdict.slow)
@@ -477,7 +494,8 @@ def prometheus_registry(document: Dict[str, object]):
     """Budget/burn gauges of a document, as an exportable registry.
 
     Feed the result to :func:`repro.obs.export.prometheus_text` to get
-    the byte-deterministic text-format rendering (``repro slo --prom``).
+    the byte-deterministic text-format rendering (``repro fleet
+    --slo-prom``).
     """
     from .metrics import MetricsRegistry
 

@@ -34,7 +34,7 @@ def test_unknown_experiment_rejected():
 def test_obs_smoke_writes_valid_trace(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     metrics_path = tmp_path / "metrics.json"
-    assert main(["obs", "--smoke", "--out", str(trace_path),
+    assert main(["trace", "--smoke", "--out", str(trace_path), "--flame", "",
                  "--metrics-json", str(metrics_path)]) == 0
     out = capsys.readouterr().out
     assert "split fan-out" in out
@@ -70,12 +70,15 @@ def test_trace_smoke_writes_flamegraph_and_flow_trace(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     flame_path = tmp_path / "flame.txt"
     summary_path = tmp_path / "summary.json"
-    assert main(["trace", "--smoke", "--out", str(trace_path),
+    assert main(["trace", "--smoke", "--out", str(trace_path), "--top", "3",
                  "--flame", str(flame_path), "--json", str(summary_path)]) == 0
     out = capsys.readouterr().out
     assert "provenance:" in out
     assert "slowest syscalls" in out
     assert "critical path" in out.lower()
+    # --top sets the slowest-syscall table's depth: header, rule, 3 rows
+    table = out.split("top 3 slowest syscalls:\n", 1)[1].split("\n\n", 1)[0]
+    assert len(table.splitlines()) == 2 + 3
     # the Chrome trace carries causal flow arrows on the prov category
     doc = json.loads(trace_path.read_text())
     prov = [e for e in doc["traceEvents"] if e.get("cat") == "prov"]
@@ -94,8 +97,9 @@ def test_trace_smoke_writes_flamegraph_and_flow_trace(capsys, tmp_path):
 
 
 def test_obs_critical_path_flag(capsys, tmp_path):
+    # the trace verb always reports the critical path; no flag arms it
     trace_path = tmp_path / "trace.json"
-    assert main(["obs", "--smoke", "--critical-path",
+    assert main(["trace", "--smoke", "--flame", "",
                  "--out", str(trace_path)]) == 0
     out = capsys.readouterr().out
     assert "critical path:" in out
@@ -159,7 +163,8 @@ def test_verb_rejects_workers_flag(verb, capsys):
 
 def test_slo_smoke_writes_valid_document(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["slo", "--smoke", "--volumes", "8", "--seed", "0"]) == 0
+    assert main(["fleet", "--smoke", "--volumes", "8", "--seed", "0",
+                 "--slo-json", "SLO_smoke.json"]) == 0
     out = capsys.readouterr().out
     assert "SLO report" in out
     assert "fg_read_latency" in out
@@ -177,16 +182,35 @@ def test_slo_documents_are_byte_reproducible(tmp_path):
     a = tmp_path / "SLO_a.json"
     b = tmp_path / "SLO_b.json"
     for path in (a, b):
-        assert main(["slo", "--smoke", "--volumes", "8", "--seed", "0",
-                     "--json", str(path)]) == 0
+        assert main(["fleet", "--smoke", "--volumes", "8", "--seed", "0",
+                     "--json", str(tmp_path / "f.json"),
+                     "--slo-json", str(path)]) == 0
     assert a.read_text() == b.read_text()
+
+
+#: SLO document fingerprints of ``--smoke --volumes 8 --seed 0``, clean
+#: and under the fault storm; they predate the fold of the standalone
+#: SLO verb into ``fleet --slo-json``, which must write the same bytes
+SLO_SMOKE_FINGERPRINTS = {"clean": "43b174fe9adecf53",
+                          "faults": "9be9c9afb7a0800d"}
+
+
+@pytest.mark.parametrize("storm", sorted(SLO_SMOKE_FINGERPRINTS))
+def test_slo_smoke_fingerprints_are_pinned(storm, capsys, tmp_path):
+    path = tmp_path / "SLO.json"
+    extra = ["--faults"] if storm == "faults" else []
+    assert main(["fleet", "--smoke", "--volumes", "8", "--seed", "0",
+                 "--json", str(tmp_path / "f.json"),
+                 "--slo-json", str(path)] + extra) == 0
+    doc = json.loads(path.read_text())
+    assert doc["fingerprint"] == SLO_SMOKE_FINGERPRINTS[storm]
 
 
 def test_slo_prom_export(capsys, tmp_path):
     prom = tmp_path / "slo.prom"
-    assert main(["slo", "--smoke", "--volumes", "4", "--seed", "0",
-                 "--json", str(tmp_path / "s.json"),
-                 "--prom", str(prom)]) == 0
+    assert main(["fleet", "--smoke", "--volumes", "4", "--seed", "0",
+                 "--json", str(tmp_path / "f.json"),
+                 "--slo-prom", str(prom)]) == 0
     text = prom.read_text()
     assert "# HELP slo_" in text
     assert "# TYPE slo_" in text
@@ -196,15 +220,18 @@ def test_slo_prom_export(capsys, tmp_path):
 def test_slo_compare_flags_storm_regression(capsys, tmp_path):
     clean = tmp_path / "SLO_clean.json"
     storm = tmp_path / "SLO_storm.json"
-    assert main(["slo", "--smoke", "--volumes", "8", "--seed", "0",
-                 "--json", str(clean)]) == 0
-    assert main(["slo", "--smoke", "--volumes", "8", "--seed", "0",
-                 "--faults", "--json", str(storm)]) == 0
-    assert main(["slo", "--compare", str(clean), str(storm)]) == 1
+    fleet = ["fleet", "--smoke", "--volumes", "8", "--seed", "0",
+             "--json", str(tmp_path / "f.json")]
+    assert main(fleet + ["--slo-json", str(clean)]) == 0
+    assert main(fleet + ["--faults", "--slo-json", str(storm)]) == 0
+    assert main(["fleet", "--compare", str(clean), str(storm)]) == 1
     out = capsys.readouterr().out
     assert "REGRESSION" in out
     # identical documents compare clean
-    assert main(["slo", "--compare", str(clean), str(clean)]) == 0
+    assert main(["fleet", "--compare", str(clean), str(clean)]) == 0
+    # an SLO baseline never compares against a FLEET candidate
+    with pytest.raises(ValueError, match="repro.fleet/v1.*repro.slo/v1"):
+        main(["fleet", "--compare", str(clean), str(tmp_path / "f.json")])
 
 
 def test_fleet_slo_gating_report(capsys, tmp_path):
@@ -218,17 +245,33 @@ def test_fleet_slo_gating_report(capsys, tmp_path):
     assert doc["slo"]["alerts"]
 
 
-def test_watch_once_matches_golden(capsys):
-    assert main(["watch", "--smoke", "--volumes", "8", "--seed", "0",
-                 "--once"]) == 0
+@pytest.mark.parametrize("flag", [["--slo-json", "s.json"],
+                                  ["--slo-prom", "s.prom"],
+                                  ["--watch", "6"]])
+def test_slo_flags_imply_the_gated_run(flag, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fleet", "--smoke", "--volumes", "4", "--seed", "0",
+                 "--slo", "--json", "gated.json"]) == 0
+    assert main(["fleet", "--smoke", "--volumes", "4", "--seed", "0",
+                 "--json", "implied.json"] + flag) == 0
+    assert ((tmp_path / "implied.json").read_text()
+            == (tmp_path / "gated.json").read_text())
+
+
+def test_watch_once_matches_golden(capsys, tmp_path):
+    # 6 smoke ticks: --watch 6 prints only the final frame, and frames
+    # print before the fleet report
+    assert main(["fleet", "--smoke", "--volumes", "8", "--seed", "0",
+                 "--json", str(tmp_path / "f.json"), "--watch", "6"]) == 0
     out = capsys.readouterr().out
-    golden = Path(__file__).parent / "golden" / "watch_once_smoke.txt"
-    assert out == golden.read_text()
+    golden = (Path(__file__).parent / "golden" / "watch_once_smoke.txt").read_text()
+    assert out[:len(golden)] == golden
+    assert out.count("fleet health —") == 1
 
 
-def test_watch_every_prints_periodic_frames(capsys):
-    assert main(["watch", "--smoke", "--volumes", "4", "--seed", "1",
-                 "--every", "3"]) == 0
+def test_watch_every_prints_periodic_frames(capsys, tmp_path):
+    assert main(["fleet", "--smoke", "--volumes", "4", "--seed", "1",
+                 "--json", str(tmp_path / "f.json"), "--watch", "3"]) == 0
     out = capsys.readouterr().out
     frames = out.count("fleet health —")
     # 6 smoke ticks, a frame every 3rd tick plus the final one

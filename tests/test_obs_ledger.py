@@ -252,8 +252,9 @@ def test_old_perf_manifests_still_load_and_render(tmp_path, capsys):
 
 
 def test_runs_verb_choices_are_the_recording_verbs():
-    """``runs --verb`` offers exactly the live subcommands that record
-    runs: those that take ``--no-ledger``."""
+    """``runs --verb`` offers exactly the verbs that record runs: the
+    live subcommands that take ``--no-ledger``, plus ``slo``, under which
+    ``fleet --slo-json`` records its SLO document."""
     parser = cli.build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -263,5 +264,23 @@ def test_runs_verb_choices_are_the_recording_verbs():
         name for name, subparser in sub.choices.items()
         if any(a.dest == "no_ledger" for a in subparser._actions)
     }
-    assert set(verb.choices) <= set(sub.choices)
-    assert set(verb.choices) == recording
+    assert "fleet" in recording and "slo" not in sub.choices
+    assert set(verb.choices) == recording | {"slo"}
+
+
+def test_fleet_slo_json_records_an_slo_manifest(tmp_path, capsys):
+    ledger_dir = ["--ledger-dir", str(tmp_path / "ledger")]
+    assert cli.main(["fleet", "--smoke", "--volumes", "4", "--seed", "0",
+                     "--json", str(tmp_path / "f.json"),
+                     "--slo-json", str(tmp_path / "s.json")] + ledger_dir) == 0
+    runs = ledger.list_runs(str(tmp_path / "ledger"))
+    assert [run["verb"] for run in runs] == ["fleet", "slo"]
+    slo_run = runs[1]
+    assert slo_run["args"] == {"smoke": True, "volumes": 4, "faults": False}
+    assert slo_run["seed"] == 0 and slo_run["label"] == "smoke"
+    assert slo_run["doc_fingerprint"] == json.loads(
+        (tmp_path / "s.json").read_text())["fingerprint"]
+    capsys.readouterr()
+    assert cli.main(["runs", "--verb", "slo"] + ledger_dir) == 0
+    out = capsys.readouterr().out
+    assert "slo" in out and "fleet" not in out

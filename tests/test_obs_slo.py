@@ -154,6 +154,76 @@ def test_plane_rejects_duplicate_names():
         SloPlane([_spec(), _spec()], window=1.0)
 
 
+def test_plane_window_must_be_positive():
+    with pytest.raises(ValueError, match="positive"):
+        SloPlane([_spec()], window=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        SloPlane([_spec()], window=-1.0)
+
+
+def test_window_geometry_keyed_to_virtual_clock():
+    plane = SloPlane([_spec()], window=0.25)
+    assert plane.index_of(0.0) == 0
+    assert plane.index_of(0.24) == 0
+    assert plane.index_of(0.25) == 1
+    assert plane.index_of(1.1) == 4
+    # pre-origin times clamp into window 0 rather than going negative
+    assert plane.index_of(-5.0) == 0
+    assert plane.window_end(0) == 0.25
+    assert plane.window_end(3) == 1.0
+    # observe() files a sample under the window its time falls in
+    plane.observe("lat_s", 0.1, 2.0)
+    plane.observe("lat_s", 0.9, 0.1)
+    plane.evaluate_through(3)
+    verdicts = plane.evaluators["lat"].verdicts
+    assert [(v.index, v.samples, v.bad) for v in verdicts] == [
+        (0, 1, 1), (1, 0, 0), (2, 0, 0), (3, 1, 0),
+    ]
+
+
+def test_every_value_in_a_busy_window_is_judged():
+    # no per-window value cap: 5,000 good samples, then 100 bad ones
+    plane = SloPlane([_spec()], window=1.0)
+    for _ in range(5000):
+        plane.observe_at("lat_s", 0, 0.1)
+    for _ in range(100):
+        plane.observe_at("lat_s", 0, 2.0)
+    plane.evaluate_through(0)
+    summary = plane.evaluators["lat"].summary()
+    assert summary["samples"] == 5100
+    assert summary["bad_samples"] == 100
+    assert summary["compliance"] == pytest.approx(5000 / 5100)
+
+
+def test_evaluated_windows_release_their_values():
+    # two specs watch one metric: the window is judged by both, then freed
+    plane = SloPlane([_spec(), _spec(name="lat2", threshold=0.05)], window=1.0)
+    plane.observe_at("lat_s", 0, 0.1)
+    plane.observe_at("lat_s", 1, 0.1)
+    plane.observe_at("untracked_s", 0, 9.0)
+    plane.evaluate_through(0)
+    assert plane.evaluators["lat"].verdicts[0].bad == 0
+    assert plane.evaluators["lat2"].verdicts[0].bad == 1
+    assert plane._values == {"lat_s": {1: [0.1]}}
+    # a late sample for a window already judged can never count
+    plane.observe_at("lat_s", 0, 2.0)
+    plane.evaluate_all()
+    assert plane._values == {"lat_s": {}}
+    assert plane.evaluators["lat"].samples == 2
+
+
+def test_same_points_produce_identical_verdicts():
+    points = [(0.07 * i, float(i % 5) / 2) for i in range(100)]
+    summaries = []
+    for _ in range(2):
+        plane = SloPlane([_spec()], window=0.25)
+        for t, v in points:
+            plane.observe("lat_s", t, v)
+        plane.evaluate_all()
+        summaries.append((plane.summaries(), plane.alerts))
+    assert summaries[0] == summaries[1]
+
+
 def test_plane_evaluates_each_window_once():
     plane = SloPlane([_spec()], window=1.0)
     plane.observe("lat_s", 0.5, 2.0)
