@@ -13,7 +13,7 @@ or, when the access pattern is known to be sequential::
 
 For co-running experiments, :meth:`FragPicker.actor` returns a generator
 compatible with :func:`repro.sim.engine.run_concurrently`, yielding after
-every migrated range so foreground traffic interleaves realistically.
+every migration syscall so foreground traffic interleaves realistically.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from typing import Iterable, List, Optional, Sequence
 from ..constants import MIB, READAHEAD_SIZE
 from ..errors import DefragError, FaultError, InjectedCrash, NoSpaceError
 from ..fs.base import Filesystem
-from ..fs.fiemap import fragment_count
 from ..trace.records import IORecord
 from ..trace.syscall_monitor import SyscallMonitor
 from .analysis import AnalysisPhase
 from .bypass import bypass_range_list
 from .frag_check import range_is_fragmented
 from .hotness import hotness_filter
-from .migration import Migrator, RetryPolicy
-from .range_list import FileRangeList
+from .migration import Migrator, RetryPolicy, ipu_disabled
+from .range_list import FileRange, FileRangeList
 from .recovery import MigrationJournal
 from .report import DefragReport
 
@@ -145,24 +144,13 @@ class FragPicker:
             obs.span_start("fragpicker.defragment", now, files=len(plans))
             if obs.enabled else None
         )
-        report = self._new_report(plans, now)
-        for plan, file_range in self._work_items(plans):
-            report.ranges_examined += 1
-            inner = (
-                obs.span_start(
-                    "fragpicker.migrate", now,
-                    file=plan.path, offset=file_range.start, length=file_range.length,
-                )
-                if obs.enabled else None
-            )
-            for now in self._migrate_one(plan, file_range, report, now):
-                pass
-            if inner is not None:
-                obs.span_finish(inner, now)
-        result = self._finish_report(report, plans, now)
+        cursor = self._cursor(plans, now)
+        while not cursor.exhausted:
+            now = cursor.migrate_next(now)
+        report = cursor.finish(now)
         if outer is not None:
             obs.span_finish(outer, now)
-        return result
+        return report
 
     def defragment_bypass(self, paths: Iterable[str], now: float = 0.0) -> DefragReport:
         """The bypass option end-to-end (FragPicker-B in the figures)."""
@@ -187,45 +175,27 @@ class FragPicker:
                 raise DefragError("cursor needs plans or paths")
             plans = self.bypass_plans(paths)
         self._warn_if_seek_device()
-        return MigrationCursor(self, plans, now)
+        return self._cursor(plans, now)
 
     def actor(self, plans: Sequence[FileRangeList], report_out: Optional[DefragReport] = None):
         """Generator for :func:`repro.sim.engine.run_concurrently`.
 
-        Yields after each migrated range; fills ``report_out`` (or a fresh
-        report retrievable from ``gen_report`` attribute) as it goes.
+        Yields after every migration syscall; fills ``report_out`` (or a
+        fresh report) as it goes.
         """
         def _run(ctx):
             obs = self.fs.obs
-            report = report_out if report_out is not None else DefragReport(tool="fragpicker")
-            started = False
+            cursor = self._cursor(plans, ctx.now, report_out)
             outer = None
-            for plan, file_range in self._work_items(plans):
-                if not started:
-                    self._start_report(report, plans, ctx.now)
-                    started = True
-                    if obs.enabled:
-                        outer = obs.span_start(
-                            "fragpicker.defragment", ctx.now,
-                            track=ctx.name, files=len(plans),
-                        )
-                report.ranges_examined += 1
-                inner = (
-                    obs.span_start(
-                        "fragpicker.migrate", ctx.now, track=ctx.name,
-                        file=plan.path, offset=file_range.start,
-                        length=file_range.length,
-                    )
-                    if obs.enabled else None
+            if obs.enabled and not cursor.exhausted:
+                outer = obs.span_start(
+                    "fragpicker.defragment", ctx.now, track=ctx.name, files=len(plans),
                 )
-                for t in self._migrate_one(plan, file_range, report, ctx.now):
-                    ctx.now = t
+            while not cursor.exhausted:
+                for now in cursor.steps(ctx.now, track=ctx.name):
+                    ctx.now = now
                     yield
-                if inner is not None:
-                    obs.span_finish(inner, ctx.now)
-            if not started:
-                self._start_report(report, plans, ctx.now)
-            self._finish_report(report, plans, ctx.now)
+            cursor.finish(ctx.now)
             if outer is not None:
                 obs.span_finish(outer, ctx.now)
         return _run
@@ -234,16 +204,23 @@ class FragPicker:
     # internals
     # ------------------------------------------------------------------
 
-    def work_items(self, plans: Sequence[FileRangeList]):
-        """Public iteration order of a plan's (plan, range) migrations."""
-        return self._work_items(plans)
+    def _cursor(
+        self,
+        plans: Sequence[FileRangeList],
+        now: float,
+        report: Optional[DefragReport] = None,
+    ) -> "MigrationCursor":
+        """A cursor over ``plans`` filling ``report`` (a fresh one if None)."""
+        if report is None:
+            report = DefragReport(tool="fragpicker")
+        report.begin(self.fs, (plan.path for plan in plans), now)
+        report.files_examined = len(plans)
+        return MigrationCursor(self, plans, report)
 
-    def _work_items(self, plans: Sequence[FileRangeList]):
-        for plan in plans:
-            if plan.path not in self.fs.paths:
-                continue
-            for file_range in plan.sorted_by_start():
-                yield plan, file_range
+    def _needs_migration(self, path: str, file_range: FileRange) -> bool:
+        """The pre-migration check (Section 4.2.1): is the range
+        LBA-fragmented?  Subclasses widen what counts as fragmented."""
+        return range_is_fragmented(self.fs, path, file_range)
 
     def _migrate_one(self, plan: FileRangeList, file_range, report: DefragReport, now: float):
         """Generator: yields running time after each migration syscall.
@@ -290,8 +267,8 @@ class FragPicker:
 
     def _attempt_one(self, plan: FileRangeList, file_range, report: DefragReport, now: float):
         """One migration try for a range (the pre-faults _migrate_one)."""
-        if self.config.check_fragmentation and not range_is_fragmented(
-            self.fs, plan.path, file_range
+        if self.config.check_fragmentation and not self._needs_migration(
+            plan.path, file_range
         ):
             report.ranges_skipped_contiguous += 1
             if self.fs.obs.enabled:
@@ -301,20 +278,19 @@ class FragPicker:
             yield now
             return
         before = self.fs.tracer.tag(self.config.app).snapshot()
-        ipu_restore = self._disable_f2fs_ipu()
         migrated = True
         try:
-            try:
-                for now in self._migrator.migrate_range_steps(plan.path, file_range, now=now):
-                    yield now
-            except NoSpaceError:
-                # Fragmented/insufficient free space: skip, like other tools
-                # would fail (Section 6 limitations).
-                report.ranges_skipped_contiguous += 1
-                migrated = False
+            with ipu_disabled(self.fs):
+                try:
+                    for now in self._migrator.migrate_range_steps(plan.path, file_range, now=now):
+                        yield now
+                except NoSpaceError:
+                    # Fragmented/insufficient free space: skip, like other
+                    # tools would fail (Section 6 limitations).
+                    report.ranges_skipped_contiguous += 1
+                    migrated = False
         finally:
             # account even a faulted attempt's traffic before unwinding
-            self._restore_f2fs_ipu(ipu_restore)
             delta = self.fs.tracer.tag(self.config.app).delta(before)
             report.read_bytes += delta.read_bytes
             report.write_bytes += delta.write_bytes
@@ -351,53 +327,30 @@ class FragPicker:
                 stacklevel=3,
             )
 
-    def _disable_f2fs_ipu(self) -> Optional[bool]:
-        """F2FS sometimes updates in place; turn that off for migration."""
-        if self.fs.fs_type == "f2fs":
-            previous = self.fs.ipu_enabled
-            self.fs.set_ipu(False)
-            return previous
-        return None
-
-    def _restore_f2fs_ipu(self, previous: Optional[bool]) -> None:
-        if previous is not None:
-            self.fs.set_ipu(previous)
-
-    def _new_report(self, plans: Sequence[FileRangeList], now: float) -> DefragReport:
-        report = DefragReport(tool="fragpicker")
-        self._start_report(report, plans, now)
-        return report
-
-    def _start_report(self, report: DefragReport, plans: Sequence[FileRangeList], now: float) -> None:
-        report.started_at = now
-        report.files_examined = len(plans)
-        for plan in plans:
-            if plan.path in self.fs.paths:
-                report.fragments_before[plan.path] = fragment_count(self.fs, plan.path)
-
-    def _finish_report(self, report: DefragReport, plans: Sequence[FileRangeList], now: float) -> DefragReport:
-        report.finished_at = now
-        for plan in plans:
-            if plan.path in self.fs.paths:
-                report.fragments_after[plan.path] = fragment_count(self.fs, plan.path)
-        return report
-
 
 class MigrationCursor:
     """One defrag run, steppable range by range (see :meth:`FragPicker.cursor`).
 
-    The cursor owns the run's :class:`DefragReport`; :meth:`peek` exposes
+    This is FragPicker's only per-range loop: :meth:`FragPicker.defragment`
+    and :meth:`FragPicker.actor` drive a cursor too.  The cursor fills the
+    run's :class:`DefragReport`, begun by its creator; :meth:`peek` exposes
     the next range so a scheduler can budget its length before committing,
-    :meth:`migrate_next` performs it (with the picker's retry/skip
-    semantics), and :meth:`finish` closes the report — also callable early
-    to abandon the remainder, e.g. after a crash recovery.
+    :meth:`steps` performs it one syscall at a time (with the picker's
+    retry/skip semantics), :meth:`migrate_next` performs it in one go, and
+    :meth:`finish` closes the report — also callable early to abandon the
+    remainder, e.g. after a crash recovery.
     """
 
-    def __init__(self, picker: FragPicker, plans: Sequence[FileRangeList], now: float = 0.0) -> None:
+    def __init__(self, picker: FragPicker, plans: Sequence[FileRangeList], report: DefragReport) -> None:
         self.picker = picker
         self.plans = plans
-        self.report = picker._new_report(plans, now)
-        self._items = picker._work_items(plans)
+        self.report = report
+        # lazy: a file deleted before its turn is skipped
+        self._items = (
+            (plan, file_range)
+            for plan in plans if plan.path in picker.fs.paths
+            for file_range in plan.sorted_by_start()
+        )
         self._head = None
         self.finished = False
 
@@ -411,31 +364,38 @@ class MigrationCursor:
     def exhausted(self) -> bool:
         return self.peek() is None
 
-    def migrate_next(self, now: float) -> float:
-        """Migrate the peeked range; returns the virtual completion time."""
+    def steps(self, now: float, track: str = "main"):
+        """Migrate the peeked range, yielding the running virtual time
+        after every syscall; the ``fragpicker.migrate`` span goes on
+        ``track``."""
         item = self.peek()
         if item is None:
-            return now
+            return
         self._head = None
         plan, file_range = item
         obs = self.picker.fs.obs
         self.report.ranges_examined += 1
         span = (
             obs.span_start(
-                "fragpicker.migrate", now,
+                "fragpicker.migrate", now, track=track,
                 file=plan.path, offset=file_range.start, length=file_range.length,
             )
             if obs.enabled else None
         )
         for now in self.picker._migrate_one(plan, file_range, self.report, now):
-            pass
+            yield now
         if span is not None:
             obs.span_finish(span, now)
+
+    def migrate_next(self, now: float) -> float:
+        """Migrate the peeked range; returns the virtual completion time."""
+        for now in self.steps(now):
+            pass
         return now
 
     def finish(self, now: float) -> DefragReport:
         """Close (and return) the report; idempotent."""
         if not self.finished:
-            self.picker._finish_report(self.report, self.plans, now)
+            self.report.end(self.picker.fs, now)
             self.finished = True
         return self.report

@@ -1,4 +1,4 @@
-"""FragPicker's migration phase (Section 4.2.2 / 4.2.3).
+"""The migration primitive every defrag tool shares (Section 4.2.2 / 4.2.3).
 
 Out-of-place filesystems (F2FS with IPU off, Btrfs): rewriting data at the
 same file offset allocates new blocks — migration is just read + rewrite.
@@ -15,8 +15,9 @@ no filesystem-internal functions.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from ..constants import MIB, block_align_down
 from ..fs.base import FallocMode, FileHandle, Filesystem
@@ -55,10 +56,78 @@ class RetryPolicy:
         return self.backoff * self.multiplier ** retry_index
 
 
-class Migrator:
-    """Executes data migration for one filesystem.
+def out_of_place(fs: Filesystem) -> bool:
+    """Does a plain rewrite move data on this filesystem right now?"""
+    if fs.fs_type == "f2fs":
+        # FragPicker disables IPU around migration; honour the knob.
+        return not getattr(fs, "ipu_enabled", False)
+    return not getattr(fs, "in_place_updates", False)
 
-    When a :class:`MigrationJournal` is supplied, every in-place migration
+
+@contextmanager
+def ipu_disabled(fs: Filesystem):
+    """F2FS sometimes updates in place; turn that off while migrating."""
+    previous = fs.ipu_enabled if fs.fs_type == "f2fs" else None
+    if previous is not None:
+        fs.set_ipu(False)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            fs.set_ipu(previous)
+
+
+def migrate_chunk(
+    fs: Filesystem,
+    handle: FileHandle,
+    write_handle: FileHandle,
+    offset: int,
+    length: int,
+    now: float,
+    in_place: bool,
+    read_io_size: int,
+    journal: Optional[MigrationJournal],
+):
+    """Move one chunk: the copy primitive every defrag tool shares.
+
+    Buffers the chunk with ``read_io_size`` reads through ``handle``.  On
+    an in-place filesystem it then journals the chunk (when a journal is
+    given), deallocates the old, scattered blocks and allocates a fresh
+    contiguous area.  Finally it rewrites the buffer through
+    ``write_handle`` and commits the journal entry.  Yields the running
+    virtual time after every read and after the rewrite.
+    """
+    want_data = fs.page_store.any_content(handle.ino, offset, length)
+    buffered: List[bytes] = []
+    end = offset + length
+    for pos in range(offset, end, read_io_size):
+        read = fs.read(handle, pos, min(read_io_size, end - pos), now=now, want_data=want_data)
+        if want_data:
+            buffered.append(read.data)
+        now = read.finish_time
+        yield now
+    data = b"".join(buffered) if want_data else None
+    token = None
+    if in_place:
+        # journal the chunk before touching the mapping: a crash between
+        # punch and rewrite stays recoverable
+        if journal is not None:
+            token = journal.record(handle.path, handle.ino, offset, length, data)
+        now = fs.fallocate(handle, FallocMode.PUNCH_HOLE, offset, length, now=now).finish_time
+        now = fs.fallocate(handle, FallocMode.ALLOCATE, offset, length, now=now).finish_time
+    now = fs.write(write_handle, offset, length=length, data=data, now=now).finish_time
+    if token is not None:
+        journal.commit(token)
+    yield now
+
+
+class Migrator:
+    """Executes FragPicker's data migration for one filesystem.
+
+    Each range is migrated under the file lock in ``io_size`` chunks by
+    :func:`migrate_chunk` (one O_DIRECT read per chunk), then fsynced,
+    then truncated back should the block-granular rewrite have grown the
+    file.  When a :class:`MigrationJournal` is supplied, every in-place
     chunk is journalled before its range is deallocated, making an
     interrupted migration recoverable (Section 4.2.2's crash-safety
     argument).
@@ -76,13 +145,6 @@ class Migrator:
         self.io_size = io_size
         self.journal = journal
 
-    def _out_of_place(self) -> bool:
-        """Does a plain rewrite move data on this filesystem right now?"""
-        if self.fs.fs_type == "f2fs":
-            # FragPicker disables IPU around migration; honour the knob.
-            return not getattr(self.fs, "ipu_enabled", False)
-        return not getattr(self.fs, "in_place_updates", False)
-
     def migrate_range(self, path: str, file_range: FileRange, now: float = 0.0) -> MigrationOutcome:
         """Move one analysed range into a contiguous area (blocking)."""
         for now in self.migrate_range_steps(path, file_range, now):
@@ -93,81 +155,32 @@ class Migrator:
         """Generator form of :meth:`migrate_range`: yields the running
         virtual time after every syscall, so a co-running engine can
         interleave foreground traffic at request granularity."""
-        inode = self.fs.inode_of(path)
-        start = file_range.start
+        fs = self.fs
+        inode = fs.inode_of(path)
         # O_DIRECT requires block alignment; an unaligned tail block (rare:
         # the experiments use block-sized files) is left alone — it is a
         # single block and cannot be internally fragmented.
         end = min(file_range.end, block_align_down(inode.size))
-        if end <= start:
+        if end <= file_range.start:
             yield now
             return
         original_size = inode.size
-        handle = FileHandle(self.fs, inode.ino, o_direct=True, app=self.app)
-        self.fs.lock_file(path, self.app)
+        handle = FileHandle(fs, inode.ino, o_direct=True, app=self.app)
+        fs.lock_file(path, self.app)
         try:
-            steps = (
-                self._rewrite(handle, start, end, now)
-                if self._out_of_place()
-                else self._punch_and_rewrite(handle, path, start, end, now)
-            )
-            for now in steps:
-                yield now
-            now = self.fs.fsync(handle, now=now).finish_time
+            in_place = not out_of_place(fs)
+            for pos in range(file_range.start, end, self.io_size):
+                length = min(self.io_size, end - pos)
+                for now in migrate_chunk(
+                    fs, handle, handle, pos, length, now,
+                    in_place, self.io_size, self.journal,
+                ):
+                    yield now
+            now = fs.fsync(handle, now=now).finish_time
             yield now
         finally:
-            self.fs.unlock_file(path, self.app)
+            fs.unlock_file(path, self.app)
         if inode.size != original_size:
             # the rewrite is block-granular; never let it extend the file
-            now = self.fs.truncate(handle, original_size, now=now).finish_time
+            now = fs.truncate(handle, original_size, now=now).finish_time
             yield now
-
-    # -- strategies ----------------------------------------------------------
-
-    def _rewrite(self, handle: FileHandle, start: int, end: int, now: float):
-        """Read + rewrite at the same offsets (out-of-place filesystems)."""
-        for chunk_start, chunk_len in self._chunks(start, end):
-            want_data = self.fs.page_store.any_content(handle.ino, chunk_start, chunk_len)
-            read = self.fs.read(handle, chunk_start, chunk_len, now=now, want_data=want_data)
-            now = read.finish_time
-            yield now
-            now = self.fs.write(
-                handle, chunk_start, length=chunk_len, data=read.data, now=now
-            ).finish_time
-            yield now
-
-    def _punch_and_rewrite(self, handle: FileHandle, path: str, start: int, end: int, now: float):
-        """Buffer, deallocate, reallocate contiguously, rewrite (Ext4 path)."""
-        for chunk_start, chunk_len in self._chunks(start, end):
-            # 1. buffer the data (the paper's "internal buffer")
-            want_data = self.fs.page_store.any_content(handle.ino, chunk_start, chunk_len)
-            read = self.fs.read(handle, chunk_start, chunk_len, now=now, want_data=want_data)
-            now = read.finish_time
-            yield now
-            # journal the chunk before touching the mapping: a crash
-            # between punch and rewrite stays recoverable
-            token = None
-            if self.journal is not None:
-                token = self.journal.record(path, handle.ino, chunk_start, chunk_len, read.data)
-            # 2. deallocate the old, scattered blocks
-            now = self.fs.fallocate(
-                handle, FallocMode.PUNCH_HOLE, chunk_start, chunk_len, now=now
-            ).finish_time
-            # 3. allocate a fresh contiguous area
-            now = self.fs.fallocate(
-                handle, FallocMode.ALLOCATE, chunk_start, chunk_len, now=now
-            ).finish_time
-            # 4. rewrite the buffered data into it
-            now = self.fs.write(
-                handle, chunk_start, length=chunk_len, data=read.data, now=now
-            ).finish_time
-            if token is not None:
-                self.journal.commit(token)
-            yield now
-
-    def _chunks(self, start: int, end: int):
-        pos = start
-        while pos < end:
-            take = min(self.io_size, end - pos)
-            yield pos, take
-            pos += take

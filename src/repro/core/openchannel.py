@@ -26,7 +26,6 @@ from ..constants import BLOCK_SIZE
 from ..device.flash import FlashSsd
 from ..errors import InvalidArgument
 from ..fs.base import Filesystem
-from .frag_check import range_is_fragmented
 from .fragpicker import FragPicker, FragPickerConfig
 from .range_list import FileRange
 
@@ -91,33 +90,8 @@ class PbaAwareFragPicker(FragPicker):
         self.inspector = OpenChannelInspector(fs.device)
         self.imbalance_threshold = imbalance_threshold
 
-    def _migrate_one(self, plan, file_range, report, now):
+    def _needs_migration(self, path: str, file_range: FileRange) -> bool:
         """Migrate when LBA-fragmented *or* physically conflicted."""
-        lba_fragmented = range_is_fragmented(self.fs, plan.path, file_range)
-        pba_conflicted = range_is_pba_conflicted(
-            self.inspector, self.fs, plan.path, file_range, self.imbalance_threshold
+        return super()._needs_migration(path, file_range) or range_is_pba_conflicted(
+            self.inspector, self.fs, path, file_range, self.imbalance_threshold
         )
-        if self.config.check_fragmentation and not (lba_fragmented or pba_conflicted):
-            report.ranges_skipped_contiguous += 1
-            yield now
-            return
-        # force migration through the parent by bypassing its LBA check
-        original = self.config
-        try:
-            object.__setattr__(self, "config", _without_check(original))
-            for now in super()._migrate_one(plan, file_range, report, now):
-                yield now
-        finally:
-            object.__setattr__(self, "config", original)
-
-
-def _without_check(config: FragPickerConfig) -> FragPickerConfig:
-    return FragPickerConfig(
-        hotness_criterion=config.hotness_criterion,
-        io_size=config.io_size,
-        readahead_size=config.readahead_size,
-        imitate_readahead=config.imitate_readahead,
-        merge_overlaps=config.merge_overlaps,
-        check_fragmentation=False,
-        app=config.app,
-    )

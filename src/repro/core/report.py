@@ -9,9 +9,11 @@ examined/migrated/skipped, and fragment counts before/after.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 from ..constants import MIB
+from ..fs.base import Filesystem
+from ..fs.fiemap import fragment_count
 
 
 @dataclass
@@ -37,6 +39,20 @@ class DefragReport:
     fragments_after: Dict[str, int] = field(default_factory=dict)
     #: path -> last error, for every range that degraded to skip
     failures: Dict[str, str] = field(default_factory=dict)
+
+    def begin(self, fs: Filesystem, paths: Iterable[str], now: float) -> None:
+        """Open the run: start time and ``filefrag`` of every existing path."""
+        self.started_at = now
+        for path in paths:
+            if path in fs.paths:
+                self.fragments_before[path] = fragment_count(fs, path)
+
+    def end(self, fs: Filesystem, now: float) -> None:
+        """Close the run: finish time and ``filefrag`` of every file still there."""
+        self.finished_at = now
+        for path in self.fragments_before:
+            if path in fs.paths:
+                self.fragments_after[path] = fragment_count(fs, path)
 
     @property
     def elapsed(self) -> float:

@@ -1,15 +1,24 @@
 """Conventional full-file defragmenters (Section 2.3).
 
 All of them migrate the *entire* content of each fragmented file — the
-behaviour FragPicker's selective migration is measured against:
+behaviour FragPicker's selective migration is measured against.  Every
+chunk moves through :func:`repro.core.migration.migrate_chunk`, the step
+FragPicker uses too; only the policy around it is the tool's own:
 
-- On in-place filesystems (Ext4) the tool must relocate blocks explicitly:
-  modelled as read-everything, punch, reallocate contiguously, rewrite —
-  I/O-equivalent to e4defrag's donor-file + ``EXT4_IOC_MOVE_EXT`` dance.
-  e4defrag's observed pathology of issuing 4 KiB reads for fragmented data
-  (Section 5.3.1) is reproduced via ``read_io_size``.
-- On out-of-place filesystems (F2FS with IPU off, Btrfs) a plain rewrite
-  relocates data, so the tool reads and rewrites in place.
+- reads are O_DIRECT at ``read_io_size``.  e4defrag's observed pathology
+  of issuing 4 KiB reads for fragmented data (Section 5.3.1) is
+  reproduced this way.  Writes go through the page cache and are fsynced
+  every ``fsync_every_bytes``.
+- on in-place filesystems (Ext4) each chunk is punched and reallocated
+  contiguously before the rewrite — I/O-equivalent to e4defrag's
+  donor-file + ``EXT4_IOC_MOVE_EXT`` dance.  On out-of-place filesystems
+  (Btrfs) a plain rewrite relocates data.
+- on F2FS the tool turns IPU off around each file, but picks the path
+  *before* that, so on stock F2FS (IPU on) the full-file-rewrite mimic
+  takes the in-place punch+allocate path.  This is a known defect, kept
+  for now; ROADMAP item 3 tracks it.
+- there is no file lock and no truncate, and a file that runs out of
+  space is given up.
 
 ``extent_threshold`` reproduces ``btrfs filesystem defragment -t``: extents
 at least that large are left alone, so only runs of smaller extents are
@@ -24,12 +33,12 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..constants import KIB, MIB, block_align_down
+from ..core.migration import ipu_disabled, migrate_chunk, out_of_place
 from ..core.range_list import FileRange
 from ..core.recovery import MigrationJournal
 from ..core.report import DefragReport
 from ..errors import NoSpaceError
-from ..fs.base import FallocMode, FileHandle, Filesystem
-from ..fs.fiemap import fragment_count
+from ..fs.base import FileHandle, Filesystem
 
 
 @dataclass(frozen=True)
@@ -72,24 +81,34 @@ class ConventionalDefragmenter:
 
     def defragment(self, paths: Iterable[str], now: float = 0.0) -> DefragReport:
         """Defragment each file fully, sequentially."""
-        report = self._new_report(paths, now)
-        for path, file_range in self._work_items(report):
-            report.ranges_examined += 1
-            now = self._migrate_whole(path, file_range, report, now)
-        return self._finish_report(report, now)
+        report = DefragReport(tool=self.tool_name)
+        for now in self._steps(report, paths, now):
+            pass
+        return report
 
     def actor(self, paths: Sequence[str], report_out: Optional[DefragReport] = None):
-        """Co-running generator: yields once per migrated chunk."""
+        """Co-running generator: yields after every migration syscall."""
         def _run(ctx):
             report = report_out if report_out is not None else DefragReport(tool=self.tool_name)
-            self._start_report(report, paths, ctx.now)
-            for path, file_range in self._work_items(report):
-                report.ranges_examined += 1
-                for finish in self._migrate_chunked(path, file_range, report, ctx.now):
-                    ctx.now = finish
-                    yield
-            self._finish_report(report, ctx.now)
+            for now in self._steps(report, paths, ctx.now):
+                ctx.now = now
+                yield
         return _run
+
+    def _steps(self, report: DefragReport, paths: Iterable[str], now: float):
+        """The whole run, yielding the running time after every syscall.
+
+        Per-syscall granularity matters for co-running fairness: a real
+        defragmenter's requests interleave with foreground traffic in the
+        device queue rather than monopolizing it for megabytes at a time.
+        """
+        report.begin(self.fs, paths, now)
+        report.files_examined = len(report.fragments_before)
+        for path, file_range in self._work_items(report):
+            report.ranges_examined += 1
+            for now in self._migrate_range(path, file_range, report, now):
+                yield now
+        report.end(self.fs, now)
 
     # ------------------------------------------------------------------
     # work selection
@@ -142,108 +161,43 @@ class ConventionalDefragmenter:
     # migration mechanics
     # ------------------------------------------------------------------
 
-    def _out_of_place(self) -> bool:
-        if self.fs.fs_type == "f2fs":
-            return not self.fs.ipu_enabled
-        return not getattr(self.fs, "in_place_updates", False)
-
-    def _migrate_whole(self, path: str, file_range: FileRange, report: DefragReport, now: float) -> float:
-        for finish in self._migrate_chunked(path, file_range, report, now):
-            now = finish
-        return now
-
-    def _migrate_chunked(self, path: str, file_range: FileRange, report: DefragReport, now: float):
-        """Migrate a range, yielding after every syscall (for actors).
-
-        Per-syscall granularity matters for co-running fairness: a real
-        defragmenter's requests interleave with foreground traffic in the
-        device queue rather than monopolizing it for megabytes at a time.
-        """
+    def _migrate_range(self, path: str, file_range: FileRange, report: DefragReport, now: float):
+        """Migrate a range chunk by chunk, fsyncing every
+        ``fsync_every_bytes``; gives up on the file when space runs out."""
+        config = self.config
         inode = self.fs.inode_of(path)
-        handle = FileHandle(self.fs, inode.ino, o_direct=True, app=self.config.app)
+        handle = FileHandle(self.fs, inode.ino, o_direct=True, app=config.app)
         write_handle = FileHandle(
-            self.fs, inode.ino, o_direct=not self.config.buffered_writes, app=self.config.app
+            self.fs, inode.ino, o_direct=not config.buffered_writes, app=config.app
         )
-        before = self.fs.tracer.tag(self.config.app).snapshot()
-        out_of_place = self._out_of_place()
-        ipu_restore = None
-        if self.fs.fs_type == "f2fs" and self.fs.ipu_enabled:
-            ipu_restore = True
-            self.fs.set_ipu(False)
-        try:
-            pos = file_range.start
-            unsynced = 0
-            while pos < file_range.end:
-                chunk = min(self.config.write_io_size, file_range.end - pos)
-                for now in self._migrate_chunk(handle, write_handle, pos, chunk, out_of_place, now):
-                    yield now
-                pos += chunk
-                unsynced += chunk
-                if unsynced >= self.config.fsync_every_bytes:
-                    now = self.fs.fsync(write_handle, now=now).finish_time
-                    unsynced = 0
-                    yield now
-            now = self.fs.fsync(write_handle, now=now).finish_time
-        except NoSpaceError:
-            pass  # like real tools: give up on this file
-        finally:
-            if ipu_restore:
-                self.fs.set_ipu(True)
-        delta = self.fs.tracer.tag(self.config.app).delta(before)
+        before = self.fs.tracer.tag(config.app).snapshot()
+        # Known defect, kept for byte-identical results: the predicate is
+        # read *before* IPU is turned off, so stock F2FS takes the in-place
+        # punch+allocate path (ROADMAP item 3).
+        in_place = not out_of_place(self.fs)
+        with ipu_disabled(self.fs):
+            try:
+                unsynced = 0
+                for pos in range(file_range.start, file_range.end, config.write_io_size):
+                    length = min(config.write_io_size, file_range.end - pos)
+                    for now in migrate_chunk(
+                        self.fs, handle, write_handle, pos, length, now,
+                        in_place, config.read_io_size, self.journal,
+                    ):
+                        yield now
+                    unsynced += length
+                    if unsynced >= config.fsync_every_bytes:
+                        now = self.fs.fsync(write_handle, now=now).finish_time
+                        unsynced = 0
+                        yield now
+                now = self.fs.fsync(write_handle, now=now).finish_time
+            except NoSpaceError:
+                pass  # like real tools: give up on this file
+        delta = self.fs.tracer.tag(config.app).delta(before)
         report.read_bytes += delta.read_bytes
         report.write_bytes += delta.write_bytes
         report.ranges_migrated += 1
         yield now
-
-    def _migrate_chunk(self, handle: FileHandle, write_handle: FileHandle, offset: int,
-                       length: int, out_of_place: bool, now: float):
-        """Generator: yields the running time after each syscall."""
-        # reads happen at the tool's read granularity (4 KiB for e4defrag)
-        data_needed = self.fs.page_store.any_content(handle.ino, offset, length)
-        buffered: List[bytes] = []
-        pos = offset
-        while pos < offset + length:
-            take = min(self.config.read_io_size, offset + length - pos)
-            result = self.fs.read(handle, pos, take, now=now, want_data=data_needed)
-            if data_needed and result.data is not None:
-                buffered.append(result.data)
-            now = result.finish_time
-            pos += take
-            yield now
-        data = b"".join(buffered) if data_needed else None
-        token = None
-        if not out_of_place:
-            if self.journal is not None:
-                token = self.journal.record(handle.path, handle.ino, offset, length, data)
-            now = self.fs.fallocate(handle, FallocMode.PUNCH_HOLE, offset, length, now=now).finish_time
-            now = self.fs.fallocate(handle, FallocMode.ALLOCATE, offset, length, now=now).finish_time
-        now = self.fs.write(write_handle, offset, length=length, data=data, now=now).finish_time
-        if token is not None:
-            self.journal.commit(token)
-        yield now
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def _new_report(self, paths: Iterable[str], now: float) -> DefragReport:
-        report = DefragReport(tool=self.tool_name)
-        self._start_report(report, paths, now)
-        return report
-
-    def _start_report(self, report: DefragReport, paths: Iterable[str], now: float) -> None:
-        report.started_at = now
-        for path in paths:
-            if path in self.fs.paths:
-                report.fragments_before[path] = fragment_count(self.fs, path)
-        report.files_examined = len(report.fragments_before)
-
-    def _finish_report(self, report: DefragReport, now: float) -> DefragReport:
-        report.finished_at = now
-        for path in report.fragments_before:
-            if path in self.fs.paths:
-                report.fragments_after[path] = fragment_count(self.fs, path)
-        return report
 
 
 # ----------------------------------------------------------------------

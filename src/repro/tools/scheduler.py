@@ -16,6 +16,7 @@ from typing import Callable, List
 from ..core.report import DefragReport
 from ..errors import InvalidArgument
 from ..fs.base import Filesystem
+from ..sim.engine import ActorContext
 
 #: builds a fresh background actor for one defrag cycle; receives the
 #: report to fill.  Both ConventionalDefragmenter.actor(...) and
@@ -80,12 +81,7 @@ class ScheduledDefrag:
         for _ in range(self.cycles):
             now += self.period
             report = DefragReport(tool="scheduled")
-
-            class _Ctx:
-                pass
-
-            ctx = _Ctx()
-            ctx.now = now
+            ctx = ActorContext(name="defrag", now=now)
             for _ in self.make_cycle(report)(ctx):
                 pass
             now = ctx.now

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constants import BLOCK_SIZE, GIB, KIB
-from repro.core import FragPicker
+from repro.core import FragPicker, FragPickerConfig, RetryPolicy
 from repro.core.openchannel import (
     OpenChannelInspector,
     PbaAwareFragPicker,
@@ -12,7 +12,11 @@ from repro.core.openchannel import (
 from repro.core.range_list import FileRange
 from repro.device import make_device
 from repro.errors import InvalidArgument
+from repro.faults import FaultPlan
+from repro.faults import hooks as fault_hooks
 from repro.fs import make_filesystem
+from repro.obs import hooks as obs_hooks
+from repro.obs.hooks import Instrumentation
 
 
 def flash_fs():
@@ -88,3 +92,31 @@ def test_pba_picker_also_fixes_lba_fragmentation():
     report = picker.defragment(plans=picker.bypass_plans(["/lba"]), now=now)
     assert fs.inode_of("/lba").fragment_count() == 1
     assert report.ranges_migrated > 0
+
+
+def test_pba_picker_keeps_the_retry_policy():
+    # one transient write fault; with attempts=1 the range must fail at
+    # once instead of being retried under the default policy
+    plane = fault_hooks.arm(FaultPlan().io_error("fs.write", max_fires=1), active=False)
+    try:
+        fs, _ = flash_fs()
+        now = concentrate(fs)
+        picker = PbaAwareFragPicker(fs, FragPickerConfig(retry=RetryPolicy(attempts=1)))
+        plane.activate()
+        report = picker.defragment_bypass(["/f"], now=now)
+    finally:
+        fault_hooks.disarm()
+    assert report.retries == 0
+    assert report.ranges_failed == 1
+
+
+def test_pba_picker_reports_skips_like_the_base_picker():
+    obs = Instrumentation()
+    with obs_hooks.use(obs):
+        fs, _ = flash_fs()
+        handle = fs.open("/f", o_direct=True, create=True)
+        now = fs.write(handle, 0, 128 * KIB).finish_time
+        report = PbaAwareFragPicker(fs).defragment_bypass(["/f"], now=now)
+    skips = [e for e in obs.spans.events if e.name == "fragpicker.skip_contiguous"]
+    assert report.ranges_skipped_contiguous > 0
+    assert len(skips) == report.ranges_skipped_contiguous
