@@ -296,9 +296,12 @@ class StorageDevice(abc.ABC):
             )
         if observing:
             # wall-clock partition of this batch's latency for attribution:
-            # wait behind earlier traffic, then service from pickup to drain
+            # wait behind earlier traffic, then service from pickup to drain;
+            # the attribution-only plane (no per-command records) discards
+            # busy_until, so it is not computed for it
             self.obs.device_batch(
-                self.name, len(commands), self.busy_until,
+                self.name, len(commands),
+                self.busy_until if per_command else 0.0,
                 queue_wait=pickup - start_time,
                 service_time=batch_finish - pickup,
                 penalty_time=batch_penalty,

@@ -299,14 +299,19 @@ class Filesystem(abc.ABC):
         data = self.page_store.read(inode.ino, offset, length) if want_data else None
         if self._observing:
             self.obs.syscall("read", finish - entry_time)
-            self.obs.fs_cpu(self._probe_cost)
+            if self._probe_cost:
+                self.obs.fs_cpu(self._probe_cost)
             if pid:
                 self.obs.provenance.syscall(
                     pid, "read", app=handle.app, path=inode.path,
                     ino=inode.ino, offset=offset, size=length,
                     start=entry_time, end=finish, requests=requests,
                 )
-        return SyscallResult(finish, finish - entry_time, requests, moved, data)
+        # tuple.__new__ skips the generated keyword-parsing __new__ (one
+        # result per read); all five fields, in declaration order
+        return tuple.__new__(
+            SyscallResult, (finish, finish - entry_time, requests, moved, data)
+        )
 
     # The _read_*/_write_* path helpers return a plain ``(finish,
     # requests, bytes)`` tuple: read/write build the one SyscallResult.
@@ -402,14 +407,17 @@ class Filesystem(abc.ABC):
             finish, requests, moved = self._write_buffered(handle, inode, offset, length, now, pid)
         if self._observing:
             self.obs.syscall("write", finish - entry_time)
-            self.obs.fs_cpu(self._probe_cost)
+            if self._probe_cost:
+                self.obs.fs_cpu(self._probe_cost)
             if pid:
                 self.obs.provenance.syscall(
                     pid, "write", app=handle.app, path=inode.path,
                     ino=inode.ino, offset=offset, size=length,
                     start=entry_time, end=finish, requests=requests,
                 )
-        return SyscallResult(finish, finish - entry_time, requests, moved)
+        return tuple.__new__(
+            SyscallResult, (finish, finish - entry_time, requests, moved, None)
+        )
 
     def _write_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
@@ -426,8 +434,8 @@ class Filesystem(abc.ABC):
     def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
-        # a list, not a range: the LRU keys and both per-inode sets then
-        # share one int object per page instead of making one each
+        # a list, not a range: the stamp map and the dirty set then share
+        # one int object per page instead of making one each
         evicted = self.page_cache.mark_dirty(inode.ino, list(range(first, last + 1)))
         finish = now + length / self.costs.memcpy_rate + self.costs.syscall_overhead
         if self._observing:

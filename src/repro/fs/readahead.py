@@ -69,4 +69,6 @@ class ReadaheadState:
             fetch_end = min(fetch_end, block_align_up(file_size))
         fetch_end = max(fetch_end, req_start)
         self._next_expected = offset + length
-        return ReadPlan(req_start, fetch_end, sequential)
+        # tuple.__new__ skips the generated keyword-parsing __new__ (one
+        # plan per buffered read)
+        return tuple.__new__(ReadPlan, (req_start, fetch_end, sequential))

@@ -136,6 +136,8 @@ class Instrumentation:
             slo.bind(self)
         # get-or-create caches so hot hooks skip name formatting when possible
         self._syscall: Dict[str, Tuple[Counter, Histogram]] = {}
+        #: the attribution-only facade's latency histograms by op
+        self._latency: Dict[str, Histogram] = {}
         self._device: Dict[Tuple[str, str], Histogram] = {}
         self._device_batch: Dict[str, Tuple[Histogram, Gauge]] = {}
         self._actor: Dict[str, Histogram] = {}
@@ -186,10 +188,15 @@ class Instrumentation:
         queue_wait: float = 0.0,
         base_cpu: float = 0.0,
     ) -> None:
-        self._fanout.observe(fanout)
         self._kernel_time.inc(kernel_time)
         self._requests.inc(fanout)
         self._backlog.set(backlog)
+        self._attribute_submit(fanout, kernel_time, queue_wait, base_cpu)
+
+    def _attribute_submit(
+        self, fanout: int, kernel_time: float, queue_wait: float, base_cpu: float
+    ) -> None:
+        self._fanout.observe(fanout)
         self._attr_kernel_queue.inc(queue_wait)
         base = min(base_cpu, kernel_time)
         self._attr_kernel_base.inc(base)
@@ -289,16 +296,38 @@ class Instrumentation:
 class AttributionInstrumentation(Instrumentation):
     """Live facade that records only what a latency attribution reads.
 
-    The syscall counters and latency histograms, ``fs_cpu`` and
-    ``block_submit`` (split fan-out, the kernel components) record as in
-    the full facade.  Devices and tracers built under it skip the
-    per-command ``device_command`` histograms and ``block.cmd`` events,
-    and ``device_batch`` feeds only the ``attrib.device_*`` counters, so
-    an attribution or fan-out summary read from it equals the full
-    facade's.
+    It keeps the ``attrib.*`` counters, the ``fs.syscall_latency.<op>``
+    histograms (their sum and count are the attribution's total) and the
+    ``block.split_fanout`` histogram, each exactly as the full facade
+    records them, so an attribution or fan-out summary read from it
+    equals the full facade's.  It skips everything else: the
+    ``fs.syscall.<op>`` counters (the histogram counts the same calls),
+    ``block.kernel_time_s``, ``block.requests`` and
+    ``block.queue_backlog_s``.  Devices and tracers built under it skip
+    the per-command ``device_command`` histograms and ``block.cmd``
+    events, and ``device_batch`` feeds only the ``attrib.device_*``
+    counters (devices do not compute ``busy_until`` for it).
     """
 
     per_command = False
+
+    def syscall(self, op: str, latency: float) -> None:
+        hist = self._latency.get(op)
+        if hist is None:
+            hist = self._latency[op] = self.registry.histogram(
+                f"fs.syscall_latency.{op}"
+            )
+        hist.observe(latency)
+
+    def block_submit(
+        self,
+        fanout: int,
+        kernel_time: float,
+        backlog: float,
+        queue_wait: float = 0.0,
+        base_cpu: float = 0.0,
+    ) -> None:
+        self._attribute_submit(fanout, kernel_time, queue_wait, base_cpu)
 
     def device_batch(
         self,

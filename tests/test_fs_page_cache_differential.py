@@ -1,17 +1,21 @@
-"""Differential test: the per-inode page-cache API against the key-based one.
+"""Differential test: the stamp-ordered page cache against the key-based one.
 
 ``KeyedPageCache`` keeps the page cache as it was when every call took
-``(ino, page)`` keys one page at a time.  Seeded streams of probes, fills,
-dirtying, cleaning, inode invalidation and ``drop_clean`` over four
-inodes run through both at capacities small enough that dirty pages get
-evicted, and after every step the LRU order, the stats, the dirty count,
-the per-inode indexes and every returned value (missing pages, evicted
-keys, drop counts) must be identical.
+``(ino, page)`` keys one page at a time, with an ``OrderedDict`` LRU.
+Seeded streams of probes, fills, dirtying, cleaning, inode invalidation
+and ``drop_clean`` over four inodes run through both at capacities small
+enough that dirty pages get evicted, and after every step the LRU order
+(``lru_keys()``), the stats, the dirty count, the per-inode indexes and
+every returned value (missing pages, evicted keys, drop counts) must be
+identical.  Long streams over a few resident pages make the touch log
+compact, and a deep copy taken mid-stream must go on like the original.
 """
 
+import copy
 import random
+import tracemalloc
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import pytest
 
@@ -129,48 +133,64 @@ def pages_arg(rng: random.Random):
 
 
 def state(cache) -> tuple:
+    """LRU order, stats, dirty count and the per-inode indexes."""
+    if isinstance(cache, KeyedPageCache):
+        lru, by_ino = list(cache._lru), cache._by_ino
+    else:
+        lru = list(cache.lru_keys())
+        by_ino = {ino: set(stamps) for ino, stamps in cache._stamps.items()}
+        assert len(cache) == len(lru)
     return (
-        list(cache._lru), cache.stats.hits, cache.stats.misses,
-        cache._dirty_total, cache._by_ino, cache._dirty_by_ino,
+        lru, cache.stats.hits, cache.stats.misses,
+        cache._dirty_total, by_ino, cache._dirty_by_ino,
     )
 
 
-def run_stream(seed: int, capacity: int, steps: int) -> int:
-    """Drive both caches; returns how many dirty pages were evicted."""
+def run_stream(seed: int, capacity: int, steps: int, copy_at: Optional[int] = None) -> int:
+    """Drive both caches; returns how many dirty pages were evicted.
+
+    With ``copy_at``, a ``copy.deepcopy`` of the cache taken before that
+    step is driven beside the original from then on, and both must keep
+    matching the reference.
+    """
     rng = random.Random(seed)
-    new, ref = PageCache(capacity), KeyedPageCache(capacity)
+    ref = KeyedPageCache(capacity)
+    caches = [PageCache(capacity)]
     evicted_dirty = 0
     for step in range(steps):
+        if step == copy_at:
+            caches.append(copy.deepcopy(caches[0]))
         roll = rng.random()
         ino = rng.randrange(INODES)
         if roll < 0.3:
             first = rng.randrange(PAGES_PER_INODE)
             last = first + rng.randint(0, 10)
-            got = new.probe(ino, first, last)
+            got = [new.probe(ino, first, last) for new in caches]
             want = [p for p in range(first, last + 1) if not ref.probe((ino, p))]
         elif roll < 0.55:
             pages = pages_arg(rng)
-            got = new.fill(ino, pages)
+            got = [new.fill(ino, pages) for new in caches]
             want = ref.fill((ino, p) for p in pages)
-            evicted_dirty += len(got)
+            evicted_dirty += len(want)
         elif roll < 0.85:
             pages = pages_arg(rng)
-            got = new.mark_dirty(ino, pages)
+            got = [new.mark_dirty(ino, pages) for new in caches]
             want = ref.mark_dirty((ino, p) for p in pages)
-            evicted_dirty += len(got)
+            evicted_dirty += len(want)
         elif roll < 0.93:
             pages = pages_arg(rng)
-            got = new.clean(ino, pages)
+            got = [new.clean(ino, pages) for new in caches]
             want = ref.clean(ino, pages)
         elif roll < 0.97:
-            got = new.invalidate_inode(ino)
+            got = [new.invalidate_inode(ino) for new in caches]
             want = ref.invalidate_inode(ino)
         else:
-            got = new.drop_clean()
+            got = [new.drop_clean() for new in caches]
             want = ref.drop_clean()
-        assert got == want, (seed, step)
-        assert new.dirty_count() == ref._dirty_total
-        assert state(new) == state(ref), (seed, step)
+        for new in caches:
+            assert got.pop(0) == want, (seed, step)
+            assert new.dirty_count() == ref._dirty_total
+            assert state(new) == state(ref), (seed, step)
     return evicted_dirty
 
 
@@ -178,3 +198,49 @@ def run_stream(seed: int, capacity: int, steps: int) -> int:
 def test_per_inode_api_matches_keyed_cache(capacity):
     evicted = sum(run_stream(seed * 31 + capacity, capacity, 300) for seed in range(25))
     assert evicted > 0  # dirty eviction is part of what is compared
+
+
+def test_long_stream_compacts_the_touch_log(monkeypatch):
+    """Thousands of touches over a handful of resident pages: the log is
+    rebuilt many times, and LRU order survives every rebuild."""
+    compactions = []
+    compact = PageCache._compact
+
+    def counted(cache):
+        compactions.append(cache._logged)
+        compact(cache)
+
+    monkeypatch.setattr(PageCache, "_compact", counted)
+    for seed in range(3):
+        run_stream(1000 + seed, 4, 3000)
+    assert len(compactions) > 100
+
+
+@pytest.mark.parametrize("copy_at", [0, 150, 299])
+def test_deep_copy_continues_identically(copy_at):
+    """An aged filesystem is deep-copied mid-life; the copy and the
+    original must each go on exactly as the reference does."""
+    for seed in range(5):
+        run_stream(seed * 7 + copy_at, 16, 300, copy_at=copy_at)
+
+
+def test_resident_page_costs_at_most_160_bytes():
+    """131,072 resident pages: 64 inodes x 2,048, filled in 32-page runs,
+    then probed in 16-page runs (every probe hits)."""
+    inodes, pages_per_inode = 64, 2048
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = PageCache()
+        for ino in range(inodes):
+            for first in range(0, pages_per_inode, 32):
+                cache.fill(ino, range(first, first + 32))
+        for ino in range(inodes):
+            for first in range(0, pages_per_inode, 16):
+                assert cache.probe(ino, first, first + 15) == []
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    resident = inodes * pages_per_inode
+    assert len(cache) == resident
+    assert held / resident <= 160, held / resident

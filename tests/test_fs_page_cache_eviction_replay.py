@@ -1,0 +1,92 @@
+"""End-to-end pin of page-cache eviction under a trace replay.
+
+Every other replay runs with the default 4 GiB cache, so nothing there
+ever evicts.  Here a seeded corpus replays through ``Reconstructor`` onto
+ext4 on flash with a 1,024-page cache (half the corpus), small enough that
+both clean and dirty pages are evicted.  The digest covers the
+reconstruction stats, the cache hits and misses, the clean and dirty
+eviction counts, the device traffic of every tag (eviction writeback
+included) and the finish time, so any change to LRU order, eviction
+keys or hit accounting moves it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.constants import GIB, MIB
+from repro.device import make_device
+from repro.fs import make_filesystem
+from repro.replay import PlacementPolicy, Reconstructor, TraceProfile, generate_ops
+
+#: seed -> digest of the replay (see ``_replay``)
+GOLDEN = {
+    0: "7cd5603b0ef0f588",
+    1: "476a467fd88b49b3",
+}
+
+
+class _EvictionCounter:
+    """Counts the pages each fill/mark_dirty call evicted, clean or dirty,
+    from the cache's public surface: its length, membership and the dirty
+    keys the call returns."""
+
+    def __init__(self, cache) -> None:
+        self.cache = cache
+        self.clean = 0
+        self.dirty = 0
+        self._depth = 0
+        for name in ("fill", "mark_dirty"):
+            setattr(cache, name, self._wrap(getattr(cache, name)))
+
+    def _wrap(self, inner):
+        def call(ino, pages):
+            if self._depth:
+                return inner(ino, pages)
+            cache = self.cache
+            new = sum(1 for page in set(pages) if (ino, page) not in cache)
+            before = len(cache)
+            self._depth += 1
+            try:
+                written = inner(ino, pages)
+            finally:
+                self._depth -= 1
+            evicted = before + new - len(cache)
+            self.dirty += len(written)
+            self.clean += evicted - len(written)
+            return written
+        return call
+
+
+def _replay(seed: int):
+    device = make_device("flash", capacity=1 * GIB)
+    fs = make_filesystem("ext4", device, page_cache_pages=1024)
+    counter = _EvictionCounter(fs.page_cache)
+    profile = TraceProfile(
+        ops=3_000, seed=seed, files=8, file_bytes=1 * MIB,
+        read_fraction=0.6, sequential_fraction=0.5,
+        direct_fraction=0.3, fsync_every=24,
+    )
+    reconstructor = Reconstructor(fs, PlacementPolicy(seed=seed))
+    finish = reconstructor.run(generate_ops(profile), now=0.0)
+    stats = fs.page_cache.stats
+    body = {
+        "reconstruction": reconstructor.stats.to_dict(),
+        "cache": [stats.hits, stats.misses],
+        "evicted": [counter.clean, counter.dirty],
+        "traffic": {tag: vars(counter) for tag, counter in sorted(fs.tracer.by_tag.items())},
+        "finish": repr(finish),
+    }
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16], counter, fs
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_replay_under_eviction_is_pinned(seed):
+    digest, counter, fs = _replay(seed)
+    assert counter.clean > 0 and counter.dirty > 0
+    assert len(fs.page_cache) <= fs.page_cache.capacity_pages
+    assert digest == GOLDEN[seed]
