@@ -161,7 +161,7 @@ class StorageDevice(abc.ABC):
             return _batch_result(BatchResult, (start_time, start_time, 0.0, 0))
         capacity = self.capacity
         for command in commands:
-            if command.offset + command.length > capacity:
+            if command.offset < 0 or command.offset + command.length > capacity:
                 raise DeviceError(
                     f"{self.name}: command [{command.offset}, "
                     f"{command.offset + command.length}) beyond capacity {capacity}"

@@ -28,6 +28,9 @@ from .ftl import PageMappingFtl
 #: entries never go stale and which one is evicted cannot change a plan
 READ_PLAN_CACHE_ENTRIES = 4096
 
+#: bound on the write-plan memo, keyed on (first channel, pages, bytes)
+WRITE_PLAN_CACHE_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class FlashParams:
@@ -68,6 +71,10 @@ class FlashSsd(StorageDevice):
         # and the byte length, so keyed on those it never needs dropping
         # when the mapping moves.
         self._read_plan_cache: Dict[Tuple[bytes, int], CommandPlan] = {}
+        # A write that relocates nothing stripes its pages from the
+        # cursor, so its plan is a pure function of the first channel,
+        # the page count (an unaligned offset adds one) and the bytes.
+        self._write_plan_cache: Dict[Tuple[int, int, int], CommandPlan] = {}
         # repeated-addition prefix table (see base.extend_sums): keeps
         # batch-counted channel totals bit-identical to the old
         # accumulation loop
@@ -85,7 +92,6 @@ class FlashSsd(StorageDevice):
         if command.op is IoOp.DISCARD:
             self.ftl.invalidate(self._pages_of(command))
             return self._discard_overhead_plan
-        per_channel: Dict[int, float] = {}
         if command.op is IoOp.READ:
             offset = command.offset
             lanes = self.ftl.lanes(
@@ -113,20 +119,32 @@ class FlashSsd(StorageDevice):
                 del cache[next(iter(cache))]
             cache[key] = plan
             return plan
-        else:
-            result = self.ftl.write(self._pages_of(command))
-            for channel, pages in result.pages_per_channel.items():
-                per_channel[channel] = per_channel.get(channel, 0.0) + pages * self.params.page_program
-            if result.relocated_pages:
-                # GC copyback work, spread over the channels it runs on
-                share = result.relocated_pages * self.params.gc_page_cost / self.params.channels
-                for channel in range(self.params.channels):
-                    per_channel[channel] = per_channel.get(channel, 0.0) + share
-        return CommandPlan(
+        result = self.ftl.write(self._pages_of(command))
+        relocated = result.relocated_pages
+        cache = self._write_plan_cache
+        if not relocated:
+            key = (result.first_channel, result.pages, command.length)
+            plan = cache.get(key)
+            if plan is not None:
+                return plan
+        per_channel: Dict[int, float] = {}
+        for channel, count in result.pages_per_channel.items():
+            per_channel[channel] = per_channel.get(channel, 0.0) + count * self.params.page_program
+        if relocated:
+            # GC copyback work, spread over the channels it runs on
+            share = relocated * self.params.gc_page_cost / self.params.channels
+            for channel in range(self.params.channels):
+                per_channel[channel] = per_channel.get(channel, 0.0) + share
+        plan = CommandPlan(
             controller_time=self.params.command_overhead,
             unit_work=tuple(per_channel.items()),
             link_bytes=command.length,
         )
+        if not relocated:
+            if len(cache) >= WRITE_PLAN_CACHE_ENTRIES:
+                del cache[next(iter(cache))]
+            cache[key] = plan
+        return plan
 
     def describe(self):
         info = super().describe()

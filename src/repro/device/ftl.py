@@ -18,18 +18,36 @@ Implements the flash behaviour the paper leans on in Sections 2.2/3.3:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import ge
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..errors import DeviceError
 
+#: log2 of the lpns one l2p chunk covers; a chunk is allocated on the
+#: first write into it, so sparse volumes map only what they touch
+L2P_CHUNK_BITS = 10
+L2P_CHUNK = 1 << L2P_CHUNK_BITS
+_CHUNK_MASK = L2P_CHUNK - 1
+
+#: physical page numbers and lpns are stored as C ``int``s
+_PAGE_LIMIT = 1 << 31
+
 
 @dataclass
 class EraseBlock:
-    """One flash erase block: an append-only list of page slots."""
+    """One flash erase block: append-only page slots.
+
+    Slot ``s`` is physical page ``base + s`` and ``pages[s]`` is the lpn
+    programmed there.  The slot is live while the l2p maps that lpn to
+    ``base + s``; an overwrite or discard only moves the l2p entry.
+    """
 
     channel: int
-    pages: List[Optional[int]] = field(default_factory=list)
+    base: int
+    pages: array
     valid_count: int = 0
     erase_count: int = 0
 
@@ -37,13 +55,43 @@ class EraseBlock:
 class FtlWriteResult(NamedTuple):
     """Channel load and GC work produced by one logical write."""
 
-    pages_per_channel: Dict[int, int]
+    first_channel: int
+    pages: int
+    channels: int
     relocated_pages: int
     erased_blocks: int
 
+    @property
+    def pages_per_channel(self) -> Dict[int, int]:
+        """Pages per channel in first-occurrence order.
+
+        Round-robin striping: the first ``pages % channels`` channels from
+        ``first_channel`` get one page more.
+        """
+        channels = self.channels
+        rounds, extra = divmod(self.pages, channels)
+        per_channel: Dict[int, int] = {}
+        channel = self.first_channel
+        for i in range(min(self.pages, channels)):
+            per_channel[channel] = rounds + 1 if i < extra else rounds
+            channel += 1
+            if channel == channels:
+                channel = 0
+        return per_channel
+
+
+#: builds an :class:`FtlWriteResult` from a 5-tuple without the generated
+#: keyword-parsing ``__new__`` (one per write on the hot path)
+_write_result = tuple.__new__
+
 
 class PageMappingFtl:
-    """Page-level logical-to-physical mapping with greedy GC."""
+    """Page-level logical-to-physical mapping with greedy GC.
+
+    The l2p is a dict of ``array('i')`` chunks of physical page numbers,
+    one per :data:`L2P_CHUNK` lpns touched; a physical page is
+    ``block.base + slot``.
+    """
 
     def __init__(
         self,
@@ -65,10 +113,14 @@ class PageMappingFtl:
             gc_free_block_threshold + 2,
             -(-physical_pages // (pages_per_block * channels)),
         )
+        if max(logical_pages, per_channel_blocks * channels * pages_per_block) > _PAGE_LIMIT:
+            raise DeviceError("page numbers must fit in 32 bits")
         self.blocks_per_channel = per_channel_blocks
         self.gc_free_block_threshold = gc_free_block_threshold
-        #: lpn -> (EraseBlock, slot index)
-        self.mapping: Dict[int, Tuple[EraseBlock, int]] = {}
+        #: chunk -> ``array('i')`` of physical pages, -1 while unmapped
+        self._l2p: Dict[int, array] = {}
+        #: every created block, indexed by ``ppn // pages_per_block``
+        self._blocks: List[EraseBlock] = []
         self._active: List[Optional[EraseBlock]] = [None] * channels
         self._sealed: List[List[EraseBlock]] = [[] for _ in range(channels)]
         self._free_pool: List[List[EraseBlock]] = [[] for _ in range(channels)]
@@ -108,11 +160,34 @@ class PageMappingFtl:
         tail = range(max(first, len(chan)), last + 1)
         return bytes(chan[first:]) + bytes(lpn % channels for lpn in tail)
 
+    @property
+    def mapping(self) -> Dict[int, Tuple[EraseBlock, int]]:
+        """Read-only ``{lpn: (block, slot)}`` view, built on each access."""
+        blocks = self._blocks
+        per_block = self.pages_per_block
+        view: Dict[int, Tuple[EraseBlock, int]] = {}
+        for key, chunk in sorted(self._l2p.items()):
+            # only the mapped entries of a chunk reach the Python loop
+            mapped = list(map(ge, chunk, repeat(0)))
+            lpns = compress(count(key << L2P_CHUNK_BITS), mapped)
+            for lpn, ppn in zip(lpns, compress(chunk, mapped)):
+                number, slot = divmod(ppn, per_block)
+                view[lpn] = (blocks[number], slot)
+        return view
+
     def _grow(self, lpn: int) -> int:
         """Extend ``_chan`` over ``lpn`` with the striped pattern; new length."""
         chan = self._chan
         chan += self._stripe * -(-(lpn + 1 - len(chan)) // self.channels)
         return len(chan)
+
+    def _chunk(self, lpn: int) -> array:
+        """The l2p chunk holding ``lpn``, allocated unmapped if new."""
+        key = lpn >> L2P_CHUNK_BITS
+        chunk = self._l2p.get(key)
+        if chunk is None:
+            chunk = self._l2p[key] = array("i", [-1]) * L2P_CHUNK
+        return chunk
 
     @property
     def write_amplification(self) -> float:
@@ -127,7 +202,9 @@ class PageMappingFtl:
             return self._free_pool[channel].pop()
         if self._created_blocks[channel] < self.blocks_per_channel:
             self._created_blocks[channel] += 1
-            return EraseBlock(channel)
+            block = EraseBlock(channel, len(self._blocks) * self.pages_per_block, array("i"))
+            self._blocks.append(block)
+            return block
         return None
 
     def _free_blocks_available(self, channel: int) -> int:
@@ -159,19 +236,18 @@ class PageMappingFtl:
         check and GC trigger inlined.  GC runs only when the channel's
         free blocks (pooled + never created) drop below the threshold —
         the condition ``_maybe_gc`` itself loops on.  The destination
-        slot is taken before the page's old slot is cleared, so a channel
-        out of space leaves the old mapping intact.  Before any call that
-        can raise, ``_next_channel`` and ``host_pages_written`` are
-        stored, so a failure mid-list leaves the pages already written
-        accounted for.
+        slot is taken before the page's old copy is released, so a
+        channel out of space leaves the old mapping live.  Before any
+        call that can raise, ``_next_channel`` and ``host_pages_written``
+        are stored, so a failure mid-list leaves the pages already
+        written accounted for.
         """
         logical_pages = self.logical_pages
         channels = self.channels
         pages_per_block = self.pages_per_block
         threshold = self.gc_free_block_threshold
         blocks_per_channel = self.blocks_per_channel
-        mapping = self.mapping
-        mapping_get = mapping.get
+        blocks = self._blocks
         chan = self._chan
         chan_len = len(chan)
         active = self._active
@@ -182,10 +258,16 @@ class PageMappingFtl:
         written = 0
         relocated = 0
         erased = 0
+        bits = L2P_CHUNK_BITS
+        mask = _CHUNK_MASK
+        key = -1
+        chunk = None
         for lpn in lpns:
-            if lpn >= logical_pages:
+            if lpn >= logical_pages or lpn < 0:
                 self._next_channel = channel
                 self.host_pages_written = host_base + written
+                if lpn < 0:
+                    raise DeviceError(f"lpn {lpn} is negative")
                 raise DeviceError(f"lpn {lpn} beyond logical capacity")
             following = channel + 1
             if following == channels:
@@ -201,13 +283,15 @@ class PageMappingFtl:
                 self._next_channel = following
                 self.host_pages_written = host_base + written
                 block = self._open_block(channel)
-            old = mapping_get(lpn)
-            if old is not None:
-                old_block, slot = old
-                old_block.pages[slot] = None
-                old_block.valid_count -= 1
+            if lpn >> bits != key:
+                key = lpn >> bits
+                chunk = self._chunk(lpn)
+            index = lpn & mask
+            old = chunk[index]
+            if old >= 0:
+                blocks[old // pages_per_block].valid_count -= 1
             pages = block.pages
-            mapping[lpn] = (block, len(pages))
+            chunk[index] = block.base + len(pages)
             if lpn >= chan_len:
                 chan_len = self._grow(lpn)
             chan[lpn] = channel
@@ -217,31 +301,26 @@ class PageMappingFtl:
             channel = following
         self._next_channel = channel
         self.host_pages_written = host_base + written
-        # round-robin striping: the first ``written % channels`` channels
-        # from ``start`` get one page more, in first-occurrence order
-        per_channel: Dict[int, int] = {}
-        rounds, extra = divmod(written, channels)
-        channel = start
-        for i in range(min(written, channels)):
-            per_channel[channel] = rounds + 1 if i < extra else rounds
-            channel += 1
-            if channel == channels:
-                channel = 0
-        return FtlWriteResult(per_channel, relocated, erased)
+        return _write_result(FtlWriteResult, (start, written, channels, relocated, erased))
 
     def invalidate(self, lpns: Iterable[int]) -> int:
         """Discard: drop mappings, freeing the pages for GC.  Returns count."""
         dropped = 0
-        mapping_pop = self.mapping.pop
+        l2p_get = self._l2p.get
+        blocks = self._blocks
+        per_block = self.pages_per_block
         chan = self._chan
         channels = self.channels
         for lpn in lpns:
-            entry = mapping_pop(lpn, None)
-            if entry is not None:
+            chunk = l2p_get(lpn >> L2P_CHUNK_BITS)
+            if chunk is None:
+                continue
+            index = lpn & _CHUNK_MASK
+            ppn = chunk[index]
+            if ppn >= 0:
+                chunk[index] = -1
                 chan[lpn] = lpn % channels
-                block, slot = entry
-                block.pages[slot] = None
-                block.valid_count -= 1
+                blocks[ppn // per_block].valid_count -= 1
                 dropped += 1
         return dropped
 
@@ -268,40 +347,40 @@ class PageMappingFtl:
         return sealed.pop(best_idx)
 
     def _collect(self, victim: EraseBlock) -> int:
-        """Relocate valid pages out of ``victim`` and erase it.
+        """Relocate the live pages out of ``victim`` and erase it.
 
-        Each page's destination is taken before its victim slot is
-        cleared.  If the channel wedges mid-relocation the victim, still
-        holding its unmoved pages, goes back to the sealed list.
+        Relocations stay on the victim's channel (intra-channel copyback),
+        so ``_chan`` needs no update.  Each page's destination is taken
+        before its victim slot is released.  If the channel wedges
+        mid-relocation the victim, still holding its unmoved pages, goes
+        back to the sealed list.
         """
         moved = 0
         channel = victim.channel
-        pages = victim.pages
+        per_block = self.pages_per_block
+        l2p = self._l2p
+        block = self._active[channel]
+        ppn = victim.base
         try:
-            for slot, lpn in enumerate(pages):
-                if lpn is None:
-                    continue
-                # Relocations stay on the victim's channel (intra-channel
-                # copyback), so ``_chan`` needs no update.
-                self._program_relocation(channel, lpn)
-                pages[slot] = None
-                victim.valid_count -= 1
-                moved += 1
+            for lpn in victim.pages:
+                chunk = l2p[lpn >> L2P_CHUNK_BITS]
+                index = lpn & _CHUNK_MASK
+                if chunk[index] == ppn:
+                    if block is None or len(block.pages) >= per_block:
+                        block = self._open_block(channel, "wedged during GC")
+                    chunk[index] = block.base + len(block.pages)
+                    block.pages.append(lpn)
+                    block.valid_count += 1
+                    victim.valid_count -= 1
+                    moved += 1
+                ppn += 1
         except DeviceError:
             self.relocated_pages_total += moved
             self._sealed[channel].append(victim)
             raise
-        victim.pages = []
+        victim.pages = array("i")
         victim.erase_count += 1
         self.total_erases += 1
         self.relocated_pages_total += moved
         self._free_pool[channel].append(victim)
         return moved
-
-    def _program_relocation(self, channel: int, lpn: int) -> None:
-        block = self._active[channel]
-        if block is None or len(block.pages) >= self.pages_per_block:
-            block = self._open_block(channel, "wedged during GC")
-        block.pages.append(lpn)
-        block.valid_count += 1
-        self.mapping[lpn] = (block, len(block.pages) - 1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.block import IoCommand, IoOp
-from repro.constants import GIB, KIB
+from repro.constants import BLOCK_SIZE, GIB, KIB, MIB
 from repro.device import make_device
 from repro.errors import DeviceError
 
@@ -23,6 +23,31 @@ def test_capacity_enforced():
     device = make_device("optane", capacity=1 * GIB)
     with pytest.raises(DeviceError):
         device.submit([read(1 * GIB)], 0.0)
+
+
+@pytest.mark.parametrize("kind", ["hdd", "microsd", "flash", "optane"])
+def test_negative_offset_rejected(kind):
+    device = make_device(kind, capacity=64 * MIB)
+    write = IoCommand(IoOp.WRITE, 0, 16 * BLOCK_SIZE)
+    device.submit([write], 0.0)
+    stats = device.stats.snapshot()
+    for op in (IoOp.READ, IoOp.WRITE, IoOp.DISCARD):
+        with pytest.raises(DeviceError, match="beyond capacity"):
+            device.submit([write, IoCommand(op, -BLOCK_SIZE, BLOCK_SIZE)], 1.0)
+    # the batch is rejected before any command runs
+    assert device.stats.snapshot() == stats
+
+
+def test_negative_offset_leaves_flash_channels_alone():
+    """A write at -4096 used to map lpn -1 and set ``_chan[-1]``, moving
+    lpn 15's read channel while the mapping still named another."""
+    device = make_device("flash", capacity=64 * MIB)
+    device.submit([IoCommand(IoOp.WRITE, 0, 16 * BLOCK_SIZE)], 0.0)
+    channels = [device.ftl.channel_of(lpn) for lpn in range(16)]
+    with pytest.raises(DeviceError):
+        device.submit([IoCommand(IoOp.WRITE, -BLOCK_SIZE, BLOCK_SIZE)], 1.0)
+    assert [device.ftl.channel_of(lpn) for lpn in range(16)] == channels
+    assert sorted(device.ftl.mapping) == list(range(16))
 
 
 def test_batch_completion_is_synchronous():

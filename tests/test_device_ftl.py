@@ -114,18 +114,21 @@ def test_mapping_always_consistent(lpns):
 
 def assert_ftl_consistent(ftl):
     """Mapping, valid counts and block membership agree."""
-    for lpn, (block, slot) in ftl.mapping.items():
+    mapping = ftl.mapping  # a view built on each access
+    live = {}  # id(block) -> live slots: those the mapping points at
+    for lpn, (block, slot) in mapping.items():
         assert block.pages[slot] == lpn, lpn
+        live[id(block)] = live.get(id(block), 0) + 1
     for lpn, channel in enumerate(ftl._chan):
-        entry = ftl.mapping.get(lpn)
+        entry = mapping.get(lpn)
         assert channel == (entry[0].channel if entry else lpn % ftl.channels), lpn
-    assert all(lpn < len(ftl._chan) for lpn in ftl.mapping)
+    assert all(lpn < len(ftl._chan) for lpn in mapping)
     for channel in range(ftl.channels):
         active = ftl._active[channel]
         homes = ([active] if active is not None else []) + \
             ftl._sealed[channel] + ftl._free_pool[channel]
         for block in homes:
-            assert block.valid_count == sum(p is not None for p in block.pages)
+            assert block.valid_count == live.get(id(block), 0)
         # every created block lives in exactly one of active/sealed/free
         assert len({id(b) for b in homes}) == len(homes) == ftl._created_blocks[channel]
 
@@ -178,3 +181,41 @@ def test_out_of_space_leaves_mapping_consistent():
     block, slot = ftl.mapping[0]
     assert block.pages[slot] == 0  # the old copy is still the live one
     assert_recovers(ftl)
+
+
+def test_page_numbers_must_fit_in_32_bits():
+    # 2**31 logical pages with 7 % spare: physical pages pass 2**31
+    with pytest.raises(DeviceError, match="32 bits"):
+        PageMappingFtl(logical_pages=1 << 31)
+    assert PageMappingFtl(logical_pages=1 << 30).blocks_per_channel > 0
+
+
+def test_negative_lpn_rejected():
+    ftl = small_ftl()
+    ftl.write([15])
+    with pytest.raises(DeviceError, match="negative"):
+        ftl.write([-1])
+    assert ftl.host_pages_written == 1
+    assert_ftl_consistent(ftl)
+
+
+def test_l2p_costs_under_40_bytes_per_mapped_page():
+    """131,072 lpns written in 8-page runs, then rewritten in 16-page
+    runs: the chunked 32-bit l2p, the slot arrays and the channel bytes
+    stay under 40 B per mapped page (a tuple-per-page dict costs ~180)."""
+    import tracemalloc
+
+    pages = 131_072
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ftl = PageMappingFtl(logical_pages=2 * pages)
+        for lpn in range(0, pages, 8):
+            ftl.write(range(lpn, lpn + 8))
+        for lpn in range(0, pages, 16):
+            ftl.write(range(lpn, lpn + 16))
+        assert ftl.channel_of(pages - 1) == (ftl.host_pages_written - 1) % ftl.channels
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert used / pages <= 40, used / pages

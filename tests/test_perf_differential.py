@@ -377,8 +377,9 @@ def _naive_optane_unit_work(first, last, banks, page_time):
 def _naive_flash_read_unit_work(ftl, first, last, page_read):
     """Per-page loop over the L2P mapping itself (not the channel array)."""
     per_channel = {}
+    mapping = ftl.mapping  # a view built on each access
     for lpn in range(first, last + 1):
-        entry = ftl.mapping.get(lpn)
+        entry = mapping.get(lpn)
         channel = entry[0].channel if entry is not None else lpn % ftl.channels
         per_channel[channel] = per_channel.get(channel, 0.0) + page_read
     return tuple(per_channel.items())
