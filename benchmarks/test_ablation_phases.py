@@ -1,12 +1,10 @@
 """E13 — ablation: FragPicker's individual design choices."""
 
-from conftest import run_once
-
 from repro.bench.experiments import ablation_phases
 
 
-def test_fragpicker_phases(benchmark):
-    result = run_once(benchmark, ablation_phases.run)
+def test_fragpicker_phases():
+    result = ablation_phases.run()
     print("\n" + result.report())
     full = result.cells["full"]
     no_check = result.cells["no_check"]

@@ -1,13 +1,11 @@
 """E12 — ablation: the request-splitting mechanism itself."""
 
-from conftest import run_once
-
 from repro.bench.experiments import ablation_splitting
 from repro.constants import KIB
 
 
-def test_request_splitting(benchmark):
-    result = run_once(benchmark, ablation_splitting.run)
+def test_request_splitting():
+    result = ablation_splitting.run()
     print("\n" + result.report())
     by_size = {p.frag_size: p for p in result.points}
     # one syscall -> one command only once fragments reach the request size

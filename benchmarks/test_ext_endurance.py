@@ -1,12 +1,10 @@
 """E14 — extension: flash wear consumed per defragmentation tool."""
 
-from conftest import run_once
-
 from repro.bench.experiments import ext_endurance
 
 
-def test_endurance(benchmark):
-    result = run_once(benchmark, ext_endurance.run)
+def test_endurance():
+    result = ext_endurance.run()
     print("\n" + result.report())
     conv = result.cells["conventional"]
     fp = result.cells["fragpicker"]

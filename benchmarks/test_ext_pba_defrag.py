@@ -1,12 +1,10 @@
 """E15 — extension: open-channel (PBA) fragmentation (paper Section 6)."""
 
-from conftest import run_once
-
 from repro.bench.experiments import ext_pba_defrag
 
 
-def test_pba_defrag(benchmark):
-    result = run_once(benchmark, ext_pba_defrag.run)
+def test_pba_defrag():
+    result = ext_pba_defrag.run()
     print("\n" + result.report())
     # physical concentration destroys parallelism despite clean LBAs
     assert result.conflicted_mbps < 0.5 * result.balanced_mbps

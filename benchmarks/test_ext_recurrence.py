@@ -1,12 +1,10 @@
 """E16 — extension: defragmentation as a scheduled routine (Section 2.4)."""
 
-from conftest import run_once
-
 from repro.bench.experiments import ext_recurrence
 
 
-def test_recurring_defrag(benchmark):
-    result = run_once(benchmark, ext_recurrence.run)
+def test_recurring_defrag():
+    result = ext_recurrence.run()
     print("\n" + result.report())
     e4 = result.runs["e4defrag"]
     fp = result.runs["fragpicker"]

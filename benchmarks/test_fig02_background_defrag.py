@@ -1,12 +1,10 @@
 """E1 — Figure 2: YCSB-A throughput with background defragmentation."""
 
-from conftest import run_once
-
 from repro.bench.experiments import fig2_background_defrag
 
 
-def test_fig2_background_defrag(benchmark):
-    result = run_once(benchmark, fig2_background_defrag.run)
+def test_fig2_background_defrag():
+    result = fig2_background_defrag.run()
     print("\n" + result.report())
     e4 = result.runs["e4defrag"]
     fp = result.runs["fragpicker"]

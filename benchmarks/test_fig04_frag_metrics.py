@@ -1,15 +1,13 @@
 """E2/E3 — Figure 4 and Table 1: frag_size / frag_distance sweeps."""
 
-from conftest import run_once
-
 from repro.bench.experiments import fig4_frag_metrics
 from repro.constants import KIB
 
 MODERN = ("microsd", "flash", "optane")
 
 
-def test_fig4_and_table1(benchmark):
-    result = run_once(benchmark, fig4_frag_metrics.run)
+def test_fig4_and_table1():
+    result = fig4_frag_metrics.run()
     print("\n" + result.figure4())
     print("\n" + result.table1())
     for device, sweep in result.sweeps.items():

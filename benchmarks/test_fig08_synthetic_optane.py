@@ -1,12 +1,8 @@
 """E5 — Figure 8: synthetic workloads on the Optane SSD (Ext4/F2FS/Btrfs)."""
 
 import pytest
-from conftest import run_once
 
 from repro.bench.experiments import synthetic_defrag
-from repro.constants import MIB
-
-FILE_SIZE = 33 * MIB  # paper: 1 GiB, scaled
 
 
 def _common_checks(result):
@@ -24,8 +20,8 @@ def _common_checks(result):
 
 
 @pytest.mark.parametrize("fs_type", ["ext4", "f2fs"])
-def test_fig8_ext4_f2fs(benchmark, fs_type):
-    result = run_once(benchmark, synthetic_defrag.run, fs_type, "optane", FILE_SIZE)
+def test_fig8_ext4_f2fs(fs_type):
+    result = synthetic_defrag.run(fs_type, "optane")
     print("\n" + result.report())
     _common_checks(result)
     orig = result.cells["original"]
@@ -42,11 +38,8 @@ def test_fig8_ext4_f2fs(benchmark, fs_type):
     assert fpb["stride_read"].defrag_write_mb > fp["stride_read"].defrag_write_mb
 
 
-def test_fig8_btrfs_with_threshold(benchmark):
-    result = run_once(
-        benchmark, synthetic_defrag.run, "btrfs", "optane", FILE_SIZE,
-        ("original", "conv", "conv_t", "fragpicker", "fragpicker_b"),
-    )
+def test_fig8_btrfs_with_threshold():
+    result = synthetic_defrag.run("btrfs", "optane")
     print("\n" + result.report())
     _common_checks(result)
     orig = result.cells["original"]

@@ -1,17 +1,13 @@
 """E6 — Figure 9: synthetic workloads on the SATA flash SSD."""
 
 import pytest
-from conftest import run_once
 
 from repro.bench.experiments import synthetic_defrag
-from repro.constants import MIB
-
-FILE_SIZE = 33 * MIB  # paper: 400 MB, scaled
 
 
 @pytest.mark.parametrize("fs_type", ["ext4", "f2fs"])
-def test_fig9_flash(benchmark, fs_type):
-    result = run_once(benchmark, synthetic_defrag.run, fs_type, "flash", FILE_SIZE)
+def test_fig9_flash(fs_type):
+    result = synthetic_defrag.run(fs_type, "flash")
     print("\n" + result.report())
     orig = result.cells["original"]
     conv = result.cells["conv"]

@@ -1,12 +1,10 @@
 """E8 — Figure 10: YCSB-C over the LSM store on aged Ext4 / Optane."""
 
-from conftest import run_once
-
 from repro.bench.experiments import fig10_ycsb_rocksdb
 
 
-def test_fig10_ycsb_rocksdb(benchmark):
-    result = run_once(benchmark, fig10_ycsb_rocksdb.run)
+def test_fig10_ycsb_rocksdb():
+    result = fig10_ycsb_rocksdb.run()
     print("\n" + result.report())
     e4 = result.runs["e4defrag"]
     fp = result.runs["fragpicker"]

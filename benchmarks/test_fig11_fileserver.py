@@ -1,14 +1,13 @@
 """E10 — Figure 11: fileserver grep cost on F2FS (flash + Optane)."""
 
 import pytest
-from conftest import run_once
 
 from repro.bench.experiments import fig11_fileserver
 
 
 @pytest.mark.parametrize("device", ["flash", "optane"])
-def test_fig11_fileserver(benchmark, device):
-    result = run_once(benchmark, fig11_fileserver.run, device)
+def test_fig11_fileserver(device):
+    result = fig11_fileserver.run(device)
     print("\n" + result.report())
     orig = result.cells["original"]
     conv = result.cells["conv"]

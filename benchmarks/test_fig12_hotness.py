@@ -1,12 +1,10 @@
 """E11 — Figure 12: hotness-criterion sweep, uniform vs zipfian."""
 
-from conftest import run_once
-
 from repro.bench.experiments import fig12_hotness
 
 
-def test_fig12_hotness(benchmark):
-    result = run_once(benchmark, fig12_hotness.run)
+def test_fig12_hotness():
+    result = fig12_hotness.run()
     print("\n" + result.report())
     uniform = result.sweeps["uniform"]
     zipf = result.sweeps["zipfian"]

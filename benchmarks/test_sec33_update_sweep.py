@@ -1,12 +1,10 @@
 """E4 — Section 3.3 (text): sequential O_DIRECT update sweeps."""
 
-from conftest import run_once
-
 from repro.bench.experiments import sec33_update_sweep
 
 
-def test_update_sweep(benchmark):
-    result = run_once(benchmark, sec33_update_sweep.run)
+def test_update_sweep():
+    result = sec33_update_sweep.run()
     print("\n" + result.report())
     summary = result.summary()
     # updates on Optane are fragmentation-sensitive (in-place banks)

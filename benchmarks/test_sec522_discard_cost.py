@@ -1,12 +1,10 @@
 """E7 — Section 5.2.2: discard (fstrim) cost before/after FragPicker."""
 
-from conftest import run_once
-
 from repro.bench.experiments import sec522_discard_cost
 
 
-def test_discard_cost(benchmark):
-    result = run_once(benchmark, sec522_discard_cost.run)
+def test_discard_cost():
+    result = sec522_discard_cost.run()
     print("\n" + result.report())
     # deleting the fragmented file costs many discard commands; the
     # defragmented file trims in a fraction of the time (paper: 16.6 ->

@@ -1,12 +1,10 @@
 """E9 — Section 5.3.2: SQLite on Btrfs on the MicroSD card."""
 
-from conftest import run_once
-
 from repro.bench.experiments import sec532_sqlite_microsd
 
 
-def test_sqlite_microsd(benchmark):
-    result = run_once(benchmark, sec532_sqlite_microsd.run)
+def test_sqlite_microsd():
+    result = sec532_sqlite_microsd.run()
     print("\n" + result.report())
     conv = result.runs["btrfs.defragment"]
     fp = result.runs["fragpicker"]

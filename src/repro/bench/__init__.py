@@ -1,23 +1,12 @@
 """Experiment implementations for every table and figure in the paper.
 
 Each module in :mod:`repro.bench.experiments` reproduces one artifact and
-returns a result object with the same rows/series the paper reports; the
-``benchmarks/`` pytest suite wraps them and asserts the result *shapes*
+returns a result object with the same rows/series the paper reports;
+``repro run`` prints each one's ``report()``, and the ``benchmarks/``
+paper-shape tests call each ``run()`` and assert the result *shapes*
 (who wins, by roughly what factor, where the knees fall).
 """
 
-from .harness import (
-    Variant,
-    VariantResult,
-    fresh_fs,
-    measured_variant,
-    print_header,
-)
+from .harness import VariantResult, fresh_fs, measured_variant
 
-__all__ = [
-    "Variant",
-    "VariantResult",
-    "fresh_fs",
-    "measured_variant",
-    "print_header",
-]
+__all__ = ["VariantResult", "fresh_fs", "measured_variant"]

@@ -55,7 +55,7 @@ class PhasesResult:
 
 def run(
     fs_type: str = "ext4",
-    device_kind: str = "optane",
+    device: str = "optane",
     file_size: int = 33 * MIB,
     pattern: str = "stride_read",
 ) -> PhasesResult:
@@ -66,11 +66,11 @@ def run(
     fixtures = FixtureCache()
 
     def build():
-        fs, _ = fresh_fs(fs_type, device_kind)
+        fs, _ = fresh_fs(fs_type, device)
         return fs, make_paper_synthetic_file(fs, "/t", file_size)
 
     for name, config in CONFIGS.items():
-        fs, now = fixtures.get((fs_type, device_kind, file_size), build)
+        fs, now = fixtures.get((fs_type, device, file_size), build)
         now, base = pattern_fn(fs, "/t", now=now)
         original_mbps = original_mbps or base
         # buffered trace for the readahead-imitation knob to matter

@@ -42,12 +42,12 @@ class SplittingResult:
         return f"[{self.device}]\n" + format_table(headers, rows)
 
 
-def run(device_kind: str = "optane", file_size: int = 8 * MIB,
+def run(device: str = "optane", file_size: int = 8 * MIB,
         frag_sizes: List[int] = None) -> SplittingResult:
     frag_sizes = frag_sizes or [4 * KIB, 8 * KIB, 16 * KIB, 32 * KIB, 64 * KIB, 128 * KIB]
     points: List[SplitPoint] = []
     for frag_size in frag_sizes:
-        fs, _ = fresh_fs("ext4", device_kind)
+        fs, _ = fresh_fs("ext4", device)
         now = make_fragmented_file(
             fs, "/t", file_size, FragmentSpec(frag_size, 1024 * KIB), fallocate_dummy=True
         )
@@ -55,7 +55,7 @@ def run(device_kind: str = "optane", file_size: int = 8 * MIB,
         syscalls = 0
         commands = 0
         kernel = 0.0
-        device = 0.0
+        device_time = 0.0
         latency = 0.0
         before_kernel = fs.scheduler.kernel_time_total
         before_busy = fs.device.stats.busy_time
@@ -66,14 +66,14 @@ def run(device_kind: str = "optane", file_size: int = 8 * MIB,
             syscalls += 1
             now = result.finish_time
         kernel = fs.scheduler.kernel_time_total - before_kernel
-        device = fs.device.stats.busy_time - before_busy
+        device_time = fs.device.stats.busy_time - before_busy
         points.append(
             SplitPoint(
                 frag_size=frag_size,
                 commands_per_syscall=commands / syscalls,
                 kernel_time_us=kernel / syscalls * 1e6,
-                device_time_us=device / syscalls * 1e6,
+                device_time_us=device_time / syscalls * 1e6,
                 latency_us=latency / syscalls * 1e6,
             )
         )
-    return SplittingResult(device=device_kind, points=points)
+    return SplittingResult(device=device, points=points)

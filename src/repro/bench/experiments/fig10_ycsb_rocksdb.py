@@ -13,11 +13,12 @@ throughput in phases:
 Both e4defrag and FragPicker (hotness criterion 0.5, as in the paper) run
 this protocol on identically rebuilt (same-seed) states.  Reported per
 variant: phase throughputs, defrag elapsed time, and defrag I/O bytes.
+:mod:`.obs_trace` (``repro trace`` and the bench suite's ``obs_trace``
+figure) runs the FragPicker arm of the same protocol at trace sizes.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -26,6 +27,7 @@ from ...core import FragPicker, FragPickerConfig
 from ...core.report import DefragReport
 from ...device import make_device
 from ...fs import make_filesystem
+from ...obs.metrics import Histogram
 from ...stats.tables import format_table
 from ...tools import e4defrag
 from ...workloads.aging import age_filesystem
@@ -39,29 +41,38 @@ class PhaseStats:
     ops_per_sec: float
     ops: int
     duration: float
+    #: ``block.split_fanout`` delta over a workload window; None for the
+    #: co-run defrag phase and when obs is off
+    fanout: Optional[Histogram] = None
 
 
 @dataclass
 class VariantRun:
     tool: str
     phases: Dict[str, PhaseStats] = field(default_factory=dict)
-    defrag_elapsed: float = 0.0
-    defrag_read_mb: float = 0.0
-    defrag_write_mb: float = 0.0
+    report: Optional[DefragReport] = None
     fragments_before: int = 0
     fragments_after: int = 0
+    #: virtual time the protocol's last phase finished at
+    finished_at: float = 0.0
     #: windowed obs capture (metrics + attribution); None when obs is off
     obs: Optional[VariantResult] = None
 
     @property
+    def defrag_elapsed(self) -> float:
+        return self.report.elapsed
+
+    @property
+    def defrag_read_mb(self) -> float:
+        return self.report.read_bytes / MIB
+
+    @property
+    def defrag_write_mb(self) -> float:
+        return self.report.write_bytes / MIB
+
+    @property
     def total_io_mb(self) -> float:
         return self.defrag_read_mb + self.defrag_write_mb
-
-    def degradation_during(self) -> float:
-        """Fractional throughput drop while defragmenting."""
-        before = self.phases["before"].ops_per_sec
-        during = self.phases["defrag"].ops_per_sec
-        return 1.0 - during / before if before else 0.0
 
     def improvement_after(self) -> float:
         before = self.phases["before"].ops_per_sec
@@ -92,10 +103,15 @@ class Fig10Result:
         return format_table(headers, rows)
 
 
-def _build_state(record_count: int, value_size: int, seed: int) -> Tuple:
+def _build_state(
+    capacity: int, device: str, metadata_region: int,
+    record_count: int, value_size: int, seed: int,
+) -> Tuple:
     """Aged filesystem + loaded database, fully deterministic."""
-    device = make_device("optane", capacity=2 * GIB)
-    fs = make_filesystem("ext4", device)
+    fs = make_filesystem(
+        "ext4", make_device(device, capacity=capacity),
+        metadata_region=metadata_region,
+    )
     # Fill nearly full with small files, then delete a random subset: the
     # remaining free space is all small holes, so the database tables land
     # shredded (an aged filesystem, the paper's Dabre-profile substitute).
@@ -120,15 +136,65 @@ def _build_state(record_count: int, value_size: int, seed: int) -> Tuple:
     return fs, store, workload, now
 
 
-def _run_window(workload: YcsbWorkload, ops: int, now: float) -> Tuple[float, PhaseStats]:
+def _phase(obs, name: str, workload: YcsbWorkload, ops: int,
+           now: float) -> Tuple[float, PhaseStats]:
+    """One measured workload window inside a ``phase.<name>`` span."""
+    span = obs.span_start(f"phase.{name}", now)
+    fanout = obs.registry.histogram("block.split_fanout") if obs.enabled else None
+    mark = fanout.snapshot() if fanout is not None else None
     start = now
     now, ops_per_sec = workload.run_ops(ops, now)
-    return now, PhaseStats(ops_per_sec=ops_per_sec, ops=ops, duration=now - start)
+    obs.span_finish(span, now)
+    return now, PhaseStats(
+        ops_per_sec=ops_per_sec, ops=ops, duration=now - start,
+        fanout=fanout.delta(mark) if fanout is not None else None,
+    )
 
 
 def _avg_frags(fs, paths: List[str]) -> int:
     counts = [fs.inode_of(p).fragment_count() for p in paths if fs.exists(p)]
     return sum(counts) // max(1, len(counts))
+
+
+def _protocol(
+    tool: str, fs, store: LsmStore, workload: YcsbWorkload, now: float,
+    window_ops: int, warmup_ops: int, hotness: float,
+) -> VariantRun:
+    """The Figure 10 protocol for one tool on a built state.
+
+    Warm up, then measure *before*; FragPicker alone adds the *analysis*
+    window under its syscall monitor.  The tool then defragments while
+    the workload co-runs (*defrag*), and *after* measures the result.
+    e4defrag and FragPicker differ only in the analysis phase and the
+    background actor.
+    """
+    obs = fs.obs
+    result = VariantRun(tool=tool, report=DefragReport(tool=tool))
+    result.fragments_before = _avg_frags(fs, store.files())
+    now, _ = workload.run_ops(warmup_ops, now)
+    now, result.phases["before"] = _phase(obs, "before", workload, window_ops, now)
+    if tool == "fragpicker":
+        picker = FragPicker(fs, FragPickerConfig(hotness_criterion=hotness))
+        with picker.monitor(apps={"rocksdb"}) as monitor:
+            now, result.phases["analysis"] = _phase(
+                obs, "analysis", workload, window_ops, now
+            )
+        plans = picker.analyze(monitor.records, paths=store.files(), now=now)
+        background = picker.actor(plans, report_out=result.report)
+    else:
+        background = e4defrag(fs).actor(store.files(), report_out=result.report)
+    fg_ctx, bg_ctx = corun_until_background_done(
+        workload.actor(duration=float("inf")), background, start=now,
+    )
+    during = fg_ctx.timeline
+    result.phases["defrag"] = PhaseStats(
+        ops_per_sec=during.rate(), ops=len(during.events), duration=during.duration
+    )
+    now = max(fg_ctx.now, bg_ctx.now)
+    now, result.phases["after"] = _phase(obs, "after", workload, window_ops, now)
+    result.fragments_after = _avg_frags(fs, store.files())
+    result.finished_at = now
+    return result
 
 
 def run(
@@ -141,66 +207,16 @@ def run(
 ) -> Fig10Result:
     """Run the Figure 10 protocol for e4defrag and FragPicker."""
     runs: Dict[str, VariantRun] = {}
-
-    # ---------------- e4defrag ----------------
-    with measured_variant("e4defrag") as window:
-        fs, store, workload, now = _build_state(record_count, value_size, seed)
-        run_e4 = VariantRun(tool="e4defrag")
-        run_e4.fragments_before = _avg_frags(fs, store.files())
-        now, _ = _run_window(workload, warmup_ops, now)
-        now, run_e4.phases["before"] = _run_window(workload, window_ops, now)
-        tool = e4defrag(fs)
-        report = DefragReport(tool="e4defrag")
-        fg_ctx, bg_ctx = corun_until_background_done(
-            workload.actor(duration=float("inf")),
-            tool.actor(store.files(), report_out=report),
-            start=now,
-        )
-        during = fg_ctx.timeline
-        run_e4.phases["defrag"] = PhaseStats(
-            ops_per_sec=during.rate(), ops=len(during.events), duration=during.duration
-        )
-        run_e4.defrag_elapsed = report.elapsed
-        run_e4.defrag_read_mb = report.read_bytes / MIB
-        run_e4.defrag_write_mb = report.write_bytes / MIB
-        now = max(fg_ctx.now, bg_ctx.now)
-        now, run_e4.phases["after"] = _run_window(workload, window_ops, now)
-        run_e4.fragments_after = _avg_frags(fs, store.files())
-        _fill_window(window, run_e4)
-    run_e4.obs = window if window.metrics is not None else None
-    runs["e4defrag"] = run_e4
-
-    # ---------------- FragPicker ----------------
-    with measured_variant("fragpicker") as window:
-        fs, store, workload, now = _build_state(record_count, value_size, seed)
-        run_fp = VariantRun(tool="fragpicker")
-        run_fp.fragments_before = _avg_frags(fs, store.files())
-        now, _ = _run_window(workload, warmup_ops, now)
-        now, run_fp.phases["before"] = _run_window(workload, window_ops, now)
-        picker = FragPicker(fs, FragPickerConfig(hotness_criterion=hotness))
-        with picker.monitor(apps={"rocksdb"}) as monitor:
-            now, run_fp.phases["analysis"] = _run_window(workload, window_ops, now)
-        plans = picker.analyze(monitor.records, paths=store.files())
-        report = DefragReport(tool="fragpicker")
-        fg_ctx, bg_ctx = corun_until_background_done(
-            workload.actor(duration=float("inf")),
-            picker.actor(plans, report_out=report),
-            start=now,
-        )
-        during = fg_ctx.timeline
-        run_fp.phases["defrag"] = PhaseStats(
-            ops_per_sec=during.rate(), ops=len(during.events), duration=during.duration
-        )
-        run_fp.defrag_elapsed = report.elapsed
-        run_fp.defrag_read_mb = report.read_bytes / MIB
-        run_fp.defrag_write_mb = report.write_bytes / MIB
-        now = max(fg_ctx.now, bg_ctx.now)
-        now, run_fp.phases["after"] = _run_window(workload, window_ops, now)
-        run_fp.fragments_after = _avg_frags(fs, store.files())
-        _fill_window(window, run_fp)
-    run_fp.obs = window if window.metrics is not None else None
-    runs["fragpicker"] = run_fp
-
+    for tool in ("e4defrag", "fragpicker"):
+        with measured_variant(tool) as window:
+            fs, store, workload, now = _build_state(
+                2 * GIB, "optane", 64 * MIB, record_count, value_size, seed
+            )
+            runs[tool] = _protocol(
+                tool, fs, store, workload, now, window_ops, warmup_ops, hotness
+            )
+            _fill_window(window, runs[tool])
+        runs[tool].obs = window if window.metrics is not None else None
     return Fig10Result(runs=runs)
 
 

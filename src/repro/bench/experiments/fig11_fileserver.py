@@ -66,7 +66,7 @@ def _setup(device_kind: str, file_count: int, mean_size: int, seed: int):
 
 
 def run(
-    device_kind: str = "flash",
+    device: str = "flash",
     file_count: int = 60,
     mean_size: int = 2 * MIB,
     seed: int = 5,
@@ -75,7 +75,7 @@ def run(
     fragments_before = 0.0
     for variant in ("original", "conv", "fragpicker"):
         with measured_variant(variant) as window:
-            fs, server, now = _setup(device_kind, file_count, mean_size, seed)
+            fs, server, now = _setup(device, file_count, mean_size, seed)
             if not fragments_before:
                 fragments_before = server.average_fragments()
             write_mb = 0.0
@@ -99,4 +99,4 @@ def run(
             avg_fragments=window.fragments_after,
             obs=window if window.metrics is not None else None,
         )
-    return Fig11Result(device=device_kind, fragments_before=fragments_before, cells=cells)
+    return Fig11Result(device=device, fragments_before=fragments_before, cells=cells)

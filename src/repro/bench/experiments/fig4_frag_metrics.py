@@ -107,9 +107,13 @@ class Fig4Result:
                 f"{d // KIB}K={sweep.distance_curve[d]:.1f}" for d in sorted(sweep.distance_curve)))
         return "\n".join(lines)
 
+    def report(self) -> str:
+        """Figure 4, then Table 1."""
+        return self.figure4() + "\n\n" + self.table1()
 
-def _measure_point(device_kind: str, spec: FragmentSpec, io_kind: str, file_size: int) -> float:
-    fs, _ = fresh_fs("ext4", device_kind)
+
+def _measure_point(device: str, spec: FragmentSpec, io_kind: str, file_size: int) -> float:
+    fs, _ = fresh_fs("ext4", device)
     now = make_fragmented_file(fs, "/sweep", file_size, spec, fallocate_dummy=True)
     runner = sequential_read if io_kind == "read" else sequential_update
     _, mbps = runner(fs, "/sweep", now=now)

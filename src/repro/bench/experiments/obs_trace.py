@@ -1,8 +1,10 @@
 """Observability tour: the Fig. 10 protocol, fully instrumented.
 
-Runs a scaled-down version of the Figure 10 experiment (YCSB-C over the
-LSM store on an aged Ext4/Optane) with :mod:`repro.obs` enabled, wrapping
-each protocol phase in a span:
+Runs the FragPicker arm of the Figure 10 protocol
+(:mod:`.fig10_ycsb_rocksdb`: YCSB-C over the LSM store on an aged
+Ext4/Optane) at trace sizes, with no warmup and :mod:`repro.obs`
+enabled.  The protocol's phases, each workload window in a
+``phase.<name>`` span:
 
 - **before** — workload alone on the fragmented database,
 - **analysis** — FragPicker's syscall monitor attached,
@@ -19,13 +21,10 @@ Chrome ``trace_event`` document with nested FragPicker phase spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ...constants import KIB, MIB
-from ...core import FragPicker, FragPickerConfig
+from ...constants import MIB
 from ...core.report import DefragReport
-from ...device import make_device
-from ...fs import make_filesystem
 from ...obs import hooks as obs_hooks
 from ...obs.analysis import attribute
 from ...obs.critical_path import (
@@ -40,10 +39,7 @@ from ...obs.metrics import Histogram
 from ...obs.provenance import ProvenanceForest, build_forest
 from ...obs.sampler import FragmentationSampler
 from ...stats.tables import format_table
-from ...workloads.aging import age_filesystem
-from ...workloads.kvstore import LsmConfig, LsmStore
-from ...workloads.ycsb import YcsbConfig, YcsbWorkload
-from ..harness import corun_until_background_done
+from .fig10_ycsb_rocksdb import _build_state, _protocol
 
 
 @dataclass
@@ -155,30 +151,6 @@ class ObsTraceResult:
         return "\n\n".join(parts)
 
 
-def _build_state(
-    capacity: int, record_count: int, value_size: int, seed: int,
-    device_name: str = "optane",
-) -> Tuple:
-    """Fig. 10's aged-filesystem + loaded-database setup, scaled down."""
-    device = make_device(device_name, capacity=capacity)
-    fs = make_filesystem("ext4", device, metadata_region=16 * MIB)
-    age_filesystem(fs, fill_fraction=0.997, delete_fraction=0.35,
-                   min_file=8 * KIB, max_file=48 * KIB, seed=seed)
-    store = LsmStore(fs, LsmConfig(block_size=128 * KIB, memtable_bytes=4 * MIB))
-    workload = YcsbWorkload(
-        store,
-        YcsbConfig(record_count=record_count, value_size=value_size,
-                   read_proportion=1.0, update_proportion=0.0, seed=seed),
-    )
-    now = workload.load(0.0)
-    leftovers = sorted(fs.listdir("/aging"))
-    band = leftovers[len(leftovers) // 3 : len(leftovers) // 3 + len(leftovers) // 4]
-    for path in band:
-        now = fs.unlink(path, now=now).finish_time
-    fs.drop_caches()
-    return fs, store, workload, now
-
-
 def run(
     smoke: bool = False,
     capacity: int = 384 * MIB,
@@ -203,50 +175,26 @@ def run(
             # mint no pids; tracing arms at the first measured phase
             obs.provenance.suspend()
         fs, store, workload, now = _build_state(
-            capacity, record_count, value_size, seed, device
+            capacity, device, 16 * MIB, record_count, value_size, seed
         )
         if obs.provenance is not None:
             obs.provenance.resume()
-        result = ObsTraceResult(obs=obs)
-        fanout = obs.registry.histogram("block.split_fanout")
         # fragmentation timeline over the database tables; activity-driven,
         # so it rides the same device batches the phases generate
         sampler = FragmentationSampler(fs, interval=0.02, paths=store.files())
-        result.sampler = sampler
         sampler.attach()
         sampler.sample(now)
-
-        span = obs.span_start("phase.before", now)
-        mark = fanout.snapshot()
-        now, ops_per_sec = workload.run_ops(window_ops, now)
-        result.fanout_before = fanout.delta(mark)
-        result.phase_ops["before"] = ops_per_sec
-        obs.span_finish(span, now)
-
-        picker = FragPicker(fs, FragPickerConfig(hotness_criterion=hotness))
-        span = obs.span_start("phase.analysis", now)
-        with picker.monitor(apps={"rocksdb"}) as monitor:
-            now, ops_per_sec = workload.run_ops(window_ops, now)
-        result.phase_ops["analysis"] = ops_per_sec
-        obs.span_finish(span, now)
-        plans = picker.analyze(monitor.records, paths=store.files(), now=now)
-
-        report = DefragReport(tool="fragpicker")
-        fg_ctx, bg_ctx = corun_until_background_done(
-            workload.actor(duration=float("inf")),
-            picker.actor(plans, report_out=report),
-            start=now,
+        run_fp = _protocol(
+            "fragpicker", fs, store, workload, now,
+            window_ops=window_ops, warmup_ops=0, hotness=hotness,
         )
-        result.phase_ops["defrag"] = fg_ctx.timeline.rate()
-        result.defrag = report
-        now = max(fg_ctx.now, bg_ctx.now)
-
-        span = obs.span_start("phase.after", now)
-        mark = fanout.snapshot()
-        now, ops_per_sec = workload.run_ops(window_ops, now)
-        result.fanout_after = fanout.delta(mark)
-        result.phase_ops["after"] = ops_per_sec
-        obs.span_finish(span, now)
-        sampler.sample(now)
+        sampler.sample(run_fp.finished_at)
         sampler.detach()
-    return result
+    return ObsTraceResult(
+        obs=obs,
+        phase_ops={name: phase.ops_per_sec for name, phase in run_fp.phases.items()},
+        fanout_before=run_fp.phases["before"].fanout,
+        fanout_after=run_fp.phases["after"].fanout,
+        defrag=run_fp.report,
+        sampler=sampler,
+    )

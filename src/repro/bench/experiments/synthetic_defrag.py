@@ -110,26 +110,35 @@ def _apply_variant(fs, variant: str, path: str, pattern_fn, now: float,
 
 def run(
     fs_type: str,
-    device_kind: str,
-    file_size: int = 64 * MIB,
-    variants: Tuple[str, ...] = ("original", "conv", "fragpicker", "fragpicker_b"),
+    device: str,
+    file_size: int = 33 * MIB,
+    variants: Optional[Tuple[str, ...]] = None,
     patterns: Tuple[str, ...] = tuple(PATTERNS),
     hotness: float = 1.0,
 ) -> SyntheticResult:
     """Run the full grid; every (variant, pattern) cell starts from its own
-    copy of one freshly built file (see :class:`FixtureCache`)."""
-    result = SyntheticResult(fs_type=fs_type, device=device_kind, file_size=file_size)
+    copy of one freshly built file (see :class:`FixtureCache`).
+
+    The 33 MiB default scales the paper's file (1 GiB on Optane, 400 MB
+    on flash); ``variants=None`` runs the paper's set for ``fs_type``:
+    Btrfs adds Conv.-T, the ``-t`` extent-threshold option only it has.
+    """
+    if variants is None:
+        variants = ("original", "conv", "fragpicker", "fragpicker_b")
+        if fs_type == "btrfs":
+            variants = ("original", "conv", "conv_t", "fragpicker", "fragpicker_b")
+    result = SyntheticResult(fs_type=fs_type, device=device, file_size=file_size)
     fixtures = FixtureCache()
 
     def build():
-        fs, _ = fresh_fs(fs_type, device_kind)
+        fs, _ = fresh_fs(fs_type, device)
         return fs, make_paper_synthetic_file(fs, "/target", file_size)
 
     for variant in variants:
         result.cells[variant] = {}
         for pattern in patterns:
             with measured_variant(f"{variant}:{pattern}") as window:
-                fs, now = fixtures.get((fs_type, device_kind, file_size), build)
+                fs, now = fixtures.get((fs_type, device, file_size), build)
                 pattern_fn = PATTERNS[pattern]
                 now, report = _apply_variant(fs, variant, "/target", pattern_fn, now, hotness)
                 now, mbps = pattern_fn(fs, "/target", now=now)

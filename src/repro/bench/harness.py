@@ -106,11 +106,6 @@ class VariantResult:
             self.provenance = build_forest(obs.spans).summary()
         return self
 
-    def attribution_table(self) -> str:
-        if self.metrics is None:
-            return "(no metrics attached)"
-        return obs_analysis.attribute(self.metrics).table()
-
     def fanout_summary(self) -> Dict[str, float]:
         """{count, mean, p95, max} of this window's split fan-out."""
         return obs_analysis.histogram_summary(self.metrics or {}, "block.split_fanout")
@@ -151,29 +146,6 @@ def measured_variant(name: str) -> Iterator[VariantResult]:
         yield result
     finally:
         result.attach_metrics(since=since)
-
-
-def metrics_snapshot() -> Optional[Dict[str, Dict[str, object]]]:
-    """JSON-ready dump of the active obs registry (None when disabled)."""
-    obs = obs_hooks.current()
-    if not obs.enabled:
-        return None
-    return obs.registry.to_dict()
-
-
-@dataclass
-class Variant:
-    """Named defrag strategy applied inside an experiment."""
-
-    name: str
-    kind: str  # "original" | "conventional" | "conventional-t" | "fragpicker" | "fragpicker-b"
-    extent_threshold: Optional[int] = None
-    hotness_criterion: float = 1.0
-
-
-def print_header(title: str) -> None:
-    bar = "=" * len(title)
-    print(f"\n{bar}\n{title}\n{bar}")
 
 
 def corun_until_background_done(foreground, background, start: float = 0.0):

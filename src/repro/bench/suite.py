@@ -3,7 +3,7 @@ tracking.
 
 Runs a deterministic subset of the paper's figures with the observability
 plane enabled, and condenses each variant into the flat summary shape
-:mod:`repro.bench.regression` compares:
+the BENCH document type (:mod:`repro.doc`) compares:
 
 - ``synthetic_<fs>_<device>`` — the Figure 8/9 grid, one cell per
   (variant, pattern), with per-window latency attribution and split
@@ -31,14 +31,14 @@ result).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..constants import MIB
+from ..doc import BENCH, digest
 from ..obs import harvest
 from ..obs import hooks as obs_hooks
 from ..obs.analysis import histogram_summary
 from ..obs.hooks import Instrumentation
-from . import regression
 
 
 def suite_config(smoke: bool = False) -> Dict[str, object]:
@@ -71,6 +71,27 @@ def suite_config(smoke: bool = False) -> Dict[str, object]:
             "device": "flash", "file_count": 60, "mean_size_mib": 2, "seed": 5,
         },
         "obs_trace": {"smoke": False, "seed": 42},
+    }
+
+
+def build_document(
+    label: str,
+    config: Dict[str, object],
+    figures: Dict[str, Dict[str, Dict[str, object]]],
+) -> Dict[str, object]:
+    """Assemble a BENCH document: ``figures[figure][variant] -> summary``.
+
+    Each variant summary is a flat dict that may carry ``throughput_mbps``
+    (or other headline numbers), a ``split_fanout`` summary, and an
+    ``attribution`` sub-document (``Attribution.to_dict()``).  The
+    fingerprint hashes ``config``, so only like-for-like runs compare.
+    """
+    return {
+        "schema": BENCH.schema,
+        "label": label,
+        "config": dict(config),
+        "fingerprint": digest(config),
+        "figures": figures,
     }
 
 
@@ -218,6 +239,6 @@ def run_suite(
     }
     figures["obs_trace"] = figure
 
-    document = regression.build_document(label, config, figures)
+    document = build_document(label, config, figures)
     return document, trace_result
 

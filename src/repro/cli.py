@@ -38,108 +38,37 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import Dict
+from typing import Dict, Tuple
 
 from . import cli_util
 from .constants import MIB
 from .doc import BENCH, FLEET, REPLAY, SLO
 
 
-def _fig4():
-    from .bench.experiments import fig4_frag_metrics
-    result = fig4_frag_metrics.run()
-    return result.figure4() + "\n\n" + result.table1()
-
-
-def _sec33():
-    from .bench.experiments import sec33_update_sweep
-    return sec33_update_sweep.run().report()
-
-
-def _fig8(fs_type: str = "ext4", device: str = "optane"):
-    from .bench.experiments import synthetic_defrag
-    variants = ("original", "conv", "fragpicker", "fragpicker_b")
-    if fs_type == "btrfs":
-        variants = ("original", "conv", "conv_t", "fragpicker", "fragpicker_b")
-    return synthetic_defrag.run(fs_type, device, 33 * MIB, variants).report()
-
-
-def _fig9(fs_type: str = "ext4", device: str = "flash"):
-    return _fig8(fs_type, device)
-
-
-def _fig2():
-    from .bench.experiments import fig2_background_defrag
-    return fig2_background_defrag.run().report()
-
-
-def _fig10():
-    from .bench.experiments import fig10_ycsb_rocksdb
-    return fig10_ycsb_rocksdb.run().report()
-
-
-def _fig11(device: str = "flash"):
-    from .bench.experiments import fig11_fileserver
-    return fig11_fileserver.run(device).report()
-
-
-def _fig12():
-    from .bench.experiments import fig12_hotness
-    return fig12_hotness.run().report()
-
-
-def _sqlite():
-    from .bench.experiments import sec532_sqlite_microsd
-    return sec532_sqlite_microsd.run().report()
-
-
-def _discard():
-    from .bench.experiments import sec522_discard_cost
-    return sec522_discard_cost.run().report()
-
-
-def _splitting(device: str = "optane"):
-    from .bench.experiments import ablation_splitting
-    return ablation_splitting.run(device).report()
-
-
-def _phases():
-    from .bench.experiments import ablation_phases
-    return ablation_phases.run().report()
-
-
-def _endurance():
-    from .bench.experiments import ext_endurance
-    return ext_endurance.run().report()
-
-
-def _pba():
-    from .bench.experiments import ext_pba_defrag
-    return ext_pba_defrag.run().report()
-
-
-def _recurrence():
-    from .bench.experiments import ext_recurrence
-    return ext_recurrence.run().report()
-
-
-EXPERIMENTS: Dict[str, Dict] = {
-    "fig2": {"fn": _fig2, "help": "Figure 2: YCSB-A with background e4defrag"},
-    "fig4": {"fn": _fig4, "help": "Figure 4 + Table 1: frag size/distance sweeps"},
-    "sec33": {"fn": _sec33, "help": "Section 3.3: update sweeps"},
-    "fig8": {"fn": _fig8, "help": "Figure 8: synthetic workloads (Optane)", "fs": True, "device": True},
-    "fig9": {"fn": _fig9, "help": "Figure 9: synthetic workloads (flash)", "fs": True, "device": True},
-    "fig10": {"fn": _fig10, "help": "Figure 10: YCSB-C / LSM on aged Ext4"},
-    "fig11": {"fn": _fig11, "help": "Figure 11: fileserver grep cost", "device": True},
-    "fig12": {"fn": _fig12, "help": "Figure 12: hotness criterion sweep"},
-    "sqlite": {"fn": _sqlite, "help": "Section 5.3.2: SQLite on Btrfs/MicroSD"},
-    "discard": {"fn": _discard, "help": "Section 5.2.2: discard (fstrim) cost"},
-    "splitting": {"fn": _splitting, "help": "ablation: request splitting mechanics", "device": True},
-    "phases": {"fn": _phases, "help": "ablation: FragPicker design choices"},
-    "endurance": {"fn": _endurance, "help": "extension: flash wear per tool"},
-    "pba": {"fn": _pba, "help": "extension: open-channel PBA fragmentation"},
-    "recurrence": {"fn": _recurrence, "help": "extension: scheduled defrag routine"},
+#: name -> (module under repro.bench.experiments, help, run() kwargs).
+#: ``--fs-type`` and ``--device`` override only the keys an entry names;
+#: every other parameter keeps the experiment's own default.
+EXPERIMENTS: Dict[str, Tuple[str, str, Dict[str, str]]] = {
+    "fig2": ("fig2_background_defrag", "Figure 2: YCSB-A with background e4defrag", {}),
+    "fig4": ("fig4_frag_metrics", "Figure 4 + Table 1: frag size/distance sweeps", {}),
+    "sec33": ("sec33_update_sweep", "Section 3.3: update sweeps", {}),
+    "fig8": ("synthetic_defrag", "Figure 8: synthetic workloads (Optane)",
+             {"fs_type": "ext4", "device": "optane"}),
+    "fig9": ("synthetic_defrag", "Figure 9: synthetic workloads (flash)",
+             {"fs_type": "ext4", "device": "flash"}),
+    "fig10": ("fig10_ycsb_rocksdb", "Figure 10: YCSB-C / LSM on aged Ext4", {}),
+    "fig11": ("fig11_fileserver", "Figure 11: fileserver grep cost", {"device": "flash"}),
+    "fig12": ("fig12_hotness", "Figure 12: hotness criterion sweep", {}),
+    "sqlite": ("sec532_sqlite_microsd", "Section 5.3.2: SQLite on Btrfs/MicroSD", {}),
+    "discard": ("sec522_discard_cost", "Section 5.2.2: discard (fstrim) cost", {}),
+    "splitting": ("ablation_splitting", "ablation: request splitting mechanics",
+                  {"device": "optane"}),
+    "phases": ("ablation_phases", "ablation: FragPicker design choices", {}),
+    "endurance": ("ext_endurance", "extension: flash wear per tool", {}),
+    "pba": ("ext_pba_defrag", "extension: open-channel PBA fragmentation", {}),
+    "recurrence": ("ext_recurrence", "extension: scheduled defrag routine", {}),
 }
 
 
@@ -342,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _invoke(name: str, args) -> str:
-    spec = EXPERIMENTS[name]
-    kwargs = {}
-    if spec.get("fs") and args.fs_type:
-        kwargs["fs_type"] = args.fs_type
-    if spec.get("device") and args.device:
-        kwargs["device"] = args.device
-    return spec["fn"](**kwargs)
+    module, _, kwargs = EXPERIMENTS[name]
+    kwargs = dict(kwargs)
+    for key, value in (("fs_type", args.fs_type), ("device", args.device)):
+        if key in kwargs and value:
+            kwargs[key] = value
+    experiment = importlib.import_module(f"repro.bench.experiments.{module}")
+    return experiment.run(**kwargs).report()
 
 
 def _run_trace(args) -> int:
@@ -725,11 +654,11 @@ def main(argv=None) -> int:
     if args.command == "list":
         width = max(len(name) for name in EXPERIMENTS)
         for name in sorted(EXPERIMENTS):
-            print(f"{name.ljust(width)}  {EXPERIMENTS[name]['help']}")
+            print(f"{name.ljust(width)}  {EXPERIMENTS[name][1]}")
         return 0
     targets = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in targets:
-        print(f"=== {name}: {EXPERIMENTS[name]['help']} ===")
+        print(f"=== {name}: {EXPERIMENTS[name][1]} ===")
         print(_invoke(name, args))
         print()
     return 0

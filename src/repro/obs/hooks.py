@@ -92,13 +92,6 @@ class Instrumentation:
     syscall→request→command edges into the event ring
     (:mod:`repro.obs.provenance`).  Disarmed (the default), no ids are
     minted and commands carry ``pid=0``.
-
-    ``slo=`` attaches an :class:`~repro.obs.slo.SloPlane`: producers that
-    feed windowed telemetry (the fragmentation sampler, the fleet
-    controller, post-hoc harness evaluation) guard with
-    ``if obs.slo is not None`` *inside* their ``obs.enabled`` branch —
-    the same boolean-sentinel fast path as the obs/fault planes, so with
-    no plane attached (the default) nothing changes on any path.
     """
 
     enabled = True
@@ -115,7 +108,6 @@ class Instrumentation:
         max_spans: Optional[int] = None,
         max_events: Optional[int] = None,
         provenance: bool = False,
-        slo=None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         if spans is not None:
@@ -130,10 +122,6 @@ class Instrumentation:
         self.provenance: Optional[ProvenanceRecorder] = (
             ProvenanceRecorder(self.spans) if provenance else None
         )
-        #: optional SLO plane (repro.obs.slo); None = no windowed judging
-        self.slo = slo
-        if slo is not None:
-            slo.bind(self)
         # get-or-create caches so hot hooks skip name formatting when possible
         self._syscall: Dict[str, Tuple[Counter, Histogram]] = {}
         #: the attribution-only facade's latency histograms by op
@@ -352,7 +340,6 @@ class NullInstrumentation:
     registry = None
     spans = None
     provenance = None
-    slo = None
 
     def __deepcopy__(self, memo) -> "NullInstrumentation":
         # stateless singleton: a cloned filesystem keeps ``obs is NULL``
@@ -433,12 +420,11 @@ def enable(
     max_spans: Optional[int] = None,
     max_events: Optional[int] = None,
     provenance: bool = False,
-    slo=None,
 ) -> Instrumentation:
     """Install (and return) a live instrumentation."""
     instrumentation = Instrumentation(
         registry, spans, max_spans=max_spans, max_events=max_events,
-        provenance=provenance, slo=slo,
+        provenance=provenance,
     )
     install(instrumentation)
     return instrumentation

@@ -149,10 +149,6 @@ class FragmentationSampler:
             for name, value in reading.items():
                 self.obs.registry.gauge(name).set(value)
             self.obs.event("frag.sample", now, track=self.track, **reading)
-            if self.obs.slo is not None:
-                # feed the windowed SLO telemetry (repro.obs.slo)
-                for name, value in reading.items():
-                    self.obs.slo.observe(name, now, value)
         if len(self.series["frag.contiguity"]) > self.max_samples:
             # bound memory on long runs: halve resolution, double cadence
             for series in self.series.values():

@@ -240,16 +240,12 @@ class SloPlane:
     Values for metrics no spec watches, or for windows already
     evaluated, can never be judged and are not kept.
 
-    Null-by-default at the :class:`~repro.obs.hooks.Instrumentation`
-    level: an instrumentation built without ``slo=`` keeps ``slo=None``
-    and every producer guards with ``if obs.slo is not None`` *inside*
-    its ``obs.enabled`` branch, so the null plane stays untouched.
-
-    When the plane is carried by an armed instrumentation it mirrors
-    verdicts outward: ``slo.breach`` / ``slo.burn`` events into the
-    shared ring, plus ``slo.<name>.burn_fast`` / ``slo.<name>.
-    budget_remaining`` gauges and ``slo.breaches`` / ``slo.alerts``
-    counters in the registry.  Evaluation itself never reads the clock
+    Its owner (:class:`~repro.fleet.slo.FleetSlo`) feeds it and binds
+    it to the current instrumentation.  When that instrumentation is
+    armed the plane mirrors verdicts outward: ``slo.breach`` /
+    ``slo.burn`` events into the shared ring, plus ``slo.<name>.
+    burn_fast`` / ``slo.<name>.budget_remaining`` gauges and
+    ``slo.breaches`` / ``slo.alerts`` counters in the registry.  Evaluation itself never reads the clock
     or the registry, so documents stay byte-identical with or without
     an armed instrumentation.
     """
@@ -284,7 +280,7 @@ class SloPlane:
     # -- instrumentation binding ---------------------------------------
 
     def bind(self, obs) -> None:
-        """Attach the carrying instrumentation (event/gauge mirroring)."""
+        """Attach the instrumentation verdicts mirror into (events, gauges)."""
         self._obs = obs
 
     # -- window geometry -----------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..constants import BLOCK_SIZE, KIB, MIB
 from ..errors import InvalidArgument
@@ -71,16 +71,26 @@ class TraceProfile:
         }
 
 
-def generate_ops(profile: TraceProfile) -> Iterator[IoOp]:
-    """The seeded op stream (a generator; nothing is materialized)."""
-    rng = random.Random(f"repro.replay.gen:{profile.seed}")
+def _draw_ops(
+    profile: TraceProfile,
+    rng: random.Random,
+    indices: range,
+    arrival: Callable[[int], float],
+    fsync_arrival: Callable[[int], float],
+) -> Iterator[IoOp]:
+    """The one draw loop behind both corpus schemes.
+
+    Op ``index`` takes its timestamp from ``arrival(index)`` and a
+    trailing fsync from ``fsync_arrival(index)``; both may draw from
+    ``rng``, and are called at the same point of the draw order in both
+    schemes.  The sequential cursors start empty on every call.
+    """
     # zipf-ish popularity via inverse-power draw (no scipy dependency)
     files = profile.files
     cursor: Dict[int, int] = {}      # file_id -> next sequential offset
     dirty_writes: Dict[int, int] = {}  # file_id -> writes since last fsync
-    now = 0.0
     slots = max(1, profile.file_bytes // BLOCK_SIZE)
-    for _ in range(profile.ops):
+    for index in indices:
         u = rng.random()
         file_id = min(files - 1, int(files * (u ** profile.skew)))
         size = rng.choice(profile.request_sizes)
@@ -95,17 +105,34 @@ def generate_ops(profile: TraceProfile) -> Iterator[IoOp]:
         cursor[file_id] = offset + size
         is_read = rng.random() < profile.read_fraction
         o_direct = rng.random() < profile.direct_fraction
-        now += rng.expovariate(1.0 / profile.interarrival) if profile.interarrival else 0.0
+        now = arrival(index)
         if is_read:
             yield IoOp("read", file_id, offset, size, now, o_direct)
             continue
         yield IoOp("write", file_id, offset, size, now, o_direct)
         count = dirty_writes.get(file_id, 0) + 1
         if profile.fsync_every and count >= profile.fsync_every:
-            now += rng.expovariate(1.0 / profile.interarrival) if profile.interarrival else 0.0
-            yield IoOp("fsync", file_id, 0, 0, now, o_direct)
+            yield IoOp("fsync", file_id, 0, 0, fsync_arrival(index), o_direct)
             count = 0
         dirty_writes[file_id] = count
+
+
+def generate_ops(profile: TraceProfile) -> Iterator[IoOp]:
+    """The seeded op stream (a generator; nothing is materialized).
+
+    Every op and every fsync advances the clock by an exponential gap.
+    """
+    rng = random.Random(f"repro.replay.gen:{profile.seed}")
+    interarrival = profile.interarrival
+    now = 0.0
+
+    def advance(index: int) -> float:
+        nonlocal now
+        if interarrival:
+            now += rng.expovariate(1.0 / interarrival)
+        return now
+
+    return _draw_ops(profile, rng, range(profile.ops), advance, advance)
 
 
 #: ops per shard when ``generate_trace`` runs parallel (the boundary is
@@ -129,39 +156,18 @@ def generate_ops_chunk(
     ``(profile, start, count)``, never on how many workers ran.
     """
     rng = random.Random(f"repro.replay.gen:{profile.seed}:chunk:{start}")
-    files = profile.files
-    cursor: Dict[int, int] = {}
-    dirty_writes: Dict[int, int] = {}
     interarrival = profile.interarrival
-    slots = max(1, profile.file_bytes // BLOCK_SIZE)
-    for index in range(start, start + count):
-        u = rng.random()
-        file_id = min(files - 1, int(files * (u ** profile.skew)))
-        size = rng.choice(profile.request_sizes)
-        if rng.random() < profile.sequential_fraction:
-            offset = cursor.get(file_id, 0)
-            if offset + size > profile.file_bytes:
-                offset = 0
-        else:
-            offset = rng.randrange(slots) * BLOCK_SIZE
-            offset = min(offset, profile.file_bytes - size)
-            offset -= offset % BLOCK_SIZE
-        cursor[file_id] = offset + size
-        is_read = rng.random() < profile.read_fraction
-        o_direct = rng.random() < profile.direct_fraction
-        now = index * interarrival + rng.random() * 0.5 * interarrival
-        if is_read:
-            yield IoOp("read", file_id, offset, size, now, o_direct)
-            continue
-        yield IoOp("write", file_id, offset, size, now, o_direct)
-        count_dirty = dirty_writes.get(file_id, 0) + 1
-        if profile.fsync_every and count_dirty >= profile.fsync_every:
-            now = index * interarrival + (
-                0.5 + rng.random() * 0.5
-            ) * interarrival
-            yield IoOp("fsync", file_id, 0, 0, now, o_direct)
-            count_dirty = 0
-        dirty_writes[file_id] = count_dirty
+    draw = rng.random
+
+    def arrival(index: int) -> float:
+        return index * interarrival + draw() * 0.5 * interarrival
+
+    def fsync_arrival(index: int) -> float:
+        return index * interarrival + (0.5 + draw() * 0.5) * interarrival
+
+    return _draw_ops(
+        profile, rng, range(start, start + count), arrival, fsync_arrival
+    )
 
 
 def _generate_chunk(payload: Tuple[TraceProfile, int, int]) -> Tuple[bytes, int]:

@@ -8,6 +8,8 @@ at miniature size.
 import pytest
 
 from repro.constants import KIB, MIB
+from repro.obs import hooks as obs_hooks
+from repro.obs.hooks import Instrumentation
 from repro.bench.experiments import (
     ablation_phases,
     ablation_splitting,
@@ -15,6 +17,7 @@ from repro.bench.experiments import (
     ext_pba_defrag,
     ext_recurrence,
     fig4_frag_metrics,
+    fig10_ycsb_rocksdb,
     fig12_hotness,
     sec522_discard_cost,
     synthetic_defrag,
@@ -83,3 +86,48 @@ def test_pba_tiny():
 def test_recurrence_tiny():
     result = ext_recurrence.run(cycles=2)
     assert result.runs["fragpicker"].total_write_mb < result.runs["e4defrag"].total_write_mb
+
+
+def _fig10_tiny(tool):
+    """Figure 10's one protocol at trace-smoke sizes."""
+    state = fig10_ycsb_rocksdb._build_state(
+        96 * MIB, "optane", 16 * MIB, record_count=1_200, value_size=1024, seed=42
+    )
+    return fig10_ycsb_rocksdb._protocol(
+        tool, *state, window_ops=200, warmup_ops=100, hotness=0.5
+    )
+
+
+def test_fig10_protocol_tiny():
+    e4 = _fig10_tiny("e4defrag")
+    fp = _fig10_tiny("fragpicker")
+    # only FragPicker has an analysis phase; the tools differ in nothing else
+    assert list(e4.phases) == ["before", "defrag", "after"]
+    assert list(fp.phases) == ["before", "analysis", "defrag", "after"]
+    for run in (e4, fp):
+        assert run.fragments_after < run.fragments_before
+        assert run.finished_at > 0.0
+        # the null plane records no fan-out
+        assert all(phase.fanout is None for phase in run.phases.values())
+    assert fp.total_io_mb < e4.total_io_mb
+
+
+def test_fig10_protocol_armed_spans_and_fanout():
+    with obs_hooks.use(Instrumentation()) as obs:
+        run = _fig10_tiny("fragpicker")
+    for name in ("before", "analysis", "after"):
+        (span,) = obs.spans.by_name(f"phase.{name}")
+        assert span.duration == pytest.approx(run.phases[name].duration)
+        assert run.phases[name].fanout.count > 0
+    # the warmup and the co-run defrag phase open no phase span
+    assert [s.name for s in obs.spans.spans if s.name.startswith("phase.")] == [
+        "phase.before", "phase.analysis", "phase.after"
+    ]
+    assert run.phases["defrag"].fanout is None
+    # defragmentation shifts the fan-out toward one command per syscall
+    assert run.phases["after"].fanout.mean < run.phases["before"].fanout.mean
+    # analysis is timestamped where the analysis window ended
+    (analyze,) = obs.spans.by_name("fragpicker.analyze")
+    assert analyze.start == pytest.approx(
+        obs.spans.by_name("phase.analysis")[0].end
+    )

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro import cli
-from repro.bench import regression
+from repro.bench.suite import build_document
+from repro.doc import BENCH, digest
 
 CONFIG = {"smoke": True, "synthetic": {"devices": ["optane"]}, "seed": 42}
 
@@ -32,20 +33,20 @@ def _document(label="base", throughput=100.0, device_service=0.2, fanout_mean=4.
             },
         },
     }
-    return regression.build_document(label, CONFIG, figures)
+    return build_document(label, CONFIG, figures)
 
 
 def test_fingerprint_is_stable_and_config_sensitive():
-    a = regression.config_fingerprint({"seed": 42, "devices": ["optane", "hdd"]})
-    b = regression.config_fingerprint({"devices": ["optane", "hdd"], "seed": 42})
+    a = digest({"seed": 42, "devices": ["optane", "hdd"]})
+    b = digest({"devices": ["optane", "hdd"], "seed": 42})
     assert a == b  # key order is canonicalised
-    c = regression.config_fingerprint({"seed": 43, "devices": ["optane", "hdd"]})
+    c = digest({"seed": 43, "devices": ["optane", "hdd"]})
     assert a != c
     assert len(a) == 16
 
 
 def test_identical_documents_compare_clean():
-    comparison = regression.compare(_document(), _document(label="again"))
+    comparison = BENCH.compare(_document(), _document(label="again"))
     assert comparison.ok
     assert comparison.findings  # values were actually compared
     assert not comparison.warnings
@@ -55,45 +56,45 @@ def test_direction_aware_regressions():
     base = _document()
     # throughput DOWN 15% -> regression
     slower = _document(label="cand", throughput=85.0)
-    comparison = regression.compare(base, slower, threshold=0.10)
+    comparison = BENCH.compare(base, slower, threshold=0.10)
     assert [f.metric for f in comparison.regressions] == ["throughput_mbps"]
     # throughput UP 15% -> improvement, not a regression
     faster = _document(label="cand", throughput=115.0)
-    assert regression.compare(base, faster, threshold=0.10).ok
+    assert BENCH.compare(base, faster, threshold=0.10).ok
     # component seconds UP 20% -> regression
     costlier = _document(label="cand", device_service=0.24)
-    comparison = regression.compare(base, costlier, threshold=0.10)
+    comparison = BENCH.compare(base, costlier, threshold=0.10)
     assert [f.metric for f in comparison.regressions] == [
         "attribution.device_service"
     ]
     # component seconds DOWN -> fine
     cheaper = _document(label="cand", device_service=0.16)
-    assert regression.compare(base, cheaper, threshold=0.10).ok
+    assert BENCH.compare(base, cheaper, threshold=0.10).ok
     # fan-out mean UP -> regression (fragmentation crept back in)
     refragmented = _document(label="cand", fanout_mean=5.0)
-    comparison = regression.compare(base, refragmented, threshold=0.10)
+    comparison = BENCH.compare(base, refragmented, threshold=0.10)
     assert [f.metric for f in comparison.regressions] == ["split_fanout.mean"]
 
 
 def test_small_drift_below_threshold_passes():
     base = _document()
     wobble = _document(label="cand", throughput=95.5, device_service=0.209)
-    assert regression.compare(base, wobble, threshold=0.10).ok
+    assert BENCH.compare(base, wobble, threshold=0.10).ok
 
 
 def test_mismatched_fingerprints_warn():
     base = _document()
-    other = regression.build_document(
+    other = build_document(
         "cand", {"seed": 7}, base["figures"]
     )
-    comparison = regression.compare(base, other)
+    comparison = BENCH.compare(base, other)
     assert any("fingerprint" in w for w in comparison.warnings)
 
 
 def test_missing_figure_and_variant_warn():
     base = _document()
-    empty = regression.build_document("cand", CONFIG, {})
-    comparison = regression.compare(base, empty)
+    empty = build_document("cand", CONFIG, {})
+    comparison = BENCH.compare(base, empty)
     assert comparison.ok  # nothing comparable, nothing regressed
     assert any("missing" in w for w in comparison.warnings)
 
@@ -101,10 +102,10 @@ def test_missing_figure_and_variant_warn():
 def test_cli_compare_exit_codes(tmp_path, capsys):
     base_path = tmp_path / "BENCH_base.json"
     cand_path = tmp_path / "BENCH_cand.json"
-    regression.save(str(base_path), _document())
+    BENCH.save(str(base_path), _document())
 
     # injected 15% throughput regression -> exit 1
-    regression.save(str(cand_path), _document(label="cand", throughput=85.0))
+    BENCH.save(str(cand_path), _document(label="cand", throughput=85.0))
     code = cli.main(["bench", "--compare", str(base_path), str(cand_path)])
     assert code == 1
     out = capsys.readouterr().out
@@ -116,7 +117,7 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     assert code == 0
 
     # 5% drift under a 10% threshold -> exit 0
-    regression.save(str(cand_path), _document(label="cand", throughput=95.0))
+    BENCH.save(str(cand_path), _document(label="cand", throughput=95.0))
     code = cli.main(["bench", "--compare", str(base_path), str(cand_path)])
     assert code == 0
 
@@ -132,10 +133,10 @@ def test_cli_bench_smoke_writes_schema_versioned_document(tmp_path, capsys):
     code = cli.main(["bench", "--smoke", "--label", "ci",
                      "--json", str(bench_path), "--trace", str(trace_path)])
     assert code == 0
-    document = regression.load(str(bench_path))
-    assert document["schema"] == regression.SCHEMA
+    document = BENCH.load(str(bench_path))
+    assert document["schema"] == BENCH.schema
     assert document["label"] == "ci"
-    assert document["fingerprint"] == regression.config_fingerprint(
+    assert document["fingerprint"] == digest(
         document["config"]
     )
     # every captured variant's attribution satisfies the invariant

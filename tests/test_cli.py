@@ -109,10 +109,13 @@ def test_obs_critical_path_flag(capsys, tmp_path):
 
 def test_every_experiment_registered():
     # one CLI entry per paper artifact + ablations + extensions
+    import importlib
+
     assert len(EXPERIMENTS) >= 15
-    for spec in EXPERIMENTS.values():
-        assert callable(spec["fn"])
-        assert spec["help"]
+    for module, help_text, _ in EXPERIMENTS.values():
+        experiment = importlib.import_module(f"repro.bench.experiments.{module}")
+        assert callable(experiment.run)
+        assert help_text
 
 
 def test_fleet_smoke_runs_and_writes_document(capsys, tmp_path, monkeypatch):

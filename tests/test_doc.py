@@ -9,7 +9,7 @@ import os
 import pytest
 
 from repro import doc
-from repro.bench import regression
+from repro.bench.suite import build_document
 
 TYPES = {"bench": doc.BENCH, "fleet": doc.FLEET, "replay": doc.REPLAY,
          "slo": doc.SLO}
@@ -52,7 +52,7 @@ def test_stored_fingerprints(kind, sample_documents):
         # BENCH stores the config hash; rebuilding the committed baseline
         # from its parts reproduces the file byte for byte
         assert document["fingerprint"] == doc.digest(document["config"])
-        rebuilt = regression.build_document(
+        rebuilt = build_document(
             document["label"], document["config"], document["figures"]
         )
         with open(BASELINE) as fh:

@@ -24,7 +24,7 @@ from repro import doc
 from repro.doc import Comparison, Finding
 
 # ----------------------------------------------------------------------
-# reference: BENCH (bench/regression.py)
+# reference: BENCH
 # ----------------------------------------------------------------------
 
 HIGHER_IS_BETTER = ("throughput_mbps", "ops_per_sec", "grep_gb_per_s")

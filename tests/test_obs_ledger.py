@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import cli, doc
-from repro.bench import regression
+from repro.bench.suite import build_document
 from repro.obs import ledger
 
 FLEET_DOC = {
@@ -64,11 +64,11 @@ def test_bench_doc_fingerprint_sees_figure_drift():
     # records the document's result hash instead
     config = {"seed": 42, "smoke": True}
     figures = {"fig": {"v": {"throughput_mbps": 100.0}}}
-    document = regression.build_document("ci", config, figures)
-    drifted = regression.build_document(
+    document = build_document("ci", config, figures)
+    drifted = build_document(
         "ci", config, {"fig": {"v": {"throughput_mbps": 101.0}}}
     )
-    relabelled = regression.build_document("other", config, figures)
+    relabelled = build_document("other", config, figures)
     assert drifted["fingerprint"] == document["fingerprint"]
     recorded = ledger.build_manifest("bench", document)["doc_fingerprint"]
     assert recorded == doc.BENCH.fingerprint(document)
