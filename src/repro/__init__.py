@@ -20,37 +20,33 @@ Quickstart::
     now, after = sequential_read(fs, "/data", now=report.finished_at)
 """
 
-from .constants import BLOCK_SIZE, GIB, KIB, MIB, READAHEAD_SIZE, STRIDE_SIZE
-from .device import make_device
-from .fs import make_filesystem, fiemap, fragment_count
-from .core import DefragReport, FragPicker, FragPickerConfig
-from .tools import btrfs_defragment, e4defrag, f2fs_defrag, make_conventional, Fstrim
-from .trace import SyscallMonitor
-from .sim import Session, run_concurrently
+from .exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BLOCK_SIZE",
-    "KIB",
-    "MIB",
-    "GIB",
-    "READAHEAD_SIZE",
-    "STRIDE_SIZE",
-    "make_device",
-    "make_filesystem",
-    "fiemap",
-    "fragment_count",
-    "FragPicker",
-    "FragPickerConfig",
-    "DefragReport",
-    "e4defrag",
-    "btrfs_defragment",
-    "f2fs_defrag",
-    "make_conventional",
-    "Fstrim",
-    "SyscallMonitor",
-    "Session",
-    "run_concurrently",
-    "__version__",
-]
+#: every name resolves on first access (see :mod:`repro.exports`), so
+#: ``import repro`` loads none of the stack
+_EXPORTS = {
+    "BLOCK_SIZE": "constants",
+    "KIB": "constants",
+    "MIB": "constants",
+    "GIB": "constants",
+    "READAHEAD_SIZE": "constants",
+    "STRIDE_SIZE": "constants",
+    "make_device": "device",
+    "make_filesystem": "fs",
+    "fiemap": "fs",
+    "fragment_count": "fs",
+    "FragPicker": "core",
+    "FragPickerConfig": "core",
+    "DefragReport": "core",
+    "e4defrag": "tools",
+    "btrfs_defragment": "tools",
+    "f2fs_defrag": "tools",
+    "make_conventional": "tools",
+    "Fstrim": "tools",
+    "SyscallMonitor": "trace",
+    "Session": "sim",
+    "run_concurrently": "sim",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS, eager=["__version__"])

@@ -426,12 +426,7 @@ def _dashboard(config, monitor, every: int):
 def _run_fleet(args) -> int:
     import time
 
-    from .fleet import FleetSlo, run_fleet
-    from .fleet.slo import DEFAULT_LATENCY_SLO_S
-    from .obs import hooks as obs_hooks
-    from .obs import slo as obs_slo
-    from .obs.export import metrics_json, prometheus_text, write_chrome_trace
-    from .obs.hooks import Instrumentation
+    from .fleet import run_fleet
 
     code = cli_util.run_compare(args, FLEET, SLO)
     if code is not None:
@@ -442,6 +437,9 @@ def _run_fleet(args) -> int:
                  or args.watch is not None)
     monitor = None
     if gated:
+        from .fleet.slo import DEFAULT_LATENCY_SLO_S, FleetSlo
+        from .obs import slo as obs_slo
+
         monitor = FleetSlo.for_config(
             config,
             latency_slo_s=(DEFAULT_LATENCY_SLO_S if args.latency_slo_ms is None
@@ -456,7 +454,10 @@ def _run_fleet(args) -> int:
     armed = bool(args.trace or args.metrics_json or args.prom)
     start = time.perf_counter()
     if armed:
-        obs = Instrumentation()
+        from .obs import hooks as obs_hooks
+        from .obs.export import metrics_json, prometheus_text, write_chrome_trace
+
+        obs = obs_hooks.Instrumentation()
         with obs_hooks.use(obs):
             report = run_fleet(config, slo=monitor, on_tick=on_tick)
     else:
@@ -486,6 +487,9 @@ def _run_fleet(args) -> int:
                "slo": gated, "faults": args.faults},
     )
     if args.slo_json or args.slo_prom:
+        from .obs import slo as obs_slo
+        from .obs.export import prometheus_text
+
         slo_document = monitor.document(
             label, {"kind": "fleet", "config": config.to_dict()}
         )

@@ -26,6 +26,7 @@ imported lazily — the base package stays dependency-free for the layers
 that consult the plane.
 """
 
+from ..exports import lazy_exports
 from .plan import KINDS, FaultPlan, FaultRule  # noqa: F401
 from .hooks import (  # noqa: F401
     DEFAULT_LATENCY_SPIKE,
@@ -40,29 +41,24 @@ from .hooks import (  # noqa: F401
     use,
 )
 
-__all__ = [
-    "KINDS",
-    "FaultPlan",
-    "FaultRule",
-    "DEFAULT_LATENCY_SPIKE",
-    "FaultFire",
-    "FaultPlane",
-    "FaultPlaneStats",
-    "NullFaultPlane",
-    "arm",
-    "current",
-    "disarm",
-    "install",
-    "use",
-    "crashpoints",
-    "campaign",
-]
-
-
-def __getattr__(name: str):
-    # lazy: these modules import core/fs, which import this package
-    if name in ("crashpoints", "campaign"):
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: lazy: these modules import core/fs, which import this package
+_EXPORTS = {"crashpoints": "crashpoints", "campaign": "campaign"}
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    _EXPORTS,
+    eager=[
+        "KINDS",
+        "FaultPlan",
+        "FaultRule",
+        "DEFAULT_LATENCY_SPIKE",
+        "FaultFire",
+        "FaultPlane",
+        "FaultPlaneStats",
+        "NullFaultPlane",
+        "arm",
+        "current",
+        "disarm",
+        "install",
+        "use",
+    ],
+)

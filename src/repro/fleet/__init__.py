@@ -9,31 +9,26 @@ read p50/p99, bytes migrated, volumes above threshold over time) with a
 byte-reproducible fingerprint.
 """
 
-from .admission import AdmissionController, TickBudget
-from .controller import FleetController, build_volumes, run_fleet
-from .jobs import DefragJob
-from .report import FleetReport, TickRow, compare, fingerprint, load, save
-from .slo import FleetSlo
-from .spec import FileSpec, FleetConfig, VolumeSpec, make_volume_specs
-from .volume import Volume
+from ..exports import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "TickBudget",
-    "FleetController",
-    "build_volumes",
-    "run_fleet",
-    "DefragJob",
-    "FleetReport",
-    "FleetSlo",
-    "TickRow",
-    "compare",
-    "fingerprint",
-    "load",
-    "save",
-    "FileSpec",
-    "FleetConfig",
-    "VolumeSpec",
-    "make_volume_specs",
-    "Volume",
-]
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "TickBudget": "admission",
+    "FleetController": "controller",
+    "build_volumes": "controller",
+    "run_fleet": "controller",
+    "DefragJob": "jobs",
+    "FleetReport": "report",
+    "TickRow": "report",
+    "compare": "report",
+    "fingerprint": "report",
+    "load": "report",
+    "save": "report",
+    "FleetSlo": "slo",
+    "FileSpec": "spec",
+    "FleetConfig": "spec",
+    "VolumeSpec": "spec",
+    "make_volume_specs": "spec",
+    "Volume": "volume",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -22,7 +22,7 @@ byte-reproducible fleet fingerprint.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..obs import hooks as obs_hooks
 from ..faults import hooks as fault_hooks
@@ -32,9 +32,11 @@ from ..stats import nearest_rank
 from .admission import AdmissionController, TickBudget
 from .jobs import DefragJob, FAILED, RUNNING
 from .report import FleetReport, TickRow
-from .slo import FleetSlo
 from .spec import FleetConfig, make_volume_specs
 from .volume import Volume
+
+if TYPE_CHECKING:  # the SLO plane loads only when a monitor is attached
+    from .slo import FleetSlo
 
 
 class FleetController:

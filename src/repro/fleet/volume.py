@@ -22,9 +22,8 @@ from ..device import make_device
 from ..errors import FaultError, InjectedCrash
 from ..fs import make_filesystem
 from ..obs.sampler import FragmentationSampler
-from ..replay.workload import cycling_ops, parse_trace_workload
 from ..workloads.synthetic import FragmentSpec, make_fragmented_file
-from .spec import FleetConfig, VolumeSpec
+from .spec import WORKLOADS, FleetConfig, VolumeSpec
 
 #: foreground update request size
 _UPDATE_SIZE = 16 * KIB
@@ -75,12 +74,16 @@ class Volume:
         }
         self._scan_offsets: Dict[str, int] = {path: 0 for path in self.paths}
         self._trace_ops = None
-        trace_path = parse_trace_workload(spec.workload)
-        if trace_path is not None:
-            # every volume re-reads the same trace; records are mapped
-            # onto this volume's own file set (file_id % files) so the
-            # stream is shareable across heterogeneous volumes
-            self._trace_ops = cycling_ops(trace_path)
+        if spec.workload not in WORKLOADS:
+            # the trace reader loads only for a ``trace:<path>`` workload
+            from ..replay.workload import cycling_ops, parse_trace_workload
+
+            trace_path = parse_trace_workload(spec.workload)
+            if trace_path is not None:
+                # every volume re-reads the same trace; records are mapped
+                # onto this volume's own file set (file_id % files) so the
+                # stream is shareable across heterogeneous volumes
+                self._trace_ops = cycling_ops(trace_path)
 
     # -- observability -------------------------------------------------
 

@@ -35,44 +35,44 @@ measurement substrate:
   health dashboard ``repro fleet --watch`` renders.
 """
 
-from .hooks import (  # noqa: F401
-    Instrumentation,
-    NullInstrumentation,
-    current,
-    disable,
-    enable,
-    install,
-    use,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry  # noqa: F401
-from .spans import Span, SpanRecorder  # noqa: F401
-from .export import (  # noqa: F401
-    chrome_trace,
-    metrics_json,
-    metrics_table,
-    prometheus_text,
-    write_chrome_trace,
-)
-from .analysis import (  # noqa: F401
-    Attribution,
-    attribute,
-    delta_metrics,
-    histogram_summary,
-    span_summary,
-    span_table,
-)
-from .sampler import FragmentationSampler  # noqa: F401
-from .slo import SloPlane, SloSpec  # noqa: F401
-from .provenance import (  # noqa: F401
-    ProvenanceForest,
-    ProvenanceRecorder,
-    SyscallTree,
-    build_forest,
-)
-from .critical_path import (  # noqa: F401
-    CriticalPath,
-    critical_path,
-    flamegraph,
-    flow_events,
-    write_flamegraph,
-)
+from ..exports import lazy_exports
+
+_EXPORTS = {
+    "Instrumentation": "hooks",
+    "NullInstrumentation": "hooks",
+    "current": "hooks",
+    "disable": "hooks",
+    "enable": "hooks",
+    "install": "hooks",
+    "use": "hooks",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "Span": "spans",
+    "SpanRecorder": "spans",
+    "chrome_trace": "export",
+    "metrics_json": "export",
+    "metrics_table": "export",
+    "prometheus_text": "export",
+    "write_chrome_trace": "export",
+    "Attribution": "analysis",
+    "attribute": "analysis",
+    "delta_metrics": "analysis",
+    "histogram_summary": "analysis",
+    "span_summary": "analysis",
+    "span_table": "analysis",
+    "FragmentationSampler": "sampler",
+    "SloPlane": "slo",
+    "SloSpec": "slo",
+    "ProvenanceForest": "provenance",
+    "ProvenanceRecorder": "provenance",
+    "SyscallTree": "provenance",
+    "build_forest": "provenance",
+    "CriticalPath": "critical_path",
+    "critical_path": "critical_path",
+    "flamegraph": "critical_path",
+    "flow_events": "critical_path",
+    "write_flamegraph": "critical_path",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

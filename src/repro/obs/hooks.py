@@ -69,11 +69,13 @@ checks that invariant.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .metrics import COUNT_BOUNDS, Counter, Gauge, Histogram, MetricsRegistry
-from .provenance import ProvenanceRecorder
 from .spans import Span, SpanRecorder
+
+if TYPE_CHECKING:
+    from .provenance import ProvenanceRecorder
 
 
 class Instrumentation:
@@ -119,9 +121,11 @@ class Instrumentation:
             if max_events is not None:
                 span_kwargs["max_events"] = max_events
             self.spans = SpanRecorder(**span_kwargs)
-        self.provenance: Optional[ProvenanceRecorder] = (
-            ProvenanceRecorder(self.spans) if provenance else None
-        )
+        self.provenance: Optional[ProvenanceRecorder] = None
+        if provenance:
+            from .provenance import ProvenanceRecorder  # armed only
+
+            self.provenance = ProvenanceRecorder(self.spans)
         # get-or-create caches so hot hooks skip name formatting when possible
         self._syscall: Dict[str, Tuple[Counter, Histogram]] = {}
         #: the attribution-only facade's latency histograms by op

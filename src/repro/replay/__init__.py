@@ -17,66 +17,37 @@ The pipeline, in the order a ``repro replay`` run uses it:
   :class:`ReplayWorkload` and the fleet's ``trace:<path>`` stream.
 """
 
-from .formats import (
-    BINARY_MAGIC,
-    BINARY_VERSION,
-    FORMATS,
-    RECORD_SIZE,
-    BinaryTraceReader,
-    BinaryTraceWriter,
-    BlktraceTextReader,
-    CsvTraceReader,
-    ParseStats,
-    TraceReader,
-    open_trace,
-    sniff_format,
-)
-from .generate import TraceProfile, generate_ops, generate_trace
-from .reconstruct import (
-    DEFAULT_FILE_CAP,
-    PlacementPolicy,
-    ReconstructionStats,
-    Reconstructor,
-)
-from .report import (
-    SCHEMA,
-    ReplayConfig,
-    ReplayResult,
-    compare,
-    fingerprint,
-    run_replay,
-    validate,
-)
-from .workload import ReplayWorkload, cycling_ops, parse_trace_workload
+from ..exports import lazy_exports
 
-__all__ = [
-    "BINARY_MAGIC",
-    "BINARY_VERSION",
-    "FORMATS",
-    "RECORD_SIZE",
-    "BinaryTraceReader",
-    "BinaryTraceWriter",
-    "BlktraceTextReader",
-    "CsvTraceReader",
-    "ParseStats",
-    "TraceReader",
-    "open_trace",
-    "sniff_format",
-    "TraceProfile",
-    "generate_ops",
-    "generate_trace",
-    "DEFAULT_FILE_CAP",
-    "PlacementPolicy",
-    "ReconstructionStats",
-    "Reconstructor",
-    "SCHEMA",
-    "ReplayConfig",
-    "ReplayResult",
-    "compare",
-    "fingerprint",
-    "run_replay",
-    "validate",
-    "ReplayWorkload",
-    "cycling_ops",
-    "parse_trace_workload",
-]
+_EXPORTS = {
+    "BINARY_MAGIC": "formats",
+    "BINARY_VERSION": "formats",
+    "FORMATS": "formats",
+    "RECORD_SIZE": "formats",
+    "BinaryTraceReader": "formats",
+    "BinaryTraceWriter": "formats",
+    "BlktraceTextReader": "formats",
+    "CsvTraceReader": "formats",
+    "ParseStats": "formats",
+    "TraceReader": "formats",
+    "open_trace": "formats",
+    "sniff_format": "formats",
+    "TraceProfile": "generate",
+    "generate_ops": "generate",
+    "generate_trace": "generate",
+    "DEFAULT_FILE_CAP": "reconstruct",
+    "PlacementPolicy": "reconstruct",
+    "ReconstructionStats": "reconstruct",
+    "Reconstructor": "reconstruct",
+    "SCHEMA": "report",
+    "ReplayConfig": "report",
+    "ReplayResult": "report",
+    "compare": "report",
+    "fingerprint": "report",
+    "run_replay": "report",
+    "validate": "report",
+    "ReplayWorkload": "workload",
+    "cycling_ops": "workload",
+    "parse_trace_workload": "workload",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,8 +1,12 @@
 """Virtual-time simulation: sessions (single actor) and the co-running
 engine (multiple actors time-sharing one device FCFS)."""
 
-from .clock import Clock
-from .session import Session
-from .engine import ActorContext, run_concurrently
+from ..exports import lazy_exports
 
-__all__ = ["Clock", "Session", "ActorContext", "run_concurrently"]
+_EXPORTS = {
+    "Clock": "clock",
+    "Session": "session",
+    "ActorContext": "engine",
+    "run_concurrently": "engine",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -3,19 +3,17 @@
 import math
 from typing import List
 
-from .correlation import correlation_coefficient, nlrs, normalize_to_min
-from .timeline import Timeline, windowed_throughput
-from .tables import format_table
+from ..exports import lazy_exports
 
-__all__ = [
-    "nearest_rank",
-    "correlation_coefficient",
-    "nlrs",
-    "normalize_to_min",
-    "Timeline",
-    "windowed_throughput",
-    "format_table",
-]
+_EXPORTS = {
+    "correlation_coefficient": "correlation",
+    "nlrs": "correlation",
+    "normalize_to_min": "correlation",
+    "Timeline": "timeline",
+    "windowed_throughput": "timeline",
+    "format_table": "tables",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS, eager=["nearest_rank"])
 
 
 def nearest_rank(ordered: List[float], q: float) -> float:

@@ -9,21 +9,15 @@
 - :class:`Fstrim` — discards free space, one command per free run.
 """
 
-from .conventional import (
-    ConventionalDefragmenter,
-    e4defrag,
-    btrfs_defragment,
-    f2fs_defrag,
-    make_conventional,
-)
-from .fstrim import Fstrim, FstrimResult
+from ..exports import lazy_exports
 
-__all__ = [
-    "ConventionalDefragmenter",
-    "e4defrag",
-    "btrfs_defragment",
-    "f2fs_defrag",
-    "make_conventional",
-    "Fstrim",
-    "FstrimResult",
-]
+_EXPORTS = {
+    "ConventionalDefragmenter": "conventional",
+    "e4defrag": "conventional",
+    "btrfs_defragment": "conventional",
+    "f2fs_defrag": "conventional",
+    "make_conventional": "conventional",
+    "Fstrim": "fstrim",
+    "FstrimResult": "fstrim",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

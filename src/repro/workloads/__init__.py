@@ -11,48 +11,33 @@
 - :mod:`aging` — free-space aging (the Dabre-profile substitute).
 """
 
-from .distributions import UniformKeys, ZipfianKeys
-from .synthetic import (
-    FragmentSpec,
-    make_fragmented_file,
-    make_paper_synthetic_file,
-    pattern_ops,
-    sequential_read,
-    sequential_update,
-    stride_read,
-    stride_update,
-)
-from .aging import age_filesystem
-from .kvstore import LsmStore, LsmConfig
-from .ycsb import YcsbConfig, YcsbWorkload, WORKLOAD_A, WORKLOAD_C
-from .sqlite_like import SqliteLike, SqliteConfig
-from .fileserver import FileServer, FileServerConfig, grep_directory, grep_ops
-from .fio import fio_ops, fio_sequential_writer
+from ..exports import lazy_exports
 
-__all__ = [
-    "UniformKeys",
-    "ZipfianKeys",
-    "FragmentSpec",
-    "make_fragmented_file",
-    "make_paper_synthetic_file",
-    "pattern_ops",
-    "sequential_read",
-    "sequential_update",
-    "stride_read",
-    "stride_update",
-    "age_filesystem",
-    "LsmStore",
-    "LsmConfig",
-    "YcsbConfig",
-    "YcsbWorkload",
-    "WORKLOAD_A",
-    "WORKLOAD_C",
-    "SqliteLike",
-    "SqliteConfig",
-    "FileServer",
-    "FileServerConfig",
-    "grep_directory",
-    "grep_ops",
-    "fio_ops",
-    "fio_sequential_writer",
-]
+_EXPORTS = {
+    "UniformKeys": "distributions",
+    "ZipfianKeys": "distributions",
+    "FragmentSpec": "synthetic",
+    "make_fragmented_file": "synthetic",
+    "make_paper_synthetic_file": "synthetic",
+    "pattern_ops": "synthetic",
+    "sequential_read": "synthetic",
+    "sequential_update": "synthetic",
+    "stride_read": "synthetic",
+    "stride_update": "synthetic",
+    "age_filesystem": "aging",
+    "LsmStore": "kvstore",
+    "LsmConfig": "kvstore",
+    "YcsbConfig": "ycsb",
+    "YcsbWorkload": "ycsb",
+    "WORKLOAD_A": "ycsb",
+    "WORKLOAD_C": "ycsb",
+    "SqliteLike": "sqlite_like",
+    "SqliteConfig": "sqlite_like",
+    "FileServer": "fileserver",
+    "FileServerConfig": "fileserver",
+    "grep_directory": "fileserver",
+    "grep_ops": "fileserver",
+    "fio_ops": "fio",
+    "fio_sequential_writer": "fio",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

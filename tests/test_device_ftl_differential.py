@@ -10,22 +10,27 @@ failure paths must leave the same state too.
 
 After every step the whole normalised state must match: every block by
 where it lives (active, sealed, free) with its channel, its slots with
-the dead ones as ``None`` (a slot of the array FTL is live while its lpn
+the dead ones unlisted (a slot of the array FTL is live while its lpn
 maps to it), its valid and erase counts; then the mapping sorted by lpn,
-created blocks, the cursor, the totals and the channel array.  The read
-channel of every lpn and a random ``lanes`` window must agree with the
-reference's mapping, and the channel array must never grow past the
-highest lpn written.  Most streams fit in one l2p chunk; a second set
-spans three, so runs and GC cross chunk boundaries.  A ``copy.deepcopy`` taken mid-stream (the bench
-harness clones aged devices this way) must go on identically.
+created blocks, the cursor, the totals and the channel array.  Each is
+compared as one array or byte string, not lpn by lpn.  The read channel
+of every lpn (``lanes`` over the whole range), a random ``lanes`` window
+and ``channel_of`` at the window's ends must agree with the reference's
+mapping, ``channel_of`` at every lpn once a stream ends, and the channel
+array must never grow past the highest lpn written.  Most streams fit
+in one l2p chunk; a second set spans three, so runs and GC cross chunk
+boundaries.  A ``copy.deepcopy`` taken mid-stream (the bench harness
+clones aged devices this way) must go on identically.
 """
 
 import copy
 import random
+from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro.device.ftl import L2P_CHUNK, PageMappingFtl
@@ -315,41 +320,109 @@ class ReferenceFtl:
         self.mapping[lpn] = (block, len(block.pages) - 1)
 
 
-def snapshot(ftl):
-    """The normalised state of either FTL.
+class State(NamedTuple):
+    """The normalised state of an FTL (see :func:`snapshot`)."""
 
-    A slot is listed with the lpn programmed there while the mapping
-    points at it, and as ``None`` otherwise.
+    homes: tuple
+    blocks: tuple
+    lengths: tuple
+    where: bytes
+    listed: bytes
+    created: tuple
+    cursor: int
+    totals: tuple
+    chan: bytes
+
+
+_BLOCK_FIELDS = attrgetter("channel", "valid_count", "erase_count")
+_PAGES = attrgetter("pages")
+_BASE = attrgetter("base")
+
+
+def snapshot(ftl) -> State:
+    """The normalised state of either FTL, as whole arrays.
+
+    Blocks are numbered by where they live: per channel the active block,
+    then the sealed ones, then the free pool (``homes`` holds the counts).
+    Per block: channel, valid and erase counts, and slots written.
+    ``where[lpn]`` is the mapped slot as ``number * pages_per_block +
+    slot`` (-1 unmapped) and ``listed[slot]`` the lpn programmed in a slot
+    the mapping points at (-1 otherwise): the mapping sorted by lpn, and
+    every block's slots with the dead ones unlisted.
     """
-    homes = []
+    homes, order = [], []
     for channel in range(ftl.channels):
-        homes.append((("active", channel), ftl._active[channel]))
-        homes += [(("sealed", channel, i), b) for i, b in enumerate(ftl._sealed[channel])]
-        homes += [(("free", channel, i), b) for i, b in enumerate(ftl._free_pool[channel])]
-    # id(block) -> (where it lives, its slots as listed)
-    named = {id(block): (name, [None] * len(block.pages))
-             for name, block in homes if block is not None}
-    ordered = []
-    for lpn, (block, slot) in sorted(ftl.mapping.items(), key=itemgetter(0)):
-        name, slots = named[id(block)]
-        slots[slot] = block.pages[slot]
-        ordered.append((lpn, name, slot))
-    blocks = [(name, None) if block is None else
-              (name, block.channel, named[id(block)][1], block.valid_count, block.erase_count)
-              for name, block in homes]
-    return (
-        blocks, ordered, list(ftl._created_blocks), ftl._next_channel,
-        ftl.total_erases, ftl.host_pages_written, ftl.relocated_pages_total,
+        active, sealed, free = ftl._active[channel], ftl._sealed[channel], ftl._free_pool[channel]
+        homes.append((active is not None, len(sealed), len(free)))
+        if active is not None:
+            order.append(active)
+        order += sealed
+        order += free
+    mapped = _reference_mapping if isinstance(ftl, ReferenceFtl) else _array_mapping
+    where, listed = mapped(ftl, order)
+    return State(
+        tuple(homes), tuple(map(_BLOCK_FIELDS, order)), tuple(map(len, map(_PAGES, order))),
+        where.tobytes(), listed.tobytes(), tuple(ftl._created_blocks), ftl._next_channel,
+        (ftl.total_erases, ftl.host_pages_written, ftl.relocated_pages_total),
         bytes(ftl._chan),
     )
 
 
-def mapped_channels(ftl, count: int) -> List[int]:
+def _reference_mapping(ftl, order):
+    """``(where, listed)`` from the reference's ``{lpn: (block, slot)}``."""
+    per_block = ftl.pages_per_block
+    where = np.full(ftl.logical_pages, -1, dtype=np.int64)
+    listed = np.full(len(order) * per_block, -1, dtype=np.int64)
+    count = len(ftl.mapping)
+    if count:
+        blocks, slots = zip(*ftl.mapping.values())
+        # each entry's block number: its id's rank among the homes' ids
+        ids = np.fromiter(map(id, order), dtype=np.int64, count=len(order))
+        rank = np.argsort(ids)
+        at = rank[np.searchsorted(ids, np.fromiter(map(id, blocks), dtype=np.int64, count=count),
+                                  sorter=rank)] * per_block
+        at += np.fromiter(slots, dtype=np.int64, count=count)
+        lpns = np.fromiter(ftl.mapping, dtype=np.int64, count=count)
+        where[lpns] = at
+        # the reference clears a slot whenever its lpn moves or is
+        # discarded, so a mapped slot holds its own lpn
+        listed[at] = lpns
+    return where, listed
+
+
+def _array_mapping(ftl, order):
+    """``(where, listed)`` from the chunked l2p and the blocks' slots.
+
+    A physical page is ``block.base + slot``; a slot is live while the
+    l2p maps the lpn programmed there back to it.
+    """
+    per_block = ftl.pages_per_block
+    unmapped = array("i", [-1]) * L2P_CHUNK
+    ppns = np.frombuffer(b"".join(
+        ftl._l2p.get(key, unmapped) for key in range(-(-ftl.logical_pages // L2P_CHUNK))
+    ), dtype=np.int32)[:ftl.logical_pages].astype(np.int64)
+    # physical block -> the first slot of its number
+    bases = np.fromiter(map(_BASE, order), dtype=np.int64, count=len(order))
+    first = np.zeros(len(order) + 1, dtype=np.int64)
+    first[bases // per_block] = np.arange(len(order)) * per_block - bases
+    where = np.where(ppns >= 0, first[ppns // per_block] + ppns, -1)
+    pad = array("i", [-1]) * per_block
+    programmed = np.frombuffer(b"".join(
+        block.pages.tobytes() + pad[len(block.pages):].tobytes() for block in order
+    ), dtype=np.int32).astype(np.int64)
+    live = (programmed >= 0) & (where[programmed] == np.arange(len(programmed)))
+    return where, np.where(live, programmed, -1)
+
+
+def mapped_channels(state: State, channels: int, pages_per_block: int, count: int) -> bytes:
     """Channel of lpns ``0..count-1`` derived from the mapping alone."""
-    get = ftl.mapping.get
-    channels = ftl.channels
-    return [entry[0].channel if (entry := get(lpn)) is not None else lpn % channels
-            for lpn in range(count)]
+    where = np.frombuffer(state.where, dtype=np.int64)
+    read = np.arange(count) % channels
+    live = np.flatnonzero(where >= 0)
+    if live.size:
+        block_channels = np.array([fields[0] for fields in state.blocks])
+        read[live] = block_channels[where[live] // pages_per_block]
+    return read.astype(np.uint8).tobytes()
 
 
 def written_lpns(lpns, logical: int):
@@ -437,11 +510,14 @@ def run_pair(seed: int, channels: int, pages_per_block: int, overprovision: floa
         errors += isinstance(want, DeviceError)
         want_state = snapshot(ref)
         assert snapshot(new) == want_state, (seed, step, op)
-        want_channels = mapped_channels(ref, probe)
-        assert [new.channel_of(lpn) for lpn in range(probe)] == want_channels, (seed, step)
+        # the read channel of every lpn, the striped ones past the end too
+        want_channels = mapped_channels(want_state, channels, pages_per_block, probe)
+        assert new.lanes(0, probe - 1) == want_channels, (seed, step)
         first = windows.randrange(probe)
         last = windows.randrange(first, probe)
-        assert list(new.lanes(first, last)) == want_channels[first:last + 1], (seed, step)
+        assert new.lanes(first, last) == want_channels[first:last + 1], (seed, step)
+        assert (new.channel_of(first), new.channel_of(last)) == (
+            want_channels[first], want_channels[last]), (seed, step)
         # memory guard: grown exact-fit, whole stripes, never densely
         assert len(new._chan) <= -(-(high + 1) // channels) * channels, (seed, step)
         if clone is not None:
@@ -451,6 +527,7 @@ def run_pair(seed: int, channels: int, pages_per_block: int, overprovision: floa
         elif step == STEPS // 3:
             # a deep copy must go on identically to the original
             clone = copy.deepcopy(new)
+    assert bytes(map(new.channel_of, range(probe))) == want_channels, seed
     return ref.total_erases, errors
 
 

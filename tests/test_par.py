@@ -8,14 +8,10 @@ suite in the repo stay serial.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import time
 
 import pytest
 
-import repro
 from repro.errors import InvalidArgument
 from repro.faults import hooks as fault_hooks
 from repro.fleet.spec import FleetConfig
@@ -133,18 +129,6 @@ def test_worker_state_is_scrubbed_despite_polluted_parent():
     debug_checks, obs_is_null, faults_is_null = state
     assert debug_checks is False
     assert obs_is_null and faults_is_null
-
-
-def test_importing_replay_does_not_load_the_engine():
-    # the chunked corpus branch imports repro.par on first use: the
-    # engine and multiprocessing cost every replay process ~13 ms
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    code = (
-        "import sys, repro.replay; "
-        "assert 'repro.par' not in sys.modules, 'repro.par loaded at import'"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ----------------------------------------------------------------------

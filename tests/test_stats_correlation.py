@@ -1,13 +1,8 @@
 """Equations (1) and (2): CC and NLRS."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import example, given, strategies as st
 
-import repro
 from repro.errors import InvalidArgument
 from repro.stats import correlation_coefficient, nlrs, normalize_to_min
 
@@ -81,15 +76,3 @@ def test_cc_self_is_one(xs):
 def test_nlrs_recovers_linear_slope(xs, slope, intercept):
     ys = [slope * x + intercept for x in xs]
     assert nlrs(xs, ys) == pytest.approx(slope, rel=1e-4, abs=1e-6)
-
-
-def test_importing_the_package_does_not_load_numpy():
-    # numpy is imported on the first correlation, not at start-up: it
-    # costs every process ~110 ms and ~12 MiB otherwise
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    code = (
-        "import sys, repro, repro.cli, repro.fleet, repro.replay; "
-        "assert 'numpy' not in sys.modules, 'numpy loaded at import'"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
