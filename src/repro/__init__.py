@@ -46,7 +46,6 @@ _EXPORTS = {
     "make_conventional": "tools",
     "Fstrim": "tools",
     "SyscallMonitor": "trace",
-    "Session": "sim",
     "run_concurrently": "sim",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS, eager=["__version__"])

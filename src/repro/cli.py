@@ -73,8 +73,6 @@ EXPERIMENTS: Dict[str, Tuple[str, str, Dict[str, str]]] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .obs import ledger
-
     parser = argparse.ArgumentParser(
         prog="repro", description="FragPicker (SOSP 2021) reproduction experiments"
     )
@@ -248,6 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run an N-trial seed-perturbed campaign "
                              "series (fingerprinted per trial)")
     cli_util.add_ledger_args(faults)
+    # the verbs that record runs: those taking the ledger flags, plus
+    # ``slo``, under which ``fleet --slo-json`` records its SLO document
+    # (the order of repro.obs.ledger.VERBS, without importing the ledger)
+    recording = [name for name, verb in sub.choices.items()
+                 if verb.get_default("no_ledger") is False]
+    recording.insert(recording.index("fleet") + 1, "slo")
     runs = sub.add_parser(
         "runs",
         help="query the persistent run ledger: every document verb "
@@ -262,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="for show: a sequence number or manifest "
                            "fingerprint prefix")
     runs.add_argument("--verb", default=None,
-                      choices=ledger.VERBS,
+                      choices=recording,
                       help="only runs recorded by this verb")
     runs.add_argument("--ledger-dir", default=None, metavar="DIR",
                       help="run-ledger directory (default: "

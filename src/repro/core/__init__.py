@@ -14,7 +14,7 @@ Two phases (Figure 5):
 """
 
 from .range_list import FileRange, FileRangeList, merge_overlapped
-from .analysis import AnalysisPhase, analyze_records
+from .analysis import AnalysisPhase
 from .hotness import hotness_filter
 from .bypass import bypass_range_list
 from .frag_check import range_is_fragmented
@@ -28,7 +28,6 @@ __all__ = [
     "FileRangeList",
     "merge_overlapped",
     "AnalysisPhase",
-    "analyze_records",
     "hotness_filter",
     "bypass_range_list",
     "range_is_fragmented",

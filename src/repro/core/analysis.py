@@ -3,7 +3,8 @@
 Pipeline per file:
 
 1. **System call monitoring** — done by :class:`repro.trace.SyscallMonitor`;
-   this module consumes its :class:`~repro.trace.records.IORecord` stream.
+   this module consumes the :class:`~repro.fs.base.SyscallEvent` stream it
+   keeps.
 2. **Readahead imitation** — the monitor sits above the VFS, so buffered
    sequential reads appear at their syscall size (e.g. grep's 32 KiB) even
    though the kernel will fetch 128 KiB windows.  The analysis expands
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..constants import READAHEAD_SIZE, block_align_down, block_align_up
-from ..fs.base import Filesystem
-from ..trace.records import IORecord
+from ..fs.base import Filesystem, SyscallEvent
 from .range_list import FileRange, FileRangeList, merge_overlapped
 
 
@@ -47,7 +47,7 @@ class AnalysisPhase:
     def run(
         self,
         fs: Filesystem,
-        records: Iterable[IORecord],
+        records: Iterable[SyscallEvent],
         inodes: Optional[Iterable[int]] = None,
     ) -> Dict[int, FileRangeList]:
         """Build the per-file range lists from a syscall trace.
@@ -84,7 +84,7 @@ class AnalysisPhase:
 
     # -- readahead imitation -------------------------------------------------
 
-    def _expand(self, record: IORecord, state: _SequentialState):
+    def _expand(self, record: SyscallEvent, state: _SequentialState):
         """Apply the paper's buffered-sequential-read handling.
 
         Returns the (possibly expanded) byte range, or ``None`` when the
@@ -92,31 +92,22 @@ class AnalysisPhase:
         it never reaches storage, so migrating for it is pointless... it is
         already covered by the window entry anyway).
         """
+        end = record.offset + record.size
         if not (
             self.imitate_readahead
-            and record.io_type == "read"
+            and record.op == "read"
             and not record.o_direct
         ):
-            return record.offset, record.end
+            return record.offset, end
         sequential = record.offset == state.next_expected or (
             state.next_expected < 0 and record.offset == 0
         )
-        state.next_expected = record.end
+        state.next_expected = end
         if not sequential:
-            state.window_end = record.end
-            return record.offset, record.end
-        if 0 <= record.end <= state.window_end:
+            state.window_end = end
+            return record.offset, end
+        if 0 <= end <= state.window_end:
             return None  # served by the page cache
-        expanded_end = max(record.end, record.offset + self.readahead_size)
+        expanded_end = max(end, record.offset + self.readahead_size)
         state.window_end = expanded_end
         return record.offset, expanded_end
-
-
-def analyze_records(
-    fs: Filesystem,
-    records: Iterable[IORecord],
-    inodes: Optional[Iterable[int]] = None,
-    **kwargs,
-) -> Dict[int, FileRangeList]:
-    """Convenience wrapper: run the analysis phase with default settings."""
-    return AnalysisPhase(**kwargs).run(fs, records, inodes=inodes)

@@ -5,11 +5,11 @@ Typical use::
     picker = FragPicker(fs, FragPickerConfig(hotness_criterion=0.5))
     with picker.monitor(apps={"rocksdb"}) as mon:
         run_workload()                       # observation window
-    report = picker.defragment(mon.records, paths=db_files, now=clock.now)
+    report = picker.defragment(mon.records, paths=db_files, now=now)
 
 or, when the access pattern is known to be sequential::
 
-    report = picker.defragment_bypass(paths=db_files, now=clock.now)
+    report = picker.defragment_bypass(paths=db_files, now=now)
 
 For co-running experiments, :meth:`FragPicker.actor` returns a generator
 compatible with :func:`repro.sim.engine.run_concurrently`, yielding after
@@ -24,8 +24,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..constants import MIB, READAHEAD_SIZE
 from ..errors import DefragError, FaultError, InjectedCrash, NoSpaceError
-from ..fs.base import Filesystem
-from ..trace.records import IORecord
+from ..fs.base import Filesystem, SyscallEvent
 from ..trace.syscall_monitor import SyscallMonitor
 from .analysis import AnalysisPhase
 from .bypass import bypass_range_list
@@ -84,7 +83,7 @@ class FragPicker:
 
     def analyze(
         self,
-        records: Iterable[IORecord],
+        records: Iterable[SyscallEvent],
         paths: Optional[Iterable[str]] = None,
         now: float = 0.0,
     ) -> List[FileRangeList]:
@@ -128,7 +127,7 @@ class FragPicker:
 
     def defragment(
         self,
-        records: Optional[Iterable[IORecord]] = None,
+        records: Optional[Iterable[SyscallEvent]] = None,
         paths: Optional[Iterable[str]] = None,
         plans: Optional[Sequence[FileRangeList]] = None,
         now: float = 0.0,

@@ -187,12 +187,6 @@ class FleetController:
         self._finalize()
         return self.report
 
-    def run(self) -> FleetReport:
-        self.begin()
-        for tick in range(self.config.ticks):
-            self.run_tick(tick)
-        return self.finish()
-
     def _finalize(self) -> None:
         report = self.report
         # abandon jobs still running when the last tick closes (their

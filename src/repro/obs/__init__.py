@@ -15,7 +15,7 @@ measurement substrate:
 - :mod:`repro.obs.analysis` — the explanation layer: latency attribution
   (wall-clock per-syscall latency partitioned into fs CPU / kernel queue
   and CPU / split cost / device queue, service, penalty, with a
-  sum-to-total invariant) and span-tree summaries;
+  sum-to-total invariant) and histogram summaries;
 - :mod:`repro.obs.sampler` — fragmentation timelines: extents-per-file,
   free-space fragmentation, and contiguity sampled over virtual time,
   exported as counter curves in the Chrome trace;
@@ -60,8 +60,6 @@ _EXPORTS = {
     "attribute": "analysis",
     "delta_metrics": "analysis",
     "histogram_summary": "analysis",
-    "span_summary": "analysis",
-    "span_table": "analysis",
     "FragmentationSampler": "sampler",
     "SloPlane": "slo",
     "SloSpec": "slo",

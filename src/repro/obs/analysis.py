@@ -1,4 +1,4 @@
-"""Latency attribution and span-tree summaries over captured telemetry.
+"""Latency attribution and histogram summaries over captured telemetry.
 
 PR 1's ``repro.obs`` records *what happened*; this module explains *why a
 number came out the way it did*, the way the paper's Section 3 analysis
@@ -43,7 +43,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..stats.tables import format_table
 from .metrics import MetricsRegistry
-from .spans import SpanRecorder
 
 #: (component key, backing counter, human description) — display order.
 COMPONENTS: Tuple[Tuple[str, str, str], ...] = (
@@ -161,61 +160,6 @@ def delta_metrics(
         windowed = metric.delta(earlier) if earlier is not None else metric
         out[metric.name] = windowed.to_dict()
     return out
-
-
-# ----------------------------------------------------------------------
-# span-tree summaries
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpanSummary:
-    """Aggregate of every finished span sharing one name."""
-
-    name: str
-    count: int
-    total: float
-    mean: float
-    max: float
-    self_total: float  # total minus time covered by same-track children
-
-
-def span_summary(recorder: SpanRecorder) -> List[SpanSummary]:
-    """Walk the span tree: per-name totals plus self time (children
-
-    of a span subtract from its *self* total, so nested phases — e.g.
-    ``fragpicker.migrate`` under ``fragpicker.defragment`` — don't double
-    count when read as a breakdown)."""
-    child_time: Dict[int, float] = {}
-    for span in recorder.finished_spans():
-        if span.parent is not None and span.parent.track == span.track:
-            child_time[id(span.parent)] = child_time.get(id(span.parent), 0.0) + span.duration
-    rollup: Dict[str, List[float]] = {}
-    for span in recorder.finished_spans():
-        self_time = max(0.0, span.duration - child_time.get(id(span), 0.0))
-        bucket = rollup.setdefault(span.name, [0, 0.0, 0.0, 0.0])
-        bucket[0] += 1
-        bucket[1] += span.duration
-        bucket[2] = max(bucket[2], span.duration)
-        bucket[3] += self_time
-    summaries = [
-        SpanSummary(name=name, count=int(count), total=total,
-                    mean=total / count if count else 0.0,
-                    max=longest, self_total=self_total)
-        for name, (count, total, longest, self_total) in rollup.items()
-    ]
-    summaries.sort(key=lambda s: s.total, reverse=True)
-    return summaries
-
-
-def span_table(recorder: SpanRecorder, limit: int = 20) -> str:
-    rows = [
-        [s.name, s.count, s.total, s.self_total, s.mean, s.max]
-        for s in span_summary(recorder)[:limit]
-    ]
-    return format_table(
-        ["span", "count", "total s", "self s", "mean s", "max s"], rows
-    )
 
 
 def histogram_summary(metrics, name: str) -> Dict[str, float]:

@@ -1,20 +1,14 @@
 """Hierarchical spans and an event ring buffer over virtual time.
 
 Spans are the structural half of the observability plane: a span covers a
-window of **simulated** time (``sim.clock`` / the ``now`` floats the stack
-threads through every syscall), carries attributes, and nests — a
+window of **simulated** time (the ``now`` floats the stack threads
+through every syscall), carries attributes, and nests — a
 ``fragpicker.defragment`` span contains one ``fragpicker.migrate`` child
 per range.  Because time is virtual, callers pass it explicitly::
 
     span = recorder.start("fragpicker.migrate", now, file=path)
     ...
     recorder.finish(span, now)
-
-or, with anything exposing ``.now`` (e.g. :class:`repro.sim.clock.Clock`
-or an :class:`~repro.sim.engine.ActorContext`)::
-
-    with recorder.span("phase.analyze", clock):
-        ...
 
 Instant happenings (actor steps, frag-check skips, provenance edges) go
 into a bounded ring buffer via :meth:`SpanRecorder.event` so long
@@ -33,7 +27,6 @@ edges).  Size the buffers per run via
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from typing import Deque, Dict, List, Optional, Tuple
 
 
@@ -150,15 +143,6 @@ class SpanRecorder:
         span.end = max(end, start)
         self._keep(span)
         return span
-
-    @contextmanager
-    def span(self, name: str, clock, track: str = "main", **attrs: object):
-        """Context manager over anything exposing ``.now``."""
-        entry = self.start(name, clock.now, track=track, **attrs)
-        try:
-            yield entry
-        finally:
-            self.finish(entry, clock.now)
 
     def active(self, track: str = "main") -> Optional[Span]:
         stack = self._stacks.get(track)

@@ -13,8 +13,7 @@ The pipeline, in the order a ``repro replay`` run uses it:
   allocation, and request splitting are re-decided by *this* stack.
 - :mod:`report` — the ``run_replay`` pipeline and its fingerprinted
   ``repro.replay/v1`` document.
-- :mod:`workload` — replay as a first-class workload: bench-pluggable
-  :class:`ReplayWorkload` and the fleet's ``trace:<path>`` stream.
+- :mod:`workload` — the fleet's ``trace:<path>`` foreground stream.
 """
 
 from ..exports import lazy_exports
@@ -46,7 +45,6 @@ _EXPORTS = {
     "fingerprint": "report",
     "run_replay": "report",
     "validate": "report",
-    "ReplayWorkload": "workload",
     "cycling_ops": "workload",
     "parse_trace_workload": "workload",
 }

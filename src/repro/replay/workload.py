@@ -1,11 +1,7 @@
-"""Trace replay as a first-class workload.
+"""Trace replay as the fleet's foreground workload.
 
-Everything else in :mod:`repro.workloads` is synthetic — closed-form op
-streams parameterized by a handful of knobs.  This module makes a
-*captured trace* interchangeable with them: :class:`ReplayWorkload`
-wraps a trace file plus reconstruction policy behind the same
-"drive this filesystem forward in virtual time" shape the bench
-experiments use, and :func:`cycling_ops` turns a finite trace into the
+:func:`parse_trace_workload` reads the ``repro fleet --workload
+trace:<path>`` spec, and :func:`cycling_ops` turns a finite trace into the
 endless op stream the fleet's foreground loop wants (re-opening the file
 at EOF, so memory stays bounded no matter how many laps a long fleet run
 takes).
@@ -13,13 +9,11 @@ takes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..errors import InvalidArgument
-from ..fs.base import Filesystem
 from ..types import IoOp
 from .formats import open_trace
-from .reconstruct import PlacementPolicy, ReconstructionStats, Reconstructor
 
 #: fleet workload-spec prefix: ``--workload trace:<path>``
 TRACE_PREFIX = "trace:"
@@ -55,48 +49,3 @@ def cycling_ops(path: str, fmt: str = "auto", **reader_kwargs) -> Iterator[IoOp]
                 f"({reader.stats.malformed} malformed)"
             )
 
-
-class ReplayWorkload:
-    """A trace bound to a reconstruction policy; pluggable workload.
-
-    The bench-harness-facing shape: construct once, then ``run(fs, now)``
-    streams the whole trace through the filesystem and returns the new
-    virtual time — the same contract as the synthetic drivers
-    (``sequential_read`` et al.), so an experiment can swap a captured
-    trace in for a closed-form pattern without changing its measurement
-    window.  ``stats`` holds the reconstruction counters afterwards.
-    """
-
-    def __init__(
-        self,
-        trace_path: str,
-        fmt: str = "auto",
-        seed: int = 0,
-        pacing: str = "afap",
-        mapping: Optional[Dict[int, str]] = None,
-        app: str = "replay",
-        **reader_kwargs: object,
-    ) -> None:
-        self.trace_path = trace_path
-        self.fmt = fmt
-        self.seed = seed
-        self.pacing = pacing
-        self.mapping = mapping
-        self.app = app
-        self.reader_kwargs = reader_kwargs
-        self.stats: Optional[ReconstructionStats] = None
-        self.parse_stats = None
-
-    def ops(self) -> Iterator[IoOp]:
-        """One streaming pass over the trace (records, not syscalls)."""
-        reader = open_trace(self.trace_path, self.fmt, **self.reader_kwargs)
-        self.parse_stats = reader.stats
-        return iter(reader)
-
-    def run(self, fs: Filesystem, now: float = 0.0) -> float:
-        """Replay the whole trace against ``fs``; returns finish time."""
-        policy = PlacementPolicy(seed=self.seed, mapping=self.mapping)
-        reconstructor = Reconstructor(fs, policy, pacing=self.pacing, app=self.app)
-        finish = reconstructor.run(self.ops(), now=now)
-        self.stats = reconstructor.stats
-        return finish

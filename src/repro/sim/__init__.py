@@ -1,11 +1,11 @@
-"""Virtual-time simulation: sessions (single actor) and the co-running
-engine (multiple actors time-sharing one device FCFS)."""
+"""Virtual-time simulation: the co-running engine (multiple actors
+time-sharing one device FCFS).  A lone actor needs no engine: it threads
+``now=`` through each syscall and carries on from the result's
+``finish_time``."""
 
 from ..exports import lazy_exports
 
 _EXPORTS = {
-    "Clock": "clock",
-    "Session": "session",
     "ActorContext": "engine",
     "run_concurrently": "engine",
 }

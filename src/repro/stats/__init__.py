@@ -8,7 +8,6 @@ from ..exports import lazy_exports
 _EXPORTS = {
     "correlation_coefficient": "correlation",
     "nlrs": "correlation",
-    "normalize_to_min": "correlation",
     "Timeline": "timeline",
     "windowed_throughput": "timeline",
     "format_table": "tables",

@@ -48,8 +48,8 @@ def correlation_coefficient(xs: Sequence[float], ys: Sequence[float]) -> float:
 def nlrs(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Normalized linear regression slope, Equation (2) of the paper.
 
-    Callers are expected to pass ``ys`` already normalized via
-    :func:`normalize_to_min`; this function is the raw least-squares slope.
+    Callers are expected to pass ``ys`` already normalized to the smallest
+    sample (paper Section 3); this function is the raw least-squares slope.
     """
     x, y = _as_arrays(xs, ys)
     dx, dy = x - x.mean(), y - y.mean()
@@ -58,12 +58,3 @@ def nlrs(xs: Sequence[float], ys: Sequence[float]) -> float:
         return 0.0
     return float((dx * dy).sum() / denom)
 
-
-def normalize_to_min(ys: Sequence[float]) -> list:
-    """Normalize performance samples to the smallest one (paper Section 3)."""
-    if not ys:
-        raise InvalidArgument("empty sample list")
-    lo = min(ys)
-    if lo <= 0:
-        raise InvalidArgument("performance samples must be positive")
-    return [y / lo for y in ys]

@@ -16,7 +16,7 @@ FragPicker uses too; only the policy around it is the tool's own:
 - on F2FS the tool turns IPU off around each file, but picks the path
   *before* that, so on stock F2FS (IPU on) the full-file-rewrite mimic
   takes the in-place punch+allocate path.  This is a known defect, kept
-  for now; ROADMAP item 3 tracks it.
+  for now; ROADMAP item 1 tracks it.
 - there is no file lock and no truncate, and a file that runs out of
   space is given up.
 
@@ -173,7 +173,7 @@ class ConventionalDefragmenter:
         before = self.fs.tracer.tag(config.app).snapshot()
         # Known defect, kept for byte-identical results: the predicate is
         # read *before* IPU is turned off, so stock F2FS takes the in-place
-        # punch+allocate path (ROADMAP item 3).
+        # punch+allocate path (ROADMAP item 1).
         in_place = not out_of_place(self.fs)
         with ipu_disabled(self.fs):
             try:

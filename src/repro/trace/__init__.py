@@ -2,12 +2,12 @@
 
 FragPicker's analysis phase needs, per I/O syscall: the I/O type, inode
 number, size, start offset, and whether it was O_DIRECT (Section 4.1.1).
-:class:`SyscallMonitor` attaches to a filesystem's syscall hooks and
-collects exactly that, optionally filtered to specific applications —
-mirroring BCC's ability to trace one process.
+The filesystem's probe already emits all of that as a
+:class:`~repro.fs.base.SyscallEvent`; :class:`SyscallMonitor` attaches a
+probe and keeps the I/O events it accepts, optionally filtered to
+specific applications — mirroring BCC's ability to trace one process.
 """
 
-from .records import IORecord
 from .syscall_monitor import SyscallMonitor
 
-__all__ = ["IORecord", "SyscallMonitor"]
+__all__ = ["SyscallMonitor"]

@@ -2,24 +2,23 @@
 
 Attaches a probe to a filesystem's syscall layer (above the VFS page
 cache, so readahead has *not* been applied to what it sees — FragPicker
-compensates for that during per-file analysis) and records
-:class:`~repro.trace.records.IORecord` entries, optionally filtered by
-application tag.
+compensates for that during per-file analysis) and keeps the
+:class:`~repro.fs.base.SyscallEvent` of every read and write it accepts,
+optionally filtered by application tag.
 
 The ``records`` list is FragPicker's *analysis input* and always exists;
 telemetry, however, is not duplicated here: when the observability plane
-is enabled each accepted record is also emitted into the shared
+is enabled each accepted event is also emitted into the shared
 ``repro.obs`` event ring (track ``"syscall"``), so Chrome traces show the
 monitored syscalls without a second bookkeeping path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..fs.base import Filesystem, SyscallEvent
 from ..obs import hooks as obs_hooks
-from .records import IORecord
 
 
 class SyscallMonitor:
@@ -41,7 +40,7 @@ class SyscallMonitor:
         self.fs = fs
         self.apps: Optional[Set[str]] = set(apps) if apps is not None else None
         self.io_types = set(io_types)
-        self.records: List[IORecord] = []
+        self.records: List[SyscallEvent] = []
         self.obs = obs_hooks.current()
         self._attached = False
 
@@ -73,17 +72,7 @@ class SyscallMonitor:
             return
         if event.size <= 0:
             return
-        self.records.append(
-            IORecord(
-                io_type=event.op,
-                ino=event.ino,
-                offset=event.offset,
-                size=event.size,
-                o_direct=event.o_direct,
-                app=event.app,
-                time=event.time,
-            )
-        )
+        self.records.append(event)
         if self.obs.enabled:
             self.obs.event(
                 f"syscall.{event.op}", event.time, track="syscall",
@@ -91,24 +80,13 @@ class SyscallMonitor:
                 offset=event.offset, size=event.size,
             )
 
-    # -- views ----------------------------------------------------------------
-
-    def by_inode(self) -> Dict[int, List[IORecord]]:
-        grouped: Dict[int, List[IORecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.ino, []).append(record)
-        return grouped
-
-    def clear(self) -> None:
-        self.records.clear()
-
     # -- capture -> corpus -----------------------------------------------
 
     def dump_binary(self, path: str) -> int:
         """Write the captured window as a ``repro.replay/v1`` binary trace.
 
         The capture side of the capture->replay round trip: each
-        :class:`IORecord` becomes one packed op record with the inode
+        accepted event becomes one packed op record with the inode
         number as the trace ``file_id`` (replay maps it back to a path
         via an explicit :class:`~repro.replay.reconstruct.PlacementPolicy`
         mapping).  Returns the number of records written.
@@ -119,13 +97,13 @@ class SyscallMonitor:
         from ..types import IoOp
 
         with BinaryTraceWriter(path) as writer:
-            for record in self.records:
+            for event in self.records:
                 writer.write_op(IoOp(
-                    op=record.io_type,
-                    file_id=record.ino,
-                    offset=record.offset,
-                    size=record.size,
-                    time=record.time,
-                    o_direct=record.o_direct,
+                    op=event.op,
+                    file_id=event.ino,
+                    offset=event.offset,
+                    size=event.size,
+                    time=event.time,
+                    o_direct=event.o_direct,
                 ))
             return writer.written

@@ -7,10 +7,12 @@ range lists.
 
 ``IoOp`` is the *workload-level* operation record: one read/write/fsync a
 workload intends to issue against a file, before the VFS has applied
-readahead, the page cache, or request splitting.  Synthetic generators
-(:mod:`repro.workloads`) and trace replay (:mod:`repro.replay`) both
-describe their op streams with it, so a captured trace and a synthetic
-workload are the same thing to every consumer.  It is distinct from
+readahead, the page cache, or request splitting.  Trace replay
+(:mod:`repro.replay`) is its consumer: the trace readers and the seeded
+corpus generator yield ``IoOp`` streams, and the replay reconstructor
+and the fleet's ``trace:<path>`` foreground loop turn them into
+syscalls (the synthetic workloads issue their syscalls directly).  It is
+distinct from
 :class:`repro.block.request.IoOp`, the block-layer *command kind* enum —
 one is "what the application asked for", the other is "what the device
 was told to do".

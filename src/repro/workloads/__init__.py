@@ -19,7 +19,6 @@ _EXPORTS = {
     "FragmentSpec": "synthetic",
     "make_fragmented_file": "synthetic",
     "make_paper_synthetic_file": "synthetic",
-    "pattern_ops": "synthetic",
     "sequential_read": "synthetic",
     "sequential_update": "synthetic",
     "stride_read": "synthetic",
@@ -36,8 +35,6 @@ _EXPORTS = {
     "FileServer": "fileserver",
     "FileServerConfig": "fileserver",
     "grep_directory": "fileserver",
-    "grep_ops": "fileserver",
-    "fio_ops": "fio",
     "fio_sequential_writer": "fio",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..constants import BLOCK_SIZE, GIB, KIB, MIB, block_align_up
 from ..errors import InvalidArgument
 from ..fs.base import Filesystem
-from ..types import IoOp
 
 
 @dataclass(frozen=True)
@@ -134,16 +133,6 @@ class FileServer:
         return sum(counts) / len(counts) if counts else 0.0
 
 
-def grep_ops(file_size: int, request_size: int, file_id: int = 0) -> Iterator[IoOp]:
-    """One file's share of the grep scan: buffered sequential reads, as
-    unified :class:`~repro.types.IoOp` records."""
-    offset = 0
-    while offset < file_size:
-        take = min(request_size, file_size - offset)
-        yield IoOp("read", file_id, offset, take, o_direct=False)
-        offset += take
-
-
 def grep_directory(
     fs: Filesystem,
     directory: str,
@@ -161,10 +150,11 @@ def grep_directory(
         raise InvalidArgument(f"no files under {directory}")
     start = now
     total = 0
-    for file_id, path in enumerate(paths):
+    for path in paths:
         handle = fs.open(path, o_direct=False, app=app)
         size = fs.inode_of(path).size
-        for record in grep_ops(size, request_size, file_id):
-            now = fs.read(handle, record.offset, record.size, now=now).finish_time
+        for offset in range(0, size, request_size):
+            take = min(request_size, size - offset)
+            now = fs.read(handle, offset, take, now=now).finish_time
         total += size
     return now, GrepResult(elapsed=now - start, bytes_read=total, files=len(paths))

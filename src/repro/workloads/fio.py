@@ -3,21 +3,8 @@ in the SQLite/MicroSD experiment (Section 5.3.2)."""
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..constants import KIB
 from ..fs.base import Filesystem
-from ..types import IoOp
-
-
-def fio_ops(request_size: int, file_id: int = 0) -> Iterator[IoOp]:
-    """The endless sequential-write op stream, as unified
-    :class:`~repro.types.IoOp` records (the caller bounds it by duration
-    or byte budget)."""
-    offset = 0
-    while True:
-        yield IoOp("write", file_id, offset, request_size)
-        offset += request_size
 
 
 def fio_sequential_writer(
@@ -39,13 +26,13 @@ def fio_sequential_writer(
     def _run(ctx):
         handle = fs.open(path, o_direct=True, app=app, create=True)
         end = None if duration is None else ctx.now + duration
-        for record in fio_ops(request_size):
-            if end is not None and ctx.now >= end:
+        offset = 0
+        while end is None or ctx.now < end:
+            if max_bytes is not None and offset >= max_bytes:
                 break
-            if max_bytes is not None and record.offset >= max_bytes:
-                break
-            result = fs.write(handle, record.offset, record.size, now=ctx.now)
+            result = fs.write(handle, offset, request_size, now=ctx.now)
             ctx.now = result.finish_time
-            ctx.record(record.size)
+            ctx.record(request_size)
+            offset += request_size
             yield
     return _run

@@ -19,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from typing import Iterator
-
 from ..constants import BLOCK_SIZE, KIB, READAHEAD_SIZE, STRIDE_SIZE
 from ..errors import InvalidArgument
 from ..fs.base import FallocMode, Filesystem
-from ..types import IoOp
 
 
 @dataclass(frozen=True)
@@ -123,22 +120,6 @@ def make_paper_synthetic_file(
 # measured access patterns
 # ----------------------------------------------------------------------
 
-def pattern_ops(
-    op: str,
-    file_size: int,
-    stride: int,
-    request_size: int,
-    o_direct: bool = True,
-    file_id: int = 0,
-) -> Iterator[IoOp]:
-    """The op stream of one sequential/stride pattern, as unified
-    :class:`~repro.types.IoOp` records (closed-loop: ``time`` stays 0)."""
-    offset = 0
-    while offset + request_size <= file_size:
-        yield IoOp(op, file_id, offset, request_size, o_direct=o_direct)
-        offset += stride
-
-
 def _run_pattern(
     fs: Filesystem,
     path: str,
@@ -154,12 +135,10 @@ def _run_pattern(
     size = fs.inode_of(path).size
     start = now
     moved = 0
-    for record in pattern_ops(op, size, stride, request_size, o_direct):
-        if record.op == "read":
-            now = fs.read(handle, record.offset, record.size, now=now).finish_time
-        else:
-            now = fs.write(handle, record.offset, record.size, now=now).finish_time
-        moved += record.size
+    call = fs.read if op == "read" else fs.write
+    for offset in range(0, size - request_size + 1, stride):
+        now = call(handle, offset, request_size, now=now).finish_time
+        moved += request_size
     if moved == 0:
         raise InvalidArgument(f"file {path} smaller than one request")
     throughput = moved / (now - start) / 1e6

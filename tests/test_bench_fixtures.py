@@ -19,7 +19,7 @@ from repro.faults import FaultPlan, FaultPlane
 from repro.faults import hooks as fault_hooks
 from repro.obs import hooks as obs_hooks
 from repro.obs.hooks import Instrumentation
-from repro.workloads.synthetic import make_paper_synthetic_file, pattern_ops
+from repro.workloads.synthetic import make_paper_synthetic_file
 
 FS_TYPES = ("ext4", "f2fs", "btrfs")
 DEVICES = ("optane", "flash", "microsd", "hdd")
@@ -42,9 +42,9 @@ def _drive(fs, now):
     handle = fs.open("/target", o_direct=True, app="bench")
     results = []
     for op, stride in PATTERNS:
-        for record in pattern_ops(op, SIZE, stride, 128 * KIB):
-            call = fs.read if record.op == "read" else fs.write
-            result = call(handle, record.offset, record.size, now=now)
+        call = fs.read if op == "read" else fs.write
+        for offset in range(0, SIZE - 128 * KIB + 1, stride):
+            result = call(handle, offset, 128 * KIB, now=now)
             results.append(result)
             now = result.finish_time
     results.append(FragPicker(fs).defragment_bypass(["/target"], now=now))

@@ -31,7 +31,6 @@ from repro.obs import hooks as obs_hooks
 from repro.obs.hooks import Instrumentation
 from repro.sim import run_concurrently
 from repro.tools import btrfs_defragment, e4defrag, f2fs_defrag
-from repro.tools.scheduler import ScheduledDefrag
 from repro.workloads.synthetic import make_paper_synthetic_file, sequential_read
 
 PATHS = ["/a", "/b", "/c"]
@@ -154,25 +153,6 @@ def _conv_actor(fs, now):
     return report, now
 
 
-def _sched_actor(fs, now):
-    picker = FragPicker(fs)
-    scheduled = ScheduledDefrag(
-        lambda report: picker.actor(picker.bypass_plans(PATHS), report_out=report),
-        period=0.5, cycles=2,
-    )
-    now = _co_run(fs, scheduled.actor(), now)
-    return scheduled.outcome.cycles, now
-
-
-def _sched_sync(fs, now):
-    tool = CONVENTIONAL[fs.fs_type](fs)
-    scheduled = ScheduledDefrag(
-        lambda report: tool.actor(PATHS, report_out=report), period=0.5, cycles=2
-    )
-    now = scheduled.run_synchronously(fs, now=now)
-    return scheduled.outcome.cycles, now
-
-
 ENTRY_POINTS = {
     "fp-defragment": _fp_defragment,
     "fp-bypass": _fp_bypass,
@@ -180,8 +160,6 @@ ENTRY_POINTS = {
     "fp-cursor": _fp_cursor,
     "conv-defragment": _conv_defragment,
     "conv-actor": _conv_actor,
-    "sched-actor": _sched_actor,
-    "sched-sync": _sched_sync,
     "pba-defragment": lambda fs, now: _fp_defragment(fs, now, PbaAwareFragPicker),
     "pba-bypass": lambda fs, now: _fp_bypass(fs, now, PbaAwareFragPicker),
     "pba-actor": lambda fs, now: _fp_actor(fs, now, PbaAwareFragPicker),
@@ -203,14 +181,12 @@ def _digest(case: str) -> str:
             recorder = _Recorder(fs)
             if plane is not None:
                 plane.activate()
-            reports, now = ENTRY_POINTS[entry](fs, now)
+            report, now = ENTRY_POINTS[entry](fs, now)
     finally:
         fault_hooks.disarm()
-    if not isinstance(reports, list):
-        reports = [reports]
     record = [
         recorder.log,
-        [dataclasses.asdict(report) for report in reports],
+        [dataclasses.asdict(report)],
         now,
         [hashlib.sha256(fs.page_store.read(fs.inode_of(p).ino, 0, fs.inode_of(p).size)
                         or b"").hexdigest() for p in PATHS],
@@ -281,15 +257,6 @@ GOLDEN = {
     "pba-defragment/btrfs": "cc2b4e5d607d3918",
     "pba-defragment/ext4": "7da7bfe20721e34f",
     "pba-defragment/f2fs": "991bd972ff85e659",
-    "sched-actor/btrfs": "e1b14f7e3a7b94ce",
-    "sched-actor/btrfs/obs": "0c1318132347a3e4",
-    "sched-actor/ext4": "3e0757cd2511e950",
-    "sched-actor/ext4/obs": "c9e76eb958cef484",
-    "sched-actor/f2fs": "e1b14f7e3a7b94ce",
-    "sched-actor/f2fs/obs": "0c1318132347a3e4",
-    "sched-sync/btrfs": "017179a402c9b800",
-    "sched-sync/ext4": "6e04cfe697d5db64",
-    "sched-sync/f2fs": "f5d6918e1618c92e",
 }
 
 

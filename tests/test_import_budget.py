@@ -38,6 +38,10 @@ REPLAY = ("repro.obs.slo", "repro.obs.provenance", "repro.core", "repro.tools",
 BUDGETS = {
     "import-repro": ("import repro", LAYERS, None),
     "import-cli": ("import repro.cli", LAYERS, 6),
+    # every verb, ``repro list`` included, builds the parser first
+    "build-parser": (
+        "from repro.cli import build_parser; build_parser()", ("repro.obs",), 6,
+    ),
     "replay-entry": ("from repro.replay import ReplayConfig, run_replay", REPLAY, None),
     # the chunked corpus branch imports repro.par on first use: the
     # engine and multiprocessing cost every replay process ~13 ms

@@ -254,7 +254,8 @@ def test_old_perf_manifests_still_load_and_render(tmp_path, capsys):
 def test_runs_verb_choices_are_the_recording_verbs():
     """``runs --verb`` offers exactly the verbs that record runs: the
     live subcommands that take ``--no-ledger``, plus ``slo``, under which
-    ``fleet --slo-json`` records its SLO document."""
+    ``fleet --slo-json`` records its SLO document — the ledger's own
+    ``VERBS``."""
     parser = cli.build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -266,6 +267,9 @@ def test_runs_verb_choices_are_the_recording_verbs():
     }
     assert "fleet" in recording and "slo" not in sub.choices
     assert set(verb.choices) == recording | {"slo"}
+    # the parser derives the list without importing the ledger: both
+    # lists must still name the same verbs
+    assert set(verb.choices) == set(ledger.VERBS)
 
 
 def test_fleet_slo_json_records_an_slo_manifest(tmp_path, capsys):

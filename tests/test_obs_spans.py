@@ -1,7 +1,6 @@
 """Unit tests for repro.obs.spans."""
 
 from repro.obs.spans import SpanRecorder
-from repro.sim.clock import Clock
 
 
 def test_span_nesting_parent_child_depth():
@@ -37,15 +36,6 @@ def test_finish_closes_dangling_children():
     leaked = rec.by_name("leaked")[0]
     assert leaked.finished and leaked.end == 5.0
     assert rec.active() is None
-
-
-def test_span_context_manager_uses_clock():
-    rec = SpanRecorder()
-    clock = Clock()
-    with rec.span("timed", clock, file="/a") as span:
-        clock.advance_by(2.5)
-    assert span.start == 0.0 and span.end == 2.5
-    assert span.attrs == {"file": "/a"}
 
 
 def test_event_ring_buffer_is_bounded():

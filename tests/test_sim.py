@@ -1,46 +1,10 @@
-"""Clock, session, and the co-running engine."""
-
-import pytest
+"""The co-running engine."""
 
 from repro.constants import GIB, KIB
 from repro.device import make_device
-from repro.errors import InvalidArgument
 from repro.fs import make_filesystem
-from repro.fs.base import FallocMode
-from repro.sim import ActorContext, Clock, Session, run_concurrently
+from repro.sim import ActorContext, run_concurrently
 from repro.bench.harness import corun_until_background_done
-
-
-def test_clock_monotonic():
-    clock = Clock()
-    clock.advance_to(5.0)
-    clock.advance_by(1.0)
-    assert clock.now == 6.0
-    with pytest.raises(InvalidArgument):
-        clock.advance_to(2.0)
-
-
-def test_session_advances_clock(fs):
-    session = Session(fs, app="me")
-    handle = session.open("/f", o_direct=True, create=True)
-    session.write(handle, 0, 64 * KIB)
-    t1 = session.now
-    assert t1 > 0
-    session.read(handle, 0, 64 * KIB)
-    assert session.now > t1
-    session.sleep(1.0)
-    assert session.now > t1 + 1.0
-
-
-def test_session_full_syscall_surface(fs):
-    session = Session(fs, app="me")
-    handle = session.open("/f", o_direct=True, create=True)
-    session.write(handle, 0, 8 * KIB)
-    session.fallocate(handle, FallocMode.PUNCH_HOLE, 0, 4 * KIB)
-    session.fsync(handle)
-    session.sync()
-    session.unlink("/f")
-    assert not fs.exists("/f")
 
 
 def test_engine_orders_by_local_time():

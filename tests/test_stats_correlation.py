@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.errors import InvalidArgument
-from repro.stats import correlation_coefficient, nlrs, normalize_to_min
+from repro.stats import correlation_coefficient, nlrs
 
 
 def test_perfect_positive_correlation():
@@ -29,17 +29,6 @@ def test_nlrs_is_regression_slope():
 
 def test_nlrs_constant_x_is_zero():
     assert nlrs([2, 2, 2], [1, 5, 9]) == 0.0
-
-
-def test_normalize_to_min():
-    assert normalize_to_min([2.0, 4.0, 8.0]) == [1.0, 2.0, 4.0]
-
-
-def test_normalize_rejects_nonpositive():
-    with pytest.raises(InvalidArgument):
-        normalize_to_min([0.0, 1.0])
-    with pytest.raises(InvalidArgument):
-        normalize_to_min([])
 
 
 def test_length_mismatch_rejected():

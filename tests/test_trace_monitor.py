@@ -11,8 +11,8 @@ def test_records_reads_and_writes(fs):
         fs.read(handle, 4 * KIB, 4 * KIB, now=now)
     assert len(monitor.records) == 2
     write, read = monitor.records
-    assert write.io_type == "write" and write.offset == 0 and write.size == 8 * KIB
-    assert read.io_type == "read" and read.offset == 4 * KIB
+    assert write.op == "write" and write.offset == 0 and write.size == 8 * KIB
+    assert read.op == "read" and read.offset == 4 * KIB
     assert read.o_direct and read.app == "db"
     assert read.ino == fs.inode_of("/f").ino
 
@@ -37,16 +37,27 @@ def test_detached_monitor_sees_nothing(fs):
     assert len(monitor.records) == 1
 
 
-def test_by_inode_grouping(fs):
-    a = fs.open("/a", o_direct=True, create=True)
-    b = fs.open("/b", o_direct=True, create=True)
-    with SyscallMonitor(fs) as monitor:
-        now = fs.write(a, 0, 4 * KIB).finish_time
-        now = fs.write(b, 0, 4 * KIB, now=now).finish_time
-        fs.write(a, 4 * KIB, 4 * KIB, now=now)
-    grouped = monitor.by_inode()
-    assert len(grouped[fs.inode_of("/a").ino]) == 2
-    assert len(grouped[fs.inode_of("/b").ino]) == 1
+def test_records_are_the_probe_events_the_filters_accept(fs):
+    """``records`` keeps the filesystem's own events: a second raw probe
+    sees the same stream, and the app, op and size filters select it."""
+    a = fs.open("/f", o_direct=True, create=True, app="a")
+    b = fs.open("/f", o_direct=False, app="b")
+    empty = fs.open("/empty", create=True, app="a")
+    now = fs.write(a, 0, 16 * KIB).finish_time
+    raw = []
+    fs.attach_monitor(raw.append)
+    with SyscallMonitor(fs, apps={"a"}, io_types=("read",)) as monitor:
+        now = fs.write(a, 0, 8 * KIB, now=now).finish_time
+        now = fs.read(b, 0, 4 * KIB, now=now).finish_time
+        now = fs.read(a, 4 * KIB, 8 * KIB, now=now).finish_time
+        now = fs.read(empty, 0, 4 * KIB, now=now).finish_time  # EOF: size 0
+        fs.read(a, 12 * KIB, 4 * KIB, now=now)
+    fs.detach_monitor(raw.append)
+    assert len(raw) == 5
+    accepted = [event for event in raw
+                if event.app == "a" and event.op == "read" and event.size > 0]
+    assert [(e.offset, e.size) for e in accepted] == [(4 * KIB, 8 * KIB), (12 * KIB, 4 * KIB)]
+    assert monitor.records == accepted
 
 
 def test_monitoring_costs_latency(fs):
