@@ -1,17 +1,20 @@
 """I/O command structures.
 
-An :class:`IoCommand` corresponds to the chain ``bio -> request -> device
+A device command corresponds to the chain ``bio -> request -> device
 command`` in Linux: it can only express one *contiguous* LBA range.  That
 restriction is what makes fragmentation expensive on modern devices — the
 paper's *request splitting*.
+
+On the submit path a syscall's commands travel as one batch — one op, one
+tag and one provenance id plus plain ``(offset, length)`` ranges — so
+:class:`IoCommand` is only the record the block tracer keeps for each of
+them (``keep_log`` and the ``block.cmd`` events).
 """
 
 from __future__ import annotations
 
 import enum
 from typing import NamedTuple
-
-from ..errors import InvalidArgument
 
 
 class IoOp(enum.Enum):
@@ -21,13 +24,7 @@ class IoOp(enum.Enum):
 
 
 class IoCommand(NamedTuple):
-    """One contiguous-LBA device command.
-
-    A ``NamedTuple`` rather than a dataclass: commands are constructed in
-    the per-piece splitter loop, the single hottest allocation site in the
-    stack, and the tuple constructor is about twice as fast.  Argument
-    validation lives in :meth:`validate` — ranges are validated once at
-    the syscall boundary, not per command.
+    """The record of one contiguous-LBA device command.
 
     Attributes:
         op: read / write / discard.
@@ -37,9 +34,7 @@ class IoCommand(NamedTuple):
             (e.g. ``"workload"`` vs ``"defrag"``).
         pid: provenance id of the originating syscall, 0 when causal
             tracing is disarmed or the command has no syscall origin
-            (GC, fstrim).  Minted by the fs layer only when an armed
-            :class:`~repro.obs.hooks.Instrumentation` is installed; the
-            device layer keys per-command completion edges on it.
+            (GC, fstrim).
     """
 
     op: IoOp
@@ -51,13 +46,3 @@ class IoCommand(NamedTuple):
     @property
     def end(self) -> int:
         return self.offset + self.length
-
-    def validate(self) -> "IoCommand":
-        if self.offset < 0:
-            raise InvalidArgument(f"negative device offset {self.offset}")
-        if self.length <= 0:
-            raise InvalidArgument(f"non-positive command length {self.length}")
-        return self
-
-    def retagged(self, tag: str) -> "IoCommand":
-        return IoCommand(self.op, self.offset, self.length, tag, self.pid)

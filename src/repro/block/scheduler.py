@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .request import IoCommand
+from .request import IoOp
+from .splitter import DiskRange
 from .tracer import BlockTracer
 from ..errors import DeviceIOError, InjectedCrash
 from ..faults import hooks as fault_hooks
@@ -62,22 +63,31 @@ class BlockScheduler:
         #: (the paper's "kernel overheads for creating and managing I/Os")
         self._cpu_free = 0.0
 
-    def submit(self, commands: Sequence[IoCommand], now: float = 0.0) -> SubmitResult:
+    def submit(
+        self, op: IoOp, ranges: Sequence[DiskRange], now: float = 0.0,
+        tag: str = "", pid: int = 0,
+    ) -> SubmitResult:
         """Submit one syscall's command batch; returns completion info.
 
-        The kernel builds and queues every request before the device can
-        finish the batch, so kernel time is serial and precedes device
-        service.  Synchronous semantics: the result's ``finish_time`` is
-        when *all* split requests completed.
+        ``ranges`` are the batch's ``(offset, length)`` commands (see
+        :func:`~repro.block.splitter.split_ranges`), all of ``op``, from
+        origin ``tag``, for the syscall with provenance id ``pid`` (0 =
+        untracked).  The kernel builds and queues every request before the
+        device can finish the batch, so kernel time is serial and precedes
+        device service.  Synchronous semantics: the result's
+        ``finish_time`` is when *all* split requests completed.
         """
-        if not commands:
+        if not ranges:
             return SubmitResult(now, 0.0, 0, 0.0, 0.0)
-        kernel_time = self.kernel_overhead_per_request * len(commands)
+        n = len(ranges)
+        kernel_time = self.kernel_overhead_per_request * n
         if self._block_faults:
-            first = commands[0]
+            nbytes = 0
+            for _, length in ranges:
+                nbytes += length
             fire = self.faults.check(
-                BLOCK_SITE, op=first.op._value_, offset=first.offset,
-                length=sum(c.length for c in commands), now=now,
+                BLOCK_SITE, op=op._value_, offset=ranges[0][0], length=nbytes,
+                now=now,
             )
             if fire is not None:
                 if fire.kind == "io_error":
@@ -91,33 +101,34 @@ class BlockScheduler:
                         fire.latency if fire.latency is not None
                         else fault_hooks.DEFAULT_LATENCY_SPIKE
                     )
-        elif self._faulting:
-            self.faults.check(BLOCK_SITE)  # counted; cannot fire
+        elif self._faulting and self.faults.active:
+            # no rule covers the block site: the check cannot fire and
+            # only counts the batch, so count it without the call
+            counts = self.faults.counts
+            counts[BLOCK_SITE] = counts.get(BLOCK_SITE, 0) + 1
         cpu_start = max(now, self._cpu_free)
         cpu_done = cpu_start + kernel_time
         self._cpu_free = cpu_done
-        batch = self.device.submit(commands, cpu_done)
-        self.requests_submitted += len(commands)
+        batch = self.device.submit(op, ranges, cpu_done, pid)
+        self.requests_submitted += n
         self.kernel_time_total += kernel_time
-        self.tracer.observe(commands, now)
+        self.tracer.observe(op, tag, ranges, now, pid)
         if self._observing:
             # split fan-out (commands per syscall), kernel CPU, and how far
             # behind real time the shared kernel-CPU timeline is running;
             # queue_wait/base_cpu partition this submit's latency for
             # attribution (base = what one unsplit request would have cost)
             self.obs.block_submit(
-                len(commands), kernel_time, max(0.0, self._cpu_free - now),
+                n, kernel_time, max(0.0, self._cpu_free - now),
                 queue_wait=cpu_start - now,
                 base_cpu=self.kernel_overhead_per_request,
             )
-            if self._tracing and commands[0].pid:
+            if self._tracing and pid:
                 # causal edge: syscall -> this batch's kernel-CPU window
-                self.obs.provenance.submit(
-                    commands[0].pid, len(commands), now, cpu_start, cpu_done
-                )
+                self.obs.provenance.submit(pid, n, now, cpu_start, cpu_done)
         # tuple.__new__ skips the generated keyword-parsing __new__ (one
         # result per batch on the hot path); fields in declaration order
         return tuple.__new__(SubmitResult, (
-            batch.finish_time, batch.finish_time - now, len(commands),
+            batch.finish_time, batch.finish_time - now, n,
             kernel_time, batch.service_time,
         ))

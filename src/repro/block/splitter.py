@@ -4,75 +4,49 @@
 stack: the filesystem maps a system call to a list of ``(disk_offset,
 length)`` ranges (one per extent piece), adjacent ranges are merged back
 together (the block layer's request merging), and every surviving range is
-capped at ``MAX_REQUEST_SIZE`` and emitted as one :class:`IoCommand`.
+capped at ``MAX_REQUEST_SIZE`` and becomes one device command.
 
 A perfectly contiguous file therefore yields one command per syscall, while
 a file fragmented into 4 KiB pieces yields one command per piece — exactly
 the effect Figure 1 of the paper illustrates.
+
+Every command of one syscall shares its op, origin tag and provenance id,
+so a batch travels below the filesystem as ``(op, tag, pid, ranges)``:
+the ranges returned here are the batch's commands.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..constants import MAX_REQUEST_SIZE
-from .request import IoCommand, IoOp
 
 DiskRange = Tuple[int, int]  # (device byte offset, length)
 
 
-def merge_adjacent(ranges: Iterable[DiskRange]) -> List[DiskRange]:
-    """Coalesce back-to-back disk ranges (block layer request merging).
-
-    Ranges are merged only when the end of one equals the start of the
-    next — i.e. when they are physically contiguous in LBA space.  The
-    input order is preserved (an elevator would sort; the default
-    ``none``/``mq-deadline`` path the paper measures keeps submission
-    order for a single synchronous syscall).
-    """
-    merged: List[DiskRange] = []
-    for offset, length in ranges:
-        if length <= 0:
-            continue
-        if merged and merged[-1][0] + merged[-1][1] == offset:
-            merged[-1] = (merged[-1][0], merged[-1][1] + length)
-        else:
-            merged.append((offset, length))
-    return merged
-
-
 def split_ranges(
-    op: IoOp,
     ranges: Sequence[DiskRange],
-    tag: str = "",
     max_request_size: int = MAX_REQUEST_SIZE,
-    pid: int = 0,
-) -> List[IoCommand]:
-    """Build the command list for one system call.
+) -> List[DiskRange]:
+    """The ``(offset, length)`` commands of one system call.
 
-    Returns one command per contiguous LBA run, each at most
+    Returns one pair per contiguous LBA run, each at most
     ``max_request_size`` bytes.  ``len(result)`` is the paper's
     "number of I/O requests" for the syscall.
 
-    ``pid`` is the originating syscall's provenance id (0 = untracked);
-    every emitted command carries it so device completions can be tied
-    back to the syscall that caused them.
-
-    Merging and capping happen in a single pass — this runs once per
-    syscall with one entry per extent piece, so no intermediate merged
-    list is allocated.  Semantics match ``merge_adjacent`` followed by
-    capping (the property tests assert exactly that).
+    Ranges are merged only when the end of one equals the start of the
+    next, and the input order is preserved (an elevator would sort; the
+    default ``none``/``mq-deadline`` path the paper measures keeps
+    submission order for a single synchronous syscall).  Zero-length
+    ranges are dropped.  Merging and capping happen in a single pass —
+    this runs once per syscall with one entry per extent piece, so no
+    intermediate merged list is allocated.
     """
-    commands: List[IoCommand] = []
+    commands: List[DiskRange] = []
     append = commands.append
     extend = commands.extend
-    # Construct commands through tuple.__new__ directly: this is the
-    # hottest allocation site in the stack (one command per emitted
-    # request) and the generated NamedTuple __new__ wrapper costs ~2x a
-    # raw tuple fill.  Field order must match IoCommand's declaration.
     # Full-size caps for a long run are emitted as one list.extend over a
     # generator — the count is arithmetic, not a subtract-and-test loop.
-    new = tuple.__new__
     cur_offset = 0
     cur_length = 0
     for offset, length in ranges:
@@ -85,24 +59,22 @@ def split_ranges(
             caps = (cur_length - 1) // max_request_size
             if caps:
                 extend(
-                    new(IoCommand, (op, cur_offset + i * max_request_size,
-                                    max_request_size, tag, pid))
+                    (cur_offset + i * max_request_size, max_request_size)
                     for i in range(caps)
                 )
                 cur_offset += caps * max_request_size
                 cur_length -= caps * max_request_size
-            append(new(IoCommand, (op, cur_offset, cur_length, tag, pid)))
+            append((cur_offset, cur_length))
         cur_offset = offset
         cur_length = length
     if cur_length:
         caps = (cur_length - 1) // max_request_size
         if caps:
             extend(
-                new(IoCommand, (op, cur_offset + i * max_request_size,
-                                max_request_size, tag, pid))
+                (cur_offset + i * max_request_size, max_request_size)
                 for i in range(caps)
             )
             cur_offset += caps * max_request_size
             cur_length -= caps * max_request_size
-        append(new(IoCommand, (op, cur_offset, cur_length, tag, pid)))
+        append((cur_offset, cur_length))
     return commands

@@ -1,15 +1,16 @@
 """blktrace-equivalent traffic accounting.
 
 Counts bytes and commands below the filesystem, split by the ``tag`` each
-command carries, so experiments can report e.g. "the defragmenter issued
+batch carries, so experiments can report e.g. "the defragmenter issued
 163 MB of reads and 137 MB of writes" separately from workload traffic —
 exactly what the paper measures with blktrace/iotop.
 
 When the observability plane is enabled the tracer also emits each
 command into the shared ``repro.obs`` event ring (track ``"block"``), so
 Chrome traces show raw block commands without a second private log; the
-in-memory ``keep_log`` list remains available for callers that need
-random access to the raw commands.
+in-memory ``keep_log`` list of :class:`~repro.block.request.IoCommand`
+records remains available for callers that need random access to the
+raw commands.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Dict, List, Sequence
 
 from ..obs import hooks as obs_hooks
 from .request import IoCommand, IoOp
+from .splitter import DiskRange
 
 
 _READ = IoOp.READ
@@ -74,7 +76,6 @@ class BlockTracer:
 
     def __init__(self, keep_log: bool = False) -> None:
         self.by_tag: Dict[str, TrafficCounter] = {}
-        self.total = TrafficCounter()
         self.keep_log = keep_log
         self.log: List[IoCommand] = []
         self.obs = obs_hooks.current()
@@ -82,38 +83,33 @@ class BlockTracer:
         # facade, and neither does one that records no per-command data
         self._emitting = self.obs.enabled and self.obs.per_command
 
-    def observe(self, commands: Sequence[IoCommand], now: float = 0.0) -> None:
-        # count one run of same-op, same-tag commands at a time
-        by_tag = self.by_tag
-        n = len(commands)
-        i = 0
-        while i < n:
-            first = commands[i]
-            op = first.op
-            tag = first.tag
-            nbytes = first.length
-            j = i + 1
-            while j < n and commands[j].op is op and commands[j].tag == tag:
-                nbytes += commands[j].length
-                j += 1
-            self.total.add(op, nbytes, j - i)
-            counter = by_tag.get(tag)
-            if counter is None:
-                counter = by_tag[tag] = TrafficCounter()
-            counter.add(op, nbytes, j - i)
-            i = j
+    def observe(
+        self, op: IoOp, tag: str, ranges: Sequence[DiskRange],
+        now: float = 0.0, pid: int = 0,
+    ) -> None:
+        """Count one batch: ``ranges`` are its commands, all of ``op``
+        from origin ``tag`` (``pid`` as in :class:`IoCommand`)."""
+        counter = self.by_tag.get(tag)
+        if counter is None:
+            counter = self.by_tag[tag] = TrafficCounter()
+        nbytes = 0
+        for _, length in ranges:
+            nbytes += length
+        counter.add(op, nbytes, len(ranges))
         if self.keep_log:
-            self.log.extend(commands)
+            new = tuple.__new__
+            self.log.extend(
+                new(IoCommand, (op, offset, length, tag, pid))
+                for offset, length in ranges
+            )
         if self._emitting:
-            for command in commands:
-                # pid ties the raw command back to its syscall's
-                # provenance tree (0 = untracked); ``_value_`` skips the
-                # enum descriptor
+            # pid ties the raw command back to its syscall's provenance
+            # tree (0 = untracked); ``_value_`` skips the enum descriptor
+            value = op._value_
+            for offset, length in ranges:
                 self.obs.event(
                     "block.cmd", now, track="block",
-                    op=command.op._value_, offset=command.offset,
-                    length=command.length, tag=command.tag,
-                    pid=command.pid,
+                    op=value, offset=offset, length=length, tag=tag, pid=pid,
                 )
 
     def tag(self, name: str) -> TrafficCounter:

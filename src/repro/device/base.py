@@ -25,10 +25,12 @@ does the timeline bookkeeping.
 from __future__ import annotations
 
 import abc
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import IoOp
+from ..block.splitter import DiskRange
 from ..block.tracer import TrafficCounter
 from ..errors import DeviceError, DeviceIOError, InjectedCrash, TornWriteError
 from ..faults import hooks as fault_hooks
@@ -121,7 +123,8 @@ class StorageDevice(abc.ABC):
         #: FaultPlan is installed — see repro.faults)
         self.faults = fault_hooks.current()
         # pre-resolved sentinels: with null planes the hot loop never
-        # touches the facades at all
+        # touches the facades at all, and an armed fault plane is
+        # consulted only while it is active
         self._observing = self.obs.enabled
         self._faulting = self.faults.enabled
         # per-command histograms; only consulted inside observing branches
@@ -130,7 +133,9 @@ class StorageDevice(abc.ABC):
         self._tracing = self._observing and self.obs.provenance is not None
         self._controller_free = 0.0
         self._link_free = 0.0
-        self._unit_free: Dict[int, float] = {}
+        #: per-unit busy timelines; a unit never used reads 0.0 (a
+        #: defaultdict, so the hot loop reads it with a plain subscript)
+        self._unit_free: Dict[int, float] = defaultdict(float)
         #: max of ``_unit_free``: unit timelines only grow, so a running
         #: high-water mark replaces a scan in ``busy_until``
         self._unit_high = 0.0
@@ -149,22 +154,27 @@ class StorageDevice(abc.ABC):
 
     # -- submission ------------------------------------------------------
 
-    def submit(self, commands: Sequence[IoCommand], start_time: float = 0.0) -> BatchResult:
+    def submit(
+        self, op: IoOp, ranges: Sequence[DiskRange], start_time: float = 0.0,
+        pid: int = 0,
+    ) -> BatchResult:
         """Process a batch of commands issued together at ``start_time``.
 
+        ``ranges`` are the batch's ``(offset, length)`` commands, all of
+        ``op``, for the syscall with provenance id ``pid`` (0 = untracked).
         The fault plane checks the batch with one scan; a fire is enacted
         when the loop reaches its command, and the scan resumes after a
         fire that does not end the batch.  The stats count the commands
         that ran even when the batch raises part-way.
         """
-        if not commands:
+        if not ranges:
             return _batch_result(BatchResult, (start_time, start_time, 0.0, 0))
         capacity = self.capacity
-        for command in commands:
-            if command.offset < 0 or command.offset + command.length > capacity:
+        for offset, length in ranges:
+            if offset < 0 or offset + length > capacity:
                 raise DeviceError(
-                    f"{self.name}: command [{command.offset}, "
-                    f"{command.offset + command.length}) beyond capacity {capacity}"
+                    f"{self.name}: command [{offset}, {offset + length}) "
+                    f"beyond capacity {capacity}"
                 )
         if not self.supports_queuing:
             # one command at a time: the whole batch serializes behind
@@ -178,61 +188,62 @@ class StorageDevice(abc.ABC):
         batch_penalty = 0.0
         observing = self._observing
         per_command = self._per_command
-        tracing = self._tracing
+        tracing = self._tracing and pid
+        value = op._value_  # skips the enum descriptor in messages/records
         # hot loop: every split request of every syscall lands here, so
         # resolve attribute lookups once per batch
         plan_command = self._plan_command
         unit_free = self._unit_free
-        unit_get = unit_free.get
         unit_high = self._unit_high
         link_free = self._link_free
         link_rate = self.link_rate
         # the next command a fault fires at (-1: none in this batch)
         fire_at = -1
-        if self._faulting:
-            faults = self.faults
-            fire_at, fire = faults.scan("device.submit", commands, 0, start_time)
+        faults = self.faults
+        if self._faulting and faults.active:
+            fire_at, fire = faults.scan("device.submit", value, ranges, 0, start_time)
         torn_lost: Optional[int] = None  # bytes a torn write dropped
-        # batches are single-op in practice: count the first command's op
-        # in locals and add it to the stats once, in the finally below
-        lead = commands[0].op
-        lead_bytes = lead_n = other_bytes = 0
+        # the batch is one op: count its bytes and commands in locals and
+        # add them to the stats once, in the finally below
+        done_bytes = done_n = 0
         try:
-            for index, command in enumerate(commands):
+            for index, (offset, length) in enumerate(ranges):
                 stall = 0.0
                 if index == fire_at:
                     faults.commit(fire)
                     kind = fire.kind
                     if kind == "io_error":
                         raise DeviceIOError(
-                            f"{self.name}: injected I/O error on {command.op._value_} "
-                            f"at [{command.offset}, {command.offset + command.length})"
+                            f"{self.name}: injected I/O error on {value} "
+                            f"at [{offset}, {offset + length})"
                         )
                     if kind == "crash":
                         raise InjectedCrash(
-                            f"{self.name}: injected power-off during {command.op._value_}"
+                            f"{self.name}: injected power-off during {value}"
                         )
                     if kind == "latency":
                         stall = (fire.latency if fire.latency is not None
                                  else self.fault_latency_spike)
-                    elif command.op is IoOp.WRITE and fire.torn_length < command.length:
+                    elif op is IoOp.WRITE and fire.torn_length < length:
                         # torn: only a block-aligned prefix of the write
                         # completes, and the batch ends here
-                        torn_lost = command.length - fire.torn_length
+                        torn_lost = length - fire.torn_length
                         if fire.torn_length <= 0:
                             break
-                        command = command._replace(length=fire.torn_length)
+                        length = fire.torn_length
                     if torn_lost is None:
                         fire_at, fire = faults.scan(
-                            "device.submit", commands, index + 1, start_time
+                            "device.submit", value, ranges, index + 1, start_time
                         )
-                plan = plan_command(command)
+                controller_time, unit_work, link_bytes, penalty_time = (
+                    plan_command(op, offset, length)
+                )
                 command_begin = controller
-                dispatched = controller + plan.controller_time + stall
+                dispatched = controller + controller_time + stall
                 controller = dispatched
                 command_finish = dispatched
-                for unit, media_time in plan.unit_work:
-                    unit_start = unit_get(unit, 0.0)
+                for unit, media_time in unit_work:
+                    unit_start = unit_free[unit]
                     if unit_start < dispatched:
                         unit_start = dispatched
                     unit_end = unit_start + media_time
@@ -240,39 +251,36 @@ class StorageDevice(abc.ABC):
                     batch_work += media_time
                     if unit_end > command_finish:
                         command_finish = unit_end
-                    if unit_end > unit_high:
-                        unit_high = unit_end
-                if plan.link_bytes and link_rate:
+                # every unit ends at or after ``dispatched``, so with any
+                # unit work ``command_finish`` is now the latest unit end
+                if unit_work and command_finish > unit_high:
+                    unit_high = command_finish
+                if link_bytes and link_rate:
                     link_start = link_free if link_free > dispatched else dispatched
-                    link_free = link_start + plan.link_bytes / link_rate
+                    link_free = link_start + link_bytes / link_rate
                     if link_free > command_finish:
                         command_finish = link_free
                 if command_finish > batch_finish:
                     batch_finish = command_finish
-                if command.op is lead:
-                    lead_bytes += command.length
-                    lead_n += 1
-                else:
-                    other_bytes += command.length
-                    self.stats.add(command.op, command.length)
-                batch_work += plan.controller_time + stall
-                batch_penalty += plan.penalty_time
+                done_bytes += length
+                done_n += 1
+                batch_work += controller_time + stall
+                batch_penalty += penalty_time
                 if observing:
                     if per_command:
                         # service time: controller pickup to media/link completion
-                        # ``_value_`` skips the enum descriptor on this per-command path
                         self.obs.device_command(
-                            self.name, command.op._value_, command_finish - command_begin
+                            self.name, value, command_finish - command_begin
                         )
-                    if tracing and command.pid:
+                    if tracing:
                         # causal edge: syscall -> this command's completion,
                         # with the queue-wait/service split and the model's
                         # parallelism + discontiguity penalty
                         self.obs.provenance.command(
-                            command.pid, self.name, self.provenance_unit,
-                            command.op._value_, command.offset, command.length,
+                            pid, self.name, self.provenance_unit,
+                            value, offset, length,
                             start_time, command_begin, command_finish,
-                            len(plan.unit_work), plan.penalty_time,
+                            len(unit_work), penalty_time,
                         )
                 if torn_lost is not None:
                     break  # the batch tears here: later commands never ran
@@ -280,15 +288,14 @@ class StorageDevice(abc.ABC):
             # what ran stays committed when a later command raises
             self._unit_high = unit_high
             self._link_free = link_free
-            if lead_n:
-                self.stats.add(lead, lead_bytes, lead_n)
+            if done_n:
+                self.stats.add(op, done_bytes, done_n)
         self._controller_free = controller
         if not self.supports_queuing:
             # hold every resource until the batch drains
             self._controller_free = batch_finish
         self.stats.busy_time += batch_work
         if torn_lost is not None:
-            done_bytes = lead_bytes + other_bytes
             raise TornWriteError(
                 f"{self.name}: torn write — only {done_bytes} bytes of the "
                 "batch reached the media",
@@ -300,7 +307,7 @@ class StorageDevice(abc.ABC):
             # the attribution-only plane (no per-command records) discards
             # busy_until, so it is not computed for it
             self.obs.device_batch(
-                self.name, len(commands),
+                self.name, len(ranges),
                 self.busy_until if per_command else 0.0,
                 queue_wait=pickup - start_time,
                 service_time=batch_finish - pickup,
@@ -308,13 +315,14 @@ class StorageDevice(abc.ABC):
             )
         if self._listeners:
             for listener in self._listeners:
-                listener(commands, start_time, batch_finish)
+                listener(op, ranges, start_time, batch_finish)
         return _batch_result(
-            BatchResult, (start_time, batch_finish, batch_work, len(commands))
+            BatchResult, (start_time, batch_finish, batch_work, len(ranges))
         )
 
     def add_listener(self, listener) -> None:
-        """Register ``fn(commands, start, finish)`` (used by tracing)."""
+        """Register ``fn(op, ranges, start, finish)``, called after each
+        batch completes (used by tracing)."""
         self._listeners.append(listener)
 
     def remove_listener(self, listener) -> None:
@@ -324,8 +332,9 @@ class StorageDevice(abc.ABC):
     # -- hooks -----------------------------------------------------------
 
     @abc.abstractmethod
-    def _plan_command(self, command: IoCommand) -> CommandPlan:
-        """Describe how one command uses controller/units/link."""
+    def _plan_command(self, op: IoOp, offset: int, length: int) -> CommandPlan:
+        """Describe how one ``op`` command over ``[offset, offset +
+        length)`` uses controller/units/link."""
 
     def describe(self) -> Dict[str, object]:
         """Human-readable parameter summary (for reports)."""

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import IoOp
 from ..constants import BLOCK_SIZE, GIB
 from .base import CommandPlan, StorageDevice, extend_sums as _extend_sums
 from .ftl import PageMappingFtl
@@ -83,21 +83,19 @@ class FlashSsd(StorageDevice):
             controller_time=params.command_overhead + params.discard_per_command
         )
 
-    def _pages_of(self, command: IoCommand) -> range:
-        first = command.offset // BLOCK_SIZE
-        last = (command.offset + command.length - 1) // BLOCK_SIZE
-        return range(first, last + 1)
+    @staticmethod
+    def _pages_of(offset: int, length: int) -> range:
+        return range(offset // BLOCK_SIZE, (offset + length - 1) // BLOCK_SIZE + 1)
 
-    def _plan_command(self, command: IoCommand) -> CommandPlan:
-        if command.op is IoOp.DISCARD:
-            self.ftl.invalidate(self._pages_of(command))
+    def _plan_command(self, op: IoOp, offset: int, length: int) -> CommandPlan:
+        if op is IoOp.DISCARD:
+            self.ftl.invalidate(self._pages_of(offset, length))
             return self._discard_overhead_plan
-        if command.op is IoOp.READ:
-            offset = command.offset
+        if op is IoOp.READ:
             lanes = self.ftl.lanes(
-                offset // BLOCK_SIZE, (offset + command.length - 1) // BLOCK_SIZE
+                offset // BLOCK_SIZE, (offset + length - 1) // BLOCK_SIZE
             )
-            key = (lanes, command.length)
+            key = (lanes, length)
             cache = self._read_plan_cache
             plan = cache.get(key)
             if plan is not None:
@@ -113,17 +111,17 @@ class FlashSsd(StorageDevice):
                 unit_work=tuple(
                     (channel, sums[n]) for channel, n in counts.items()
                 ),
-                link_bytes=command.length,
+                link_bytes=length,
             )
             if len(cache) >= READ_PLAN_CACHE_ENTRIES:
                 del cache[next(iter(cache))]
             cache[key] = plan
             return plan
-        result = self.ftl.write(self._pages_of(command))
+        result = self.ftl.write(self._pages_of(offset, length))
         relocated = result.relocated_pages
         cache = self._write_plan_cache
         if not relocated:
-            key = (result.first_channel, result.pages, command.length)
+            key = (result.first_channel, result.pages, length)
             plan = cache.get(key)
             if plan is not None:
                 return plan
@@ -138,7 +136,7 @@ class FlashSsd(StorageDevice):
         plan = CommandPlan(
             controller_time=self.params.command_overhead,
             unit_work=tuple(per_channel.items()),
-            link_bytes=command.length,
+            link_bytes=length,
         )
         if not relocated:
             if len(cache) >= WRITE_PLAN_CACHE_ENTRIES:

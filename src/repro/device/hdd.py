@@ -12,15 +12,19 @@ serializes on one timeline.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
-from ..block.request import IoCommand, IoOp
+from typing import Dict, Optional
+
+from ..block.request import IoOp
 from ..constants import GIB
 from .base import CommandPlan, StorageDevice
 
 #: bound on the seek-curve memo (distance -> seek time is pure)
 SEEK_CACHE_ENTRIES = 4096
+
+#: builds a per-command :class:`CommandPlan` positionally, skipping the
+#: generated keyword-parsing ``__new__`` (fields in declaration order)
+_plan = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,9 @@ class HddDevice(StorageDevice):
         # The seek curve is a pure function of distance (the head
         # *position* is live state, but the power-law evaluation is not);
         # memoize it — fragmented workloads revisit the same strides.
-        self._seek_cache: "OrderedDict[int, float]" = OrderedDict()
+        # Bounded with FIFO eviction: values are pure, so which entry
+        # goes cannot change a seek time.
+        self._seek_cache: Dict[int, float] = {}
         self._discard_plan = CommandPlan(controller_time=params.command_overhead)
 
     def seek_time(self, distance: int) -> float:
@@ -72,31 +78,28 @@ class HddDevice(StorageDevice):
         cache = self._seek_cache
         cached = cache.get(distance)
         if cached is not None:
-            cache.move_to_end(distance)
             return cached
         frac = min(1.0, distance / self.capacity)
         span = self.params.seek_max - self.params.seek_min
         result = self.params.seek_min + span * frac ** self.params.seek_exponent
         if len(cache) >= SEEK_CACHE_ENTRIES:
-            cache.popitem(last=False)
+            del cache[next(iter(cache))]
         cache[distance] = result
         return result
 
-    def _plan_command(self, command: IoCommand) -> CommandPlan:
-        if command.op is IoOp.DISCARD:
+    def _plan_command(self, op: IoOp, offset: int, length: int) -> CommandPlan:
+        if op is IoOp.DISCARD:
             # TRIM is a metadata operation; negligible mechanical work.
             return self._discard_plan
         penalty = 0.0
-        distance = abs(command.offset - self.head_position)
+        distance = abs(offset - self.head_position)
         if distance > 0:
             penalty = self.seek_time(distance) + self.params.rotational_latency
-        mechanical = penalty + command.length / self.params.transfer_rate
-        self.head_position = command.offset + command.length
-        return CommandPlan(
-            controller_time=self.params.command_overhead,
-            unit_work=((0, mechanical),),
-            penalty_time=penalty,
-        )
+        mechanical = penalty + length / self.params.transfer_rate
+        self.head_position = offset + length
+        return _plan(CommandPlan, (
+            self.params.command_overhead, ((0, mechanical),), 0, penalty,
+        ))
 
     def describe(self):
         info = super().describe()

@@ -19,9 +19,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import IoOp
 from ..constants import GIB, MIB
 from .base import CommandPlan, StorageDevice
+
+#: builds the per-command :class:`CommandPlan` positionally, skipping the
+#: generated keyword-parsing ``__new__`` (fields in declaration order)
+_plan = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -61,13 +65,13 @@ class MicroSdDevice(StorageDevice):
             controller_time=params.command_overhead + params.discard_overhead
         )
 
-    def _mapping_lookup(self, command: IoCommand) -> float:
+    def _mapping_lookup(self, offset: int, length: int) -> float:
         """Charge mapping-cache misses for every region the command spans."""
         penalty = 0.0
         params = self.params
         cache = self._mapping_cache
-        first = command.offset // params.mapping_region
-        last = (command.offset + command.length - 1) // params.mapping_region
+        first = offset // params.mapping_region
+        last = (offset + length - 1) // params.mapping_region
         for region in range(first, last + 1):
             if region in cache:
                 cache.move_to_end(region)
@@ -80,17 +84,15 @@ class MicroSdDevice(StorageDevice):
                     cache.popitem(last=False)
         return penalty
 
-    def _plan_command(self, command: IoCommand) -> CommandPlan:
-        if command.op is IoOp.DISCARD:
+    def _plan_command(self, op: IoOp, offset: int, length: int) -> CommandPlan:
+        if op is IoOp.DISCARD:
             return self._discard_plan
-        penalty = self._mapping_lookup(command)
-        rate = self.params.read_rate if command.op is IoOp.READ else self.params.write_rate
-        media = penalty + command.length / rate
-        return CommandPlan(
-            controller_time=self.params.command_overhead,
-            unit_work=((0, media),),
-            penalty_time=penalty,
-        )
+        penalty = self._mapping_lookup(offset, length)
+        rate = self.params.read_rate if op is IoOp.READ else self.params.write_rate
+        media = penalty + length / rate
+        return _plan(CommandPlan, (
+            self.params.command_overhead, ((0, media),), 0, penalty,
+        ))
 
     def describe(self):
         info = super().describe()

@@ -17,11 +17,10 @@ Endurance is tracked as total bytes written against a DWPD budget
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import IoOp
 from ..constants import BLOCK_SIZE, GIB
 from .base import CommandPlan, StorageDevice, extend_sums as _extend_sums
 
@@ -59,8 +58,9 @@ class OptaneSsd(StorageDevice):
         self.link_rate = params.interface_rate
         # Plan memo: bank layout depends only on (op, first bank phase,
         # page count, length) and the model is stateless, so plans are
-        # pure and cacheable without invalidation.  LRU-bounded.
-        self._plan_cache: "OrderedDict[Tuple[str, int, int, int], CommandPlan]" = OrderedDict()
+        # pure and cacheable without invalidation.  Bounded with FIFO
+        # eviction: which entry goes cannot change a plan.
+        self._plan_cache: Dict[Tuple[str, int, int, int], CommandPlan] = {}
         self._discard_plan = CommandPlan(
             controller_time=params.command_overhead + params.discard_per_command
         )
@@ -76,23 +76,22 @@ class OptaneSsd(StorageDevice):
         """Banks interleave at page granularity by address (in-place)."""
         return lpn % self.params.banks
 
-    def _plan_command(self, command: IoCommand) -> CommandPlan:
-        if command.op is IoOp.DISCARD:
+    def _plan_command(self, op: IoOp, offset: int, length: int) -> CommandPlan:
+        if op is IoOp.DISCARD:
             return self._discard_plan
         params = self.params
-        first = command.offset // BLOCK_SIZE
-        last = (command.offset + command.length - 1) // BLOCK_SIZE
+        first = offset // BLOCK_SIZE
+        last = (offset + length - 1) // BLOCK_SIZE
         cache = self._plan_cache
-        key = (command.op._value_, first % params.banks, last - first, command.length)
+        key = (op._value_, first % params.banks, last - first, length)
         plan = cache.get(key)
         if plan is not None:
-            cache.move_to_end(key)
             return plan
         # Closed-form bank layout: pages interleave round-robin from the
         # first page's bank, so bank (phase+k)%banks serves base+1 pages
         # for k < rem and base pages otherwise — no per-page loop.  Tuple
         # order matches the old loop's first-occurrence order.
-        if command.op is IoOp.READ:
+        if op is IoOp.READ:
             page_time, sums = params.page_read, self._read_sums
         else:
             page_time, sums = params.page_write, self._write_sums
@@ -109,10 +108,10 @@ class OptaneSsd(StorageDevice):
                 ((phase + k) % banks, high if k < rem else low)
                 for k in range(occupied)
             ),
-            link_bytes=command.length,
+            link_bytes=length,
         )
         if len(cache) >= PLAN_CACHE_ENTRIES:
-            cache.popitem(last=False)
+            del cache[next(iter(cache))]
         cache[key] = plan
         return plan
 

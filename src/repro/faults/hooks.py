@@ -20,7 +20,9 @@ The plane answers :meth:`FaultPlane.check` with a :class:`FaultFire` (or
 ``None``); *enacting* the fault — raising, stalling, tearing — is the
 calling layer's job, because only the layer knows its own semantics.  A
 device checks a whole command batch with one :meth:`FaultPlane.scan`,
-which makes the same per-command checks and stops at the first fire.
+which makes the same per-command checks and stops at the first fire;
+both go through the one matcher, :meth:`FaultPlane._match`, which takes
+a batch's op and its ``(offset, length)`` ranges in one call.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ class FaultFire(NamedTuple):
     torn_length: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _RuleState:
-    """Live per-rule bookkeeping inside a plane."""
+    """Live per-rule bookkeeping inside a plane (slotted: the matcher
+    updates ``matched`` once per command it checks)."""
 
     rule: FaultRule
     rng: Optional[random.Random]
@@ -105,10 +108,10 @@ class FaultPlane:
                 # rules, so plans compose without perturbing each other
                 rng = random.Random(self.plan.seed * 1_000_003 + index)
             self._rules.append(_RuleState(rule, rng))
-        #: the plan compiled per site: the ``(index, state)`` pairs whose
-        #: rule site prefix covers that site, in rule order, filled on a
-        #: site's first query
-        self._by_site: Dict[str, Tuple[Tuple[int, _RuleState], ...]] = {}
+        #: the plan compiled per site, filled on a site's first query:
+        #: one local tuple per rule whose site prefix covers that site, in
+        #: rule order (see :meth:`_candidates`)
+        self._by_site: Dict[str, Tuple[tuple, ...]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -120,15 +123,28 @@ class FaultPlane:
 
     # -- the queries the layers make -----------------------------------
 
-    def _candidates(self, site: str) -> Tuple[Tuple[int, _RuleState], ...]:
-        """The ``(index, state)`` pairs whose rule site prefix covers
-        ``site``, in rule order, compiled on the site's first query."""
+    def _candidates(self, site: str) -> Tuple[tuple, ...]:
+        """The rules whose site prefix covers ``site``, in rule order,
+        compiled on the site's first query.
+
+        Each rule becomes one local tuple ``(index, state, op, at_time,
+        max_fires, lo, hi, after_ops, rng, probability)`` (``lo``/``hi``
+        None without an ``lba`` filter), so :meth:`_match` reads its
+        filters without an attribute lookup.
+        """
         candidates = self._by_site.get(site)
         if candidates is None:
-            candidates = self._by_site[site] = tuple(
-                (index, state) for index, state in enumerate(self._rules)
-                if site.startswith(state.rule.site)
-            )
+            compiled = []
+            for index, state in enumerate(self._rules):
+                rule = state.rule
+                if not site.startswith(rule.site):
+                    continue
+                lo, hi = rule.lba if rule.lba is not None else (None, None)
+                compiled.append((
+                    index, state, rule.op, rule.at_time, rule.max_fires,
+                    lo, hi, rule.after_ops, state.rng, rule.probability,
+                ))
+            candidates = self._by_site[site] = tuple(compiled)
         return candidates
 
     def covers(self, site: str) -> bool:
@@ -160,39 +176,43 @@ class FaultPlane:
     def _match(
         self,
         site: str,
-        candidates: Tuple[Tuple[int, _RuleState], ...],
+        candidates: Tuple[tuple, ...],
         op: Optional[str],
-        offset: Optional[int],
-        length: Optional[int],
+        ranges: Sequence[Tuple[Optional[int], Optional[int]]],
+        start: int,
         now: float,
-    ) -> Optional[FaultFire]:
-        """Run one check's rule matching (first matching rule wins).
+    ) -> Tuple[int, Optional[FaultFire]]:
+        """Match ``ranges[start:]`` in order, each against the rules in
+        order (first matching rule wins), and stop at the first fire.
 
-        Updates the per-rule ``matched``/``fired`` counters and draws from
-        the rules' RNG streams; does not :meth:`commit` the fire.
+        One check per range: it updates the per-rule ``matched``/``fired``
+        counters and draws from the rules' RNG streams.  Returns
+        ``(index, fire)`` for the range that fires, or ``(len(ranges),
+        None)``; does not :meth:`commit` the fire.
         """
-        for index, state in candidates:
-            rule = state.rule
-            if rule.max_fires and state.fired >= rule.max_fires:
-                continue
-            if rule.op is not None and rule.op != op:
-                continue
-            if rule.lba is not None:
-                if offset is None:
+        for index, (offset, length) in enumerate(
+            ranges[start:] if start else ranges, start
+        ):
+            for (rule_index, state, rule_op, at_time, max_fires,
+                 lo, hi, after_ops, rng, probability) in candidates:
+                if max_fires and state.fired >= max_fires:
                     continue
-                lo, hi = rule.lba
-                end = offset + (length or 0)
-                if end <= lo or offset >= hi:
+                if rule_op is not None and rule_op != op:
                     continue
-            if rule.at_time is not None and now < rule.at_time:
-                continue
-            state.matched += 1
-            if rule.after_ops is not None and state.matched != rule.after_ops:
-                continue
-            if state.rng is not None and state.rng.random() >= rule.probability:
-                continue
-            return self._fire(index, state, site, op, length, now)
-        return None
+                if lo is not None:
+                    if offset is None:
+                        continue
+                    if offset + (length or 0) <= lo or offset >= hi:
+                        continue
+                if at_time is not None and now < at_time:
+                    continue
+                state.matched += 1
+                if after_ops is not None and state.matched != after_ops:
+                    continue
+                if rng is not None and rng.random() >= probability:
+                    continue
+                return index, self._fire(rule_index, state, site, op, length, now)
+        return len(ranges), None
 
     def commit(self, fire: FaultFire) -> None:
         """Record a fire in :attr:`stats` and the armed obs plane."""
@@ -219,48 +239,43 @@ class FaultPlane:
             candidates = self._candidates(site)
         if not candidates:
             return None
-        fire = self._match(site, candidates, op, offset, length, now)
+        fire = self._match(site, candidates, op, ((offset, length),), 0, now)[1]
         if fire is not None:
             self.commit(fire)
         return fire
 
     def scan(
-        self, site: str, commands: Sequence, start: int, now: float
+        self, site: str, op: str, ranges: Sequence[Tuple[int, int]],
+        start: int, now: float,
     ) -> Tuple[int, Optional[FaultFire]]:
-        """Check a command batch from ``commands[start]`` on, in order.
+        """Check a batch's ``(offset, length)`` commands, all of ``op``,
+        from ``ranges[start]`` on, in order.
 
         Makes exactly the checks one :meth:`check` per command would
-        make (``op``, ``offset`` and ``length`` from each command), so
-        fires, :attr:`counts`, per-rule ``matched``/``fired`` and every
-        RNG stream end up as they would, and stops at the first fire.
-        Returns ``(index, fire)`` for that command, or
-        ``(len(commands), None)`` when none fires.  The fire is *pending*:
+        make, so fires, :attr:`counts`, per-rule ``matched``/``fired``
+        and every RNG stream end up as they would, and stops at the first
+        fire.  Returns ``(index, fire)`` for that command, or
+        ``(len(ranges), None)`` when none fires.  The fire is *pending*:
         the caller enacts it and calls :meth:`commit` when its own work
-        reaches ``commands[index]``, then scans on from ``index + 1``.
+        reaches ``ranges[index]``, then scans on from ``index + 1``.
 
         A caller that raises at an earlier command (an FTL ``DeviceError``)
         leaves the commands after it checked anyway, up to ``index``:
         their counts, draws and any pending fire's ``fired`` stay spent,
         and the pending fire is never committed.
         """
-        end = len(commands)
+        end = len(ranges)
         if not self.active or start >= end:
             return end, None
-        counts = self.counts
         candidates = self._by_site.get(site)
         if candidates is None:
             candidates = self._candidates(site)
+        index, fire = end, None
         if candidates:
-            match = self._match
-            for index in range(start, end):
-                command = commands[index]
-                fire = match(site, candidates, command.op._value_,
-                             command.offset, command.length, now)
-                if fire is not None:
-                    counts[site] = counts.get(site, 0) + index + 1 - start
-                    return index, fire
-        counts[site] = counts.get(site, 0) + end - start
-        return end, None
+            index, fire = self._match(site, candidates, op, ranges, start, now)
+        checked = (index + 1 if fire is not None else end) - start
+        self.counts[site] = self.counts.get(site, 0) + checked
+        return index, fire
 
     def ops_seen(self, prefix: str) -> int:
         """Checks observed (while active) at sites under ``prefix``."""

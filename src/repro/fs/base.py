@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import IoOp
 from ..block.scheduler import BlockScheduler, SubmitResult
 from ..block.splitter import split_ranges
 from ..block.tracer import BlockTracer
@@ -135,7 +135,8 @@ class Filesystem(abc.ABC):
         #: fault plane (same pattern: null object unless a plan is armed)
         self.faults = fault_hooks.current()
         # pre-resolved sentinels: with null planes the syscall paths skip
-        # facade dispatch (and event construction) entirely
+        # facade dispatch (and event construction) entirely; an armed
+        # fault plane is consulted only while it is active
         self._observing = self.obs.enabled
         self._faulting = self.faults.enabled
         # causal tracing armed: mint a provenance id per layer-crossing
@@ -284,7 +285,7 @@ class Filesystem(abc.ABC):
             self._emit(
                 SyscallEvent("read", handle.app, inode.ino, inode.path, offset, length, handle.o_direct, now)
             )
-        if self._faulting:
+        if self._faulting and self.faults.active:
             now, _ = self._fault_syscall("read", inode, offset, length, now)
         if length == 0:
             finish = now + self.costs.syscall_overhead
@@ -320,9 +321,8 @@ class Filesystem(abc.ABC):
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
             # Linux O_DIRECT requires logical-block alignment.
             raise InvalidArgument(f"O_DIRECT read misaligned: offset={offset} length={length}")
-        ranges = inode.extent_map.disk_ranges(offset, length)
-        commands = split_ranges(IoOp.READ, ranges, tag=handle.app, pid=pid)
-        submit = self.scheduler.submit(commands, now)
+        ranges = split_ranges(inode.extent_map.disk_ranges(offset, length))
+        submit = self.scheduler.submit(IoOp.READ, ranges, now, handle.app, pid)
         finish = max(submit.finish_time, now) + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(self.costs.syscall_overhead)
@@ -341,8 +341,9 @@ class Filesystem(abc.ABC):
                 ranges.extend(
                     inode.extent_map.disk_ranges(run_start * BLOCK_SIZE, run_len * BLOCK_SIZE)
                 )
-            commands = split_ranges(IoOp.READ, ranges, tag=handle.app, pid=pid)
-            submit = self.scheduler.submit(commands, now)
+            submit = self.scheduler.submit(
+                IoOp.READ, split_ranges(ranges), now, handle.app, pid
+            )
             requests = submit.commands
             finish = max(finish, submit.finish_time)
             evicted = self.page_cache.fill(inode.ino, missing)
@@ -382,7 +383,7 @@ class Filesystem(abc.ABC):
             self._emit(
                 SyscallEvent("write", handle.app, inode.ino, inode.path, offset, length, handle.o_direct, now)
             )
-        if self._faulting:
+        if self._faulting and self.faults.active:
             now, fire = self._fault_syscall("write", inode, offset, length, now)
             if fire is not None:
                 # torn page-store write: only a prefix of the data lands
@@ -424,8 +425,9 @@ class Filesystem(abc.ABC):
             raise InvalidArgument(f"O_DIRECT write misaligned: offset={offset} length={length}")
         ranges = self._allocate_write(inode, offset, length)
         self._meta_dirty = True
-        commands = split_ranges(IoOp.WRITE, ranges, tag=handle.app, pid=pid)
-        submit = self.scheduler.submit(commands, now)
+        submit = self.scheduler.submit(
+            IoOp.WRITE, split_ranges(ranges), now, handle.app, pid
+        )
         finish = max(submit.finish_time, now) + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(self.costs.syscall_overhead)
@@ -448,7 +450,7 @@ class Filesystem(abc.ABC):
         """Flush this inode's dirty pages (delayed allocation happens
         here) and commit metadata."""
         inode = self.inode(handle.ino)
-        if self._faulting:
+        if self._faulting and self.faults.active:
             now, _ = self._fault_syscall("fsync", inode, 0, inode.size, now)
         pid = self.obs.provenance.mint() if self._tracing else 0
         dirty = self.page_cache.dirty_pages(inode.ino)
@@ -507,17 +509,19 @@ class Filesystem(abc.ABC):
         a read/write that evicted dirty pages); 0 leaves them causally
         untracked.
         """
-        commands: List[IoCommand] = []
+        # each page run is split on its own: runs that happen to land
+        # back to back on disk stay separate commands
+        commands: List[Tuple[int, int]] = []
         for ino, pages in by_ino.items():
             inode = self.inodes.get(ino)
             if inode is None:
                 continue  # unlinked while dirty
             for run_start, run_len in _page_runs(pages):
                 ranges = self._allocate_write(inode, run_start * BLOCK_SIZE, run_len * BLOCK_SIZE)
-                commands.extend(split_ranges(IoOp.WRITE, ranges, tag=tag, pid=pid))
+                commands.extend(split_ranges(ranges))
             self._meta_dirty = True
             self.page_cache.clean(ino, pages)
-        return self.scheduler.submit(commands, now)
+        return self.scheduler.submit(IoOp.WRITE, commands, now, tag, pid)
 
     # ------------------------------------------------------------------
     # fallocate
@@ -541,7 +545,7 @@ class Filesystem(abc.ABC):
             raise InvalidArgument("fallocate length must be positive")
         inode = self.inode(handle.ino)
         self._check_lock(inode, handle.app)
-        if self._faulting:
+        if self._faulting and self.faults.active:
             now, _ = self._fault_syscall("fallocate", inode, offset, length, now)
         if mode is FallocMode.PUNCH_HOLE:
             self._punch_hole(inode, offset, length)
@@ -675,8 +679,7 @@ class Filesystem(abc.ABC):
         if offset + record > self.metadata_region:
             offset = 0
         self._journal_head = offset + record
-        command = IoCommand(IoOp.WRITE, offset, record, tag, pid)
-        return self.scheduler.submit([command], now)
+        return self.scheduler.submit(IoOp.WRITE, [(offset, record)], now, tag, pid)
 
     # ------------------------------------------------------------------
     # personality hook
@@ -704,7 +707,9 @@ class Filesystem(abc.ABC):
         ranges: List[Tuple[int, int]] = []
         pos = offset
         for run_start, run_len in runs:
-            displaced = inode.extent_map.insert(Extent(pos, run_start, run_len))
+            displaced = inode.extent_map.insert(
+                tuple.__new__(Extent, (pos, run_start, run_len))
+            )
             for old in displaced:
                 self.free_space.free(old.disk_offset, old.length)
             ranges.append((run_start, run_len))

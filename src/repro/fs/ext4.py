@@ -34,7 +34,9 @@ class Ext4(Filesystem):
                 runs = self.free_space.alloc(piece_len, goal=goal)
                 run_pos = pos
                 for run_start, run_len in runs:
-                    inode.extent_map.insert(Extent(run_pos, run_start, run_len))
+                    inode.extent_map.insert(
+                        tuple.__new__(Extent, (run_pos, run_start, run_len))
+                    )
                     ranges.append((run_start, run_len))
                     run_pos += run_len
             pos += piece_len

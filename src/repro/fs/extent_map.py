@@ -283,7 +283,9 @@ class ExtentMap:
                 length += next_len
                 del extents[idx]
                 del starts[idx]
-        extents.insert(idx, Extent(file_offset, disk_offset, length))
+        # positional tuple.__new__ skips the generated keyword-parsing
+        # __new__ (one extent per insert on the write path)
+        extents.insert(idx, tuple.__new__(Extent, (file_offset, disk_offset, length)))
         starts.insert(idx, file_offset)
         return displaced
 

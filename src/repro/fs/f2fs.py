@@ -166,8 +166,9 @@ class F2fs(Filesystem):
                 file_lo = extent.file_offset + (lo - extent.disk_offset)
                 length = hi - lo
                 # read the live data, append it at the log head
-                read_cmds = split_ranges(IoOp.READ, [(lo, length)], tag="gc")
-                now = self.scheduler.submit(read_cmds, now).finish_time
+                now = self.scheduler.submit(
+                    IoOp.READ, split_ranges([(lo, length)]), now, "gc"
+                ).finish_time
                 ranges: List[Tuple[int, int]] = []
                 pos = file_lo
                 remaining = length
@@ -179,8 +180,9 @@ class F2fs(Filesystem):
                     ranges.append((run_start, run_len))
                     pos += run_len
                     remaining -= run_len
-                write_cmds = split_ranges(IoOp.WRITE, ranges, tag="gc")
-                now = self.scheduler.submit(write_cmds, now).finish_time
+                now = self.scheduler.submit(
+                    IoOp.WRITE, split_ranges(ranges), now, "gc"
+                ).finish_time
         self._meta_dirty = True
         return now
 

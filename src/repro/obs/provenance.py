@@ -5,10 +5,10 @@ partition) prove the paper's mechanism *on average*; this module proves it
 *per I/O*, the way TraceTracker reconstructs request lineage across host
 and device layers.  When an :class:`~repro.obs.hooks.Instrumentation` is
 built with ``provenance=True``, the VFS layer mints one **provenance id**
-(*pid*) per layer-crossing syscall and threads it — through
-:func:`repro.block.splitter.split_ranges` into every
-:class:`~repro.block.request.IoCommand` — down to the device models, and
-each layer appends a causal edge to the shared obs event ring:
+(*pid*) per layer-crossing syscall and passes it with the syscall's
+command batch — through the block scheduler and tracer — down to the
+device models, and each layer appends a causal edge to the shared obs
+event ring:
 
 ==============  ======================================================
 event           meaning (one ring entry each)
@@ -34,7 +34,7 @@ wrap it; the ``obs.events_dropped`` counter (and
 lost — size the ring via ``Instrumentation(max_events=...)`` when
 tracing big runs.
 
-With obs disabled nothing here runs at all: no ids are minted, commands
+With obs disabled nothing here runs at all: no ids are minted, batches
 carry ``pid=0``, and the hot-path boolean sentinels stay untouched.
 Recording reads the virtual timeline, it never advances it — armed runs
 are bit-identical to disabled runs (guarded by

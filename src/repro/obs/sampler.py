@@ -106,7 +106,7 @@ class FragmentationSampler:
     def __exit__(self, *exc) -> None:
         self.detach()
 
-    def _on_batch(self, commands, start: float, finish: float) -> None:
+    def _on_batch(self, op, ranges, start: float, finish: float) -> None:
         self.maybe_sample(finish)
 
     # -- sampling ------------------------------------------------------

@@ -9,7 +9,7 @@ experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..block.request import IoCommand, IoOp
+from ..block.request import IoOp
 from ..constants import GIB
 from ..fs.base import Filesystem
 
@@ -47,9 +47,10 @@ class Fstrim:
             remaining = run_len
             while remaining > 0:
                 take = min(remaining, self.max_discard_size)
-                command = IoCommand(IoOp.DISCARD, pos, take, self.app)
                 # fstrim issues trims synchronously, one ioctl at a time
-                now = self.fs.scheduler.submit([command], now).finish_time
+                now = self.fs.scheduler.submit(
+                    IoOp.DISCARD, [(pos, take)], now, self.app
+                ).finish_time
                 discarded += take
                 commands += 1
                 pos += take

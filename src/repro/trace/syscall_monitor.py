@@ -35,11 +35,9 @@ class SyscallMonitor:
         self,
         fs: Filesystem,
         apps: Optional[Iterable[str]] = None,
-        io_types: Iterable[str] = ("read", "write"),
     ) -> None:
         self.fs = fs
         self.apps: Optional[Set[str]] = set(apps) if apps is not None else None
-        self.io_types = set(io_types)
         self.records: List[SyscallEvent] = []
         self.obs = obs_hooks.current()
         self._attached = False
@@ -66,8 +64,6 @@ class SyscallMonitor:
     # -- probe --------------------------------------------------------------
 
     def _probe(self, event: SyscallEvent) -> None:
-        if event.op not in self.io_types:
-            return
         if self.apps is not None and event.app not in self.apps:
             return
         if event.size <= 0:

@@ -59,8 +59,7 @@ def _state(fs):
                     for path in sorted(fs.paths)},
         "free_runs": fs.free_space.runs(),
         "device_stats": fs.device.stats.snapshot(),
-        "tracer": (fs.tracer.total.snapshot(),
-                   {tag: c.snapshot() for tag, c in fs.tracer.by_tag.items()}),
+        "tracer": {tag: c.snapshot() for tag, c in fs.tracer.by_tag.items()},
         "ftl": None if ftl is None else {
             lpn: (block.channel, slot) for lpn, (block, slot) in ftl.mapping.items()
         },
@@ -144,7 +143,7 @@ def test_storing_an_observed_fixture_raises():
 
     def with_listener():
         fs, now = build()
-        fs.device.add_listener(lambda commands, start, finish: None)
+        fs.device.add_listener(lambda op, ranges, start, finish: None)
         return fs, now
 
     with pytest.raises(InvalidArgument, match="monitors"):

@@ -1,36 +1,12 @@
-"""IoCommand invariants."""
+"""IoCommand: the block tracer's record of one command."""
 
 import pytest
 
 from repro.block import IoCommand, IoOp
-from repro.errors import InvalidArgument
 
 
 def test_end():
     assert IoCommand(IoOp.READ, 100, 50).end == 150
-
-
-def test_rejects_bad_lengths():
-    # validation is explicit: ranges are checked once at the syscall
-    # boundary, not in the per-command hot-path constructor
-    with pytest.raises(InvalidArgument):
-        IoCommand(IoOp.READ, 0, 0).validate()
-    with pytest.raises(InvalidArgument):
-        IoCommand(IoOp.READ, 0, -5).validate()
-    with pytest.raises(InvalidArgument):
-        IoCommand(IoOp.READ, -1, 5).validate()
-
-
-def test_validate_passthrough():
-    cmd = IoCommand(IoOp.READ, 0, 10)
-    assert cmd.validate() is cmd
-
-
-def test_retagged():
-    cmd = IoCommand(IoOp.WRITE, 0, 10, "a")
-    other = cmd.retagged("b")
-    assert other.tag == "b"
-    assert other.offset == cmd.offset and other.op == cmd.op
 
 
 def test_frozen():

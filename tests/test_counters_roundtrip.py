@@ -15,6 +15,17 @@ def _cmd(op, length, tag="t"):
     return IoCommand(op, 0, length, tag)
 
 
+def _summed(tracer):
+    """The tracer's traffic summed over its tags."""
+    total = TrafficCounter()
+    for counter in tracer.by_tag.values():
+        for op in IoOp:
+            name = op.value
+            total.add(op, getattr(counter, f"{name}_bytes"),
+                      getattr(counter, f"{name}_commands"))
+    return total
+
+
 class TestTrafficCounter:
     def test_snapshot_is_independent_copy(self):
         counter = TrafficCounter()
@@ -51,14 +62,14 @@ class TestTrafficCounter:
 
     def test_tracer_tag_counters_roundtrip(self):
         tracer = BlockTracer()
-        tracer.observe([_cmd(IoOp.READ, 4096, tag="defrag")])
+        tracer.observe(IoOp.READ, "defrag", [(0, 4096)])
         before = tracer.tag("defrag").snapshot()
-        tracer.observe([_cmd(IoOp.WRITE, 8192, tag="defrag"),
-                        _cmd(IoOp.WRITE, 100, tag="other")])
+        tracer.observe(IoOp.WRITE, "defrag", [(0, 8192)])
+        tracer.observe(IoOp.WRITE, "other", [(0, 100)])
         delta = tracer.tag("defrag").delta(before)
         assert delta.read_bytes == 0
         assert delta.write_bytes == 8192
-        assert tracer.total.write_bytes == 8292
+        assert _summed(tracer).write_bytes == 8292
 
 
 class TestDeviceStats:
@@ -109,26 +120,29 @@ def test_add_counts_a_whole_batch_like_per_command_account():
 
 
 def test_tracer_runs_match_per_command_accounting():
-    """The tracer counts per (op, tag) run; the totals, the per-tag
-    counters and their order must match one ``account`` per command."""
+    """The tracer counts a batch (one op, one tag) at once; the summed
+    totals, the per-tag counters and their order must match one
+    ``account`` per command, and the log holds one record per command."""
     import random
 
     rng = random.Random(5)
     plain, logging = BlockTracer(), BlockTracer(keep_log=True)
-    total, by_tag = TrafficCounter(), {}
+    total, by_tag, log = TrafficCounter(), {}, []
     for _ in range(300):
-        batch = [_cmd(rng.choice(list(IoOp)), rng.choice((512, 4096, 65536)),
-                      tag=rng.choice(("a", "b", "gc")))
+        op, tag = rng.choice(list(IoOp)), rng.choice(("a", "b", "gc"))
+        batch = [_cmd(op, rng.choice((512, 4096, 65536)), tag=tag)
                  for _ in range(rng.choice((1, 2, 5, 12)))]
-        if rng.random() < 0.5:  # long same-op, same-tag runs too
+        if rng.random() < 0.5:  # repeated commands too
             batch = [batch[0]] * len(batch)
-        plain.observe(batch)
-        logging.observe(batch)
+        ranges = [(command.offset, command.length) for command in batch]
+        plain.observe(op, tag, ranges)
+        logging.observe(op, tag, ranges)
         for command in batch:
             total.account(command)
             by_tag.setdefault(command.tag, TrafficCounter()).account(command)
-    plain.observe([])
+        log.extend(batch)
+    plain.observe(IoOp.READ, "a", [])
     for tracer in (plain, logging):
-        assert tracer.total == total
+        assert _summed(tracer) == total
         assert list(tracer.by_tag.items()) == list(by_tag.items())
-    assert plain.log == [] and len(logging.log) == total.total_commands
+    assert plain.log == [] and logging.log == log

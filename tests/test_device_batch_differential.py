@@ -2,8 +2,10 @@
 
 ``submit`` checks a batch with one ``FaultPlane.scan``, enacts a fire when
 its loop reaches the command, and adds the batch to ``DeviceStats`` once.
-The reference below is the loop it replaced, kept as it was: one
-``FaultPlane.check`` and one ``DeviceStats.account`` per command.  Twin
+The reference below is the loop it replaced: one ``FaultPlane.check`` and
+one ``DeviceStats.account`` per command, each command an ``IoCommand``
+record built from the batch's op and pid.  A batch is one op, so the
+stream's batches are single-op (mixed-op batches no longer exist).  Twin
 devices of every model replay the same seeded batch stream under twin
 fault planes and must agree after every batch: the result or the
 exception, the stats, every resource timeline and the plane's state.
@@ -31,9 +33,13 @@ from repro.obs.hooks import Instrumentation
 class PerCommandDevice(StorageDevice):
     """The per-command ``submit``: one fault check per command."""
 
-    def submit(self, commands: Sequence[IoCommand], start_time: float = 0.0) -> BatchResult:
-        if not commands:
+    def submit(
+        self, op: IoOp, ranges: Sequence[Tuple[int, int]],
+        start_time: float = 0.0, pid: int = 0,
+    ) -> BatchResult:
+        if not ranges:
             return BatchResult(start_time, start_time, 0.0, 0)
+        commands = [IoCommand(op, offset, length, "", pid) for offset, length in ranges]
         for command in commands:
             if command.end > self.capacity:
                 raise DeviceError(
@@ -66,7 +72,7 @@ class PerCommandDevice(StorageDevice):
                 command, stall, torn_lost = self._apply_fault(command, start_time)
                 if command is None:
                     break
-            plan = plan_command(command)
+            plan = plan_command(command.op, command.offset, command.length)
             command_begin = controller
             dispatched = controller + plan.controller_time + stall
             controller = dispatched
@@ -129,7 +135,7 @@ class PerCommandDevice(StorageDevice):
             )
         if self._listeners:
             for listener in self._listeners:
-                listener(commands, start_time, batch_finish)
+                listener(op, ranges, start_time, batch_finish)
         return BatchResult(start_time, batch_finish, batch_work, len(commands))
 
     def _apply_fault(
@@ -197,32 +203,32 @@ def _storm(seed: int, crash_after: int) -> FaultPlan:
 
 
 def _latency_only(seed: int, crash_after: int) -> FaultPlan:
-    # the scan's single-rule draw loop
+    # one filterless probability rule: a draw per command
     return FaultPlan(seed=seed).latency_spike("device.submit", probability=0.1, max_fires=0)
 
 
 def _batches(seed: int, n: int):
+    """Seeded single-op batches: ``((op, ranges, pid), now)``."""
     rng = random.Random(seed)
     now = 0.0
     for step in range(n):
         now += rng.random() * 0.0005
         op = rng.choice((IoOp.READ, IoOp.READ, IoOp.WRITE, IoOp.DISCARD))
-        commands = []
+        ranges = []
         for _ in range(rng.choice((1, 1, 2, 3, 5, 9))):
-            if rng.random() < 0.1:  # a mixed-op batch
-                op = rng.choice((IoOp.READ, IoOp.WRITE))
             pages = rng.choice((1, 2, 4, 16))
             offset = rng.randrange(0, SPAN // BLOCK_SIZE - pages) * BLOCK_SIZE
-            commands.append(IoCommand(op, offset, pages * BLOCK_SIZE, "t", step + 1))
+            ranges.append((offset, pages * BLOCK_SIZE))
         if rng.random() < 0.02:  # rejected whole: it ends past the capacity
-            commands.append(IoCommand(op, CAPACITY - BLOCK_SIZE, 2 * BLOCK_SIZE))
-        yield commands, now
+            ranges.append((CAPACITY - BLOCK_SIZE, 2 * BLOCK_SIZE))
+        yield (op, ranges, step + 1), now
 
 
-def _submit(device, commands, now):
+def _submit(device, batch, now):
     """``(result, (exception type, message, bytes_written))``."""
+    op, ranges, pid = batch
     try:
-        return device.submit(commands, now), None
+        return device.submit(op, ranges, now, pid), None
     except (DeviceError, FaultError) as exc:
         return None, (type(exc), str(exc), getattr(exc, "bytes_written", None))
 
@@ -297,22 +303,24 @@ def test_ftl_error_mid_batch_leaves_the_same_device_state():
     (batch, batch_plane), (reference, reference_plane) = _twins(
         FlashSsd, plan, capacity=64 * BLOCK_SIZE, params=params
     )
-    fill = [IoCommand(IoOp.WRITE, page * BLOCK_SIZE, BLOCK_SIZE) for page in range(64)]
+    # all but the last two pages hold data; the doomed batch writes those
+    # two fresh pages, then its first rewrite fails
+    fill = (IoOp.WRITE, [(page * BLOCK_SIZE, BLOCK_SIZE) for page in range(62)], 0)
     for device in (batch, reference):
         assert _submit(device, fill, 0.0)[1] is None
-    doomed = [
-        IoCommand(IoOp.READ, 0, 8 * KIB),
-        IoCommand(IoOp.READ, 16 * KIB, 4 * KIB),
-        IoCommand(IoOp.WRITE, 32 * KIB, 4 * KIB),
-        IoCommand(IoOp.READ, 64 * KIB, 4 * KIB),
-        IoCommand(IoOp.READ, 96 * KIB, 4 * KIB),
-    ]
+    doomed = (IoOp.WRITE, [
+        (62 * BLOCK_SIZE, BLOCK_SIZE),
+        (63 * BLOCK_SIZE, BLOCK_SIZE),
+        (32 * KIB, 4 * KIB),
+        (64 * KIB, 4 * KIB),
+        (96 * KIB, 4 * KIB),
+    ], 0)
     got = _submit(batch, doomed, 1.0)
     want = _submit(reference, doomed, 1.0)
     assert got == want
     assert got[1][0] is DeviceError and "out of space" in got[1][1]
     assert _device_state(batch) == _device_state(reference)
-    assert batch.stats.read_commands == 2  # the two reads before the write ran
+    assert batch.stats.write_commands == 64  # the two writes before the rewrite ran
     # the scan may have checked past the failing write (see FaultPlane.scan);
     # fires the device reached are committed alike
     assert batch_plane.counts["device.submit"] >= reference_plane.counts["device.submit"]

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.block import IoCommand, IoOp
+from repro.block import IoOp
 from repro.constants import BLOCK_SIZE, MIB
 from repro.device.factory import DEVICE_PRESETS
 from repro.errors import DeviceIOError
@@ -36,12 +36,14 @@ def scanning_model(cls):
 
 
 def random_batch(rng: random.Random):
+    """One op and its ``(offset, length)`` commands (a batch is one op)."""
+    op = rng.choice(OPS)
     commands = []
     for _ in range(rng.randint(1, 12)):
         pages = rng.choice((1, 1, 2, 4, 16, 64))
         offset = rng.randrange(CAPACITY // BLOCK_SIZE - pages) * BLOCK_SIZE
-        commands.append(IoCommand(rng.choice(OPS), offset, pages * BLOCK_SIZE))
-    return commands
+        commands.append((offset, pages * BLOCK_SIZE))
+    return op, commands
 
 
 def drive(devices, seed: int, batches: int) -> None:
@@ -51,11 +53,11 @@ def drive(devices, seed: int, batches: int) -> None:
     for _ in range(batches):
         # co-running submitters: start behind, at, or past the busy point
         start = max(0.0, start + rng.uniform(-0.002, 0.004))
-        commands = random_batch(rng)
+        op, commands = random_batch(rng)
         outcomes = []
         for device in devices:
             try:
-                outcomes.append(device.submit(commands, start))
+                outcomes.append(device.submit(op, commands, start))
             except DeviceIOError as exc:
                 outcomes.append(str(exc))
             assert device.busy_until == scanned(device)

@@ -1,21 +1,21 @@
 """Flash SSD: channel parallelism, conflicts, out-of-place updates."""
 
-from repro.block import IoCommand, IoOp
+from repro.block import IoOp
 from repro.constants import GIB, KIB, MIB
 from repro.device.flash import FlashSsd
 
 
 def read(offset, length=4 * KIB):
-    return IoCommand(IoOp.READ, offset, length)
+    return (offset, length)
 
 
 def write(offset, length=4 * KIB):
-    return IoCommand(IoOp.WRITE, offset, length)
+    return (offset, length)
 
 
 def test_contiguous_read_uses_all_channels():
     ssd = FlashSsd(capacity=1 * GIB)
-    big = ssd.submit([read(0, 128 * KIB)], 0.0)
+    big = ssd.submit(IoOp.READ, [read(0, 128 * KIB)], 0.0)
     # 32 pages over 8 channels: ~4 pages of serial flash time, not 32
     assert big.latency < 32 * ssd.params.page_read
 
@@ -24,9 +24,9 @@ def test_channel_conflict_hurts():
     """Pages concentrated on one channel lose the parallelism."""
     ssd = FlashSsd(capacity=1 * GIB)
     # address-striped: pages k*8 all live on channel 0
-    conflicted = ssd.submit([read(i * 8 * 4 * KIB) for i in range(16)], 0.0)
+    conflicted = ssd.submit(IoOp.READ, [read(i * 8 * 4 * KIB) for i in range(16)], 0.0)
     ssd2 = FlashSsd(capacity=1 * GIB)
-    spread = ssd2.submit([read(i * 4 * KIB) for i in range(16)], 0.0)
+    spread = ssd2.submit(IoOp.READ, [read(i * 4 * KIB) for i in range(16)], 0.0)
     assert conflicted.latency > 1.5 * spread.latency
 
 
@@ -35,9 +35,9 @@ def test_updates_stripe_regardless_of_address():
     LBAs — why fragmented updates hurt less than reads on flash."""
     ssd = FlashSsd(capacity=1 * GIB)
     conflicting_lbas = [write(i * 8 * 4 * KIB) for i in range(16)]
-    w = ssd.submit(conflicting_lbas, 0.0)
+    w = ssd.submit(IoOp.WRITE, conflicting_lbas, 0.0)
     ssd2 = FlashSsd(capacity=1 * GIB)
-    r = ssd2.submit([read(i * 8 * 4 * KIB) for i in range(16)], 0.0)
+    r = ssd2.submit(IoOp.READ, [read(i * 8 * 4 * KIB) for i in range(16)], 0.0)
     # writes don't pay the channel conflict the reads pay (beyond the
     # program-vs-read latency ratio)
     ratio = ssd.params.page_program / ssd2.params.page_read
@@ -46,7 +46,7 @@ def test_updates_stripe_regardless_of_address():
 
 def test_read_follows_write_channel():
     ssd = FlashSsd(capacity=1 * GIB)
-    ssd.submit([write(0, 64 * KIB)], 0.0)
+    ssd.submit(IoOp.WRITE, [write(0, 64 * KIB)], 0.0)
     pages = range(0, 16)
     channels = {ssd.ftl.channel_of(p) for p in pages}
     assert len(channels) == ssd.params.channels
@@ -54,21 +54,21 @@ def test_read_follows_write_channel():
 
 def test_link_caps_throughput():
     ssd = FlashSsd(capacity=1 * GIB)
-    result = ssd.submit([read(0, 4 * MIB)], 0.0)
+    result = ssd.submit(IoOp.READ, [read(0, 4 * MIB)], 0.0)
     assert result.latency >= 4 * MIB / ssd.params.interface_rate
 
 
 def test_discard_invalidates_mapping():
     ssd = FlashSsd(capacity=1 * GIB)
-    ssd.submit([write(0, 32 * KIB)], 0.0)
+    ssd.submit(IoOp.WRITE, [write(0, 32 * KIB)], 0.0)
     assert 0 in ssd.ftl.mapping
-    ssd.submit([IoCommand(IoOp.DISCARD, 0, 32 * KIB)], 1.0)
+    ssd.submit(IoOp.DISCARD, [(0, 32 * KIB)], 1.0)
     assert 0 not in ssd.ftl.mapping
 
 
 def test_describe_reports_wear():
     ssd = FlashSsd(capacity=1 * GIB)
-    ssd.submit([write(0, 128 * KIB)], 0.0)
+    ssd.submit(IoOp.WRITE, [write(0, 128 * KIB)], 0.0)
     info = ssd.describe()
     assert info["kind"] == "flash"
     assert info["write_amplification"] >= 1.0

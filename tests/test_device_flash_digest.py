@@ -3,7 +3,10 @@
 A seeded mix of writes, discards and reads, with unaligned offsets and
 runs longer than an erase block, is submitted through
 ``FlashSsd.submit`` on devices small enough that garbage collection
-runs.  The digest covers every ``BatchResult``, every command's
+runs.  A batch is one op, so each drawn group of commands is submitted
+as its single-op runs in order, all at the group's start time, and
+their results are folded into one ``(start, finish, service, commands)``
+record per group.  The digest covers every such record, every command's
 ``CommandPlan`` (recorded as the device builds it), any ``DeviceError``
 text, and at the end ``write_amplification``, ``total_erases`` and
 ``describe()``.  Any change to striping, channel placement, GC victim
@@ -18,7 +21,7 @@ import random
 
 import pytest
 
-from repro.block.request import IoCommand, IoOp
+from repro.block.request import IoOp
 from repro.constants import BLOCK_SIZE, MIB
 from repro.device.flash import FlashParams, FlashSsd
 from repro.errors import DeviceError
@@ -36,7 +39,7 @@ GOLDEN = {
 STEPS = 1500
 
 
-def _command(rng: random.Random, pages: int, hot: int) -> IoCommand:
+def _command(rng: random.Random, pages: int, hot: int):
     """One command: mostly writes over a hot region, some long runs."""
     roll = rng.random()
     if roll < 0.55:
@@ -57,7 +60,45 @@ def _command(rng: random.Random, pages: int, hot: int) -> IoCommand:
     if rng.random() < 0.25:
         offset += rng.randrange(1, BLOCK_SIZE)
     length = min(length, pages * BLOCK_SIZE - offset)
-    return IoCommand(op, offset, length)
+    return op, offset, length
+
+
+def _runs(group):
+    """A drawn group of ``(op, offset, length)`` commands as its
+    single-op ``(op, ranges)`` batches, in order."""
+    runs = []
+    for op, offset, length in group:
+        if runs and runs[-1][0] is op:
+            runs[-1][1].append((offset, length))
+        else:
+            runs.append((op, [(offset, length)]))
+    return runs
+
+
+def _submit_group(ssd, group, now, plans):
+    """Submit a group's runs at ``now``; fold them into one record.
+
+    The service time is summed over the recorded plans in command order
+    (each plan's unit work, then its controller time), so it is the
+    float one batch of the whole group would report.  A batch that
+    raises leaves the controller timeline and the busy time where they
+    were, so a group that raises in a later run gives back what its
+    earlier runs added to them, as one batch of the group would.
+    """
+    finish = now
+    controller_free, busy_time = ssd._controller_free, ssd.stats.busy_time
+    try:
+        for op, ranges in _runs(group):
+            finish = max(finish, ssd.submit(op, ranges, now).finish_time)
+    except DeviceError:
+        ssd._controller_free, ssd.stats.busy_time = controller_free, busy_time
+        raise
+    service = 0.0
+    for plan in plans:
+        for _, media_time in plan.unit_work:
+            service += media_time
+        service += plan.controller_time
+    return now, finish, service, len(group)
 
 
 def _stream(seed: int, capacity_mib: int, pages_per_block: int, overprovision: float):
@@ -66,8 +107,8 @@ def _stream(seed: int, capacity_mib: int, pages_per_block: int, overprovision: f
     plans = []
     build = ssd._plan_command
 
-    def recording(command):
-        plan = build(command)
+    def recording(op, offset, length):
+        plan = build(op, offset, length)
         plans.append(plan)
         return plan
 
@@ -81,12 +122,12 @@ def _stream(seed: int, capacity_mib: int, pages_per_block: int, overprovision: f
         batch = [_command(rng, pages, hot) for _ in range(rng.randint(1, 4))]
         del plans[:]
         try:
-            result = ssd.submit(batch, now)
+            result = _submit_group(ssd, batch, now, plans)
         except DeviceError as exc:
             records.append(["error", str(exc), [repr(p) for p in plans]])
             continue
-        records.append([repr(tuple(result)), [repr(p) for p in plans]])
-        now = result.finish_time if rng.random() < 0.5 else now + 1e-4
+        records.append([repr(result), [repr(p) for p in plans]])
+        now = result[1] if rng.random() < 0.5 else now + 1e-4
     body = {
         "records": records,
         "write_amplification": repr(ssd.ftl.write_amplification),

@@ -1,12 +1,12 @@
 """HDD: seeks, rotation, serialization."""
 
-from repro.block import IoCommand, IoOp
+from repro.block import IoOp
 from repro.constants import GIB, KIB, MIB
 from repro.device.hdd import HddDevice
 
 
 def read(offset, length=128 * KIB):
-    return IoCommand(IoOp.READ, offset, length)
+    return (offset, length)
 
 
 def test_seek_monotone_in_distance():
@@ -18,29 +18,29 @@ def test_seek_monotone_in_distance():
 
 def test_sequential_access_skips_seek():
     hdd = HddDevice(capacity=4 * GIB)
-    first = hdd.submit([read(0)], 0.0)
-    sequential = hdd.submit([read(128 * KIB)], first.finish_time)
+    first = hdd.submit(IoOp.READ, [read(0)], 0.0)
+    sequential = hdd.submit(IoOp.READ, [read(128 * KIB)], first.finish_time)
     hdd2 = HddDevice(capacity=4 * GIB)
-    hdd2.submit([read(0)], 0.0)
-    random = hdd2.submit([read(1 * GIB)], first.finish_time)
+    hdd2.submit(IoOp.READ, [read(0)], 0.0)
+    random = hdd2.submit(IoOp.READ, [read(1 * GIB)], first.finish_time)
     assert sequential.latency < random.latency
 
 
 def test_fragmentation_costs_seeks():
     hdd = HddDevice(capacity=4 * GIB)
-    contig = hdd.submit([read(0, 128 * KIB)], 0.0)
+    contig = hdd.submit(IoOp.READ, [read(0, 128 * KIB)], 0.0)
     hdd2 = HddDevice(capacity=4 * GIB)
-    frag = hdd2.submit([read(i * 1 * MIB, 4 * KIB) for i in range(32)], 0.0)
+    frag = hdd2.submit(IoOp.READ, [read(i * 1 * MIB, 4 * KIB) for i in range(32)], 0.0)
     assert frag.latency > 10 * contig.latency
 
 
 def test_discard_is_cheap():
     hdd = HddDevice(capacity=4 * GIB)
-    trim = hdd.submit([IoCommand(IoOp.DISCARD, 1 * GIB, 64 * MIB)], 0.0)
+    trim = hdd.submit(IoOp.DISCARD, [(1 * GIB, 64 * MIB)], 0.0)
     assert trim.latency < 0.001
 
 
 def test_head_position_tracked():
     hdd = HddDevice(capacity=4 * GIB)
-    hdd.submit([read(0, 64 * KIB)], 0.0)
+    hdd.submit(IoOp.READ, [read(0, 64 * KIB)], 0.0)
     assert hdd.head_position == 64 * KIB

@@ -14,7 +14,7 @@ from typing import Optional
 
 import pytest
 
-from repro.block import IoCommand, IoOp
+from repro.block import IoOp
 from repro.constants import block_align_down
 from repro.faults import FaultPlan, FaultPlane
 from repro.faults.hooks import FaultFire
@@ -218,37 +218,37 @@ def _batch_filters(seed):
 
 
 def _batches(seed, n):
+    """Seeded single-op batches: ``(site, op value, ranges, now)``."""
     rng = random.Random(seed)
     now = 0.0
     for _ in range(n):
         now += rng.random() * 0.002
         size = rng.choice((1, 1, 1, 2, 3, 8, 24))
-        commands = [
-            IoCommand(rng.choice(BATCH_OPS), rng.randrange(0, 1 << 23, 4096),
-                      rng.choice((4096, 16384, 131072)))
+        op = rng.choice(BATCH_OPS).value
+        ranges = [
+            (rng.randrange(0, 1 << 23, 4096), rng.choice((4096, 16384, 131072)))
             for _ in range(size)
         ]
-        yield rng.choice(BATCH_SITES), commands, now
+        yield rng.choice(BATCH_SITES), op, ranges, now
 
 
-def _scan_all(plane, site, commands, now):
+def _scan_all(plane, site, op, ranges, now):
     """Every fire a batch scan reports, committing each and scanning on."""
     fires = []
-    index, fire = plane.scan(site, commands, 0, now)
+    index, fire = plane.scan(site, op, ranges, 0, now)
     while fire is not None:
         plane.commit(fire)
         fires.append((index, fire))
-        index, fire = plane.scan(site, commands, index + 1, now)
-    assert index == len(commands)
+        index, fire = plane.scan(site, op, ranges, index + 1, now)
+    assert index == len(ranges)
     return fires
 
 
-def _check_all(plane, site, commands, now):
+def _check_all(plane, site, op, ranges, now):
     """The same batch checked one command at a time."""
     fires = []
-    for index, command in enumerate(commands):
-        fire = plane.check(site, op=command.op.value, offset=command.offset,
-                           length=command.length, now=now)
+    for index, (offset, length) in enumerate(ranges):
+        fire = plane.check(site, op=op, offset=offset, length=length, now=now)
         if fire is not None:
             fires.append((index, fire))
     return fires
@@ -261,15 +261,15 @@ def _check_all(plane, site, commands, now):
 def test_scan_matches_per_command_checks(build, seed):
     scanned = FaultPlane(build(seed), active=True)
     checked = LinearScanPlane(build(seed), active=True)
-    for step, (site, commands, now) in enumerate(_batches(seed, 1500)):
+    for step, (site, op, ranges, now) in enumerate(_batches(seed, 1500)):
         if step == 700:  # an inactive stretch: neither plane counts it
             scanned.deactivate()
             checked.deactivate()
         if step == 800:
             scanned.activate()
             checked.activate()
-        got = _scan_all(scanned, site, commands, now)
-        want = _check_all(checked, site, commands, now)
+        got = _scan_all(scanned, site, op, ranges, now)
+        want = _check_all(checked, site, op, ranges, now)
         assert got == want, (step, site, now)
     assert scanned.stats.fires == checked.stats.fires
     assert scanned.stats.by_site_kind == checked.stats.by_site_kind
@@ -291,13 +291,83 @@ def test_covers_names_the_sites_a_rule_reaches():
 def test_scan_defers_commit_to_the_caller():
     plane = FaultPlane(FaultPlan(seed=1).latency_spike("device.submit", max_fires=0),
                        active=True)
-    commands = [IoCommand(IoOp.WRITE, 0, 4096)] * 3
-    index, fire = plane.scan("device.submit", commands, 0, 0.5)
+    ranges = [(0, 4096)] * 3
+    index, fire = plane.scan("device.submit", "write", ranges, 0, 0.5)
     assert (index, fire.kind, fire.op, fire.now) == (0, "latency", "write", 0.5)
     assert plane.stats.total == 0 and plane.counts == {"device.submit": 1}
     plane.commit(fire)
     assert plane.stats.fires == [fire]
-    assert plane.scan("device.submit", commands, 3, 0.5) == (3, None)
+    assert plane.scan("device.submit", "write", ranges, 3, 0.5) == (3, None)
     plane.deactivate()
-    assert plane.scan("device.submit", commands, 0, 0.5) == (3, None)
+    assert plane.scan("device.submit", "write", ranges, 0, 0.5) == (3, None)
     assert plane.counts == {"device.submit": 1}
+
+
+# ----------------------------------------------------------------------
+# FaultPlane._match: the one matcher, batch-shaped
+# ----------------------------------------------------------------------
+
+
+def _every_filter(seed):
+    """Rules that use op, lba, at_time, after_ops and max_fires, alone
+    and together, so fires land mid-batch and rules run out of fires."""
+    return (
+        FaultPlan(seed=seed)
+        .latency_spike("device.submit", op="read", lba=(1 << 20, 5 << 20),
+                       at_time=0.3, after_ops=40, max_fires=1)
+        .io_error("device.submit", op="write", lba=(0, 2 << 20),
+                  probability=0.05, max_fires=3)
+        .torn_write("device", torn_fraction=0.3, at_time=0.6,
+                    probability=0.1, max_fires=2)
+        .latency_spike("device.submit", after_ops=97, max_fires=0)
+        .latency_spike("device", op="discard", lba=(2 << 20, 8 << 20),
+                       at_time=0.1, probability=0.2, max_fires=0)
+        .crash("devices", after_ops=300)
+    )
+
+
+@pytest.mark.parametrize("seed", [2, 13, 29])
+@pytest.mark.parametrize("build", [_every_filter, _batch_filters])
+def test_batch_match_twins_a_per_command_check_loop(build, seed):
+    """One ``_match`` call per batch (resumed after each fire) makes the
+    checks one reference ``check`` per command makes: the same fires at
+    the same commands, counts, ``matched``/``fired`` and RNG states."""
+    batched = FaultPlane(build(seed), active=True)
+    reference = LinearScanPlane(build(seed), active=True)
+    for step, (site, op, ranges, now) in enumerate(_batches(seed, 2000)):
+        candidates = batched._candidates(site)
+        got = []
+        start = 0
+        while start < len(ranges):
+            index, fire = batched._match(site, candidates, op, ranges, start, now)
+            # the checks the call made: up to and including a fire
+            checked = (index + 1 if fire is not None else index) - start
+            batched.counts[site] = batched.counts.get(site, 0) + checked
+            if fire is None:
+                break
+            batched.commit(fire)
+            got.append((index, fire))
+            start = index + 1
+        want = _check_all(reference, site, op, ranges, now)
+        assert got == want, (step, site, op, now)
+        assert _state(batched) == _state(reference), step
+    assert batched.stats.fires == reference.stats.fires
+    assert batched.counts == reference.counts
+    assert batched.stats.total > 0
+    if build is _every_filter:
+        rules = {fire.rule_index for fire in batched.stats.fires}
+        assert rules == set(range(len(batched._rules)))
+
+
+def test_match_leaves_commit_and_counts_to_the_caller():
+    plane = FaultPlane(FaultPlan(seed=0).io_error("device.submit", after_ops=3),
+                       active=True)
+    candidates = plane._candidates("device.submit")
+    ranges = [(0, 4096), (8192, 4096), (65536, 4096), (0, 4096)]
+    index, fire = plane._match("device.submit", candidates, "read", ranges, 0, 0.0)
+    assert (index, fire.kind, fire.op) == (2, "io_error", "read")
+    assert plane._rules[0].matched == 3 and plane._rules[0].fired == 1
+    assert plane.stats.total == 0 and plane.counts == {}
+    # spent: max_fires=1 keeps the rule quiet from here on
+    assert plane._match("device.submit", candidates, "read", ranges, 3, 0.0) == (4, None)
+    assert plane._rules[0].matched == 3

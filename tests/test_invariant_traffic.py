@@ -1,0 +1,125 @@
+"""Cross-layer invariant: the block tracer and the device count the same traffic.
+
+Every batch the filesystem submits is counted twice: by the block
+tracer, per origin tag, and by the device, in ``DeviceStats``.  With no
+faults armed every command runs, so after every syscall the tracer's
+per-tag counters summed per op must equal the device's counters, in
+bytes and in commands.  Seeded syscall streams drive each filesystem on
+each device model: buffered and O_DIRECT reads and writes, eviction
+writeback from a small page cache, fsync and sync (journal commits),
+punch-hole and allocate, truncate, unlink, F2FS segment cleaning and
+fstrim discards.
+"""
+
+import random
+
+import pytest
+
+from repro.block import IoOp
+from repro.constants import BLOCK_SIZE, MIB
+from repro.device import make_device
+from repro.fs import make_filesystem
+from repro.fs.base import FallocMode
+from repro.tools.fstrim import Fstrim
+
+FILES = ("/a", "/b", "/c", "/d")
+SPAN = 256  # file span, in blocks
+STEPS = 250
+
+
+def _traffic(counter):
+    return tuple(
+        getattr(counter, f"{op.value}_{field}")
+        for op in IoOp for field in ("bytes", "commands")
+    )
+
+
+def _tracer_sum(tracer):
+    total = [0] * 6
+    for counter in tracer.by_tag.values():
+        for i, value in enumerate(_traffic(counter)):
+            total[i] += value
+    return tuple(total)
+
+
+def _syscalls(fs, rng):
+    """Seeded syscalls against ``fs``; yields each one's name after it ran."""
+    handles = {}
+    now = 0.0
+    for _ in range(STEPS):
+        path = rng.choice(FILES)
+        if path not in handles:
+            handles[path] = (
+                fs.open(path, o_direct=False, app="buffered", create=True),
+                fs.open(path, o_direct=True, app="direct"),
+            )
+        buffered, direct = handles[path]
+        handle = direct if rng.random() < 0.4 else buffered
+        offset = rng.randrange(SPAN) * BLOCK_SIZE
+        length = rng.choice((1, 2, 8, 32, 64)) * BLOCK_SIZE
+        roll = rng.random()
+        if roll < 0.35:
+            name, result = "write", fs.write(handle, offset, length, now=now)
+        elif roll < 0.65:
+            name, result = "read", fs.read(handle, offset, length, now=now)
+        elif roll < 0.72:
+            name, result = "fsync", fs.fsync(handle, now=now)
+        elif roll < 0.75:
+            name, result = "sync", fs.sync(now=now)
+        elif roll < 0.81:
+            mode = rng.choice((FallocMode.PUNCH_HOLE, FallocMode.ALLOCATE))
+            name, result = "fallocate", fs.fallocate(handle, mode, offset, length, now=now)
+        elif roll < 0.85:
+            name, result = "truncate", fs.truncate(handle, offset, now=now)
+        elif roll < 0.88:
+            fs.unlink(path, now=now)
+            del handles[path]
+            name, result = "unlink", None
+        elif roll < 0.91:
+            fs.drop_caches()
+            name, result = "drop_caches", None
+        elif roll < 0.95 and hasattr(fs, "clean_segments"):
+            now, _ = fs.clean_segments(count=2, now=now)
+            name = "clean_segments"
+        elif roll < 0.97:
+            now += Fstrim(fs, max_discard_size=4 * MIB).run(now=now).elapsed
+            name = "fstrim"
+        else:
+            name, result = "read", fs.read(buffered, 0, SPAN * BLOCK_SIZE, now=now)
+        if name not in ("clean_segments", "fstrim") and result is not None:
+            now = result.finish_time
+        yield name
+
+
+@pytest.mark.parametrize("device", ["optane", "flash", "microsd", "hdd"])
+@pytest.mark.parametrize("fs_type", ["ext4", "f2fs", "btrfs"])
+def test_tracer_sums_equal_device_stats_after_every_syscall(fs_type, device):
+    fs = make_filesystem(
+        fs_type, make_device(device, capacity=256 * MIB), page_cache_pages=96,
+    )
+    rng = random.Random(f"{fs_type}-{device}")
+    for step, name in enumerate(_syscalls(fs, rng)):
+        assert _tracer_sum(fs.tracer) == _traffic(fs.device.stats), (step, name)
+    stats = fs.device.stats
+    # the stream reached every op and the eviction writeback path
+    assert stats.read_commands and stats.write_commands and stats.discard_commands
+    assert fs.tracer.tag("writeback").write_commands > 0
+    assert fs.tracer.tag("meta").write_commands > 0
+    if fs_type == "f2fs":
+        assert fs.tracer.tag("gc").write_commands > 0
+
+
+@pytest.mark.parametrize("fs_type", ["ext4", "f2fs", "btrfs"])
+def test_writeback_splits_each_page_run_on_its_own(fs_type):
+    """Writeback is one batch, but each dirty page run is split on its
+    own: two runs that land back to back on disk stay two commands."""
+    fs = make_filesystem(fs_type, make_device("optane", capacity=256 * MIB))
+    handle = fs.open("/f", create=True, app="t")
+    fs.write(handle, 0, 4 * BLOCK_SIZE)
+    fs.write(handle, 5 * BLOCK_SIZE, 3 * BLOCK_SIZE)  # page 4 stays a hole
+    result = fs.fsync(handle)
+    first, second = fs.inode_of("/f").extent_map.extents()
+    assert first.disk_end == second.disk_offset  # adjacent on disk
+    counter = fs.tracer.tag("t")
+    assert (counter.write_commands, counter.write_bytes) == (2, 7 * BLOCK_SIZE)
+    assert result.requests == 3  # the two runs and the journal commit

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.block.request import IoCommand, IoOp
 from repro.constants import BLOCK_SIZE, MIB
 from repro.device import make_device
 from repro.fs import make_filesystem
@@ -148,8 +147,3 @@ def test_ring_wrap_counts_orphans_and_drops():
     for tree in forest.complete_trees():
         for cmd in tree.commands:
             assert cmd.issue <= cmd.begin <= cmd.end
-
-
-def test_retagged_preserves_pid():
-    cmd = IoCommand(IoOp.READ, 0, 4096, "a", 7)
-    assert cmd.retagged("b") == IoCommand(IoOp.READ, 0, 4096, "b", 7)

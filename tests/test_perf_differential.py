@@ -385,18 +385,16 @@ def _naive_flash_read_unit_work(ftl, first, last, page_read):
     return tuple(per_channel.items())
 
 
-def _naive_split_ranges(op, ranges, tag, max_request_size, pid):
+def _naive_split_ranges(ranges, max_request_size):
     """The subtract-and-test cap loop the batch emission replaced."""
-    from repro.block.request import IoCommand
-
     commands = []
 
     def flush(cur_offset, cur_length):
         while cur_length > max_request_size:
-            commands.append(IoCommand(op, cur_offset, max_request_size, tag, pid))
+            commands.append((cur_offset, max_request_size))
             cur_offset += max_request_size
             cur_length -= max_request_size
-        commands.append(IoCommand(op, cur_offset, cur_length, tag, pid))
+        commands.append((cur_offset, cur_length))
 
     cur_offset = cur_length = 0
     for offset, length in ranges:
@@ -415,7 +413,7 @@ def _naive_split_ranges(op, ranges, tag, max_request_size, pid):
 
 @pytest.mark.parametrize("seed", [1337, 99991])
 def test_optane_batch_plan_matches_naive_loop(seed):
-    from repro.block.request import IoCommand, IoOp
+    from repro.block.request import IoOp
     from repro.device.optane import OptaneSsd
 
     rng = random.Random(seed)
@@ -425,10 +423,9 @@ def test_optane_batch_plan_matches_naive_loop(seed):
         op = IoOp.READ if rng.random() < 0.5 else IoOp.WRITE
         offset = rng.randrange(0, 4096 * BLOCK)
         length = rng.randrange(1, 64 * BLOCK)
-        command = IoCommand(op, offset, length, "t", 0)
-        plan = device._plan_command(command)
+        plan = device._plan_command(op, offset, length)
         first = offset // BLOCK
-        last = (command.end - 1) // BLOCK
+        last = (offset + length - 1) // BLOCK
         page_time = (params.page_read if op is IoOp.READ
                      else params.page_write)
         # equality on the float values is bit-exact for these totals:
@@ -441,7 +438,7 @@ def test_optane_batch_plan_matches_naive_loop(seed):
 
 @pytest.mark.parametrize("seed", [1337, 3141])
 def test_flash_batch_read_plan_matches_naive_loop(seed):
-    from repro.block.request import IoCommand, IoOp
+    from repro.block.request import IoOp
     from repro.device.flash import FlashSsd
 
     rng = random.Random(seed)
@@ -467,12 +464,11 @@ def test_flash_batch_read_plan_matches_naive_loop(seed):
         else:
             offset = rng.randrange(0, 2048 * BLOCK)
             length = rng.randrange(1, 48 * BLOCK)
-        command = IoCommand(op, offset, length, "t", 0)
-        plan = device._plan_command(command)
+        plan = device._plan_command(op, offset, length)
         if op is not IoOp.READ:
             continue
         first = offset // BLOCK
-        last = (command.end - 1) // BLOCK
+        last = (offset + length - 1) // BLOCK
         assert plan.unit_work == _naive_flash_read_unit_work(
             device.ftl, first, last, params.page_read
         )
@@ -485,7 +481,6 @@ def test_flash_batch_read_plan_matches_naive_loop(seed):
 
 @pytest.mark.parametrize("seed", [1337, 60221023])
 def test_split_ranges_batch_emission_matches_naive_loop(seed):
-    from repro.block.request import IoOp
     from repro.block.splitter import split_ranges
     from repro.constants import MAX_REQUEST_SIZE
 
@@ -505,8 +500,7 @@ def test_split_ranges_batch_emission_matches_naive_loop(seed):
             # adjacent ~half the time so merged runs span many caps
             cursor += length if rng.random() < 0.5 else length + BLOCK
         size = rng.choice([MAX_REQUEST_SIZE, 3 * BLOCK])
-        assert split_ranges(IoOp.READ, ranges, "t", size, 7) == \
-            _naive_split_ranges(IoOp.READ, ranges, "t", size, 7)
+        assert split_ranges(ranges, size) == _naive_split_ranges(ranges, size)
 
 
 def test_runs_and_stats_cached_until_mutation():

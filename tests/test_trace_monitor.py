@@ -39,14 +39,14 @@ def test_detached_monitor_sees_nothing(fs):
 
 def test_records_are_the_probe_events_the_filters_accept(fs):
     """``records`` keeps the filesystem's own events: a second raw probe
-    sees the same stream, and the app, op and size filters select it."""
+    sees the same stream, and the app and size filters select it."""
     a = fs.open("/f", o_direct=True, create=True, app="a")
     b = fs.open("/f", o_direct=False, app="b")
     empty = fs.open("/empty", create=True, app="a")
     now = fs.write(a, 0, 16 * KIB).finish_time
     raw = []
     fs.attach_monitor(raw.append)
-    with SyscallMonitor(fs, apps={"a"}, io_types=("read",)) as monitor:
+    with SyscallMonitor(fs, apps={"a"}) as monitor:
         now = fs.write(a, 0, 8 * KIB, now=now).finish_time
         now = fs.read(b, 0, 4 * KIB, now=now).finish_time
         now = fs.read(a, 4 * KIB, 8 * KIB, now=now).finish_time
@@ -54,9 +54,10 @@ def test_records_are_the_probe_events_the_filters_accept(fs):
         fs.read(a, 12 * KIB, 4 * KIB, now=now)
     fs.detach_monitor(raw.append)
     assert len(raw) == 5
-    accepted = [event for event in raw
-                if event.app == "a" and event.op == "read" and event.size > 0]
-    assert [(e.offset, e.size) for e in accepted] == [(4 * KIB, 8 * KIB), (12 * KIB, 4 * KIB)]
+    accepted = [event for event in raw if event.app == "a" and event.size > 0]
+    assert [(e.op, e.offset, e.size) for e in accepted] == [
+        ("write", 0, 8 * KIB), ("read", 4 * KIB, 8 * KIB), ("read", 12 * KIB, 4 * KIB),
+    ]
     assert monitor.records == accepted
 
 
