@@ -21,7 +21,7 @@ Chrome ``trace_event`` document with nested FragPicker phase spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ...constants import MIB
 from ...core.report import DefragReport
@@ -33,7 +33,7 @@ from ...obs.critical_path import (
     flamegraph,
     flow_events,
 )
-from ...obs.export import chrome_trace, histogram_table, metrics_table
+from ...obs.export import chrome_trace, metrics_table
 from ...obs.hooks import Instrumentation
 from ...obs.metrics import Histogram
 from ...obs.provenance import ProvenanceForest, build_forest
@@ -90,15 +90,6 @@ class ObsTraceResult:
         """Collapsed-stack profile (flamegraph.pl / speedscope input)."""
         return flamegraph(self.forest(), self.obs.spans)
 
-    def top_latency_histograms(self, count: int = 5) -> List[Histogram]:
-        """Busiest latency histograms (by sample count)."""
-        latency = [
-            hist for hist in self.obs.registry.histograms()
-            if "latency" in hist.name or "actor_step" in hist.name
-        ]
-        latency.sort(key=lambda h: h.count, reverse=True)
-        return latency[:count]
-
     def report(self, top: int = 10) -> str:
         """Every table of the run; armed runs add the provenance summary,
         the ``top`` slowest syscalls and the critical path."""
@@ -137,17 +128,6 @@ class ObsTraceResult:
             parts.append(f"top {top} slowest syscalls:\n{forest.table(top)}")
             parts.append(self.critical_path().table())
         parts.append(metrics_table(self.obs.registry))
-        return "\n\n".join(parts)
-
-    def tour(self, count: int = 5) -> str:
-        """The short version: phases, fan-out shift, top-N histograms."""
-        parts = [self.report().split("\n\n")[0]]
-        if self.fanout_before is not None and self.fanout_after is not None:
-            parts.append(
-                f"split fan-out mean: {self.fanout_before.mean:.2f} before "
-                f"-> {self.fanout_after.mean:.2f} after"
-            )
-        parts.append(histogram_table(self.top_latency_histograms(count)))
         return "\n\n".join(parts)
 
 

@@ -51,9 +51,6 @@ class TrafficCounter:
             self.discard_bytes += nbytes
             self.discard_commands += n
 
-    def account(self, command: IoCommand) -> None:
-        self.add(command.op, command.length)
-
     @property
     def total_bytes(self) -> int:
         return self.read_bytes + self.write_bytes

@@ -36,7 +36,8 @@ from .plan import FaultPlan
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """A storm's shape: where it blows, and how hard."""
+    """Where a storm blows: its seed, stack and file set (:meth:`plan`
+    fixes how hard)."""
 
     seed: int = 0
     device: str = "optane"
@@ -44,24 +45,20 @@ class CampaignConfig:
     files: int = 4
     pieces: int = 8
     piece_size: int = 4 * KIB
-    #: per-op fault probabilities (each gets its own RNG stream); tuned so
-    #: the default seed produces a storm that exercises retries without
-    #: exhausting them
-    write_error_rate: float = 0.12
-    torn_write_rate: float = 0.08
-    fallocate_error_rate: float = 0.08
-    fiemap_error_rate: float = 0.04
-    device_latency_rate: float = 0.12
 
     def plan(self) -> FaultPlan:
-        """Compile the storm into a fault plan (unbounded-fire rules)."""
+        """Compile the storm into a fault plan (unbounded-fire rules).
+
+        The per-op fault probabilities (each rule gets its own RNG
+        stream) are tuned so the default seed produces a storm that
+        exercises retries without exhausting them."""
         return (
             FaultPlan(self.seed)
-            .io_error("fs.write", probability=self.write_error_rate, max_fires=0)
-            .torn_write("fs.write", probability=self.torn_write_rate, max_fires=0)
-            .io_error("fs.fallocate", probability=self.fallocate_error_rate, max_fires=0)
-            .io_error("fs.fiemap", probability=self.fiemap_error_rate, max_fires=0)
-            .latency_spike("device.submit", probability=self.device_latency_rate, max_fires=0)
+            .io_error("fs.write", probability=0.12, max_fires=0)
+            .torn_write("fs.write", probability=0.08, max_fires=0)
+            .io_error("fs.fallocate", probability=0.08, max_fires=0)
+            .io_error("fs.fiemap", probability=0.04, max_fires=0)
+            .latency_spike("device.submit", probability=0.12, max_fires=0)
         )
 
 

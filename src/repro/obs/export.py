@@ -20,7 +20,7 @@ import re
 from typing import Dict, List, Optional
 
 from ..stats.tables import format_table
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .spans import SpanRecorder
 
 #: the single simulated "process" in exported traces
@@ -145,7 +145,16 @@ def metrics_table(registry: MetricsRegistry) -> str:
         rows = [[g.name, g.value, g.peak] for g in sorted(gauges, key=lambda m: m.name)]
         sections.append(format_table(["gauge", "value", "peak"], rows))
     if histograms:
-        sections.append(histogram_table(histograms))
+        rows = []
+        for hist in sorted(histograms, key=lambda h: h.name):
+            stats = hist.percentiles()
+            rows.append([
+                hist.name, hist.count, stats["p50"], stats["p95"], stats["p99"],
+                stats["mean"], stats["max"],
+            ])
+        sections.append(format_table(
+            ["histogram", "count", "p50", "p95", "p99", "mean", "max"], rows
+        ))
     return "\n\n".join(sections)
 
 
@@ -290,15 +299,3 @@ def prometheus_text(registry: MetricsRegistry) -> str:
             lines.append(f"{name}_count {entry['count']}")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def histogram_table(histograms: List[Histogram]) -> str:
-    rows = []
-    for hist in sorted(histograms, key=lambda h: h.name):
-        stats = hist.percentiles()
-        rows.append([
-            hist.name, hist.count, stats["p50"], stats["p95"], stats["p99"],
-            stats["mean"], stats["max"],
-        ])
-    return format_table(
-        ["histogram", "count", "p50", "p95", "p99", "mean", "max"], rows
-    )

@@ -31,11 +31,11 @@ The two callers keep the merge deterministic.  The bench suite
 **both** its serial and ``--workers N`` paths and merges the snapshots
 in shard order, so an armed ``--workers N`` bench renders byte-identical
 metrics tables, Prometheus text, and Chrome traces to the serial run —
-guarded by ``tests/test_obs_determinism.py`` and the ``obs-par-smoke``
-CI job.  The fleet controller runs each volume under its own child
-(:func:`child_of`), and the volumes merge at the end of the run in spec
-order on ``vol<NNNN>/`` tracks, so 64 volumes' spans never share one
-Chrome row.
+guarded by ``tests/test_obs_determinism.py`` and
+``benchmarks/smoke.py``.  The fleet controller runs each volume under its
+own child (:func:`child_of`), and the volumes merge at the end of the run
+in spec order on ``vol<NNNN>/`` tracks, so 64 volumes' spans never share
+one Chrome row.
 """
 
 from __future__ import annotations

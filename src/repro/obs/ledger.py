@@ -13,7 +13,7 @@ The manifest's own ``fingerprint`` hashes only the **deterministic**
 fields — verb, label, seed, workers, args, document schema/fingerprint,
 headline — never wall time or host shape, so re-running the same
 seed-keyed workload reproduces the manifest fingerprint byte-for-byte
-(the CI ``obs-par-smoke`` job asserts exactly that).  Filenames are
+(``benchmarks/smoke.py`` asserts exactly that).  Filenames are
 sequence-numbered (``000007_fleet_ab12cd34ef56.json``) so ``repro runs``
 can render the trajectory of a metric across recorded runs in recording
 order.

@@ -4,7 +4,7 @@ One replay run = one streaming pass: parse -> reconstruct -> measure.
 The resulting ``REPLAY_<label>.json`` (schema ``repro.replay/v1``) is
 canonical JSON fingerprinted the fleet way — everything in it derives
 from virtual time and seeded draws, so the same trace + config produces
-a byte-identical document, which is what the CI replay-smoke job
+a byte-identical document, which is what ``benchmarks/smoke.py``
 asserts.
 
 The document carries the TraceTracker-motivated deltas: how the *live*

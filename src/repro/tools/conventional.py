@@ -8,7 +8,7 @@ FragPicker uses too; only the policy around it is the tool's own:
 - reads are O_DIRECT at ``read_io_size``.  e4defrag's observed pathology
   of issuing 4 KiB reads for fragmented data (Section 5.3.1) is
   reproduced this way.  Writes go through the page cache and are fsynced
-  every ``fsync_every_bytes``.
+  every ``FSYNC_EVERY_BYTES``.
 - on in-place filesystems (Ext4) each chunk is punched and reallocated
   contiguously before the rewrite — I/O-equivalent to e4defrag's
   donor-file + ``EXT4_IOC_MOVE_EXT`` dance.  On out-of-place filesystems
@@ -41,20 +41,24 @@ from ..errors import NoSpaceError
 from ..fs.base import FileHandle, Filesystem
 
 
+#: chunk size: each chunk moves through one ``migrate_chunk``
+WRITE_IO_SIZE = 1 * MIB
+#: Conventional tools write through the page cache (e4defrag's donor
+#: file, Btrfs CoW rewrite).  Dirty data then hits the device in large
+#: writeback bursts at fsync time — the mechanism behind the heavy
+#: co-running interference of Figures 2 and 10.
+BUFFERED_WRITES = True
+#: fsync cadence while migrating (one writeback burst per this much)
+FSYNC_EVERY_BYTES = 4 * MIB
+#: the app name (and block-tracer tag) the tools' syscalls carry
+APP = "defrag"
+
+
 @dataclass(frozen=True)
 class ConventionalConfig:
     read_io_size: int = 1 * MIB
-    write_io_size: int = 1 * MIB
     #: skip extents >= this size (btrfs -t); None migrates everything
     extent_threshold: Optional[int] = None
-    #: Conventional tools write through the page cache (e4defrag's donor
-    #: file, Btrfs CoW rewrite).  Dirty data then hits the device in large
-    #: writeback bursts at fsync time — the mechanism behind the heavy
-    #: co-running interference of Figures 2 and 10.
-    buffered_writes: bool = True
-    #: fsync cadence while migrating (one writeback burst per this much)
-    fsync_every_bytes: int = 4 * MIB
-    app: str = "defrag"
 
 
 class ConventionalDefragmenter:
@@ -68,7 +72,7 @@ class ConventionalDefragmenter:
         journal: Optional[MigrationJournal] = None,
     ) -> None:
         self.fs = fs
-        self.config = config = config if config is not None else ConventionalConfig()
+        self.config = config if config is not None else ConventionalConfig()
         self.tool_name = tool_name
         #: optional crash-safety journal for the in-place punch path, so
         #: the crash harness can hold conventional tools to the same
@@ -163,14 +167,11 @@ class ConventionalDefragmenter:
 
     def _migrate_range(self, path: str, file_range: FileRange, report: DefragReport, now: float):
         """Migrate a range chunk by chunk, fsyncing every
-        ``fsync_every_bytes``; gives up on the file when space runs out."""
-        config = self.config
+        ``FSYNC_EVERY_BYTES``; gives up on the file when space runs out."""
         inode = self.fs.inode_of(path)
-        handle = FileHandle(self.fs, inode.ino, o_direct=True, app=config.app)
-        write_handle = FileHandle(
-            self.fs, inode.ino, o_direct=not config.buffered_writes, app=config.app
-        )
-        before = self.fs.tracer.tag(config.app).snapshot()
+        handle = FileHandle(self.fs, inode.ino, o_direct=True, app=APP)
+        write_handle = FileHandle(self.fs, inode.ino, o_direct=not BUFFERED_WRITES, app=APP)
+        before = self.fs.tracer.tag(APP).snapshot()
         # Known defect, kept for byte-identical results: the predicate is
         # read *before* IPU is turned off, so stock F2FS takes the in-place
         # punch+allocate path (ROADMAP item 1).
@@ -178,22 +179,22 @@ class ConventionalDefragmenter:
         with ipu_disabled(self.fs):
             try:
                 unsynced = 0
-                for pos in range(file_range.start, file_range.end, config.write_io_size):
-                    length = min(config.write_io_size, file_range.end - pos)
+                for pos in range(file_range.start, file_range.end, WRITE_IO_SIZE):
+                    length = min(WRITE_IO_SIZE, file_range.end - pos)
                     for now in migrate_chunk(
                         self.fs, handle, write_handle, pos, length, now,
-                        in_place, config.read_io_size, self.journal,
+                        in_place, self.config.read_io_size, self.journal,
                     ):
                         yield now
                     unsynced += length
-                    if unsynced >= config.fsync_every_bytes:
+                    if unsynced >= FSYNC_EVERY_BYTES:
                         now = self.fs.fsync(write_handle, now=now).finish_time
                         unsynced = 0
                         yield now
                 now = self.fs.fsync(write_handle, now=now).finish_time
             except NoSpaceError:
                 pass  # like real tools: give up on this file
-        delta = self.fs.tracer.tag(config.app).delta(before)
+        delta = self.fs.tracer.tag(APP).delta(before)
         report.read_bytes += delta.read_bytes
         report.write_bytes += delta.write_bytes
         report.ranges_migrated += 1

@@ -25,9 +25,9 @@ def test_command_counts():
 
 def test_snapshot_delta():
     counter = TrafficCounter()
-    counter.account(IoCommand(IoOp.WRITE, 0, 100))
+    counter.add(IoOp.WRITE, 100)
     snap = counter.snapshot()
-    counter.account(IoCommand(IoOp.WRITE, 0, 50))
+    counter.add(IoOp.WRITE, 50)
     delta = counter.delta(snap)
     assert delta.write_bytes == 50
     assert snap.write_bytes == 100  # snapshot unaffected

@@ -15,6 +15,11 @@ def _cmd(op, length, tag="t"):
     return IoCommand(op, 0, length, tag)
 
 
+def _account(counter, command):
+    """The per-command reference: one command's bytes and count."""
+    counter.add(command.op, command.length)
+
+
 def _summed(tracer):
     """The tracer's traffic summed over its tags."""
     total = TrafficCounter()
@@ -29,21 +34,21 @@ def _summed(tracer):
 class TestTrafficCounter:
     def test_snapshot_is_independent_copy(self):
         counter = TrafficCounter()
-        counter.account(_cmd(IoOp.READ, 4096))
+        _account(counter, _cmd(IoOp.READ, 4096))
         snap = counter.snapshot()
-        counter.account(_cmd(IoOp.WRITE, 8192))
+        _account(counter, _cmd(IoOp.WRITE, 8192))
         assert snap.read_bytes == 4096
         assert snap.write_bytes == 0
         assert counter.write_bytes == 8192
 
     def test_delta_isolates_window(self):
         counter = TrafficCounter()
-        counter.account(_cmd(IoOp.READ, 4096))
-        counter.account(_cmd(IoOp.DISCARD, 1024))
+        _account(counter, _cmd(IoOp.READ, 4096))
+        _account(counter, _cmd(IoOp.DISCARD, 1024))
         snap = counter.snapshot()
-        counter.account(_cmd(IoOp.READ, 4096))
-        counter.account(_cmd(IoOp.WRITE, 512))
-        counter.account(_cmd(IoOp.DISCARD, 2048))
+        _account(counter, _cmd(IoOp.READ, 4096))
+        _account(counter, _cmd(IoOp.WRITE, 512))
+        _account(counter, _cmd(IoOp.DISCARD, 2048))
         delta = counter.delta(snap)
         assert delta.read_bytes == 4096 and delta.read_commands == 1
         assert delta.write_bytes == 512 and delta.write_commands == 1
@@ -54,7 +59,7 @@ class TestTrafficCounter:
 
     def test_delta_of_snapshot_with_itself_is_zero(self):
         counter = TrafficCounter()
-        counter.account(_cmd(IoOp.WRITE, 4096))
+        _account(counter, _cmd(IoOp.WRITE, 4096))
         snap = counter.snapshot()
         zero = snap.delta(snap)
         assert zero.total_bytes == 0
@@ -75,10 +80,10 @@ class TestTrafficCounter:
 class TestDeviceStats:
     def test_snapshot_is_independent_copy(self):
         stats = DeviceStats()
-        stats.account(_cmd(IoOp.READ, 4096))
+        _account(stats, _cmd(IoOp.READ, 4096))
         stats.busy_time += 0.5
         snap = stats.snapshot()
-        stats.account(_cmd(IoOp.WRITE, 8192))
+        _account(stats, _cmd(IoOp.WRITE, 8192))
         stats.busy_time += 0.25
         assert snap.read_bytes == 4096 and snap.write_bytes == 0
         assert snap.busy_time == 0.5
@@ -87,11 +92,11 @@ class TestDeviceStats:
     def test_delta_isolates_window(self):
         stats = DeviceStats()
         for _ in range(3):
-            stats.account(_cmd(IoOp.READ, 4096))
+            _account(stats, _cmd(IoOp.READ, 4096))
         stats.busy_time = 1.0
         snap = stats.snapshot()
-        stats.account(_cmd(IoOp.WRITE, 8192))
-        stats.account(_cmd(IoOp.DISCARD, 512))
+        _account(stats, _cmd(IoOp.WRITE, 8192))
+        _account(stats, _cmd(IoOp.DISCARD, 512))
         stats.busy_time = 1.75
         delta = stats.delta(snap)
         assert delta.read_bytes == 0 and delta.read_commands == 0
@@ -113,7 +118,7 @@ def test_add_counts_a_whole_batch_like_per_command_account():
     for cls in (TrafficCounter, DeviceStats):
         each, batch = cls(), cls()
         for command in commands:
-            each.account(command)
+            _account(each, command)
         batch.add(IoOp.WRITE, sum(c.length for c in commands), len(commands))
         batch.add(IoOp.DISCARD, 0, 0)
         assert each == batch
@@ -122,7 +127,7 @@ def test_add_counts_a_whole_batch_like_per_command_account():
 def test_tracer_runs_match_per_command_accounting():
     """The tracer counts a batch (one op, one tag) at once; the summed
     totals, the per-tag counters and their order must match one
-    ``account`` per command, and the log holds one record per command."""
+    ``_account`` per command, and the log holds one record per command."""
     import random
 
     rng = random.Random(5)
@@ -138,8 +143,8 @@ def test_tracer_runs_match_per_command_accounting():
         plain.observe(op, tag, ranges)
         logging.observe(op, tag, ranges)
         for command in batch:
-            total.account(command)
-            by_tag.setdefault(command.tag, TrafficCounter()).account(command)
+            _account(total, command)
+            _account(by_tag.setdefault(command.tag, TrafficCounter()), command)
         log.extend(batch)
     plain.observe(IoOp.READ, "a", [])
     for tracer in (plain, logging):

@@ -3,7 +3,7 @@
 ``submit`` checks a batch with one ``FaultPlane.scan``, enacts a fire when
 its loop reaches the command, and adds the batch to ``DeviceStats`` once.
 The reference below is the loop it replaced: one ``FaultPlane.check`` and
-one ``DeviceStats.account`` per command, each command an ``IoCommand``
+one ``DeviceStats.add`` per command, each command an ``IoCommand``
 record built from the batch's op and pid.  A batch is one op, so the
 stream's batches are single-op (mixed-op batches no longer exist).  Twin
 devices of every model replay the same seeded batch stream under twin
@@ -62,7 +62,7 @@ class PerCommandDevice(StorageDevice):
         unit_free = self._unit_free
         unit_get = unit_free.get
         unit_high = self._unit_high
-        account = self.stats.account
+        add = self.stats.add
         link_rate = self.link_rate
         torn_lost: Optional[int] = None
         done_bytes = 0
@@ -98,7 +98,7 @@ class PerCommandDevice(StorageDevice):
                     command_finish = link_end
             if command_finish > batch_finish:
                 batch_finish = command_finish
-            account(command)
+            add(command.op, command.length)
             done_bytes += command.length
             batch_work += plan.controller_time + stall
             batch_penalty += plan.penalty_time
