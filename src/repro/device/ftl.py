@@ -135,6 +135,9 @@ class PageMappingFtl:
         #: highest lpn written; lpns past its end are unmapped.
         self._chan = bytearray()
         self._stripe = bytes(range(channels))
+        #: ``_stripe`` repeated; ``lanes`` slices the lpns past ``_chan``
+        #: out of it.  Grown in whole stripes to the longest such tail
+        self._stripes = self._stripe
 
     # -- mapping queries -------------------------------------------------
 
@@ -156,9 +159,13 @@ class PageMappingFtl:
         chan = self._chan
         if last < len(chan):
             return bytes(chan[first:last + 1])
-        channels = self.channels
-        tail = range(max(first, len(chan)), last + 1)
-        return bytes(chan[first:]) + bytes(lpn % channels for lpn in tail)
+        start = max(first, len(chan))
+        offset = start % self.channels
+        end = offset + last + 1 - start
+        stripes = self._stripes
+        if end > len(stripes):
+            stripes = self._stripes = self._stripe * -(-end // self.channels)
+        return bytes(chan[first:]) + stripes[offset:end]
 
     @property
     def mapping(self) -> Dict[int, Tuple[EraseBlock, int]]:

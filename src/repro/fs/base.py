@@ -20,7 +20,6 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..block.request import IoOp
@@ -49,7 +48,7 @@ from ..errors import (
 from .extent_map import Extent
 from .free_space import FreeSpaceManager
 from .inode import Inode, PageStore
-from .page_cache import PageCache
+from .page_cache import PageCache, page_runs
 from .readahead import ReadaheadState
 
 
@@ -336,17 +335,21 @@ class Filesystem(abc.ABC):
         requests = 0
         finish = now
         if missing:
+            runs = page_runs(missing)
             ranges: List[Tuple[int, int]] = []
-            for run_start, run_len in _page_runs(missing):
+            for run in runs:
                 ranges.extend(
-                    inode.extent_map.disk_ranges(run_start * BLOCK_SIZE, run_len * BLOCK_SIZE)
+                    inode.extent_map.disk_ranges(run.start * BLOCK_SIZE, len(run) * BLOCK_SIZE)
                 )
             submit = self.scheduler.submit(
                 IoOp.READ, split_ranges(ranges), now, handle.app, pid
             )
             requests = submit.commands
             finish = max(finish, submit.finish_time)
-            evicted = self.page_cache.fill(inode.ino, missing)
+            # one fill per read: a single run goes in as its range
+            evicted = self.page_cache.fill(
+                inode.ino, runs[0] if len(runs) == 1 else missing
+            )
             if evicted:
                 # eviction writeback is causally this read's fault: the
                 # flushed commands carry its pid
@@ -436,9 +439,7 @@ class Filesystem(abc.ABC):
     def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
-        # a list, not a range: the stamp map and the dirty set then share
-        # one int object per page instead of making one each
-        evicted = self.page_cache.mark_dirty(inode.ino, list(range(first, last + 1)))
+        evicted = self.page_cache.mark_dirty(inode.ino, range(first, last + 1))
         finish = now + length / self.costs.memcpy_rate + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(finish - now)
@@ -516,8 +517,8 @@ class Filesystem(abc.ABC):
             inode = self.inodes.get(ino)
             if inode is None:
                 continue  # unlinked while dirty
-            for run_start, run_len in _page_runs(pages):
-                ranges = self._allocate_write(inode, run_start * BLOCK_SIZE, run_len * BLOCK_SIZE)
+            for run in page_runs(pages):
+                ranges = self._allocate_write(inode, run.start * BLOCK_SIZE, len(run) * BLOCK_SIZE)
                 commands.extend(split_ranges(ranges))
             self._meta_dirty = True
             self.page_cache.clean(ino, pages)
@@ -727,21 +728,6 @@ class Filesystem(abc.ABC):
             "files": len(self.inodes),
             "free_bytes": self.free_space.free_bytes,
         }
-
-
-def _page_runs(pages: Sequence[int]) -> List[Tuple[int, int]]:
-    """Group sorted page indices into (start, run_length) runs."""
-    if not pages:
-        return []
-    runs: List[Tuple[int, int]] = []
-    start = prev = pages[0]
-    for page in islice(pages, 1, None):
-        if page != prev + 1:
-            runs.append((start, prev + 1 - start))
-            start = page
-        prev = page
-    runs.append((start, prev + 1 - start))
-    return runs
 
 
 def _group_pages(keys: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:

@@ -10,37 +10,52 @@ page indices (``probe(ino, first, last)``, ``fill(ino, pages)``,
 ``mark_dirty(ino, pages)``), and each does its per-page work inside C
 calls, not in a Python loop:
 
-- **Residency.** Each inode has one ``{page: stamp}`` dict whose keys
-  are its resident pages.  Stamps come from one counter, so every touch
-  of every page gets a stamp no other touch has.
+- **Residency.** Each inode has chunks of :data:`CHUNK` stamps, one
+  ``array('q')`` per chunk of its page index space, allocated on first
+  touch (the layout of ``device/ftl.py``'s l2p map), so a sparse page
+  index never allocates up to itself.  A resident page holds the stamp
+  of its latest touch; -1 means not resident.  A chunk is freed once
+  eviction leaves it empty.
 - **Touches.** A touching call (the hits of a probe, a fill, a
-  mark-dirty) restamps its pages with one ``dict.update`` and appends one
-  ``(ino, pages, first_stamp)`` entry to the touch log, ``pages`` stored
-  as passed (a ``range`` costs O(1)).
-- **Liveness.** Page ``pages[i]`` of an entry is live while its stamp is
-  still ``first_stamp + i``.  A later touch restamps it, so each
-  resident page is live in exactly one entry, and the live pages of the
-  log, in log order, are the LRU order.  A page repeated within one call
-  is live only at its last occurrence, as with ``move_to_end``.
+  mark-dirty) takes one stamp from a counter and writes it over all its
+  pages, one slice fill per run of consecutive ascending pages.  Each
+  run goes into the touch log as one ``(ino, range, stamp)`` entry, split
+  where it crosses a chunk boundary, so the cache holds no page index as
+  a Python int.  An ascending list is split into its maximal runs; a
+  list in any other order becomes one run per page, in its own order,
+  with a repeated page kept only at its last occurrence.
+- **Liveness.** A page of an entry is live while its stamp is still the
+  entry's stamp.  A later touch restamps it, so each resident page is
+  live in exactly one entry, and the live pages of the log, in log
+  order, are the LRU order.
 - **Eviction.** Eviction walks the log from a cursor in its head entry
   and drops live pages until the cache is back under capacity; dirty
   victims return as ``(ino, page)`` keys in LRU order.
 - **Compaction.** Once the log holds more than ``COMPACT_RATIO`` times
-  as many pages as are resident, it is rebuilt from its live pages,
-  which is amortised O(1) per touch.
+  as many pages as are resident, it is rebuilt from the live runs of its
+  entries, which keep their stamps; amortised O(1) per touch.
 
-Dropping an inode (``invalidate_inode``) pops its dict; its log entries
-die by the stamp check.  Dirtiness is a per-inode set beside the stamps.
+Dropping an inode (``invalidate_inode``) pops its chunks; its log entries
+die by the stamp check, since a refilled inode only holds newer stamps.
+Dirtiness is a per-inode set of page indices beside the stamps.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import compress, count, filterfalse, islice
-from operator import eq
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from itertools import compress, count, islice, repeat
+from operator import eq, lt, ne, sub
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 PageKey = Tuple[int, int]  # (ino, page index)
+
+#: pages per stamp chunk (``device/ftl.py``'s ``L2P_CHUNK``)
+CHUNK_BITS = 10
+CHUNK = 1 << CHUNK_BITS
+_MASK = CHUNK - 1
+#: a chunk with no page resident; never mutated
+_EMPTY = array("q", [-1]) * CHUNK
 
 #: the touch log is compacted when it holds more than this many times as
 #: many pages as are resident.  A buffered sequential read touches each
@@ -48,6 +63,33 @@ PageKey = Tuple[int, int]  # (ino, page index)
 #: ratio of 2 would compact on a first pass; 3 compacts once pages are
 #: re-read, and holds the log to three pages per resident page
 COMPACT_RATIO = 3
+
+Chunks = Dict[int, array]  # chunk number -> CHUNK stamps, -1 if not resident
+
+
+def page_runs(pages: Sequence[int]) -> List[range]:
+    """Split strictly ascending page indices into maximal runs of
+    consecutive pages (``[1, 2, 3, 7, 9, 10]`` -> ``1..3, 7, 9..10``)."""
+    if not pages:
+        return []
+    first, last = pages[0], pages[-1]
+    if last - first == len(pages) - 1:
+        return [range(first, last + 1)]
+    # indices where a page does not follow its predecessor
+    breaks = list(compress(count(1), map(ne, map(sub, islice(pages, 1, None), pages), repeat(1))))
+    bounds = [0, *breaks, len(pages)]
+    return [range(pages[a], pages[b - 1] + 1) for a, b in zip(bounds, islice(bounds, 1, None))]
+
+
+def _as_runs(pages: Sequence[int]) -> List[range]:
+    """The runs a touch of ``pages`` writes, in LRU order."""
+    if type(pages) is range and pages.step == 1:
+        return [pages] if pages else []
+    if all(map(lt, pages, islice(pages, 1, None))):
+        return page_runs(pages)
+    # any other order: one run per page, each repeated page only at its
+    # last occurrence
+    return [range(page, page + 1) for page in dict.fromkeys(reversed(pages))][::-1]
 
 
 @dataclass
@@ -66,11 +108,11 @@ class PageCache:
 
     def __init__(self, capacity_pages: int = 1 << 20) -> None:
         self.capacity_pages = capacity_pages
-        #: per inode, ``{page: stamp of its latest touch}``
-        self._stamps: Dict[int, Dict[int, int]] = {}
-        #: ``(ino, pages, first_stamp)`` per touching call, oldest first;
-        #: entries before ``_head`` are spent
-        self._log: List[Tuple[int, Sequence[int], int]] = []
+        #: per inode, its stamp chunks
+        self._chunks: Dict[int, Chunks] = {}
+        #: ``(ino, run, stamp)`` per run of a touching call, oldest first,
+        #: each run inside one chunk; entries before ``_head`` are spent
+        self._log: List[Tuple[int, range, int]] = []
         self._head = 0
         #: next page of the head entry eviction looks at
         self._cursor = 0
@@ -84,24 +126,26 @@ class PageCache:
         self.stats = PageCacheStats()
 
     def __contains__(self, key: PageKey) -> bool:
-        stamps = self._stamps.get(key[0])
-        return stamps is not None and key[1] in stamps
+        ino, page = key
+        chunk = self._chunks.get(ino, {}).get(page >> CHUNK_BITS)
+        return chunk is not None and chunk[page & _MASK] >= 0
 
     def __len__(self) -> int:
         return self._resident
 
-    def lru_keys(self) -> Iterator[PageKey]:
+    def lru_keys(self) -> List[PageKey]:
         """Every resident page as ``(ino, page)``, least recent first."""
-        stamps_of = self._stamps
+        chunks_of = self._chunks
+        keys: List[PageKey] = []
         start = self._cursor
-        for ino, pages, first in islice(self._log, self._head, None):
-            stamps = stamps_of.get(ino)
-            if stamps is not None:
-                for index in range(start, len(pages)):
-                    page = pages[index]
-                    if stamps.get(page) == first + index:
-                        yield ino, page
+        for ino, run, stamp in islice(self._log, self._head, None):
+            chunk = chunks_of.get(ino, {}).get(run.start >> CHUNK_BITS)
+            if chunk is not None:
+                for page in run[start:] if start else run:
+                    if chunk[page & _MASK] == stamp:
+                        keys.append((ino, page))
             start = 0
+        return keys
 
     # -- lookup ----------------------------------------------------------
 
@@ -111,20 +155,40 @@ class PageCache:
         Hits move to the LRU tail in page order; returns the missing
         pages in ascending order and updates the hit/miss stats.
         """
-        pages = range(first, last + 1)
-        stamps = self._stamps.get(ino)
+        stop = last + 1
         stats = self.stats
-        if stamps is None:
-            stats.misses += len(pages)
-            return list(pages)
-        missing = list(filterfalse(stamps.__contains__, pages))
-        hits = len(pages) - len(missing)
+        chunks = self._chunks.get(ino)
+        if chunks is None:
+            stats.misses += stop - first
+            return list(range(first, stop))
+        missing: List[int] = []
+        hits: List[range] = []
+        page = first
+        while page < stop:
+            key = page >> CHUNK_BITS
+            end = min(stop, (key + 1) << CHUNK_BITS)
+            chunk = chunks.get(key)
+            if chunk is None:
+                missing.extend(range(page, end))
+            else:
+                slot = page & _MASK
+                stamps = chunk[slot:slot + end - page]
+                if -1 not in stamps:
+                    hits.append(range(page, end))
+                else:
+                    gone = list(compress(range(page, end), map(eq, stamps, repeat(-1))))
+                    missing += gone
+                    # the hits are the gaps between the missing runs
+                    for run in page_runs(gone):
+                        if run.start > page:
+                            hits.append(range(page, run.start))
+                        page = run.stop
+                    if page < end:
+                        hits.append(range(page, end))
+            page = end
         if hits:
-            self._touch(
-                ino, stamps,
-                list(filter(stamps.__contains__, pages)) if missing else pages,
-            )
-        stats.hits += hits
+            self._touch(ino, chunks, hits)
+        stats.hits += stop - first - len(missing)
         stats.misses += len(missing)
         return missing
 
@@ -132,16 +196,13 @@ class PageCache:
 
     def fill(self, ino: int, pages: Sequence[int]) -> List[PageKey]:
         """Insert clean pages of one inode; returns the dirty pages
-        evicted to make room, as ``(ino, page)`` keys in LRU order.
-
-        ``pages`` is kept in the touch log as passed, so pass a ``range``
-        or a list that is not changed afterwards.
-        """
-        if pages:
-            stamps = self._stamps.get(ino)
-            if stamps is None:
-                stamps = self._stamps[ino] = {}
-            self._touch(ino, stamps, pages)
+        evicted to make room, as ``(ino, page)`` keys in LRU order."""
+        runs = _as_runs(pages)
+        if runs:
+            chunks = self._chunks.get(ino)
+            if chunks is None:
+                chunks = self._chunks[ino] = {}
+            self._touch(ino, chunks, runs)
         if self._resident > self.capacity_pages:
             return self._evict()
         return []
@@ -160,21 +221,38 @@ class PageCache:
             self._dirty_total += len(dirty) - before
         return self.fill(ino, pages)
 
-    def _touch(self, ino: int, stamps: Dict[int, int], pages: Sequence[int]) -> None:
-        """Move ``pages`` (resident or not) to the LRU tail, in order."""
-        first = self._next_stamp
-        before = len(stamps)
-        stamps.update(zip(pages, count(first)))
-        self._resident += len(stamps) - before
-        self._next_stamp = first + len(pages)
-        self._log.append((ino, pages, first))
-        self._logged += len(pages)
+    def _touch(self, ino: int, chunks: Chunks, runs: Iterable[range]) -> None:
+        """Move the pages of ``runs`` (resident or not) to the LRU tail,
+        in order, all under one fresh stamp."""
+        stamp = self._next_stamp
+        self._next_stamp = stamp + 1
+        log = self._log
+        new = logged = 0
+        for run in runs:
+            page, stop = run.start, run.stop
+            while page < stop:
+                key = page >> CHUNK_BITS
+                end = min(stop, (key + 1) << CHUNK_BITS)
+                slot = page & _MASK
+                size = end - page
+                chunk = chunks.get(key)
+                if chunk is None:
+                    chunk = chunks[key] = _EMPTY[:]
+                    new += size
+                else:
+                    new += chunk[slot:slot + size].count(-1)
+                chunk[slot:slot + size] = array("q", (stamp,)) * size
+                log.append((ino, run if size == len(run) else range(page, end), stamp))
+                logged += size
+                page = end
+        self._resident += new
+        self._logged += logged
         if self._logged > COMPACT_RATIO * self._resident:
             self._compact()
 
     def _evict(self) -> List[PageKey]:
         """Drop least-recent pages down to capacity; returns the dirty ones."""
-        stamps_of = self._stamps
+        chunks_of = self._chunks
         dirty_by_ino = self._dirty_by_ino
         log = self._log
         head, cursor = self._head, self._cursor
@@ -182,24 +260,28 @@ class PageCache:
         self._resident -= excess
         writeback: List[PageKey] = []
         while excess:
-            ino, pages, first = log[head]
-            end = len(pages)
-            stamps = stamps_of.get(ino)
-            if stamps is None:
+            ino, run, stamp = log[head]
+            end = len(run)
+            chunks = chunks_of.get(ino)
+            key = run.start >> CHUNK_BITS
+            chunk = None if chunks is None else chunks.get(key)
+            if chunk is None:
                 cursor = end
             else:
                 dirty = dirty_by_ino.get(ino)
                 while cursor < end and excess:
-                    page = pages[cursor]
-                    if stamps.get(page) == first + cursor:
-                        del stamps[page]
+                    page = run[cursor]
+                    if chunk[page & _MASK] == stamp:
+                        chunk[page & _MASK] = -1
                         excess -= 1
                         if dirty is not None and page in dirty:
                             dirty.discard(page)
                             writeback.append((ino, page))
                     cursor += 1
-                if not stamps:
-                    del stamps_of[ino]
+                if chunk == _EMPTY:
+                    del chunks[key]
+                    if not chunks:
+                        del chunks_of[ino]
                 if dirty is not None and not dirty:
                     del dirty_by_ino[ino]
             if cursor == end:
@@ -213,26 +295,24 @@ class PageCache:
         """Rebuild the log from its live pages, in LRU order.
 
         A wholly live entry is kept as it is; the live pages of a partly
-        live one become a new entry under fresh stamps.
+        live one become one entry per run, under the same stamp.
         """
-        stamps_of = self._stamps
-        log: List[Tuple[int, Sequence[int], int]] = []
+        chunks_of = self._chunks
+        log: List[Tuple[int, range, int]] = []
         start = self._cursor
-        for ino, pages, first in islice(self._log, self._head, None):
-            stamps = stamps_of.get(ino)
-            if stamps is not None:
+        for ino, run, stamp in islice(self._log, self._head, None):
+            chunk = chunks_of.get(ino, {}).get(run.start >> CHUNK_BITS)
+            if chunk is not None:
                 if start:
-                    pages, first, start = pages[start:], first + start, 0
-                live = list(map(eq, map(stamps.get, pages), count(first)))
+                    run, start = run[start:], 0
+                slot = run.start & _MASK
+                live = list(map(eq, chunk[slot:slot + len(run)], repeat(stamp)))
                 alive = live.count(True)
-                if alive == len(live):
-                    log.append((ino, pages, first))
+                if alive == len(run):
+                    log.append((ino, run, stamp))
                 elif alive:
-                    kept = list(compress(pages, live))
-                    fresh = self._next_stamp
-                    stamps.update(zip(kept, count(fresh)))
-                    self._next_stamp = fresh + len(kept)
-                    log.append((ino, kept, fresh))
+                    for kept in page_runs(list(compress(run, live))):
+                        log.append((ino, kept, stamp))
             start = 0
         self._log = log
         self._head = self._cursor = 0
@@ -256,9 +336,9 @@ class PageCache:
 
     def invalidate_inode(self, ino: int) -> None:
         """Drop every page of an inode (unlink)."""
-        stamps = self._stamps.pop(ino, None)
-        if stamps:
-            self._resident -= len(stamps)
+        chunks = self._chunks.pop(ino, None)
+        if chunks:
+            self._resident -= sum(CHUNK - chunk.count(-1) for chunk in chunks.values())
         dirty = self._dirty_by_ino.pop(ino, None)
         if dirty:
             self._dirty_total -= len(dirty)
@@ -274,11 +354,14 @@ class PageCache:
             for ino, page in self.lru_keys()
             if page not in dirty_by_ino.get(ino, ())
         ]
-        stamps_of = self._stamps
+        chunks_of = self._chunks
         for ino, page in doomed:
-            stamps = stamps_of[ino]
-            del stamps[page]
-            if not stamps:
-                del stamps_of[ino]
+            chunks_of[ino][page >> CHUNK_BITS][page & _MASK] = -1
+        for ino in {ino for ino, _ in doomed}:
+            chunks = chunks_of[ino]
+            for key in [key for key, chunk in chunks.items() if chunk == _EMPTY]:
+                del chunks[key]
+            if not chunks:
+                del chunks_of[ino]
         self._resident -= len(doomed)
         return len(doomed)

@@ -68,6 +68,24 @@ def test_channel_array_holds_one_byte_per_page():
         PageMappingFtl(logical_pages=1024, channels=257)
 
 
+@pytest.mark.parametrize("channels", [1, 3, 4, 7, 256])
+def test_lanes_tail_matches_per_lpn_stripes(channels):
+    """Windows that start before, at and past the end of the channel
+    array: the striped tail equals ``lpn % channels`` per lpn."""
+    ftl = small_ftl(logical_pages=4096, channels=channels)
+    ftl.write([3, 17, 40])
+    size = len(ftl._chan)
+    assert size >= 41
+    for first in (0, size - 5, size - 1, size, size + 1, size + 2 * channels + 3):
+        for last in (first, first + 1, first + channels, first + 3 * channels + 2, size + 700):
+            if last < first or last < size:
+                continue
+            want = bytes(ftl._chan[first:]) + bytes(
+                lpn % channels for lpn in range(max(first, size), last + 1)
+            )
+            assert ftl.lanes(first, last) == want, (first, last)
+
+
 def test_gc_reclaims_invalid_pages():
     ftl = small_ftl(logical_pages=128, channels=1, pages_per_block=8)
     # overwrite a small working set far beyond physical capacity
