@@ -10,7 +10,7 @@ and (iii) is what defragmentation actually removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ...constants import KIB, MIB, READAHEAD_SIZE
 from ...stats.tables import format_table
@@ -31,6 +31,15 @@ class SplitPoint:
 class SplittingResult:
     device: str
     points: List[SplitPoint]
+
+    @property
+    def by_size(self) -> Dict[int, SplitPoint]:
+        return {p.frag_size: p for p in self.points}
+
+    @property
+    def latency_rises(self) -> int:
+        """Steps to a larger fragment size at which latency grows."""
+        return sum(b.latency_us > a.latency_us for a, b in zip(self.points, self.points[1:]))
 
     def report(self) -> str:
         headers = ["frag KiB", "cmds/syscall", "kernel us", "device us", "latency us"]

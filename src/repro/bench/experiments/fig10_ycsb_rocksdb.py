@@ -84,6 +84,16 @@ class VariantRun:
 class Fig10Result:
     runs: Dict[str, VariantRun]
 
+    @property
+    def post_defrag_gap(self) -> float:
+        fp, e4 = self.runs["fragpicker"], self.runs["e4defrag"]
+        return 1.0 - fp.phases["after"].ops_per_sec / e4.phases["after"].ops_per_sec
+
+    @property
+    def analysis_drop(self) -> float:
+        phases = self.runs["fragpicker"].phases
+        return 1.0 - phases["analysis"].ops_per_sec / phases["before"].ops_per_sec
+
     def report(self) -> str:
         headers = ["tool", "before op/s", "analysis op/s", "defrag op/s",
                    "after op/s", "defrag s", "R+W MB", "frags before", "frags after"]

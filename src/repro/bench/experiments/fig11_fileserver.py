@@ -26,6 +26,10 @@ from ...tools import f2fs_defrag
 from ...workloads.fileserver import FileServer, FileServerConfig, grep_directory
 from ..harness import VariantResult, measured_variant
 
+#: the default file set (the bench suite's full run reads these too):
+#: 60 files of ~2 MiB scale the paper's 3000-6000 x 8.4 MB
+DEVICE, FILE_COUNT, MEAN_SIZE, SEED = "flash", 60, 2 * MIB, 5
+
 
 @dataclass
 class Fig11Cell:
@@ -66,10 +70,10 @@ def _setup(device_kind: str, file_count: int, mean_size: int, seed: int):
 
 
 def run(
-    device: str = "flash",
-    file_count: int = 60,
-    mean_size: int = 2 * MIB,
-    seed: int = 5,
+    device: str = DEVICE,
+    file_count: int = FILE_COUNT,
+    mean_size: int = MEAN_SIZE,
+    seed: int = SEED,
 ) -> Fig11Result:
     cells: Dict[str, Fig11Cell] = {}
     fragments_before = 0.0

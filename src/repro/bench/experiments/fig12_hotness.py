@@ -39,6 +39,15 @@ class Fig12Result:
     sweeps: Dict[str, List[HotnessPoint]]
     original_mbps: Dict[str, float]
 
+    @property
+    def ratios(self) -> Dict[str, float]:
+        """Throughput at the smallest criterion over that at the largest."""
+        return {d: p[0].throughput_mbps / p[-1].throughput_mbps for d, p in self.sweeps.items()}
+
+    @property
+    def ratio_gap(self) -> float:
+        return self.ratios["zipfian"] - self.ratios["uniform"]
+
     def report(self) -> str:
         lines = []
         for dist, points in self.sweeps.items():

@@ -42,6 +42,10 @@ class Fig2Run:
     def degradation(self) -> float:
         return 1.0 - self.during_ops / self.before_ops if self.before_ops else 0.0
 
+    @property
+    def samples(self) -> int:
+        return len(self.timeline)
+
 
 @dataclass
 class Fig2Result:

@@ -31,6 +31,8 @@ from ...workloads.synthetic import (
 from ..harness import fresh_fs
 
 DEVICES = ("hdd", "microsd", "flash", "optane")
+#: the seekless devices
+MODERN = ("microsd", "flash", "optane")
 
 FRAG_SIZES = [4 * KIB, 8 * KIB, 16 * KIB, 32 * KIB, 64 * KIB, 96 * KIB,
               128 * KIB, 192 * KIB, 256 * KIB, 384 * KIB, 512 * KIB]
@@ -77,11 +79,19 @@ class DeviceSweep:
             "nlrs_distance": nlrs(xd, norm(yd)),
         }
 
+    @property
+    def distance_slope(self) -> float:
+        return abs(self.table1_row()["nlrs_distance"])
+
 
 @dataclass
 class Fig4Result:
     io_kind: str
     sweeps: Dict[str, DeviceSweep]
+
+    @property
+    def modern(self) -> Dict[str, DeviceSweep]:
+        return {d: s for d, s in self.sweeps.items() if d in MODERN}
 
     def table1(self) -> str:
         headers = ["Device", "CC size <128K", "CC size >128K",

@@ -44,6 +44,10 @@ class SqliteResult:
     select_before: float
     runs: Dict[str, SqliteRun]
 
+    @property
+    def conventional(self) -> SqliteRun:
+        return self.runs["btrfs.defragment"]
+
     def report(self) -> str:
         lines = [f"select before defrag: {self.select_before:.3f}s"]
         for run in self.runs.values():

@@ -44,6 +44,9 @@ PATTERNS: Dict[str, Callable] = {
 
 VARIANTS = ("original", "conv", "conv_t", "fragpicker", "fragpicker_b")
 
+#: the paper's file (1 GiB on Optane, 400 MB on flash), scaled down
+FILE_SIZE = 33 * MIB
+
 
 @dataclass
 class SyntheticCell:
@@ -67,6 +70,18 @@ class SyntheticResult:
 
     def cell(self, variant: str, pattern: str) -> SyntheticCell:
         return self.cells[variant][pattern]
+
+    @property
+    def gains(self) -> Dict[str, float]:
+        """FragPicker's throughput over the original's, per pattern."""
+        fp, orig = self.cells["fragpicker"], self.cells["original"]
+        return {p: fp[p].throughput_mbps / orig[p].throughput_mbps for p in fp}
+
+    @property
+    def conv_update_change(self) -> float:
+        """MB/s the conventional tool moves sequential updates, either way."""
+        conv, orig = self.cells["conv"], self.cells["original"]
+        return abs(conv["seq_update"].throughput_mbps - orig["seq_update"].throughput_mbps)
 
     def report(self) -> str:
         patterns = list(next(iter(self.cells.values())).keys())
@@ -111,7 +126,7 @@ def _apply_variant(fs, variant: str, path: str, pattern_fn, now: float,
 def run(
     fs_type: str,
     device: str,
-    file_size: int = 33 * MIB,
+    file_size: int = FILE_SIZE,
     variants: Optional[Tuple[str, ...]] = None,
     patterns: Tuple[str, ...] = tuple(PATTERNS),
     hotness: float = 1.0,
@@ -119,8 +134,7 @@ def run(
     """Run the full grid; every (variant, pattern) cell starts from its own
     copy of one freshly built file (see :class:`FixtureCache`).
 
-    The 33 MiB default scales the paper's file (1 GiB on Optane, 400 MB
-    on flash); ``variants=None`` runs the paper's set for ``fs_type``:
+    ``variants=None`` runs the paper's set for ``fs_type``:
     Btrfs adds Conv.-T, the ``-t`` extent-threshold option only it has.
     """
     if variants is None:

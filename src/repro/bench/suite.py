@@ -42,7 +42,10 @@ from ..obs.hooks import Instrumentation
 
 
 def suite_config(smoke: bool = False) -> Dict[str, object]:
-    """The full parameterisation of one suite run (fingerprinted)."""
+    """The full parameterisation of one suite run (fingerprinted); the
+    full run takes each figure's own defaults."""
+    from .experiments import fig11_fileserver as fig11, obs_trace, synthetic_defrag
+
     if smoke:
         return {
             "smoke": True,
@@ -54,23 +57,25 @@ def suite_config(smoke: bool = False) -> Dict[str, object]:
                 "patterns": ["seq_read", "stride_read"],
             },
             "fileserver": {
-                "device": "flash", "file_count": 12, "mean_size_mib": 1, "seed": 5,
+                "device": fig11.DEVICE, "file_count": 12, "mean_size_mib": 1,
+                "seed": fig11.SEED,
             },
-            "obs_trace": {"smoke": True, "seed": 42},
+            "obs_trace": {"smoke": True, "seed": obs_trace.SEED},
         }
     return {
         "smoke": False,
         "synthetic": {
             "fs_type": "ext4",
             "devices": ["optane", "flash", "hdd", "microsd"],
-            "file_size_mib": 33,
+            "file_size_mib": synthetic_defrag.FILE_SIZE // MIB,
             "variants": ["original", "conv", "fragpicker", "fragpicker_b"],
             "patterns": ["seq_read", "stride_read", "seq_update", "stride_update"],
         },
         "fileserver": {
-            "device": "flash", "file_count": 60, "mean_size_mib": 2, "seed": 5,
+            "device": fig11.DEVICE, "file_count": fig11.FILE_COUNT,
+            "mean_size_mib": fig11.MEAN_SIZE // MIB, "seed": fig11.SEED,
         },
-        "obs_trace": {"smoke": False, "seed": 42},
+        "obs_trace": {"smoke": False, "seed": obs_trace.SEED},
     }
 
 

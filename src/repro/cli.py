@@ -1,4 +1,5 @@
-"""Command-line interface: run any paper experiment and print its report.
+"""Command-line interface: run any paper experiment, print its report and
+check the paper's claims on it (:mod:`repro.bench.claims`).
 
 Usage::
 
@@ -274,14 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _invoke(name: str, args) -> str:
-    module, _, kwargs = EXPERIMENTS[name]
-    kwargs = dict(kwargs)
-    for key, value in (("fs_type", args.fs_type), ("device", args.device)):
-        if key in kwargs and value:
-            kwargs[key] = value
-    experiment = importlib.import_module(f"repro.bench.experiments.{module}")
-    return experiment.run(**kwargs).report()
+def configure(name: str, fs_type=None, device=None) -> Dict[str, str]:
+    """The run() keywords of ``repro run name [--fs-type T] [--device D]``."""
+    config = dict(EXPERIMENTS[name][2])
+    for key, value in (("fs_type", fs_type), ("device", device)):
+        if key in config and value:
+            config[key] = value
+    return config
+
+
+def run_experiment(name: str, config: Dict[str, str]):
+    """Run one experiment; returns its result object."""
+    module = importlib.import_module(f"repro.bench.experiments.{EXPERIMENTS[name][0]}")
+    return module.run(**config)
 
 
 def _run_trace(args) -> int:
@@ -664,12 +670,21 @@ def main(argv=None) -> int:
         for name in sorted(EXPERIMENTS):
             print(f"{name.ljust(width)}  {EXPERIMENTS[name][1]}")
         return 0
+    from .bench import claims
+
     targets = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    failed = 0
     for name in targets:
         print(f"=== {name}: {EXPERIMENTS[name][1]} ===")
-        print(_invoke(name, args))
+        config = configure(name, args.fs_type, args.device)
+        result = run_experiment(name, config)
+        print(result.report())
+        outcomes = claims.check(name, config, result)
+        if outcomes:
+            print("\n" + claims.render(name, config, outcomes))
+        failed += sum(not outcome.ok for outcome in outcomes)
         print()
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,16 +15,15 @@ into its own armed instrumentation **strictly in a fixed order**:
   the true peak across snapshots; histograms add bucket-wise (same
   bounds required) so quantiles come from the union of observations;
 - spans and ring events land on per-child tracks (``shard0/main``,
-  ``vol0000/main`` ...) so Chrome-trace rows stay separated, with an
-  optional virtual-time base to reconcile child-local clocks;
+  ``vol0000/main`` ...) so Chrome-trace rows stay separated; every
+  child shares the parent's virtual-time origin;
 - ring drops stay counted: the child's ``obs.events_dropped`` counter
   merges like any counter, and the recorder-level ``dropped_spans`` /
   ``dropped_events`` tallies carry over into the parent's recorder (on
-  top of any wraps the merge itself causes in the parent's ring);
-- provenance edges (the ``prov.*`` ring events) are re-based: child
-  pids are shifted past everything the parent has minted so far, so a
-  merged ring still parses into one forest via
-  :func:`repro.obs.provenance.build_forest`.
+  top of any wraps the merge itself causes in the parent's ring).
+
+A child never arms provenance (only ``repro trace`` does, and it runs
+unsharded), so no merged ring carries provenance ids of its own.
 
 The two callers keep the merge deterministic.  The bench suite
 (:mod:`repro.bench.suite`) runs every figure under a fresh child in
@@ -41,7 +40,7 @@ one Chrome row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .hooks import Instrumentation
 from .metrics import Gauge, Histogram
@@ -49,18 +48,13 @@ from .metrics import Gauge, Histogram
 #: counter incremented on the parent each time a snapshot merges
 SNAPSHOTS_MERGED = "obs.harvest.snapshots"
 
-#: ring-event name prefix whose ``pid`` attrs are provenance ids and get
-#: re-based on merge (see repro.obs.provenance)
-_PROV_PREFIX = "prov."
-
 
 def child_of(obs: Instrumentation) -> Instrumentation:
-    """A fresh armed instrumentation mirroring ``obs``'s configuration:
-    the same ring capacities and provenance arming."""
+    """A fresh armed instrumentation with ``obs``'s ring capacities and
+    no provenance plane."""
     return Instrumentation(
         max_spans=obs.spans.max_spans,
         max_events=obs.spans.events.maxlen or 0,
-        provenance=obs.provenance is not None,
     )
 
 
@@ -91,8 +85,6 @@ class TelemetrySnapshot:
     )
     dropped_spans: int = 0
     dropped_events: int = 0
-    #: provenance ids minted shard-side (0 when provenance is disarmed)
-    provenance_minted: int = 0
 
     def empty(self) -> bool:
         return not (
@@ -104,23 +96,14 @@ class TelemetrySnapshot:
     # -- capture -------------------------------------------------------
 
     @classmethod
-    def capture(
-        cls,
-        obs: Instrumentation,
-        baseline: Optional[Dict[str, object]] = None,
-    ) -> "TelemetrySnapshot":
-        """Snapshot ``obs`` — optionally as a delta over ``baseline``
-        (a ``registry.snapshot()`` dict taken before the shard ran).
+    def capture(cls, obs: Instrumentation) -> "TelemetrySnapshot":
+        """Snapshot ``obs``.
 
         Only *finished* spans are carried: a shard that leaves spans
         open at capture time loses them, same as the exporters would.
         """
         snapshot = cls()
-        baseline = baseline or {}
         for metric in obs.registry.metrics():
-            earlier = baseline.get(metric.name)
-            if earlier is not None:
-                metric = metric.delta(earlier)
             if isinstance(metric, Gauge):
                 snapshot.gauges.append((metric.name, metric.value, metric.peak))
             elif isinstance(metric, Histogram):
@@ -140,26 +123,17 @@ class TelemetrySnapshot:
             )
         snapshot.dropped_spans = obs.spans.dropped_spans
         snapshot.dropped_events = obs.spans.dropped_events
-        if obs.provenance is not None:
-            snapshot.provenance_minted = obs.provenance.minted
         return snapshot
 
     # -- merge ---------------------------------------------------------
 
-    def merge_into(
-        self,
-        obs: Instrumentation,
-        track_prefix: str = "",
-        time_base: float = 0.0,
-    ) -> None:
+    def merge_into(self, obs: Instrumentation, track_prefix: str = "") -> None:
         """Fold this snapshot into ``obs`` (the parent's armed facade).
 
         ``track_prefix`` namespaces the shard's span/event tracks so each
-        shard renders as its own Chrome-trace rows; ``time_base`` shifts
-        shard-local virtual time onto the parent's timeline (shards that
-        share the parent's t=0 origin — every current call site — pass
-        0.0).  Counter merges include the shard's ``obs.events_dropped``,
-        so drops stay counted end to end.
+        shard renders as its own Chrome-trace rows.  Counter merges
+        include the shard's ``obs.events_dropped``, so drops stay counted
+        end to end.
         """
         if not obs.enabled:
             return
@@ -184,33 +158,19 @@ class TelemetrySnapshot:
             hist.total += total
             if max_value > hist.max_value:
                 hist.max_value = max_value
-        pid_base = 0
-        if obs.provenance is not None and self.provenance_minted:
-            pid_base = obs.provenance.minted
-            obs.provenance.minted += self.provenance_minted
         recorder = obs.spans
         for name, start, end, track, attrs in self.spans:
-            recorder.adopt(
-                name, start + time_base, end + time_base,
-                track=track_prefix + track, attrs=attrs,
-            )
+            recorder.adopt(name, start, end, track=track_prefix + track, attrs=attrs)
         for name, time, track, attrs in self.events:
-            if pid_base and name.startswith(_PROV_PREFIX) and attrs.get("pid"):
-                attrs = dict(attrs)
-                attrs["pid"] = attrs["pid"] + pid_base
-            recorder.event(
-                name, time + time_base, track=track_prefix + track, **attrs
-            )
+            recorder.event(name, time, track=track_prefix + track, **attrs)
         recorder.dropped_spans += self.dropped_spans
         recorder.dropped_events += self.dropped_events
         registry.counter(SNAPSHOTS_MERGED).inc()
 
 
-def capture(
-    obs: Instrumentation, baseline: Optional[Dict[str, object]] = None
-) -> TelemetrySnapshot:
+def capture(obs: Instrumentation) -> TelemetrySnapshot:
     """Module-level alias for :meth:`TelemetrySnapshot.capture`."""
-    return TelemetrySnapshot.capture(obs, baseline)
+    return TelemetrySnapshot.capture(obs)
 
 
 def shard_track_prefix(index: int) -> str:

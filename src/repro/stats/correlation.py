@@ -10,7 +10,8 @@ Equation (2): normalized linear regression slope —
 
 where Y is performance *normalized to the lowest measurement* (the paper
 normalizes "because the storage devices show an immense performance
-difference").
+difference").  Both take two passes, means then deviations, and every
+sum is exactly rounded (:func:`math.fsum`).
 """
 
 from __future__ import annotations
@@ -21,28 +22,25 @@ from typing import Sequence
 from ..errors import InvalidArgument
 
 
-def _as_arrays(xs: Sequence[float], ys: Sequence[float]):
+def _deviations(xs: Sequence[float], ys: Sequence[float]):
+    """Each sample's distance from its mean; the means are the first pass."""
     if len(xs) != len(ys):
         raise InvalidArgument(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise InvalidArgument("need at least two samples")
-    # imported here, not at module level: every process loads this
-    # module (obs.provenance -> stats.tables), few ever correlate
-    import numpy as np
-
-    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    return [x - mx for x in xs], [y - my for y in ys]
 
 
 def correlation_coefficient(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation coefficient, Equation (1) of the paper."""
-    x, y = _as_arrays(xs, ys)
-    dx, dy = x - x.mean(), y - y.mean()
-    denom = math.sqrt((dx * dx).sum() * (dy * dy).sum())
+    dx, dy = _deviations(xs, ys)
+    denom = math.sqrt(math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))
     if denom == 0.0:
         return 0.0
-    # rounding in the sums can push |r| past 1 (far past it when the
+    # rounding in the products can push |r| past 1 (far past it when the
     # deviations are near-subnormal); the true coefficient never does
-    return min(1.0, max(-1.0, float((dx * dy).sum() / denom)))
+    return min(1.0, max(-1.0, math.fsum(a * b for a, b in zip(dx, dy)) / denom))
 
 
 def nlrs(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -51,10 +49,8 @@ def nlrs(xs: Sequence[float], ys: Sequence[float]) -> float:
     Callers are expected to pass ``ys`` already normalized to the smallest
     sample (paper Section 3); this function is the raw least-squares slope.
     """
-    x, y = _as_arrays(xs, ys)
-    dx, dy = x - x.mean(), y - y.mean()
-    denom = float((dx * dx).sum())
+    dx, dy = _deviations(xs, ys)
+    denom = math.fsum(a * a for a in dx)
     if denom == 0.0:
         return 0.0
-    return float((dx * dy).sum() / denom)
-
+    return math.fsum(a * b for a, b in zip(dx, dy)) / denom

@@ -65,3 +65,24 @@ def test_cc_self_is_one(xs):
 def test_nlrs_recovers_linear_slope(xs, slope, intercept):
     ys = [slope * x + intercept for x in xs]
     assert nlrs(xs, ys) == pytest.approx(slope, rel=1e-4, abs=1e-6)
+
+
+def _numpy_reference(xs, ys):
+    """The numpy form both statistics were computed with before."""
+    np = pytest.importorskip("numpy")
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    dx, dy = x - x.mean(), y - y.mean()
+    cc = float((dx * dy).sum() / np.sqrt((dx * dx).sum() * (dy * dy).sum()))
+    return cc, float((dx * dy).sum() / (dx * dx).sum())
+
+
+@given(st.lists(st.tuples(grid, st.floats(min_value=1.0, max_value=1e3)),
+                min_size=3, max_size=30, unique_by=lambda p: p[0]))
+def test_fsum_statistics_match_the_numpy_form(pairs):
+    xs = [p[0] for p in pairs]
+    ys = [p[1] for p in pairs]
+    if len(set(ys)) < 2:
+        return
+    cc, slope = _numpy_reference(xs, ys)
+    assert correlation_coefficient(xs, ys) == pytest.approx(cc, rel=1e-9, abs=1e-12)
+    assert nlrs(xs, ys) == pytest.approx(slope, rel=1e-9, abs=1e-15)
