@@ -18,6 +18,11 @@ from typing import Dict, List, NamedTuple, Tuple
 
 RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
+#: a measured value this close to zero prints as 0: it is float noise
+#: (say, two throughputs equal up to rounding), and its digits would
+#: change with any reordering of the arithmetic behind it
+NOISE = 1e-9
+
 
 class Claim(NamedTuple):
     experiment: str
@@ -254,6 +259,7 @@ def render(experiment: str, config: Dict[str, str], outcomes: List[Outcome]) -> 
              "| claim | paper | ours | bound | ok |", "|---|---|---|---|---|"]
     for o in outcomes:
         text = f"{o.claim.text} [{o.key}]" if o.key else o.claim.text
-        lines.append(f"| {text} | {o.claim.paper} | {o.ours:.4g} | {o.claim.bound} | "
+        ours = 0.0 if abs(o.ours) < NOISE else o.ours
+        lines.append(f"| {text} | {o.claim.paper} | {ours:.4g} | {o.claim.bound} | "
                      f"{'ok' if o.ok else 'FAIL'} |")
     return "\n".join(lines)

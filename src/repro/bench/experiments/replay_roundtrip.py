@@ -35,7 +35,7 @@ from typing import Dict, List, Tuple
 from ...constants import MIB
 from ...fs.base import FallocMode, Filesystem
 from ...replay.generate import TraceProfile, generate_ops
-from ...replay.reconstruct import PlacementPolicy, Reconstructor
+from ...replay.reconstruct import APP, PlacementPolicy, Reconstructor
 from ...trace.syscall_monitor import SyscallMonitor
 from ..harness import fresh_fs
 
@@ -125,7 +125,7 @@ def _seeded_side(fs_type: str, device: str) -> Tuple[Filesystem, Dict[int, str],
     now = 0.0
     for file_id in range(_PROFILE.files):
         path = f"/rt/f{file_id:04d}"
-        handle = fs.open(path, o_direct=True, app="replay", create=True)
+        handle = fs.open(path, o_direct=True, app=APP, create=True)
         now = fs.fallocate(
             handle, FallocMode.ALLOCATE, 0, _PROFILE.file_bytes, now=now
         ).finish_time
@@ -138,12 +138,12 @@ def _measure(fs: Filesystem, mapping: Dict[int, str], records, now: float) -> Si
     """Drive ``records`` through ``fs`` closed-loop; snapshot the figures."""
     cache = fs.page_cache.stats
     hits0, misses0 = cache.hits, cache.misses
-    traffic0 = fs.tracer.tag("replay").snapshot()
+    traffic0 = fs.tracer.tag(APP).snapshot()
     reconstructor = Reconstructor(
         fs, PlacementPolicy(mapping=mapping, file_cap=_PROFILE.file_bytes)
     )
     finish = reconstructor.run(records, now=now)
-    traffic = fs.tracer.tag("replay").delta(traffic0)
+    traffic = fs.tracer.tag(APP).delta(traffic0)
     return SideFigures(
         ops=reconstructor.stats.ops,
         elapsed_s=finish - now,

@@ -24,7 +24,7 @@ from ...device import make_device
 from ...fs import make_filesystem
 from ...tools import btrfs_defragment
 from ...workloads.fio import fio_sequential_writer
-from ...workloads.sqlite_like import SqliteConfig, SqliteLike
+from ...workloads.sqlite_like import APP as SQLITE_APP, SqliteLike
 from ..harness import corun_until_background_done
 
 
@@ -62,7 +62,7 @@ class SqliteResult:
 def _setup(rows: int, value_size: int):
     device = make_device("microsd", capacity=2 * GIB)
     fs = make_filesystem("btrfs", device)
-    db = SqliteLike(fs, SqliteConfig())
+    db = SqliteLike(fs)
     now = db.load_sequential(rows, value_size, 0.0)
     fs.drop_caches()
     return fs, db, now
@@ -84,7 +84,7 @@ def run(rows: int = 8_000, value_size: int = 4096, select_fraction: float = 0.3)
             # SELECT scans only `select_fraction` of the database, so only
             # that part is worth migrating (the paper's 163 MB vs 474 MB).
             picker = FragPicker(fs)
-            with picker.monitor(apps={db.config.app}) as monitor:
+            with picker.monitor(apps={SQLITE_APP}) as monitor:
                 now, _ = db.select_fraction(select_fraction, now)
             fs.drop_caches()
             plans = picker.analyze(monitor.records, paths=[db.config.db_path])

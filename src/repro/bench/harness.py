@@ -17,7 +17,7 @@ from ..obs import analysis as obs_analysis
 from ..obs import hooks as obs_hooks
 
 
-def fresh_fs(fs_type: str, device_kind: str, **fs_kwargs) -> Tuple[Filesystem, StorageDevice]:
+def fresh_fs(fs_type: str, device_kind: str) -> Tuple[Filesystem, StorageDevice]:
     """A fresh filesystem on a fresh device (every variant starts equal).
 
     Experiments whose cells all start from the same built file take it
@@ -25,7 +25,7 @@ def fresh_fs(fs_type: str, device_kind: str, **fs_kwargs) -> Tuple[Filesystem, S
     every cell an exact copy.
     """
     device = make_device(device_kind)
-    fs = make_filesystem(fs_type, device, **fs_kwargs)
+    fs = make_filesystem(fs_type, device)
     return fs, device
 
 

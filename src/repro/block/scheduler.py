@@ -7,7 +7,7 @@ and that dominates on Optane) and dispatches the batch to the device.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .request import IoOp
 from .splitter import DiskRange
@@ -38,11 +38,10 @@ class BlockScheduler:
         self,
         device: "StorageDevice",
         kernel_overhead_per_request: float = 0.000003,
-        tracer: Optional[BlockTracer] = None,
     ) -> None:
         self.device = device
         self.kernel_overhead_per_request = kernel_overhead_per_request
-        self.tracer = tracer if tracer is not None else BlockTracer()
+        self.tracer = BlockTracer()
         self.obs = obs_hooks.current()
         self.faults = fault_hooks.current()
         # pre-resolved sentinels so the null-plane submit path skips

@@ -15,7 +15,7 @@ Usage::
     python -m repro bench --smoke --json BENCH_ci.json   # persist a suite run
     python -m repro bench --compare BENCH_base.json BENCH_ci.json
     python -m repro faults --smoke           # crash sweep + fault campaign
-    python -m repro faults --devices hdd microsd flash optane
+    python -m repro faults --device hdd microsd flash optane
     python -m repro fleet --volumes 64 --seed 7 --json   # defrag-as-a-service
     python -m repro fleet --smoke --volumes 8            # CI smoke fleet
     python -m repro fleet --smoke --slo                  # + SLO admission gating
@@ -234,11 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fast CI variant (one device, FragPicker only)")
     faults.add_argument("--seed", type=int, default=0,
                         help="campaign seed (same seed => same storm)")
-    faults.add_argument("--device", default="optane",
-                        choices=["hdd", "microsd", "flash", "optane"])
-    faults.add_argument("--devices", nargs="+", default=None, metavar="DEV",
+    faults.add_argument("--device", nargs="+", default=["optane"], metavar="DEV",
                         choices=["hdd", "microsd", "flash", "optane"],
-                        help="sweep crash points on several device models")
+                        help="device models to sweep crash points on; the "
+                             "campaign runs on the first")
     faults.add_argument("--fs-type", default="ext4", choices=["ext4"],
                         help="crash sweep targets the in-place migration path")
     faults.add_argument("--json", default=None, metavar="PATH",
@@ -590,9 +589,8 @@ def _run_faults(args) -> int:
     start = time.perf_counter()
     report = survival_report(
         seed=args.seed,
-        device=args.device,
+        devices=args.device,
         fs_type=args.fs_type,
-        devices=args.devices,
         smoke=args.smoke,
         trials=args.trials,
     )
@@ -606,7 +604,7 @@ def _run_faults(args) -> int:
         args, "faults", json.loads(report.to_json()),
         label="smoke" if args.smoke else "full",
         seed=args.seed, wall_s=wall_s,
-        extra={"smoke": args.smoke, "device": args.device,
+        extra={"smoke": args.smoke, "device": args.device[0],
                "trials": args.trials},
     )
     return 0 if report.ok else 1

@@ -40,7 +40,6 @@ class _SequentialState:
 class AnalysisPhase:
     """Configuration for turning a trace into file range lists."""
 
-    readahead_size: int = READAHEAD_SIZE
     imitate_readahead: bool = True
     merge: bool = True  # ablation: disable Algorithm 1
 
@@ -108,6 +107,6 @@ class AnalysisPhase:
             return record.offset, end
         if 0 <= end <= state.window_end:
             return None  # served by the page cache
-        expanded_end = max(end, record.offset + self.readahead_size)
+        expanded_end = max(end, record.offset + READAHEAD_SIZE)
         state.window_end = expanded_end
         return record.offset, expanded_end

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from ..constants import MIB, READAHEAD_SIZE
 from ..errors import DefragError, FaultError, InjectedCrash, NoSpaceError
 from ..fs.base import Filesystem, SyscallEvent
 from ..trace.syscall_monitor import SyscallMonitor
@@ -30,7 +29,7 @@ from .analysis import AnalysisPhase
 from .bypass import bypass_range_list
 from .frag_check import range_is_fragmented
 from .hotness import hotness_filter
-from .migration import Migrator, RetryPolicy, ipu_disabled
+from .migration import APP, Migrator, RetryPolicy, ipu_disabled
 from .range_list import FileRange, FileRangeList
 from .recovery import MigrationJournal
 from .report import DefragReport
@@ -38,22 +37,19 @@ from .report import DefragReport
 
 @dataclass(frozen=True)
 class FragPickerConfig:
-    """Tunables (all of the paper's knobs plus ablation switches)."""
+    """The knobs experiments vary: the hotness criterion, the ablation
+    switches and the retry policy.  The migration chunk
+    (:data:`~repro.core.migration.IO_SIZE`) and the imitated readahead
+    window (:data:`~repro.constants.READAHEAD_SIZE`) are constants."""
 
     #: fraction of analysed bytes to migrate, hottest first (Section 4.1.3)
     hotness_criterion: float = 1.0
-    #: migration I/O chunk size
-    io_size: int = 1 * MIB
-    #: readahead size imitated for buffered sequential reads
-    readahead_size: int = READAHEAD_SIZE
     #: ablation: imitate readahead during analysis
     imitate_readahead: bool = True
     #: ablation: merge overlapped I/Os (Algorithm 1)
     merge_overlaps: bool = True
     #: ablation: FIEMAP fragmentation check before migration
     check_fragmentation: bool = True
-    #: tag used for the tool's own I/O (tracing/accounting)
-    app: str = "fragpicker"
     #: bounded retry-with-backoff for transient faults (repro.faults);
     #: a range that keeps failing degrades to skip-and-report
     retry: RetryPolicy = RetryPolicy()
@@ -69,9 +65,7 @@ class FragPicker:
         #: after an interrupted run, ``journal.recover(fs)`` replays any
         #: punched-but-not-rewritten chunks
         self.journal = MigrationJournal()
-        self._migrator = Migrator(
-            fs, app=config.app, io_size=config.io_size, journal=self.journal
-        )
+        self._migrator = Migrator(fs, journal=self.journal)
 
     # ------------------------------------------------------------------
     # analysis phase
@@ -98,7 +92,6 @@ class FragPicker:
         if paths is not None:
             inodes = [self.fs.inode_of(p).ino for p in paths]
         phase = AnalysisPhase(
-            readahead_size=self.config.readahead_size,
             imitate_readahead=self.config.imitate_readahead,
             merge=self.config.merge_overlaps,
         )
@@ -117,8 +110,7 @@ class FragPicker:
     def bypass_plans(self, paths: Iterable[str]) -> List[FileRangeList]:
         """Bypass option: sequential-read plans without any tracing."""
         return [
-            bypass_range_list(self.fs, path, self.config.readahead_size)
-            for path in paths
+            bypass_range_list(self.fs, path) for path in paths
         ]
 
     # ------------------------------------------------------------------
@@ -276,7 +268,7 @@ class FragPicker:
                 )
             yield now
             return
-        before = self.fs.tracer.tag(self.config.app).snapshot()
+        before = self.fs.tracer.tag(APP).snapshot()
         migrated = True
         try:
             with ipu_disabled(self.fs):
@@ -290,7 +282,7 @@ class FragPicker:
                     migrated = False
         finally:
             # account even a faulted attempt's traffic before unwinding
-            delta = self.fs.tracer.tag(self.config.app).delta(before)
+            delta = self.fs.tracer.tag(APP).delta(before)
             report.read_bytes += delta.read_bytes
             report.write_bytes += delta.write_bytes
         if migrated:

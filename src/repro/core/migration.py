@@ -24,6 +24,11 @@ from ..fs.base import FallocMode, FileHandle, Filesystem
 from .range_list import FileRange
 from .recovery import MigrationJournal
 
+#: the app name (and block-tracer tag) FragPicker's own I/O carries
+APP = "fragpicker"
+#: migration I/O chunk size
+IO_SIZE = 1 * MIB
+
 
 @dataclass
 class MigrationOutcome:
@@ -133,16 +138,8 @@ class Migrator:
     argument).
     """
 
-    def __init__(
-        self,
-        fs: Filesystem,
-        app: str = "fragpicker",
-        io_size: int = 1 * MIB,
-        journal: Optional[MigrationJournal] = None,
-    ) -> None:
+    def __init__(self, fs: Filesystem, journal: Optional[MigrationJournal] = None) -> None:
         self.fs = fs
-        self.app = app
-        self.io_size = io_size
         self.journal = journal
 
     def migrate_range(self, path: str, file_range: FileRange, now: float = 0.0) -> MigrationOutcome:
@@ -165,21 +162,21 @@ class Migrator:
             yield now
             return
         original_size = inode.size
-        handle = FileHandle(fs, inode.ino, o_direct=True, app=self.app)
-        fs.lock_file(path, self.app)
+        handle = FileHandle(fs, inode.ino, o_direct=True, app=APP)
+        fs.lock_file(path, APP)
         try:
             in_place = not out_of_place(fs)
-            for pos in range(file_range.start, end, self.io_size):
-                length = min(self.io_size, end - pos)
+            for pos in range(file_range.start, end, IO_SIZE):
+                length = min(IO_SIZE, end - pos)
                 for now in migrate_chunk(
                     fs, handle, handle, pos, length, now,
-                    in_place, self.io_size, self.journal,
+                    in_place, IO_SIZE, self.journal,
                 ):
                     yield now
             now = fs.fsync(handle, now=now).finish_time
             yield now
         finally:
-            fs.unlock_file(path, self.app)
+            fs.unlock_file(path, APP)
         if inode.size != original_size:
             # the rewrite is block-granular; never let it extend the file
             now = fs.truncate(handle, original_size, now=now).finish_time

@@ -84,14 +84,12 @@ class PbaAwareFragPicker(FragPicker):
         self,
         fs: Filesystem,
         config: FragPickerConfig = FragPickerConfig(),
-        imbalance_threshold: float = 1.75,
     ) -> None:
         super().__init__(fs, config)
         self.inspector = OpenChannelInspector(fs.device)
-        self.imbalance_threshold = imbalance_threshold
 
     def _needs_migration(self, path: str, file_range: FileRange) -> bool:
         """Migrate when LBA-fragmented *or* physically conflicted."""
         return super()._needs_migration(path, file_range) or range_is_pba_conflicted(
-            self.inspector, self.fs, path, file_range, self.imbalance_threshold
+            self.inspector, self.fs, path, file_range
         )

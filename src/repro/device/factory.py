@@ -8,9 +8,8 @@ for reproducing the result shapes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
-from ..constants import GIB
 from ..errors import InvalidArgument
 from .base import StorageDevice
 from .flash import FlashSsd
@@ -25,22 +24,16 @@ DEVICE_PRESETS: Dict[str, Callable[..., StorageDevice]] = {
     "optane": OptaneSsd,     # Intel Optane 905P 960GB (NVMe)
 }
 
-_DEFAULT_CAPACITY = {
-    "hdd": 64 * GIB,
-    "microsd": 32 * GIB,
-    "flash": 32 * GIB,
-    "optane": 64 * GIB,
-}
 
+def make_device(kind: str, capacity: Optional[int] = None) -> StorageDevice:
+    """Create one of the paper's four devices by name.
 
-def make_device(kind: str, capacity: int = None, **kwargs) -> StorageDevice:
-    """Create one of the paper's four devices by name."""
+    Without ``capacity`` the device keeps its own class's default size.
+    """
     try:
         cls = DEVICE_PRESETS[kind]
     except KeyError:
         raise InvalidArgument(
             f"unknown device {kind!r}; choose from {sorted(DEVICE_PRESETS)}"
         ) from None
-    if capacity is None:
-        capacity = _DEFAULT_CAPACITY[kind]
-    return cls(capacity=capacity, **kwargs)
+    return cls() if capacity is None else cls(capacity=capacity)

@@ -32,18 +32,26 @@ READ_PLAN_CACHE_ENTRIES = 4096
 WRITE_PLAN_CACHE_ENTRIES = 4096
 
 
+#: media time per 4 KiB page read
+PAGE_READ = 0.000060
+#: media time per 4 KiB page program
+PAGE_PROGRAM = 0.000120
+#: in-storage CPU, serial per command
+COMMAND_OVERHEAD = 0.000006
+#: SATA 6 Gb/s effective bytes/sec
+INTERFACE_RATE = 520e6
+DISCARD_PER_COMMAND = 0.00003
+#: Cost of one GC page relocation (read + program, partially pipelined).
+GC_PAGE_COST = 0.000150
+
+
 @dataclass(frozen=True)
 class FlashParams:
+    """The FTL geometry (the rest of the calibration is module constants)."""
+
     channels: int = 8
-    page_read: float = 0.000060      #: per 4 KiB page
-    page_program: float = 0.000120   #: per 4 KiB page
-    command_overhead: float = 0.000006  #: in-storage CPU, serial per command
-    interface_rate: float = 520e6    #: SATA 6 Gb/s effective bytes/sec
-    discard_per_command: float = 0.00003
     pages_per_block: int = 256
     overprovision: float = 0.07
-    #: Cost of one GC page relocation (read + program, partially pipelined).
-    gc_page_cost: float = 0.000150
 
 
 class FlashSsd(StorageDevice):
@@ -57,10 +65,10 @@ class FlashSsd(StorageDevice):
     #: provenance records label parallel units as flash channels
     provenance_unit = "channel"
 
-    def __init__(self, capacity: int = 32 * GIB, params: Optional[FlashParams] = None, name: str = "flash") -> None:
-        super().__init__(name, capacity)
+    def __init__(self, capacity: int = 32 * GIB, params: Optional[FlashParams] = None) -> None:
+        super().__init__("flash", capacity)
         self.params = params = params if params is not None else FlashParams()
-        self.link_rate = params.interface_rate
+        self.link_rate = INTERFACE_RATE
         self.ftl = PageMappingFtl(
             logical_pages=capacity // BLOCK_SIZE,
             channels=params.channels,
@@ -80,7 +88,7 @@ class FlashSsd(StorageDevice):
         # accumulation loop
         self._read_sums = [0.0]
         self._discard_overhead_plan = CommandPlan(
-            controller_time=params.command_overhead + params.discard_per_command
+            controller_time=COMMAND_OVERHEAD + DISCARD_PER_COMMAND
         )
 
     @staticmethod
@@ -105,9 +113,9 @@ class FlashSsd(StorageDevice):
             counts = Counter(lanes)
             sums = self._read_sums
             if counts:
-                _extend_sums(sums, max(counts.values()), self.params.page_read)
+                _extend_sums(sums, max(counts.values()), PAGE_READ)
             plan = CommandPlan(
-                controller_time=self.params.command_overhead,
+                controller_time=COMMAND_OVERHEAD,
                 unit_work=tuple(
                     (channel, sums[n]) for channel, n in counts.items()
                 ),
@@ -127,14 +135,14 @@ class FlashSsd(StorageDevice):
                 return plan
         per_channel: Dict[int, float] = {}
         for channel, count in result.pages_per_channel.items():
-            per_channel[channel] = per_channel.get(channel, 0.0) + count * self.params.page_program
+            per_channel[channel] = per_channel.get(channel, 0.0) + count * PAGE_PROGRAM
         if relocated:
             # GC copyback work, spread over the channels it runs on
-            share = relocated * self.params.gc_page_cost / self.params.channels
+            share = relocated * GC_PAGE_COST / self.params.channels
             for channel in range(self.params.channels):
                 per_channel[channel] = per_channel.get(channel, 0.0) + share
         plan = CommandPlan(
-            controller_time=self.params.command_overhead,
+            controller_time=COMMAND_OVERHEAD,
             unit_work=tuple(per_channel.items()),
             link_bytes=length,
         )

@@ -35,6 +35,9 @@ _CHUNK_MASK = L2P_CHUNK - 1
 #: physical page numbers and lpns are stored as C ``int``s
 _PAGE_LIMIT = 1 << 31
 
+#: GC runs on a channel while it has fewer free blocks than this
+GC_FREE_BLOCK_THRESHOLD = 2
+
 
 @dataclass
 class EraseBlock:
@@ -99,7 +102,6 @@ class PageMappingFtl:
         channels: int = 8,
         pages_per_block: int = 256,
         overprovision: float = 0.07,
-        gc_free_block_threshold: int = 2,
     ) -> None:
         if channels <= 0 or pages_per_block <= 0:
             raise DeviceError("channels and pages_per_block must be positive")
@@ -110,13 +112,12 @@ class PageMappingFtl:
         self.pages_per_block = pages_per_block
         physical_pages = int(logical_pages * (1.0 + overprovision))
         per_channel_blocks = max(
-            gc_free_block_threshold + 2,
+            GC_FREE_BLOCK_THRESHOLD + 2,
             -(-physical_pages // (pages_per_block * channels)),
         )
         if max(logical_pages, per_channel_blocks * channels * pages_per_block) > _PAGE_LIMIT:
             raise DeviceError("page numbers must fit in 32 bits")
         self.blocks_per_channel = per_channel_blocks
-        self.gc_free_block_threshold = gc_free_block_threshold
         #: chunk -> ``array('i')`` of physical pages, -1 while unmapped
         self._l2p: Dict[int, array] = {}
         #: every created block, indexed by ``ppn // pages_per_block``
@@ -252,7 +253,7 @@ class PageMappingFtl:
         logical_pages = self.logical_pages
         channels = self.channels
         pages_per_block = self.pages_per_block
-        threshold = self.gc_free_block_threshold
+        threshold = GC_FREE_BLOCK_THRESHOLD
         blocks_per_channel = self.blocks_per_channel
         blocks = self._blocks
         chan = self._chan
@@ -336,7 +337,7 @@ class PageMappingFtl:
     def _maybe_gc(self, channel: int) -> Tuple[int, int]:
         relocated = 0
         erased = 0
-        while self._free_blocks_available(channel) < self.gc_free_block_threshold:
+        while self._free_blocks_available(channel) < GC_FREE_BLOCK_THRESHOLD:
             victim = self._pick_victim(channel)
             if victim is None:
                 break

@@ -12,8 +12,7 @@ serializes on one timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..block.request import IoOp
 from ..constants import GIB
@@ -27,24 +26,22 @@ SEEK_CACHE_ENTRIES = 4096
 _plan = tuple.__new__
 
 
-@dataclass(frozen=True)
-class HddParams:
-    """7200 RPM SATA-disk flavoured parameters."""
+# 7200 RPM SATA-disk flavoured parameters.
 
-    #: Minimum (track-to-track) seek time.
-    seek_min: float = 0.0003
-    #: Full-stroke seek time.
-    seek_max: float = 0.012
-    #: Seek-vs-distance profile exponent.  Short and medium seeks dominate
-    #: fragmented access; a quarter-power profile keeps the curve steep in
-    #: that regime (classic disk models use sqrt for long seeks only).
-    seek_exponent: float = 0.25
-    #: Average rotational latency (half a revolution at 7200 RPM).
-    rotational_latency: float = 0.00416
-    #: Media transfer rate, bytes/sec.
-    transfer_rate: float = 180e6
-    #: Per-command controller overhead.
-    command_overhead: float = 0.00005
+#: Minimum (track-to-track) seek time.
+SEEK_MIN = 0.0003
+#: Full-stroke seek time.
+SEEK_MAX = 0.012
+#: Seek-vs-distance profile exponent.  Short and medium seeks dominate
+#: fragmented access; a quarter-power profile keeps the curve steep in
+#: that regime (classic disk models use sqrt for long seeks only).
+SEEK_EXPONENT = 0.25
+#: Average rotational latency (half a revolution at 7200 RPM).
+ROTATIONAL_LATENCY = 0.00416
+#: Media transfer rate, bytes/sec.
+TRANSFER_RATE = 180e6
+#: Per-command controller overhead.
+COMMAND_OVERHEAD = 0.00005
 
 
 class HddDevice(StorageDevice):
@@ -59,9 +56,8 @@ class HddDevice(StorageDevice):
     #: provenance records label the single serial unit as the head
     provenance_unit = "head"
 
-    def __init__(self, capacity: int = 64 * GIB, params: Optional[HddParams] = None, name: str = "hdd") -> None:
-        super().__init__(name, capacity)
-        self.params = params = params if params is not None else HddParams()
+    def __init__(self, capacity: int = 64 * GIB) -> None:
+        super().__init__("hdd", capacity)
         self.head_position = 0
         # The seek curve is a pure function of distance (the head
         # *position* is live state, but the power-law evaluation is not);
@@ -69,7 +65,7 @@ class HddDevice(StorageDevice):
         # Bounded with FIFO eviction: values are pure, so which entry
         # goes cannot change a seek time.
         self._seek_cache: Dict[int, float] = {}
-        self._discard_plan = CommandPlan(controller_time=params.command_overhead)
+        self._discard_plan = CommandPlan(controller_time=COMMAND_OVERHEAD)
 
     def seek_time(self, distance: int) -> float:
         """Head movement time for a byte distance (power-law profile)."""
@@ -80,8 +76,7 @@ class HddDevice(StorageDevice):
         if cached is not None:
             return cached
         frac = min(1.0, distance / self.capacity)
-        span = self.params.seek_max - self.params.seek_min
-        result = self.params.seek_min + span * frac ** self.params.seek_exponent
+        result = SEEK_MIN + (SEEK_MAX - SEEK_MIN) * frac ** SEEK_EXPONENT
         if len(cache) >= SEEK_CACHE_ENTRIES:
             del cache[next(iter(cache))]
         cache[distance] = result
@@ -94,14 +89,14 @@ class HddDevice(StorageDevice):
         penalty = 0.0
         distance = abs(offset - self.head_position)
         if distance > 0:
-            penalty = self.seek_time(distance) + self.params.rotational_latency
-        mechanical = penalty + length / self.params.transfer_rate
+            penalty = self.seek_time(distance) + ROTATIONAL_LATENCY
+        mechanical = penalty + length / TRANSFER_RATE
         self.head_position = offset + length
         return _plan(CommandPlan, (
-            self.params.command_overhead, ((0, mechanical),), 0, penalty,
+            COMMAND_OVERHEAD, ((0, mechanical),), 0, penalty,
         ))
 
     def describe(self):
         info = super().describe()
-        info.update(kind="hdd", transfer_rate=self.params.transfer_rate)
+        info.update(kind="hdd", transfer_rate=TRANSFER_RATE)
         return info

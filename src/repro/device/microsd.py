@@ -28,15 +28,22 @@ from .base import CommandPlan, StorageDevice
 _plan = tuple.__new__
 
 
+#: bytes/sec media read
+READ_RATE = 90e6
+#: bytes/sec media write
+WRITE_RATE = 30e6
+#: serialized per-command interface cost
+COMMAND_OVERHEAD = 0.00025
+#: bytes covered by one mapping entry
+MAPPING_REGION = 1 * MIB
+#: flash read of a mapping page
+MAPPING_MISS_PENALTY = 0.00006
+DISCARD_OVERHEAD = 0.0002
+
+
 @dataclass(frozen=True)
 class MicroSdParams:
-    read_rate: float = 90e6          #: bytes/sec media read
-    write_rate: float = 30e6         #: bytes/sec media write
-    command_overhead: float = 0.00025  #: serialized per-command interface cost
-    mapping_region: int = 1 * MIB    #: bytes covered by one mapping entry
     mapping_cache_entries: int = 64  #: LRU capacity
-    mapping_miss_penalty: float = 0.00006  #: flash read of a mapping page
-    discard_overhead: float = 0.0002
 
 
 class MicroSdDevice(StorageDevice):
@@ -51,9 +58,9 @@ class MicroSdDevice(StorageDevice):
     #: provenance records label work by the mapping segment it touches
     provenance_unit = "segment"
 
-    def __init__(self, capacity: int = 32 * GIB, params: Optional[MicroSdParams] = None, name: str = "microsd") -> None:
-        super().__init__(name, capacity)
-        self.params = params = params if params is not None else MicroSdParams()
+    def __init__(self, capacity: int = 32 * GIB, params: Optional[MicroSdParams] = None) -> None:
+        super().__init__("microsd", capacity)
+        self.params = params if params is not None else MicroSdParams()
         self._mapping_cache: "OrderedDict[int, None]" = OrderedDict()
         self.mapping_hits = 0
         self.mapping_misses = 0
@@ -62,25 +69,25 @@ class MicroSdDevice(StorageDevice):
         # must be rebuilt per command; only the constant discard plan and
         # hoisted parameters are precomputed.
         self._discard_plan = CommandPlan(
-            controller_time=params.command_overhead + params.discard_overhead
+            controller_time=COMMAND_OVERHEAD + DISCARD_OVERHEAD
         )
 
     def _mapping_lookup(self, offset: int, length: int) -> float:
         """Charge mapping-cache misses for every region the command spans."""
         penalty = 0.0
-        params = self.params
+        entries = self.params.mapping_cache_entries
         cache = self._mapping_cache
-        first = offset // params.mapping_region
-        last = (offset + length - 1) // params.mapping_region
+        first = offset // MAPPING_REGION
+        last = (offset + length - 1) // MAPPING_REGION
         for region in range(first, last + 1):
             if region in cache:
                 cache.move_to_end(region)
                 self.mapping_hits += 1
             else:
                 self.mapping_misses += 1
-                penalty += params.mapping_miss_penalty
+                penalty += MAPPING_MISS_PENALTY
                 cache[region] = None
-                if len(cache) > params.mapping_cache_entries:
+                if len(cache) > entries:
                     cache.popitem(last=False)
         return penalty
 
@@ -88,10 +95,10 @@ class MicroSdDevice(StorageDevice):
         if op is IoOp.DISCARD:
             return self._discard_plan
         penalty = self._mapping_lookup(offset, length)
-        rate = self.params.read_rate if op is IoOp.READ else self.params.write_rate
+        rate = READ_RATE if op is IoOp.READ else WRITE_RATE
         media = penalty + length / rate
         return _plan(CommandPlan, (
-            self.params.command_overhead, ((0, media),), 0, penalty,
+            COMMAND_OVERHEAD, ((0, media),), 0, penalty,
         ))
 
     def describe(self):

@@ -17,8 +17,7 @@ Endurance is tracked as total bytes written against a DWPD budget
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..block.request import IoOp
 from ..constants import BLOCK_SIZE, GIB
@@ -28,16 +27,20 @@ from .base import CommandPlan, StorageDevice, extend_sums as _extend_sums
 PLAN_CACHE_ENTRIES = 4096
 
 
-@dataclass(frozen=True)
-class OptaneParams:
-    banks: int = 4
-    page_read: float = 0.0000100    #: per 4 KiB page
-    page_write: float = 0.0000120   #: per 4 KiB page, in place
-    command_overhead: float = 0.0000020  #: controller, serial per command
-    interface_rate: float = 2600e6  #: PCIe 3.0 x4 effective
-    discard_per_command: float = 0.000008
-    dwpd: float = 10.0
-    warranty_years: float = 5.0
+#: independent 3D XPoint banks
+BANKS = 4
+#: media time per 4 KiB page read
+PAGE_READ = 0.0000100
+#: media time per 4 KiB page write, in place
+PAGE_WRITE = 0.0000120
+#: controller time, serial per command
+COMMAND_OVERHEAD = 0.0000020
+#: PCIe 3.0 x4 effective bytes/sec
+INTERFACE_RATE = 2600e6
+DISCARD_PER_COMMAND = 0.000008
+#: endurance rating: drive writes per day over the warranty
+DWPD = 10.0
+WARRANTY_YEARS = 5.0
 
 
 class OptaneSsd(StorageDevice):
@@ -52,17 +55,16 @@ class OptaneSsd(StorageDevice):
     #: provenance records label parallel units as XPoint banks
     provenance_unit = "bank"
 
-    def __init__(self, capacity: int = 64 * GIB, params: Optional[OptaneParams] = None, name: str = "optane") -> None:
-        super().__init__(name, capacity)
-        self.params = params = params if params is not None else OptaneParams()
-        self.link_rate = params.interface_rate
+    def __init__(self, capacity: int = 64 * GIB) -> None:
+        super().__init__("optane", capacity)
+        self.link_rate = INTERFACE_RATE
         # Plan memo: bank layout depends only on (op, first bank phase,
         # page count, length) and the model is stateless, so plans are
         # pure and cacheable without invalidation.  Bounded with FIFO
         # eviction: which entry goes cannot change a plan.
         self._plan_cache: Dict[Tuple[str, int, int, int], CommandPlan] = {}
         self._discard_plan = CommandPlan(
-            controller_time=params.command_overhead + params.discard_per_command
+            controller_time=COMMAND_OVERHEAD + DISCARD_PER_COMMAND
         )
         # Repeated-addition prefix tables: _sums[step][n] is exactly the
         # float the old per-page loop produced after n additions of
@@ -74,16 +76,15 @@ class OptaneSsd(StorageDevice):
 
     def bank_of(self, lpn: int) -> int:
         """Banks interleave at page granularity by address (in-place)."""
-        return lpn % self.params.banks
+        return lpn % BANKS
 
     def _plan_command(self, op: IoOp, offset: int, length: int) -> CommandPlan:
         if op is IoOp.DISCARD:
             return self._discard_plan
-        params = self.params
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
         cache = self._plan_cache
-        key = (op._value_, first % params.banks, last - first, length)
+        key = (op._value_, first % BANKS, last - first, length)
         plan = cache.get(key)
         if plan is not None:
             return plan
@@ -92,10 +93,10 @@ class OptaneSsd(StorageDevice):
         # for k < rem and base pages otherwise — no per-page loop.  Tuple
         # order matches the old loop's first-occurrence order.
         if op is IoOp.READ:
-            page_time, sums = params.page_read, self._read_sums
+            page_time, sums = PAGE_READ, self._read_sums
         else:
-            page_time, sums = params.page_write, self._write_sums
-        banks = params.banks
+            page_time, sums = PAGE_WRITE, self._write_sums
+        banks = BANKS
         pages = last - first + 1
         base, rem = divmod(pages, banks)
         phase = first % banks
@@ -103,7 +104,7 @@ class OptaneSsd(StorageDevice):
         _extend_sums(sums, base + 1, page_time)
         high, low = sums[base + 1], sums[base]
         plan = CommandPlan(
-            controller_time=params.command_overhead,
+            controller_time=COMMAND_OVERHEAD,
             unit_work=tuple(
                 ((phase + k) % banks, high if k < rem else low)
                 for k in range(occupied)
@@ -120,7 +121,7 @@ class OptaneSsd(StorageDevice):
     @property
     def lifetime_write_budget(self) -> float:
         """Total bytes the warranty covers (capacity * DWPD * days)."""
-        return self.capacity * self.params.dwpd * self.params.warranty_years * 365.0
+        return self.capacity * DWPD * WARRANTY_YEARS * 365.0
 
     @property
     def endurance_consumed(self) -> float:
@@ -129,6 +130,6 @@ class OptaneSsd(StorageDevice):
 
     def describe(self):
         info = super().describe()
-        info.update(kind="optane", banks=self.params.banks,
+        info.update(kind="optane", banks=BANKS,
                     endurance_consumed=self.endurance_consumed)
         return info

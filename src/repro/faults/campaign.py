@@ -23,14 +23,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..constants import KIB
 from ..core import FragPicker
 from ..core.report import DefragReport
-from ..errors import InjectedCrash
 from . import hooks as fault_hooks
-from .crashpoints import TOOLS, Scenario, build_scenario, crash_sweep, _run_quietly
+from .crashpoints import TOOLS, build_scenario, crash_sweep, _run_quietly
 from .plan import FaultPlan
 
 
@@ -43,8 +41,6 @@ class CampaignConfig:
     device: str = "optane"
     fs_type: str = "ext4"
     files: int = 4
-    pieces: int = 8
-    piece_size: int = 4 * KIB
 
     def plan(self) -> FaultPlan:
         """Compile the storm into a fault plan (unbounded-fire rules).
@@ -113,10 +109,7 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
     config = config if config is not None else CampaignConfig()
     plane = fault_hooks.FaultPlane(config.plan())
     with fault_hooks.use(plane):
-        scenario = build_scenario(
-            config.device, config.fs_type,
-            files=config.files, pieces=config.pieces, piece_size=config.piece_size,
-        )
+        scenario = build_scenario(config.device, config.fs_type, files=config.files)
         before = scenario.contents()
         picker = FragPicker(scenario.fs)
         plane.activate()
@@ -277,21 +270,21 @@ class SurvivalReport:
 
 def survival_report(
     seed: int = 0,
-    device: str = "optane",
+    devices: Sequence[str] = ("optane",),
     fs_type: str = "ext4",
-    devices: Optional[List[str]] = None,
     smoke: bool = False,
     trials: Optional[int] = None,
 ) -> SurvivalReport:
     """The full `repro faults` run.
 
-    ``smoke`` keeps CI fast: one device, FragPicker only, a small storm.
-    Otherwise both tools are swept on every requested device model.
+    Crash points are swept on every device in ``devices``; the campaign
+    runs on the first.  ``smoke`` keeps CI fast: FragPicker only, a
+    small storm.  Otherwise both tools are swept on every device.
     """
     out = SurvivalReport()
-    sweep_devices = devices if devices is not None else [device]
+    device = devices[0]
     tools = ("fragpicker",) if smoke else TOOLS
-    for dev in sweep_devices:
+    for dev in devices:
         for tool in tools:
             out.sweeps.append(
                 crash_sweep(device=dev, fs_type=fs_type, tool=tool, seed=seed)

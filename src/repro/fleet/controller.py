@@ -95,7 +95,7 @@ class FleetController:
     def _build_job(self, name: str, tick: int) -> DefragJob:
         volume = self.by_name[name]
         with volume.scope():
-            return DefragJob(volume, self.config, tick)
+            return DefragJob(volume, tick)
 
     def run_tick(self, tick: int) -> TickRow:
         config = self.config

@@ -17,14 +17,11 @@ and the fleet moves on — one crashed migration never stalls the fleet.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core import FragPicker, FragPickerConfig, FileRangeList
+from ..core import FragPicker, FileRangeList
 from ..core.frag_check import range_is_fragmented
 from ..core.report import DefragReport
 from ..errors import InjectedCrash
 from ..faults import hooks as fault_hooks
-from .spec import FleetConfig
 from .volume import Volume
 
 #: job lifecycle states
@@ -34,16 +31,14 @@ RUNNING, DONE, FAILED = "running", "done", "failed"
 class DefragJob:
     """One volume's admitted defragmentation, resumable across ticks."""
 
-    def __init__(self, volume: Volume, config: FleetConfig, tick: int) -> None:
+    def __init__(self, volume: Volume, tick: int) -> None:
         self.volume = volume
         self.admitted_tick = tick
         self.state = RUNNING
         self.migrated_bytes = 0          # reserved payload (budget units)
         self.blocked_ticks = 0           # ticks parked on a dry budget
         self.recovered_entries = 0       # journal entries replayed after a crash
-        self.picker = FragPicker(
-            volume.fs, FragPickerConfig(retry=config.retry)
-        )
+        self.picker = FragPicker(volume.fs)
         # plan only ranges that are fragmented *now*: the budget then
         # charges (almost) exactly what will migrate, instead of paying
         # for ranges the FIEMAP check would skip anyway

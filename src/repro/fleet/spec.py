@@ -16,7 +16,7 @@ seek-time devices, and a fleet scheduler should encode that policy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..constants import KIB, MIB
@@ -84,6 +84,10 @@ class VolumeSpec:
         }
 
 
+#: per-volume device capacity
+DEVICE_CAPACITY = 256 * MIB
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """The fleet simulator's knobs (all virtual-time; no wall clock)."""
@@ -106,8 +110,6 @@ class FleetConfig:
     cooldown_ticks: int = 4
     #: foreground ops each volume issues per tick (bounds host work)
     fg_ops_per_tick: int = 32
-    #: per-volume device capacity
-    device_capacity: int = 256 * MIB
     #: arm the seeded fleet fault storm (transient errors, latency
     #: spikes, and one mid-migration power-off) — see :meth:`fault_plan`
     faults: bool = False
@@ -115,8 +117,6 @@ class FleetConfig:
     #: :data:`WORKLOADS`, or ``trace:<path>`` to replay a captured trace
     #: (see :mod:`repro.replay.workload`); None keeps the seed-keyed mix
     workload: Optional[str] = None
-    #: bounded retry-with-backoff applied to every defrag job
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.volumes < 0:
@@ -167,9 +167,9 @@ class FleetConfig:
             "trigger": self.trigger,
             "cooldown_ticks": self.cooldown_ticks,
             "fg_ops_per_tick": self.fg_ops_per_tick,
-            "device_capacity": self.device_capacity,
+            "device_capacity": DEVICE_CAPACITY,
             "faults": self.faults,
-            "retry_attempts": self.retry.attempts,
+            "retry_attempts": RetryPolicy.attempts,
         }
         # conditional: absent when unset so pre-override fleet documents
         # keep their fingerprints byte-identical

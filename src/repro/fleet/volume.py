@@ -23,7 +23,7 @@ from ..errors import FaultError, InjectedCrash
 from ..fs import make_filesystem
 from ..obs.sampler import FragmentationSampler
 from ..workloads.synthetic import FragmentSpec, make_fragmented_file
-from .spec import WORKLOADS, FleetConfig, VolumeSpec
+from .spec import DEVICE_CAPACITY, WORKLOADS, FleetConfig, VolumeSpec
 
 #: foreground update request size
 _UPDATE_SIZE = 16 * KIB
@@ -40,7 +40,7 @@ class Volume:
         #: fs/device/sampler layers capture it) and then stores the
         #: child here; None on unarmed runs
         self.obs = None
-        self.device = make_device(spec.device, capacity=config.device_capacity)
+        self.device = make_device(spec.device, capacity=DEVICE_CAPACITY)
         self.fs = make_filesystem(spec.fs_type, self.device)
         now = 0.0
         for file_spec in spec.files:

@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..block.request import IoOp
 from ..block.scheduler import BlockScheduler, SubmitResult
 from ..block.splitter import split_ranges
-from ..block.tracer import BlockTracer
 from ..constants import (
     BLOCK_SIZE,
     MIB,
@@ -40,7 +38,6 @@ from ..errors import (
     FileExists,
     FileLocked,
     FileNotFound,
-    FilesystemError,
     InjectedCrash,
     InvalidArgument,
     TornWriteError,
@@ -99,16 +96,15 @@ class FileHandle:
         return self.fs.inode(self.ino).size
 
 
-@dataclass(frozen=True)
-class FsCosts:
-    """Host-side CPU cost knobs."""
-
-    syscall_overhead: float = 0.0000015
-    memcpy_rate: float = 6e9          # page-cache copy, bytes/sec
-    journal_record_bytes: int = 8192  # one metadata transaction
-    #: per-syscall cost of one attached eBPF probe (the paper measured the
-    #: analysis phase at <2% overhead on Optane)
-    monitor_overhead: float = 0.0000012
+#: host CPU per syscall
+SYSCALL_OVERHEAD = 0.0000015
+#: page-cache copy, bytes/sec
+MEMCPY_RATE = 6e9
+#: one metadata transaction
+JOURNAL_RECORD_BYTES = 8192
+#: per-syscall cost of one attached eBPF probe (the paper measured the
+#: analysis phase at <2% overhead on Optane)
+MONITOR_OVERHEAD = 0.0000012
 
 
 class Filesystem(abc.ABC):
@@ -120,12 +116,8 @@ class Filesystem(abc.ABC):
     def __init__(
         self,
         device: StorageDevice,
-        kernel_overhead_per_request: float = 0.000003,
         page_cache_pages: int = 1 << 20,
-        journaling: bool = True,
         metadata_region: int = 64 * MIB,
-        costs: Optional[FsCosts] = None,
-        tracer: Optional[BlockTracer] = None,
     ) -> None:
         self.device = device
         #: observability facade (captured at mount time; a null object —
@@ -141,9 +133,7 @@ class Filesystem(abc.ABC):
         # causal tracing armed: mint a provenance id per layer-crossing
         # syscall; only consulted inside _observing-guarded paths
         self._tracing = self._observing and self.obs.provenance is not None
-        self.scheduler = BlockScheduler(
-            device, kernel_overhead_per_request, tracer=tracer
-        )
+        self.scheduler = BlockScheduler(device)
         self.tracer = self.scheduler.tracer
         if metadata_region >= device.capacity:
             raise InvalidArgument("metadata region exceeds device capacity")
@@ -151,8 +141,6 @@ class Filesystem(abc.ABC):
         self.free_space = FreeSpaceManager(metadata_region, block_align_down(device.capacity))
         self.page_store = PageStore()
         self.page_cache = PageCache(page_cache_pages)
-        self.journaling = journaling
-        self.costs = costs if costs is not None else FsCosts()
         self.inodes: Dict[int, Inode] = {}
         self.paths: Dict[str, int] = {}
         self._next_ino = 1
@@ -216,7 +204,7 @@ class Filesystem(abc.ABC):
         del self.paths[path]
         del self.inodes[inode.ino]
         self._meta_dirty = True
-        finish = now + self.costs.syscall_overhead
+        finish = now + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.syscall("unlink", finish - now)
             self.obs.fs_cpu(finish - now)
@@ -229,11 +217,11 @@ class Filesystem(abc.ABC):
     def attach_monitor(self, probe: Callable[[SyscallEvent], None]) -> None:
         self._monitors.append(probe)
         # extra syscall latency while eBPF probes are attached
-        self._probe_cost = self.costs.monitor_overhead * len(self._monitors)
+        self._probe_cost = MONITOR_OVERHEAD * len(self._monitors)
 
     def detach_monitor(self, probe: Callable[[SyscallEvent], None]) -> None:
         self._monitors.remove(probe)
-        self._probe_cost = self.costs.monitor_overhead * len(self._monitors)
+        self._probe_cost = MONITOR_OVERHEAD * len(self._monitors)
 
     def _emit(self, event: SyscallEvent) -> None:
         for probe in self._monitors:
@@ -287,7 +275,7 @@ class Filesystem(abc.ABC):
         if self._faulting and self.faults.active:
             now, _ = self._fault_syscall("read", inode, offset, length, now)
         if length == 0:
-            finish = now + self.costs.syscall_overhead
+            finish = now + SYSCALL_OVERHEAD
             return SyscallResult(finish, finish - now, 0, 0, b"" if want_data else None)
         entry_time = now
         now += self._probe_cost
@@ -322,9 +310,9 @@ class Filesystem(abc.ABC):
             raise InvalidArgument(f"O_DIRECT read misaligned: offset={offset} length={length}")
         ranges = split_ranges(inode.extent_map.disk_ranges(offset, length))
         submit = self.scheduler.submit(IoOp.READ, ranges, now, handle.app, pid)
-        finish = max(submit.finish_time, now) + self.costs.syscall_overhead
+        finish = max(submit.finish_time, now) + SYSCALL_OVERHEAD
         if self._observing:
-            self.obs.fs_cpu(self.costs.syscall_overhead)
+            self.obs.fs_cpu(SYSCALL_OVERHEAD)
         return finish, submit.commands, length
 
     def _read_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
@@ -356,10 +344,10 @@ class Filesystem(abc.ABC):
                 finish = self._writeback_pages(
                     _group_pages(evicted), finish, pid=pid
                 ).finish_time
-        copy_time = length / self.costs.memcpy_rate
-        finish += copy_time + self.costs.syscall_overhead
+        copy_time = length / MEMCPY_RATE
+        finish += copy_time + SYSCALL_OVERHEAD
         if self._observing:
-            self.obs.fs_cpu(copy_time + self.costs.syscall_overhead)
+            self.obs.fs_cpu(copy_time + SYSCALL_OVERHEAD)
         return finish, requests, length
 
     # ------------------------------------------------------------------
@@ -431,16 +419,16 @@ class Filesystem(abc.ABC):
         submit = self.scheduler.submit(
             IoOp.WRITE, split_ranges(ranges), now, handle.app, pid
         )
-        finish = max(submit.finish_time, now) + self.costs.syscall_overhead
+        finish = max(submit.finish_time, now) + SYSCALL_OVERHEAD
         if self._observing:
-            self.obs.fs_cpu(self.costs.syscall_overhead)
+            self.obs.fs_cpu(SYSCALL_OVERHEAD)
         return finish, submit.commands, length
 
     def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
         evicted = self.page_cache.mark_dirty(inode.ino, range(first, last + 1))
-        finish = now + length / self.costs.memcpy_rate + self.costs.syscall_overhead
+        finish = now + length / MEMCPY_RATE + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.fs_cpu(finish - now)
         if evicted:
@@ -465,10 +453,10 @@ class Filesystem(abc.ABC):
             finish = submit.finish_time
         meta = self._commit_metadata(finish, tag="meta", pid=pid)
         requests += meta.commands
-        finish = max(finish, meta.finish_time) + self.costs.syscall_overhead
+        finish = max(finish, meta.finish_time) + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.syscall("fsync", finish - now)
-            self.obs.fs_cpu(self.costs.syscall_overhead)
+            self.obs.fs_cpu(SYSCALL_OVERHEAD)
             if pid:
                 self.obs.provenance.syscall(
                     pid, "fsync", app=handle.app, path=inode.path,
@@ -553,7 +541,7 @@ class Filesystem(abc.ABC):
         else:
             self._allocate_range(inode, offset, length)
         self._meta_dirty = True
-        finish = now + self.costs.syscall_overhead
+        finish = now + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.syscall("fallocate", finish - now)
             self.obs.fs_cpu(finish - now)
@@ -634,7 +622,7 @@ class Filesystem(abc.ABC):
             self.page_store.zero_range(inode.ino, size, max(0, inode.size - size))
         inode.size = size
         self._meta_dirty = True
-        finish = now + self.costs.syscall_overhead
+        finish = now + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.syscall("truncate", finish - now)
             self.obs.fs_cpu(finish - now)
@@ -672,10 +660,10 @@ class Filesystem(abc.ABC):
         transactions); the write happens here, at fsync/sync time.  The
         journal write is attributed to the flushing syscall via ``pid``.
         """
-        if not self.journaling or not self._meta_dirty:
+        if not self._meta_dirty:
             return SubmitResult(now, 0.0, 0, 0.0, 0.0)
         self._meta_dirty = False
-        record = self.costs.journal_record_bytes
+        record = JOURNAL_RECORD_BYTES
         offset = self._journal_head
         if offset + record > self.metadata_region:
             offset = 0

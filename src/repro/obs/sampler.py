@@ -31,6 +31,9 @@ from ..constants import MIB
 from ..stats.timeline import Series
 from . import hooks as obs_hooks
 
+#: the event-ring track samples are emitted on
+TRACK = "frag"
+
 #: series names, in display order
 SERIES_NAMES = (
     "frag.extents_per_file",
@@ -60,7 +63,6 @@ class FragmentationSampler:
         interval: float = 0.05,
         paths: Optional[Sequence[str]] = None,
         max_samples: int = 4096,
-        track: str = "frag",
     ) -> None:
         if interval <= 0:
             raise ValueError("sampler interval must be positive")
@@ -68,7 +70,6 @@ class FragmentationSampler:
         self.interval = interval
         self.paths: Optional[List[str]] = list(paths) if paths is not None else None
         self.max_samples = max_samples
-        self.track = track
         self.series: Dict[str, Series] = {name: Series(name) for name in SERIES_NAMES}
         self.samples_taken = 0
         self.obs = obs_hooks.current()
@@ -148,7 +149,7 @@ class FragmentationSampler:
         if self.obs.enabled:
             for name, value in reading.items():
                 self.obs.registry.gauge(name).set(value)
-            self.obs.event("frag.sample", now, track=self.track, **reading)
+            self.obs.event("frag.sample", now, track=TRACK, **reading)
         if len(self.series["frag.contiguity"]) > self.max_samples:
             # bound memory on long runs: halve resolution, double cadence
             for series in self.series.values():

@@ -233,10 +233,10 @@ class SloPlane:
     """Windowed values + one evaluator per spec, behind a single surface.
 
     Windows are fixed-width and keyed to the virtual clock: window ``i``
-    covers ``[origin + i * window, origin + (i + 1) * window)``.  The
-    plane keeps every value of every watched metric for each window not
-    yet evaluated, so a window's verdict judges all of its samples, and
-    releases a window's values once every spec has evaluated it.
+    covers ``[i * window, (i + 1) * window)``.  The plane keeps every
+    value of every watched metric for each window not yet evaluated, so
+    a window's verdict judges all of its samples, and releases a
+    window's values once every spec has evaluated it.
     Values for metrics no spec watches, or for windows already
     evaluated, can never be judged and are not kept.
 
@@ -254,7 +254,6 @@ class SloPlane:
         self,
         specs: Sequence[SloSpec],
         window: float,
-        origin: float = 0.0,
     ) -> None:
         if window <= 0:
             raise ValueError("window width must be positive")
@@ -263,7 +262,6 @@ class SloPlane:
         if len(set(names)) != len(names):
             raise ValueError("duplicate SLO spec names")
         self.window = window
-        self.origin = origin
         #: metric -> window index -> values, for windows not yet evaluated
         self._values: Dict[str, Dict[int, List[float]]] = {
             spec.metric: {} for spec in self.specs
@@ -287,11 +285,11 @@ class SloPlane:
 
     def index_of(self, now: float) -> int:
         """The window index holding virtual time ``now`` (clamped >= 0)."""
-        return max(0, int(math.floor((now - self.origin) / self.window)))
+        return max(0, int(math.floor(now / self.window)))
 
     def window_end(self, index: int) -> float:
         """Virtual time at which window ``index`` closes."""
-        return self.origin + (index + 1) * self.window
+        return (index + 1) * self.window
 
     # -- ingest --------------------------------------------------------
 

@@ -69,6 +69,9 @@ DEFAULT_REGION_BYTES = 4 * MIB
 #: actions accepted from blktrace text (Q = queued at the block layer)
 DEFAULT_ACTIONS = frozenset({"Q"})
 
+#: bytes per blktrace sector
+SECTOR_BYTES = 512
+
 
 @dataclass
 class ParseStats:
@@ -145,7 +148,6 @@ class BlktraceTextReader(TraceReader):
         path: str,
         region_bytes: int = DEFAULT_REGION_BYTES,
         actions: frozenset = DEFAULT_ACTIONS,
-        sector_bytes: int = 512,
     ) -> None:
         super().__init__()
         if region_bytes <= 0:
@@ -153,7 +155,6 @@ class BlktraceTextReader(TraceReader):
         self.path = path
         self.region_bytes = region_bytes
         self.actions = actions
-        self.sector_bytes = sector_bytes
 
     def _records(self) -> Iterator[IoOp]:
         with open(self.path, "r", errors="replace") as fh:
@@ -192,11 +193,11 @@ class BlktraceTextReader(TraceReader):
         if nsectors <= 0 or sector < 0 or time < 0:
             self._skip("zero_length" if nsectors <= 0 else "malformed")
             return None
-        byte_offset = sector * self.sector_bytes
+        byte_offset = sector * SECTOR_BYTES
         # TraceTracker-style entity lifting: LBA region -> file entity
         file_id = byte_offset // self.region_bytes
         offset = byte_offset % self.region_bytes
-        return IoOp(op, file_id, offset, nsectors * self.sector_bytes, time)
+        return IoOp(op, file_id, offset, nsectors * SECTOR_BYTES, time)
 
 
 class CsvTraceReader(TraceReader):
@@ -377,7 +378,7 @@ def sniff_format(path: str) -> str:
     return "blktrace"
 
 
-def open_trace(path: str, fmt: str = "auto", **kwargs) -> TraceReader:
+def open_trace(path: str, fmt: str = "auto") -> TraceReader:
     """A streaming reader for ``path`` (``fmt='auto'`` sniffs)."""
     if fmt == "auto":
         fmt = sniff_format(path)
@@ -386,5 +387,5 @@ def open_trace(path: str, fmt: str = "auto", **kwargs) -> TraceReader:
     if fmt == "csv":
         return CsvTraceReader(path)
     if fmt == "blktrace":
-        return BlktraceTextReader(path, **kwargs)
+        return BlktraceTextReader(path)
     raise InvalidArgument(f"unknown trace format {fmt!r} (want one of {FORMATS})")

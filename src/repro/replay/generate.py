@@ -22,6 +22,12 @@ from ..types import IoOp
 from .formats import BinaryTraceWriter, HEADER_SIZE
 
 
+#: request-size choices (block-aligned)
+REQUEST_SIZES = (4 * KIB, 16 * KIB, 64 * KIB, 128 * KIB)
+#: zipf-ish skew: probability mass concentrates on low file ids
+SKEW = 1.1
+
+
 @dataclass(frozen=True)
 class TraceProfile:
     """Knobs of the generated workload shape."""
@@ -35,10 +41,6 @@ class TraceProfile:
     read_fraction: float = 0.7
     #: fraction of ops continuing the file's current sequential run
     sequential_fraction: float = 0.6
-    #: request-size choices (block-aligned)
-    request_sizes: tuple = (4 * KIB, 16 * KIB, 64 * KIB, 128 * KIB)
-    #: zipf-ish skew: probability mass concentrates on low file ids
-    skew: float = 1.1
     #: mean virtual inter-arrival gap between ops, seconds
     interarrival: float = 0.0002
     #: fsync roughly every N writes per file (0 disables)
@@ -54,21 +56,6 @@ class TraceProfile:
             raise InvalidArgument("files must be >= 1")
         if self.file_bytes < BLOCK_SIZE:
             raise InvalidArgument("file_bytes must cover one block")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ops": self.ops,
-            "seed": self.seed,
-            "files": self.files,
-            "file_bytes": self.file_bytes,
-            "read_fraction": self.read_fraction,
-            "sequential_fraction": self.sequential_fraction,
-            "request_sizes": list(self.request_sizes),
-            "skew": self.skew,
-            "interarrival": self.interarrival,
-            "fsync_every": self.fsync_every,
-            "direct_fraction": self.direct_fraction,
-        }
 
 
 def _draw_ops(
@@ -92,8 +79,8 @@ def _draw_ops(
     slots = max(1, profile.file_bytes // BLOCK_SIZE)
     for index in indices:
         u = rng.random()
-        file_id = min(files - 1, int(files * (u ** profile.skew)))
-        size = rng.choice(profile.request_sizes)
+        file_id = min(files - 1, int(files * (u ** SKEW)))
+        size = rng.choice(REQUEST_SIZES)
         if rng.random() < profile.sequential_fraction:
             offset = cursor.get(file_id, 0)
             if offset + size > profile.file_bytes:

@@ -40,6 +40,12 @@ from ..types import IoOp
 
 #: default per-file address-space cap (trace offsets wrap into it)
 DEFAULT_FILE_CAP = 16 * MIB
+#: default number of directories placed files spread over
+DEFAULT_FANOUT = 16
+#: directory every placed path lives under
+ROOT = "/replay"
+#: the app name (and block-tracer tag) replayed syscalls carry
+APP = "replay"
 
 
 class PlacementPolicy:
@@ -48,8 +54,7 @@ class PlacementPolicy:
     def __init__(
         self,
         seed: int = 0,
-        root: str = "/replay",
-        fanout: int = 16,
+        fanout: int = DEFAULT_FANOUT,
         file_cap: int = DEFAULT_FILE_CAP,
         mapping: Optional[Dict[int, str]] = None,
     ) -> None:
@@ -58,7 +63,6 @@ class PlacementPolicy:
         if file_cap < BLOCK_SIZE:
             raise InvalidArgument("file_cap must cover at least one block")
         self.seed = seed
-        self.root = root.rstrip("/")
         self.fanout = fanout
         self.file_cap = file_cap
         self.mapping = dict(mapping) if mapping else {}
@@ -72,18 +76,9 @@ class PlacementPolicy:
         if cached is None:
             rng = random.Random(f"repro.replay:{self.seed}:place:{file_id}")
             bucket = rng.randrange(self.fanout)
-            cached = f"{self.root}/d{bucket:02d}/f{file_id:08x}"
+            cached = f"{ROOT}/d{bucket:02d}/f{file_id:08x}"
             self._cache[file_id] = cached
         return cached
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "root": self.root,
-            "fanout": self.fanout,
-            "file_cap": self.file_cap,
-            "explicit_mappings": len(self.mapping),
-        }
 
 
 @dataclass
@@ -146,14 +141,12 @@ class Reconstructor:
         fs: Filesystem,
         policy: Optional[PlacementPolicy] = None,
         pacing: str = "afap",
-        app: str = "replay",
     ) -> None:
         if pacing not in ("afap", "trace"):
             raise InvalidArgument(f"unknown pacing {pacing!r}")
         self.fs = fs
         self.policy = policy if policy is not None else PlacementPolicy()
         self.pacing = pacing
-        self.app = app
         self.stats = ReconstructionStats()
         #: (file_id, o_direct) -> open handle; O(distinct files) state
         self._handles: Dict[Tuple[int, bool], FileHandle] = {}
@@ -169,7 +162,7 @@ class Reconstructor:
             path = self.policy.path_for(file_id)
             created = not self.fs.exists(path)
             handle = self.fs.open(
-                path, o_direct=o_direct, app=self.app, create=True
+                path, o_direct=o_direct, app=APP, create=True
             )
             if created:
                 self.stats.files_created += 1

@@ -32,6 +32,8 @@ from ..obs import hooks as obs_hooks
 from ..obs.hooks import AttributionInstrumentation
 from .formats import ParseStats, TraceReader, open_trace
 from .reconstruct import (
+    APP,
+    DEFAULT_FANOUT,
     DEFAULT_FILE_CAP,
     PlacementPolicy,
     ReconstructionStats,
@@ -53,8 +55,6 @@ class ReplayConfig:
     fmt: str = "auto"
     pacing: str = "afap"
     seed: int = 0
-    file_cap: int = DEFAULT_FILE_CAP
-    placement_fanout: int = 16
 
     def __post_init__(self) -> None:
         if self.pacing not in ("afap", "trace"):
@@ -67,8 +67,8 @@ class ReplayConfig:
             "format": self.fmt,
             "pacing": self.pacing,
             "seed": self.seed,
-            "file_cap": self.file_cap,
-            "placement_fanout": self.placement_fanout,
+            "file_cap": DEFAULT_FILE_CAP,
+            "placement_fanout": DEFAULT_FANOUT,
         }
 
 
@@ -227,12 +227,7 @@ def run_replay(
         fs = make_filesystem(config.fs_type, device)
         if reader is None:
             reader = open_trace(trace_path, config.fmt)
-        policy = PlacementPolicy(
-            seed=config.seed,
-            fanout=config.placement_fanout,
-            file_cap=config.file_cap,
-            mapping=mapping,
-        )
+        policy = PlacementPolicy(seed=config.seed, mapping=mapping)
         reconstructor = Reconstructor(fs, policy, pacing=config.pacing)
         cache = fs.page_cache.stats
         hits0, misses0 = cache.hits, cache.misses
@@ -248,7 +243,7 @@ def run_replay(
             cache_hits=cache.hits - hits0,
             cache_misses=cache.misses - misses0,
         )
-        replayed = fs.tracer.tag("replay")
+        replayed = fs.tracer.tag(APP)
         result.device_read_bytes = replayed.read_bytes
         result.device_write_bytes = replayed.write_bytes
         result.device_read_commands = replayed.read_commands

@@ -29,7 +29,7 @@ def parse_trace_workload(workload: str) -> Optional[str]:
     return path
 
 
-def cycling_ops(path: str, fmt: str = "auto", **reader_kwargs) -> Iterator[IoOp]:
+def cycling_ops(path: str, fmt: str = "auto") -> Iterator[IoOp]:
     """Endless op stream over a finite trace (re-opens at EOF).
 
     Timestamps are ignored by consumers of this stream (the fleet runs
@@ -38,7 +38,7 @@ def cycling_ops(path: str, fmt: str = "auto", **reader_kwargs) -> Iterator[IoOp]
     spinning forever.
     """
     while True:
-        reader = open_trace(path, fmt, **reader_kwargs)
+        reader = open_trace(path, fmt)
         yielded = 0
         for record in reader:
             yielded += 1

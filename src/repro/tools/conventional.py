@@ -69,7 +69,6 @@ class ConventionalDefragmenter:
         fs: Filesystem,
         config: Optional[ConventionalConfig] = None,
         tool_name: str = "conventional",
-        journal: Optional[MigrationJournal] = None,
     ) -> None:
         self.fs = fs
         self.config = config if config is not None else ConventionalConfig()
@@ -77,7 +76,7 @@ class ConventionalDefragmenter:
         #: optional crash-safety journal for the in-place punch path, so
         #: the crash harness can hold conventional tools to the same
         #: recoverability contract as FragPicker
-        self.journal = journal
+        self.journal: Optional[MigrationJournal] = None
 
     # ------------------------------------------------------------------
     # public API

@@ -13,6 +13,9 @@ from ..block.request import IoOp
 from ..constants import GIB
 from ..fs.base import Filesystem
 
+#: the block-tracer tag fstrim's discards carry
+APP = "fstrim"
+
 
 @dataclass(frozen=True)
 class FstrimResult:
@@ -30,10 +33,9 @@ class FstrimResult:
 class Fstrim:
     """Issue one DISCARD per free-space run."""
 
-    def __init__(self, fs: Filesystem, max_discard_size: int = 2 * GIB, app: str = "fstrim") -> None:
+    def __init__(self, fs: Filesystem, max_discard_size: int = 2 * GIB) -> None:
         self.fs = fs
         self.max_discard_size = max_discard_size
-        self.app = app
 
     def run(self, now: float = 0.0, min_run: int = 0) -> FstrimResult:
         """Trim every free run of at least ``min_run`` bytes."""
@@ -49,7 +51,7 @@ class Fstrim:
                 take = min(remaining, self.max_discard_size)
                 # fstrim issues trims synchronously, one ioctl at a time
                 now = self.fs.scheduler.submit(
-                    IoOp.DISCARD, [(pos, take)], now, self.app
+                    IoOp.DISCARD, [(pos, take)], now, APP
                 ).finish_time
                 discarded += take
                 commands += 1

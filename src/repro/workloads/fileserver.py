@@ -20,21 +20,25 @@ from ..errors import InvalidArgument
 from ..fs.base import Filesystem
 
 
+#: per-append size during churn
+APPEND_CHUNK = 8 * KIB
+#: the app name (and block-tracer tag) the file set's syscalls carry;
+#: its writes are O_DIRECT, as the paper configures
+APP = "fileserver"
+
+
 @dataclass(frozen=True)
 class FileServerConfig:
     directory: str = "/fileserver"
     file_count: int = 100
     mean_file_size: int = 1 * MIB      # scaled from the paper's 8.4 MB
-    append_chunk: int = 8 * KIB        # per-append size during churn
     churn_rounds: int = 2              # delete/recreate passes
     #: leading fraction of each file written in one go (contiguous base);
     #: the rest arrives as interleaved appends over time, so files end up
     #: with a clean head and a shredded tail — the layout mix that lets a
     #: selective defragmenter skip work a full-file tool cannot
     contiguous_fraction: float = 0.5
-    o_direct: bool = True              # the paper configures O_DIRECT
     seed: int = 11
-    app: str = "fileserver"
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class FileServer:
             block_align_up(int(size * self.config.contiguous_fraction)) for size in sizes
         ]
         for path, base in zip(paths, bases):
-            handle = self.fs.open(path, o_direct=self.config.o_direct, app=self.config.app, create=True)
+            handle = self.fs.open(path, o_direct=True, app=APP, create=True)
             if base > 0:
                 now = self.fs.write(handle, 0, base, now=now).finish_time
         tails = [size - base for size, base in zip(sizes, bases)]
@@ -95,7 +99,7 @@ class FileServer:
     def _interleaved_append(self, paths: List[str], offsets: List[int], amounts: List[int], now: float) -> float:
         """Round-robin small appends across the files (the shredder)."""
         handles = [
-            self.fs.open(path, o_direct=self.config.o_direct, app=self.config.app, create=True)
+            self.fs.open(path, o_direct=True, app=APP, create=True)
             for path in paths
         ]
         offsets = list(offsets)
@@ -104,7 +108,7 @@ class FileServer:
         while live:
             next_live = []
             for idx in live:
-                chunk = min(self.config.append_chunk, targets[idx] - offsets[idx])
+                chunk = min(APPEND_CHUNK, targets[idx] - offsets[idx])
                 if chunk <= 0:
                     continue
                 now = self.fs.write(handles[idx], offsets[idx], chunk, now=now).finish_time

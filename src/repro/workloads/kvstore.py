@@ -41,16 +41,23 @@ def _parse_blocks(data: bytes, block_size: int) -> List[Tuple[bytes, bytes]]:
     return items
 
 
+#: where the store keeps its WAL and tables
+DIRECTORY = "/rocksdb"
+#: the app name (and block-tracer tag) the store's syscalls carry; its
+#: tables are O_DIRECT, as the paper sets
+APP = "rocksdb"
+#: size of each L1 table compaction writes
+SST_TARGET_BYTES = 16 * MIB
+#: L0 tables that trigger an L0 -> L1 compaction
+L0_COMPACTION_TRIGGER = 4
+#: WAL appends between fsyncs
+WAL_SYNC_EVERY = 64
+
+
 @dataclass(frozen=True)
 class LsmConfig:
-    directory: str = "/rocksdb"
     block_size: int = 128 * KIB          # the paper configures 128 KiB
     memtable_bytes: int = 4 * MIB
-    sst_target_bytes: int = 16 * MIB
-    l0_compaction_trigger: int = 4
-    wal_sync_every: int = 64
-    o_direct: bool = True                # the paper sets O_DIRECT
-    app: str = "rocksdb"
 
 
 @dataclass
@@ -106,7 +113,7 @@ class LsmStore:
         now = self.fs.write(self._wal, self._wal_offset, data=record, now=now).finish_time
         self._wal_offset += len(record)
         self._wal_ops += 1
-        if self._wal_ops % self.config.wal_sync_every == 0:
+        if self._wal_ops % WAL_SYNC_EVERY == 0:
             now = self.fs.fsync(self._wal, now=now).finish_time
         if key not in self.memtable:
             self.memtable_bytes += len(key) + len(value)
@@ -141,7 +148,7 @@ class LsmStore:
         self.memtable_bytes = 0
         self.stats.flushes += 1
         now = self._reset_wal(now)
-        if len(self.level0) >= self.config.l0_compaction_trigger:
+        if len(self.level0) >= L0_COMPACTION_TRIGGER:
             now = self.compact(now)
         return now
 
@@ -164,7 +171,7 @@ class LsmStore:
         while pos < len(items):
             chunk: List[Tuple[bytes, bytes]] = []
             chunk_bytes = 0
-            while pos < len(items) and chunk_bytes < self.config.sst_target_bytes:
+            while pos < len(items) and chunk_bytes < SST_TARGET_BYTES:
                 chunk.append(items[pos])
                 chunk_bytes += len(items[pos][0]) + len(items[pos][1])
                 pos += 1
@@ -181,7 +188,7 @@ class LsmStore:
 
     @property
     def wal_path(self) -> str:
-        return f"{self.config.directory}/wal.log"
+        return f"{DIRECTORY}/wal.log"
 
     # ------------------------------------------------------------------
     # internals
@@ -189,7 +196,7 @@ class LsmStore:
 
     def _open_wal(self) -> FileHandle:
         # The WAL is buffered + fsynced (RocksDB's default path).
-        return self.fs.open(self.wal_path, o_direct=False, app=self.config.app, create=True)
+        return self.fs.open(self.wal_path, o_direct=False, app=APP, create=True)
 
     def _reset_wal(self, now: float) -> float:
         now = self.fs.truncate(self._wal, 0, now=now).finish_time
@@ -205,9 +212,9 @@ class LsmStore:
     ) -> float:
         if not items:
             return now
-        path = f"{self.config.directory}/sst{self._sst_counter:06d}.sst"
+        path = f"{DIRECTORY}/sst{self._sst_counter:06d}.sst"
         self._sst_counter += 1
-        handle = self.fs.open(path, o_direct=self.config.o_direct, app=self.config.app, create=True)
+        handle = self.fs.open(path, o_direct=True, app=APP, create=True)
         index: Dict[bytes, Tuple[int, int, int]] = {}
         block = bytearray()
         blocks: List[bytes] = []
@@ -243,7 +250,7 @@ class LsmStore:
 
     def _read_value(self, sst: SsTable, key: bytes, now: float) -> Tuple[float, bytes]:
         block_off, in_block, vlen = sst.index[key]
-        handle = self.fs.open(sst.path, o_direct=self.config.o_direct, app=self.config.app)
+        handle = self.fs.open(sst.path, o_direct=True, app=APP)
         length = min(self.config.block_size, block_align_up(sst.size) - block_off)
         result = self.fs.read(handle, block_off, length, now=now, want_data=True)
         self.stats.hits += 1
@@ -252,7 +259,7 @@ class LsmStore:
 
     def _read_table(self, sst: SsTable, now: float) -> Tuple[float, List[Tuple[bytes, bytes]]]:
         """Sequentially read and parse a whole table (compaction input)."""
-        handle = self.fs.open(sst.path, o_direct=self.config.o_direct, app=self.config.app)
+        handle = self.fs.open(sst.path, o_direct=True, app=APP)
         size = block_align_up(sst.size)
         chunks: List[bytes] = []
         pos = 0

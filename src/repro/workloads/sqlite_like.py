@@ -16,17 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..constants import BLOCK_SIZE, KIB
+from ..constants import KIB
 from ..errors import InvalidArgument
 from ..fs.base import Filesystem
+
+
+#: database page size (block aligned)
+PAGE_SIZE = 4 * KIB
+#: the app name (and block-tracer tag) the database's syscalls carry
+APP = "sqlite"
 
 
 @dataclass(frozen=True)
 class SqliteConfig:
     db_path: str = "/db.sqlite"
-    page_size: int = 4 * KIB
     synchronous: bool = True   # fsync journal + db on every page commit
-    app: str = "sqlite"
 
 
 class SqliteLike:
@@ -34,12 +38,10 @@ class SqliteLike:
 
     def __init__(self, fs: Filesystem, config: Optional[SqliteConfig] = None) -> None:
         config = config if config is not None else SqliteConfig()
-        if config.page_size % BLOCK_SIZE:
-            raise InvalidArgument("page size must be block aligned")
         self.fs = fs
         self.config = config
-        self.db = fs.open(config.db_path, o_direct=False, app=config.app, create=True)
-        self.journal = fs.open(config.db_path + "-journal", o_direct=False, app=config.app, create=True)
+        self.db = fs.open(config.db_path, o_direct=False, app=APP, create=True)
+        self.journal = fs.open(config.db_path + "-journal", o_direct=False, app=APP, create=True)
         self._page_fill: int = 0          # bytes used in the current leaf page
         self._page_count: int = 0
         self._row_pages: Dict[bytes, int] = {}
@@ -57,27 +59,27 @@ class SqliteLike:
         committed through the journal like any other page.
         """
         row_bytes = len(key) + value_size + 8  # header-ish overhead
-        if self._page_fill + row_bytes > self.config.page_size:
+        if self._page_fill + row_bytes > PAGE_SIZE:
             now = self._commit_page(now)
         self._row_pages[key] = self._page_count
         remaining = row_bytes
-        while remaining > self.config.page_size:
+        while remaining > PAGE_SIZE:
             # overflow page: filled completely by this row
-            self._page_fill = self.config.page_size
+            self._page_fill = PAGE_SIZE
             now = self._commit_page(now)
-            remaining -= self.config.page_size
+            remaining -= PAGE_SIZE
         self._page_fill += remaining
         self.rows += 1
         return now
 
     def _commit_page(self, now: float) -> float:
         """Journal the page, then write it to the database file."""
-        page_offset = self._page_count * self.config.page_size
-        journal_offset = self._page_count * self.config.page_size
-        now = self.fs.write(self.journal, journal_offset, self.config.page_size, now=now).finish_time
+        page_offset = self._page_count * PAGE_SIZE
+        journal_offset = self._page_count * PAGE_SIZE
+        now = self.fs.write(self.journal, journal_offset, PAGE_SIZE, now=now).finish_time
         if self.config.synchronous:
             now = self.fs.fsync(self.journal, now=now).finish_time
-        now = self.fs.write(self.db, page_offset, self.config.page_size, now=now).finish_time
+        now = self.fs.write(self.db, page_offset, PAGE_SIZE, now=now).finish_time
         if self.config.synchronous:
             now = self.fs.fsync(self.db, now=now).finish_time
         self._page_count += 1
@@ -107,8 +109,8 @@ class SqliteLike:
         if not 0.0 < fraction <= 1.0:
             raise InvalidArgument("fraction must be in (0, 1]")
         pages = int(self._page_count * fraction)
-        length = pages * self.config.page_size
-        handle = self.fs.open(self.config.db_path, o_direct=False, app=self.config.app)
+        length = pages * PAGE_SIZE
+        handle = self.fs.open(self.config.db_path, o_direct=False, app=APP)
         start = now
         offset = 0
         while offset < length:

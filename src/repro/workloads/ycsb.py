@@ -17,6 +17,12 @@ from .distributions import UniformKeys, ZipfianKeys
 from .kvstore import LsmStore
 
 
+#: skew of the zipfian key distribution
+ZIPF_THETA = 0.99
+#: application CPU per operation (request parsing, memtable work, ...)
+OP_CPU = 0.00003
+
+
 @dataclass(frozen=True)
 class YcsbConfig:
     record_count: int = 100_000
@@ -24,10 +30,7 @@ class YcsbConfig:
     read_proportion: float = 1.0
     update_proportion: float = 0.0
     distribution: str = "zipfian"  # "zipfian" | "uniform"
-    zipf_theta: float = 0.99
     seed: int = 42
-    #: application CPU per operation (request parsing, memtable work, ...)
-    op_cpu: float = 0.00003
 
     def __post_init__(self) -> None:
         if abs(self.read_proportion + self.update_proportion - 1.0) > 1e-9:
@@ -51,7 +54,7 @@ class YcsbWorkload:
         self._op_rng = random.Random(config.seed ^ 0x5EED)
         self._value_rng = random.Random(config.seed ^ 0xDA7A)
         if config.distribution == "zipfian":
-            self._keys = ZipfianKeys(config.record_count, config.zipf_theta, config.seed)
+            self._keys = ZipfianKeys(config.record_count, ZIPF_THETA, config.seed)
         elif config.distribution == "uniform":
             self._keys = UniformKeys(config.record_count, config.seed)
         else:
@@ -72,7 +75,7 @@ class YcsbWorkload:
 
     def one_op(self, now: float) -> Tuple[float, bool]:
         """Execute one operation; returns (finish, was_read)."""
-        now += self.config.op_cpu
+        now += OP_CPU
         key = _key(self._keys.next())
         if self._op_rng.random() < self.config.read_proportion:
             now, value = self.store.get(key, now=now)

@@ -14,7 +14,7 @@ from types import SimpleNamespace as NS
 
 import pytest
 
-from repro.bench.claims import CLAIMS, RELATIONS, Claim, evaluate
+from repro.bench.claims import CLAIMS, RELATIONS, Claim, evaluate, render
 from repro.cli import EXPERIMENTS
 
 EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
@@ -54,6 +54,14 @@ def test_ours_is_a_ratio_to_a_path_and_the_value_against_a_number():
     assert _claim("a < 0.75 * b").bound == "< 0.75×"
     assert _claim("a < b").bound == "< 1×"
     assert _claim("a > -0.4").bound == "> -0.4"
+
+
+@pytest.mark.parametrize("value,cell", [(3.089e-13, "0"), (1e-3, "0.001")])
+def test_float_noise_prints_as_zero_but_is_checked_exactly(value, cell):
+    (outcome,) = evaluate(_claim("a < 0.05"), NS(a=value))
+    assert outcome.ours == value and outcome.ok
+    row = render("fig2", {}, [outcome]).splitlines()[-1]
+    assert row.split(" | ")[2] == cell
 
 
 def test_a_fanned_out_row_fails_on_the_one_element_that_breaks():

@@ -66,6 +66,20 @@ def test_faults_smoke_survives(capsys, tmp_path):
     assert doc["campaign"]["data_intact"] is True
 
 
+def test_faults_device_flag_sweeps_each_device(capsys, tmp_path):
+    json_path = tmp_path / "faults.json"
+    assert main(["faults", "--smoke", "--device", "optane", "flash",
+                 "--json", str(json_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(json_path.read_text())
+    assert [sweep["device"] for sweep in doc["sweeps"]] == ["optane", "flash"]
+    assert all(s["recovered"] == s["points"] for s in doc["sweeps"])
+    # the campaign runs on the first device, and the manifest names it
+    assert doc["campaign"]["device"] == "optane"
+    (manifest,) = (tmp_path / "ledger").glob("*.json")
+    assert json.loads(manifest.read_text())["args"]["device"] == "optane"
+
+
 def test_trace_smoke_writes_flamegraph_and_flow_trace(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     flame_path = tmp_path / "flame.txt"

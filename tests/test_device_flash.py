@@ -2,7 +2,7 @@
 
 from repro.block import IoOp
 from repro.constants import GIB, KIB, MIB
-from repro.device.flash import FlashSsd
+from repro.device.flash import INTERFACE_RATE, PAGE_PROGRAM, PAGE_READ, FlashSsd
 
 
 def read(offset, length=4 * KIB):
@@ -17,7 +17,7 @@ def test_contiguous_read_uses_all_channels():
     ssd = FlashSsd(capacity=1 * GIB)
     big = ssd.submit(IoOp.READ, [read(0, 128 * KIB)], 0.0)
     # 32 pages over 8 channels: ~4 pages of serial flash time, not 32
-    assert big.latency < 32 * ssd.params.page_read
+    assert big.latency < 32 * PAGE_READ
 
 
 def test_channel_conflict_hurts():
@@ -40,7 +40,7 @@ def test_updates_stripe_regardless_of_address():
     r = ssd2.submit(IoOp.READ, [read(i * 8 * 4 * KIB) for i in range(16)], 0.0)
     # writes don't pay the channel conflict the reads pay (beyond the
     # program-vs-read latency ratio)
-    ratio = ssd.params.page_program / ssd2.params.page_read
+    ratio = PAGE_PROGRAM / PAGE_READ
     assert w.latency < r.latency * ratio
 
 
@@ -55,7 +55,7 @@ def test_read_follows_write_channel():
 def test_link_caps_throughput():
     ssd = FlashSsd(capacity=1 * GIB)
     result = ssd.submit(IoOp.READ, [read(0, 4 * MIB)], 0.0)
-    assert result.latency >= 4 * MIB / ssd.params.interface_rate
+    assert result.latency >= 4 * MIB / INTERFACE_RATE
 
 
 def test_discard_invalidates_mapping():

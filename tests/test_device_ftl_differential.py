@@ -556,12 +556,12 @@ def test_flash_write_plan_channel_order_from_ftl():
     a write starting mid-rotation must list channels from the cursor."""
     from repro.block.request import IoOp
     from repro.constants import BLOCK_SIZE, MIB
-    from repro.device.flash import FlashSsd
+    from repro.device.flash import PAGE_PROGRAM, FlashSsd
 
     ssd = FlashSsd(capacity=64 * MIB)
     ssd.submit(IoOp.WRITE, [(0, 3 * BLOCK_SIZE)])
     plan = ssd._plan_command(IoOp.WRITE, 0, 10 * BLOCK_SIZE)
     assert [unit for unit, _ in plan.unit_work] == [3, 4, 5, 6, 7, 0, 1, 2]
     work = dict(plan.unit_work)
-    assert work[3] == work[4] == 2 * ssd.params.page_program
-    assert work[5] == ssd.params.page_program
+    assert work[3] == work[4] == 2 * PAGE_PROGRAM
+    assert work[5] == PAGE_PROGRAM

@@ -414,11 +414,11 @@ def _naive_split_ranges(ranges, max_request_size):
 @pytest.mark.parametrize("seed", [1337, 99991])
 def test_optane_batch_plan_matches_naive_loop(seed):
     from repro.block.request import IoOp
+    from repro.device import optane
     from repro.device.optane import OptaneSsd
 
     rng = random.Random(seed)
     device = OptaneSsd()
-    params = device.params
     for _ in range(400):
         op = IoOp.READ if rng.random() < 0.5 else IoOp.WRITE
         offset = rng.randrange(0, 4096 * BLOCK)
@@ -426,12 +426,12 @@ def test_optane_batch_plan_matches_naive_loop(seed):
         plan = device._plan_command(op, offset, length)
         first = offset // BLOCK
         last = (offset + length - 1) // BLOCK
-        page_time = (params.page_read if op is IoOp.READ
-                     else params.page_write)
+        page_time = (optane.PAGE_READ if op is IoOp.READ
+                     else optane.PAGE_WRITE)
         # equality on the float values is bit-exact for these totals:
         # any last-ulp drift from the old accumulation loop must fail
         assert plan.unit_work == _naive_optane_unit_work(
-            first, last, params.banks, page_time
+            first, last, optane.BANKS, page_time
         )
         assert plan.link_bytes == length
 
@@ -439,11 +439,10 @@ def test_optane_batch_plan_matches_naive_loop(seed):
 @pytest.mark.parametrize("seed", [1337, 3141])
 def test_flash_batch_read_plan_matches_naive_loop(seed):
     from repro.block.request import IoOp
-    from repro.device.flash import FlashSsd
+    from repro.device.flash import PAGE_READ, FlashSsd
 
     rng = random.Random(seed)
     device = FlashSsd()
-    params = device.params
     # one range read again and again while it is rewritten and discarded
     # underneath: a cached plan must never outlive a remap
     hot_offset, hot_length = 512 * BLOCK, 20 * BLOCK + 1
@@ -470,7 +469,7 @@ def test_flash_batch_read_plan_matches_naive_loop(seed):
         first = offset // BLOCK
         last = (offset + length - 1) // BLOCK
         assert plan.unit_work == _naive_flash_read_unit_work(
-            device.ftl, first, last, params.page_read
+            device.ftl, first, last, PAGE_READ
         )
         assert plan.link_bytes == length
         if offset == hot_offset:

@@ -5,7 +5,7 @@ import pytest
 from repro.constants import GIB, KIB, MIB
 from repro.device import make_device
 from repro.fs import make_filesystem
-from repro.workloads.kvstore import LsmConfig, LsmStore, _parse_blocks, _LEN
+from repro.workloads.kvstore import L0_COMPACTION_TRIGGER, LsmConfig, LsmStore, _parse_blocks, _LEN
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ def test_newest_value_wins_across_levels(store):
 
 def test_compaction_merges_and_deletes_old_files(store):
     now = 0.0
-    for round_idx in range(store.config.l0_compaction_trigger):
+    for round_idx in range(L0_COMPACTION_TRIGGER):
         for i in range(30):
             now = store.put(b"key%04d" % i, b"round%d" % round_idx, now)
         now = store.flush(now)
@@ -63,7 +63,7 @@ def test_compaction_merges_and_deletes_old_files(store):
     assert store.level0 == []
     assert len(store.level1) >= 1
     now, value = store.get(b"key0000", now)
-    assert value == b"round%d" % (store.config.l0_compaction_trigger - 1)
+    assert value == b"round%d" % (L0_COMPACTION_TRIGGER - 1)
 
 
 def test_wal_truncated_after_flush(store, fs):
