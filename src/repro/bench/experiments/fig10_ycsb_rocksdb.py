@@ -33,7 +33,7 @@ from ...tools import e4defrag
 from ...workloads.aging import age_filesystem
 from ...workloads.kvstore import LsmConfig, LsmStore
 from ...workloads.ycsb import YcsbConfig, YcsbWorkload
-from ..harness import VariantResult, corun_until_background_done, measured_variant
+from ..harness import corun_until_background_done
 
 
 @dataclass
@@ -55,8 +55,6 @@ class VariantRun:
     fragments_after: int = 0
     #: virtual time the protocol's last phase finished at
     finished_at: float = 0.0
-    #: windowed obs capture (metrics + attribution); None when obs is off
-    obs: Optional[VariantResult] = None
 
     @property
     def defrag_elapsed(self) -> float:
@@ -218,24 +216,10 @@ def run(
     """Run the Figure 10 protocol for e4defrag and FragPicker."""
     runs: Dict[str, VariantRun] = {}
     for tool in ("e4defrag", "fragpicker"):
-        with measured_variant(tool) as window:
-            fs, store, workload, now = _build_state(
-                2 * GIB, "optane", 64 * MIB, record_count, value_size, seed
-            )
-            runs[tool] = _protocol(
-                tool, fs, store, workload, now, window_ops, warmup_ops, hotness
-            )
-            _fill_window(window, runs[tool])
-        runs[tool].obs = window if window.metrics is not None else None
+        fs, store, workload, now = _build_state(
+            2 * GIB, "optane", 64 * MIB, record_count, value_size, seed
+        )
+        runs[tool] = _protocol(
+            tool, fs, store, workload, now, window_ops, warmup_ops, hotness
+        )
     return Fig10Result(runs=runs)
-
-
-def _fill_window(window: VariantResult, run: VariantRun) -> None:
-    """Mirror a VariantRun's headline numbers into its obs window."""
-    window.throughput_mbps = run.phases["after"].ops_per_sec
-    window.defrag_read_mb = run.defrag_read_mb
-    window.defrag_write_mb = run.defrag_write_mb
-    window.defrag_elapsed = run.defrag_elapsed
-    window.fragments_after = float(run.fragments_after)
-    window.extra["before_ops_per_sec"] = run.phases["before"].ops_per_sec
-    window.extra["defrag_ops_per_sec"] = run.phases["defrag"].ops_per_sec

@@ -24,7 +24,7 @@ from ...device import make_device
 from ...fs import make_filesystem
 from ...tools import f2fs_defrag
 from ...workloads.fileserver import FileServer, FileServerConfig, grep_directory
-from ..harness import VariantResult, measured_variant
+from ..harness import ObsWindow, measured_variant
 
 #: the default file set (the bench suite's full run reads these too):
 #: 60 files of ~2 MiB scale the paper's 3000-6000 x 8.4 MB
@@ -37,7 +37,7 @@ class Fig11Cell:
     defrag_write_mb: float
     avg_fragments: float
     #: windowed obs capture (metrics + attribution); None when obs is off
-    obs: Optional[VariantResult] = None
+    obs: Optional[ObsWindow] = None
 
 
 @dataclass
@@ -78,7 +78,7 @@ def run(
     cells: Dict[str, Fig11Cell] = {}
     fragments_before = 0.0
     for variant in ("original", "conv", "fragpicker"):
-        with measured_variant(variant) as window:
+        with measured_variant() as window:
             fs, server, now = _setup(device, file_count, mean_size, seed)
             if not fragments_before:
                 fragments_before = server.average_fragments()
@@ -94,13 +94,11 @@ def run(
                 write_mb = report.write_bytes / MIB
             fs.drop_caches()
             now, grep = grep_directory(fs, server.config.directory, now)
-            window.defrag_write_mb = write_mb
-            window.fragments_after = server.average_fragments()
-            window.extra["grep_cost_s_per_gb"] = grep.cost_per_gb
+            avg_fragments = server.average_fragments()
         cells[variant] = Fig11Cell(
             grep_cost=grep.cost_per_gb,
             defrag_write_mb=write_mb,
-            avg_fragments=window.fragments_after,
+            avg_fragments=avg_fragments,
             obs=window if window.metrics is not None else None,
         )
     return Fig11Result(device=device, fragments_before=fragments_before, cells=cells)

@@ -33,7 +33,7 @@ from ...workloads.synthetic import (
     stride_read,
     stride_update,
 )
-from ..harness import FixtureCache, VariantResult, fresh_fs, measured_variant
+from ..harness import FixtureCache, ObsWindow, fresh_fs, measured_variant
 
 PATTERNS: Dict[str, Callable] = {
     "seq_read": sequential_read,
@@ -57,7 +57,7 @@ class SyntheticCell:
     fragments_after: int = 0
     #: windowed obs capture for this cell (metrics + latency attribution);
     #: None unless the observability plane was enabled during the run
-    obs: Optional[VariantResult] = None
+    obs: Optional[ObsWindow] = None
 
 
 @dataclass
@@ -151,24 +151,19 @@ def run(
     for variant in variants:
         result.cells[variant] = {}
         for pattern in patterns:
-            with measured_variant(f"{variant}:{pattern}") as window:
+            with measured_variant() as window:
                 fs, now = fixtures.get((fs_type, device, file_size), build)
                 pattern_fn = PATTERNS[pattern]
                 now, report = _apply_variant(fs, variant, "/target", pattern_fn, now, hotness)
                 now, mbps = pattern_fn(fs, "/target", now=now)
-                window.throughput_mbps = mbps
-                if report is not None:
-                    window.defrag_write_mb = report.write_bytes / MIB
-                    window.defrag_read_mb = report.read_bytes / MIB
-                    window.defrag_elapsed = report.elapsed
-                    window.fragments_after = sum(report.fragments_after.values())
             cell = SyntheticCell(
-                throughput_mbps=window.throughput_mbps,
-                defrag_write_mb=window.defrag_write_mb,
-                defrag_read_mb=window.defrag_read_mb,
-                defrag_elapsed=window.defrag_elapsed,
-                fragments_after=int(window.fragments_after),
+                throughput_mbps=mbps,
                 obs=window if window.metrics is not None else None,
             )
+            if report is not None:
+                cell.defrag_write_mb = report.write_bytes / MIB
+                cell.defrag_read_mb = report.read_bytes / MIB
+                cell.defrag_elapsed = report.elapsed
+                cell.fragments_after = sum(report.fragments_after.values())
             result.cells[variant][pattern] = cell
     return result

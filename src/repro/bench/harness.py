@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..device import make_device
@@ -73,79 +73,38 @@ class FixtureCache:
 
 
 @dataclass
-class VariantResult:
-    """One bar of a figure: a defrag variant's performance and cost."""
+class ObsWindow:
+    """The telemetry of one measured cell: what the bench suite persists."""
 
-    name: str
-    throughput_mbps: float = 0.0
-    defrag_read_mb: float = 0.0
-    defrag_write_mb: float = 0.0
-    defrag_elapsed: float = 0.0
-    fragments_after: float = 0.0
-    extra: Dict[str, float] = field(default_factory=dict)
-    #: ``repro.obs`` registry dump for this variant's measurement window
-    #: (None unless obs was enabled)
+    #: ``repro.obs`` registry dump for this window (None unless obs was enabled)
     metrics: Optional[Dict[str, Dict[str, object]]] = None
     #: latency-attribution breakdown over the same window
     #: (``repro.obs.analysis.Attribution.to_dict()``; None when disabled)
     attribution: Optional[Dict[str, object]] = None
-    #: provenance-forest summary (``ProvenanceForest.summary()``; None
-    #: unless causal tracing was armed via ``Instrumentation(provenance=True)``)
-    provenance: Optional[Dict[str, object]] = None
-
-    def attach_metrics(self, since: Optional[Dict[str, object]] = None) -> "VariantResult":
-        """Capture the active registry (windowed against ``since``) plus
-        its latency attribution, if obs is enabled."""
-        obs = obs_hooks.current()
-        if not obs.enabled:
-            return self
-        self.metrics = obs_analysis.delta_metrics(obs.registry, since)
-        self.attribution = obs_analysis.attribute(self.metrics).to_dict()
-        if obs.provenance is not None:
-            from ..obs.provenance import build_forest  # late: avoid cycles
-            self.provenance = build_forest(obs.spans).summary()
-        return self
 
     def fanout_summary(self) -> Dict[str, float]:
         """{count, mean, p95, max} of this window's split fan-out."""
         return obs_analysis.histogram_summary(self.metrics or {}, "block.split_fanout")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready summary (what ``BENCH_*.json`` persists per variant)."""
-        doc: Dict[str, object] = {
-            "throughput_mbps": self.throughput_mbps,
-            "defrag_read_mb": self.defrag_read_mb,
-            "defrag_write_mb": self.defrag_write_mb,
-            "defrag_elapsed": self.defrag_elapsed,
-            "fragments_after": self.fragments_after,
-            "extra": dict(self.extra),
-        }
-        if self.metrics is not None:
-            doc["split_fanout"] = self.fanout_summary()
-        if self.attribution is not None:
-            doc["attribution"] = self.attribution
-        if self.provenance is not None:
-            doc["provenance"] = self.provenance
-        return doc
-
 
 @contextmanager
-def measured_variant(name: str) -> Iterator[VariantResult]:
-    """One variant's measurement window, metrics attached centrally.
+def measured_variant() -> Iterator[ObsWindow]:
+    """One cell's measurement window, metrics attached centrally.
 
-    Wraps a variant's whole run (setup + defrag + measurement).  On exit
-    the live registry is windowed against the entry snapshot and attached,
-    so no experiment can silently drop telemetry by forgetting
-    ``attach_metrics()``; with obs disabled this costs two attribute
-    lookups.
+    Wraps a cell's whole run (setup + defrag + measurement).  On exit
+    the live registry is windowed against the entry snapshot and attached
+    with its latency attribution, so no experiment can silently drop
+    telemetry; with obs disabled this costs two attribute lookups.
     """
     obs = obs_hooks.current()
     since = obs.registry.snapshot() if obs.enabled else None
-    result = VariantResult(name=name)
+    window = ObsWindow()
     try:
-        yield result
+        yield window
     finally:
-        result.attach_metrics(since=since)
+        if obs.enabled:
+            window.metrics = obs_analysis.delta_metrics(obs.registry, since)
+            window.attribution = obs_analysis.attribute(window.metrics).to_dict()
 
 
 def corun_until_background_done(foreground, background, start: float = 0.0):

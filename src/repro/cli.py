@@ -294,7 +294,6 @@ def _run_trace(args) -> int:
 
     from .bench.experiments import obs_trace
     from .obs.critical_path import write_flamegraph
-    from .obs.export import metrics_json
     from .obs.hooks import Instrumentation
 
     obs = Instrumentation(provenance=True, max_events=args.max_events)
@@ -315,10 +314,7 @@ def _run_trace(args) -> int:
                        "provenance": result.forest().summary(),
                        "critical_path": path.to_dict()}, fh, indent=2)
         print(f"wrote trace summary JSON to {args.json}")
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as fh:
-            fh.write(metrics_json(obs.registry))
-        print(f"wrote metrics JSON to {args.metrics_json}")
+    cli_util.write_exports(obs.registry, args.metrics_json)
     if not path.check():
         print("critical-path check FAILED (segments do not sum to wall-clock)")
         return 1
@@ -330,7 +326,7 @@ def _run_bench(args) -> int:
 
     from .bench import suite
     from .obs import hooks as obs_hooks
-    from .obs.export import metrics_json, prometheus_text, write_chrome_trace
+    from .obs.export import write_chrome_trace
     from .obs.hooks import Instrumentation
 
     code = cli_util.run_compare(args, BENCH)
@@ -364,14 +360,8 @@ def _run_bench(args) -> int:
             sampler=trace_result.sampler,
         )
         print(f"wrote Chrome trace to {args.trace}")
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as fh:
-            fh.write(metrics_json(obs.registry))
-        print(f"wrote metrics JSON to {args.metrics_json}")
-    if args.prom:
-        with open(args.prom, "w") as fh:
-            fh.write(prometheus_text(obs.registry))
-        print(f"wrote Prometheus metrics to {args.prom}")
+    if armed:
+        cli_util.write_exports(obs.registry, args.metrics_json, args.prom)
     cli_util.record_ledger(
         args, "bench", document, label=label, wall_s=wall_s,
         extra={"smoke": args.smoke},
@@ -464,7 +454,7 @@ def _run_fleet(args) -> int:
     start = time.perf_counter()
     if armed:
         from .obs import hooks as obs_hooks
-        from .obs.export import metrics_json, prometheus_text, write_chrome_trace
+        from .obs.export import write_chrome_trace
 
         obs = obs_hooks.Instrumentation()
         with obs_hooks.use(obs):
@@ -482,14 +472,8 @@ def _run_fleet(args) -> int:
     if args.trace:
         write_chrome_trace(args.trace, obs.spans, obs.registry)
         print(f"wrote Chrome trace to {args.trace}")
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as fh:
-            fh.write(metrics_json(obs.registry))
-        print(f"wrote metrics JSON to {args.metrics_json}")
-    if args.prom:
-        with open(args.prom, "w") as fh:
-            fh.write(prometheus_text(obs.registry))
-        print(f"wrote Prometheus metrics to {args.prom}")
+    if armed:
+        cli_util.write_exports(obs.registry, args.metrics_json, args.prom)
     cli_util.record_ledger(
         args, "fleet", document, label=label, seed=args.seed, wall_s=wall_s,
         extra={"smoke": args.smoke, "volumes": args.volumes,
@@ -581,9 +565,9 @@ def _run_replay(args) -> int:
 
 
 def _run_faults(args) -> int:
-    import json
     import time
 
+    from .doc import dumps
     from .faults.campaign import survival_report
 
     start = time.perf_counter()
@@ -596,12 +580,13 @@ def _run_faults(args) -> int:
     )
     wall_s = time.perf_counter() - start
     print(report.text())
+    document = report.to_dict()
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+            fh.write(dumps(document))
         print(f"\nwrote survival report JSON to {args.json}")
     cli_util.record_ledger(
-        args, "faults", json.loads(report.to_json()),
+        args, "faults", document,
         label="smoke" if args.smoke else "full",
         seed=args.seed, wall_s=wall_s,
         extra={"smoke": args.smoke, "device": args.device[0],

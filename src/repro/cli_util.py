@@ -113,6 +113,20 @@ def record_ledger(
     return path
 
 
+def write_exports(registry, json_path: Optional[str], prom_path: Optional[str] = None) -> None:
+    """Write an armed run's registry to ``--metrics-json`` and ``--prom``, if set."""
+    from .obs.export import metrics_json, prometheus_text
+
+    if json_path:
+        with open(json_path, "w") as fh:
+            fh.write(metrics_json(registry))
+        print(f"wrote metrics JSON to {json_path}")
+    if prom_path:
+        with open(prom_path, "w") as fh:
+            fh.write(prometheus_text(registry))
+        print(f"wrote Prometheus metrics to {prom_path}")
+
+
 def document_path(args: argparse.Namespace, prefix: str) -> Tuple[str, str]:
     """Resolve the (label, output path) pair for a document run."""
     label = args.label or ("smoke" if getattr(args, "smoke", False) else "full")

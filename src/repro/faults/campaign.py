@@ -21,7 +21,6 @@ The campaign measures the graceful-degradation contract:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -258,14 +257,14 @@ class SurvivalReport:
         lines.append(f"verdict: {'SURVIVED' if self.ok else 'DATA LOSS'}")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> Dict[str, object]:
+        """The ``repro faults --json`` document (and its ledger input)."""
+        return {
             "ok": self.ok,
             "sweeps": [sweep.to_dict() for sweep in self.sweeps],
             "campaign": self.campaign.to_dict() if self.campaign else None,
             "series": self.series.to_dict() if self.series else None,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def survival_report(

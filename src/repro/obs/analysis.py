@@ -33,7 +33,7 @@ regression, not a perf change).
 ``attribute`` accepts any of the metric shapes the plane produces: a live
 :class:`~repro.obs.metrics.MetricsRegistry`, a ``registry.snapshot()``
 dict of metric objects, or the JSON form stored in
-``VariantResult.metrics`` / ``BENCH_*.json`` files.
+``ObsWindow.metrics`` / ``BENCH_*.json`` files.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def attribute(metrics) -> Attribution:
     """Decompose the window's total syscall latency into components.
 
     ``metrics`` may be a :class:`MetricsRegistry`, a ``snapshot()`` dict of
-    metric objects, or the JSON registry dump (``VariantResult.metrics``).
+    metric objects, or the JSON registry dump (``ObsWindow.metrics``).
     For a windowed attribution, delta the registry against a snapshot first
     (see :func:`delta_metrics`).
     """

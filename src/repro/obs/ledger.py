@@ -196,7 +196,10 @@ def record_run(
         verb, document, label=label, seed=seed, workers=workers,
         args=args, wall_s=wall_s,
     )
-    seq = len([n for n in os.listdir(directory) if n.endswith(".json")])
+    # one past the highest number on disk, so the gap a deleted manifest
+    # leaves never makes two manifests share a number
+    prefixes = [n.split("_")[0] for n in os.listdir(directory) if n.endswith(".json")]
+    seq = 1 + max((int(p) for p in prefixes if p.isdigit()), default=-1)
     name = f"{seq:06d}_{verb}_{manifest['fingerprint'][:12]}.json"
     path = os.path.join(directory, name)
     with open(path, "w") as fh:

@@ -130,8 +130,12 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
 def test_cli_bench_smoke_writes_schema_versioned_document(tmp_path, capsys):
     bench_path = tmp_path / "BENCH_ci.json"
     trace_path = tmp_path / "trace.json"
+    metrics_path = tmp_path / "metrics.json"
+    prom_path = tmp_path / "metrics.prom"
     code = cli.main(["bench", "--smoke", "--label", "ci",
-                     "--json", str(bench_path), "--trace", str(trace_path)])
+                     "--json", str(bench_path), "--trace", str(trace_path),
+                     "--metrics-json", str(metrics_path),
+                     "--prom", str(prom_path)])
     assert code == 0
     document = BENCH.load(str(bench_path))
     assert document["schema"] == BENCH.schema
@@ -155,5 +159,14 @@ def test_cli_bench_smoke_writes_schema_versioned_document(tmp_path, capsys):
     trace = json.loads(trace_path.read_text())
     assert trace["fragTimeline"]["schema"] == "repro.obs.fragtimeline/v1"
     assert any(e.get("ph") == "C" for e in trace["traceEvents"])
+    # the armed registry's two exports parse
+    metrics = json.loads(metrics_path.read_text())
+    samples = dict(line.rsplit(" ", 1) for line in prom_path.read_text().splitlines()
+                   if not line.startswith("#"))
+    assert float(samples["attrib_device_service_s"]) == (
+        metrics["attrib.device_service_s"]["value"]
+    )
     out = capsys.readouterr().out
     assert "(total measured)" in out
+    assert f"wrote metrics JSON to {metrics_path}" in out
+    assert f"wrote Prometheus metrics to {prom_path}" in out

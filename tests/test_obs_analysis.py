@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import VariantResult, measured_variant
+from repro.bench.harness import ObsWindow, measured_variant
 from repro.constants import GIB, KIB, MIB
 from repro.core import FragPicker
 from repro.device import make_device
@@ -132,7 +132,7 @@ def test_measured_variant_attaches_metrics_and_attribution():
         fs = make_filesystem("ext4", device)
         handle = fs.open("/warmup", o_direct=True, create=True)
         fs.write(handle, 0, 256 * KIB)  # traffic before the window opens
-        with measured_variant("unit") as window:
+        with measured_variant() as window:
             inner = fs.open("/inner", o_direct=True, create=True)
             fs.write(inner, 0, 512 * KIB)
     assert window.metrics is not None
@@ -146,7 +146,7 @@ def test_measured_variant_attaches_metrics_and_attribution():
 
 
 def test_measured_variant_is_inert_when_obs_disabled():
-    with measured_variant("off") as window:
+    with measured_variant() as window:
         pass
     assert window.metrics is None and window.attribution is None
-    assert isinstance(window, VariantResult)
+    assert isinstance(window, ObsWindow)

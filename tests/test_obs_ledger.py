@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 
 import pytest
 
@@ -90,6 +91,18 @@ def test_record_and_list_roundtrip_with_sequence_numbers(tmp_path):
     assert runs[0]["path"] == p0
     only_faults = ledger.list_runs(directory, verb="faults")
     assert [run["verb"] for run in only_faults] == ["faults"]
+
+
+def test_sequence_numbers_never_repeat_after_a_deletion(tmp_path, capsys):
+    directory = str(tmp_path / "ledger")
+    paths = [ledger.record_run("fleet", FLEET_DOC, seed=seed,
+                               directory=directory) for seed in range(3)]
+    os.remove(paths[1])
+    last = ledger.record_run("faults", FAULTS_DOC, directory=directory)
+    assert "000003_faults_" in last
+    assert cli.main(["runs", "show", "000002", "--ledger-dir", directory]) == 0
+    shown = capsys.readouterr().out.splitlines()
+    assert [line for line in shown if line.startswith("# ")] == [f"# {paths[2]}"]
 
 
 def test_recorded_manifests_are_byte_reproducible(tmp_path):
