@@ -133,6 +133,18 @@ def slo_document():
     assert "# HELP slo_" in text, "prometheus export lost HELP lines"
 
 
+def gated_fleet_matches_slo_document():
+    # the FLEET slo section and the SLO document come from one plane
+    section = json.load(open("FLEET_slo.json"))["slo"]
+    doc = json.load(open("SLO_ci.json"))
+    fleet_level = {name: summary for name, summary in doc["slos"].items()
+                   if not name.startswith("vol.")}
+    assert section["slos"] == fleet_level, "fleet SLO summaries differ"
+    assert section["alerts"] == doc["alerts"], "alert tables differ"
+    volume_alerts = sum(1 for row in doc["alerts"] if row["slo"].startswith("vol."))
+    assert section["volume_alerts"] == volume_alerts, section["volume_alerts"]
+
+
 def replay_document():
     from repro.replay import validate
     doc = json.load(open("REPLAY_ci.json"))
@@ -215,7 +227,7 @@ ROWS = [
     ("gated fleet writes a valid SLO document",
      [SLO_FLEET + ["--slo", "--json", "FLEET_slo.json", "--slo-json", "SLO_ci.json",
                    "--slo-prom", "slo-ci.prom"]],
-     [slo_document],
+     [slo_document, gated_fleet_matches_slo_document],
      ["SLO_ci.json", "slo-ci.prom"]),
     ("SLO document is byte-reproducible",
      [SLO_FLEET + ["--json", "FLEET_slo2.json", "--slo-json", "SLO_ci2.json"]],

@@ -38,9 +38,7 @@ def main() -> None:
         [[0.4e-3] * 8, [0.5e-3] * 8, [0.6e-3] * 8,
          [2.0e-3] * 4 + [0.5e-3] * 4, [2.0e-3] * 6 + [0.5e-3] * 2]
     ):
-        for value in latencies:
-            plane.observe_at(spec.metric, index, value)
-    plane.evaluate_all()
+        plane.evaluate(index, {spec.metric: latencies})
     summary = plane.summaries()[spec.name]
     print(f"  burn per window : {['%.1f' % b for b in summary['burn']]}")
     print(f"  burn sparkline  : {sparkline(summary['burn'])}")
@@ -58,7 +56,7 @@ def main() -> None:
     for label in ("clean", "storm"):
         run_config = (config if label == "clean"
                       else dataclasses.replace(config, faults=True))
-        monitor = FleetSlo.for_config(run_config)
+        monitor = FleetSlo(run_config)
         run_fleet(run_config, slo=monitor)
         documents[label] = monitor.document(
             label, {"kind": "fleet", "config": run_config.to_dict()})
@@ -79,7 +77,7 @@ def main() -> None:
 
     print("\n== 3. one dashboard frame ==")
     config = FleetConfig(volumes=8, seed=3, ticks=6)
-    monitor = FleetSlo.for_config(config)
+    monitor = FleetSlo(config)
     report = run_fleet(config, slo=monitor)
     frame = Frame(
         tick=config.ticks - 1, ticks_total=config.ticks,

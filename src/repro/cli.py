@@ -439,7 +439,7 @@ def _run_fleet(args) -> int:
         from .fleet.slo import DEFAULT_LATENCY_SLO_S, FleetSlo
         from .obs import slo as obs_slo
 
-        monitor = FleetSlo.for_config(
+        monitor = FleetSlo(
             config,
             latency_slo_s=(DEFAULT_LATENCY_SLO_S if args.latency_slo_ms is None
                            else args.latency_slo_ms / 1e3),
@@ -608,12 +608,19 @@ def _run_runs(args) -> int:
                   file=sys.stderr)
             return 2
         selector = args.selector
-        matches = [
-            run for run in runs
-            if str(run["fingerprint"]).startswith(selector)
-            or os.path.basename(str(run["path"])).split("_")[0]
-            == selector.zfill(6)
-        ]
+        # up to six digits name a sequence number; anything else is a
+        # fingerprint prefix
+        if selector.isdigit() and len(selector) <= 6:
+            matches = [
+                run for run in runs
+                if os.path.basename(str(run["path"])).split("_")[0]
+                == selector.zfill(6)
+            ]
+        else:
+            matches = [
+                run for run in runs
+                if str(run["fingerprint"]).startswith(selector)
+            ]
         if not matches:
             print(f"runs show: no recorded run matches {selector!r}",
                   file=sys.stderr)

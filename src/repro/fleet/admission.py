@@ -66,9 +66,8 @@ class TickBudget:
 class AdmissionController:
     """Global concurrent-job cap over a FIFO trigger queue."""
 
-    def __init__(self, max_jobs: int, budget: TickBudget) -> None:
+    def __init__(self, max_jobs: int) -> None:
         self.max_jobs = max_jobs
-        self.budget = budget
         self.queue: Deque[str] = deque()
         self.running: Dict[str, object] = {}
         self.admitted = 0

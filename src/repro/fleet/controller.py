@@ -60,7 +60,7 @@ class FleetController:
         self.volumes = volumes
         self.by_name: Dict[str, Volume] = {v.spec.name: v for v in volumes}
         self.budget = TickBudget(config.budget_per_tick)
-        self.admission = AdmissionController(config.max_jobs, self.budget)
+        self.admission = AdmissionController(config.max_jobs)
         self.slo = slo
         #: name -> first tick the volume is eligible to trigger again
         self.cooldown_until: Dict[str, int] = {}
@@ -103,10 +103,6 @@ class FleetController:
         admitted = self.admission.admit(
             lambda name: self._build_job(name, tick)
         )
-        for job in admitted:
-            # a running job watches its volume closely: nested attach on
-            # top of the fleet-wide attach (refcounted, see sampler)
-            job.volume.sampler.attach()
         jobs_running = len(self.admission.running)
         fg_before = sum(v.fg_ops for v in self.volumes)
         read_counts = (
@@ -140,7 +136,6 @@ class FleetController:
             if isinstance(job, DefragJob) and job.state != RUNNING:
                 self.admission.finish(name, failed=job.state == FAILED)
                 self.cooldown_until[name] = tick + 1 + config.cooldown_ticks
-                job.volume.sampler.detach()
                 self._finished_jobs.append(job)
 
         levels = self.census()

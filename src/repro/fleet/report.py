@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..constants import MIB
-from ..doc import FLEET, dumps
+from ..doc import FLEET
 
 #: document schema tag; bump on incompatible layout changes
 SCHEMA = FLEET.schema
@@ -153,9 +153,6 @@ class FleetReport:
     @property
     def fingerprint(self) -> str:
         return FLEET.fingerprint(self.to_dict())
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
     # -- rendering -----------------------------------------------------
 

@@ -18,16 +18,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs import hooks as obs_hooks
 from ..obs.slo import SloPlane, SloSpec, build_document
-from .spec import FleetConfig, make_volume_specs
+from .spec import FleetConfig, volume_names
 
 #: default foreground read-latency objective (per read, seconds) — sized
 #: so a healthy mixed fleet complies and a fault storm's spikes do not
 DEFAULT_LATENCY_SLO_S = 0.002
-
-#: prefix of per-volume gating SLOs (their alerts promote the volume)
-VOLUME_SLO_PREFIX = "vol."
 
 
 def fleet_specs(
@@ -62,7 +58,7 @@ def fleet_specs(
 def volume_spec(name: str, latency_slo_s: float) -> SloSpec:
     """The per-volume gating objective (alert => jump the queue)."""
     return SloSpec(
-        name=f"{VOLUME_SLO_PREFIX}{name}.read_latency",
+        name=f"vol.{name}.read_latency",
         metric=f"vol.{name}.read_latency_s",
         threshold=latency_slo_s, objective="le", target=0.90,
         fast_windows=1, slow_windows=2, fast_burn=2.0, slow_burn=1.5,
@@ -75,7 +71,6 @@ class FleetSlo:
     def __init__(
         self,
         config: FleetConfig,
-        volume_names: Sequence[str],
         latency_slo_s: float = DEFAULT_LATENCY_SLO_S,
         specs: Optional[Sequence[SloSpec]] = None,
     ) -> None:
@@ -84,11 +79,16 @@ class FleetSlo:
         self._fleet_specs = (
             list(specs) if specs is not None else fleet_specs(config, latency_slo_s)
         )
-        self._volume_specs = [
-            volume_spec(name, latency_slo_s) for name in sorted(volume_names)
-        ]
+        volume_specs = {
+            name: volume_spec(name, latency_slo_s)
+            for name in sorted(volume_names(config))
+        }
+        #: per-volume gating SLO name -> the volume its alerts promote
+        self._volume_of: Dict[str, str] = {
+            spec.name: name for name, spec in volume_specs.items()
+        }
         self.plane = SloPlane(
-            self._fleet_specs + self._volume_specs,
+            self._fleet_specs + list(volume_specs.values()),
             window=config.tick_seconds,
         )
         #: volumes promoted by gating, in promotion order (report evidence)
@@ -101,11 +101,10 @@ class FleetSlo:
         latency_slo_s: float = DEFAULT_LATENCY_SLO_S,
         specs: Optional[Sequence[SloSpec]] = None,
     ) -> "FleetSlo":
-        """Build the monitor for a config (derives the volume names)."""
-        names = [spec.name for spec in make_volume_specs(config)]
-        return cls(config, names, latency_slo_s=latency_slo_s, specs=specs)
+        """The constructor under the name ``benchmarks/e2e/spec.py`` calls."""
+        return cls(config, latency_slo_s=latency_slo_s, specs=specs)
 
-    # -- per-tick ingestion + evaluation -------------------------------
+    # -- per-tick evaluation -------------------------------------------
 
     def record_tick(
         self,
@@ -114,38 +113,31 @@ class FleetSlo:
         latencies: Dict[str, List[float]],
         volumes_total: int,
     ) -> Tuple[List[Dict[str, object]], List[str]]:
-        """Feed one tick's telemetry, evaluate its window.
+        """Evaluate one tick's window from that tick's telemetry.
 
         Returns ``(alerts fired this tick, volume names to promote)``.
         ``latencies`` maps volume name -> that volume's read latencies
         completed during this tick.
         """
-        # the carrying instrumentation may have been armed after
-        # construction; rebind so events/gauges mirror when it is live
-        self.plane.bind(obs_hooks.current())
+        values: Dict[str, List[float]] = {}
+        fleet_latencies: List[float] = []
         for name in sorted(latencies):
-            for latency in latencies[name]:
-                self.plane.observe_at("fleet.fg_read_latency_s", tick, latency)
-                self.plane.observe_at(f"vol.{name}.read_latency_s", tick, latency)
+            values[f"vol.{name}.read_latency_s"] = latencies[name]
+            fleet_latencies.extend(latencies[name])
+        values["fleet.fg_read_latency_s"] = fleet_latencies
         budget = self.config.budget_per_tick
         if budget is not None:
-            self.plane.observe_at(
-                "fleet.budget_util", tick, row.migrated_bytes / budget
-            )
+            values["fleet.budget_util"] = [row.migrated_bytes / budget]
         if volumes_total:
-            self.plane.observe_at(
-                "fleet.volumes_above_frac", tick,
-                row.volumes_above / volumes_total,
-            )
-        fired = self.plane.evaluate_through(tick)
-        promote = []
+            values["fleet.volumes_above_frac"] = [
+                row.volumes_above / volumes_total
+            ]
+        fired = self.plane.evaluate(tick, values)
+        promote: List[str] = []
         for alert in fired:
-            slo_name = str(alert["slo"])
-            if slo_name.startswith(VOLUME_SLO_PREFIX):
-                # vol.<name>.read_latency -> <name>
-                volume = slo_name[len(VOLUME_SLO_PREFIX):].rsplit(".", 1)[0]
-                if volume not in promote:
-                    promote.append(volume)
+            volume = self._volume_of.get(alert["slo"])
+            if volume is not None and volume not in promote:
+                promote.append(volume)
         return fired, promote
 
     def record_promotion(self, tick: int, volume: str) -> None:
@@ -168,8 +160,7 @@ class FleetSlo:
     def volume_alerts(self) -> int:
         """Total per-volume gating alerts fired over the run."""
         return sum(
-            1 for row in self.plane.alerts
-            if str(row["slo"]).startswith(VOLUME_SLO_PREFIX)
+            1 for row in self.plane.alerts if row["slo"] in self._volume_of
         )
 
     def config_dict(self) -> Dict[str, object]:

@@ -210,6 +210,11 @@ def _pick_weighted(rng: random.Random, options) -> str:
     return options[-1]
 
 
+def volume_names(config: FleetConfig) -> List[str]:
+    """Every volume's name, in volume (spec) order."""
+    return [f"vol{index:04d}" for index in range(config.volumes)]
+
+
 def make_volume_specs(config: FleetConfig) -> List[VolumeSpec]:
     """Derive every volume's spec from the one fleet seed.
 
@@ -218,9 +223,8 @@ def make_volume_specs(config: FleetConfig) -> List[VolumeSpec]:
     exercise the admission path.
     """
     specs: List[VolumeSpec] = []
-    for index in range(config.volumes):
+    for index, name in enumerate(volume_names(config)):
         rng = random.Random(f"repro.fleet:{config.seed}:vol:{index}")
-        name = f"vol{index:04d}"
         fs_type = rng.choice(FS_MIX)
         device = rng.choice(DEVICE_MIX)
         profile = _pick_weighted(rng, PROFILES) if index else PROFILES[0]

@@ -116,68 +116,61 @@ class Volume:
 
     # -- foreground workload -------------------------------------------
 
-    def _trace_op(self, now: float) -> float:
-        """One trace-driven foreground op (workload ``trace:<path>``).
+    def _trace_op(self):
+        """The next trace-driven op (workload ``trace:<path>``).
 
         Trace entities land on this volume's file set by residue
         (``file_id % files``); ranges are clamped to the target file so
-        any trace drives any volume.  Reads still feed the latency SLO.
+        any trace drives any volume.  Returns ``(op, path, offset,
+        length)``.
         """
         record = next(self._trace_ops)
         path = self.paths[record.file_id % len(self.paths)]
-        handle = self._handles[path]
+        if record.op == "fsync":
+            return "fsync", path, 0, 0
         size = self.fs.inode_of(path).size
-        try:
-            if record.op == "fsync":
-                result = self.fs.fsync(handle, now=now)
+        length = max(BLOCK_SIZE, min(record.size, size))
+        length -= length % BLOCK_SIZE
+        offset = record.offset % max(BLOCK_SIZE, size - length + 1)
+        offset -= offset % BLOCK_SIZE
+        return ("read" if record.op == "read" else "write"), path, offset, length
+
+    def _mix_op(self):
+        """The next op of the seed-keyed workload mix, as ``(op, path,
+        offset, length)``."""
+        path = self.rng.choice(self.paths)
+        size = self.fs.inode_of(path).size
+        workload = self.spec.workload
+        if workload != "rw_mix" or self.rng.random() < 0.5:
+            request = min(READAHEAD_SIZE, size)
+            if workload == "read_seq":
+                offset = self._scan_offsets[path]
+                self._scan_offsets[path] = (
+                    0 if offset + 2 * request > size else offset + request
+                )
             else:
-                length = max(BLOCK_SIZE, min(record.size, size))
-                length -= length % BLOCK_SIZE
-                offset = record.offset % max(BLOCK_SIZE, size - length + 1)
-                offset -= offset % BLOCK_SIZE
-                if record.op == "read":
-                    result = self.fs.read(handle, offset, length, now=now)
-                    self.read_latencies.append(result.finish_time - now)
-                else:
-                    result = self.fs.write(handle, offset, length, now=now)
-            self.fg_ops += 1
-            return result.finish_time
-        except InjectedCrash:
-            raise
-        except FaultError:
-            self.fg_errors += 1
-            self.fg_ops += 1
-            return now
+                slots = max(1, size // request)
+                offset = self.rng.randrange(slots) * request
+            return "read", path, offset, request
+        slots = max(1, (size - _UPDATE_SIZE) // BLOCK_SIZE + 1)
+        offset = self.rng.randrange(slots) * BLOCK_SIZE
+        offset = min(offset, size - _UPDATE_SIZE)
+        return "write", path, offset, _UPDATE_SIZE
 
     def _one_op(self, now: float) -> float:
         """One foreground op at ``now``; returns its finish time."""
-        if self._trace_ops is not None:
-            return self._trace_op(now)
-        path = self.rng.choice(self.paths)
+        op, path, offset, length = (
+            self._trace_op() if self._trace_ops is not None else self._mix_op()
+        )
         handle = self._handles[path]
-        size = self.fs.inode_of(path).size
-        workload = self.spec.workload
-        do_read = workload != "rw_mix" or self.rng.random() < 0.5
         try:
-            if do_read:
-                request = min(READAHEAD_SIZE, size)
-                if workload == "read_seq":
-                    offset = self._scan_offsets[path]
-                    self._scan_offsets[path] = (
-                        0 if offset + 2 * request > size else offset + request
-                    )
-                else:
-                    slots = max(1, size // request)
-                    offset = self.rng.randrange(slots) * request
-                result = self.fs.read(handle, offset, request, now=now)
+            if op == "read":
+                result = self.fs.read(handle, offset, length, now=now)
                 self.read_latencies.append(result.finish_time - now)
+            elif op == "write":
+                result = self.fs.write(handle, offset, length, now=now)
             else:
-                slots = max(1, (size - _UPDATE_SIZE) // BLOCK_SIZE + 1)
-                offset = self.rng.randrange(slots) * BLOCK_SIZE
-                offset = min(offset, size - _UPDATE_SIZE)
-                result = self.fs.write(handle, offset, _UPDATE_SIZE, now=now)
-            self.fg_ops += 1
-            return result.finish_time
+                result = self.fs.fsync(handle, now=now)
         except InjectedCrash:
             raise
         except FaultError:
@@ -185,6 +178,8 @@ class Volume:
             self.fg_errors += 1
             self.fg_ops += 1
             return now
+        self.fg_ops += 1
+        return result.finish_time
 
     def run_foreground(self, until: float, max_ops: int) -> None:
         """Issue ops until the window closes or the op budget is spent."""

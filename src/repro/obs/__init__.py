@@ -26,8 +26,9 @@ measurement substrate:
   (sum-to-total checked against wall-clock), collapsed-stack flamegraph
   export, and Chrome flow events linking syscalls to their tail
   commands;
-- :mod:`repro.obs.slo` — the judgment layer: declarative SLOs over
-  fixed-width virtual-time windows, evaluated into error-budget
+- :mod:`repro.obs.slo` — the judgment layer: declarative SLOs judged
+  one window at a time from the values the caller hands in (the fleet
+  hands in one scheduler tick), evaluated into error-budget
   consumption and fast/slow burn rates, with deterministic
   ``slo.breach``/``slo.burn`` events and a fingerprinted
   ``repro.slo/v1`` document;

@@ -74,32 +74,23 @@ class FragmentationSampler:
         self.samples_taken = 0
         self.obs = obs_hooks.current()
         self._next_due: Optional[float] = None
-        self._attach_depth = 0
+        #: is the device listener registered?
+        self.attached = False
 
     # -- lifecycle -----------------------------------------------------
-    #
-    # attach/detach are re-entrant: callers with overlapping lifetimes
-    # (the fleet controller attaches per defrag job on top of a per-volume
-    # attach) each balance their own attach with a detach, and the device
-    # listener is registered exactly once for as long as any of them holds
-    # the sampler open.  A detach without a matching attach is a no-op.
-
-    @property
-    def attached(self) -> bool:
-        return self._attach_depth > 0
 
     def attach(self) -> "FragmentationSampler":
-        if self._attach_depth == 0:
+        """Register the device listener (a no-op while attached)."""
+        if not self.attached:
             self.fs.device.add_listener(self._on_batch)
-        self._attach_depth += 1
+            self.attached = True
         return self
 
     def detach(self) -> None:
-        if self._attach_depth == 0:
-            return
-        self._attach_depth -= 1
-        if self._attach_depth == 0:
+        """Unregister the device listener (a no-op while detached)."""
+        if self.attached:
             self.fs.device.remove_listener(self._on_batch)
+            self.attached = False
 
     def __enter__(self) -> "FragmentationSampler":
         return self.attach()

@@ -4,10 +4,10 @@ The judgment layer on top of the telemetry plane: a :class:`SloSpec`
 names an objective ("95% of foreground reads finish within 2 ms"), an
 evaluator rolls one window's values into per-window compliance,
 error-budget consumption, and fast/slow burn rates (the SRE
-multi-window alerting shape), and a :class:`SloPlane` windows the
-watched metrics on the virtual clock and runs one evaluator per spec
-behind a single ``observe``/``evaluate_through`` surface, which the
-fleet monitor behind ``repro fleet --slo`` drives once per tick.
+multi-window alerting shape), and a :class:`SloPlane` runs one
+evaluator per spec behind a single ``evaluate(index, values)``
+surface, which the fleet monitor behind ``repro fleet --slo`` calls
+once per scheduler tick with that tick's values.
 
 Everything is virtual-time-deterministic: the same telemetry points
 produce the same windows, the same burn rates, the same alerts — so the
@@ -34,11 +34,11 @@ Definitions (per spec):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..doc import SLO
+from . import hooks as obs_hooks
 
 #: document schema tag; bump on incompatible layout changes
 SCHEMA = SLO.schema
@@ -152,7 +152,8 @@ class SloEvaluator:
         self.burn_history: List[float] = []
         self.max_fast = 0.0
         self.max_slow = 0.0
-        self.verdicts: List[WindowVerdict] = []
+        #: the latest window's verdict (None before the first window)
+        self.last: Optional[WindowVerdict] = None
 
     def evaluate_window(self, index: int, values: Sequence[float]) -> WindowVerdict:
         spec = self.spec
@@ -177,10 +178,9 @@ class SloEvaluator:
             self.max_fast = fast
         if slow > self.max_slow:
             self.max_slow = slow
-        verdict = WindowVerdict(index, samples, bad, burn, fast, slow,
-                                breach, alert)
-        self.verdicts.append(verdict)
-        return verdict
+        self.last = WindowVerdict(index, samples, bad, burn, fast, slow,
+                                  breach, alert)
+        return self.last
 
     # -- whole-run views -----------------------------------------------
 
@@ -203,11 +203,8 @@ class SloEvaluator:
         """Unspent budget fraction (negative once overspent)."""
         return 1.0 - self.budget_consumed
 
-    def burn_series(self) -> List[float]:
-        return list(self.burn_history)
-
     def summary(self) -> Dict[str, object]:
-        last = self.verdicts[-1] if self.verdicts else None
+        last = self.last
         return {
             "metric": self.spec.metric,
             "objective": self.spec.objective,
@@ -225,29 +222,26 @@ class SloEvaluator:
             "max_slow_burn": self.max_slow,
             "last_fast_burn": last.fast if last else 0.0,
             "last_slow_burn": last.slow if last else 0.0,
-            "burn": self.burn_series(),
+            "burn": list(self.burn_history),
         }
 
 
 class SloPlane:
-    """Windowed values + one evaluator per spec, behind a single surface.
+    """One evaluator per spec, judged one window at a time.
 
-    Windows are fixed-width and keyed to the virtual clock: window ``i``
-    covers ``[i * window, (i + 1) * window)``.  The plane keeps every
-    value of every watched metric for each window not yet evaluated, so
-    a window's verdict judges all of its samples, and releases a
-    window's values once every spec has evaluated it.
-    Values for metrics no spec watches, or for windows already
-    evaluated, can never be judged and are not kept.
+    Window ``i`` covers virtual time ``[i * window, (i + 1) * window)``.
+    The caller hands :meth:`evaluate` every value each watched metric
+    produced in one window, so a verdict judges all of its samples and
+    the plane itself stores no values.
 
-    Its owner (:class:`~repro.fleet.slo.FleetSlo`) feeds it and binds
-    it to the current instrumentation.  When that instrumentation is
-    armed the plane mirrors verdicts outward: ``slo.breach`` /
+    When the current instrumentation (:func:`repro.obs.hooks.current`)
+    is armed the plane mirrors verdicts outward: ``slo.breach`` /
     ``slo.burn`` events into the shared ring, plus ``slo.<name>.
     burn_fast`` / ``slo.<name>.budget_remaining`` gauges and
-    ``slo.breaches`` / ``slo.alerts`` counters in the registry.  Evaluation itself never reads the clock
-    or the registry, so documents stay byte-identical with or without
-    an armed instrumentation.
+    ``slo.breaches`` / ``slo.alerts`` counters in the registry.
+    Evaluation itself never reads the clock or the registry, so
+    documents stay byte-identical with or without an armed
+    instrumentation.
     """
 
     def __init__(
@@ -262,119 +256,45 @@ class SloPlane:
         if len(set(names)) != len(names):
             raise ValueError("duplicate SLO spec names")
         self.window = window
-        #: metric -> window index -> values, for windows not yet evaluated
-        self._values: Dict[str, Dict[int, List[float]]] = {
-            spec.metric: {} for spec in self.specs
-        }
         self.evaluators: Dict[str, SloEvaluator] = {
             spec.name: SloEvaluator(spec) for spec in self.specs
         }
         #: alert rows, evaluation order: the document's ``alerts`` table
         self.alerts: List[Dict[str, object]] = []
-        #: the last window index every spec has evaluated
-        self._evaluated = -1
-        self._obs = None
 
-    # -- instrumentation binding ---------------------------------------
+    def evaluate(
+        self, index: int, values: Dict[str, Sequence[float]]
+    ) -> List[Dict[str, object]]:
+        """Judge window ``index`` of every spec; return the alerts fired.
 
-    def bind(self, obs) -> None:
-        """Attach the instrumentation verdicts mirror into (events, gauges)."""
-        self._obs = obs
-
-    # -- window geometry -----------------------------------------------
-
-    def index_of(self, now: float) -> int:
-        """The window index holding virtual time ``now`` (clamped >= 0)."""
-        return max(0, int(math.floor(now / self.window)))
-
-    def window_end(self, index: int) -> float:
-        """Virtual time at which window ``index`` closes."""
-        return (index + 1) * self.window
-
-    # -- ingest --------------------------------------------------------
-
-    def observe(self, metric: str, now: float, value: float) -> None:
-        self.observe_at(metric, self.index_of(now), value)
-
-    def observe_at(self, metric: str, index: int, value: float) -> None:
-        windows = self._values.get(metric)
-        if windows is not None and index > self._evaluated:
-            windows.setdefault(index, []).append(value)
-
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate_through(self, index: int) -> List[Dict[str, object]]:
-        """Evaluate every spec's unevaluated windows up to ``index``.
-
-        Returns the alert rows fired by this pass (also appended to
-        ``self.alerts``).  Windows with no samples still evaluate — an
-        idle window burns no budget but advances the slow-burn tail.
+        ``values`` maps metric name -> the window's values.  A metric
+        with no entry is an idle window: it burns no budget but
+        advances the slow-burn tail.  Fired rows are also appended to
+        ``self.alerts``.
         """
+        obs = obs_hooks.current()
+        time_s = (index + 1) * self.window
         fired: List[Dict[str, object]] = []
-        evaluated = range(self._evaluated + 1, index + 1)
         for spec in self.specs:
             evaluator = self.evaluators[spec.name]
-            windows = self._values[spec.metric]
-            for idx in evaluated:
-                verdict = evaluator.evaluate_window(idx, windows.get(idx, ()))
-                self._mirror(spec, evaluator, verdict)
-                if verdict.alert:
-                    row = {
-                        "slo": spec.name,
-                        "window": idx,
-                        "time_s": self.window_end(idx),
-                        "fast_burn": verdict.fast,
-                        "slow_burn": verdict.slow,
-                        "bad": verdict.bad,
-                        "samples": verdict.samples,
-                    }
-                    self.alerts.append(row)
-                    fired.append(row)
-        for windows in self._values.values():
-            for idx in evaluated:
-                windows.pop(idx, None)
-        self._evaluated = max(self._evaluated, index)
+            verdict = evaluator.evaluate_window(index, values.get(spec.metric, ()))
+            if obs.enabled:
+                _mirror(obs, time_s, spec, evaluator, verdict)
+            if verdict.alert:
+                row = {
+                    "slo": spec.name,
+                    "window": index,
+                    "time_s": time_s,
+                    "fast_burn": verdict.fast,
+                    "slow_burn": verdict.slow,
+                    "bad": verdict.bad,
+                    "samples": verdict.samples,
+                }
+                self.alerts.append(row)
+                fired.append(row)
         return fired
 
-    def evaluate_all(self) -> List[Dict[str, object]]:
-        """Evaluate every window any watched metric has data for."""
-        last = max(
-            (max(windows) for windows in self._values.values() if windows),
-            default=-1,
-        )
-        if last < 0:
-            return []
-        return self.evaluate_through(last)
-
-    def _mirror(self, spec, evaluator, verdict) -> None:
-        obs = self._obs
-        if obs is None or not obs.enabled:
-            return
-        now = self.window_end(verdict.index)
-        registry = obs.registry
-        registry.gauge(f"slo.{spec.name}.burn_fast").set(verdict.fast)
-        registry.gauge(f"slo.{spec.name}.burn_slow").set(verdict.slow)
-        registry.gauge(f"slo.{spec.name}.budget_remaining").set(
-            evaluator.budget_remaining
-        )
-        if verdict.breach:
-            registry.counter("slo.breaches").inc()
-            obs.event(
-                "slo.breach", now, track="slo", slo=spec.name,
-                window=verdict.index, bad=verdict.bad,
-                samples=verdict.samples, burn=verdict.burn,
-            )
-        if verdict.alert:
-            registry.counter("slo.alerts").inc()
-            obs.event(
-                "slo.burn", now, track="slo", slo=spec.name,
-                window=verdict.index, fast=verdict.fast, slow=verdict.slow,
-            )
-
     # -- whole-run views -----------------------------------------------
-
-    def evaluator(self, name: str) -> SloEvaluator:
-        return self.evaluators[name]
 
     def summaries(self) -> Dict[str, Dict[str, object]]:
         return {
@@ -386,10 +306,34 @@ class SloPlane:
         """Spec names whose *latest* evaluated window is alerting."""
         names = []
         for spec in self.specs:
-            verdicts = self.evaluators[spec.name].verdicts
-            if verdicts and verdicts[-1].alert:
+            last = self.evaluators[spec.name].last
+            if last is not None and last.alert:
                 names.append(spec.name)
         return names
+
+
+def _mirror(obs, now: float, spec: SloSpec, evaluator: SloEvaluator,
+            verdict: WindowVerdict) -> None:
+    """Mirror one verdict into an armed instrumentation."""
+    registry = obs.registry
+    registry.gauge(f"slo.{spec.name}.burn_fast").set(verdict.fast)
+    registry.gauge(f"slo.{spec.name}.burn_slow").set(verdict.slow)
+    registry.gauge(f"slo.{spec.name}.budget_remaining").set(
+        evaluator.budget_remaining
+    )
+    if verdict.breach:
+        registry.counter("slo.breaches").inc()
+        obs.event(
+            "slo.breach", now, track="slo", slo=spec.name,
+            window=verdict.index, bad=verdict.bad,
+            samples=verdict.samples, burn=verdict.burn,
+        )
+    if verdict.alert:
+        registry.counter("slo.alerts").inc()
+        obs.event(
+            "slo.burn", now, track="slo", slo=spec.name,
+            window=verdict.index, fast=verdict.fast, slow=verdict.slow,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,7 @@ def sample_documents():
     with open(os.path.join(root, "benchmarks/baselines/BENCH_ci_baseline.json")) as fh:
         bench = json.load(fh)
     config = FleetConfig.smoke(volumes=4, seed=0)
-    monitor = FleetSlo.for_config(config)
+    monitor = FleetSlo(config)
     fleet = run_fleet(config, slo=monitor).to_dict()
     slo = monitor.document("smoke", {"kind": "fleet", "config": config.to_dict()})
     replay = run_replay(os.path.join(root, "tests/golden/trace_small.bin"))

@@ -211,6 +211,11 @@ def test_slo_documents_are_byte_reproducible(tmp_path):
 SLO_SMOKE_FINGERPRINTS = {"clean": "43b174fe9adecf53",
                           "faults": "9be9c9afb7a0800d"}
 
+#: FLEET document fingerprints of the same gated runs: they also pin the
+#: admission promotions gating makes, which the SLO document leaves out
+GATED_FLEET_FINGERPRINTS = {"clean": "545ee069d5a403b3",
+                            "faults": "ad7aa5a1c3eb7b31"}
+
 
 @pytest.mark.parametrize("storm", sorted(SLO_SMOKE_FINGERPRINTS))
 def test_slo_smoke_fingerprints_are_pinned(storm, capsys, tmp_path):
@@ -221,6 +226,8 @@ def test_slo_smoke_fingerprints_are_pinned(storm, capsys, tmp_path):
                  "--slo-json", str(path)] + extra) == 0
     doc = json.loads(path.read_text())
     assert doc["fingerprint"] == SLO_SMOKE_FINGERPRINTS[storm]
+    fleet = json.loads((tmp_path / "f.json").read_text())
+    assert fleet["fingerprint"] == GATED_FLEET_FINGERPRINTS[storm]
 
 
 def test_slo_prom_export(capsys, tmp_path):

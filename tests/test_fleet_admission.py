@@ -49,7 +49,7 @@ def test_budget_rejects_negative():
 # ----------------------------------------------------------------------
 
 def test_admission_cap_and_fifo_deferral():
-    admission = AdmissionController(max_jobs=1, budget=TickBudget(None))
+    admission = AdmissionController(max_jobs=1)
     assert admission.request("vol0")
     assert admission.request("vol1")
     assert not admission.request("vol1")  # idempotent while queued
@@ -111,8 +111,7 @@ def test_deferred_volume_readmitted_when_slot_frees():
 
 
 def test_promote_moves_queued_volume_to_front():
-    budget = TickBudget(None)
-    admission = AdmissionController(max_jobs=1, budget=budget)
+    admission = AdmissionController(max_jobs=1)
     for name in ("a", "b", "c"):
         admission.request(name)
     assert admission.promote("c")
@@ -123,8 +122,7 @@ def test_promote_moves_queued_volume_to_front():
 
 
 def test_promote_never_admits_unqueued_volumes():
-    budget = TickBudget(None)
-    admission = AdmissionController(max_jobs=2, budget=budget)
+    admission = AdmissionController(max_jobs=2)
     admission.request("a")
     # unknown volume: gating reorders, it never invents admissions
     assert not admission.promote("ghost")
@@ -136,8 +134,7 @@ def test_promote_never_admits_unqueued_volumes():
 
 
 def test_promote_is_stable_for_front_volume():
-    budget = TickBudget(None)
-    admission = AdmissionController(max_jobs=1, budget=budget)
+    admission = AdmissionController(max_jobs=1)
     admission.request("a")
     admission.request("b")
     assert admission.promote("a")

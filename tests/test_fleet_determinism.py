@@ -22,7 +22,7 @@ def test_same_seed_byte_identical_document():
     config = FleetConfig.smoke(volumes=5, seed=42)
     first = run_fleet(config)
     second = run_fleet(config)
-    assert first.to_json() == second.to_json()
+    assert first.to_dict() == second.to_dict()
     assert first.fingerprint == second.fingerprint
 
 
@@ -39,14 +39,14 @@ def test_fingerprint_unchanged_with_instrumentation_armed():
     armed = run_fleet(config)
     obs_hooks.disable()
     assert armed.fingerprint == disarmed.fingerprint
-    assert armed.to_json() == disarmed.to_json()
+    assert armed.to_dict() == disarmed.to_dict()
 
 
 def test_faulted_fleet_is_deterministic_too():
     config = FleetConfig.smoke(volumes=6, seed=7, faults=True)
     first = run_fleet(config)
     second = run_fleet(config)
-    assert first.to_json() == second.to_json()
+    assert first.to_dict() == second.to_dict()
 
 
 def test_config_change_changes_fingerprint():

@@ -235,7 +235,7 @@ def test_every_metric_from_a_representative_armed_run_has_help():
     obs = Instrumentation(provenance=True)
     config = FleetConfig.smoke(volumes=4, faults=True)
     with hooks.use(obs):
-        run_fleet(config, slo=FleetSlo.for_config(config))
+        run_fleet(config, slo=FleetSlo(config))
     names = set(obs.registry.to_dict())
     assert len(names) > 40  # the run exercised a wide surface
     missing = sorted(name for name in names if metric_help(name) is None)

@@ -210,6 +210,23 @@ def test_cli_runs_show_by_seq_and_fingerprint(tmp_path, capsys):
     assert cli.main(["runs", "show", "--ledger-dir", directory]) == 2
 
 
+def test_cli_runs_show_short_digits_select_the_sequence_only(tmp_path, capsys):
+    directory = str(tmp_path / "ledger")
+    # run 0 gets a fingerprint that starts with "2", like sequence 000002
+    first = next(
+        seed for seed in range(1000)
+        if ledger.build_manifest("fleet", FLEET_DOC, label="ci", seed=seed)
+        ["fingerprint"].startswith("2")
+    )
+    paths = [ledger.record_run("fleet", FLEET_DOC, label="ci", seed=seed,
+                               directory=directory)
+             for seed in (first, first + 1, first + 2)]
+    assert ledger.list_runs(directory)[0]["fingerprint"].startswith("2")
+    assert cli.main(["runs", "show", "2", "--ledger-dir", directory]) == 0
+    shown = capsys.readouterr().out.splitlines()
+    assert [line for line in shown if line.startswith("# ")] == [f"# {paths[2]}"]
+
+
 def test_cli_runs_empty_ledger_is_a_clean_exit(tmp_path, capsys):
     directory = str(tmp_path / "nothing")
     assert cli.main(["runs", "--ledger-dir", directory]) == 0

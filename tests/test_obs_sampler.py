@@ -106,38 +106,18 @@ def test_sampler_rejects_nonpositive_interval():
         FragmentationSampler(fs, interval=0.0)
 
 
-def test_attach_is_reentrant_refcounted():
+def test_attach_registers_the_listener_once():
     fs, _ = _fragmented_fs()
     sampler = FragmentationSampler(fs, interval=0.001, paths=["/target"])
-    # double attach registers the device listener exactly once
+    # a second attach while attached registers nothing more
     sampler.attach()
     sampler.attach()
     assert fs.device._listeners.count(sampler._on_batch) == 1
     assert sampler.attached
-    # the first detach keeps the outer attachment sampling
-    sampler.detach()
-    assert sampler.attached
-    assert fs.device._listeners.count(sampler._on_batch) == 1
-    # only the last detach removes the listener
+    # one detach removes the listener
     sampler.detach()
     assert not sampler.attached
     assert sampler._on_batch not in fs.device._listeners
-
-
-def test_nested_attach_keeps_sampling_until_last_detach():
-    fs, now = _fragmented_fs()
-    sampler = FragmentationSampler(fs, interval=0.001, paths=["/target"])
-    handle = fs.open("/target", o_direct=True)
-    with sampler:            # fleet-wide attachment
-        sampler.attach()     # a job's nested attachment
-        sampler.detach()     # the job finishes...
-        for i in range(8):
-            now = fs.read(handle, i * 128 * KIB, 128 * KIB, now=now).finish_time
-    # ...but the outer attachment kept observing the traffic
-    assert sampler.samples_taken >= 1
-    taken = sampler.samples_taken
-    fs.read(handle, 0, 128 * KIB, now=now)
-    assert sampler.samples_taken == taken
 
 
 def test_detach_without_attach_is_a_noop():
@@ -159,30 +139,12 @@ def test_context_manager_detaches_when_body_raises():
         with sampler:
             assert sampler.attached
             raise RuntimeError("boom")
-    # __exit__ ran: refcount back to zero, listener gone
+    # __exit__ ran: listener gone
     assert not sampler.attached
-    assert sampler._attach_depth == 0
     assert sampler._on_batch not in fs.device._listeners
 
 
-def test_exception_unwinds_only_its_own_nesting_level():
-    fs, now = _fragmented_fs()
-    sampler = FragmentationSampler(fs, interval=0.001, paths=["/target"])
-    sampler.attach()  # the fleet-wide attachment
-    with pytest.raises(ValueError):
-        with sampler:  # a job's nested attachment dies mid-flight
-            raise ValueError("job crashed")
-    # the outer attachment survives the inner crash and keeps sampling
-    assert sampler.attached
-    assert fs.device._listeners.count(sampler._on_batch) == 1
-    handle = fs.open("/target", o_direct=True)
-    fs.read(handle, 0, 128 * KIB, now=now)
-    assert sampler.samples_taken >= 1
-    sampler.detach()
-    assert not sampler.attached
-
-
-def test_fleet_controller_nests_job_attach_over_fleet_attach():
+def test_fleet_run_registers_each_sampler_once():
     from repro.fleet import FleetConfig, build_volumes, FleetController
 
     config = FleetConfig.smoke(volumes=4)
@@ -194,14 +156,13 @@ def test_fleet_controller_nests_job_attach_over_fleet_attach():
         controller.begin()
         for tick in range(config.ticks):
             controller.run_tick(tick)
-            # a running job stacks its own attachment on the fleet's
-            for name in controller.admission.running:
-                assert controller.by_name[name].sampler._attach_depth == 2
-        controller.finish()
-        # retired jobs balanced their nested attach; the fleet's remains
-        for volume in volumes:
-            if volume.spec.name not in controller.admission.running:
-                assert volume.sampler._attach_depth == 1
+            # a running job samples through the fleet-wide listener
+            for volume in volumes:
+                listeners = volume.device._listeners
+                assert listeners.count(volume.sampler._on_batch) == 1
+        assert controller.finish().jobs_admitted >= 1
     finally:
         for volume in volumes:
             volume.close()
+    for volume in volumes:
+        assert volume.sampler._on_batch not in volume.device._listeners

@@ -162,99 +162,69 @@ def test_plane_window_must_be_positive():
 
 
 def test_window_geometry_keyed_to_virtual_clock():
+    # window i covers [i * w, (i + 1) * w): its verdicts land at (i + 1) * w
+    obs = Instrumentation()
     plane = SloPlane([_spec()], window=0.25)
-    assert plane.index_of(0.0) == 0
-    assert plane.index_of(0.24) == 0
-    assert plane.index_of(0.25) == 1
-    assert plane.index_of(1.1) == 4
-    # pre-origin times clamp into window 0 rather than going negative
-    assert plane.index_of(-5.0) == 0
-    assert plane.window_end(0) == 0.25
-    assert plane.window_end(3) == 1.0
-    # observe() files a sample under the window its time falls in
-    plane.observe("lat_s", 0.1, 2.0)
-    plane.observe("lat_s", 0.9, 0.1)
-    plane.evaluate_through(3)
-    verdicts = plane.evaluators["lat"].verdicts
-    assert [(v.index, v.samples, v.bad) for v in verdicts] == [
-        (0, 1, 1), (1, 0, 0), (2, 0, 0), (3, 1, 0),
-    ]
+    with hooks.use(obs):
+        fired = [plane.evaluate(index, {"lat_s": [2.0]}) for index in range(4)]
+    assert [rows[0]["time_s"] for rows in fired] == [0.25, 0.5, 0.75, 1.0]
+    assert [rows[0]["window"] for rows in fired] == [0, 1, 2, 3]
+    breaches = [e for e in obs.spans.events if e.name == "slo.breach"]
+    assert [e.time for e in breaches] == [0.25, 0.5, 0.75, 1.0]
 
 
 def test_every_value_in_a_busy_window_is_judged():
     # no per-window value cap: 5,000 good samples, then 100 bad ones
     plane = SloPlane([_spec()], window=1.0)
-    for _ in range(5000):
-        plane.observe_at("lat_s", 0, 0.1)
-    for _ in range(100):
-        plane.observe_at("lat_s", 0, 2.0)
-    plane.evaluate_through(0)
+    plane.evaluate(0, {"lat_s": [0.1] * 5000 + [2.0] * 100})
     summary = plane.evaluators["lat"].summary()
     assert summary["samples"] == 5100
     assert summary["bad_samples"] == 100
     assert summary["compliance"] == pytest.approx(5000 / 5100)
 
 
-def test_evaluated_windows_release_their_values():
-    # two specs watch one metric: the window is judged by both, then freed
+def test_specs_sharing_a_metric_judge_the_same_values():
     plane = SloPlane([_spec(), _spec(name="lat2", threshold=0.05)], window=1.0)
-    plane.observe_at("lat_s", 0, 0.1)
-    plane.observe_at("lat_s", 1, 0.1)
-    plane.observe_at("untracked_s", 0, 9.0)
-    plane.evaluate_through(0)
-    assert plane.evaluators["lat"].verdicts[0].bad == 0
-    assert plane.evaluators["lat2"].verdicts[0].bad == 1
-    assert plane._values == {"lat_s": {1: [0.1]}}
-    # a late sample for a window already judged can never count
-    plane.observe_at("lat_s", 0, 2.0)
-    plane.evaluate_all()
-    assert plane._values == {"lat_s": {}}
-    assert plane.evaluators["lat"].samples == 2
+    plane.evaluate(0, {"lat_s": [0.1], "untracked_s": [9.0]})
+    assert plane.evaluators["lat"].last.bad == 0
+    assert plane.evaluators["lat2"].last.bad == 1
+    assert plane.evaluators["lat"].samples == 1
 
 
 def test_same_points_produce_identical_verdicts():
     points = [(0.07 * i, float(i % 5) / 2) for i in range(100)]
+    windows = {}
+    for t, v in points:
+        windows.setdefault(int(t / 0.25), []).append(v)
     summaries = []
     for _ in range(2):
         plane = SloPlane([_spec()], window=0.25)
-        for t, v in points:
-            plane.observe("lat_s", t, v)
-        plane.evaluate_all()
+        for index in range(max(windows) + 1):
+            plane.evaluate(index, {"lat_s": windows.get(index, [])})
         summaries.append((plane.summaries(), plane.alerts))
     assert summaries[0] == summaries[1]
 
 
 def test_plane_evaluates_each_window_once():
     plane = SloPlane([_spec()], window=1.0)
-    plane.observe("lat_s", 0.5, 2.0)
-    fired = plane.evaluate_through(0)
+    fired = plane.evaluate(0, {"lat_s": [2.0]})
     assert len(fired) == 1  # burn 10 >= fast 2 and slow 1.5
-    assert plane.evaluate_through(0) == []  # already evaluated
     ev = plane.evaluators["lat"]
     assert ev.windows == 1
-    plane.evaluate_through(2)
-    assert ev.windows == 3  # two idle windows evaluated exactly once
+    assert plane.evaluate(1, {}) == []
+    plane.evaluate(2, {})
+    assert ev.windows == 3  # idle windows are judged too, once per call
     assert plane.alerts == fired
-
-
-def test_plane_evaluate_all_covers_every_sampled_window():
-    plane = SloPlane([_spec()], window=1.0)
-    plane.observe("lat_s", 0.5, 0.1)
-    plane.observe("lat_s", 4.5, 0.1)
-    plane.evaluate_all()
-    assert plane.evaluators["lat"].windows == 5
 
 
 def test_plane_mirrors_into_armed_instrumentation_only():
     plane = SloPlane([_spec()], window=1.0)
-    plane.observe("lat_s", 0.5, 2.0)
-    plane.evaluate_through(0)  # unbound: no mirroring, no crash
+    plane.evaluate(0, {"lat_s": [2.0]})  # unarmed: no mirroring, no crash
 
     obs = Instrumentation()
     armed = SloPlane([_spec()], window=1.0)
-    armed.bind(obs)
-    armed.observe("lat_s", 0.5, 2.0)
-    armed.evaluate_through(0)
+    with hooks.use(obs):
+        armed.evaluate(0, {"lat_s": [2.0]})
     assert obs.registry.counter("slo.breaches").value == 1
     assert obs.registry.counter("slo.alerts").value == 1
     assert obs.registry.gauge("slo.lat.burn_fast").value == pytest.approx(10.0)
@@ -264,10 +234,10 @@ def test_plane_mirrors_into_armed_instrumentation_only():
 
 def test_firing_reflects_latest_window():
     plane = SloPlane([_spec()], window=1.0)
-    plane.observe("lat_s", 0.5, 2.0)
-    plane.evaluate_through(0)
+    plane.evaluate(0, {"lat_s": [2.0]})
     assert plane.firing() == ["lat"]
-    plane.evaluate_through(3)  # idle windows cool the burn off
+    for index in range(1, 4):
+        plane.evaluate(index, {})  # idle windows cool the burn off
     assert plane.firing() == []
 
 
@@ -276,9 +246,8 @@ def test_firing_reflects_latest_window():
 
 def _document():
     plane = SloPlane([_spec()], window=1.0)
-    plane.observe("lat_s", 0.5, 2.0)
-    plane.observe("lat_s", 1.5, 0.1)
-    plane.evaluate_through(1)
+    plane.evaluate(0, {"lat_s": [2.0]})
+    plane.evaluate(1, {"lat_s": [0.1]})
     return build_document("unit", {"kind": "unit", "seed": 3}, plane)
 
 
@@ -326,8 +295,7 @@ def test_prometheus_registry_exports_budget_gauges():
 def _doc_with(compliance_values):
     plane = SloPlane([_spec()], window=1.0)
     for index, value in enumerate(compliance_values):
-        plane.observe_at("lat_s", index, value)
-    plane.evaluate_all()
+        plane.evaluate(index, {"lat_s": [value]})
     return build_document("cmp", {"kind": "unit"}, plane)
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.fleet import FleetConfig, FleetSlo, run_fleet
+from repro.fleet import FleetConfig, FleetSlo, make_volume_specs, run_fleet
 from repro.fleet.slo import DEFAULT_LATENCY_SLO_S, fleet_specs, volume_spec
 from repro.obs import hooks
 from repro.obs.hooks import Instrumentation
@@ -23,7 +23,7 @@ def _config(**overrides):
 
 
 def _slo_run(config, armed=False):
-    monitor = FleetSlo.for_config(config)
+    monitor = FleetSlo(config)
     if armed:
         with hooks.use(Instrumentation()):
             report = run_fleet(config, slo=monitor)
@@ -130,11 +130,16 @@ def test_volume_alert_promotes_queued_volume():
 
 def test_for_config_builds_one_spec_per_volume():
     config = _config()
-    monitor = FleetSlo.for_config(config)
+    monitor = FleetSlo(config)
     names = [s.name for s in monitor.plane.specs]
     fleet_names = [s.name for s in fleet_specs(config)]
     assert names[:len(fleet_names)] == fleet_names
-    assert sum(1 for n in names if n.startswith("vol.")) == config.volumes
+    assert names[len(fleet_names):] == [
+        volume_spec(spec.name, DEFAULT_LATENCY_SLO_S).name
+        for spec in make_volume_specs(config)
+    ]
+    # the for_config spelling builds the same monitor
+    assert [s.name for s in FleetSlo.for_config(config).plane.specs] == names
 
 
 def test_volume_spec_shape():
@@ -146,9 +151,9 @@ def test_volume_spec_shape():
 
 def test_custom_latency_objective_changes_judgment():
     config = _config()
-    strict = FleetSlo.for_config(config, latency_slo_s=1e-6)
+    strict = FleetSlo(config, latency_slo_s=1e-6)
     run_fleet(config, slo=strict)
-    lax = FleetSlo.for_config(config, latency_slo_s=10.0)
+    lax = FleetSlo(config, latency_slo_s=10.0)
     run_fleet(config, slo=lax)
     def latency_bad(monitor):
         return sum(
