@@ -75,22 +75,17 @@ def bench_matches_baseline():
     assert fresh == committed, "virtual-time figures drifted from baseline"
 
 
-def provenance_artifacts():
-    doc = json.load(open("trace-prov.json"))
-    assert doc["traceEvents"], "empty trace"
+def trace_artifacts():
+    doc = json.load(open("trace-phases.json"))
     assert "metrics" in doc, "metrics missing from trace"
-    prov = [e for e in doc["traceEvents"] if e.get("cat") == "prov"]
-    assert prov, "no provenance events in trace"
-    assert any(e["ph"] == "s" for e in prov), "no flow starts"
-    assert any(e["ph"] == "f" for e in prov), "no flow finishes"
-    stacks = open("flame.txt").read().splitlines()
-    assert stacks, "empty flamegraph"
-    for line in stacks:
-        frames, weight = line.rsplit(" ", 1)
-        assert frames and int(weight) >= 0, line
+    names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
+    for phase in ("phase.before", "phase.analysis", "fragpicker.defragment", "phase.after"):
+        assert names.count(phase) == 1, f"{phase}: {names.count(phase)} spans"
     summary = json.load(open("trace-summary.json"))
-    assert summary["provenance"]["layer_crossing"] > 0, summary
-    assert summary["critical_path"]["ok"] is True, summary
+    assert summary["schema"] == "repro.obs.trace/v2", summary.get("schema")
+    fanout = summary["split_fanout"]
+    assert fanout["before"]["mean"] > fanout["after"]["mean"], fanout
+    assert summary["attribution"]["ok"] is True, summary["attribution"]
 
 
 def survival_report():
@@ -202,11 +197,10 @@ ROWS = [
      [["bench", "--smoke", "--label", "ci", "--json", "BENCH_ci.json", "--trace", "trace.json"]],
      [bench_document, bench_matches_baseline],
      ["BENCH_ci.json", "trace.json"]),
-    ("trace smoke: provenance artifacts are valid",
-     [["trace", "--smoke", "--out", "trace-prov.json", "--flame", "flame.txt",
-       "--json", "trace-summary.json"]],
-     [provenance_artifacts],
-     ["trace-prov.json", "flame.txt", "trace-summary.json"]),
+    ("trace smoke: artifacts are valid",
+     [["trace", "--smoke", "--out", "trace-phases.json", "--json", "trace-summary.json"]],
+     [trace_artifacts],
+     ["trace-phases.json", "trace-summary.json"]),
     ("faults smoke: crash sweep and campaign survive",
      [["faults", "--smoke", "--json", "faults-smoke.json"]],
      [survival_report],

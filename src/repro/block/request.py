@@ -5,8 +5,8 @@ command`` in Linux: it can only express one *contiguous* LBA range.  That
 restriction is what makes fragmentation expensive on modern devices — the
 paper's *request splitting*.
 
-On the submit path a syscall's commands travel as one batch — one op, one
-tag and one provenance id plus plain ``(offset, length)`` ranges — so
+On the submit path a syscall's commands travel as one batch — one op and
+one tag plus plain ``(offset, length)`` ranges — so
 :class:`IoCommand` is only the record the block tracer keeps for each of
 them (``keep_log`` and the ``block.cmd`` events).
 """
@@ -32,16 +32,12 @@ class IoCommand(NamedTuple):
         length: bytes, > 0.
         tag: origin label used by the tracer to attribute traffic
             (e.g. ``"workload"`` vs ``"defrag"``).
-        pid: provenance id of the originating syscall, 0 when causal
-            tracing is disarmed or the command has no syscall origin
-            (GC, fstrim).
     """
 
     op: IoOp
     offset: int
     length: int
     tag: str = ""
-    pid: int = 0
 
     @property
     def end(self) -> int:

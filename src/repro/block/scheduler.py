@@ -51,9 +51,6 @@ class BlockScheduler:
         # whether any rule covers the block site; when none does, a check
         # there only counts the batch and needs no op or byte total
         self._block_faults = self._faulting and self.faults.covers(BLOCK_SITE)
-        # causal tracing armed (obs enabled AND a provenance recorder
-        # installed); only ever consulted inside the _observing branch
-        self._tracing = self._observing and self.obs.provenance is not None
         self.requests_submitted = 0
         self.kernel_time_total = 0.0
         #: shared kernel-CPU timeline: request construction serializes
@@ -64,16 +61,15 @@ class BlockScheduler:
 
     def submit(
         self, op: IoOp, ranges: Sequence[DiskRange], now: float = 0.0,
-        tag: str = "", pid: int = 0,
+        tag: str = "",
     ) -> SubmitResult:
         """Submit one syscall's command batch; returns completion info.
 
         ``ranges`` are the batch's ``(offset, length)`` commands (see
         :func:`~repro.block.splitter.split_ranges`), all of ``op``, from
-        origin ``tag``, for the syscall with provenance id ``pid`` (0 =
-        untracked).  The kernel builds and queues every request before the
-        device can finish the batch, so kernel time is serial and precedes
-        device service.  Synchronous semantics: the result's
+        origin ``tag``.  The kernel builds and queues every request before
+        the device can finish the batch, so kernel time is serial and
+        precedes device service.  Synchronous semantics: the result's
         ``finish_time`` is when *all* split requests completed.
         """
         if not ranges:
@@ -108,10 +104,10 @@ class BlockScheduler:
         cpu_start = max(now, self._cpu_free)
         cpu_done = cpu_start + kernel_time
         self._cpu_free = cpu_done
-        batch = self.device.submit(op, ranges, cpu_done, pid)
+        batch = self.device.submit(op, ranges, cpu_done)
         self.requests_submitted += n
         self.kernel_time_total += kernel_time
-        self.tracer.observe(op, tag, ranges, now, pid)
+        self.tracer.observe(op, tag, ranges, now)
         if self._observing:
             # split fan-out (commands per syscall), kernel CPU, and how far
             # behind real time the shared kernel-CPU timeline is running;
@@ -122,9 +118,6 @@ class BlockScheduler:
                 queue_wait=cpu_start - now,
                 base_cpu=self.kernel_overhead_per_request,
             )
-            if self._tracing and pid:
-                # causal edge: syscall -> this batch's kernel-CPU window
-                self.obs.provenance.submit(pid, n, now, cpu_start, cpu_done)
         # tuple.__new__ skips the generated keyword-parsing __new__ (one
         # result per batch on the hot path); fields in declaration order
         return tuple.__new__(SubmitResult, (

@@ -10,9 +10,9 @@ A perfectly contiguous file therefore yields one command per syscall, while
 a file fragmented into 4 KiB pieces yields one command per piece — exactly
 the effect Figure 1 of the paper illustrates.
 
-Every command of one syscall shares its op, origin tag and provenance id,
-so a batch travels below the filesystem as ``(op, tag, pid, ranges)``:
-the ranges returned here are the batch's commands.
+Every command of one syscall shares its op and origin tag, so a batch
+travels below the filesystem as ``(op, tag, ranges)``: the ranges
+returned here are the batch's commands.
 """
 
 from __future__ import annotations

@@ -81,11 +81,10 @@ class BlockTracer:
         self._emitting = self.obs.enabled and self.obs.per_command
 
     def observe(
-        self, op: IoOp, tag: str, ranges: Sequence[DiskRange],
-        now: float = 0.0, pid: int = 0,
+        self, op: IoOp, tag: str, ranges: Sequence[DiskRange], now: float = 0.0,
     ) -> None:
         """Count one batch: ``ranges`` are its commands, all of ``op``
-        from origin ``tag`` (``pid`` as in :class:`IoCommand`)."""
+        from origin ``tag``."""
         counter = self.by_tag.get(tag)
         if counter is None:
             counter = self.by_tag[tag] = TrafficCounter()
@@ -96,17 +95,16 @@ class BlockTracer:
         if self.keep_log:
             new = tuple.__new__
             self.log.extend(
-                new(IoCommand, (op, offset, length, tag, pid))
+                new(IoCommand, (op, offset, length, tag))
                 for offset, length in ranges
             )
         if self._emitting:
-            # pid ties the raw command back to its syscall's provenance
-            # tree (0 = untracked); ``_value_`` skips the enum descriptor
+            # ``_value_`` skips the enum descriptor
             value = op._value_
             for offset, length in ranges:
                 self.obs.event(
                     "block.cmd", now, track="block",
-                    op=value, offset=offset, length=length, tag=tag, pid=pid,
+                    op=value, offset=offset, length=length, tag=tag,
                 )
 
     def tag(self, name: str) -> TrafficCounter:

@@ -8,9 +8,8 @@ Usage::
     python -m repro run fig8 --fs-type f2fs --device optane
     python -m repro run all
     python -m repro trace --smoke            # instrumented Fig. 10 run:
-                                             # metrics, syscall->cmd trees,
-                                             # critical path, flamegraph,
-                                             # flow trace
+                                             # phase spans, split fan-out,
+                                             # attribution, Chrome trace
     python -m repro trace --metrics-json m.json   # + metrics registry JSON
     python -m repro bench --smoke --json BENCH_ci.json   # persist a suite run
     python -m repro bench --compare BENCH_base.json BENCH_ci.json
@@ -86,28 +85,22 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["hdd", "microsd", "flash", "optane"])
     trace = sub.add_parser(
         "trace",
-        help="instrumented Fig. 10 run: metrics tables, per-syscall command "
-             "trees, critical path, flamegraph, and a Chrome trace with "
-             "flow arrows",
+        help="instrumented Fig. 10 run: phase spans, split fan-out before "
+             "and after defrag, latency attribution, metrics tables, and a "
+             "Chrome trace",
     )
     trace.add_argument("--smoke", action="store_true",
                        help="small/fast variant (CI smoke test)")
-    trace.add_argument("--top", type=int, default=10, metavar="N",
-                       help="slowest-syscall table depth (default 10)")
     trace.add_argument("--device", default="optane",
                        choices=["hdd", "microsd", "flash", "optane"],
                        help="device model under the aged fs (default optane)")
     trace.add_argument("--out", default="trace.json",
                        help="Chrome trace_event output path ('' to skip)")
-    trace.add_argument("--flame", default="flame.txt", metavar="PATH",
-                       help="collapsed-stack flamegraph output ('' to skip)")
     trace.add_argument("--json", default=None, metavar="PATH",
-                       help="also dump forest summary + critical path as JSON")
+                       help="also dump the phase/fan-out/attribution summary "
+                            "as JSON")
     trace.add_argument("--metrics-json", default=None, metavar="PATH",
                        help="also dump the metrics registry as JSON here")
-    trace.add_argument("--max-events", type=int, default=262144,
-                       help="event-ring capacity for the armed run "
-                            "(default 262144; wraps drop oldest edges)")
     bench = sub.add_parser(
         "bench",
         help="instrumented benchmark suite: persist BENCH_*.json, compare runs",
@@ -293,30 +286,21 @@ def _run_trace(args) -> int:
     import json
 
     from .bench.experiments import obs_trace
-    from .obs.critical_path import write_flamegraph
-    from .obs.hooks import Instrumentation
 
-    obs = Instrumentation(provenance=True, max_events=args.max_events)
-    result = obs_trace.run(smoke=args.smoke, obs=obs, device=args.device)
-    print(result.report(top=args.top))
-    path = result.critical_path()
+    result = obs_trace.run(smoke=args.smoke, device=args.device)
+    print(result.report())
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(result.trace(), fh)
-        print(f"\nwrote Chrome trace (with causal flow arrows) to {args.out}")
-    if args.flame:
-        write_flamegraph(args.flame, result.forest(), obs.spans)
-        print(f"wrote collapsed-stack flamegraph to {args.flame} "
-              "(feed to flamegraph.pl or speedscope)")
+        print(f"\nwrote Chrome trace to {args.out}")
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump({"schema": "repro.obs.trace/v1",
-                       "provenance": result.forest().summary(),
-                       "critical_path": path.to_dict()}, fh, indent=2)
+            json.dump(result.summary(), fh, indent=2)
         print(f"wrote trace summary JSON to {args.json}")
-    cli_util.write_exports(obs.registry, args.metrics_json)
-    if not path.check():
-        print("critical-path check FAILED (segments do not sum to wall-clock)")
+    cli_util.write_exports(result.obs.registry, args.metrics_json)
+    if not result.attribution().check():
+        print("attribution check FAILED (components do not sum to the "
+              "measured latency)")
         return 1
     return 0
 

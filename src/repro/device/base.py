@@ -108,10 +108,6 @@ class StorageDevice(abc.ABC):
     #: Models override this with their own pathology.
     fault_latency_spike: float = 0.010
 
-    #: What this model's parallel internal units are called in provenance
-    #: records (flash channels, Optane banks, ...); purely descriptive.
-    provenance_unit: str = "unit"
-
     def __init__(self, name: str, capacity: int) -> None:
         if capacity <= 0:
             raise DeviceError("capacity must be positive")
@@ -127,10 +123,8 @@ class StorageDevice(abc.ABC):
         # consulted only while it is active
         self._observing = self.obs.enabled
         self._faulting = self.faults.enabled
-        # per-command histograms; only consulted inside observing branches
+        # per-command histograms (implies observing)
         self._per_command = self._observing and self.obs.per_command
-        # causal tracing armed; only consulted inside observing branches
-        self._tracing = self._observing and self.obs.provenance is not None
         self._controller_free = 0.0
         self._link_free = 0.0
         #: per-unit busy timelines; a unit never used reads 0.0 (a
@@ -156,16 +150,14 @@ class StorageDevice(abc.ABC):
 
     def submit(
         self, op: IoOp, ranges: Sequence[DiskRange], start_time: float = 0.0,
-        pid: int = 0,
     ) -> BatchResult:
         """Process a batch of commands issued together at ``start_time``.
 
         ``ranges`` are the batch's ``(offset, length)`` commands, all of
-        ``op``, for the syscall with provenance id ``pid`` (0 = untracked).
-        The fault plane checks the batch with one scan; a fire is enacted
-        when the loop reaches its command, and the scan resumes after a
-        fire that does not end the batch.  The stats count the commands
-        that ran even when the batch raises part-way.
+        ``op``.  The fault plane checks the batch with one scan; a fire is
+        enacted when the loop reaches its command, and the scan resumes
+        after a fire that does not end the batch.  The stats count the
+        commands that ran even when the batch raises part-way.
         """
         if not ranges:
             return _batch_result(BatchResult, (start_time, start_time, 0.0, 0))
@@ -188,7 +180,6 @@ class StorageDevice(abc.ABC):
         batch_penalty = 0.0
         observing = self._observing
         per_command = self._per_command
-        tracing = self._tracing and pid
         value = op._value_  # skips the enum descriptor in messages/records
         # hot loop: every split request of every syscall lands here, so
         # resolve attribute lookups once per batch
@@ -266,22 +257,11 @@ class StorageDevice(abc.ABC):
                 done_n += 1
                 batch_work += controller_time + stall
                 batch_penalty += penalty_time
-                if observing:
-                    if per_command:
-                        # service time: controller pickup to media/link completion
-                        self.obs.device_command(
-                            self.name, value, command_finish - command_begin
-                        )
-                    if tracing:
-                        # causal edge: syscall -> this command's completion,
-                        # with the queue-wait/service split and the model's
-                        # parallelism + discontiguity penalty
-                        self.obs.provenance.command(
-                            pid, self.name, self.provenance_unit,
-                            value, offset, length,
-                            start_time, command_begin, command_finish,
-                            len(unit_work), penalty_time,
-                        )
+                if per_command:
+                    # service time: controller pickup to media/link completion
+                    self.obs.device_command(
+                        self.name, value, command_finish - command_begin
+                    )
                 if torn_lost is not None:
                     break  # the batch tears here: later commands never ran
         finally:

@@ -62,9 +62,6 @@ class FlashSsd(StorageDevice):
     #: injected latency spike: a foreground GC stall on the write path
     fault_latency_spike = 0.010
 
-    #: provenance records label parallel units as flash channels
-    provenance_unit = "channel"
-
     def __init__(self, capacity: int = 32 * GIB, params: Optional[FlashParams] = None) -> None:
         super().__init__("flash", capacity)
         self.params = params = params if params is not None else FlashParams()

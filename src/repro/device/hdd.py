@@ -53,9 +53,6 @@ class HddDevice(StorageDevice):
     #: a recalibration pass, tens of milliseconds on a 7200 RPM disk
     fault_latency_spike = 0.050
 
-    #: provenance records label the single serial unit as the head
-    provenance_unit = "head"
-
     def __init__(self, capacity: int = 64 * GIB) -> None:
         super().__init__("hdd", capacity)
         self.head_position = 0

@@ -55,9 +55,6 @@ class MicroSdDevice(StorageDevice):
     #: flash is notorious for (block reclaim behind a tiny mapping cache)
     fault_latency_spike = 0.100
 
-    #: provenance records label work by the mapping segment it touches
-    provenance_unit = "segment"
-
     def __init__(self, capacity: int = 32 * GIB, params: Optional[MicroSdParams] = None) -> None:
         super().__init__("microsd", capacity)
         self.params = params if params is not None else MicroSdParams()

@@ -52,9 +52,6 @@ class OptaneSsd(StorageDevice):
     #: controller hiccups (thermal throttle, internal ECC retry)
     fault_latency_spike = 0.0005
 
-    #: provenance records label parallel units as XPoint banks
-    provenance_unit = "bank"
-
     def __init__(self, capacity: int = 64 * GIB) -> None:
         super().__init__("optane", capacity)
         self.link_rate = INTERFACE_RATE

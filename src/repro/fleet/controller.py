@@ -290,7 +290,7 @@ def build_volumes(config: FleetConfig) -> List[Volume]:
 
     When the ambient instrumentation is armed, each volume is built
     under its own child instrumentation (mirroring the ambient ring
-    sizes and provenance arming) so its layers record per-volume; the
+    sizes) so its layers record per-volume; the
     controller merges the per-volume planes back at the end of the run
     (:meth:`FleetController._harvest_volumes`).  Unarmed runs are
     untouched — no child facades, no scopes, the pre-harvest fast path.

@@ -130,9 +130,6 @@ class Filesystem(abc.ABC):
         # fault plane is consulted only while it is active
         self._observing = self.obs.enabled
         self._faulting = self.faults.enabled
-        # causal tracing armed: mint a provenance id per layer-crossing
-        # syscall; only consulted inside _observing-guarded paths
-        self._tracing = self._observing and self.obs.provenance is not None
         self.scheduler = BlockScheduler(device)
         self.tracer = self.scheduler.tracer
         if metadata_region >= device.capacity:
@@ -279,22 +276,15 @@ class Filesystem(abc.ABC):
             return SyscallResult(finish, finish - now, 0, 0, b"" if want_data else None)
         entry_time = now
         now += self._probe_cost
-        pid = self.obs.provenance.mint() if self._tracing else 0
         if handle.o_direct:
-            finish, requests, moved = self._read_direct(handle, inode, offset, length, now, pid)
+            finish, requests, moved = self._read_direct(handle, inode, offset, length, now)
         else:
-            finish, requests, moved = self._read_buffered(handle, inode, offset, length, now, pid)
+            finish, requests, moved = self._read_buffered(handle, inode, offset, length, now)
         data = self.page_store.read(inode.ino, offset, length) if want_data else None
         if self._observing:
             self.obs.syscall("read", finish - entry_time)
             if self._probe_cost:
                 self.obs.fs_cpu(self._probe_cost)
-            if pid:
-                self.obs.provenance.syscall(
-                    pid, "read", app=handle.app, path=inode.path,
-                    ino=inode.ino, offset=offset, size=length,
-                    start=entry_time, end=finish, requests=requests,
-                )
         # tuple.__new__ skips the generated keyword-parsing __new__ (one
         # result per read); all five fields, in declaration order
         return tuple.__new__(
@@ -304,18 +294,18 @@ class Filesystem(abc.ABC):
     # The _read_*/_write_* path helpers return a plain ``(finish,
     # requests, bytes)`` tuple: read/write build the one SyscallResult.
 
-    def _read_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
+    def _read_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float) -> Tuple[float, int, int]:
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
             # Linux O_DIRECT requires logical-block alignment.
             raise InvalidArgument(f"O_DIRECT read misaligned: offset={offset} length={length}")
         ranges = split_ranges(inode.extent_map.disk_ranges(offset, length))
-        submit = self.scheduler.submit(IoOp.READ, ranges, now, handle.app, pid)
+        submit = self.scheduler.submit(IoOp.READ, ranges, now, handle.app)
         finish = max(submit.finish_time, now) + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.fs_cpu(SYSCALL_OVERHEAD)
         return finish, submit.commands, length
 
-    def _read_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
+    def _read_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float) -> Tuple[float, int, int]:
         plan = handle.readahead.plan(offset, length, inode.size)
         first_page = plan.fetch_start // BLOCK_SIZE
         last_page = max(first_page, (plan.fetch_end - 1) // BLOCK_SIZE)
@@ -330,7 +320,7 @@ class Filesystem(abc.ABC):
                     inode.extent_map.disk_ranges(run.start * BLOCK_SIZE, len(run) * BLOCK_SIZE)
                 )
             submit = self.scheduler.submit(
-                IoOp.READ, split_ranges(ranges), now, handle.app, pid
+                IoOp.READ, split_ranges(ranges), now, handle.app
             )
             requests = submit.commands
             finish = max(finish, submit.finish_time)
@@ -339,11 +329,7 @@ class Filesystem(abc.ABC):
                 inode.ino, runs[0] if len(runs) == 1 else missing
             )
             if evicted:
-                # eviction writeback is causally this read's fault: the
-                # flushed commands carry its pid
-                finish = self._writeback_pages(
-                    _group_pages(evicted), finish, pid=pid
-                ).finish_time
+                finish = self._writeback_pages(_group_pages(evicted), finish).finish_time
         copy_time = length / MEMCPY_RATE
         finish += copy_time + SYSCALL_OVERHEAD
         if self._observing:
@@ -392,39 +378,32 @@ class Filesystem(abc.ABC):
         inode.size = max(inode.size, offset + length)
         entry_time = now
         now += self._probe_cost
-        pid = self.obs.provenance.mint() if self._tracing else 0
         if handle.o_direct:
-            finish, requests, moved = self._write_direct(handle, inode, offset, length, now, pid)
+            finish, requests, moved = self._write_direct(handle, inode, offset, length, now)
         else:
-            finish, requests, moved = self._write_buffered(handle, inode, offset, length, now, pid)
+            finish, requests, moved = self._write_buffered(handle, inode, offset, length, now)
         if self._observing:
             self.obs.syscall("write", finish - entry_time)
             if self._probe_cost:
                 self.obs.fs_cpu(self._probe_cost)
-            if pid:
-                self.obs.provenance.syscall(
-                    pid, "write", app=handle.app, path=inode.path,
-                    ino=inode.ino, offset=offset, size=length,
-                    start=entry_time, end=finish, requests=requests,
-                )
         return tuple.__new__(
             SyscallResult, (finish, finish - entry_time, requests, moved, None)
         )
 
-    def _write_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
+    def _write_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float) -> Tuple[float, int, int]:
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
             raise InvalidArgument(f"O_DIRECT write misaligned: offset={offset} length={length}")
         ranges = self._allocate_write(inode, offset, length)
         self._meta_dirty = True
         submit = self.scheduler.submit(
-            IoOp.WRITE, split_ranges(ranges), now, handle.app, pid
+            IoOp.WRITE, split_ranges(ranges), now, handle.app
         )
         finish = max(submit.finish_time, now) + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.fs_cpu(SYSCALL_OVERHEAD)
         return finish, submit.commands, length
 
-    def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int, int]:
+    def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float) -> Tuple[float, int, int]:
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
         evicted = self.page_cache.mark_dirty(inode.ino, range(first, last + 1))
@@ -432,7 +411,7 @@ class Filesystem(abc.ABC):
         if self._observing:
             self.obs.fs_cpu(finish - now)
         if evicted:
-            finish = self._writeback_pages(_group_pages(evicted), finish, pid=pid).finish_time
+            finish = self._writeback_pages(_group_pages(evicted), finish).finish_time
         return finish, 0, length
 
     def fsync(self, handle: FileHandle, now: float = 0.0) -> SyscallResult:
@@ -441,62 +420,43 @@ class Filesystem(abc.ABC):
         inode = self.inode(handle.ino)
         if self._faulting and self.faults.active:
             now, _ = self._fault_syscall("fsync", inode, 0, inode.size, now)
-        pid = self.obs.provenance.mint() if self._tracing else 0
         dirty = self.page_cache.dirty_pages(inode.ino)
         requests = 0
         finish = now
         if dirty:
-            submit = self._writeback_pages(
-                {inode.ino: dirty}, now, tag=handle.app, pid=pid,
-            )
+            submit = self._writeback_pages({inode.ino: dirty}, now, tag=handle.app)
             requests += submit.commands
             finish = submit.finish_time
-        meta = self._commit_metadata(finish, tag="meta", pid=pid)
+        meta = self._commit_metadata(finish, tag="meta")
         requests += meta.commands
         finish = max(finish, meta.finish_time) + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.syscall("fsync", finish - now)
             self.obs.fs_cpu(SYSCALL_OVERHEAD)
-            if pid:
-                self.obs.provenance.syscall(
-                    pid, "fsync", app=handle.app, path=inode.path,
-                    ino=inode.ino, offset=0, size=len(dirty) * BLOCK_SIZE,
-                    start=now, end=finish, requests=requests,
-                )
         return SyscallResult(finish, finish - now, requests, len(dirty) * BLOCK_SIZE)
 
     def sync(self, now: float = 0.0) -> SyscallResult:
         """Flush everything (sync(2))."""
-        pid = self.obs.provenance.mint() if self._tracing else 0
         finish = now
         requests = 0
         for ino in list(self.inodes):
             dirty = self.page_cache.dirty_pages(ino)
             if not dirty:
                 continue
-            submit = self._writeback_pages({ino: dirty}, finish, pid=pid)
+            submit = self._writeback_pages({ino: dirty}, finish)
             requests += submit.commands
             finish = submit.finish_time
-        meta = self._commit_metadata(finish, tag="meta", pid=pid)
+        meta = self._commit_metadata(finish, tag="meta")
         finish = max(finish, meta.finish_time)
         if self._observing:
             self.obs.syscall("sync", finish - now)
-            if pid:
-                self.obs.provenance.syscall(
-                    pid, "sync", app="kernel", path="*", ino=0,
-                    offset=0, size=0, start=now, end=finish,
-                    requests=requests + meta.commands,
-                )
         return SyscallResult(finish, finish - now, requests + meta.commands, 0)
 
-    def _writeback_pages(self, by_ino: Dict[int, List[int]], now: float, tag: str = "writeback", pid: int = 0) -> SubmitResult:
+    def _writeback_pages(self, by_ino: Dict[int, List[int]], now: float, tag: str = "writeback") -> SubmitResult:
         """Write dirty pages out, allocating blocks as needed.
 
         ``by_ino`` maps each inode to its sorted dirty pages, in the
-        order the inodes are flushed.  ``pid`` attributes the flushed
-        commands to the syscall that forced the writeback (fsync/sync, or
-        a read/write that evicted dirty pages); 0 leaves them causally
-        untracked.
+        order the inodes are flushed.
         """
         # each page run is split on its own: runs that happen to land
         # back to back on disk stay separate commands
@@ -510,7 +470,7 @@ class Filesystem(abc.ABC):
                 commands.extend(split_ranges(ranges))
             self._meta_dirty = True
             self.page_cache.clean(ino, pages)
-        return self.scheduler.submit(IoOp.WRITE, commands, now, tag, pid)
+        return self.scheduler.submit(IoOp.WRITE, commands, now, tag)
 
     # ------------------------------------------------------------------
     # fallocate
@@ -653,12 +613,11 @@ class Filesystem(abc.ABC):
     # metadata journal
     # ------------------------------------------------------------------
 
-    def _commit_metadata(self, now: float, tag: str, pid: int = 0) -> SubmitResult:
+    def _commit_metadata(self, now: float, tag: str) -> SubmitResult:
         """Commit pending metadata (one journal/checkpoint transaction).
 
         Metadata-dirtying syscalls only *flag* the journal (jbd2 batches
-        transactions); the write happens here, at fsync/sync time.  The
-        journal write is attributed to the flushing syscall via ``pid``.
+        transactions); the write happens here, at fsync/sync time.
         """
         if not self._meta_dirty:
             return SubmitResult(now, 0.0, 0, 0.0, 0.0)
@@ -668,7 +627,7 @@ class Filesystem(abc.ABC):
         if offset + record > self.metadata_region:
             offset = 0
         self._journal_head = offset + record
-        return self.scheduler.submit(IoOp.WRITE, [(offset, record)], now, tag, pid)
+        return self.scheduler.submit(IoOp.WRITE, [(offset, record)], now, tag)
 
     # ------------------------------------------------------------------
     # personality hook

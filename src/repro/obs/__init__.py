@@ -19,13 +19,6 @@ measurement substrate:
 - :mod:`repro.obs.sampler` — fragmentation timelines: extents-per-file,
   free-space fragmentation, and contiguity sampled over virtual time,
   exported as counter curves in the Chrome trace;
-- :mod:`repro.obs.provenance` — causal I/O lineage: per-syscall
-  provenance ids threaded fs → block → device, reconstructed into
-  syscall→request→command trees;
-- :mod:`repro.obs.critical_path` — the critical path of a whole run
-  (sum-to-total checked against wall-clock), collapsed-stack flamegraph
-  export, and Chrome flow events linking syscalls to their tail
-  commands;
 - :mod:`repro.obs.slo` — the judgment layer: declarative SLOs judged
   one window at a time from the values the caller hands in (the fleet
   hands in one scheduler tick), evaluated into error-budget
@@ -64,14 +57,5 @@ _EXPORTS = {
     "FragmentationSampler": "sampler",
     "SloPlane": "slo",
     "SloSpec": "slo",
-    "ProvenanceForest": "provenance",
-    "ProvenanceRecorder": "provenance",
-    "SyscallTree": "provenance",
-    "build_forest": "provenance",
-    "CriticalPath": "critical_path",
-    "critical_path": "critical_path",
-    "flamegraph": "critical_path",
-    "flow_events": "critical_path",
-    "write_flamegraph": "critical_path",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

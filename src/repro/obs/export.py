@@ -52,18 +52,12 @@ def chrome_trace(
     recorder: SpanRecorder,
     registry: Optional[MetricsRegistry] = None,
     sampler=None,
-    extra_events: Optional[List[Dict[str, object]]] = None,
 ) -> Dict[str, object]:
     """Build a Chrome trace_event document from recorded spans/events.
 
     ``sampler`` (anything with ``.series`` and ``.to_dict()``, e.g. a
     :class:`~repro.obs.sampler.FragmentationSampler`) adds counter curves
     to the event stream plus a raw ``fragTimeline`` top-level key.
-    ``extra_events`` appends pre-built trace events verbatim — e.g. the
-    provenance slices and flow arrows from
-    :func:`repro.obs.critical_path.flow_events` (those carry their own
-    tids from a reserved namespace, so they never collide with the track
-    ids assigned here).
     """
     events: List[Dict[str, object]] = []
     tracks = recorder.tracks() or ["main"]
@@ -100,8 +94,6 @@ def chrome_trace(
         })
     if sampler is not None:
         events.extend(counter_events(sampler.series))
-    if extra_events:
-        events.extend(extra_events)
     document: Dict[str, object] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -4,9 +4,9 @@ Work that runs under its own :class:`~repro.obs.hooks.Instrumentation`
 — a bench figure in a ``repro.par`` worker, whose
 :func:`repro.par.reset_worker_state` installs the null facade, or one
 fleet volume on its own virtual clock — would otherwise lose every
-metric, span, ring event, and provenance edge it produced.  The harvest
-plane carries them home the way production telemetry pipelines do
-(Chrome ``trace_event`` aggregation, Prometheus federation): the child's
+metric, span and ring event it produced.  The harvest plane carries
+them home the way production telemetry pipelines do (Chrome
+``trace_event`` aggregation, Prometheus federation): the child's
 state is captured into a picklable :class:`TelemetrySnapshot`, which a
 worker returns alongside its result, and the parent merges snapshots
 into its own armed instrumentation **strictly in a fixed order**:
@@ -21,9 +21,6 @@ into its own armed instrumentation **strictly in a fixed order**:
   merges like any counter, and the recorder-level ``dropped_spans`` /
   ``dropped_events`` tallies carry over into the parent's recorder (on
   top of any wraps the merge itself causes in the parent's ring).
-
-A child never arms provenance (only ``repro trace`` does, and it runs
-unsharded), so no merged ring carries provenance ids of its own.
 
 The two callers keep the merge deterministic.  The bench suite
 (:mod:`repro.bench.suite`) runs every figure under a fresh child in
@@ -50,8 +47,7 @@ SNAPSHOTS_MERGED = "obs.harvest.snapshots"
 
 
 def child_of(obs: Instrumentation) -> Instrumentation:
-    """A fresh armed instrumentation with ``obs``'s ring capacities and
-    no provenance plane."""
+    """A fresh armed instrumentation with ``obs``'s ring capacities."""
     return Instrumentation(
         max_spans=obs.spans.max_spans,
         max_events=obs.spans.events.maxlen or 0,

@@ -69,13 +69,10 @@ checks that invariant.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .metrics import COUNT_BOUNDS, Counter, Gauge, Histogram, MetricsRegistry
 from .spans import Span, SpanRecorder
-
-if TYPE_CHECKING:
-    from .provenance import ProvenanceRecorder
 
 
 class Instrumentation:
@@ -85,15 +82,8 @@ class Instrumentation:
     the facade builds its own :class:`SpanRecorder` (ignored when an
     existing ``spans`` recorder is passed — size that one directly).  The
     event ring evicts oldest-first once full; every wrap increments the
-    ``obs.events_dropped`` counter so provenance-armed runs can't lose
-    causal edges silently (see :mod:`repro.obs.spans` for the truncation
-    contract).
-
-    ``provenance=True`` arms per-syscall causal tracing: layers built
-    while this facade is installed mint provenance ids and record
-    syscall→request→command edges into the event ring
-    (:mod:`repro.obs.provenance`).  Disarmed (the default), no ids are
-    minted and commands carry ``pid=0``.
+    ``obs.events_dropped`` counter so a run can't lose events silently
+    (see :mod:`repro.obs.spans` for the truncation contract).
     """
 
     enabled = True
@@ -109,7 +99,6 @@ class Instrumentation:
         spans: Optional[SpanRecorder] = None,
         max_spans: Optional[int] = None,
         max_events: Optional[int] = None,
-        provenance: bool = False,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         if spans is not None:
@@ -121,11 +110,6 @@ class Instrumentation:
             if max_events is not None:
                 span_kwargs["max_events"] = max_events
             self.spans = SpanRecorder(**span_kwargs)
-        self.provenance: Optional[ProvenanceRecorder] = None
-        if provenance:
-            from .provenance import ProvenanceRecorder  # armed only
-
-            self.provenance = ProvenanceRecorder(self.spans)
         # get-or-create caches so hot hooks skip name formatting when possible
         self._syscall: Dict[str, Tuple[Counter, Histogram]] = {}
         #: the attribution-only facade's latency histograms by op
@@ -343,7 +327,6 @@ class NullInstrumentation:
     enabled = False
     registry = None
     spans = None
-    provenance = None
 
     def __deepcopy__(self, memo) -> "NullInstrumentation":
         # stateless singleton: a cloned filesystem keeps ``obs is NULL``
@@ -423,12 +406,10 @@ def enable(
     spans: Optional[SpanRecorder] = None,
     max_spans: Optional[int] = None,
     max_events: Optional[int] = None,
-    provenance: bool = False,
 ) -> Instrumentation:
     """Install (and return) a live instrumentation."""
     instrumentation = Instrumentation(
         registry, spans, max_spans=max_spans, max_events=max_events,
-        provenance=provenance,
     )
     install(instrumentation)
     return instrumentation

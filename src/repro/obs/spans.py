@@ -10,7 +10,7 @@ per range.  Because time is virtual, callers pass it explicitly::
     ...
     recorder.finish(span, now)
 
-Instant happenings (actor steps, frag-check skips, provenance edges) go
+Instant happenings (actor steps, frag-check skips, block commands) go
 into a bounded ring buffer via :meth:`SpanRecorder.event` so long
 experiments cannot grow the log without bound.
 
@@ -19,8 +19,8 @@ are *not* kept (``dropped_spans`` counts them); events past ``max_events``
 evict the **oldest** ring entries (``dropped_events`` counts the wraps,
 and an attached ``drop_counter`` — ``obs.events_dropped`` when owned by an
 :class:`~repro.obs.hooks.Instrumentation` — surfaces the loss in the
-metrics registry, so provenance-armed runs can't silently lose causal
-edges).  Size the buffers per run via
+metrics registry, so a run can't silently lose events).  Size the
+buffers per run via
 ``Instrumentation(max_spans=..., max_events=...)``.
 """
 

