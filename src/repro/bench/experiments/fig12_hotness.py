@@ -84,31 +84,47 @@ def run(
     criteria: List[float] = None,
     seed: int = 9,
 ) -> Fig12Result:
+    """Sweep the criteria over each distribution's read stream.
+
+    Only the hotness criterion differs between a distribution's points,
+    so its traced state is built once (see :class:`FixtureCache`): a
+    copy of the built file runs the base read stream and the monitored
+    analysis stream, and the base MB/s and the monitor's records are
+    stored beside the traced volume.  Each point then defragments its
+    own copy of that volume with its criterion and measures the stream.
+    """
     criteria = criteria or CRITERIA
     sweeps: Dict[str, List[HotnessPoint]] = {}
     original: Dict[str, float] = {}
-    # every sweep point starts from its own copy of one built file
     fixtures = FixtureCache()
+    key = ("ext4", "optane", file_size)
 
     def build():
         fs, _ = fresh_fs("ext4", "optane")
         return fs, make_paper_synthetic_file(fs, "/target", file_size)
 
+    def traced(offsets: List[int]):
+        def build_traced():
+            fs, now = fixtures.get(key, build)
+            now, base_mbps = _read_stream(fs, "/target", offsets, now)
+            with FragPicker(fs).monitor(apps={"bench"}) as monitor:
+                now, _ = _read_stream(fs, "/target", offsets, now)
+            return fs, now, base_mbps, tuple(monitor.records)
+        return build_traced
+
     for distribution in ("uniform", "zipfian"):
         offsets = _offsets(distribution, file_size, ops, seed)
         points: List[HotnessPoint] = []
         for criterion in criteria:
-            fs, now = fixtures.get(("ext4", "optane", file_size), build)
-            now, base_mbps = _read_stream(fs, "/target", offsets, now)
+            fs, now, base_mbps, records = fixtures.get(key + (distribution,), traced(offsets))
             original.setdefault(distribution, base_mbps)
             picker = FragPicker(fs, FragPickerConfig(hotness_criterion=criterion))
-            with picker.monitor(apps={"bench"}) as monitor:
-                now, _ = _read_stream(fs, "/target", offsets, now)
-            report = picker.defragment(monitor.records, paths=["/target"], now=now)
+            report = picker.defragment(records, paths=["/target"], now=now)
             now, mbps = _read_stream(fs, "/target", offsets, report.finished_at)
             points.append(
                 HotnessPoint(criterion=criterion, throughput_mbps=mbps,
                              write_mb=report.write_bytes / MIB)
             )
         sweeps[distribution] = points
+        fixtures.release(key + (distribution,))
     return Fig12Result(sweeps=sweeps, original_mbps=original)

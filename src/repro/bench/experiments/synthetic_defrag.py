@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ...constants import KIB, MIB
 from ...core import FragPicker, FragPickerConfig
 from ...core.report import DefragReport
+from ...errors import InvalidArgument
 from ...stats.tables import format_table
 from ...tools import btrfs_defragment, make_conventional
 from ...workloads.synthetic import (
@@ -43,6 +44,10 @@ PATTERNS: Dict[str, Callable] = {
 }
 
 VARIANTS = ("original", "conv", "conv_t", "fragpicker", "fragpicker_b")
+
+#: the variants whose tool never reads the I/O pattern: their
+#: defragmented volume is built once per grid and copied into each cell
+PATTERN_FREE = ("conv", "conv_t", "fragpicker_b")
 
 #: the paper's file (1 GiB on Optane, 400 MB on flash), scaled down
 FILE_SIZE = 33 * MIB
@@ -99,28 +104,24 @@ class SyntheticResult:
         return title + "\n" + format_table(headers, rows)
 
 
-def _apply_variant(fs, variant: str, path: str, pattern_fn, now: float,
-                   hotness: float) -> Tuple[float, Optional[DefragReport]]:
-    """Defragment according to the variant; returns (now, report)."""
-    if variant == "original":
-        return now, None
+def _defragment(fs, variant: str, path: str, now: float) -> DefragReport:
+    """Run one pattern-free variant's tool over ``path``."""
     if variant == "conv":
-        tool = make_conventional(fs)
-        report = tool.defragment([path], now=now)
-        return report.finished_at, report
+        return make_conventional(fs).defragment([path], now=now)
     if variant == "conv_t":
-        tool = btrfs_defragment(fs, extent_threshold=128 * KIB)
-        report = tool.defragment([path], now=now)
-        return report.finished_at, report
-    picker = FragPicker(fs, FragPickerConfig(hotness_criterion=hotness))
+        return btrfs_defragment(fs, extent_threshold=128 * KIB).defragment([path], now=now)
     if variant == "fragpicker_b":
-        report = picker.defragment_bypass([path], now=now)
-        return report.finished_at, report
-    # fragpicker: analysis run of the same workload first (Section 5.1)
+        return FragPicker(fs).defragment_bypass([path], now=now)
+    raise InvalidArgument(f"unknown variant {variant!r}")
+
+
+def _analyse_and_defragment(fs, path: str, pattern_fn, now: float,
+                            hotness: float) -> DefragReport:
+    """FragPicker: an analysis run of the same workload first (Section 5.1)."""
+    picker = FragPicker(fs, FragPickerConfig(hotness_criterion=hotness))
     with picker.monitor(apps={"bench"}) as monitor:
         now, _ = pattern_fn(fs, path, now=now)
-    report = picker.defragment(monitor.records, paths=[path], now=now)
-    return report.finished_at, report
+    return picker.defragment(monitor.records, paths=[path], now=now)
 
 
 def run(
@@ -131,8 +132,16 @@ def run(
     patterns: Tuple[str, ...] = tuple(PATTERNS),
     hotness: float = 1.0,
 ) -> SyntheticResult:
-    """Run the full grid; every (variant, pattern) cell starts from its own
-    copy of one freshly built file (see :class:`FixtureCache`).
+    """Run the full grid; every cell starts from its own copy of a
+    cached state (see :class:`FixtureCache`).
+
+    The freshly built file is one cached state.  The variants that never
+    read the pattern (:data:`PATTERN_FREE`) each add one more: their
+    tool runs once on a copy of the built file, and every pattern's cell
+    starts from a copy of the defragmented volume, with the tool's
+    report stored beside it.  Original and FragPicker start from the
+    built file; FragPicker runs its analysis and migration per cell,
+    because its analysis traces the cell's own pattern.
 
     ``variants=None`` runs the paper's set for ``fs_type``:
     Btrfs adds Conv.-T, the ``-t`` extent-threshold option only it has.
@@ -143,18 +152,33 @@ def run(
             variants = ("original", "conv", "conv_t", "fragpicker", "fragpicker_b")
     result = SyntheticResult(fs_type=fs_type, device=device, file_size=file_size)
     fixtures = FixtureCache()
+    key = (fs_type, device, file_size)
 
     def build():
         fs, _ = fresh_fs(fs_type, device)
         return fs, make_paper_synthetic_file(fs, "/target", file_size)
 
+    def defragmented(variant: str):
+        def build_defragmented():
+            fs, now = fixtures.get(key, build)
+            report = _defragment(fs, variant, "/target", now)
+            return fs, report.finished_at, report
+        return build_defragmented
+
     for variant in variants:
         result.cells[variant] = {}
         for pattern in patterns:
+            pattern_fn = PATTERNS[pattern]
             with measured_variant() as window:
-                fs, now = fixtures.get((fs_type, device, file_size), build)
-                pattern_fn = PATTERNS[pattern]
-                now, report = _apply_variant(fs, variant, "/target", pattern_fn, now, hotness)
+                if variant == "original":
+                    fs, now = fixtures.get(key, build)
+                    report = None
+                elif variant == "fragpicker":
+                    fs, now = fixtures.get(key, build)
+                    report = _analyse_and_defragment(fs, "/target", pattern_fn, now, hotness)
+                    now = report.finished_at
+                else:
+                    fs, now, report = fixtures.get(key + (variant,), defragmented(variant))
                 now, mbps = pattern_fn(fs, "/target", now=now)
             cell = SyntheticCell(
                 throughput_mbps=mbps,
@@ -166,4 +190,5 @@ def run(
                 cell.defrag_elapsed = report.elapsed
                 cell.fragments_after = sum(report.fragments_after.values())
             result.cells[variant][pattern] = cell
+        fixtures.release(key + (variant,))
     return result

@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..device import make_device
 from ..device.base import StorageDevice
@@ -29,9 +29,10 @@ def fresh_fs(fs_type: str, device_kind: str) -> Tuple[Filesystem, StorageDevice]
     return fs, device
 
 
-#: a built starting point: the filesystem and the virtual time its build
-#: finished at
-Fixture = Tuple[Filesystem, float]
+#: a built starting point: the filesystem, the virtual time its build
+#: finished at, then any values the build measured that cells only read
+#: (a defragmentation report, a syscall trace)
+Fixture = Tuple[Any, ...]
 
 
 class FixtureCache:
@@ -40,21 +41,28 @@ class FixtureCache:
     An experiment's ``run()`` creates one and asks it for every cell's
     starting filesystem.  The first request for a key builds the fixture
     and stores it; every request returns a ``copy.deepcopy`` of the
-    stored one, so each cell starts byte-identical to a fresh build and
-    no cell sees another's writes.
+    stored filesystem, so each cell starts byte-identical to a fresh
+    build and no cell sees another's writes.  The rest of the fixture
+    tuple (its build's finishing time and any measured values) is
+    returned as stored, shared by every cell.
+
+    A build may itself start from another key's copy: every state a cell
+    reaches without reading its own input (a defragmented volume, a
+    traced file) is then built once per run, not once per cell.
 
     While an obs or fault plane is armed every request builds afresh:
     layers capture the planes at construction, and each cell's metrics
     window (and each fault rule's op counts) must contain the build's
-    own syscalls, exactly as when every cell built its own file.
+    own syscalls, a derived state's defragmentation or trace included,
+    exactly as when every cell built its own file.
     """
 
     def __init__(self) -> None:
         self._stored: Dict[Hashable, Fixture] = {}
 
     def get(self, key: Hashable, build: Callable[[], Fixture]) -> Fixture:
-        """``(fs, now)`` for one cell: a copy of ``key``'s fixture, built
-        by ``build()`` on first use (and on every use while armed)."""
+        """``(fs, now, ...)`` for one cell: a copy of ``key``'s fixture,
+        built by ``build()`` on first use (and on every use while armed)."""
         if obs_hooks.current().enabled or fault_hooks.current().enabled:
             return build()
         stored = self._stored.get(key)
@@ -68,8 +76,11 @@ class FixtureCache:
                     "listeners attached; attach them per cell instead"
                 )
             self._stored[key] = stored
-        fs, now = stored
-        return copy.deepcopy(fs), now
+        return (copy.deepcopy(stored[0]),) + stored[1:]
+
+    def release(self, key: Hashable) -> None:
+        """Drop ``key``'s stored fixture once no later cell starts from it."""
+        self._stored.pop(key, None)
 
 
 @dataclass

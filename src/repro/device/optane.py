@@ -23,7 +23,7 @@ from ..block.request import IoOp
 from ..constants import BLOCK_SIZE, GIB
 from .base import CommandPlan, StorageDevice, extend_sums as _extend_sums
 
-#: bound on the per-device plan memo (op x bank phase x page count keys)
+#: bound on the plan memo (op x bank phase x page count keys)
 PLAN_CACHE_ENTRIES = 4096
 
 
@@ -43,6 +43,14 @@ DWPD = 10.0
 WARRANTY_YEARS = 5.0
 
 
+# Plan memo: bank layout depends only on (op, first bank phase, page
+# count, length) and the model's constants, so plans are pure and
+# cacheable without invalidation, and one memo serves every device (a
+# cloned device shares it instead of copying it).  Bounded with FIFO
+# eviction: which entry goes cannot change a plan.
+_PLANS: Dict[Tuple[str, int, int, int], CommandPlan] = {}
+
+
 class OptaneSsd(StorageDevice):
     """Address-interleaved in-place storage with few, fast banks."""
 
@@ -55,11 +63,6 @@ class OptaneSsd(StorageDevice):
     def __init__(self, capacity: int = 64 * GIB) -> None:
         super().__init__("optane", capacity)
         self.link_rate = INTERFACE_RATE
-        # Plan memo: bank layout depends only on (op, first bank phase,
-        # page count, length) and the model is stateless, so plans are
-        # pure and cacheable without invalidation.  Bounded with FIFO
-        # eviction: which entry goes cannot change a plan.
-        self._plan_cache: Dict[Tuple[str, int, int, int], CommandPlan] = {}
         self._discard_plan = CommandPlan(
             controller_time=COMMAND_OVERHEAD + DISCARD_PER_COMMAND
         )
@@ -80,7 +83,7 @@ class OptaneSsd(StorageDevice):
             return self._discard_plan
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
-        cache = self._plan_cache
+        cache = _PLANS
         key = (op._value_, first % BANKS, last - first, length)
         plan = cache.get(key)
         if plan is not None:

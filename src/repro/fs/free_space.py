@@ -56,6 +56,23 @@ class FreeSpaceManager:
         self._stats_cache: Optional[FreeSpaceStats] = None
         self._bucket_add(region_start, region_end - region_start)
 
+    def __deepcopy__(self, memo) -> "FreeSpaceManager":
+        # runs are immutable tuples and the caches immutable values: fresh
+        # lists sharing them are an exact, independent copy (a generic
+        # deepcopy rebuilds every run, which dominates cloning a volume
+        # full of punched holes)
+        clone = FreeSpaceManager.__new__(FreeSpaceManager)
+        clone.region_start = self.region_start
+        clone.region_end = self.region_end
+        clone._starts = list(self._starts)
+        clone._lengths = list(self._lengths)
+        clone._free_bytes = self._free_bytes
+        clone._buckets = {key: list(bucket) for key, bucket in self._buckets.items()}
+        clone._runs_cache = self._runs_cache
+        clone._stats_cache = self._stats_cache
+        memo[id(self)] = clone
+        return clone
+
     # -- queries ---------------------------------------------------------
 
     @property

@@ -1,5 +1,8 @@
 """Free-space manager: allocation policies and invariants."""
 
+import copy
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,3 +126,55 @@ def test_alloc_free_roundtrip_conserves_space(seq):
         m.check_invariants()
     assert m.free_bytes == total
     assert m.stats().run_count == 1
+
+
+# ----------------------------------------------------------------------
+# cloning: the experiment fixtures deep-copy volumes full of holes
+# ----------------------------------------------------------------------
+
+
+def _churn(m, rng, held, steps):
+    """``steps`` seeded allocations and frees; ``held`` is the live runs."""
+    blocks = m.region_end // B
+    for _ in range(steps):
+        if held and rng.random() < 0.45:
+            m.free(*held.pop(rng.randrange(len(held))))
+            continue
+        length = rng.randint(1, 24) * B
+        goal = rng.randrange(blocks) * B if rng.random() < 0.5 else None
+        try:
+            if rng.random() < 0.5:
+                held.append((m.alloc_contiguous(length, goal=goal), length))
+            else:
+                held.extend(m.alloc(length, goal=goal))
+        except NoSpaceError:
+            pass
+
+
+def _view(m):
+    """Everything observable of a manager, as values (no shared lists)."""
+    return (m.runs(), m.stats(), m.free_bytes,
+            {key: list(bucket) for key, bucket in m._buckets.items()})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_clone_is_an_exact_independent_copy(seed):
+    m = manager(512)
+    held = []
+    _churn(m, random.Random(seed), held, 300)
+    before = _view(m)  # also fills the caches the clone shares
+    clone = copy.deepcopy(m)
+    assert _view(clone) == before
+    clone.check_invariants()
+
+    # the clone's operations never reach the original's lists
+    clone_held = list(held)
+    _churn(clone, random.Random(seed + 1000), clone_held, 200)
+    clone.check_invariants()
+    assert _view(m) == before
+    m.check_invariants()
+
+    # and the same operations on the original keep the two equal
+    _churn(m, random.Random(seed + 1000), held, 200)
+    assert held == clone_held
+    assert _view(m) == _view(clone)
