@@ -1,10 +1,14 @@
 """Turning mapped disk ranges into device commands.
 
-``split_ranges`` is where *request splitting* physically happens in this
-stack: the filesystem maps a system call to a list of ``(disk_offset,
-length)`` ranges (one per extent piece), adjacent ranges are merged back
-together (the block layer's request merging), and every surviving range is
-capped at ``MAX_REQUEST_SIZE`` and becomes one device command.
+``split_ranges`` is where *request splitting* physically happens on the
+write side of this stack (O_DIRECT writes, writeback and F2FS segment
+cleaning): the filesystem maps a system call to a list of
+``(disk_offset, length)`` ranges (one per extent piece), adjacent ranges
+are merged back together (the block layer's request merging), and every
+surviving range is capped at ``MAX_REQUEST_SIZE`` and becomes one device
+command.  Reads build the same list in one walk over the extent map
+(:meth:`repro.fs.extent_map.ExtentMap.commands`), without the
+intermediate range list.
 
 A perfectly contiguous file therefore yields one command per syscall, while
 a file fragmented into 4 KiB pieces yields one command per piece — exactly
@@ -28,7 +32,8 @@ def split_ranges(
     ranges: Sequence[DiskRange],
     max_request_size: int = MAX_REQUEST_SIZE,
 ) -> List[DiskRange]:
-    """The ``(offset, length)`` commands of one system call.
+    """The ``(offset, length)`` commands of one write, writeback run or
+    segment-cleaning batch.
 
     Returns one pair per contiguous LBA run, each at most
     ``max_request_size`` bytes.  ``len(result)`` is the paper's
@@ -39,7 +44,7 @@ def split_ranges(
     default ``none``/``mq-deadline`` path the paper measures keeps
     submission order for a single synchronous syscall).  Zero-length
     ranges are dropped.  Merging and capping happen in a single pass —
-    this runs once per syscall with one entry per extent piece, so no
+    this runs once per write with one entry per extent piece, so no
     intermediate merged list is allocated.
     """
     commands: List[DiskRange] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..block.request import IoOp
 from ..constants import BLOCK_SIZE, GIB
@@ -28,7 +28,8 @@ from .ftl import PageMappingFtl
 #: entries never go stale and which one is evicted cannot change a plan
 READ_PLAN_CACHE_ENTRIES = 4096
 
-#: bound on the write-plan memo, keyed on (first channel, pages, bytes)
+#: bound on the write-plan memo, keyed on (channels, first channel,
+#: pages, bytes)
 WRITE_PLAN_CACHE_ENTRIES = 4096
 
 
@@ -43,6 +44,21 @@ INTERFACE_RATE = 520e6
 DISCARD_PER_COMMAND = 0.00003
 #: Cost of one GC page relocation (read + program, partially pipelined).
 GC_PAGE_COST = 0.000150
+
+# Plan memos.  A read plan is a pure function of the pages' channel
+# sequence and the byte length, so keyed on those it never needs
+# dropping when the mapping moves.  A write that relocates nothing
+# stripes its pages from the cursor, so its plan is a pure function of
+# the channel count, the first channel, the page count (an unaligned
+# offset adds one) and the bytes.  Pure plans serve every device, so
+# one memo each is shared (a cloned device shares them instead of
+# copying them), like ``optane._PLANS``.
+_READ_PLANS: Dict[Tuple[bytes, int], CommandPlan] = {}
+_WRITE_PLANS: Dict[Tuple[int, int, int, int], CommandPlan] = {}
+# repeated-addition prefix table (see base.extend_sums): keeps
+# batch-counted channel totals bit-identical to the old accumulation
+# loop; it only ever grows, by the same values, so it is shared too
+_READ_SUMS: List[float] = [0.0]
 
 
 @dataclass(frozen=True)
@@ -72,18 +88,6 @@ class FlashSsd(StorageDevice):
             pages_per_block=params.pages_per_block,
             overprovision=params.overprovision,
         )
-        # A read plan is a pure function of the pages' channel sequence
-        # and the byte length, so keyed on those it never needs dropping
-        # when the mapping moves.
-        self._read_plan_cache: Dict[Tuple[bytes, int], CommandPlan] = {}
-        # A write that relocates nothing stripes its pages from the
-        # cursor, so its plan is a pure function of the first channel,
-        # the page count (an unaligned offset adds one) and the bytes.
-        self._write_plan_cache: Dict[Tuple[int, int, int], CommandPlan] = {}
-        # repeated-addition prefix table (see base.extend_sums): keeps
-        # batch-counted channel totals bit-identical to the old
-        # accumulation loop
-        self._read_sums = [0.0]
         self._discard_overhead_plan = CommandPlan(
             controller_time=COMMAND_OVERHEAD + DISCARD_PER_COMMAND
         )
@@ -101,14 +105,14 @@ class FlashSsd(StorageDevice):
                 offset // BLOCK_SIZE, (offset + length - 1) // BLOCK_SIZE
             )
             key = (lanes, length)
-            cache = self._read_plan_cache
+            cache = _READ_PLANS
             plan = cache.get(key)
             if plan is not None:
                 return plan
             # one table lookup per occupied channel, in first-occurrence
             # order (Counter keeps insertion order), like the old loop
             counts = Counter(lanes)
-            sums = self._read_sums
+            sums = _READ_SUMS
             if counts:
                 _extend_sums(sums, max(counts.values()), PAGE_READ)
             plan = CommandPlan(
@@ -124,9 +128,10 @@ class FlashSsd(StorageDevice):
             return plan
         result = self.ftl.write(self._pages_of(offset, length))
         relocated = result.relocated_pages
-        cache = self._write_plan_cache
+        cache = _WRITE_PLANS
+        channels = self.params.channels
         if not relocated:
-            key = (result.first_channel, result.pages, length)
+            key = (channels, result.first_channel, result.pages, length)
             plan = cache.get(key)
             if plan is not None:
                 return plan
@@ -135,8 +140,8 @@ class FlashSsd(StorageDevice):
             per_channel[channel] = per_channel.get(channel, 0.0) + count * PAGE_PROGRAM
         if relocated:
             # GC copyback work, spread over the channels it runs on
-            share = relocated * GC_PAGE_COST / self.params.channels
-            for channel in range(self.params.channels):
+            share = relocated * GC_PAGE_COST / channels
+            for channel in range(channels):
                 per_channel[channel] = per_channel.get(channel, 0.0) + share
         plan = CommandPlan(
             controller_time=COMMAND_OVERHEAD,

@@ -298,36 +298,34 @@ class Filesystem(abc.ABC):
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
             # Linux O_DIRECT requires logical-block alignment.
             raise InvalidArgument(f"O_DIRECT read misaligned: offset={offset} length={length}")
-        ranges = split_ranges(inode.extent_map.disk_ranges(offset, length))
+        ranges = inode.extent_map.commands(((offset, length),))
         submit = self.scheduler.submit(IoOp.READ, ranges, now, handle.app)
-        finish = max(submit.finish_time, now) + SYSCALL_OVERHEAD
+        # an empty batch finishes at ``now``, any other one later
+        finish = submit.finish_time + SYSCALL_OVERHEAD
         if self._observing:
             self.obs.fs_cpu(SYSCALL_OVERHEAD)
         return finish, submit.commands, length
 
     def _read_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float) -> Tuple[float, int, int]:
         plan = handle.readahead.plan(offset, length, inode.size)
-        first_page = plan.fetch_start // BLOCK_SIZE
-        last_page = max(first_page, (plan.fetch_end - 1) // BLOCK_SIZE)
-        missing = self.page_cache.probe(inode.ino, first_page, last_page)
+        # ``read`` clips ``length`` to the file, so the plan fetches at
+        # least the one page holding ``offset``
+        missing = self.page_cache.probe(
+            inode.ino, plan.fetch_start // BLOCK_SIZE, (plan.fetch_end - 1) // BLOCK_SIZE
+        )
         requests = 0
         finish = now
         if missing:
-            runs = page_runs(missing)
-            ranges: List[Tuple[int, int]] = []
-            for run in runs:
-                ranges.extend(
-                    inode.extent_map.disk_ranges(run.start * BLOCK_SIZE, len(run) * BLOCK_SIZE)
-                )
             submit = self.scheduler.submit(
-                IoOp.READ, split_ranges(ranges), now, handle.app
+                IoOp.READ,
+                inode.extent_map.commands(
+                    [(run.start * BLOCK_SIZE, len(run) * BLOCK_SIZE) for run in missing]
+                ),
+                now, handle.app,
             )
             requests = submit.commands
-            finish = max(finish, submit.finish_time)
-            # one fill per read: a single run goes in as its range
-            evicted = self.page_cache.fill(
-                inode.ino, runs[0] if len(runs) == 1 else missing
-            )
+            finish = submit.finish_time
+            evicted = self.page_cache.fill(inode.ino, missing)
             if evicted:
                 finish = self._writeback_pages(_group_pages(evicted), finish).finish_time
         copy_time = length / MEMCPY_RATE

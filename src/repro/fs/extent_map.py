@@ -15,9 +15,9 @@ lengths are validated once at the syscall boundary, and the deep
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..constants import BLOCK_SIZE
+from ..constants import BLOCK_SIZE, MAX_REQUEST_SIZE
 from ..errors import InvalidArgument
 
 #: Enable interior argument validation on every punch/insert.  Off by
@@ -159,6 +159,59 @@ class ExtentMap:
             pos = take_end
             idx += 1
         return pieces
+
+    def commands(self, spans: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """The ``(disk_offset, length)`` device commands of a read of the
+        file spans ``spans`` (``(file_offset, length)`` pairs, in order).
+
+        Equal to :func:`~repro.block.splitter.split_ranges` over the
+        concatenated :meth:`disk_ranges` of the spans, built in one walk
+        over the extents: holes are skipped, disk-adjacent pieces merge
+        across holes and across span boundaries, and each merged run is
+        capped at ``MAX_REQUEST_SIZE`` from its (clipped) start.
+        """
+        commands: List[Tuple[int, int]] = []
+        append = commands.append
+        extents = self._extents
+        starts = self._starts
+        count = len(extents)
+        cap = MAX_REQUEST_SIZE
+        cur_offset = cur_length = 0
+        for offset, length in spans:
+            if length <= 0:
+                continue
+            end = offset + length
+            idx = bisect_right(starts, offset) - 1
+            if idx < 0 or extents[idx][0] + extents[idx][2] <= offset:
+                idx += 1
+            while idx < count:
+                file_offset, disk_offset, ext_len = extents[idx]
+                if file_offset >= end:
+                    break
+                idx += 1
+                file_end = file_offset + ext_len
+                if file_offset < offset:
+                    disk_offset += offset - file_offset
+                    file_offset = offset
+                piece = (file_end if file_end < end else end) - file_offset
+                if cur_length and cur_offset + cur_length == disk_offset:
+                    cur_length += piece
+                    continue
+                if cur_length:
+                    while cur_length > cap:
+                        append((cur_offset, cap))
+                        cur_offset += cap
+                        cur_length -= cap
+                    append((cur_offset, cur_length))
+                cur_offset = disk_offset
+                cur_length = piece
+        if cur_length:
+            while cur_length > cap:
+                append((cur_offset, cap))
+                cur_offset += cap
+                cur_length -= cap
+            append((cur_offset, cur_length))
+        return commands
 
     def disk_ranges(self, offset: int, length: int) -> List[Tuple[int, int]]:
         """Like :meth:`map_range` but holes removed."""

@@ -5,10 +5,13 @@ it.  O_DIRECT bypasses it entirely (as in Linux).  Capacity is configurable
 so experiments can model memory pressure; eviction of a dirty page reports
 it to the caller for writeback.
 
-Every call that touches pages names one inode and a run or list of its
-page indices (``probe(ino, first, last)``, ``fill(ino, pages)``,
+Every call that touches pages names one inode and a run, runs or list
+of its page indices (``probe(ino, first, last)``, ``fill(ino, runs)``,
 ``mark_dirty(ino, pages)``), and each does its per-page work inside C
-calls, not in a Python loop:
+calls, not in a Python loop.  ``probe`` returns the missing pages as
+maximal ascending ``range`` runs, and ``fill`` takes such runs, so a
+buffered miss carries its pages from the probe to the fill without a
+page index as a Python int:
 
 - **Residency.** Each inode has chunks of :data:`CHUNK` stamps, one
   ``array('q')`` per chunk of its page index space, allocated on first
@@ -81,6 +84,22 @@ def page_runs(pages: Sequence[int]) -> List[range]:
     return [range(pages[a], pages[b - 1] + 1) for a, b in zip(bounds, islice(bounds, 1, None))]
 
 
+def _gaps(stamps: array, first: int) -> List[Tuple[int, int]]:
+    """The ``(start, stop)`` page runs not resident in ``stamps``, the
+    stamps of pages ``first..``; one C-level search per run edge."""
+    flags = bytes(map(eq, stamps, repeat(-1)))
+    size = len(flags)
+    gaps = []
+    lo = flags.find(1)
+    while lo >= 0:
+        hi = flags.find(0, lo)
+        if hi < 0:
+            hi = size
+        gaps.append((first + lo, first + hi))
+        lo = flags.find(1, hi)
+    return gaps
+
+
 def _as_runs(pages: Sequence[int]) -> List[range]:
     """The runs a touch of ``pages`` writes, in LRU order."""
     if type(pages) is range and pages.step == 1:
@@ -149,55 +168,65 @@ class PageCache:
 
     # -- lookup ----------------------------------------------------------
 
-    def probe(self, ino: int, first: int, last: int) -> List[int]:
+    def probe(self, ino: int, first: int, last: int) -> List[range]:
         """Probe pages ``first..last`` (inclusive) of one inode.
 
         Hits move to the LRU tail in page order; returns the missing
-        pages in ascending order and updates the hit/miss stats.
+        pages as maximal runs in ascending order and updates the
+        hit/miss stats.
         """
         stop = last + 1
         stats = self.stats
         chunks = self._chunks.get(ino)
         if chunks is None:
+            if stop <= first:
+                return []
             stats.misses += stop - first
-            return list(range(first, stop))
-        missing: List[int] = []
+            return [range(first, stop)]
+        missing: List[range] = []
         hits: List[range] = []
+        missed = 0
         page = first
         while page < stop:
             key = page >> CHUNK_BITS
             end = min(stop, (key + 1) << CHUNK_BITS)
             chunk = chunks.get(key)
             if chunk is None:
-                missing.extend(range(page, end))
+                gaps = ((page, end),)
             else:
                 slot = page & _MASK
                 stamps = chunk[slot:slot + end - page]
                 if -1 not in stamps:
                     hits.append(range(page, end))
+                    page = end
+                    continue
+                gaps = _gaps(stamps, page)
+            for lo, hi in gaps:
+                # the hits are the pages between the missing runs
+                if lo > page:
+                    hits.append(range(page, lo))
+                missed += hi - lo
+                if missing and missing[-1].stop == lo:
+                    missing[-1] = range(missing[-1].start, hi)
                 else:
-                    gone = list(compress(range(page, end), map(eq, stamps, repeat(-1))))
-                    missing += gone
-                    # the hits are the gaps between the missing runs
-                    for run in page_runs(gone):
-                        if run.start > page:
-                            hits.append(range(page, run.start))
-                        page = run.stop
-                    if page < end:
-                        hits.append(range(page, end))
+                    missing.append(range(lo, hi))
+                page = hi
+            if page < end:
+                hits.append(range(page, end))
             page = end
         if hits:
             self._touch(ino, chunks, hits)
-        stats.hits += stop - first - len(missing)
-        stats.misses += len(missing)
+        stats.hits += stop - first - missed
+        stats.misses += missed
         return missing
 
     # -- population ------------------------------------------------------
 
-    def fill(self, ino: int, pages: Sequence[int]) -> List[PageKey]:
-        """Insert clean pages of one inode; returns the dirty pages
-        evicted to make room, as ``(ino, page)`` keys in LRU order."""
-        runs = _as_runs(pages)
+    def fill(self, ino: int, runs: Sequence[range]) -> List[PageKey]:
+        """Insert clean pages of one inode, given as disjoint runs in the
+        order they are touched (``probe``'s missing runs, say); returns
+        the dirty pages evicted to make room, as ``(ino, page)`` keys in
+        LRU order."""
         if runs:
             chunks = self._chunks.get(ino)
             if chunks is None:
@@ -219,7 +248,7 @@ class PageCache:
             before = len(dirty)
             dirty.update(pages)
             self._dirty_total += len(dirty) - before
-        return self.fill(ino, pages)
+        return self.fill(ino, _as_runs(pages))
 
     def _touch(self, ino: int, chunks: Chunks, runs: Iterable[range]) -> None:
         """Move the pages of ``runs`` (resident or not) to the LRU tail,

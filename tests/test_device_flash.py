@@ -1,8 +1,12 @@
 """Flash SSD: channel parallelism, conflicts, out-of-place updates."""
 
+import copy
+
 from repro.block import IoOp
 from repro.constants import GIB, KIB, MIB
-from repro.device.flash import INTERFACE_RATE, PAGE_PROGRAM, PAGE_READ, FlashSsd
+from repro.device.base import CommandPlan
+from repro.device.flash import INTERFACE_RATE, PAGE_PROGRAM, PAGE_READ, FlashParams, FlashSsd
+from repro.fs import make_filesystem
 
 
 def read(offset, length=4 * KIB):
@@ -72,3 +76,32 @@ def test_describe_reports_wear():
     info = ssd.describe()
     assert info["kind"] == "flash"
     assert info["write_amplification"] >= 1.0
+
+
+def test_deep_copied_flash_volume_copies_no_plan_memo():
+    """The plan memos are shared by every flash device: a cloned volume
+    holds none of its own, and a plan either of them builds serves the
+    other."""
+    fs = make_filesystem("ext4", FlashSsd(capacity=1 * GIB))
+    handle = fs.open("/f", create=True, o_direct=True)
+    fs.write(handle, 0, 1 * MIB)
+    fs.read(handle, 0, 1 * MIB)
+    clone = copy.deepcopy(fs)
+    assert not [
+        name for name, value in vars(clone.device).items()
+        if isinstance(value, dict)
+        and any(isinstance(item, CommandPlan) for item in value.values())
+    ]
+    for op in (IoOp.READ, IoOp.WRITE):
+        built = clone.device._plan_command(op, 2 * MIB, 36 * KIB)
+        assert fs.device._plan_command(op, 2 * MIB, 36 * KIB) is built
+
+
+def test_write_plans_are_keyed_on_the_channel_count():
+    """Two geometries write the same pages from the same first channel:
+    each plan stripes over its own device's channels."""
+    for channels in (8, 4, 8):
+        ssd = FlashSsd(capacity=1 * GIB, params=FlashParams(channels=channels))
+        plan = ssd._plan_command(IoOp.WRITE, 0, 16 * 4 * KIB)
+        assert [channel for channel, _ in plan.unit_work] == list(range(channels))
+        assert [work for _, work in plan.unit_work] == [16 // channels * PAGE_PROGRAM] * channels

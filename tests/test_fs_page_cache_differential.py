@@ -7,7 +7,10 @@ and ``drop_clean`` over four inodes run through both at capacities small
 enough that dirty pages get evicted, and after every step the LRU order
 (``lru_keys()``), the stats, the dirty count, the per-inode indexes and
 every returned value (missing pages, evicted keys, drop counts) must be
-identical.  Long streams over a few resident pages make the touch log
+identical.  ``probe`` returns its missing pages as runs, which must be
+maximal and ascending and flatten to the reference's missing pages;
+``fill`` takes runs, made from each fill's page list by
+:func:`fill_runs`.  Long streams over a few resident pages make the touch log
 compact, and a deep copy taken mid-stream must go on like the original.
 The same streams also run over pages that straddle two stamp chunks,
 and scripted cases cover a refill after ``invalidate_inode``, a
@@ -137,6 +140,29 @@ def pages_arg(rng: random.Random, base: int = 0):
     return [base + rng.randrange(PAGES_PER_INODE) for _ in range(length)]
 
 
+def fill_runs(pages) -> List[range]:
+    """The runs that touch ``pages`` in the reference's LRU order: each
+    repeated page at its last occurrence, consecutive ascending pages
+    as one run (in any order between runs)."""
+    if isinstance(pages, range):
+        return [pages] if pages else []
+    runs: List[range] = []
+    for page in list(dict.fromkeys(reversed(pages)))[::-1]:
+        if runs and runs[-1].stop == page:
+            runs[-1] = range(runs[-1].start, page + 1)
+        else:
+            runs.append(range(page, page + 1))
+    return runs
+
+
+def flatten_runs(runs: List[range]) -> List[int]:
+    """The pages of ``probe``'s runs, after checking the runs are
+    non-empty, ascending and maximal (a gap between every two)."""
+    assert all(type(run) is range and run.step == 1 and run for run in runs), runs
+    assert all(a.stop < b.start for a, b in zip(runs, runs[1:])), runs
+    return [page for run in runs for page in run]
+
+
 def resident_by_ino(cache: PageCache) -> Dict[int, Set[int]]:
     """Resident pages per inode, read from the stamp chunks; inodes with
     nothing resident are left out, as ``KeyedPageCache`` leaves them."""
@@ -203,12 +229,17 @@ def check_ops(capacity: int, ops: Iterable[tuple], copy_at: Optional[int] = None
             caches.append(copy.deepcopy(caches[0]))
         if call == "probe":
             first, last = args
-            got = [new.probe(ino, first, last) for new in caches]
+            got = [flatten_runs(new.probe(ino, first, last)) for new in caches]
             want = [p for p in range(first, last + 1) if not ref.probe((ino, p))]
-        elif call in ("fill", "mark_dirty"):
+        elif call == "fill":
             (pages,) = args
-            got = [getattr(new, call)(ino, pages) for new in caches]
-            want = getattr(ref, call)((ino, p) for p in pages)
+            got = [new.fill(ino, fill_runs(pages)) for new in caches]
+            want = ref.fill((ino, p) for p in pages)
+            evicted_dirty += len(want)
+        elif call == "mark_dirty":
+            (pages,) = args
+            got = [new.mark_dirty(ino, pages) for new in caches]
+            want = ref.mark_dirty((ino, p) for p in pages)
             evicted_dirty += len(want)
         elif call == "clean":
             (pages,) = args
@@ -314,7 +345,7 @@ def test_far_page_holds_one_chunk():
         before = tracemalloc.get_traced_memory()[0]
         cache = PageCache()
         cache.mark_dirty(7, [page])
-        assert cache.probe(7, page, page + 1) == [page + 1]
+        assert cache.probe(7, page, page + 1) == [range(page + 1, page + 2)]
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -340,7 +371,7 @@ def resident_scenario():
         cache = PageCache()
         for ino in range(inodes):
             for first in range(0, pages_per_inode, 32):
-                cache.fill(ino, range(first, first + 32))
+                cache.fill(ino, [range(first, first + 32)])
         for ino in range(inodes):
             for first in range(0, pages_per_inode, 16):
                 assert cache.probe(ino, first, first + 15) == []

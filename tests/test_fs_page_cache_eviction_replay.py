@@ -17,6 +17,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -35,22 +36,23 @@ GOLDEN = {
 class _EvictionCounter:
     """Counts the pages each fill/mark_dirty call evicted, clean or dirty,
     from the cache's public surface: its length, membership and the dirty
-    keys the call returns."""
+    keys the call returns.  ``fill`` takes page runs, ``mark_dirty``
+    pages."""
 
     def __init__(self, cache) -> None:
         self.cache = cache
         self.clean = 0
         self.dirty = 0
         self._depth = 0
-        for name in ("fill", "mark_dirty"):
-            setattr(cache, name, self._wrap(getattr(cache, name)))
+        cache.fill = self._wrap(cache.fill, chain.from_iterable)
+        cache.mark_dirty = self._wrap(cache.mark_dirty, iter)
 
-    def _wrap(self, inner):
+    def _wrap(self, inner, pages_of):
         def call(ino, pages):
             if self._depth:
                 return inner(ino, pages)
             cache = self.cache
-            new = sum(1 for page in set(pages) if (ino, page) not in cache)
+            new = sum(1 for page in set(pages_of(pages)) if (ino, page) not in cache)
             before = len(cache)
             self._depth += 1
             try:

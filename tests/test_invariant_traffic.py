@@ -8,7 +8,9 @@ bytes and in commands.  Seeded syscall streams drive each filesystem on
 each device model: buffered and O_DIRECT reads and writes, eviction
 writeback from a small page cache, fsync and sync (journal commits),
 punch-hole and allocate, truncate, unlink, F2FS segment cleaning and
-fstrim discards.
+fstrim discards.  A second stream reads a fragmented, punched file
+through the page cache across a stamp-chunk boundary while only some of
+its pages are resident, so one read's misses come back as several runs.
 """
 
 import random
@@ -20,6 +22,7 @@ from repro.constants import BLOCK_SIZE, MIB
 from repro.device import make_device
 from repro.fs import make_filesystem
 from repro.fs.base import FallocMode
+from repro.fs.page_cache import CHUNK
 from repro.tools.fstrim import Fstrim
 
 FILES = ("/a", "/b", "/c", "/d")
@@ -123,3 +126,70 @@ def test_writeback_splits_each_page_run_on_its_own(fs_type):
     counter = fs.tracer.tag("t")
     assert (counter.write_commands, counter.write_bytes) == (2, 7 * BLOCK_SIZE)
     assert result.requests == 3  # the two runs and the journal commit
+
+
+def _partial_residency_reads(fs, rng):
+    """Buffered reads around page ``CHUNK`` of a fragmented file with
+    holes, over a cache that holds some of its pages; yields each
+    syscall's name after it ran."""
+    pages = CHUNK + 192
+    big = fs.open("/big", app="writer", create=True)
+    other = fs.open("/other", app="writer", create=True)
+    now = 0.0
+    for first in range(0, pages, 16):
+        now = fs.write(big, first * BLOCK_SIZE, 16 * BLOCK_SIZE, now=now).finish_time
+        yield "write"
+        now = fs.write(other, first * BLOCK_SIZE, 4 * BLOCK_SIZE, now=now).finish_time
+        yield "write"
+        if first % 64 == 0:
+            now = fs.fsync(big, now=now).finish_time
+            yield "fsync"
+    now = fs.sync(now=now).finish_time
+    yield "sync"
+    for first in (CHUNK - 40, CHUNK - 3, CHUNK + 9):
+        now = fs.fallocate(
+            big, FallocMode.PUNCH_HOLE, first * BLOCK_SIZE, 2 * BLOCK_SIZE, now=now,
+        ).finish_time
+        yield "fallocate"
+    fs.drop_caches()
+    reader = fs.open("/big", app="reader")
+    for _ in range(40):  # scattered single pages: partial residency
+        page = rng.randrange(CHUNK - 96, CHUNK + 96)
+        now = fs.read(reader, page * BLOCK_SIZE, BLOCK_SIZE, now=now).finish_time
+        yield "read"
+    for _ in range(12):  # wide reads over resident and missing pages
+        first = rng.randrange(CHUNK - 160, CHUNK)
+        length = rng.randrange(32, 256) * BLOCK_SIZE
+        now = fs.read(reader, first * BLOCK_SIZE, length, now=now).finish_time
+        yield "read"
+        if rng.random() < 0.3:
+            fs.drop_caches()
+    offset = (CHUNK - 256) * BLOCK_SIZE
+    while offset < pages * BLOCK_SIZE:  # sequential, with readahead
+        now = fs.read(reader, offset, 16 * BLOCK_SIZE, now=now).finish_time
+        yield "read"
+        offset += 16 * BLOCK_SIZE
+
+
+@pytest.mark.parametrize("device", ["flash", "hdd"])
+@pytest.mark.parametrize("fs_type", ["ext4", "f2fs", "btrfs"])
+def test_buffered_misses_across_a_chunk_boundary_count_once(fs_type, device):
+    """Each buffered miss is one batch built from several page runs;
+    tracer and device still agree after every syscall, and the stream
+    did make multi-run misses and a missing run across page ``CHUNK``."""
+    fs = make_filesystem(fs_type, make_device(device, capacity=256 * MIB))
+    probes = []
+    probe = fs.page_cache.probe
+
+    def recorded(ino, first, last):
+        runs = probe(ino, first, last)
+        probes.append(runs)
+        return runs
+
+    fs.page_cache.probe = recorded
+    rng = random.Random(f"partial-{fs_type}-{device}")
+    for step, name in enumerate(_partial_residency_reads(fs, rng)):
+        assert _tracer_sum(fs.tracer) == _traffic(fs.device.stats), (step, name)
+    assert fs.tracer.tag("reader").read_commands > 0
+    assert any(len(runs) > 1 for runs in probes)
+    assert any(run.start < CHUNK < run.stop for runs in probes for run in runs)
