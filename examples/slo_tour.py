@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SLO tour: burn-rate alerting and the fleet health dashboard.
+"""SLO tour: burn-rate alerting on one series and on a whole fleet.
 
 Walks the judgment layer end to end:
 
@@ -8,7 +8,6 @@ Walks the judgment layer end to end:
    slow burns agree (one noisy window pages nobody).
 2. The same engine judging a whole fleet: clean run vs seeded fault
    storm, same seed, compared direction-aware.
-3. One frame of the plain-text dashboard `repro fleet --watch` renders.
 
 Everything runs in virtual time; both fleet documents are
 byte-reproducible (note the fingerprints).
@@ -19,8 +18,19 @@ Run:  PYTHONPATH=src python examples/slo_tour.py
 import dataclasses
 
 from repro.fleet import FleetConfig, FleetSlo, run_fleet
-from repro.obs.dashboard import Frame, render, sparkline
-from repro.obs.slo import SloPlane, SloSpec, build_document, compare
+from repro.obs.slo import SloPlane, SloSpec, compare
+
+#: sparkline glyphs, lowest to highest
+BARS = "▁▂▃▄▅▆▇█"
+
+
+def sparkline(values) -> str:
+    """Render a series as block elements scaled to its own min..max."""
+    low, span = min(values), max(values) - min(values)
+    if span <= 0:
+        return (BARS[3] if low else BARS[0]) * len(values)
+    top = len(BARS) - 1
+    return "".join(BARS[int((v - low) / span * top + 0.5)] for v in values)
 
 
 def main() -> None:
@@ -74,21 +84,6 @@ def main() -> None:
     for finding in regressions[:3]:
         print(f"    {finding.variant} {finding.metric}: "
               f"{finding.baseline:.4g} -> {finding.candidate:.4g}")
-
-    print("\n== 3. one dashboard frame ==")
-    config = FleetConfig(volumes=8, seed=3, ticks=6)
-    monitor = FleetSlo(config)
-    report = run_fleet(config, slo=monitor)
-    frame = Frame(
-        tick=config.ticks - 1, ticks_total=config.ticks,
-        now=config.ticks * config.tick_seconds, volumes=config.volumes,
-        rows=report.ticks, slo_summaries=monitor.fleet_summaries(),
-        alerts=monitor.plane.alerts, firing=monitor.firing(),
-        budget_per_tick=config.budget_per_tick,
-    )
-    print(render(frame))
-    print("\n(live view: PYTHONPATH=src python -m repro fleet --slo "
-          "--watch 2)")
 
 
 if __name__ == "__main__":

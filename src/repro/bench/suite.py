@@ -165,7 +165,7 @@ def _bench_shard(payload: Tuple[str, Dict[str, object]]):
             figure = _fileserver_figure(config["fileserver"])
         else:
             figure = _synthetic_figure(config["synthetic"], kind)
-    return figure, harvest.capture(obs)
+    return figure, harvest.TelemetrySnapshot.capture(obs)
 
 
 def _merge_worker_snapshots(obs, snapshots) -> None:

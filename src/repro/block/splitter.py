@@ -1,8 +1,8 @@
 """Turning mapped disk ranges into device commands.
 
 ``split_ranges`` is where *request splitting* physically happens on the
-write side of this stack (O_DIRECT writes, writeback and F2FS segment
-cleaning): the filesystem maps a system call to a list of
+write side of this stack (O_DIRECT writes and writeback): the filesystem
+maps a system call to a list of
 ``(disk_offset, length)`` ranges (one per extent piece), adjacent ranges
 are merged back together (the block layer's request merging), and every
 surviving range is capped at ``MAX_REQUEST_SIZE`` and becomes one device
@@ -32,8 +32,7 @@ def split_ranges(
     ranges: Sequence[DiskRange],
     max_request_size: int = MAX_REQUEST_SIZE,
 ) -> List[DiskRange]:
-    """The ``(offset, length)`` commands of one write, writeback run or
-    segment-cleaning batch.
+    """The ``(offset, length)`` commands of one write or writeback run.
 
     Returns one pair per contiguous LBA run, each at most
     ``max_request_size`` bytes.  ``len(result)`` is the paper's

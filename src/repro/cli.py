@@ -22,8 +22,6 @@ Usage::
     python -m repro fleet --smoke --slo-json SLO_ci.json # + the SLO document
     python -m repro fleet --compare SLO_clean.json SLO_storm.json
     python -m repro fleet --smoke --slo-prom slo.prom    # budget gauges, Prom text
-    python -m repro fleet --smoke --watch 6              # final dashboard frame
-    python -m repro fleet --volumes 16 --watch 2         # frame every 2nd tick
     python -m repro replay --generate 1000000 --out t.bin --seed 7
     python -m repro replay --trace t.bin --json R.json   # reconstruct + replay
     python -m repro replay --trace blk.txt --format blktrace --pacing trace
@@ -43,7 +41,6 @@ import sys
 from typing import Dict, Tuple
 
 from . import cli_util
-from .constants import MIB
 from .doc import BENCH, FLEET, REPLAY, SLO
 
 
@@ -132,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="small/fast fleet variant (CI smoke job)")
     fleet.add_argument("--ticks", type=int, default=None,
                        help="scheduler ticks to run (default: config)")
-    fleet.add_argument("--budget", type=float, default=None, metavar="MIB",
-                       help="fleet-wide migration budget per tick, in MiB "
-                            "(0 = unthrottled; default: config)")
-    fleet.add_argument("--trigger", type=float, default=None,
-                       help="extents-per-file admission trigger (default: config)")
-    fleet.add_argument("--max-jobs", type=int, default=None,
-                       help="global concurrent defrag-job cap (default: config)")
     fleet.add_argument("--faults", action="store_true",
                        help="arm the seeded fleet fault storm (transient "
                             "errors + one mid-migration power-off)")
@@ -146,24 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the SLO monitor: burn-rate alerting plus "
                             "admission gating (alerting volumes jump the "
                             "queue); alerts land in the FLEET report")
-    fleet.add_argument("--latency-slo-ms", type=float, default=None,
-                       metavar="MS",
-                       help="foreground read-latency objective for --slo "
-                            "(default 2.0 ms)")
-    fleet.add_argument("--slo-spec", default=None, metavar="PATH",
-                       help="JSON file of SLO specs replacing the fleet "
-                            "defaults ({\"slos\": [...]} or a bare list); "
-                            "implies --slo")
     fleet.add_argument("--slo-json", default=None, metavar="PATH",
                        help="also write the run's repro.slo/v1 document "
                             "here; implies --slo")
     fleet.add_argument("--slo-prom", default=None, metavar="PATH",
                        help="also export budget-remaining/compliance gauges "
                             "as Prometheus text format here; implies --slo")
-    fleet.add_argument("--watch", type=int, default=None, metavar="N",
-                       help="print a dashboard frame every Nth tick and on "
-                            "the final tick (N >= ticks: final frame only); "
-                            "implies --slo")
     fleet.add_argument("--workload", default=None, metavar="KIND",
                        help="override every volume's foreground workload: "
                             "one of read_seq/read_stride/rw_mix, or "
@@ -365,45 +343,11 @@ def _fleet_config(args):
         overrides["workload"] = args.workload
     if args.ticks is not None:
         overrides["ticks"] = args.ticks
-    if args.budget is not None:
-        overrides["budget_per_tick"] = (
-            None if args.budget <= 0 else int(args.budget * MIB)
-        )
-    if args.trigger is not None:
-        overrides["trigger"] = args.trigger
-    if args.max_jobs is not None:
-        overrides["max_jobs"] = args.max_jobs
     if args.smoke:
         return FleetConfig.smoke(
             volumes=args.volumes, seed=args.seed, **overrides
         )
     return FleetConfig(volumes=args.volumes, seed=args.seed, **overrides)
-
-
-def _dashboard(config, monitor, every: int):
-    """The ``--watch`` tick hook: print a frame every ``every``-th tick
-    and on the final tick."""
-    from .obs.dashboard import Frame, render
-
-    def on_tick(controller, tick: int, row) -> None:
-        last = tick == config.ticks - 1
-        if not last and tick % every != every - 1:
-            return
-        frame = Frame(
-            tick=tick,
-            ticks_total=config.ticks,
-            now=max((v.now for v in controller.volumes), default=0.0),
-            volumes=len(controller.volumes),
-            rows=controller.report.ticks,
-            slo_summaries=monitor.fleet_summaries(),
-            alerts=monitor.plane.alerts,
-            firing=monitor.firing(),
-            budget_per_tick=config.budget_per_tick,
-        )
-        print(render(frame))
-        print()
-
-    return on_tick
 
 
 def _run_fleet(args) -> int:
@@ -416,23 +360,12 @@ def _run_fleet(args) -> int:
         return code
 
     config = _fleet_config(args)
-    gated = bool(args.slo or args.slo_spec or args.slo_json or args.slo_prom
-                 or args.watch is not None)
+    gated = bool(args.slo or args.slo_json or args.slo_prom)
     monitor = None
     if gated:
-        from .fleet.slo import DEFAULT_LATENCY_SLO_S, FleetSlo
-        from .obs import slo as obs_slo
+        from .fleet.slo import FleetSlo
 
-        monitor = FleetSlo(
-            config,
-            latency_slo_s=(DEFAULT_LATENCY_SLO_S if args.latency_slo_ms is None
-                           else args.latency_slo_ms / 1e3),
-            specs=obs_slo.load_specs(args.slo_spec) if args.slo_spec else None,
-        )
-    on_tick = (
-        _dashboard(config, monitor, max(1, args.watch))
-        if args.watch is not None else None
-    )
+        monitor = FleetSlo(config)
 
     armed = bool(args.trace or args.metrics_json or args.prom)
     start = time.perf_counter()
@@ -442,9 +375,9 @@ def _run_fleet(args) -> int:
 
         obs = obs_hooks.Instrumentation()
         with obs_hooks.use(obs):
-            report = run_fleet(config, slo=monitor, on_tick=on_tick)
+            report = run_fleet(config, slo=monitor)
     else:
-        report = run_fleet(config, slo=monitor, on_tick=on_tick)
+        report = run_fleet(config, slo=monitor)
     wall_s = time.perf_counter() - start
 
     print(report.text())

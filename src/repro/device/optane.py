@@ -50,6 +50,12 @@ WARRANTY_YEARS = 5.0
 # eviction: which entry goes cannot change a plan.
 _PLANS: Dict[Tuple[str, int, int, int], CommandPlan] = {}
 
+# Repeated-addition prefix tables (see base.extend_sums for why bank
+# totals are not `n * step`).  They only ever grow, by the same values,
+# so every device shares them.
+_READ_SUMS: List[float] = [0.0]
+_WRITE_SUMS: List[float] = [0.0]
+
 
 class OptaneSsd(StorageDevice):
     """Address-interleaved in-place storage with few, fast banks."""
@@ -66,13 +72,6 @@ class OptaneSsd(StorageDevice):
         self._discard_plan = CommandPlan(
             controller_time=COMMAND_OVERHEAD + DISCARD_PER_COMMAND
         )
-        # Repeated-addition prefix tables: _sums[step][n] is exactly the
-        # float the old per-page loop produced after n additions of
-        # `step` — bank totals must stay bit-identical to that loop
-        # (bench-guard pins virtual-time figures to the last ulp), so
-        # closed-form `n * step` is off the table.
-        self._read_sums: List[float] = [0.0]
-        self._write_sums: List[float] = [0.0]
 
     def bank_of(self, lpn: int) -> int:
         """Banks interleave at page granularity by address (in-place)."""
@@ -93,9 +92,9 @@ class OptaneSsd(StorageDevice):
         # for k < rem and base pages otherwise — no per-page loop.  Tuple
         # order matches the old loop's first-occurrence order.
         if op is IoOp.READ:
-            page_time, sums = PAGE_READ, self._read_sums
+            page_time, sums = PAGE_READ, _READ_SUMS
         else:
-            page_time, sums = PAGE_WRITE, self._write_sums
+            page_time, sums = PAGE_WRITE, _WRITE_SUMS
         banks = BANKS
         pages = last - first + 1
         base, rem = divmod(pages, banks)

@@ -25,7 +25,7 @@ compiles them into live per-rule state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..errors import InvalidArgument
@@ -110,12 +110,3 @@ class FaultPlan:
     def crash(self, site: str, after_ops: int) -> "FaultPlan":
         """Power off at the Nth op matching ``site`` (the crash harness)."""
         return self.add(FaultRule(site=site, kind="crash", after_ops=after_ops))
-
-    def scaled(self, factor: float) -> "FaultPlan":
-        """A copy with every probability multiplied (campaign intensity knob)."""
-        clone = FaultPlan(seed=self.seed)
-        for rule in self.rules:
-            if rule.probability is not None:
-                rule = replace(rule, probability=min(1.0, rule.probability * factor))
-            clone.add(rule)
-        return clone

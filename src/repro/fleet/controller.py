@@ -97,7 +97,7 @@ class FleetController:
         with volume.scope():
             return DefragJob(volume, tick)
 
-    def run_tick(self, tick: int) -> TickRow:
+    def run_tick(self, tick: int) -> None:
         config = self.config
         self.budget.begin_tick()
         admitted = self.admission.admit(
@@ -164,7 +164,6 @@ class FleetController:
             for name in promote:
                 if self.admission.promote(name):
                     self.slo.record_promotion(tick, name)
-        return row
 
     # -- the whole run -------------------------------------------------
 
@@ -240,7 +239,7 @@ class FleetController:
 
         for volume in self.volumes:
             if volume.obs is not None:
-                harvest.capture(volume.obs).merge_into(
+                harvest.TelemetrySnapshot.capture(volume.obs).merge_into(
                     obs, track_prefix=f"{volume.spec.name}/"
                 )
 
@@ -313,7 +312,6 @@ def build_volumes(config: FleetConfig) -> List[Volume]:
 def run_fleet(
     config: FleetConfig,
     slo: Optional[FleetSlo] = None,
-    on_tick=None,
 ) -> FleetReport:
     """Build the fleet, run the scheduler, return the SLO report.
 
@@ -324,26 +322,23 @@ def run_fleet(
     power-off that must recover through the journal — never the build.
 
     ``slo`` attaches a :class:`~repro.fleet.slo.FleetSlo` monitor (burn
-    alerts + admission gating); ``on_tick(controller, tick, row)`` is
-    called after every tick — the ``repro fleet --watch`` dashboard's
-    frame hook.
+    alerts + admission gating).
 
     With the ambient instrumentation armed, every volume records into
     its own child plane (:func:`build_volumes`), merged back per volume
     when the run finishes.
     """
     if not config.faults:
-        return _run(config, slo=slo, on_tick=on_tick)
+        return _run(config, slo=slo)
     plane = FaultPlane(config.fault_plan())
     with fault_hooks.use(plane):
-        return _run(config, plane, slo=slo, on_tick=on_tick)
+        return _run(config, plane, slo=slo)
 
 
 def _run(
     config: FleetConfig,
     plane: Optional[FaultPlane] = None,
     slo: Optional[FleetSlo] = None,
-    on_tick=None,
 ) -> FleetReport:
     volumes = build_volumes(config)
     for volume in volumes:
@@ -354,9 +349,7 @@ def _run(
         controller = FleetController(config, volumes, slo=slo)
         controller.begin()
         for tick in range(config.ticks):
-            row = controller.run_tick(tick)
-            if on_tick is not None:
-                on_tick(controller, tick, row)
+            controller.run_tick(tick)
         return controller.finish()
     finally:
         if plane is not None:

@@ -16,7 +16,7 @@ spent budget four times faster than the target allows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..obs.slo import SloPlane, SloSpec, build_document
 from .spec import FleetConfig, volume_names
@@ -72,13 +72,10 @@ class FleetSlo:
         self,
         config: FleetConfig,
         latency_slo_s: float = DEFAULT_LATENCY_SLO_S,
-        specs: Optional[Sequence[SloSpec]] = None,
     ) -> None:
         self.config = config
         self.latency_slo_s = latency_slo_s
-        self._fleet_specs = (
-            list(specs) if specs is not None else fleet_specs(config, latency_slo_s)
-        )
+        self._fleet_specs = fleet_specs(config, latency_slo_s)
         volume_specs = {
             name: volume_spec(name, latency_slo_s)
             for name in sorted(volume_names(config))
@@ -95,14 +92,9 @@ class FleetSlo:
         self.promotions: List[Dict[str, object]] = []
 
     @classmethod
-    def for_config(
-        cls,
-        config: FleetConfig,
-        latency_slo_s: float = DEFAULT_LATENCY_SLO_S,
-        specs: Optional[Sequence[SloSpec]] = None,
-    ) -> "FleetSlo":
+    def for_config(cls, config: FleetConfig) -> "FleetSlo":
         """The constructor under the name ``benchmarks/e2e/spec.py`` calls."""
-        return cls(config, latency_slo_s=latency_slo_s, specs=specs)
+        return cls(config)
 
     # -- per-tick evaluation -------------------------------------------
 
@@ -146,16 +138,11 @@ class FleetSlo:
     # -- whole-run views -----------------------------------------------
 
     def fleet_summaries(self) -> Dict[str, Dict[str, object]]:
-        """Fleet-level SLO summaries only (the dashboard's table)."""
+        """Fleet-level SLO summaries only (the report's ``slos`` table)."""
         return {
             spec.name: self.plane.evaluators[spec.name].summary()
             for spec in self._fleet_specs
         }
-
-    def firing(self) -> List[str]:
-        """Fleet-level SLOs whose latest window is alerting."""
-        fleet_names = {spec.name for spec in self._fleet_specs}
-        return [name for name in self.plane.firing() if name in fleet_names]
 
     def volume_alerts(self) -> int:
         """Total per-volume gating alerts fired over the run."""

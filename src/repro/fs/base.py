@@ -534,17 +534,6 @@ class Filesystem(abc.ABC):
         if not holes:
             return
         goal = self._goal_for(inode, start)
-        total = sum(h_len for _, h_len in holes)
-        if len(holes) == 1 and holes[0] == (start, end - start):
-            # Whole range unmapped: honour the contiguity contract as hard
-            # as the allocator can (FragPicker relies on this).
-            runs = self.free_space.alloc(total, goal=goal)
-            pos = start
-            for run_start, run_len in runs:
-                inode.extent_map.insert(Extent(pos, run_start, run_len))
-                pos += run_len
-            inode.size = max(inode.size, offset + length)
-            return
         for hole_start, hole_len in holes:
             runs = self.free_space.alloc(hole_len, goal=goal)
             pos = hole_start

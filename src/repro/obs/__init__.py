@@ -24,9 +24,7 @@ measurement substrate:
   hands in one scheduler tick), evaluated into error-budget
   consumption and fast/slow burn rates, with deterministic
   ``slo.breach``/``slo.burn`` events and a fingerprinted
-  ``repro.slo/v1`` document;
-- :mod:`repro.obs.dashboard` — the byte-deterministic plain-text fleet
-  health dashboard ``repro fleet --watch`` renders.
+  ``repro.slo/v1`` document.
 """
 
 from ..exports import lazy_exports

@@ -82,13 +82,6 @@ class TelemetrySnapshot:
     dropped_spans: int = 0
     dropped_events: int = 0
 
-    def empty(self) -> bool:
-        return not (
-            self.counters or self.gauges or self.histograms
-            or self.spans or self.events
-            or self.dropped_spans or self.dropped_events
-        )
-
     # -- capture -------------------------------------------------------
 
     @classmethod
@@ -162,11 +155,6 @@ class TelemetrySnapshot:
         recorder.dropped_spans += self.dropped_spans
         recorder.dropped_events += self.dropped_events
         registry.counter(SNAPSHOTS_MERGED).inc()
-
-
-def capture(obs: Instrumentation) -> TelemetrySnapshot:
-    """Module-level alias for :meth:`TelemetrySnapshot.capture`."""
-    return TelemetrySnapshot.capture(obs)
 
 
 def shard_track_prefix(index: int) -> str:

@@ -33,7 +33,6 @@ Definitions (per spec):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -100,24 +99,6 @@ class SloSpec:
             "fast_burn": self.fast_burn,
             "slow_burn": self.slow_burn,
         }
-
-    @classmethod
-    def from_dict(cls, entry: Dict[str, object]) -> "SloSpec":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(entry) - known
-        if unknown:
-            raise ValueError(f"unknown SLO spec keys: {sorted(unknown)}")
-        return cls(**entry)  # type: ignore[arg-type]
-
-
-def load_specs(path: str) -> List[SloSpec]:
-    """Read a spec file: either ``{"slos": [...]}`` or a bare JSON list."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    entries = raw.get("slos") if isinstance(raw, dict) else raw
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{path}: expected a non-empty list of SLO specs")
-    return [SloSpec.from_dict(entry) for entry in entries]
 
 
 class WindowVerdict:
@@ -301,15 +282,6 @@ class SloPlane:
             spec.name: self.evaluators[spec.name].summary()
             for spec in self.specs
         }
-
-    def firing(self) -> List[str]:
-        """Spec names whose *latest* evaluated window is alerting."""
-        names = []
-        for spec in self.specs:
-            last = self.evaluators[spec.name].last
-            if last is not None and last.alert:
-                names.append(spec.name)
-        return names
 
 
 def _mirror(obs, now: float, spec: SloSpec, evaluator: SloEvaluator,

@@ -1,7 +1,6 @@
 """The command-line interface."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -273,8 +272,7 @@ def test_fleet_slo_gating_report(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flag", [["--slo-json", "s.json"],
-                                  ["--slo-prom", "s.prom"],
-                                  ["--watch", "6"]])
+                                  ["--slo-prom", "s.prom"]])
 def test_slo_flags_imply_the_gated_run(flag, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["fleet", "--smoke", "--volumes", "4", "--seed", "0",
@@ -283,24 +281,3 @@ def test_slo_flags_imply_the_gated_run(flag, capsys, tmp_path, monkeypatch):
                  "--json", "implied.json"] + flag) == 0
     assert ((tmp_path / "implied.json").read_text()
             == (tmp_path / "gated.json").read_text())
-
-
-def test_watch_once_matches_golden(capsys, tmp_path):
-    # 6 smoke ticks: --watch 6 prints only the final frame, and frames
-    # print before the fleet report
-    assert main(["fleet", "--smoke", "--volumes", "8", "--seed", "0",
-                 "--json", str(tmp_path / "f.json"), "--watch", "6"]) == 0
-    out = capsys.readouterr().out
-    golden = (Path(__file__).parent / "golden" / "watch_once_smoke.txt").read_text()
-    assert out[:len(golden)] == golden
-    assert out.count("fleet health —") == 1
-
-
-def test_watch_every_prints_periodic_frames(capsys, tmp_path):
-    assert main(["fleet", "--smoke", "--volumes", "4", "--seed", "1",
-                 "--json", str(tmp_path / "f.json"), "--watch", "3"]) == 0
-    out = capsys.readouterr().out
-    frames = out.count("fleet health —")
-    # 6 smoke ticks, a frame every 3rd tick plus the final one
-    assert frames == 2
-    assert "burn-rate alert" in out or "no alerts fired" in out

@@ -1,8 +1,12 @@
 """Optane: in-place banks, update sensitivity, endurance."""
 
+import copy
+
 from repro.block import IoOp
-from repro.constants import GIB, KIB, MIB
-from repro.device.optane import OptaneSsd
+from repro.constants import BLOCK_SIZE, GIB, KIB, MIB
+from repro.device import optane
+from repro.device.optane import BANKS, OptaneSsd
+from repro.fs import make_filesystem
 
 
 def test_bank_interleaving():
@@ -38,3 +42,26 @@ def test_discard_cheap():
     ssd = OptaneSsd(capacity=1 * GIB)
     result = ssd.submit(IoOp.DISCARD, [(0, 64 * MIB)], 0.0)
     assert result.latency < 0.0001
+
+
+def test_deep_copied_optane_volume_shares_the_prefix_tables():
+    """The repeated-addition tables are module state: a cloned volume
+    holds no float table of its own, and a longer command planned on the
+    clone grows the one table both devices read."""
+    fs = make_filesystem("ext4", OptaneSsd(capacity=1 * GIB))
+    handle = fs.open("/f", create=True, o_direct=True)
+    fs.write(handle, 0, 1 * MIB)
+    fs.read(handle, 0, 1 * MIB)
+    clone = copy.deepcopy(fs)
+    assert not [
+        name for name, value in vars(clone.device).items()
+        if isinstance(value, list) and value and isinstance(value[0], float)
+    ]
+    for op, sums in ((IoOp.READ, optane._READ_SUMS),
+                     (IoOp.WRITE, optane._WRITE_SUMS)):
+        longer = len(sums) * BANKS * BLOCK_SIZE
+        before = list(sums)
+        clone.device._plan_command(op, 0, longer)
+        assert len(sums) > len(before) and sums[:len(before)] == before
+        assert fs.device._plan_command(op, 0, longer) is (
+            clone.device._plan_command(op, 0, longer))

@@ -53,22 +53,6 @@ def test_fluent_builders_chain():
     assert plan.seed == 3
 
 
-def test_scaled_multiplies_probabilities_and_caps():
-    plan = (
-        FaultPlan(seed=1)
-        .io_error("fs.write", probability=0.2)
-        .io_error("fs.read", probability=0.8)
-        .crash("fs", after_ops=1)
-    )
-    scaled = plan.scaled(2.0)
-    assert scaled.seed == plan.seed
-    assert scaled.rules[0].probability == pytest.approx(0.4)
-    assert scaled.rules[1].probability == 1.0  # capped
-    assert scaled.rules[2].probability is None  # deterministic rules untouched
-    # original untouched
-    assert plan.rules[0].probability == pytest.approx(0.2)
-
-
 @pytest.mark.parametrize("site", ["block", "block.submit", "", "bl"])
 def test_torn_rule_covering_the_block_layer_rejected(site):
     # the block layer dispatches batches it cannot tear: such a rule

@@ -38,10 +38,10 @@ REPLAY = ("repro.obs.slo", "repro.core", "repro.tools", "repro.workloads")
 #: entry point -> (code, modules it must not load, most repro modules)
 BUDGETS = {
     "import-repro": ("import repro", LAYERS, None),
-    "import-cli": ("import repro.cli", LAYERS + CLAIMS, 6),
+    "import-cli": ("import repro.cli", LAYERS + CLAIMS, 5),
     # every verb, ``repro list`` included, builds the parser first
     "build-parser": (
-        "from repro.cli import build_parser; build_parser()", ("repro.obs",) + CLAIMS, 6,
+        "from repro.cli import build_parser; build_parser()", ("repro.obs",) + CLAIMS, 5,
     ),
     "replay-entry": ("from repro.replay import ReplayConfig, run_replay", REPLAY, None),
     # the chunked corpus branch imports repro.par on first use: the

@@ -7,8 +7,7 @@ per-tag counters summed per op must equal the device's counters, in
 bytes and in commands.  Seeded syscall streams drive each filesystem on
 each device model: buffered and O_DIRECT reads and writes, eviction
 writeback from a small page cache, fsync and sync (journal commits),
-punch-hole and allocate, truncate, unlink, F2FS segment cleaning and
-fstrim discards.  A second stream reads a fragmented, punched file
+punch-hole and allocate, truncate, unlink and fstrim discards.  A second stream reads a fragmented, punched file
 through the page cache across a stamp-chunk boundary while only some of
 its pages are resident, so one read's misses come back as several runs.
 """
@@ -81,15 +80,12 @@ def _syscalls(fs, rng):
         elif roll < 0.91:
             fs.drop_caches()
             name, result = "drop_caches", None
-        elif roll < 0.95 and hasattr(fs, "clean_segments"):
-            now, _ = fs.clean_segments(count=2, now=now)
-            name = "clean_segments"
         elif roll < 0.97:
             now += Fstrim(fs, max_discard_size=4 * MIB).run(now=now).elapsed
             name = "fstrim"
         else:
             name, result = "read", fs.read(buffered, 0, SPAN * BLOCK_SIZE, now=now)
-        if name not in ("clean_segments", "fstrim") and result is not None:
+        if name != "fstrim" and result is not None:
             now = result.finish_time
         yield name
 
@@ -108,8 +104,6 @@ def test_tracer_sums_equal_device_stats_after_every_syscall(fs_type, device):
     assert stats.read_commands and stats.write_commands and stats.discard_commands
     assert fs.tracer.tag("writeback").write_commands > 0
     assert fs.tracer.tag("meta").write_commands > 0
-    if fs_type == "f2fs":
-        assert fs.tracer.tag("gc").write_commands > 0
 
 
 @pytest.mark.parametrize("fs_type", ["ext4", "f2fs", "btrfs"])

@@ -41,7 +41,7 @@ def test_capture_carries_metrics_spans_events_in_raw_form():
     obs = Instrumentation()
     with obs_hooks.use(obs):
         _emit(2)
-    snapshot = harvest.capture(obs)
+    snapshot = harvest.TelemetrySnapshot.capture(obs)
     assert ("t.count", 3.0) in snapshot.counters
     assert ("t.depth", 2.0, 5.0) in snapshot.gauges
     (name, bounds, counts, count, total, max_value) = next(
@@ -51,7 +51,6 @@ def test_capture_carries_metrics_spans_events_in_raw_form():
     assert count == 1 and counts[1] == 1  # 0.15 lands in the second bucket
     assert snapshot.spans == [("t.work", 0.0, 3.0, "main", {"shard": 2})]
     assert snapshot.events == [("t.tick", 2.0, "main", {"tag": 2})]
-    assert not snapshot.empty()
 
 
 def test_child_of_mirrors_parent_configuration():
@@ -75,7 +74,7 @@ def test_merge_sums_counters_and_keeps_gauge_peak():
     worker = Instrumentation()
     with obs_hooks.use(worker):
         _emit(1)  # counter +2, gauge value 1 / peak 4
-    harvest.capture(worker).merge_into(parent, track_prefix="shard0/")
+    harvest.TelemetrySnapshot.capture(worker).merge_into(parent, track_prefix="shard0/")
 
     metrics = parent.registry.to_dict()
     assert metrics["t.count"]["value"] == 7.0
@@ -93,7 +92,7 @@ def test_merge_adds_histograms_bucket_wise_and_rejects_bounds_mismatch():
     worker = Instrumentation()
     worker.registry.histogram("t.lat", bounds=(0.1, 1.0)).observe(0.05)
     worker.registry.histogram("t.lat", bounds=(0.1, 1.0)).observe(2.0)
-    harvest.capture(worker).merge_into(parent)
+    harvest.TelemetrySnapshot.capture(worker).merge_into(parent)
     hist = parent.registry.histogram("t.lat")
     assert hist.count == 3
     assert hist.max_value == 2.0
@@ -102,7 +101,7 @@ def test_merge_adds_histograms_bucket_wise_and_rejects_bounds_mismatch():
     mismatched = Instrumentation()
     mismatched.registry.histogram("t.lat", bounds=(0.5,)).observe(0.2)
     with pytest.raises(ValueError, match="bounds"):
-        harvest.capture(mismatched).merge_into(parent)
+        harvest.TelemetrySnapshot.capture(mismatched).merge_into(parent)
 
 
 def test_merge_applies_track_prefix_and_drop_tallies():

@@ -1,77 +1,9 @@
-"""ByteRange semantics and the unified IoOp workload record."""
+"""The unified IoOp workload record."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.errors import InvalidArgument
-from repro.types import IO_OP_KINDS, ByteRange, IoOp
+from repro.types import IO_OP_KINDS, IoOp
 
-
-def test_length():
-    assert ByteRange(0, 10).length == 10
-    assert ByteRange(5, 5).length == 0
-
-
-def test_invalid_ranges():
-    with pytest.raises(InvalidArgument):
-        ByteRange(-1, 5)
-    with pytest.raises(InvalidArgument):
-        ByteRange(10, 5)
-
-
-def test_overlaps_includes_touching():
-    assert ByteRange(0, 10).overlaps(ByteRange(10, 20))
-    assert ByteRange(0, 10).overlaps(ByteRange(5, 15))
-    assert not ByteRange(0, 10).overlaps(ByteRange(11, 20))
-
-
-def test_intersects_is_strict():
-    assert not ByteRange(0, 10).intersects(ByteRange(10, 20))
-    assert ByteRange(0, 10).intersects(ByteRange(9, 20))
-
-
-def test_union_and_intersection():
-    a, b = ByteRange(0, 10), ByteRange(5, 15)
-    assert a.union(b) == ByteRange(0, 15)
-    assert a.intersection(b) == ByteRange(5, 10)
-    with pytest.raises(InvalidArgument):
-        ByteRange(0, 5).intersection(ByteRange(5, 10))
-
-
-def test_contains_and_shift():
-    assert ByteRange(0, 100).contains(ByteRange(10, 20))
-    assert not ByteRange(0, 100).contains(ByteRange(90, 110))
-    assert ByteRange(5, 10).shift(5) == ByteRange(10, 15)
-
-
-ranges = st.tuples(st.integers(0, 1000), st.integers(0, 1000)).map(
-    lambda t: ByteRange(min(t), max(t))
-)
-
-
-@given(ranges, ranges)
-def test_overlap_symmetry(a, b):
-    assert a.overlaps(b) == b.overlaps(a)
-    assert a.intersects(b) == b.intersects(a)
-
-
-@given(ranges, ranges)
-def test_union_contains_both(a, b):
-    u = a.union(b)
-    assert u.contains(a) and u.contains(b)
-
-
-@given(ranges, ranges)
-def test_intersection_within_both(a, b):
-    if a.intersects(b):
-        i = a.intersection(b)
-        assert a.contains(i) and b.contains(i)
-        assert i.length > 0
-
-
-# ----------------------------------------------------------------------
-# IoOp: the op record shared by workload generators and trace replay
-# ----------------------------------------------------------------------
 
 def test_io_op_kinds_cover_the_syscall_surface():
     assert IO_OP_KINDS == ("read", "write", "fsync")
