@@ -18,15 +18,14 @@ class (sequential vs stride), matching the tables beneath the figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...constants import KIB, MIB
 from ...core import FragPicker, FragPickerConfig
 from ...core.report import DefragReport
 from ...errors import InvalidArgument
-from ...stats.tables import format_table
 from ...tools import btrfs_defragment, make_conventional
+from ...types import Record
 from ...workloads.synthetic import (
     make_paper_synthetic_file,
     sequential_read,
@@ -53,25 +52,33 @@ PATTERN_FREE = ("conv", "conv_t", "fragpicker_b")
 FILE_SIZE = 33 * MIB
 
 
-@dataclass
-class SyntheticCell:
-    throughput_mbps: float
-    defrag_write_mb: float = 0.0
-    defrag_read_mb: float = 0.0
-    defrag_elapsed: float = 0.0
-    fragments_after: int = 0
-    #: windowed obs capture for this cell (metrics + latency attribution);
-    #: None unless the observability plane was enabled during the run
-    obs: Optional[ObsWindow] = None
+class SyntheticCell(Record):
+    __slots__ = _fields = ("throughput_mbps", "defrag_write_mb", "defrag_read_mb",
+                           "defrag_elapsed", "fragments_after", "obs")
+
+    def __init__(self, throughput_mbps: float, defrag_write_mb: float = 0.0,
+                 defrag_read_mb: float = 0.0, defrag_elapsed: float = 0.0,
+                 fragments_after: int = 0, obs: Optional[ObsWindow] = None) -> None:
+        self.throughput_mbps = throughput_mbps
+        self.defrag_write_mb = defrag_write_mb
+        self.defrag_read_mb = defrag_read_mb
+        self.defrag_elapsed = defrag_elapsed
+        self.fragments_after = fragments_after
+        #: windowed obs capture for this cell (metrics + latency attribution);
+        #: None unless the observability plane was enabled during the run
+        self.obs = obs
 
 
-@dataclass
-class SyntheticResult:
-    fs_type: str
-    device: str
-    file_size: int
-    #: cells[variant][pattern]
-    cells: Dict[str, Dict[str, SyntheticCell]] = field(default_factory=dict)
+class SyntheticResult(Record):
+    __slots__ = _fields = ("fs_type", "device", "file_size", "cells")
+
+    def __init__(self, fs_type: str, device: str, file_size: int,
+                 cells: Optional[Dict[str, Dict[str, SyntheticCell]]] = None) -> None:
+        self.fs_type = fs_type
+        self.device = device
+        self.file_size = file_size
+        #: cells[variant][pattern]
+        self.cells = cells if cells is not None else {}
 
     def cell(self, variant: str, pattern: str) -> SyntheticCell:
         return self.cells[variant][pattern]
@@ -89,6 +96,8 @@ class SyntheticResult:
         return abs(conv["seq_update"].throughput_mbps - orig["seq_update"].throughput_mbps)
 
     def report(self) -> str:
+        from ...stats.tables import format_table
+
         patterns = list(next(iter(self.cells.values())).keys())
         headers = ["variant"] + [f"{p} MB/s" for p in patterns] + ["seq writes MB", "stride writes MB"]
         rows = []

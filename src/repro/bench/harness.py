@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..device import make_device
@@ -13,8 +12,8 @@ from ..errors import InvalidArgument
 from ..faults import hooks as fault_hooks
 from ..fs import make_filesystem
 from ..fs.base import Filesystem
-from ..obs import analysis as obs_analysis
 from ..obs import hooks as obs_hooks
+from ..types import Record
 
 
 def fresh_fs(fs_type: str, device_kind: str) -> Tuple[Filesystem, StorageDevice]:
@@ -83,19 +82,24 @@ class FixtureCache:
         self._stored.pop(key, None)
 
 
-@dataclass
-class ObsWindow:
+class ObsWindow(Record):
     """The telemetry of one measured cell: what the bench suite persists."""
 
-    #: ``repro.obs`` registry dump for this window (None unless obs was enabled)
-    metrics: Optional[Dict[str, Dict[str, object]]] = None
-    #: latency-attribution breakdown over the same window
-    #: (``repro.obs.analysis.Attribution.to_dict()``; None when disabled)
-    attribution: Optional[Dict[str, object]] = None
+    __slots__ = _fields = ("metrics", "attribution")
+
+    def __init__(self, metrics: Optional[Dict[str, Dict[str, object]]] = None,
+                 attribution: Optional[Dict[str, object]] = None) -> None:
+        #: ``repro.obs`` registry dump for this window (None unless obs was enabled)
+        self.metrics = metrics
+        #: latency-attribution breakdown over the same window
+        #: (``repro.obs.analysis.Attribution.to_dict()``; None when disabled)
+        self.attribution = attribution
 
     def fanout_summary(self) -> Dict[str, float]:
         """{count, mean, p95, max} of this window's split fan-out."""
-        return obs_analysis.histogram_summary(self.metrics or {}, "block.split_fanout")
+        from ..obs.analysis import histogram_summary
+
+        return histogram_summary(self.metrics or {}, "block.split_fanout")
 
 
 @contextmanager
@@ -114,6 +118,8 @@ def measured_variant() -> Iterator[ObsWindow]:
         yield window
     finally:
         if obs.enabled:
+            from ..obs import analysis as obs_analysis
+
             window.metrics = obs_analysis.delta_metrics(obs.registry, since)
             window.attribution = obs_analysis.attribute(window.metrics).to_dict()
 

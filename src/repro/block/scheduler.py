@@ -14,7 +14,7 @@ from .splitter import DiskRange
 from .tracer import BlockTracer
 from ..errors import DeviceIOError, InjectedCrash
 from ..faults import hooks as fault_hooks
-from ..faults.plan import BLOCK_SITE
+from ..faults.hooks import BLOCK_SITE
 from ..obs import hooks as obs_hooks
 
 if TYPE_CHECKING:  # avoid a block <-> device import cycle at runtime

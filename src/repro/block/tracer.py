@@ -15,10 +15,10 @@ raw commands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..obs import hooks as obs_hooks
+from ..types import Record
 from .request import IoCommand, IoOp
 from .splitter import DiskRange
 
@@ -27,17 +27,25 @@ _READ = IoOp.READ
 _WRITE = IoOp.WRITE
 
 
-@dataclass
-class TrafficCounter:
+class TrafficCounter(Record):
     """Bytes and commands by op: one tag's traffic, or a whole device's
-    (:class:`~repro.device.base.DeviceStats` adds its busy time)."""
+    (:class:`~repro.device.base.DeviceStats` adds its busy time).
 
-    read_bytes: int = 0
-    write_bytes: int = 0
-    discard_bytes: int = 0
-    read_commands: int = 0
-    write_commands: int = 0
-    discard_commands: int = 0
+    Unslotted: :meth:`snapshot` and :meth:`delta` read the fields through
+    ``vars()``."""
+
+    _fields = ("read_bytes", "write_bytes", "discard_bytes",
+               "read_commands", "write_commands", "discard_commands")
+
+    def __init__(self, read_bytes: int = 0, write_bytes: int = 0,
+                 discard_bytes: int = 0, read_commands: int = 0,
+                 write_commands: int = 0, discard_commands: int = 0) -> None:
+        self.read_bytes = read_bytes
+        self.write_bytes = write_bytes
+        self.discard_bytes = discard_bytes
+        self.read_commands = read_commands
+        self.write_commands = write_commands
+        self.discard_commands = discard_commands
 
     def add(self, op: IoOp, nbytes: int, n: int = 1) -> None:
         """Count ``n`` commands of ``op`` moving ``nbytes`` between them."""

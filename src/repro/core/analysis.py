@@ -20,28 +20,32 @@ Pipeline per file:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..constants import READAHEAD_SIZE, block_align_down, block_align_up
 from ..fs.base import Filesystem, SyscallEvent
+from ..types import Record
 from .range_list import FileRange, FileRangeList, merge_overlapped
 
 
-@dataclass
-class _SequentialState:
+class _SequentialState(Record):
     """Per-file replica of the kernel's readahead state machine."""
 
-    next_expected: int = -1
-    window_end: int = -1
+    __slots__ = _fields = ("next_expected", "window_end")
+
+    def __init__(self, next_expected: int = -1, window_end: int = -1) -> None:
+        self.next_expected = next_expected
+        self.window_end = window_end
 
 
-@dataclass
-class AnalysisPhase:
+class AnalysisPhase(Record):
     """Configuration for turning a trace into file range lists."""
 
-    imitate_readahead: bool = True
-    merge: bool = True  # ablation: disable Algorithm 1
+    __slots__ = _fields = ("imitate_readahead", "merge")
+
+    def __init__(self, imitate_readahead: bool = True, merge: bool = True) -> None:
+        self.imitate_readahead = imitate_readahead
+        self.merge = merge  # ablation: disable Algorithm 1
 
     def run(
         self,

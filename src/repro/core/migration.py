@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..constants import MIB, block_align_down
 from ..fs.base import FallocMode, FileHandle, Filesystem
@@ -30,8 +30,7 @@ APP = "fragpicker"
 IO_SIZE = 1 * MIB
 
 
-@dataclass
-class MigrationOutcome:
+class MigrationOutcome(NamedTuple):
     """What migrating one range cost."""
 
     finish_time: float

@@ -17,38 +17,44 @@ readahead-sized entries, Section 4.1.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from ..errors import InvalidArgument
+from ..types import Record
 
 
-@dataclass(frozen=True)
-class FileRange:
-    """Half-open byte range with an I/O (hotness) count."""
-
+class _FileRangeFields(NamedTuple):
     start: int
     end: int
     count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise InvalidArgument(f"bad file range [{self.start}, {self.end})")
-        if self.count < 1:
+
+class FileRange(_FileRangeFields):
+    """Half-open byte range with an I/O (hotness) count."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, count: int = 1) -> "FileRange":
+        if start < 0 or end <= start:
+            raise InvalidArgument(f"bad file range [{start}, {end})")
+        if count < 1:
             raise InvalidArgument("count must be >= 1")
+        return tuple.__new__(cls, (start, end, count))
 
     @property
     def length(self) -> int:
         return self.end - self.start
 
 
-@dataclass
-class FileRangeList:
+class FileRangeList(Record):
     """All analysed ranges for one file."""
 
-    ino: int
-    path: str
-    ranges: List[FileRange] = field(default_factory=list)
+    __slots__ = _fields = ("ino", "path", "ranges")
+
+    def __init__(self, ino: int, path: str, ranges: Optional[List[FileRange]] = None) -> None:
+        self.ino = ino
+        self.path = path
+        self.ranges = ranges if ranges is not None else []
 
     @property
     def total_bytes(self) -> int:

@@ -17,15 +17,14 @@ was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..fs.base import FallocMode, FileHandle, Filesystem
 from ..obs import hooks as obs_hooks
+from ..types import Record
 
 
-@dataclass
-class JournalEntry:
+class JournalEntry(NamedTuple):
     """One in-flight migration chunk."""
 
     path: str
@@ -35,13 +34,16 @@ class JournalEntry:
     data: Optional[bytes]  # None for content-free (pattern) files
 
 
-@dataclass
-class RecoveryReport:
+class RecoveryReport(Record):
     """What a recovery pass repaired."""
 
-    entries_replayed: int = 0
-    bytes_restored: int = 0
-    entries_skipped: int = 0  # file disappeared since
+    __slots__ = _fields = ("entries_replayed", "bytes_restored", "entries_skipped")
+
+    def __init__(self, entries_replayed: int = 0, bytes_restored: int = 0,
+                 entries_skipped: int = 0) -> None:
+        self.entries_replayed = entries_replayed
+        self.bytes_restored = bytes_restored
+        self.entries_skipped = entries_skipped  # file disappeared since
 
 
 class MigrationJournal:

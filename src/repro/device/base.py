@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import abc
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..block.request import IoOp
@@ -37,11 +36,18 @@ from ..faults import hooks as fault_hooks
 from ..obs import hooks as obs_hooks
 
 
-@dataclass
 class DeviceStats(TrafficCounter):
     """Cumulative device-side counters (the blktrace/iotop view)."""
 
-    busy_time: float = 0.0   # summed media work (can exceed wall time)
+    _fields = TrafficCounter._fields + ("busy_time",)
+
+    def __init__(self, read_bytes: int = 0, write_bytes: int = 0,
+                 discard_bytes: int = 0, read_commands: int = 0,
+                 write_commands: int = 0, discard_commands: int = 0,
+                 busy_time: float = 0.0) -> None:
+        super().__init__(read_bytes, write_bytes, discard_bytes,
+                         read_commands, write_commands, discard_commands)
+        self.busy_time = busy_time   # summed media work (can exceed wall time)
 
 
 class CommandPlan(NamedTuple):

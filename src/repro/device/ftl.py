@@ -19,12 +19,12 @@ Implements the flash behaviour the paper leans on in Sections 2.2/3.3:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import ge
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..errors import DeviceError
+from ..types import Record
 
 #: log2 of the lpns one l2p chunk covers; a chunk is allocated on the
 #: first write into it, so sparse volumes map only what they touch
@@ -39,8 +39,7 @@ _PAGE_LIMIT = 1 << 31
 GC_FREE_BLOCK_THRESHOLD = 2
 
 
-@dataclass
-class EraseBlock:
+class EraseBlock(Record):
     """One flash erase block: append-only page slots.
 
     Slot ``s`` is physical page ``base + s`` and ``pages[s]`` is the lpn
@@ -48,11 +47,15 @@ class EraseBlock:
     ``base + s``; an overwrite or discard only moves the l2p entry.
     """
 
-    channel: int
-    base: int
-    pages: array
-    valid_count: int = 0
-    erase_count: int = 0
+    __slots__ = _fields = ("channel", "base", "pages", "valid_count", "erase_count")
+
+    def __init__(self, channel: int, base: int, pages: array, valid_count: int = 0,
+                 erase_count: int = 0) -> None:
+        self.channel = channel
+        self.base = base
+        self.pages = pages
+        self.valid_count = valid_count
+        self.erase_count = erase_count
 
 
 class FtlWriteResult(NamedTuple):

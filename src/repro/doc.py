@@ -18,8 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 def canonical(body: object) -> str:
@@ -37,8 +36,7 @@ def dumps(document: Dict[str, object]) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
-class Finding:
+class Finding(NamedTuple):
     """One compared value: where it lives, both readings, the verdict."""
 
     figure: str
@@ -58,15 +56,29 @@ class Finding:
         )
 
 
-@dataclass
-class Comparison:
+class _ComparisonFields(NamedTuple):
     baseline_label: str
     candidate_label: str
     threshold: float
-    findings: List[Finding] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
+    findings: List[Finding]
+    warnings: List[str]
     #: which document family the comparison covers (report header)
-    kind: str = "bench"
+    kind: str
+
+
+class Comparison(_ComparisonFields):
+    """A compare's findings and warnings; the walk appends to both lists."""
+
+    __slots__ = ()
+
+    def __new__(cls, baseline_label: str, candidate_label: str, threshold: float,
+                findings: Optional[List[Finding]] = None,
+                warnings: Optional[List[str]] = None, kind: str = "bench") -> "Comparison":
+        return _ComparisonFields.__new__(
+            cls, baseline_label, candidate_label, threshold,
+            findings if findings is not None else [],
+            warnings if warnings is not None else [], kind,
+        )
 
     @property
     def regressions(self) -> List[Finding]:
@@ -116,8 +128,7 @@ def _tree(compared: Dict[str, tuple]) -> Dict[str, object]:
     return root
 
 
-@dataclass(frozen=True)
-class DocType:
+class DocType(NamedTuple):
     """One document schema: its fingerprint rule, persistence and compare."""
 
     schema: str

@@ -28,9 +28,11 @@ def lazy_exports(
 ) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
     """``(__getattr__, __dir__, __all__)`` for ``package``.
 
-    ``table`` maps each lazily exported name to the submodule (relative to
-    ``package``) that defines it; ``eager`` lists the names the package
-    binds itself.  ``__all__`` is ``eager`` followed by the table's names.
+    ``table`` maps each lazily exported name to the submodule that defines
+    it, relative to ``package`` (or, when ``package`` is a plain module, to
+    the package holding it: ``repro.obs.hooks`` names ``repro.obs.live``
+    as ``"live"``); ``eager`` lists the names the package binds itself.
+    ``__all__`` is ``eager`` followed by the table's names.
     """
     exported: Dict[str, str] = dict(table)
     names = [*eager, *exported]
@@ -39,9 +41,11 @@ def lazy_exports(
         sub = exported.get(name)
         if sub is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        module = importlib.import_module(f"{package}.{sub}")
+        home = sys.modules[package]
+        base = package if hasattr(home, "__path__") else package.rpartition(".")[0]
+        module = importlib.import_module(f"{base}.{sub}")
         value = module if name == sub else getattr(module, name)
-        setattr(sys.modules[package], name, value)
+        setattr(home, name, value)
         return value
 
     def __dir__() -> List[str]:

@@ -9,10 +9,11 @@ rest of the stack — systematically:
   rules triggered by op-count, virtual time, LBA range, op kind, or
   probability (each probabilistic rule gets a dedicated RNG stream, so a
   whole campaign is reproducible from one seed);
-- :mod:`repro.faults.hooks` — the :class:`FaultPlane` facade the device,
-  block, and fs layers consult, with a null default that keeps runs
-  bit-identical when no plan is installed (the same zero-cost guarantee
-  ``repro.obs`` gives);
+- :mod:`repro.faults.hooks` — the plane the device, block, and fs layers
+  consult, with a null default that keeps runs bit-identical when no plan
+  is installed (the same zero-cost guarantee ``repro.obs`` gives);
+- :mod:`repro.faults.plane` — the live :class:`FaultPlane` a plan compiles
+  into, loaded only where a plane is armed;
 - :mod:`repro.faults.crashpoints` — the crash-consistency harness: it
   enumerates every syscall in the Ext4 in-place migration path, kills the
   run at each one, invokes :meth:`MigrationJournal.recover`, and checks
@@ -27,12 +28,9 @@ that consult the plane.
 """
 
 from ..exports import lazy_exports
-from .plan import KINDS, FaultPlan, FaultRule  # noqa: F401
 from .hooks import (  # noqa: F401
     DEFAULT_LATENCY_SPIKE,
     FaultFire,
-    FaultPlane,
-    FaultPlaneStats,
     NullFaultPlane,
     arm,
     current,
@@ -41,19 +39,24 @@ from .hooks import (  # noqa: F401
     use,
 )
 
-#: lazy: these modules import core/fs, which import this package
-_EXPORTS = {"crashpoints": "crashpoints", "campaign": "campaign"}
+#: lazy: the plan DSL and the live plane load only where a plane is
+#: armed, and ``crashpoints``/``campaign`` import core/fs, which import
+#: this package
+_EXPORTS = {
+    "KINDS": "plan",
+    "FaultPlan": "plan",
+    "FaultRule": "plan",
+    "FaultPlane": "plane",
+    "FaultPlaneStats": "plane",
+    "crashpoints": "crashpoints",
+    "campaign": "campaign",
+}
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     _EXPORTS,
     eager=[
-        "KINDS",
-        "FaultPlan",
-        "FaultRule",
         "DEFAULT_LATENCY_SPIKE",
         "FaultFire",
-        "FaultPlane",
-        "FaultPlaneStats",
         "NullFaultPlane",
         "arm",
         "current",

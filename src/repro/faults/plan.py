@@ -19,28 +19,23 @@ trigger         fires when
 ==============  =============================================================
 
 Filters are conjunctive; ``max_fires`` bounds how often a rule may fire
-(0 = unlimited).  Plans are pure data — :class:`repro.faults.hooks.FaultPlane`
+(0 = unlimited).  Plans are pure data — :class:`repro.faults.plane.FaultPlane`
 compiles them into live per-rule state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..errors import InvalidArgument
+from ..types import Record
+from .hooks import BLOCK_SITE
 
 #: fault kinds a rule may inject
 KINDS = ("io_error", "latency", "torn", "crash")
 
-#: the block layer's one site (checked once per batch, before dispatch)
-BLOCK_SITE = "block.submit"
 
-
-@dataclass(frozen=True)
-class FaultRule:
-    """One declarative injection rule (see module docstring)."""
-
+class _FaultRuleFields(NamedTuple):
     site: str
     kind: str
     op: Optional[str] = None
@@ -56,7 +51,18 @@ class FaultRule:
     #: how many times this rule may fire (0 = unlimited)
     max_fires: int = 1
 
-    def __post_init__(self) -> None:
+
+class FaultRule(_FaultRuleFields):
+    """One declarative injection rule (see module docstring)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "FaultRule":
+        self = _FaultRuleFields.__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    def _validate(self) -> None:
         if self.kind not in KINDS:
             raise InvalidArgument(f"unknown fault kind {self.kind!r}; choose from {KINDS}")
         if self.probability is not None and not 0.0 <= self.probability <= 1.0:
@@ -76,16 +82,18 @@ class FaultRule:
             )
 
 
-@dataclass
-class FaultPlan:
+class FaultPlan(Record):
     """A seeded collection of fault rules.
 
     The seed feeds every probabilistic rule's dedicated RNG stream, making
     a whole campaign reproducible run-to-run.
     """
 
-    seed: int = 0
-    rules: List[FaultRule] = field(default_factory=list)
+    __slots__ = _fields = ("seed", "rules")
+
+    def __init__(self, seed: int = 0, rules: Optional[List[FaultRule]] = None) -> None:
+        self.seed = seed
+        self.rules = rules if rules is not None else []
 
     def add(self, rule: FaultRule) -> "FaultPlan":
         self.rules.append(rule)

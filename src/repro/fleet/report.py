@@ -13,11 +13,11 @@ above the trigger going up is a regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..constants import MIB
 from ..doc import FLEET
+from ..types import Record
 
 #: document schema tag; bump on incompatible layout changes
 SCHEMA = FLEET.schema
@@ -27,8 +27,7 @@ fingerprint, save, load, compare = (
 )
 
 
-@dataclass(frozen=True)
-class TickRow:
+class TickRow(NamedTuple):
     """One scheduler tick's fleet-wide readings."""
 
     tick: int
@@ -51,43 +50,82 @@ class TickRow:
         }
 
 
-@dataclass
-class FleetReport:
+class FleetReport(Record):
     """What one fleet run did, SLO-style."""
 
-    config: Dict[str, object]
-    volumes: int = 0
-    ticks: List[TickRow] = field(default_factory=list)
-    # jobs
-    jobs_admitted: int = 0
-    jobs_completed: int = 0
-    jobs_failed: int = 0
-    jobs_still_running: int = 0
-    jobs_deferred_ticks: int = 0
-    jobs_budget_blocked_ticks: int = 0
-    recovered_entries: int = 0
-    journal_pending: int = 0
-    # migration traffic
-    migrated_payload_bytes: int = 0
-    defrag_read_bytes: int = 0
-    defrag_write_bytes: int = 0
-    ranges_migrated: int = 0
-    ranges_failed: int = 0
-    retries: int = 0
-    # foreground SLO
-    fg_ops: int = 0
-    fg_errors: int = 0
-    fg_read_count: int = 0
-    fg_read_p50_s: float = 0.0
-    fg_read_p99_s: float = 0.0
-    fg_read_mean_s: float = 0.0
-    fg_read_max_s: float = 0.0
-    # fragmentation census
-    volumes_above_start: int = 0
-    volumes_above_end: int = 0
-    # SLO monitor section (only when gating is armed; absent keeps old
-    # documents byte-identical)
-    slo: Optional[Dict[str, object]] = None
+    __slots__ = _fields = (
+        "config", "volumes", "ticks", "jobs_admitted", "jobs_completed", "jobs_failed",
+        "jobs_still_running", "jobs_deferred_ticks", "jobs_budget_blocked_ticks",
+        "recovered_entries", "journal_pending", "migrated_payload_bytes",
+        "defrag_read_bytes", "defrag_write_bytes", "ranges_migrated", "ranges_failed",
+        "retries", "fg_ops", "fg_errors", "fg_read_count", "fg_read_p50_s",
+        "fg_read_p99_s", "fg_read_mean_s", "fg_read_max_s", "volumes_above_start",
+        "volumes_above_end", "slo",
+    )
+
+    def __init__(
+        self,
+        config: Dict[str, object],
+        volumes: int = 0,
+        ticks: Optional[List[TickRow]] = None,
+        jobs_admitted: int = 0,
+        jobs_completed: int = 0,
+        jobs_failed: int = 0,
+        jobs_still_running: int = 0,
+        jobs_deferred_ticks: int = 0,
+        jobs_budget_blocked_ticks: int = 0,
+        recovered_entries: int = 0,
+        journal_pending: int = 0,
+        migrated_payload_bytes: int = 0,
+        defrag_read_bytes: int = 0,
+        defrag_write_bytes: int = 0,
+        ranges_migrated: int = 0,
+        ranges_failed: int = 0,
+        retries: int = 0,
+        fg_ops: int = 0,
+        fg_errors: int = 0,
+        fg_read_count: int = 0,
+        fg_read_p50_s: float = 0.0,
+        fg_read_p99_s: float = 0.0,
+        fg_read_mean_s: float = 0.0,
+        fg_read_max_s: float = 0.0,
+        volumes_above_start: int = 0,
+        volumes_above_end: int = 0,
+        slo: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.config = config
+        self.volumes = volumes
+        self.ticks = ticks if ticks is not None else []
+        # jobs
+        self.jobs_admitted = jobs_admitted
+        self.jobs_completed = jobs_completed
+        self.jobs_failed = jobs_failed
+        self.jobs_still_running = jobs_still_running
+        self.jobs_deferred_ticks = jobs_deferred_ticks
+        self.jobs_budget_blocked_ticks = jobs_budget_blocked_ticks
+        self.recovered_entries = recovered_entries
+        self.journal_pending = journal_pending
+        # migration traffic
+        self.migrated_payload_bytes = migrated_payload_bytes
+        self.defrag_read_bytes = defrag_read_bytes
+        self.defrag_write_bytes = defrag_write_bytes
+        self.ranges_migrated = ranges_migrated
+        self.ranges_failed = ranges_failed
+        self.retries = retries
+        # foreground SLO
+        self.fg_ops = fg_ops
+        self.fg_errors = fg_errors
+        self.fg_read_count = fg_read_count
+        self.fg_read_p50_s = fg_read_p50_s
+        self.fg_read_p99_s = fg_read_p99_s
+        self.fg_read_mean_s = fg_read_mean_s
+        self.fg_read_max_s = fg_read_max_s
+        # fragmentation census
+        self.volumes_above_start = volumes_above_start
+        self.volumes_above_end = volumes_above_end
+        # SLO monitor section (only when gating is armed; absent keeps old
+        # documents byte-identical)
+        self.slo = slo
 
     # -- budget compliance ---------------------------------------------
 

@@ -9,8 +9,7 @@ filesystem-agnostic (Section 4.2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from ..constants import block_align_up
 from ..errors import DeviceIOError, InjectedCrash
@@ -18,8 +17,7 @@ from .base import Filesystem
 from .inode import Inode
 
 
-@dataclass(frozen=True)
-class FiemapExtent:
+class FiemapExtent(NamedTuple):
     """One physical extent as FIEMAP reports it."""
 
     logical: int   # file offset

@@ -16,8 +16,7 @@ linear scan over every run.  ``free_bytes`` is a running counter and
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..constants import BLOCK_SIZE
 from ..errors import InvalidArgument, NoSpaceError
@@ -25,8 +24,7 @@ from ..errors import InvalidArgument, NoSpaceError
 Run = Tuple[int, int]  # (start, length), byte units, block aligned
 
 
-@dataclass(frozen=True)
-class FreeSpaceStats:
+class FreeSpaceStats(NamedTuple):
     free_bytes: int
     run_count: int
     largest_run: int

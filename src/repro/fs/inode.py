@@ -9,24 +9,28 @@ workloads) are content-free and read back as zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..constants import BLOCK_SIZE
+from ..types import Record
 from .extent_map import ExtentMap
 
 
-@dataclass
-class Inode:
+class Inode(Record):
     """One file."""
 
-    ino: int
-    path: str
-    size: int = 0
-    extent_map: ExtentMap = field(default_factory=ExtentMap)
-    nlink: int = 1
-    #: exclusive lock holder tag (FragPicker migration); None when unlocked
-    lock_holder: Optional[str] = None
+    __slots__ = _fields = ("ino", "path", "size", "extent_map", "nlink", "lock_holder")
+
+    def __init__(self, ino: int, path: str, size: int = 0,
+                 extent_map: Optional[ExtentMap] = None, nlink: int = 1,
+                 lock_holder: Optional[str] = None) -> None:
+        self.ino = ino
+        self.path = path
+        self.size = size
+        self.extent_map = extent_map if extent_map is not None else ExtentMap()
+        self.nlink = nlink
+        #: exclusive lock holder tag (FragPicker migration); None when unlocked
+        self.lock_holder = lock_holder
 
     def fragment_count(self) -> int:
         return self.extent_map.fragment_count()

@@ -46,10 +46,11 @@ Dirtiness is a per-inode set of page indices beside the stamps.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import eq, lt, ne, sub
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+from ..types import Record
 
 PageKey = Tuple[int, int]  # (ino, page index)
 
@@ -111,10 +112,12 @@ def _as_runs(pages: Sequence[int]) -> List[range]:
     return [range(page, page + 1) for page in dict.fromkeys(reversed(pages))][::-1]
 
 
-@dataclass
-class PageCacheStats:
-    hits: int = 0
-    misses: int = 0
+class PageCacheStats(Record):
+    __slots__ = _fields = ("hits", "misses")
+
+    def __init__(self, hits: int = 0, misses: int = 0) -> None:
+        self.hits = hits
+        self.misses = misses
 
     @property
     def hit_ratio(self) -> float:

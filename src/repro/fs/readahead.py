@@ -13,10 +13,10 @@ Mirrors the Linux on-demand readahead behaviour the paper depends on twice:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..constants import READAHEAD_SIZE, block_align_down, block_align_up
+from ..types import Record
 
 
 class ReadPlan(NamedTuple):
@@ -36,13 +36,16 @@ class ReadPlan(NamedTuple):
         return self.fetch_end - self.fetch_start
 
 
-@dataclass
-class ReadaheadState:
+class ReadaheadState(Record):
     """Per-open-file sequential detector and readahead window."""
 
-    window_size: int = READAHEAD_SIZE
-    _next_expected: int = -1
-    _window_end: int = 0
+    __slots__ = _fields = ("window_size", "_next_expected", "_window_end")
+
+    def __init__(self, window_size: int = READAHEAD_SIZE, _next_expected: int = -1,
+                 _window_end: int = 0) -> None:
+        self.window_size = window_size
+        self._next_expected = _next_expected
+        self._window_end = _window_end
 
     def is_sequential(self, offset: int) -> bool:
         return offset == self._next_expected or (self._next_expected < 0 and offset == 0)

@@ -9,9 +9,12 @@ measurement substrate:
   bounded event ring buffer;
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto
   loadable), metrics JSON, and plain-text tables;
-- :mod:`repro.obs.hooks` — the :class:`Instrumentation` facade every
-  layer calls, with a null implementation that keeps the hot path at one
-  attribute lookup when observability is off (the default);
+- :mod:`repro.obs.hooks` — the facade every layer calls, with a null
+  implementation that keeps the hot path at one attribute lookup when
+  observability is off (the default);
+- :mod:`repro.obs.live` — the live :class:`Instrumentation` facades over
+  the registry and the span recorder, loaded only where the plane is
+  armed;
 - :mod:`repro.obs.analysis` — the explanation layer: latency attribution
   (wall-clock per-syscall latency partitioned into fs CPU / kernel queue
   and CPU / split cost / device queue, service, penalty, with a
@@ -30,7 +33,7 @@ measurement substrate:
 from ..exports import lazy_exports
 
 _EXPORTS = {
-    "Instrumentation": "hooks",
+    "Instrumentation": "live",
     "NullInstrumentation": "hooks",
     "current": "hooks",
     "disable": "hooks",

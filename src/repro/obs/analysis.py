@@ -38,10 +38,9 @@ dict of metric objects, or the JSON form stored in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..stats.tables import format_table
+from ..types import Record
 from .metrics import MetricsRegistry
 
 #: (component key, backing counter, human description) — display order.
@@ -69,14 +68,17 @@ def _metric_view(metrics) -> Mapping[str, Mapping[str, object]]:
     return view
 
 
-@dataclass
-class Attribution:
+class Attribution(Record):
     """One window's latency decomposition plus its consistency check."""
 
-    components: Dict[str, float]
-    total: float                       # Σ fs.syscall_latency.* sums
-    syscalls: int = 0                  # samples behind the total
-    descriptions: Dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("components", "total", "syscalls", "descriptions")
+
+    def __init__(self, components: Dict[str, float], total: float, syscalls: int = 0,
+                 descriptions: Optional[Dict[str, str]] = None) -> None:
+        self.components = components
+        self.total = total                 # Σ fs.syscall_latency.* sums
+        self.syscalls = syscalls           # samples behind the total
+        self.descriptions = descriptions if descriptions is not None else {}
 
     @property
     def attributed(self) -> float:
@@ -97,6 +99,8 @@ class Attribution:
         return abs(self.residual) <= tolerance * self.total
 
     def table(self) -> str:
+        from ..stats.tables import format_table
+
         rows: List[List[object]] = []
         for key, _, description in COMPONENTS:
             seconds = self.components.get(key, 0.0)

@@ -1,6 +1,6 @@
 """Telemetry harvest: capture a child plane, merge it into a parent.
 
-Work that runs under its own :class:`~repro.obs.hooks.Instrumentation`
+Work that runs under its own :class:`~repro.obs.live.Instrumentation`
 — a bench figure in a ``repro.par`` worker, whose
 :func:`repro.par.reset_worker_state` installs the null facade, or one
 fleet volume on its own virtual clock — would otherwise lose every

@@ -18,7 +18,7 @@ Truncation behaviour: both stores are bounded.  Spans past ``max_spans``
 are *not* kept (``dropped_spans`` counts them); events past ``max_events``
 evict the **oldest** ring entries (``dropped_events`` counts the wraps,
 and an attached ``drop_counter`` — ``obs.events_dropped`` when owned by an
-:class:`~repro.obs.hooks.Instrumentation` — surfaces the loss in the
+:class:`~repro.obs.live.Instrumentation` — surfaces the loss in the
 metrics registry, so a run can't silently lose events).  Size the
 buffers per run via
 ``Instrumentation(max_spans=..., max_events=...)``.

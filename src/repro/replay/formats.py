@@ -37,12 +37,11 @@ Formats
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from ..constants import MIB
 from ..errors import InvalidArgument
-from ..types import IO_OP_KINDS, IoOp
+from ..types import IO_OP_KINDS, IoOp, Record
 
 #: binary container magic + version (the ``repro.replay/v1`` wire format)
 BINARY_MAGIC = b"RRPL"
@@ -73,18 +72,32 @@ DEFAULT_ACTIONS = frozenset({"Q"})
 SECTOR_BYTES = 512
 
 
-@dataclass
-class ParseStats:
+class ParseStats(Record):
     """What a reader saw besides clean records (counted, never silent)."""
 
-    records: int = 0          # clean records yielded
-    malformed: int = 0        # unparseable lines / truncated tail bytes
-    zero_length: int = 0      # ops with size <= 0 (skipped)
-    out_of_order: int = 0     # timestamps behind the high-water mark (clamped)
-    filtered: int = 0         # well-formed but outside the accepted set
-    #: trace-time span covered by yielded records
-    first_time: float = 0.0
-    last_time: float = 0.0
+    __slots__ = _fields = (
+        "records", "malformed", "zero_length", "out_of_order", "filtered",
+        "first_time", "last_time",
+    )
+
+    def __init__(
+        self,
+        records: int = 0,
+        malformed: int = 0,
+        zero_length: int = 0,
+        out_of_order: int = 0,
+        filtered: int = 0,
+        first_time: float = 0.0,
+        last_time: float = 0.0,
+    ) -> None:
+        self.records = records  # clean records yielded
+        self.malformed = malformed  # unparseable lines / truncated tail bytes
+        self.zero_length = zero_length  # ops with size <= 0 (skipped)
+        self.out_of_order = out_of_order  # timestamps behind the high-water mark (clamped)
+        self.filtered = filtered  # well-formed but outside the accepted set
+        #: trace-time span covered by yielded records
+        self.first_time = first_time
+        self.last_time = last_time
 
     def to_dict(self) -> Dict[str, object]:
         return {

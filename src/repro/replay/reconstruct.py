@@ -30,13 +30,12 @@ Two pieces:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..constants import BLOCK_SIZE, MIB, block_align_down, block_align_up
 from ..errors import InvalidArgument, NoSpaceError
 from ..fs.base import FallocMode, FileHandle, Filesystem
-from ..types import IoOp
+from ..types import IoOp, Record
 
 #: default per-file address-space cap (trace offsets wrap into it)
 DEFAULT_FILE_CAP = 16 * MIB
@@ -81,26 +80,45 @@ class PlacementPolicy:
         return cached
 
 
-@dataclass
-class ReconstructionStats:
+class ReconstructionStats(Record):
     """What reconstruction did to make the trace land (all counted)."""
 
-    ops_read: int = 0
-    ops_write: int = 0
-    ops_fsync: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    #: file body materialized so reads-beyond-EOF have something to hit
-    backfill_bytes: int = 0
-    files_created: int = 0
-    #: offsets wrapped into the per-file cap
-    clamped: int = 0
-    #: unaligned O_DIRECT ranges repaired to block alignment
-    realigned: int = 0
-    #: ops skipped because the device ran out of space
-    no_space: int = 0
-    #: ops dropped for shapes even repair cannot fix
-    dropped: int = 0
+    __slots__ = _fields = (
+        "ops_read", "ops_write", "ops_fsync", "bytes_read", "bytes_written",
+        "backfill_bytes", "files_created", "clamped", "realigned", "no_space",
+        "dropped",
+    )
+
+    def __init__(
+        self,
+        ops_read: int = 0,
+        ops_write: int = 0,
+        ops_fsync: int = 0,
+        bytes_read: int = 0,
+        bytes_written: int = 0,
+        backfill_bytes: int = 0,
+        files_created: int = 0,
+        clamped: int = 0,
+        realigned: int = 0,
+        no_space: int = 0,
+        dropped: int = 0,
+    ) -> None:
+        self.ops_read = ops_read
+        self.ops_write = ops_write
+        self.ops_fsync = ops_fsync
+        self.bytes_read = bytes_read
+        self.bytes_written = bytes_written
+        #: file body materialized so reads-beyond-EOF have something to hit
+        self.backfill_bytes = backfill_bytes
+        self.files_created = files_created
+        #: offsets wrapped into the per-file cap
+        self.clamped = clamped
+        #: unaligned O_DIRECT ranges repaired to block alignment
+        self.realigned = realigned
+        #: ops skipped because the device ran out of space
+        self.no_space = no_space
+        #: ops dropped for shapes even repair cannot fix
+        self.dropped = dropped
 
     @property
     def ops(self) -> int:

@@ -19,7 +19,7 @@ ratio down = regression, attribution component seconds up = regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..constants import MIB
@@ -30,6 +30,7 @@ from ..fs import make_filesystem
 from ..obs import analysis as obs_analysis
 from ..obs import hooks as obs_hooks
 from ..obs.hooks import AttributionInstrumentation
+from ..types import Record
 from .formats import ParseStats, TraceReader, open_trace
 from .reconstruct import (
     APP,
@@ -72,26 +73,50 @@ class ReplayConfig:
         }
 
 
-@dataclass
-class ReplayResult:
+class ReplayResult(Record):
     """One streaming replay pass, measured."""
 
-    config: ReplayConfig
-    trace: str                       # basename, for the report header
-    parse: ParseStats = field(default_factory=ParseStats)
-    reconstruction: ReconstructionStats = field(default_factory=ReconstructionStats)
-    elapsed_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: device-level traffic the replayed workload generated
-    device_read_bytes: int = 0
-    device_write_bytes: int = 0
-    device_read_commands: int = 0
-    device_write_commands: int = 0
-    #: metadata-commit traffic (journal/checkpoint writes during fsync)
-    meta_write_bytes: int = 0
-    split_fanout: Dict[str, float] = field(default_factory=dict)
-    attribution: Optional[Dict[str, object]] = None
+    __slots__ = _fields = (
+        "config", "trace", "parse", "reconstruction", "elapsed_s", "cache_hits",
+        "cache_misses", "device_read_bytes", "device_write_bytes",
+        "device_read_commands", "device_write_commands", "meta_write_bytes",
+        "split_fanout", "attribution",
+    )
+
+    def __init__(
+        self,
+        config: ReplayConfig,
+        trace: str,
+        parse: Optional[ParseStats] = None,
+        reconstruction: Optional[ReconstructionStats] = None,
+        elapsed_s: float = 0.0,
+        cache_hits: int = 0,
+        cache_misses: int = 0,
+        device_read_bytes: int = 0,
+        device_write_bytes: int = 0,
+        device_read_commands: int = 0,
+        device_write_commands: int = 0,
+        meta_write_bytes: int = 0,
+        split_fanout: Optional[Dict[str, float]] = None,
+        attribution: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.config = config
+        self.trace = trace  # basename, for the report header
+        self.parse = parse if parse is not None else ParseStats()
+        self.reconstruction = (reconstruction if reconstruction is not None
+                               else ReconstructionStats())
+        self.elapsed_s = elapsed_s
+        self.cache_hits = cache_hits
+        self.cache_misses = cache_misses
+        #: device-level traffic the replayed workload generated
+        self.device_read_bytes = device_read_bytes
+        self.device_write_bytes = device_write_bytes
+        self.device_read_commands = device_read_commands
+        self.device_write_commands = device_write_commands
+        #: metadata-commit traffic (journal/checkpoint writes during fsync)
+        self.meta_write_bytes = meta_write_bytes
+        self.split_fanout = split_fanout if split_fanout is not None else {}
+        self.attribution = attribution
 
     # -- derived figures ------------------------------------------------
 

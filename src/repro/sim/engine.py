@@ -24,23 +24,26 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, Iterator, Optional
 
 from ..obs import hooks as obs_hooks
 from ..stats.timeline import Timeline
+from ..types import Record
 
 ActorFn = Callable[["ActorContext"], Generator[None, None, None]]
 
 
-@dataclass
-class ActorContext:
+class ActorContext(Record):
     """Per-actor virtual clock plus a completion timeline."""
 
-    name: str
-    now: float = 0.0
-    timeline: Timeline = field(default_factory=Timeline)
-    finished_at: Optional[float] = None
+    __slots__ = _fields = ("name", "now", "timeline", "finished_at")
+
+    def __init__(self, name: str, now: float = 0.0, timeline: Optional[Timeline] = None,
+                 finished_at: Optional[float] = None) -> None:
+        self.name = name
+        self.now = now
+        self.timeline = timeline if timeline is not None else Timeline()
+        self.finished_at = finished_at
 
     def record(self, amount: float = 1.0) -> None:
         self.timeline.record(self.now, amount)

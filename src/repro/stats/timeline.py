@@ -9,15 +9,18 @@ background.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+from ..types import Record
 
 
-@dataclass
-class Timeline:
+class Timeline(Record):
     """Ordered completion events ``(time, amount)``."""
 
-    events: List[Tuple[float, float]] = field(default_factory=list)
+    __slots__ = _fields = ("events",)
+
+    def __init__(self, events: Optional[List[Tuple[float, float]]] = None) -> None:
+        self.events = events if events is not None else []
 
     def record(self, time: float, amount: float = 1.0) -> None:
         self.events.append((time, amount))
@@ -41,8 +44,7 @@ class Timeline:
         return Timeline([(t, a) for t, a in self.events if start <= t < end])
 
 
-@dataclass
-class Series:
+class Series(Record):
     """A named sampled curve: monotone ``(time, value)`` points.
 
     Timelines hold *completion events* (amounts to be rate-reduced);
@@ -51,9 +53,13 @@ class Series:
     :class:`repro.obs.sampler.FragmentationSampler`.
     """
 
-    name: str
-    times: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
+    __slots__ = _fields = ("name", "times", "values")
+
+    def __init__(self, name: str, times: Optional[List[float]] = None,
+                 values: Optional[List[float]] = None) -> None:
+        self.name = name
+        self.times = times if times is not None else []
+        self.values = values if values is not None else []
 
     def record(self, time: float, value: float) -> None:
         self.times.append(time)

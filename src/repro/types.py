@@ -15,11 +15,18 @@ distinct from
 :class:`repro.block.request.IoOp`, the block-layer *command kind* enum —
 one is "what the application asked for", the other is "what the device
 was told to do".
+
+:class:`Record` is the base of the mutable records (per-run counters,
+reports, per-file state): a subclass lists its fields once and writes
+its own ``__init__``, and inherits the ``repr`` and ``==`` a
+``@dataclass`` would generate.  Immutable records are NamedTuples.
+Neither runs a code generator when its module is imported, which a
+``@dataclass`` does for every class it decorates.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 #: the operation kinds a workload-level :class:`IoOp` may carry
 IO_OP_KINDS = ("read", "write", "fsync")
@@ -56,3 +63,28 @@ class IoOp(NamedTuple):
     @property
     def end(self) -> int:
         return self.offset + self.size
+
+
+class Record:
+    """Mutable record: ``repr`` and ``==`` over :attr:`_fields`, in order.
+
+    A subclass declares ``__slots__ = _fields = (...)`` (or only
+    ``_fields``, to keep an instance ``__dict__`` that ``vars()`` reads) and
+    assigns every field in its ``__init__``.  Equality holds between
+    instances of the same class whose fields compare equal, as a
+    dataclass's does; records are unhashable, like a dataclass with
+    ``eq=True``.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, name) for name in self._fields)
+                == tuple(getattr(other, name) for name in self._fields))

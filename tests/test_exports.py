@@ -79,3 +79,41 @@ def test_star_import_binds_every_export():
     import repro.obs as obs
 
     assert all(namespace[name] is getattr(obs, name) for name in obs.__all__)
+
+
+#: plane hooks modules -> {lazy name: the module that defines it}
+PLANE_HOOKS = {
+    "repro.obs.hooks": {"Instrumentation": "repro.obs.live",
+                        "AttributionInstrumentation": "repro.obs.live"},
+    "repro.faults.hooks": {"FaultPlane": "repro.faults.plane",
+                           "FaultPlaneStats": "repro.faults.plane"},
+}
+
+
+@pytest.mark.parametrize("module", list(PLANE_HOOKS))
+def test_plane_hooks_name_their_live_classes_lazily(module):
+    table = PLANE_HOOKS[module]
+    bound = _fresh(
+        f"import json, {module} as hooks\n"
+        "print(json.dumps(sorted(vars(hooks))))"
+    )
+    assert not set(table) & set(bound), "a live class was bound at import"
+    hooks = importlib.import_module(module)
+    for name, home in table.items():
+        assert getattr(hooks, name) is getattr(importlib.import_module(home), name)
+        assert name in dir(hooks)
+    with pytest.raises(AttributeError, match="no_such_export"):
+        hooks.no_such_export
+
+
+def test_arming_a_plane_installs_its_live_class():
+    from repro.faults import FaultPlan, hooks as fault_hooks
+    from repro.obs import hooks as obs_hooks
+
+    try:
+        assert isinstance(obs_hooks.enable(), obs_hooks.Instrumentation)
+        assert isinstance(fault_hooks.arm(FaultPlan()), fault_hooks.FaultPlane)
+    finally:
+        obs_hooks.disable()
+        fault_hooks.disarm()
+    assert not obs_hooks.current().enabled and not fault_hooks.current().enabled

@@ -34,6 +34,10 @@ FLEET = ARMED_ONLY + ("repro.replay",)
 CLAIMS = ("repro.bench.claims",)
 #: a replay builds no defrag tool, workload or SLO plane
 REPLAY = ("repro.obs.slo", "repro.core", "repro.tools", "repro.workloads")
+#: what an armed obs or fault plane records with: loaded only where a
+#: plane is armed, never by the null planes every layer consults
+RECORDERS = ("repro.obs.metrics", "repro.obs.spans", "repro.obs.analysis",
+             "repro.faults.plan")
 
 #: entry point -> (code, modules it must not load, most repro modules)
 BUDGETS = {
@@ -60,6 +64,13 @@ BUDGETS = {
     ),
     "grid-entry": (
         "from repro.bench.experiments import synthetic_defrag", ARMED_ONLY + CLAIMS, None,
+    ),
+    # every layer captures the current planes at construction
+    "obs-hooks-unarmed": (
+        "from repro.obs import hooks; hooks.current()", RECORDERS, None,
+    ),
+    "faults-hooks-unarmed": (
+        "from repro.faults import hooks; hooks.current()", RECORDERS, None,
     ),
 }
 
@@ -113,7 +124,16 @@ REPETITIONS = {
     "replay_read": REPLAY + CLAIMS,
     "replay_write": REPLAY + CLAIMS,
     "fleet": FLEET + CLAIMS,
-    "fig8_grid": ARMED_ONLY + CLAIMS,
+    "fig8_grid": ARMED_ONLY + CLAIMS + RECORDERS,
+}
+
+#: workload -> most repro modules loaded after its setup (each process
+#: compiles every one of them)
+SETUP_MODULES = {
+    "replay_read": 43,
+    "replay_write": 43,
+    "fleet": 65,
+    "fig8_grid": 54,
 }
 
 
@@ -137,3 +157,4 @@ def test_no_import_moves_into_the_timed_call_or_the_check(name, tmp_path):
     assert after_call == after_setup, sorted(set(after_call) - set(after_setup))
     assert after_doc == after_setup, sorted(set(after_doc) - set(after_setup))
     assert _loaded(after_doc, REPETITIONS[name]) == []
+    assert len(after_setup) <= SETUP_MODULES[name], after_setup
