@@ -3,6 +3,10 @@
 Charges the per-request kernel overhead (bio/request/command construction,
 completion handling — the cost the paper says request splitting multiplies
 and that dominates on Optane) and dispatches the batch to the device.
+
+A batch is counted from the one byte sum the device returns, by the device
+and then the tracer; one that raises is not traced (the device alone counts
+what of it ran).
 """
 
 from __future__ import annotations
@@ -101,26 +105,28 @@ class BlockScheduler:
             # only counts the batch, so count it without the call
             counts = self.faults.counts
             counts[BLOCK_SITE] = counts.get(BLOCK_SITE, 0) + 1
-        cpu_start = max(now, self._cpu_free)
+        # picks the operand ``max`` would
+        cpu_start = self._cpu_free if self._cpu_free > now else now
         cpu_done = cpu_start + kernel_time
         self._cpu_free = cpu_done
-        batch = self.device.submit(op, ranges, cpu_done)
+        finish_time, device_time, nbytes = self.device.run_batch(op, ranges, cpu_done)
         self.requests_submitted += n
         self.kernel_time_total += kernel_time
-        self.tracer.observe(op, tag, ranges, now)
+        # only a completed batch gets here, traced with the device's byte sum
+        self.tracer.observe(op, tag, ranges, nbytes, now)
         if self._observing:
             # split fan-out (commands per syscall), kernel CPU, and how far
             # behind real time the shared kernel-CPU timeline is running;
             # queue_wait/base_cpu partition this submit's latency for
             # attribution (base = what one unsplit request would have cost)
+            lag = self._cpu_free - now
             self.obs.block_submit(
-                n, kernel_time, max(0.0, self._cpu_free - now),
+                n, kernel_time, lag if lag > 0.0 else 0.0,
                 queue_wait=cpu_start - now,
                 base_cpu=self.kernel_overhead_per_request,
             )
         # tuple.__new__ skips the generated keyword-parsing __new__ (one
         # result per batch on the hot path); fields in declaration order
         return tuple.__new__(SubmitResult, (
-            batch.finish_time, batch.finish_time - now, n,
-            kernel_time, batch.service_time,
+            finish_time, finish_time - now, n, kernel_time, device_time,
         ))

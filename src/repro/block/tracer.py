@@ -5,6 +5,9 @@ batch carries, so experiments can report e.g. "the defragmenter issued
 163 MB of reads and 137 MB of writes" separately from workload traffic —
 exactly what the paper measures with blktrace/iotop.
 
+A batch is counted from the byte sum the device took (``nbytes``), once the
+device returned it: a batch that raised is counted by the device alone.
+
 When the observability plane is enabled the tracer also emits each
 command into the shared ``repro.obs`` event ring (track ``"block"``), so
 Chrome traces show raw block commands without a second private log; the
@@ -89,17 +92,23 @@ class BlockTracer:
         self._emitting = self.obs.enabled and self.obs.per_command
 
     def observe(
-        self, op: IoOp, tag: str, ranges: Sequence[DiskRange], now: float = 0.0,
+        self, op: IoOp, tag: str, ranges: Sequence[DiskRange], nbytes: int,
+        now: float = 0.0,
     ) -> None:
         """Count one batch: ``ranges`` are its commands, all of ``op``
-        from origin ``tag``."""
+        from origin ``tag``, moving ``nbytes`` between them."""
         counter = self.by_tag.get(tag)
         if counter is None:
             counter = self.by_tag[tag] = TrafficCounter()
-        nbytes = 0
-        for _, length in ranges:
-            nbytes += length
-        counter.add(op, nbytes, len(ranges))
+        if op is _READ:
+            counter.read_bytes += nbytes
+            counter.read_commands += len(ranges)
+        elif op is _WRITE:
+            counter.write_bytes += nbytes
+            counter.write_commands += len(ranges)
+        else:
+            counter.discard_bytes += nbytes
+            counter.discard_commands += len(ranges)
         if self.keep_log:
             new = tuple.__new__
             self.log.extend(

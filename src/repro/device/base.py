@@ -20,6 +20,11 @@ Timing model (three resource classes):
 
 Subclasses describe each command via :meth:`_plan_command`; the base class
 does the timeline bookkeeping.
+
+Counting: the capacity check sums a batch's bytes; a completed batch adds
+that sum to :class:`DeviceStats` and returns it for the block tracer.  A
+batch that raises part-way counts only the commands before the one that
+raised (and a torn write's prefix), and the tracer does not count it.
 """
 
 from __future__ import annotations
@@ -94,9 +99,8 @@ class BatchResult(NamedTuple):
         return self.finish_time - self.start_time
 
 
-#: builds a :class:`BatchResult` from a 4-tuple without the generated
-#: keyword-parsing ``__new__`` (one per batch on the hot path)
-_batch_result = tuple.__new__
+_READ = IoOp.READ
+_WRITE = IoOp.WRITE
 
 
 class StorageDevice(abc.ABC):
@@ -157,29 +161,44 @@ class StorageDevice(abc.ABC):
     def submit(
         self, op: IoOp, ranges: Sequence[DiskRange], start_time: float = 0.0,
     ) -> BatchResult:
-        """Process a batch of commands issued together at ``start_time``.
+        """:meth:`run_batch` as a :class:`BatchResult`."""
+        finish_time, service_time, _ = self.run_batch(op, ranges, start_time)
+        return BatchResult(start_time, finish_time, service_time, len(ranges))
+
+    def run_batch(
+        self, op: IoOp, ranges: Sequence[DiskRange], start_time: float = 0.0,
+    ) -> Tuple[float, float, int]:
+        """Process a batch of commands issued together at ``start_time``;
+        returns ``(finish_time, service_time, bytes)``.
 
         ``ranges`` are the batch's ``(offset, length)`` commands, all of
-        ``op``.  The fault plane checks the batch with one scan; a fire is
-        enacted when the loop reaches its command, and the scan resumes
-        after a fire that does not end the batch.  The stats count the
-        commands that ran even when the batch raises part-way.
+        ``op`` (counting: see the module docstring).  The fault plane
+        checks the batch with one scan; a fire is enacted when the loop
+        reaches its command, and the scan resumes after a fire that does
+        not end the batch.
         """
         if not ranges:
-            return _batch_result(BatchResult, (start_time, start_time, 0.0, 0))
+            return start_time, 0.0, 0
         capacity = self.capacity
+        nbytes = 0
         for offset, length in ranges:
             if offset < 0 or offset + length > capacity:
                 raise DeviceError(
                     f"{self.name}: command [{offset}, {offset + length}) "
                     f"beyond capacity {capacity}"
                 )
+            nbytes += length
+        # the compares below pick the operand ``max`` would
+        controller = self._controller_free
+        if not controller > start_time:
+            controller = start_time
         if not self.supports_queuing:
             # one command at a time: the whole batch serializes behind
             # whatever the device is already doing
-            controller = max(start_time, self.busy_until)
-        else:
-            controller = max(start_time, self._controller_free)
+            if self._link_free > controller:
+                controller = self._link_free
+            if self._unit_high > controller:
+                controller = self._unit_high
         pickup = controller
         batch_finish = start_time
         batch_work = 0.0
@@ -200,9 +219,6 @@ class StorageDevice(abc.ABC):
         if self._faulting and faults.active:
             fire_at, fire = faults.scan("device.submit", value, ranges, 0, start_time)
         torn_lost: Optional[int] = None  # bytes a torn write dropped
-        # the batch is one op: count its bytes and commands in locals and
-        # add them to the stats once, in the finally below
-        done_bytes = done_n = 0
         try:
             for index, (offset, length) in enumerate(ranges):
                 stall = 0.0
@@ -259,8 +275,6 @@ class StorageDevice(abc.ABC):
                         command_finish = link_free
                 if command_finish > batch_finish:
                     batch_finish = command_finish
-                done_bytes += length
-                done_n += 1
                 batch_work += controller_time + stall
                 batch_penalty += penalty_time
                 if per_command:
@@ -270,30 +284,45 @@ class StorageDevice(abc.ABC):
                     )
                 if torn_lost is not None:
                     break  # the batch tears here: later commands never ran
+        except BaseException:
+            ran = ranges[:index]  # the commands before the one that raised
+            self.stats.add(op, sum([length for _, length in ran]), len(ran))
+            raise
         finally:
             # what ran stays committed when a later command raises
             self._unit_high = unit_high
             self._link_free = link_free
-            if done_n:
-                self.stats.add(op, done_bytes, done_n)
-        self._controller_free = controller
-        if not self.supports_queuing:
-            # hold every resource until the batch drains
-            self._controller_free = batch_finish
-        self.stats.busy_time += batch_work
+        # a non-queuing device holds every resource until the batch drains
+        self._controller_free = controller if self.supports_queuing else batch_finish
+        stats = self.stats
+        stats.busy_time += batch_work
         if torn_lost is not None:
+            # the commands before the torn one, and its surviving prefix
+            prefix = ranges[index][1] - torn_lost
+            written = sum([length for _, length in ranges[:index]]) + prefix
+            stats.add(op, written, index + (prefix > 0))
             raise TornWriteError(
-                f"{self.name}: torn write — only {done_bytes} bytes of the "
+                f"{self.name}: torn write — only {written} bytes of the "
                 "batch reached the media",
-                bytes_written=done_bytes,
+                bytes_written=written,
             )
+        n = len(ranges)
+        if op is _READ:
+            stats.read_bytes += nbytes
+            stats.read_commands += n
+        elif op is _WRITE:
+            stats.write_bytes += nbytes
+            stats.write_commands += n
+        else:
+            stats.discard_bytes += nbytes
+            stats.discard_commands += n
         if observing:
             # wall-clock partition of this batch's latency for attribution:
             # wait behind earlier traffic, then service from pickup to drain;
             # the attribution-only plane (no per-command records) discards
             # busy_until, so it is not computed for it
             self.obs.device_batch(
-                self.name, len(ranges),
+                self.name, n,
                 self.busy_until if per_command else 0.0,
                 queue_wait=pickup - start_time,
                 service_time=batch_finish - pickup,
@@ -302,9 +331,7 @@ class StorageDevice(abc.ABC):
         if self._listeners:
             for listener in self._listeners:
                 listener(op, ranges, start_time, batch_finish)
-        return _batch_result(
-            BatchResult, (start_time, batch_finish, batch_work, len(ranges))
-        )
+        return batch_finish, batch_work, nbytes
 
     def add_listener(self, listener) -> None:
         """Register ``fn(op, ranges, start, finish)``, called after each

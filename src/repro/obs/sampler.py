@@ -54,7 +54,7 @@ class FragmentationSampler:
             ... run workload / defrag ...
         curves = sampler.series             # name -> Series
 
-    or drive it manually from an actor loop with ``maybe_sample(now)``.
+    or drive it manually from an actor loop with ``sample(now)``.
     """
 
     def __init__(
@@ -99,7 +99,9 @@ class FragmentationSampler:
         self.detach()
 
     def _on_batch(self, op, ranges, start: float, finish: float) -> None:
-        self.maybe_sample(finish)
+        due = self._next_due
+        if due is None or not finish < due:
+            self.sample(finish)
 
     # -- sampling ------------------------------------------------------
 
@@ -107,13 +109,6 @@ class FragmentationSampler:
         if self.paths is None:
             return list(self.fs.inodes.values())
         return [self.fs.inode_of(p) for p in self.paths if self.fs.exists(p)]
-
-    def maybe_sample(self, now: float) -> bool:
-        """Take a sample if the clock crossed the next due time."""
-        if self._next_due is not None and now < self._next_due:
-            return False
-        self.sample(now)
-        return True
 
     def sample(self, now: float) -> Dict[str, float]:
         """Read the filesystem and record one point on every series."""

@@ -67,10 +67,10 @@ class TestTrafficCounter:
 
     def test_tracer_tag_counters_roundtrip(self):
         tracer = BlockTracer()
-        tracer.observe(IoOp.READ, "defrag", [(0, 4096)])
+        tracer.observe(IoOp.READ, "defrag", [(0, 4096)], 4096)
         before = tracer.tag("defrag").snapshot()
-        tracer.observe(IoOp.WRITE, "defrag", [(0, 8192)])
-        tracer.observe(IoOp.WRITE, "other", [(0, 100)])
+        tracer.observe(IoOp.WRITE, "defrag", [(0, 8192)], 8192)
+        tracer.observe(IoOp.WRITE, "other", [(0, 100)], 100)
         delta = tracer.tag("defrag").delta(before)
         assert delta.read_bytes == 0
         assert delta.write_bytes == 8192
@@ -140,13 +140,14 @@ def test_tracer_runs_match_per_command_accounting():
         if rng.random() < 0.5:  # repeated commands too
             batch = [batch[0]] * len(batch)
         ranges = [(command.offset, command.length) for command in batch]
-        plain.observe(op, tag, ranges)
-        logging.observe(op, tag, ranges)
+        nbytes = sum(length for _, length in ranges)
+        plain.observe(op, tag, ranges, nbytes)
+        logging.observe(op, tag, ranges, nbytes)
         for command in batch:
             _account(total, command)
             _account(by_tag.setdefault(command.tag, TrafficCounter()), command)
         log.extend(batch)
-    plain.observe(IoOp.READ, "a", [])
+    plain.observe(IoOp.READ, "a", [], 0)
     for tracer in (plain, logging):
         assert _summed(tracer) == total
         assert list(tracer.by_tag.items()) == list(by_tag.items())

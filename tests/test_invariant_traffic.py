@@ -16,9 +16,13 @@ import random
 
 import pytest
 
-from repro.block import IoOp
+from repro.block import IoOp, TrafficCounter
 from repro.constants import BLOCK_SIZE, MIB
 from repro.device import make_device
+from repro.errors import DeviceError, FaultError
+from repro.faults import FaultPlan, FaultPlane
+from repro.faults import hooks as fault_hooks
+from repro.faults.hooks import BLOCK_SITE
 from repro.fs import make_filesystem
 from repro.fs.base import FallocMode
 from repro.fs.page_cache import CHUNK
@@ -44,8 +48,9 @@ def _tracer_sum(tracer):
     return tuple(total)
 
 
-def _syscalls(fs, rng):
-    """Seeded syscalls against ``fs``; yields each one's name after it ran."""
+def _syscalls(fs, rng, errors=()):
+    """Seeded syscalls against ``fs``; yields each one's name after it ran
+    (``"raised"`` for one that raised one of ``errors``)."""
     handles = {}
     now = 0.0
     for _ in range(STEPS):
@@ -60,32 +65,35 @@ def _syscalls(fs, rng):
         offset = rng.randrange(SPAN) * BLOCK_SIZE
         length = rng.choice((1, 2, 8, 32, 64)) * BLOCK_SIZE
         roll = rng.random()
-        if roll < 0.35:
-            name, result = "write", fs.write(handle, offset, length, now=now)
-        elif roll < 0.65:
-            name, result = "read", fs.read(handle, offset, length, now=now)
-        elif roll < 0.72:
-            name, result = "fsync", fs.fsync(handle, now=now)
-        elif roll < 0.75:
-            name, result = "sync", fs.sync(now=now)
-        elif roll < 0.81:
-            mode = rng.choice((FallocMode.PUNCH_HOLE, FallocMode.ALLOCATE))
-            name, result = "fallocate", fs.fallocate(handle, mode, offset, length, now=now)
-        elif roll < 0.85:
-            name, result = "truncate", fs.truncate(handle, offset, now=now)
-        elif roll < 0.88:
-            fs.unlink(path, now=now)
-            del handles[path]
-            name, result = "unlink", None
-        elif roll < 0.91:
-            fs.drop_caches()
-            name, result = "drop_caches", None
-        elif roll < 0.97:
-            now += Fstrim(fs, max_discard_size=4 * MIB).run(now=now).elapsed
-            name = "fstrim"
-        else:
-            name, result = "read", fs.read(buffered, 0, SPAN * BLOCK_SIZE, now=now)
-        if name != "fstrim" and result is not None:
+        try:
+            if roll < 0.35:
+                name, result = "write", fs.write(handle, offset, length, now=now)
+            elif roll < 0.65:
+                name, result = "read", fs.read(handle, offset, length, now=now)
+            elif roll < 0.72:
+                name, result = "fsync", fs.fsync(handle, now=now)
+            elif roll < 0.75:
+                name, result = "sync", fs.sync(now=now)
+            elif roll < 0.81:
+                mode = rng.choice((FallocMode.PUNCH_HOLE, FallocMode.ALLOCATE))
+                name, result = "fallocate", fs.fallocate(handle, mode, offset, length, now=now)
+            elif roll < 0.85:
+                name, result = "truncate", fs.truncate(handle, offset, now=now)
+            elif roll < 0.88:
+                del handles[path]
+                fs.unlink(path, now=now)
+                name, result = "unlink", None
+            elif roll < 0.91:
+                fs.drop_caches()
+                name, result = "drop_caches", None
+            elif roll < 0.97:
+                now += Fstrim(fs, max_discard_size=4 * MIB).run(now=now).elapsed
+                name = "fstrim"
+            else:
+                name, result = "read", fs.read(buffered, 0, SPAN * BLOCK_SIZE, now=now)
+        except errors:
+            name, result = "raised", None
+        if name not in ("fstrim", "raised") and result is not None:
             now = result.finish_time
         yield name
 
@@ -104,6 +112,68 @@ def test_tracer_sums_equal_device_stats_after_every_syscall(fs_type, device):
     assert stats.read_commands and stats.write_commands and stats.discard_commands
     assert fs.tracer.tag("writeback").write_commands > 0
     assert fs.tracer.tag("meta").write_commands > 0
+
+
+def _count_raising_batches(fs):
+    """Record what ran in batches that raised: a command ran once the
+    device planned it (a torn write plans its surviving prefix).  Returns
+    the counter the records go into."""
+    ran, planned = TrafficCounter(), []
+    plan_command, submit = fs.device._plan_command, fs.scheduler.submit
+
+    def recorded_plan(op, offset, length):
+        plan = plan_command(op, offset, length)
+        planned.append((op, length))
+        return plan
+
+    def recorded_submit(op, ranges, now=0.0, tag=""):
+        planned.clear()
+        try:
+            return submit(op, ranges, now, tag)
+        except (DeviceError, FaultError):
+            for command_op, length in planned:
+                ran.add(command_op, length)
+            raise
+
+    fs.device._plan_command = recorded_plan
+    fs.scheduler.submit = recorded_submit
+    return ran
+
+
+@pytest.mark.parametrize("device", ["optane", "flash", "microsd", "hdd"])
+@pytest.mark.parametrize("fs_type", ["ext4", "f2fs", "btrfs"])
+def test_device_counts_what_ran_in_raising_batches_and_the_tracer_does_not(
+    fs_type, device,
+):
+    """Under faults, a batch that raises part-way is counted by the device
+    for the commands that ran and not at all by the tracer, so after every
+    syscall the device's counters exceed the tracer's sums by exactly what
+    ran in raising batches, in bytes and in commands."""
+    plan = (
+        FaultPlan(seed=7)
+        .latency_spike("device.submit", probability=0.05, max_fires=0)
+        .torn_write("device.submit", torn_fraction=0.5, probability=0.06, max_fires=0)
+        .io_error("device.submit", probability=0.03, max_fires=0)
+        .crash("device.submit", after_ops=100)
+        .io_error(BLOCK_SITE, probability=0.02, max_fires=0)
+    )
+    plane = FaultPlane(plan, active=True)
+    with fault_hooks.use(plane):
+        fs = make_filesystem(
+            fs_type, make_device(device, capacity=256 * MIB), page_cache_pages=96,
+        )
+        ran = _count_raising_batches(fs)
+        rng = random.Random(f"faulted-{fs_type}-{device}")
+        for step, name in enumerate(_syscalls(fs, rng, (DeviceError, FaultError))):
+            device_side = _traffic(fs.device.stats)
+            tracer_side = _tracer_sum(fs.tracer)
+            assert tuple(d - t for d, t in zip(device_side, tracer_side)) == \
+                _traffic(ran), (step, name)
+    kinds = {(fire.site, fire.kind) for fire in plane.stats.fires}
+    assert {("device.submit", "torn"), ("device.submit", "io_error"),
+            ("device.submit", "crash"), (BLOCK_SITE, "io_error")} <= kinds
+    # some raising batches had run commands before they raised
+    assert ran.total_commands > 0
 
 
 @pytest.mark.parametrize("fs_type", ["ext4", "f2fs", "btrfs"])
