@@ -418,7 +418,7 @@ class Filesystem(abc.ABC):
         inode = self.inode(handle.ino)
         if self._faulting and self.faults.active:
             now, _ = self._fault_syscall("fsync", inode, 0, inode.size, now)
-        dirty = self.page_cache.dirty_pages(inode.ino)
+        dirty = self.page_cache.dirty_runs(inode.ino)
         requests = 0
         finish = now
         if dirty:
@@ -431,17 +431,15 @@ class Filesystem(abc.ABC):
         if self._observing:
             self.obs.syscall("fsync", finish - now)
             self.obs.fs_cpu(SYSCALL_OVERHEAD)
-        return SyscallResult(finish, finish - now, requests, len(dirty) * BLOCK_SIZE)
+        return SyscallResult(finish, finish - now, requests, sum(map(len, dirty)) * BLOCK_SIZE)
 
     def sync(self, now: float = 0.0) -> SyscallResult:
         """Flush everything (sync(2))."""
         finish = now
         requests = 0
-        for ino in list(self.inodes):
-            dirty = self.page_cache.dirty_pages(ino)
-            if not dirty:
-                continue
-            submit = self._writeback_pages({ino: dirty}, finish)
+        # ascending ino is ``self.inodes`` order: inos ascend with create
+        for ino in self.page_cache.dirty_inodes():
+            submit = self._writeback_pages({ino: self.page_cache.dirty_runs(ino)}, finish)
             requests += submit.commands
             finish = submit.finish_time
         meta = self._commit_metadata(finish, tag="meta")
@@ -450,24 +448,24 @@ class Filesystem(abc.ABC):
             self.obs.syscall("sync", finish - now)
         return SyscallResult(finish, finish - now, requests + meta.commands, 0)
 
-    def _writeback_pages(self, by_ino: Dict[int, List[int]], now: float, tag: str = "writeback") -> SubmitResult:
+    def _writeback_pages(self, by_ino: Dict[int, List[range]], now: float, tag: str = "writeback") -> SubmitResult:
         """Write dirty pages out, allocating blocks as needed.
 
-        ``by_ino`` maps each inode to its sorted dirty pages, in the
-        order the inodes are flushed.
+        ``by_ino`` maps each inode to its dirty pages as maximal
+        ascending runs, in the order the inodes are flushed.
         """
         # each page run is split on its own: runs that happen to land
         # back to back on disk stay separate commands
         commands: List[Tuple[int, int]] = []
-        for ino, pages in by_ino.items():
+        for ino, runs in by_ino.items():
             inode = self.inodes.get(ino)
             if inode is None:
                 continue  # unlinked while dirty
-            for run in page_runs(pages):
+            for run in runs:
                 ranges = self._allocate_write(inode, run.start * BLOCK_SIZE, len(run) * BLOCK_SIZE)
                 commands.extend(split_ranges(ranges))
             self._meta_dirty = True
-            self.page_cache.clean(ino, pages)
+            self.page_cache.clean(ino, runs)
         return self.scheduler.submit(IoOp.WRITE, commands, now, tag)
 
     # ------------------------------------------------------------------
@@ -523,7 +521,7 @@ class Filesystem(abc.ABC):
         self.page_store.zero_range(inode.ino, aligned_start, aligned_end - aligned_start)
         # punched pages must not be written back later
         self.page_cache.clean(
-            inode.ino, range(aligned_start // BLOCK_SIZE, aligned_end // BLOCK_SIZE)
+            inode.ino, [range(aligned_start // BLOCK_SIZE, aligned_end // BLOCK_SIZE)]
         )
 
     def _allocate_range(self, inode: Inode, offset: int, length: int) -> None:
@@ -564,7 +562,7 @@ class Filesystem(abc.ABC):
                 for extent in removed:
                     self.free_space.free(extent.disk_offset, extent.length)
                 self.page_cache.clean(
-                    inode.ino, range(tail_start // BLOCK_SIZE, (tail_start + tail_len) // BLOCK_SIZE)
+                    inode.ino, [range(tail_start // BLOCK_SIZE, (tail_start + tail_len) // BLOCK_SIZE)]
                 )
             self.page_store.zero_range(inode.ino, size, max(0, inode.size - size))
         inode.size = size
@@ -664,12 +662,10 @@ class Filesystem(abc.ABC):
         }
 
 
-def _group_pages(keys: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
-    """Group evicted ``(ino, page)`` keys into ``{ino: sorted pages}``,
-    inodes in first-occurrence order (the writeback order)."""
+def _group_pages(keys: Sequence[Tuple[int, int]]) -> Dict[int, List[range]]:
+    """Group evicted ``(ino, page)`` keys into ``{ino: ascending page
+    runs}``, inodes in first-occurrence order (the writeback order)."""
     by_ino: Dict[int, List[int]] = {}
     for ino, page in keys:
         by_ino.setdefault(ino, []).append(page)
-    for pages in by_ino.values():
-        pages.sort()
-    return by_ino
+    return {ino: page_runs(sorted(pages)) for ino, pages in by_ino.items()}

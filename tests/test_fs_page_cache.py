@@ -44,10 +44,14 @@ def test_dirty_pages_sorted_per_inode():
     cache.mark_dirty(1, [5])
     cache.mark_dirty(2, [0])
     cache.mark_dirty(1, [2])
-    assert cache.dirty_pages(1) == [2, 5]
-    assert cache.dirty_pages(2) == [0]
-    cache.clean(1, [2, 5])
-    assert cache.dirty_pages(1) == []
+    cache.mark_dirty(1, [3])
+    assert cache.dirty_runs(1) == [range(2, 4), range(5, 6)]
+    assert cache.dirty_runs(2) == [range(0, 1)]
+    assert cache.dirty_inodes() == [1, 2]
+    assert cache.dirty_count() == 4
+    cache.clean(1, [range(2, 6)])
+    assert cache.dirty_runs(1) == []
+    assert cache.dirty_inodes() == [2]
 
 
 def test_invalidate_inode():
@@ -57,7 +61,7 @@ def test_invalidate_inode():
     cache.invalidate_inode(1)
     assert (1, 0) not in cache
     assert (2, 0) in cache
-    assert cache.dirty_pages(1) == []
+    assert cache.dirty_runs(1) == []
 
 
 def test_drop_clean_keeps_dirty():

@@ -5,17 +5,19 @@
 Seeded streams of probes, fills, dirtying, cleaning, inode invalidation
 and ``drop_clean`` over four inodes run through both at capacities small
 enough that dirty pages get evicted, and after every step the LRU order
-(``lru_keys()``), the stats, the dirty count, the per-inode indexes and
-every returned value (missing pages, evicted keys, drop counts) must be
-identical.  ``probe`` returns its missing pages as runs, which must be
-maximal and ascending and flatten to the reference's missing pages;
-``fill`` takes runs, made from each fill's page list by
-:func:`fill_runs`.  Long streams over a few resident pages make the touch log
-compact, and a deep copy taken mid-stream must go on like the original.
-The same streams also run over pages that straddle two stamp chunks,
-and scripted cases cover a refill after ``invalidate_inode``, a
-permuted list and a far page index.  Two memory guards bound the bytes
-held per resident page.
+(``lru_keys()``), the stats, the dirty count, the per-inode resident
+and dirty pages and every returned value (missing pages, evicted keys,
+drop counts) must be identical, and each inode's ``dirty_runs`` must be
+the reference's dirty set split into maximal ascending runs.  ``probe``
+returns its missing pages as runs, which must be maximal and ascending
+and flatten to the reference's missing pages; ``fill`` and ``clean``
+take runs, made from each call's page list by :func:`fill_runs`.  Long
+streams over a few resident pages make the touch log compact, and a
+deep copy taken mid-stream must go on like the original.  The same
+streams also run over pages that straddle two stamp chunks, and
+scripted cases cover a refill after ``invalidate_inode``, a permuted
+list, a far page index and dirty runs across chunk boundaries.  Three
+memory guards bound the bytes held per resident page, clean or dirty.
 """
 
 import copy
@@ -27,7 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 import numpy as np
 import pytest
 
-from repro.fs.page_cache import CHUNK_BITS, PageCache, PageCacheStats
+from repro.fs.page_cache import CHUNK, CHUNK_BITS, PageCache, PageCacheStats, page_runs
 
 PageKey = Tuple[int, int]
 
@@ -177,17 +179,35 @@ def resident_by_ino(cache: PageCache) -> Dict[int, Set[int]]:
     return by_ino
 
 
+def dirty_by_ino(cache: PageCache) -> Dict[int, Set[int]]:
+    """Dirty pages per inode, read from the dirty flag chunks, after
+    checking that no chunk or inode entry is held with nothing dirty."""
+    by_ino = {}
+    for ino, flags_of in cache._dirty_flags.items():
+        pages = set()
+        for key, flags in flags_of.items():
+            assert len(flags) == CHUNK
+            slots = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))
+            assert slots.size, (ino, key)
+            pages.update((slots + (key << CHUNK_BITS)).tolist())
+        assert pages, ino
+        by_ino[ino] = pages
+    return by_ino
+
+
 def state(cache) -> tuple:
-    """LRU order, stats, dirty count and the per-inode indexes."""
+    """LRU order, stats, dirty count and the per-inode resident and
+    dirty pages."""
     if isinstance(cache, KeyedPageCache):
-        lru, by_ino = list(cache._lru), cache._by_ino
+        lru, by_ino, dirty = list(cache._lru), cache._by_ino, cache._dirty_by_ino
     else:
         lru = list(cache.lru_keys())
         by_ino = resident_by_ino(cache)
+        dirty = dirty_by_ino(cache)
         assert len(cache) == len(lru)
     return (
         lru, cache.stats.hits, cache.stats.misses,
-        cache._dirty_total, by_ino, cache._dirty_by_ino,
+        cache._dirty_total, by_ino, dirty,
     )
 
 
@@ -243,7 +263,7 @@ def check_ops(capacity: int, ops: Iterable[tuple], copy_at: Optional[int] = None
             evicted_dirty += len(want)
         elif call == "clean":
             (pages,) = args
-            got = [new.clean(ino, pages) for new in caches]
+            got = [new.clean(ino, fill_runs(pages)) for new in caches]
             want = ref.clean(ino, pages)
         elif call == "invalidate_inode":
             got = [new.invalidate_inode(ino) for new in caches]
@@ -251,10 +271,15 @@ def check_ops(capacity: int, ops: Iterable[tuple], copy_at: Optional[int] = None
         else:
             got = [new.drop_clean() for new in caches]
             want = ref.drop_clean()
+        inodes = sorted(set(range(INODES)) | {ino})
         for new in caches:
             assert got.pop(0) == want, (label, call, step)
             assert new.dirty_count() == ref._dirty_total
             assert state(new) == state(ref), (label, call, step)
+            assert new.dirty_inodes() == sorted(ref._dirty_by_ino)
+            for each in inodes:
+                want_runs = page_runs(sorted(ref._dirty_by_ino.get(each, ())))
+                assert new.dirty_runs(each) == want_runs, (label, call, step, each)
     return evicted_dirty
 
 
@@ -328,7 +353,9 @@ def test_permuted_list_keeps_its_order():
     cache = PageCache(4)
     cache.mark_dirty(1, [5, 7, 6, 8])
     assert list(cache.lru_keys()) == [(1, 5), (1, 7), (1, 6), (1, 8)]
-    assert range(5, 9) not in [run for _, run, _ in cache._log]
+    entries = iter(cache._log)
+    runs = [(start, stop) for _, start, stop, _ in zip(entries, entries, entries, entries)]
+    assert (5, 9) not in runs
     check_ops(2, [
         ("mark_dirty", 1, [5, 7, 6, 8]),
         ("mark_dirty", 1, [9, 7, 9, 5]),
@@ -359,11 +386,48 @@ def test_far_page_holds_one_chunk():
     ])
 
 
+def test_dirty_runs_across_chunk_boundaries():
+    """Dirty runs that cross a 1,024-page chunk boundary read back as one
+    run, and a dirty page at 2**24 as its own; cleaning, eviction and
+    ``drop_clean`` split and shrink them chunk by chunk."""
+    far = 1 << 24
+    check_ops(24, [
+        ("mark_dirty", 1, range(CHUNK - 3, CHUNK + 3)),
+        ("mark_dirty", 1, range(CHUNK + 3, CHUNK + 5)),
+        ("mark_dirty", 1, [far]),
+        ("fill", 2, range(CHUNK - 8, CHUNK + 8)),
+        ("mark_dirty", 2, [CHUNK + 1, CHUNK - 1, 2 * CHUNK - 1, 2 * CHUNK]),
+        ("clean", 1, range(CHUNK - 1, CHUNK + 1)),
+        ("drop_clean", 1),
+        ("clean", 2, [CHUNK - 1, 2 * CHUNK]),
+        ("mark_dirty", 3, range(2 * CHUNK - 4, 2 * CHUNK + 4)),
+        ("mark_dirty", 3, range(0, 6)),
+        # one run over 64 chunks, most with no flag chunk, then the far page
+        ("clean", 1, range(0, 64 * CHUNK)),
+        ("clean", 1, range(far - 2, far + 1)),
+        ("mark_dirty", 1, range(far - 2, far + 2)),
+        ("fill", 0, range(0, 24)),  # evicts every dirty page, oldest first
+    ])
+
+
 @pytest.fixture(scope="module")
 def resident_scenario():
     """131,072 resident pages: 64 inodes x 2,048, filled in 32-page runs,
     then probed in 16-page runs (every probe hits).  Returns the bytes
     the cache holds and its resident page count."""
+    return page_scenario(lambda cache, ino, run: cache.fill(ino, [run]))
+
+
+@pytest.fixture(scope="module")
+def dirty_scenario():
+    """``resident_scenario`` with every fill done as ``mark_dirty``, so
+    all 131,072 resident pages are dirty."""
+    return page_scenario(PageCache.mark_dirty)
+
+
+def page_scenario(insert) -> Tuple[int, int]:
+    """Insert each 32-page run with ``insert(cache, ino, run)``, probe
+    every page back, and measure the bytes held."""
     inodes, pages_per_inode = 64, 2048
     tracemalloc.start()
     try:
@@ -371,7 +435,7 @@ def resident_scenario():
         cache = PageCache()
         for ino in range(inodes):
             for first in range(0, pages_per_inode, 32):
-                cache.fill(ino, [range(first, first + 32)])
+                insert(cache, ino, range(first, first + 32))
         for ino in range(inodes):
             for first in range(0, pages_per_inode, 16):
                 assert cache.probe(ino, first, first + 15) == []
@@ -388,11 +452,18 @@ def test_resident_page_costs_at_most_160_bytes(resident_scenario):
     assert held / resident <= 160, held / resident
 
 
-#: bytes held per resident page in ``resident_scenario``: 27.7 measured
-#: (8 B of stamp chunk per page, the rest the touch log's run entries)
-STAMPED_BYTES_PER_PAGE = 32
+#: bytes held per resident page in ``resident_scenario``, clean or
+#: dirty: 8 B of stamp chunk per page, about 3 B of touch log entries
+#: (four 8-byte ints per run), and about 1 B of dirty flag chunk per
+#: dirty page
+STAMPED_BYTES_PER_PAGE = 16
 
 
-def test_resident_page_costs_at_most_32_bytes(resident_scenario):
+def test_resident_page_costs_at_most_16_bytes(resident_scenario):
     held, resident = resident_scenario
+    assert held / resident <= STAMPED_BYTES_PER_PAGE, held / resident
+
+
+def test_dirty_page_costs_at_most_16_bytes(dirty_scenario):
+    held, resident = dirty_scenario
     assert held / resident <= STAMPED_BYTES_PER_PAGE, held / resident
